@@ -1,5 +1,5 @@
-// Wire format v2: kind-tagged, length-prefixed JSON frames hardened for
-// a monitoring plane that must tolerate the faults it watches for. Every
+// Wire format v2: kind-tagged, length-prefixed frames hardened for a
+// monitoring plane that must tolerate the faults it watches for. Every
 // frame opens with a two-byte magic so a receiver that loses alignment
 // can resynchronize by scanning instead of dropping the connection,
 // carries a per-agent sequence number so replayed frames deduplicate and
@@ -8,11 +8,19 @@
 //
 //	offset size
 //	0      2    magic 0xF5 0x9E
-//	2      1    kind ('I' hello, 'E' event, 'S' state, 'H' heartbeat)
+//	2      1    kind ('I' hello, 'B' event, 'S' state, 'H' heartbeat,
+//	            'E' legacy JSON event)
 //	3      8    sequence number, big-endian (0 = unsequenced)
 //	11     4    body length, big-endian
 //	15     4    CRC32 (IEEE) over bytes [2,15) and the body
-//	19     n    JSON body
+//	19     n    body
+//
+// Event bodies — the per-event traffic — are trace's binary encoding
+// (trace.BodyBinary, laid out in internal/trace/codec.go) under kind
+// 'B'. Kind 'E' carries the same event as JSON: senders before the
+// binary body wrote it and receivers still read it, so an analyzer can
+// be upgraded ahead of its agents. Hello, heartbeat and state bodies are
+// per-connection or per-period, not per-event, and stay JSON.
 
 package agent
 
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"gretel/internal/trace"
 )
@@ -40,14 +49,15 @@ const (
 // Frame kinds on the wire.
 const (
 	frameHello     byte = 'I' // per-connection agent identification
-	frameEvent     byte = 'E'
+	frameEvent          = trace.BodyBinary
+	frameEventJSON      = trace.BodyJSON // legacy: read, never written
 	frameState     byte = 'S'
 	frameHeartbeat byte = 'H' // liveness + sequence high-water mark
 )
 
 func validKind(k byte) bool {
 	switch k {
-	case frameHello, frameEvent, frameState, frameHeartbeat:
+	case frameHello, frameEvent, frameEventJSON, frameState, frameHeartbeat:
 		return true
 	}
 	return false
@@ -79,28 +89,33 @@ type heartbeatBody struct {
 	Shed  uint64 `json:"shed,omitempty"`
 }
 
-// encodeFrame builds one complete wire frame.
-func encodeFrame(kind byte, seq uint64, body []byte) []byte {
-	fr := make([]byte, frameHdrLen+len(body))
+// sealFrame completes a frame in place: fr holds frameHdrLen reserved
+// bytes and then the body, and gets its header and CRC written.
+func sealFrame(fr []byte, kind byte, seq uint64) {
 	fr[0] = frameMagic0
 	fr[1] = frameMagic1
 	fr[2] = kind
 	binary.BigEndian.PutUint64(fr[3:], seq)
-	binary.BigEndian.PutUint32(fr[11:], uint32(len(body)))
-	copy(fr[frameHdrLen:], body)
+	binary.BigEndian.PutUint32(fr[11:], uint32(len(fr)-frameHdrLen))
 	crc := crc32.ChecksumIEEE(fr[2:15])
 	crc = crc32.Update(crc, crc32.IEEETable, fr[frameHdrLen:])
 	binary.BigEndian.PutUint32(fr[15:], crc)
+}
+
+// encodeFrame builds one complete wire frame around a copy of body.
+func encodeFrame(kind byte, seq uint64, body []byte) []byte {
+	fr := make([]byte, frameHdrLen+len(body))
+	copy(fr[frameHdrLen:], body)
+	sealFrame(fr, kind, seq)
 	return fr
 }
 
-func writeFrame(w io.Writer, kind byte, seq uint64, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("agent: encoding frame: %w", err)
-	}
-	_, err = w.Write(encodeFrame(kind, seq, body))
-	return err
+// eventFrame encodes ev's binary body after a reserved header, in the
+// one buffer the frame will live in; sealFrame finishes it once the
+// sequence number is known.
+func eventFrame(ev *trace.Event) []byte {
+	fr := make([]byte, frameHdrLen, frameHdrLen+trace.EventSizeHint(ev))
+	return trace.AppendEvent(fr, ev)
 }
 
 // readFrame reads the next valid frame, resynchronizing on corruption:
@@ -108,8 +123,10 @@ func writeFrame(w io.Writer, kind byte, seq uint64, v any) error {
 // one byte; a CRC mismatch skips the frame. skipped reports the bytes
 // discarded before the returned frame (0 on a healthy stream). Errors
 // are only I/O-level (EOF, deadline): corruption never surfaces as an
-// error, so one mangled frame cannot tear down a connection.
-func readFrame(br *bufio.Reader) (kind byte, seq uint64, body []byte, skipped int, err error) {
+// error, so one mangled frame cannot tear down a connection. The body
+// aliases buf (grown as needed) and is valid until the next call that
+// is handed it.
+func readFrame(br *bufio.Reader, buf []byte) (kind byte, seq uint64, body []byte, skipped int, err error) {
 	for {
 		b0, err := br.ReadByte()
 		if err != nil {
@@ -145,7 +162,7 @@ func readFrame(br *bufio.Reader) (kind byte, seq uint64, body []byte, skipped in
 		if _, err := br.Discard(frameHdrLen - 1); err != nil {
 			return 0, 0, nil, skipped, err
 		}
-		body = make([]byte, n)
+		body = slices.Grow(buf[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return 0, 0, nil, skipped, err
 		}
@@ -156,6 +173,7 @@ func readFrame(br *bufio.Reader) (kind byte, seq uint64, body []byte, skipped in
 			// magic check resynchronizes.
 			mCRCErrors.Inc()
 			skipped += frameHdrLen + len(body)
+			buf = body
 			continue
 		}
 		return kind, seq, body, skipped, nil
@@ -165,30 +183,42 @@ func readFrame(br *bufio.Reader) (kind byte, seq uint64, body []byte, skipped in
 // WriteEvent encodes one unsequenced event frame (test and
 // single-purpose producers; the Sender assigns sequence numbers).
 func WriteEvent(w io.Writer, ev *trace.Event) error {
-	return writeFrame(w, frameEvent, 0, ev)
+	fr := eventFrame(ev)
+	sealFrame(fr, frameEvent, 0)
+	_, err := w.Write(fr)
+	return err
 }
 
 // WriteState encodes one unsequenced state-update frame.
 func WriteState(w io.Writer, u *StateUpdate) error {
-	return writeFrame(w, frameState, 0, u)
+	body, err := json.Marshal(u)
+	if err != nil {
+		return fmt.Errorf("agent: encoding frame: %w", err)
+	}
+	_, err = w.Write(encodeFrame(frameState, 0, body))
+	return err
 }
 
-// ReadEvent decodes one frame, which must be an event frame (test and
-// single-purpose consumers; the Receiver handles mixed streams).
+// ReadEvent decodes one frame, which must be an event frame of either
+// body kind (test and single-purpose consumers; the Receiver handles
+// mixed streams).
 func ReadEvent(r io.Reader) (trace.Event, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	kind, _, body, _, err := readFrame(br)
+	kind, _, body, _, err := readFrame(br, nil)
 	if err != nil {
 		return trace.Event{}, err
 	}
-	if kind != frameEvent {
+	if kind != frameEvent && kind != frameEventJSON {
 		return trace.Event{}, fmt.Errorf("agent: expected event frame, got %q", kind)
 	}
-	var ev trace.Event
-	if err := json.Unmarshal(body, &ev); err != nil {
+	var (
+		dec trace.Decoder
+		ev  trace.Event
+	)
+	if err := dec.Decode(kind, body, &ev); err != nil {
 		return trace.Event{}, fmt.Errorf("agent: decoding event: %w", err)
 	}
 	return ev, nil

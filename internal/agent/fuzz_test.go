@@ -16,7 +16,8 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	ev := sampleEvent(7)
 	evBody, _ := json.Marshal(&ev)
-	good := encodeFrame(frameEvent, 7, evBody)
+	good := jsonFrame(7, ev) // the legacy event frame
+	goodBin := binFrame(7, ev)
 	state, _ := json.Marshal(&StateUpdate{Nodes: []NodeState{{Name: "n1", Up: true}}})
 	goodState := encodeFrame(frameState, 8, state)
 	hb, _ := json.Marshal(heartbeatBody{Agent: "fuzz", Shed: 3})
@@ -45,11 +46,21 @@ func FuzzReadFrame(f *testing.F) {
 	badCRC[len(badCRC)-1] ^= 0xff // flip a body byte: CRC mismatch
 	f.Add(append(badCRC, good...))
 
+	// The same classes on the binary event frame senders write now.
+	f.Add(goodBin)
+	f.Add(append(append([]byte{}, goodBin...), good...)) // mixed-version stream
+	f.Add(goodBin[:len(goodBin)-5])                      // truncated body
+	badCRCBin := append([]byte{}, goodBin...)
+	badCRCBin[frameHdrLen+3] ^= 0x40
+	f.Add(append(badCRCBin, goodBin...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		consumed := 0
+		var buf []byte // reused across frames, as the receiver does
 		for {
-			kind, _, body, skipped, err := readFrame(br)
+			kind, _, body, skipped, err := readFrame(br, buf)
+			buf = body
 			if err != nil {
 				// Only I/O-level errors may surface; corruption must not.
 				consumed += skipped
@@ -81,10 +92,12 @@ func FuzzReadFrameRecovery(f *testing.F) {
 	f.Add([]byte{0xF5, 0x9E, 'E'}) // looks like a frame start
 	f.Add([]byte{'X', 0, 0, 0, 1}) // old-format garbage
 	f.Add(bytes.Repeat([]byte{0xF5}, 40))
+	f.Add([]byte{0xF5, 0x9E, 'B'}) // a binary event frame start
+	torn := binFrame(41, sampleEvent(41))
+	f.Add(torn[:frameHdrLen+4]) // a binary event frame torn mid-body
 
-	ev := sampleEvent(42)
-	body, _ := json.Marshal(&ev)
-	good := encodeFrame(frameEvent, 42, body)
+	good := binFrame(42, sampleEvent(42))
+	body := good[frameHdrLen:]
 
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		if len(garbage) > 1<<16 {
@@ -92,7 +105,7 @@ func FuzzReadFrameRecovery(f *testing.F) {
 		}
 		br := bufio.NewReader(bytes.NewReader(append(append([]byte{}, garbage...), good...)))
 		for {
-			kind, seq, got, _, err := readFrame(br)
+			kind, seq, got, _, err := readFrame(br, nil)
 			if err != nil {
 				// Permissible only if the garbage happened to embed a
 				// frame prefix that swallowed our frame into its body or

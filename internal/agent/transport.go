@@ -1,8 +1,8 @@
 // TCP transport: the Broccoli analogue (§6) carrying parsed events and
 // periodic distributed-state updates (collectd snapshots + watcher
 // status) from node agents to the analyzer service as kind-tagged,
-// length-prefixed JSON frames (frame.go). TCP preserves per-agent
-// ordering, which the event receiver relies on (§5.2).
+// length-prefixed frames (frame.go). TCP preserves per-agent ordering,
+// which the event receiver relies on (§5.2).
 //
 // The plane is self-healing: the sender spools frames into a bounded
 // in-memory ring and a background loop redials with exponential backoff,
@@ -136,10 +136,25 @@ func (c *SenderConfig) defaults() {
 	}
 	if c.Dialer == nil {
 		c.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
+			conn, err := net.DialTimeout("tcp", addr, timeout)
+			if tc, ok := conn.(*net.TCPConn); ok {
+				_ = tc.SetWriteBuffer(sockBufBytes) // advisory: a refusal leaves the kernel default
+			}
+			return conn, err
 		}
 	}
 }
+
+// sockBufBytes bounds the kernel buffer at each end of a transport
+// connection: the sender's write buffer (set by the default Dialer) and
+// the receiver's read buffer (set on accept). The plane bounds what is
+// in flight in frames — the spill ring, the receiver's event channel —
+// but the kernel buffers bound it in bytes, so with a slow consumer
+// compact frames would queue several times more events there than JSON
+// frames did, and every one of them is report lag. 256 KiB still holds
+// well over a thousand events per direction, so a fast consumer never
+// starves.
+const sockBufBytes = 256 << 10
 
 // wireFrame is one encoded frame retained in the spill ring.
 type wireFrame struct {
@@ -259,18 +274,24 @@ func (s *Sender) setErr(err error) {
 
 // Send spools one event. It never blocks and never fails; if the ring
 // is full the oldest unsent frame is shed and counted.
-func (s *Sender) Send(ev trace.Event) { s.enqueue(frameEvent, &ev) }
+func (s *Sender) Send(ev trace.Event) { s.enqueue(frameEvent, eventFrame(&ev)) }
 
 // SendState spools one state update.
-func (s *Sender) SendState(u StateUpdate) { s.enqueue(frameState, &u) }
-
-func (s *Sender) enqueue(kind byte, v any) {
-	body, err := json.Marshal(v)
+func (s *Sender) SendState(u StateUpdate) {
+	body, err := json.Marshal(&u)
 	if err != nil {
 		mFramesDropped.Inc()
 		telemetry.LogFirst("transport.encode", "agent: encoding frame: %v; dropping", err)
 		return
 	}
+	s.enqueue(frameState, append(make([]byte, frameHdrLen, frameHdrLen+len(body)), body...))
+}
+
+// enqueue takes a frame whose body is already in place after the
+// reserved header bytes, assigns its sequence number, seals it, and
+// hands it to the ring — the buffer the caller encoded into is the one
+// the ring retains.
+func (s *Sender) enqueue(kind byte, data []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -278,7 +299,8 @@ func (s *Sender) enqueue(kind byte, v any) {
 		return
 	}
 	s.nextSeq++
-	fr := wireFrame{seq: s.nextSeq, data: encodeFrame(kind, s.nextSeq, body)}
+	sealFrame(data, kind, s.nextSeq)
+	fr := wireFrame{seq: s.nextSeq, data: data}
 	if s.n == len(s.ring) {
 		old := s.ring[s.head]
 		s.head = (s.head + 1) % len(s.ring)
@@ -744,6 +766,9 @@ func (r *Receiver) acceptLoop() {
 		}
 		r.conns[conn] = struct{}{}
 		r.mu.Unlock()
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetReadBuffer(sockBufBytes) // advisory, like the sender's write buffer
+		}
 		r.wg.Add(1)
 		go r.serve(conn)
 	}
@@ -903,11 +928,18 @@ func (r *Receiver) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	// Until a hello identifies the agent, track by remote address.
 	agent := "conn:" + conn.RemoteAddr().String()
+	// Per-connection decode state: the frame body buffer is reused (every
+	// decode below copies out of it) and the event decoder interns the
+	// connection's repeating strings.
+	var (
+		buf []byte
+		dec trace.Decoder
+	)
 	for {
 		if rt := r.cfg.ReadTimeout; rt > 0 {
 			conn.SetReadDeadline(time.Now().Add(rt))
 		}
-		kind, seq, body, skipped, err := readFrame(br)
+		kind, seq, body, skipped, err := readFrame(br, buf)
 		if skipped > 0 {
 			mResyncs.Inc()
 			mBytesSkipped.Add(uint64(skipped))
@@ -922,6 +954,7 @@ func (r *Receiver) serve(conn net.Conn) {
 			}
 			return
 		}
+		buf = body
 		mFramesRecv.Inc()
 		switch kind {
 		case frameHello:
@@ -937,9 +970,9 @@ func (r *Receiver) serve(conn net.Conn) {
 			}
 			mHeartbeats.Inc()
 			r.noteHeartbeat(agent, seq)
-		case frameEvent:
+		case frameEvent, frameEventJSON:
 			var ev trace.Event
-			if derr := json.Unmarshal(body, &ev); derr != nil {
+			if derr := dec.Decode(kind, body, &ev); derr != nil {
 				mDecodeErrors.Inc()
 				telemetry.LogFirst("transport.decode",
 					"agent: undecodable event frame from %s: %v; skipping", conn.RemoteAddr(), derr)

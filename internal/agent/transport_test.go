@@ -26,6 +26,33 @@ func sampleEvent(seq uint64) trace.Event {
 	}
 }
 
+// binFrame builds the event frame every sender writes: binary body,
+// kind 'B'. jsonFrame builds its legacy twin, the JSON body under kind
+// 'E' that receivers must keep reading.
+func binFrame(seq uint64, ev trace.Event) []byte {
+	fr := eventFrame(&ev)
+	sealFrame(fr, frameEvent, seq)
+	return fr
+}
+
+func jsonFrame(seq uint64, ev trace.Event) []byte {
+	body, _ := json.Marshal(&ev)
+	return encodeFrame(frameEventJSON, seq, body)
+}
+
+// decodeEventBody decodes an event frame body of either kind.
+func decodeEventBody(t *testing.T, kind byte, body []byte) trace.Event {
+	t.Helper()
+	var (
+		dec trace.Decoder
+		ev  trace.Event
+	)
+	if err := dec.Decode(kind, body, &ev); err != nil {
+		t.Fatalf("decoding %q event body: %v", kind, err)
+	}
+	return ev
+}
+
 // fastSender returns a SenderConfig with test-tight timers.
 func fastSender(addr, name string) SenderConfig {
 	return SenderConfig{
@@ -66,14 +93,11 @@ func TestReadEventRejectsGarbageStream(t *testing.T) {
 func TestReadFrameSkipsOversizedLength(t *testing.T) {
 	// A header whose length field exceeds MaxFrame must be rejected as
 	// corrupt (scan past it), never allocated.
-	ev := sampleEvent(1)
-	body, _ := json.Marshal(&ev)
-	fr := encodeFrame(frameEvent, 1, body)
-	huge := append([]byte{}, fr...)
+	huge := binFrame(1, sampleEvent(1))
 	huge[11], huge[12], huge[13], huge[14] = 0xff, 0xff, 0xff, 0xff
-	good := encodeFrame(frameEvent, 2, body)
+	good := binFrame(2, sampleEvent(1))
 	br := bufio.NewReader(bytes.NewReader(append(huge, good...)))
-	kind, seq, _, skipped, err := readFrame(br)
+	kind, seq, _, skipped, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +120,11 @@ func TestReadEventShortBody(t *testing.T) {
 func TestReadFrameResyncAfterCorruptFrame(t *testing.T) {
 	// Flip a body byte: CRC fails, frame is skipped, and the next valid
 	// frame is returned — corruption must not surface as an error.
-	ev := sampleEvent(1)
-	body, _ := json.Marshal(&ev)
-	bad := encodeFrame(frameEvent, 1, body)
+	bad := binFrame(1, sampleEvent(1))
 	bad[frameHdrLen] ^= 0xff
-	good := encodeFrame(frameEvent, 2, body)
+	good := binFrame(2, sampleEvent(1))
 	br := bufio.NewReader(bytes.NewReader(append(bad, good...)))
-	kind, seq, gotBody, skipped, err := readFrame(br)
+	kind, seq, gotBody, skipped, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +134,8 @@ func TestReadFrameResyncAfterCorruptFrame(t *testing.T) {
 	if skipped != len(bad) {
 		t.Fatalf("skipped=%d, want %d (the whole corrupt frame)", skipped, len(bad))
 	}
-	var got trace.Event
-	if err := json.Unmarshal(gotBody, &got); err != nil || got.Status != 413 {
-		t.Fatalf("body mangled: %v %+v", err, got)
+	if got := decodeEventBody(t, kind, gotBody); got.Status != 413 {
+		t.Fatalf("body mangled: %+v", got)
 	}
 }
 
@@ -214,7 +235,7 @@ func TestStateFrameRoundTrip(t *testing.T) {
 	if _, err := ReadEvent(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("ReadEvent accepted a state frame")
 	}
-	kind, seq, body, skipped, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	kind, seq, body, skipped, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
 	if err != nil || kind != frameState || seq != 0 || skipped != 0 {
 		t.Fatalf("kind=%q seq=%d skipped=%d err=%v", kind, seq, skipped, err)
 	}
@@ -269,7 +290,7 @@ func TestCollectStateAndStoreRoundTrip(t *testing.T) {
 	if err := WriteState(&buf, &u); err != nil {
 		t.Fatal(err)
 	}
-	kind, _, body, _, err := readFrame(bufio.NewReader(&buf))
+	kind, _, body, _, err := readFrame(bufio.NewReader(&buf), nil)
 	if err != nil || kind != frameState {
 		t.Fatal("frame broken")
 	}
@@ -329,7 +350,8 @@ func TestReceiverResyncsOnCorruptBytes(t *testing.T) {
 }
 
 // TestReceiverSkipsUndecodableFrame: a well-framed but undecodable body
-// must be counted and skipped — the connection survives.
+// of either event kind must be counted and skipped — the connection
+// survives.
 func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 	recv, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -344,7 +366,10 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(encodeFrame(frameEvent, 0, []byte("not-json")))
+	conn.Write(encodeFrame(frameEventJSON, 0, []byte("not-json")))
+	good := binFrame(0, sampleEvent(1))[frameHdrLen:]
+	conn.Write(encodeFrame(frameEvent, 0, good[:len(good)-1]))            // truncated
+	conn.Write(encodeFrame(frameEvent, 0, append([]byte{0xff}, good...))) // unknown body version
 	ev := sampleEvent(7)
 	if err := WriteEvent(conn, &ev); err != nil {
 		t.Fatal(err)
@@ -357,7 +382,7 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("event after undecodable frame never arrived")
 	}
-	waitCounterAbove(t, decode, before)
+	waitCounterAbove(t, decode, before+2)
 }
 
 // TestReceiverRecordsGapAndDedups drives sequence tracking directly: a
@@ -377,11 +402,7 @@ func TestReceiverRecordsGapAndDedups(t *testing.T) {
 
 	hello, _ := json.Marshal(helloBody{Agent: "gap-agent"})
 	conn.Write(encodeFrame(frameHello, 0, hello))
-	mk := func(seq uint64) []byte {
-		ev := sampleEvent(seq)
-		body, _ := json.Marshal(&ev)
-		return encodeFrame(frameEvent, seq, body)
-	}
+	mk := func(seq uint64) []byte { return binFrame(seq, sampleEvent(seq)) }
 	conn.Write(mk(1))
 	conn.Write(mk(5)) // gap: 2,3,4 missing
 	conn.Write(mk(5)) // duplicate
@@ -517,18 +538,14 @@ func TestSenderAutoReconnectReplays(t *testing.T) {
 	seen := make(map[uint64]bool)
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for len(seen) < 20 {
-		kind, _, body, _, err := readFrame(br)
+		kind, _, body, _, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatalf("after %d distinct events: %v", len(seen), err)
 		}
-		if kind != frameEvent {
+		if kind != frameEvent && kind != frameEventJSON {
 			continue
 		}
-		var ev trace.Event
-		if err := json.Unmarshal(body, &ev); err != nil {
-			t.Fatal(err)
-		}
-		seen[ev.Seq] = true
+		seen[decodeEventBody(t, kind, body).Seq] = true
 	}
 	if got := reconnects.Value(); got <= recBefore {
 		t.Fatalf("reconnects = %d, want > %d", got, recBefore)

@@ -1,0 +1,266 @@
+// Event body codec: the one encoding of Event that travels in agent
+// wire frames and WAL records. The envelope (magic, kind, seq, length,
+// CRC32) belongs to internal/agent and internal/wal; the kind byte they
+// carry names which of the two body encodings follows.
+//
+// BodyBinary ('B') is what every writer produces — the compact record
+// the paper's Bro agents streamed through Broccoli (§6). Integers are
+// varints (signed ones zig-zag), strings a uvarint length plus bytes:
+//
+//	byte     body version (1)
+//	uvarint  Seq
+//	varint   Time: Unix seconds
+//	uvarint  Time: nanoseconds, 0..999999999
+//	varint   Time: zone offset, seconds east of UTC
+//	byte     Type
+//	byte     API.Service
+//	byte     API.Kind
+//	string   API.Method, API.Path
+//	string   SrcNode, DstNode, SrcAddr, DstAddr
+//	uvarint  ConnID
+//	string   MsgID, CorrID
+//	varint   Status
+//	string   ErrorText
+//	varint   WireBytes
+//	uvarint  OpID
+//	string   OpName
+//
+// BodyJSON ('E') is the legacy encoding/json body. Nothing writes it any
+// more; it is decoded because old WAL segments and not-yet-upgraded
+// agents are supported input, and its round trip is the oracle the
+// binary codec is fuzzed against.
+
+package trace
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"time"
+)
+
+// Event body encodings, named by the kind byte of the enclosing frame.
+const (
+	BodyJSON   byte = 'E'
+	BodyBinary byte = 'B'
+)
+
+const (
+	bodyVersion = 1
+	// internMax and internMaxLen bound a Decoder's intern table: at most
+	// internMax strings of at most internMaxLen bytes each (128 KiB of
+	// string data), however many distinct values a peer sends. Past
+	// either bound a string is simply copied.
+	internMax    = 1024
+	internMaxLen = 128
+)
+
+// EventSizeHint estimates the length of ev's binary body: exact in the
+// strings, with room for typical integers. It sizes a buffer so the
+// usual AppendEvent does not grow it; a longer body still encodes.
+func EventSizeHint(ev *Event) int {
+	return 64 + len(ev.API.Method) + len(ev.API.Path) +
+		len(ev.SrcNode) + len(ev.DstNode) + len(ev.SrcAddr) + len(ev.DstAddr) +
+		len(ev.MsgID) + len(ev.CorrID) + len(ev.ErrorText) + len(ev.OpName)
+}
+
+// AppendEvent appends ev's binary body (BodyBinary) to dst and returns
+// the extended buffer. The time's monotonic reading is not encoded.
+func AppendEvent(dst []byte, ev *Event) []byte {
+	_, offset := ev.Time.Zone()
+	dst = append(dst, bodyVersion)
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	dst = binary.AppendVarint(dst, ev.Time.Unix())
+	dst = binary.AppendUvarint(dst, uint64(ev.Time.Nanosecond()))
+	dst = binary.AppendVarint(dst, int64(offset))
+	dst = append(dst, byte(ev.Type), byte(ev.API.Service), byte(ev.API.Kind))
+	dst = appendString(dst, ev.API.Method)
+	dst = appendString(dst, ev.API.Path)
+	dst = appendString(dst, ev.SrcNode)
+	dst = appendString(dst, ev.DstNode)
+	dst = appendString(dst, ev.SrcAddr)
+	dst = appendString(dst, ev.DstAddr)
+	dst = binary.AppendUvarint(dst, ev.ConnID)
+	dst = appendString(dst, ev.MsgID)
+	dst = appendString(dst, ev.CorrID)
+	dst = binary.AppendVarint(dst, int64(ev.Status))
+	dst = appendString(dst, ev.ErrorText)
+	dst = binary.AppendVarint(dst, int64(ev.WireBytes))
+	dst = binary.AppendUvarint(dst, ev.OpID)
+	return appendString(dst, ev.OpName)
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// Decoder decodes event bodies of one stream — a transport connection
+// or a WAL scan — and owns that stream's intern table, so the strings
+// that repeat on every event (API method and path, nodes, addresses,
+// operation name, error text) are allocated once per stream rather
+// than once per event. The zero value is ready to use; a Decoder is
+// not safe for concurrent use.
+type Decoder struct {
+	intern map[string]string
+	// zone caches the last non-UTC fixed zone, so a stream stamped in
+	// one local zone does not allocate a Location per event.
+	zone       *time.Location
+	zoneOffset int
+}
+
+// Decode decodes one event body of the given kind into ev, which shares
+// no memory with body afterwards. Malformed input — an unknown kind or
+// version, a length past the end of the body, trailing bytes — is an
+// error, never a panic; ev is then unspecified.
+func (d *Decoder) Decode(kind byte, body []byte, ev *Event) error {
+	switch kind {
+	case BodyBinary:
+		return d.decodeBinary(body, ev)
+	case BodyJSON:
+		*ev = Event{}
+		return json.Unmarshal(body, ev)
+	}
+	return fmt.Errorf("trace: unknown event body kind %q", kind)
+}
+
+var (
+	errShortBody = errors.New("trace: event body truncated")
+	errBadVarint = errors.New("trace: event body has a malformed varint")
+)
+
+// bodyReader consumes a body front to back; the first failure sticks
+// and every later read returns zero values.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+func (r *bodyReader) byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) == 0 {
+		r.err = errShortBody
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *bodyReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.err = errShortBody
+		return 0
+	case n < 0:
+		r.err = errBadVarint
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *bodyReader) varint() int64 {
+	u := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+// bytes returns the next length-prefixed field, aliasing the body.
+func (r *bodyReader) bytes() []byte {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)) {
+		r.err = errShortBody
+		return nil
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+// str copies the next string out of the body (high-cardinality fields).
+func (r *bodyReader) str() string { return string(r.bytes()) }
+
+// interned returns the next string through the stream's intern table.
+func (d *Decoder) interned(r *bodyReader) string {
+	b := r.bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := d.intern[string(b)]; ok { // no allocation: map lookup by converted key
+		return s
+	}
+	s := string(b)
+	if len(d.intern) < internMax && len(s) <= internMaxLen {
+		if d.intern == nil {
+			d.intern = make(map[string]string)
+		}
+		d.intern[s] = s
+	}
+	return s
+}
+
+func (d *Decoder) decodeBinary(body []byte, ev *Event) error {
+	r := bodyReader{b: body}
+	if v := r.byte(); r.err == nil && v != bodyVersion {
+		return fmt.Errorf("trace: unknown event body version %d", v)
+	}
+	ev.Seq = r.uvarint()
+	sec, nsec, offset := r.varint(), r.uvarint(), r.varint()
+	ev.Type = EventType(r.byte())
+	ev.API.Service = Service(r.byte())
+	ev.API.Kind = Kind(r.byte())
+	ev.API.Method = d.interned(&r)
+	ev.API.Path = d.interned(&r)
+	ev.SrcNode = d.interned(&r)
+	ev.DstNode = d.interned(&r)
+	ev.SrcAddr = d.interned(&r)
+	ev.DstAddr = d.interned(&r)
+	ev.ConnID = r.uvarint()
+	ev.MsgID = r.str()
+	ev.CorrID = r.str()
+	ev.Status = int(r.varint())
+	ev.ErrorText = d.interned(&r)
+	ev.WireBytes = int(r.varint())
+	ev.OpID = r.uvarint()
+	ev.OpName = d.interned(&r)
+	if r.err != nil {
+		return r.err
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("trace: %d trailing bytes after event body", len(r.b))
+	}
+	if nsec > 999999999 {
+		return fmt.Errorf("trace: event time has %d nanoseconds", nsec)
+	}
+	// The same Time the JSON body's RFC 3339 round trip yields: UTC for
+	// a zero offset, otherwise a fixed zone of that offset; no
+	// monotonic reading.
+	ev.Time = time.Unix(sec, int64(nsec))
+	if offset == 0 {
+		ev.Time = ev.Time.UTC()
+	} else {
+		ev.Time = ev.Time.In(d.fixedZone(int(offset)))
+	}
+	return nil
+}
+
+func (d *Decoder) fixedZone(offset int) *time.Location {
+	if d.zone == nil || d.zoneOffset != offset {
+		d.zone, d.zoneOffset = time.FixedZone("", offset), offset
+	}
+	return d.zone
+}

@@ -1,0 +1,253 @@
+package trace
+
+import (
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+func codecSample() Event {
+	return Event{
+		Seq:     12345,
+		Time:    time.Date(2016, 12, 12, 9, 30, 0, 123456789, time.UTC),
+		Type:    RESTResponse,
+		API:     RESTAPI(SvcGlance, "PUT", "/v2/images/{id}/file"),
+		SrcNode: "glance-node", DstNode: "horizon-node",
+		SrcAddr: "10.0.0.2:9292", DstAddr: "10.0.0.7:41234",
+		ConnID: 42, MsgID: "9f3c1e", CorrID: "req-4b1d",
+		Status: 413, ErrorText: "Request Entity Too Large",
+		WireBytes: 211, OpID: 7, OpName: "image-upload",
+	}
+}
+
+// jsonRoundTrip is the oracle: what the legacy JSON body made of ev.
+func jsonRoundTrip(t testing.TB, ev Event) Event {
+	t.Helper()
+	body, err := json.Marshal(&ev)
+	if err != nil {
+		t.Fatalf("oracle: marshal: %v", err)
+	}
+	var (
+		dec Decoder
+		out Event
+	)
+	if err := dec.Decode(BodyJSON, body, &out); err != nil {
+		t.Fatalf("oracle: decode: %v", err)
+	}
+	return out
+}
+
+// requireSame compares two decoded events field for field: times as the
+// same instant rendering identically (so the same zone offset), the
+// rest by value.
+func requireSame(t testing.TB, got, want Event) {
+	t.Helper()
+	if !got.Time.Equal(want.Time) || got.Time.Format(time.RFC3339Nano) != want.Time.Format(time.RFC3339Nano) {
+		t.Fatalf("time: got %s, want %s", got.Time.Format(time.RFC3339Nano), want.Time.Format(time.RFC3339Nano))
+	}
+	got.Time, want.Time = time.Time{}, time.Time{}
+	if got != want {
+		t.Fatalf("got  %+v\nwant %+v", got, want)
+	}
+}
+
+func binaryRoundTrip(t testing.TB, ev Event) Event {
+	t.Helper()
+	var (
+		dec Decoder
+		out Event
+	)
+	if err := dec.Decode(BodyBinary, AppendEvent(nil, &ev), &out); err != nil {
+		t.Fatalf("decode(encode(ev)): %v", err)
+	}
+	return out
+}
+
+func TestEventCodecMatchesJSONRoundTrip(t *testing.T) {
+	negative := codecSample()
+	negative.Status, negative.WireBytes = -3, -1
+	negative.Time = time.Date(1965, 3, 1, 23, 59, 59, 999999999, time.FixedZone("EST", -5*3600))
+	east := codecSample()
+	east.Time = east.Time.In(time.FixedZone("", 5*3600+30*60))
+	mono := codecSample()
+	mono.Time = time.Now() // carries a monotonic reading and the Local zone
+	wide := codecSample()
+	wide.Seq, wide.ConnID, wide.OpID = 1<<64-1, 1<<63, 1<<64-1
+	wide.Type, wide.API.Service, wide.API.Kind = 255, 255, 255
+	wide.ErrorText = strings.Repeat("é\x00\"<>&\n", 40)
+	for name, ev := range map[string]Event{
+		"zero": {}, "sample": codecSample(), "negative": negative,
+		"east": east, "monotonic": mono, "wide": wide,
+	} {
+		t.Run(name, func(t *testing.T) {
+			got := binaryRoundTrip(t, ev)
+			requireSame(t, got, jsonRoundTrip(t, ev))
+			if ev.Time.Location() == time.UTC && got.Time != ev.Time.Round(0) {
+				t.Fatalf("UTC time did not round-trip to the identical value: %#v vs %#v", got.Time, ev.Time)
+			}
+		})
+	}
+}
+
+func TestDecodeRejectsMalformedBodies(t *testing.T) {
+	ev := codecSample()
+	good := AppendEvent(nil, &ev)
+	var dec Decoder
+	var out Event
+	for i := 0; i < len(good); i++ {
+		if err := dec.Decode(BodyBinary, good[:i], &out); err == nil {
+			t.Fatalf("accepted a body truncated to %d of %d bytes", i, len(good))
+		}
+	}
+	cases := map[string][]byte{
+		"trailing":     append(append([]byte{}, good...), 0),
+		"version":      append([]byte{bodyVersion + 1}, good[1:]...),
+		"huge-length":  {bodyVersion, 0, 0, 0, 0, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"long-varint":  append([]byte{bodyVersion}, overlongVarint()...),
+		"nanos":        nanosBody(),
+		"unknown-kind": good,
+	}
+	for name, body := range cases {
+		kind := BodyBinary
+		if name == "unknown-kind" {
+			kind = 'S'
+		}
+		if err := dec.Decode(kind, body, &out); err == nil {
+			t.Errorf("%s: malformed body accepted", name)
+		}
+	}
+}
+
+// overlongVarint is an eleven-byte varint: one byte past what fits 64 bits.
+func overlongVarint() []byte { return append([]byte(strings.Repeat("\x80", 10)), 0x02) }
+
+// nanosBody is a well-formed body but for 1e9 nanoseconds.
+func nanosBody() []byte {
+	b := []byte{bodyVersion, 0, 0}
+	b = append(b, 0x80, 0x94, 0xeb, 0xdc, 0x03) // uvarint 1_000_000_000
+	b = append(b, 0)                            // zone offset
+	b = append(b, 0, 0, 0)                      // type, service, kind
+	return append(b, make([]byte, 15)...)       // every remaining field zero/empty
+}
+
+// TestDecoderInternBound: a stream with more distinct strings than the
+// intern bound still decodes every event correctly, and the table stops
+// growing at the bound; repeating strings are shared, long ones are not
+// kept.
+func TestDecoderInternBound(t *testing.T) {
+	var dec Decoder
+	ev := codecSample()
+	ev.ErrorText = strings.Repeat("x", internMaxLen+1)
+	var first Event
+	for i := 0; i < internMax+500; i++ {
+		ev.SrcAddr = fmt.Sprintf("10.0.%d.%d:41234", i/256, i%256)
+		var out Event
+		if err := dec.Decode(BodyBinary, AppendEvent(nil, &ev), &out); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		requireSame(t, out, ev)
+		if len(dec.intern) > internMax {
+			t.Fatalf("intern table grew to %d entries after %d events, bound is %d", len(dec.intern), i+1, internMax)
+		}
+		if i == 0 {
+			first = out
+		} else if unsafe.StringData(out.API.Path) != unsafe.StringData(first.API.Path) {
+			t.Fatalf("event %d: repeating API.Path was not interned", i)
+		}
+	}
+	if len(dec.intern) != internMax {
+		t.Fatalf("intern table holds %d entries, want it full at %d", len(dec.intern), internMax)
+	}
+	if _, kept := dec.intern[ev.ErrorText]; kept {
+		t.Fatalf("a %d-byte string was interned past the %d-byte bound", len(ev.ErrorText), internMaxLen)
+	}
+}
+
+// TestCodecAllocations pins the point of the codec: encoding into a
+// sized buffer allocates nothing, and decoding a repeating event on a
+// warm stream allocates only its two per-event identifiers.
+func TestCodecAllocations(t *testing.T) {
+	ev := codecSample()
+	buf := make([]byte, 0, EventSizeHint(&ev))
+	if n := testing.AllocsPerRun(100, func() { buf = AppendEvent(buf[:0], &ev) }); n != 0 {
+		t.Errorf("AppendEvent into a sized buffer: %.1f allocs, want 0", n)
+	}
+	if len(buf) > EventSizeHint(&ev) {
+		t.Errorf("EventSizeHint %d is under the %d-byte body of a typical event", EventSizeHint(&ev), len(buf))
+	}
+	var (
+		dec Decoder
+		out Event
+	)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := dec.Decode(BodyBinary, buf, &out); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("warm Decode: %.1f allocs, want <= 2 (MsgID, CorrID)", n)
+	}
+}
+
+// FuzzEventCodec holds the codec to its two contracts. Arbitrary bytes
+// never panic the decoder and never make it allocate more string data
+// than the body holds; whatever it accepts re-encodes to a body that
+// decodes to the same event. And for fuzzed field values,
+// decode(encode(ev)) equals the JSON round trip of ev, field for field.
+func FuzzEventCodec(f *testing.F) {
+	ev := codecSample()
+	good := AppendEvent(nil, &ev)
+	add := func(raw []byte) {
+		f.Add(raw, ev.Seq, ev.Time.Unix(), uint32(ev.Time.Nanosecond()), int16(0),
+			uint8(ev.Type), uint8(ev.API.Service), uint8(ev.API.Kind),
+			ev.API.Method, ev.API.Path, ev.SrcNode, ev.SrcAddr, ev.MsgID, ev.ErrorText,
+			ev.ConnID, int64(ev.Status), int64(ev.WireBytes))
+	}
+	add(good)
+	add(good[:len(good)/2])
+	add(append(append([]byte{}, good...), 0xff))
+	add([]byte{})
+	add([]byte{bodyVersion, 0, 0, 0, 0, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	add(overlongVarint())
+	f.Add([]byte{bodyVersion}, uint64(1<<64-1), int64(-1), uint32(999999999), int16(-330),
+		uint8(255), uint8(0), uint8(7), "", "é\x00\"", "\xff\xfe", "::1", "\n", strings.Repeat("e", 300),
+		uint64(1<<63), int64(-1<<63), int64(1<<62))
+
+	f.Fuzz(func(t *testing.T, raw []byte, seq uint64, sec int64, nsec uint32, zoneMin int16,
+		typ, svc, kind uint8, method, path, node, addr, msgID, errText string,
+		connID uint64, status, wire int64) {
+		var dec Decoder
+		var out Event
+		if err := dec.Decode(BodyBinary, raw, &out); err == nil {
+			strs := len(out.API.Method) + len(out.API.Path) + len(out.SrcNode) + len(out.DstNode) +
+				len(out.SrcAddr) + len(out.DstAddr) + len(out.MsgID) + len(out.CorrID) +
+				len(out.ErrorText) + len(out.OpName)
+			if strs > len(raw) {
+				t.Fatalf("decoded %d bytes of strings from a %d-byte body", strs, len(raw))
+			}
+			requireSame(t, binaryRoundTrip(t, out), out)
+		}
+
+		// Field values the JSON body can carry: years 1..9998 (RFC 3339
+		// has four year digits), whole-minute zone offsets under a day,
+		// valid UTF-8 (encoding/json replaces anything else).
+		const minSec, maxSec = -62135596800, 253370764800
+		sec = minSec + int64(uint64(sec)%uint64(maxSec-minSec))
+		zone := time.UTC
+		if off := int(zoneMin) % (24 * 60) * 60; off != 0 {
+			zone = time.FixedZone("", off)
+		}
+		clean := func(s string) string { return strings.ToValidUTF8(s, "?") }
+		ev := Event{
+			Seq: seq, Time: time.Unix(sec, int64(nsec%1e9)).In(zone),
+			Type: EventType(typ), API: API{Service: Service(svc), Kind: Kind(kind), Method: clean(method), Path: clean(path)},
+			SrcNode: clean(node), DstNode: clean(path), SrcAddr: clean(addr), DstAddr: clean(node),
+			ConnID: connID, MsgID: clean(msgID), CorrID: clean(addr),
+			Status: int(status), ErrorText: clean(errText), WireBytes: int(wire),
+			OpID: connID ^ seq, OpName: clean(method),
+		}
+		requireSame(t, binaryRoundTrip(t, ev), jsonRoundTrip(t, ev))
+	})
+}

@@ -184,7 +184,7 @@ func (s *Store) recover() error {
 		counted[i] = true
 		br := bufio.NewReaderSize(f, 256<<10)
 		for {
-			seq, body, skipped, rerr := wal.ReadRecord(br, wal.KindPoints, buf)
+			_, seq, body, skipped, rerr := wal.ReadRecord(br, string(wal.KindPoints), buf)
 			if skipped > 0 {
 				s.stats.SkippedBytes += uint64(skipped)
 				mBytesSkipped.Add(uint64(skipped))

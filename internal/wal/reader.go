@@ -9,7 +9,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"io"
 	"io/fs"
@@ -56,6 +55,7 @@ type Reader struct {
 	br *bufio.Reader
 
 	buf         []byte
+	dec         trace.Decoder // interns the scan's repeating strings
 	lastSeq     uint64
 	tailSkipped int64 // bytes skipped since the last intact record
 	stats       ReadStats
@@ -115,7 +115,7 @@ func (r *Reader) Next() (seq uint64, ev trace.Event, err error) {
 			r.f = f
 			r.br = bufio.NewReaderSize(f, 256<<10)
 		}
-		recSeq, body, skipped, rerr := readRecord(r.br, r.buf)
+		kind, recSeq, body, skipped, rerr := ReadRecord(r.br, eventKinds, r.buf)
 		if skipped > 0 {
 			r.stats.BytesSkipped += uint64(skipped)
 			r.tailSkipped += skipped
@@ -130,14 +130,12 @@ func (r *Reader) Next() (seq uint64, ev trace.Event, err error) {
 			r.cur++
 			continue
 		}
-		if cap(body) > cap(r.buf) {
-			r.buf = body[:0]
-		}
+		r.buf = body
 		if r.lastSeq != 0 && recSeq <= r.lastSeq {
 			r.stats.Duplicates++
 			continue
 		}
-		if err := json.Unmarshal(body, &ev); err != nil {
+		if err := r.dec.Decode(kind, body, &ev); err != nil {
 			// CRC-intact but undecodable: a writer-side bug, not wire
 			// damage. Quarantine it and advance the sequence so the gap
 			// accounting does not double-count.
@@ -187,10 +185,4 @@ func (r *Reader) Close() error {
 	}
 	r.finish()
 	return nil
-}
-
-// readRecord reads the next intact event record from br; the shared
-// codec (record.go) does the resynchronization.
-func readRecord(br *bufio.Reader, buf []byte) (seq uint64, body []byte, skipped int64, err error) {
-	return ReadRecord(br, recKind, buf)
 }

@@ -7,18 +7,23 @@
 // Records reuse the PR 3 wire-frame format (internal/agent frame.go,
 // wire format v2): two-byte magic, kind tag, big-endian sequence
 // number, length prefix, and a CRC32 (IEEE) over header+body, followed
-// by the JSON-encoded event. A WAL segment is therefore exactly a
-// captured frame stream on disk, and the reader recovers it the same
-// way the transport receiver resynchronizes on the wire: corruption is
-// skipped and counted, never trusted and never fatal.
+// by the encoded event. A WAL segment is therefore exactly a captured
+// frame stream on disk, and the reader recovers it the same way the
+// transport receiver resynchronizes on the wire: corruption is skipped
+// and counted, never trusted and never fatal.
 //
 //	offset size
 //	0      2    magic 0xF5 0x9E
-//	2      1    kind 'E'
+//	2      1    kind 'B' (or 'E': legacy JSON body)
 //	3      8    record sequence number, big-endian (1-based, dense)
 //	11     4    body length, big-endian
 //	15     4    CRC32 (IEEE) over bytes [2,15) and the body
-//	19     n    JSON body (trace.Event)
+//	19     n    trace.Event body
+//
+// The log always writes kind 'B', trace's binary event body (laid out
+// in internal/trace/codec.go). Segments written before that body
+// existed hold kind 'E' records, the same event as JSON; the reader
+// decodes both, in one segment if need be.
 //
 // Segments are named wal-<first-seq>.seg and rotate on a size or age
 // bound; retention drops whole closed segments oldest-first to hold a
@@ -34,7 +39,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -72,7 +76,6 @@ var (
 const (
 	recMagic0 = 0xF5
 	recMagic1 = 0x9E
-	recKind   = 'E'
 	recHdrLen = 19
 	// MaxRecord bounds one encoded record, defending the reader against
 	// corrupt length prefixes (same bound as agent.MaxFrame).
@@ -332,14 +335,17 @@ func lastGoodSeq(path string) (uint64, bool, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64<<10)
-	var last uint64
-	found := false
+	var (
+		last  uint64
+		found bool
+		buf   []byte
+	)
 	for {
-		seq, _, _, err := readRecord(br, nil)
+		_, seq, body, _, err := ReadRecord(br, eventKinds, buf)
 		if err != nil {
 			break
 		}
-		last, found = seq, true
+		last, found, buf = seq, true, body
 	}
 	return last, found, nil
 }
@@ -357,11 +363,6 @@ func (l *Log) Stats() Stats { return l.stats }
 // advanced by MarkProcessed: the highest record sequence the consumer
 // has fully processed.
 func (l *Log) Cursor() uint64 { return l.cursor }
-
-// encodeRecord appends one encoded event record to buf and returns it.
-func encodeRecord(buf []byte, seq uint64, body []byte) []byte {
-	return EncodeRecord(buf, recKind, seq, body)
-}
 
 // Append encodes and appends one event, returning its record sequence.
 // The record is flushed to the OS before Append returns (a process kill
@@ -382,20 +383,20 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 	defer span.End()
 	l.scratch = l.scratch[:0]
 	for i := range evs {
-		body, err := json.Marshal(&evs[i])
-		if err != nil {
-			mAppendErrors.Inc()
-			return l.nextSeq, fmt.Errorf("wal: encoding event: %w", err)
-		}
-		if len(body) > MaxRecord {
+		// Encode straight into the batch buffer after a reserved header,
+		// then seal the record in place.
+		start := len(l.scratch)
+		l.scratch = trace.AppendEvent(append(l.scratch, recHdrZero[:]...), &evs[i])
+		rec := l.scratch[start:]
+		if n := len(rec) - recHdrLen; n > MaxRecord {
 			// The reader unconditionally skips any length prefix over
 			// MaxRecord, so acking this record would make it durable but
 			// unrecoverable — refuse the whole batch before any byte of
 			// it is written.
 			mAppendErrors.Inc()
-			return l.nextSeq, fmt.Errorf("wal: encoded event is %d bytes, over the %d-byte record bound", len(body), MaxRecord)
+			return l.nextSeq, fmt.Errorf("wal: encoded event is %d bytes, over the %d-byte record bound", n, MaxRecord)
 		}
-		l.scratch = encodeRecord(l.scratch, l.nextSeq+uint64(i)+1, body)
+		sealRecord(rec, KindEvent, l.nextSeq+uint64(i)+1)
 	}
 	if err := l.rotateIfDue(int64(len(l.scratch))); err != nil {
 		mAppendErrors.Inc()

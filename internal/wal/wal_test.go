@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,6 +31,17 @@ func testEvents(n int) []trace.Event {
 		}
 	}
 	return evs
+}
+
+// binRecord appends the record the log writes now (binary body, kind
+// 'B'); jsonRecord appends its legacy twin (JSON body, kind 'E').
+func binRecord(buf []byte, seq uint64, ev trace.Event) []byte {
+	return EncodeRecord(buf, KindEvent, seq, trace.AppendEvent(nil, &ev))
+}
+
+func jsonRecord(buf []byte, seq uint64, ev trace.Event) []byte {
+	body, _ := json.Marshal(&ev)
+	return EncodeRecord(buf, kindEventJSON, seq, body)
 }
 
 // readAll scans the log and returns every intact record plus the stats.
@@ -464,7 +476,7 @@ func TestReopenAfterTornFirstAppend(t *testing.T) {
 		// Simulate the crash: the writer rotated to wal-11 and died with
 		// only a torn partial of record 11 on disk.
 		torn := filepath.Join(dir, segName(11))
-		if err := os.WriteFile(torn, []byte{recMagic0, recMagic1, recKind, 0xde, 0xad}, 0o644); err != nil {
+		if err := os.WriteFile(torn, []byte{recMagic0, recMagic1, KindEvent, 0xde, 0xad}, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -547,5 +559,126 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	if len(got) != 2 || stats.Quarantined != 0 || stats.LastSeq != 2 {
 		t.Fatalf("recovered %d records (quarantined %d, last %d), want 2 clean dense",
 			len(got), stats.Quarantined, stats.LastSeq)
+	}
+}
+
+// TestLegacyJSONSegmentsRecover is the upgrade path: testdata/
+// json-records.seg was written by the log when records had JSON bodies
+// (kind 'E', testEvents(8) as one batch). It must recover event for
+// event, the writer must resume after it, and a directory — or a single
+// segment — holding both body kinds must close the recovery ledger.
+func TestLegacyJSONSegmentsRecover(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "json-records.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(14)
+	check := func(t *testing.T, dir string, written, quarantined int, skip map[int]bool) {
+		t.Helper()
+		got, stats := readAll(t, dir)
+		if int(stats.Records+stats.Quarantined) != written || int(stats.Quarantined) != quarantined {
+			t.Fatalf("recovered %d + quarantined %d, want %d written with %d quarantined",
+				stats.Records, stats.Quarantined, written, quarantined)
+		}
+		want := make([]trace.Event, 0, written)
+		for i := 0; i < written; i++ {
+			if !skip[i] {
+				want = append(want, evs[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("recovered %d events, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+
+	t.Run("json-segment-then-binary-segment", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, 8, 0, nil)
+		l, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.LastSeq() != 8 {
+			t.Fatalf("LastSeq %d over the JSON segment, want 8", l.LastSeq())
+		}
+		if seq, err := l.AppendBatch(evs[8:]); err != nil || seq != 14 {
+			t.Fatalf("AppendBatch after the JSON segment: seq %d, err %v", seq, err)
+		}
+		l.Close()
+		check(t, dir, 14, 0, nil)
+	})
+
+	t.Run("mixed-segment-with-damage", func(t *testing.T) {
+		// One file: JSON records 1..8, then binary records 9..14, with
+		// one record of each kind corrupted mid-body.
+		var seg []byte
+		starts := make([]int, 14)
+		for i := range evs {
+			starts[i] = len(seg)
+			if i < 8 {
+				seg = jsonRecord(seg, uint64(i+1), evs[i])
+			} else {
+				seg = binRecord(seg, uint64(i+1), evs[i])
+			}
+		}
+		seg[starts[2]+recHdrLen+40] ^= 0xff // JSON record 3
+		seg[starts[9]+recHdrLen+5] ^= 0xff  // binary record 10
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, 14, 2, map[int]bool{2: true, 9: true})
+	})
+
+	t.Run("undecodable-bodies-quarantined", func(t *testing.T) {
+		// CRC-intact records whose body does not decode — one of each
+		// kind — are quarantined, not returned and not fatal.
+		var seg []byte
+		seg = binRecord(seg, 1, evs[0])
+		seg = EncodeRecord(seg, kindEventJSON, 2, []byte("not-json"))
+		good := trace.AppendEvent(nil, &evs[2])
+		seg = EncodeRecord(seg, KindEvent, 3, good[:len(good)-1])
+		seg = binRecord(seg, 4, evs[3])
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, 4, 2, map[int]bool{1: true, 2: true})
+	})
+}
+
+// TestOpenTailScanReusesBuffer: reopening a log scans its last segment
+// for the last intact record; that scan must reuse one body buffer, not
+// allocate one per record.
+func TestOpenTailScanReusesBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 10000
+	if _, err := l.AppendBatch(testEvents(records)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	allocs := testing.AllocsPerRun(3, func() {
+		l, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.LastSeq() != records {
+			t.Fatalf("LastSeq %d, want %d", l.LastSeq(), records)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("reopening a %d-record log made %.0f allocations: the tail scan allocates per record", records, allocs)
 	}
 }
