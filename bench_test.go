@@ -191,7 +191,7 @@ func BenchmarkAblationRelaxedMatch(b *testing.B) {
 	}
 	fps := lib.All()[:200]
 	b.Run("relaxed", func(b *testing.B) {
-		idx := fingerprint.NewSnapshotIndex(snapshot)
+		idx := fingerprint.NewIndex(snapshot)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, fp := range fps {
@@ -220,7 +220,7 @@ func BenchmarkAblationPostingLists(b *testing.B) {
 	}
 	b.Run("posting-list", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if len(lib.Candidates(sym)) == 0 {
+			if lib.Candidates(sym).Len() == 0 {
 				b.Fatal("no candidates")
 			}
 		}

@@ -40,6 +40,11 @@ type Metrics map[string]float64
 // compares, because they survive short-mode workload scaling.
 const EventsPerOp = "events/op"
 
+// ReportsPerOp is EventsPerOp for cases whose unit of work is a fault
+// report rather than an event: the runner derives "ns/report",
+// "allocs/report" and "B/report" from it.
+const ReportsPerOp = "reports/op"
+
 // Case is one parameterized sub-benchmark of a scenario ("shards=4",
 // "workers=8"). Run executes exactly one iteration against state the
 // scenario's Setup prepared.
@@ -253,10 +258,12 @@ func runCase(c Case, iters int) (CaseResult, error) {
 		for k, v := range bestExtra {
 			cr.Extra[k] = v
 		}
-		if ev := cr.Extra[EventsPerOp]; ev > 0 {
-			cr.Extra["ns/event"] = cr.NsPerOp / ev
-			cr.Extra["allocs/event"] = cr.AllocsPerOp / ev
-			cr.Extra["B/event"] = cr.BytesPerOp / ev
+		for _, unit := range []string{"event", "report"} {
+			if n := cr.Extra[unit+"s/op"]; n > 0 {
+				cr.Extra["ns/"+unit] = cr.NsPerOp / n
+				cr.Extra["allocs/"+unit] = cr.AllocsPerOp / n
+				cr.Extra["B/"+unit] = cr.BytesPerOp / n
+			}
 		}
 	}
 	return cr, nil

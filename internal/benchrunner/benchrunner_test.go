@@ -127,7 +127,7 @@ func TestRunnerProfileCapturesHotspots(t *testing.T) {
 }
 
 func TestRegistryAndResolve(t *testing.T) {
-	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak"}
+	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak", "opdetect"}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("registry = %v, want %v", got, want)
@@ -193,6 +193,26 @@ func TestScenarioExplainOverheadShort(t *testing.T) {
 	}
 	if on.Extra["reports"] != off.Extra["reports"] {
 		t.Errorf("explain changed report count: off=%v on=%v", off.Extra["reports"], on.Extra["reports"])
+	}
+}
+
+// TestScenarioOpdetectShort checks the detection-only scenario freezes
+// snapshots, matches operations, and derives the per-report costs.
+func TestScenarioOpdetectShort(t *testing.T) {
+	s, _ := Get("opdetect")
+	res, err := Run(s, Options{Iterations: 1, Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Cases[0]
+	if c.Extra[ReportsPerOp] <= 0 || c.Extra["matched"] <= 0 || c.Extra["ns/report"] <= 0 {
+		t.Errorf("opdetect extras wrong: %v", c.Extra)
+	}
+	if got := res.Telemetry.Counters["core.opdetect.attempts"]; got != uint64(c.Extra[ReportsPerOp]) {
+		t.Errorf("opdetect.attempts = %d, want one per frozen snapshot (%v)", got, c.Extra[ReportsPerOp])
+	}
+	if res.Telemetry.Counters["core.events_ingested"] != 0 {
+		t.Error("opdetect ingested events: the scenario must time detection alone")
 	}
 }
 

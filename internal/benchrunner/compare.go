@@ -62,7 +62,8 @@ func ParseTolerances(s string) (map[string]float64, error) {
 func metricDirection(name string) int {
 	switch name {
 	case "ns_per_op", "allocs_per_op", "bytes_per_op",
-		"ns/event", "allocs/event", "B/event":
+		"ns/event", "allocs/event", "B/event",
+		"ns/report", "allocs/report", "B/report":
 		return -1
 	}
 	if strings.HasSuffix(name, "/s") || name == "Mbps" {

@@ -2,7 +2,10 @@
 // receiver, the anomaly detector for operational and performance faults,
 // and Algorithm 2's operation-detection mechanism — dual-buffer sliding
 // window, freeze-on-fault snapshots, truncated-fingerprint matching over
-// a growing context buffer, and the precision metric θ.
+// a growing context buffer, and the precision metric θ. Detection runs on
+// the fingerprint library's compiled programs and keeps its working memory
+// in scratch owned by whoever runs it (the Analyzer inline, each worker in
+// the pool), so a fault costs the walk and the Report, nothing else.
 //
 // The analyzer consumes trace.Events from monitoring agents in arrival
 // order (TCP from each agent preserves per-stream order, §5.2), pairs
@@ -15,6 +18,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,6 +46,8 @@ var (
 	mDetectAttempts = telemetry.GetCounter("core.opdetect.attempts")
 	mDetectHits     = telemetry.GetCounter("core.opdetect.hits")
 	mDetectMisses   = telemetry.GetCounter("core.opdetect.misses")
+	mPatternSyms    = telemetry.GetCounter("core.opdetect.pattern_symbols")
+	mUnknownSyms    = telemetry.GetCounter("core.opdetect.unknown_symbols")
 	hWindowMatch    = telemetry.GetHistogram("core.window_match")
 	hRCA            = telemetry.GetHistogram("core.rca")
 )
@@ -342,9 +348,9 @@ type Analyzer struct {
 	// of the last recorded loss.
 	degraded map[string]time.Time
 
-	// leanCache caches RPC-pruned fingerprints by name; sync.Map because
-	// concurrent detect workers populate it.
-	leanCache sync.Map // string -> *fingerprint.Fingerprint
+	// scratch is inline detection's working memory; each detect worker
+	// owns its own (pipeline.go).
+	scratch detectScratch
 
 	onReport   func(*Report)
 	rca        func(*Report) []RootCause
@@ -656,16 +662,24 @@ func (a *Analyzer) armSnapshot(ev trace.Event, kind FaultKind, latency time.Dura
 	})
 }
 
-// snapPattern is a snapshot's symbol pattern, computed once per snapshot:
-// syms holds the matchable symbols, evIdx maps each symbol back to its
-// event index in the snapshot (the fault-centered position map), and idx
-// is the occurrence index over the whole snapshot that β views re-slice.
-// Growing the context buffer is O(log) per step instead of rebuilding
+// detectScratch is the working memory of one detect caller — the
+// Analyzer itself for inline detection, each detect worker otherwise — so
+// steady-state detection allocates only what the Report keeps. It holds
+// the snapshot's symbol pattern, computed once per snapshot: syms are the
+// matchable symbols, evIdx maps each symbol back to its event index in
+// the snapshot (the fault-centered position map), and idx is the
+// occurrence index over the whole snapshot that β views re-slice, so
+// growing the context buffer is O(log) per step instead of rebuilding
 // pattern and index from the events each time.
-type snapPattern struct {
+type detectScratch struct {
 	syms  []rune
 	evIdx []int32
-	idx   *fingerprint.SnapshotIndex
+	idx   fingerprint.Index
+	// cur and prev are growContext's matched-name buffers (this β step's
+	// and the last one's); hit marks the candidates whose operation name
+	// already matched in this step.
+	cur, prev []string
+	hit       []bool
 }
 
 // snapshotPattern builds the pattern from snapshot events: one symbol
@@ -673,10 +687,10 @@ type snapPattern struct {
 // duplicate symbols), skipping RPC symbols when pruning. When corrID is
 // non-empty (correlation-id mode), only events stamped with it
 // contribute — the precision extension of §5.3.1.
-func (a *Analyzer) snapshotPattern(snap *window.Snapshot, corrID string) snapPattern {
+func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, corrID string) {
 	events := snap.Events
-	syms := make([]rune, 0, len(events))
-	evIdx := make([]int32, 0, len(events))
+	syms, evIdx := sc.syms[:0], sc.evIdx[:0]
+	var unknown uint64
 	for i := range events {
 		ev := &events[i]
 		if !ev.Type.Request() {
@@ -690,66 +704,46 @@ func (a *Analyzer) snapshotPattern(snap *window.Snapshot, corrID string) snapPat
 		}
 		r, ok := a.lib.Table.Lookup(ev.API)
 		if !ok {
-			continue // API never fingerprinted: cannot help matching
+			unknown++ // API never fingerprinted: cannot help matching
+			continue
 		}
 		syms = append(syms, r)
 		evIdx = append(evIdx, int32(i))
 	}
-	return snapPattern{syms: syms, evIdx: evIdx, idx: fingerprint.NewSnapshotIndex(syms)}
+	sc.syms, sc.evIdx = syms, evIdx
+	sc.idx.Reset(syms)
+	mPatternSyms.Add(uint64(len(syms)))
+	mUnknownSyms.Add(unknown)
 }
 
 // view restricts the pattern to the symbols of events [lo, hi) by
 // re-slicing the precomputed pattern and index — no rebuild.
-func (p *snapPattern) view(lo, hi int) ([]rune, *fingerprint.SnapshotIndex) {
-	sLo := sort.Search(len(p.evIdx), func(i int) bool { return p.evIdx[i] >= int32(lo) })
-	sHi := sLo + sort.Search(len(p.evIdx)-sLo, func(i int) bool { return p.evIdx[sLo+i] >= int32(hi) })
-	return p.syms[sLo:sHi], p.idx.Slice(sLo, sHi)
+func (sc *detectScratch) view(lo, hi int) ([]rune, fingerprint.Index) {
+	sLo, _ := slices.BinarySearch(sc.evIdx, int32(lo))
+	sHi, _ := slices.BinarySearch(sc.evIdx, int32(hi))
+	return sc.syms[sLo:sHi], sc.idx.Slice(sLo, sHi)
 }
 
-// lean returns the fingerprint with RPC symbols pruned (cached), or the
-// fingerprint itself when pruning is off. The cache key includes the
-// truncation point: the same operation truncated at different offending
-// APIs yields different fingerprints. Safe for concurrent detect
-// workers; racing workers may both compute the same pruned fingerprint,
-// but the result is identical and one copy wins.
-func (a *Analyzer) lean(fp *fingerprint.Fingerprint, offending rune) *fingerprint.Fingerprint {
-	if !a.cfg.PruneRPC {
-		return fp
-	}
-	key := fp.Name + "@" + string(offending)
-	if c, ok := a.leanCache.Load(key); ok {
-		return c.(*fingerprint.Fingerprint)
-	}
-	c := fp.WithoutRPC(a.lib.Table)
-	if prev, loaded := a.leanCache.LoadOrStore(key, c); loaded {
-		return prev.(*fingerprint.Fingerprint)
-	}
-	return c
-}
-
-func (a *Analyzer) match(fp *fingerprint.Fingerprint, pattern []rune, idx *fingerprint.SnapshotIndex, corrFiltered bool) bool {
-	if fp.Len() == 0 {
-		return false
-	}
+func (a *Analyzer) match(p fingerprint.Program, pattern []rune, idx fingerprint.Index, corrFiltered bool) bool {
 	if a.cfg.StrictMatch {
-		return fp.MatchStrict(pattern)
+		return p.MatchStrict(pattern)
 	}
 	if corrFiltered {
 		// The pattern holds one operation's own messages; require real
-		// in-order evidence beyond the offending symbol alone.
-		return fp.MatchCorrelated(idx)
+		// coverage beyond the offending symbol alone.
+		return p.MatchCorrelated(idx)
 	}
-	return fp.MatchRelaxedIndexed(idx)
+	return p.MatchRelaxed(idx)
 }
 
 // detect runs Algorithm 2 over a filled snapshot and returns the report.
-// It reads only immutable analyzer state (config, library, lean cache)
-// plus the snapshot, so concurrent detect workers may run it in
-// parallel; all mutable bookkeeping happens in finish. traceID is
-// nonzero only in explain mode, in which case detect also assembles the
-// report's evidence trace (explain.go) — here on the worker, never on
-// the ingest path.
-func (a *Analyzer) detect(faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, traceID uint64) *Report {
+// It reads only immutable analyzer state (config, compiled library) plus
+// the snapshot and writes only the caller's scratch, so concurrent detect
+// workers may run it in parallel; all mutable bookkeeping happens in
+// finish. traceID is nonzero only in explain mode, in which case detect
+// also assembles the report's evidence trace (explain.go) — here on the
+// worker, never on the ingest path.
+func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, traceID uint64) *Report {
 	mDetectAttempts.Inc()
 	span := hWindowMatch.Start()
 	rep := &Report{
@@ -789,12 +783,8 @@ func (a *Analyzer) detect(faultEv trace.Event, kind FaultKind, latency time.Dura
 	// (distinct operation names; branched operations register one
 	// fingerprint per variant).
 	cands := a.lib.CandidatesForAPI(offending)
-	uniqueNames := map[string]bool{}
-	for _, c := range cands {
-		uniqueNames[c.Name] = true
-	}
-	rep.CandidatesByErrorOnly = len(uniqueNames)
-	if len(cands) == 0 {
+	rep.CandidatesByErrorOnly = cands.Names()
+	if cands.Len() == 0 {
 		rep.Precision = 0
 		if rep.evidence != nil {
 			// No fingerprint contains the offending API: the whole window
@@ -805,27 +795,12 @@ func (a *Analyzer) detect(faultEv trace.Event, kind FaultKind, latency time.Dura
 		span.End()
 		return rep
 	}
-	offSym, _ := a.lib.Table.Lookup(offending)
 
-	// Prepare the per-candidate patterns: operational faults match the
-	// truncated fingerprint (the operation stopped at the fault);
-	// performance faults match the whole fingerprint against the whole
-	// buffer (the operation proceeds to completion).
-	preps := make([]prepared, 0, len(cands))
-	for _, c := range cands {
-		fp := c
-		key := rune(0)
-		truncated := false
-		if kind == Operational {
-			if t := c.Truncate(offSym); t != nil {
-				fp = t
-				key = offSym
-				truncated = true
-			}
-		}
-		fp = a.lean(fp, key)
-		preps = append(preps, prepared{c.Name, fp, truncated})
-	}
+	// Operational faults match the truncated fingerprint (the operation
+	// stopped at the fault); performance faults match the whole
+	// fingerprint against the whole buffer (the operation proceeds to
+	// completion).
+	truncate := kind == Operational
 
 	var matched []string
 	var beta int
@@ -833,32 +808,35 @@ func (a *Analyzer) detect(faultEv trace.Event, kind FaultKind, latency time.Dura
 	if a.cfg.UseCorrelationIDs {
 		corrID = faultEv.CorrID
 	}
-	pat := a.snapshotPattern(snap, corrID)
+	a.snapshotPattern(sc, snap, corrID)
 	if rep.evidence != nil {
 		rep.evidence.CorrID = corrID
 		recordErrors(rep.evidence, rep.Errors)
 	}
 	if kind == Performance {
 		beta = a.cfg.Alpha
-		for _, p := range preps {
-			if a.match(p.fp, pat.syms, pat.idx, corrID != "") {
-				matched = append(matched, p.name)
+		matched = sc.cur[:0]
+		for i := 0; i < cands.Len(); i++ {
+			if a.match(cands.Program(i, truncate, a.cfg.PruneRPC), sc.syms, sc.idx, corrID != "") {
+				matched = append(matched, cands.Name(i))
 			}
 		}
+		sc.cur = matched
 		if rep.evidence != nil {
 			// No growth loop for performance faults: the whole window is
 			// matched at once.
 			rep.evidence.Growth = []tracestore.GrowthStep{{
 				Beta: beta, Lo: 0, Hi: len(snap.Events),
-				Pattern: len(pat.syms), Matched: append([]string(nil), matched...),
+				Pattern: len(sc.syms), Matched: append([]string(nil), matched...),
 				Covered: true,
 			}}
 		}
 	} else {
-		matched, beta = a.growContext(snap, preps, &pat, corrID, rep.evidence)
+		matched, beta = a.growContext(sc, snap, cands, corrID, rep.evidence)
 	}
 
-	rep.Candidates = matched
+	// matched lives in scratch; the report keeps its own copy.
+	rep.Candidates = append([]string(nil), matched...)
 	rep.Beta = beta
 	n := len(matched)
 	N := a.cfg.TotalOps
@@ -870,38 +848,38 @@ func (a *Analyzer) detect(faultEv trace.Event, kind FaultKind, latency time.Dura
 	if rep.evidence != nil {
 		// Explain every candidate against the FINAL context buffer —
 		// exactly the view the verdict came from.
-		var pattern []rune
-		var idx *fingerprint.SnapshotIndex
+		pattern, idx := sc.syms, sc.idx
 		ctx := snap.Events
-		if kind == Performance {
-			pattern, idx = pat.syms, pat.idx
-		} else {
+		if kind == Operational {
 			lo, hi := snap.ContextBounds(beta)
-			pattern, idx = pat.view(lo, hi)
+			pattern, idx = sc.view(lo, hi)
 			ctx = snap.Events[lo:hi]
 		}
-		a.explainCandidates(rep.evidence, preps, pattern, idx, corrID != "")
+		a.explainCandidates(rep.evidence, cands, truncate, pattern, idx, corrID != "")
 		a.finalizeEvidence(rep.evidence, rep, ctx)
 	}
 	span.End()
 	return rep
 }
 
-// prepared pairs a candidate operation name with the (truncated, possibly
-// RPC-pruned) fingerprint it is matched by.
-type prepared struct {
-	name      string
-	fp        *fingerprint.Fingerprint
-	truncated bool
+// Detect runs Algorithm 2 over one frozen snapshot on the caller's
+// goroutine and returns the report without recording it: no RCA, no
+// OnReport, no Stats. It is what dispatch runs inline, exposed so the
+// operation-detection stage can be measured alone (benchrunner's opdetect
+// scenario). Like Ingest, call it from the receiver goroutine only.
+func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *Report {
+	return a.detect(&a.scratch, fault, kind, latency, snap, 0)
 }
 
 // growContext iterates the context buffer from β₀ by δ per side, stopping
 // as soon as the precision drops (the matched set grows), per §5.3.1.
 // The snapshot's pattern and occurrence index were built once by the
-// caller; each β step re-slices them (O(α) total instead of O(α²)).
-// When ev is non-nil (explain mode) every step — including the final,
-// discarded one the stop rule rejects — is recorded in the evidence.
-func (a *Analyzer) growContext(snap *window.Snapshot, preps []prepared, pat *snapPattern, corrID string, ev *tracestore.Trace) ([]string, int) {
+// caller; each β step re-slices them (O(α) total instead of O(α²)), and
+// an operation with several variants is matched by its first one that
+// hits. The returned names live in sc. When ev is non-nil (explain mode)
+// every step — including the final, discarded one the stop rule rejects —
+// is recorded in the evidence.
+func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands fingerprint.Candidates, corrID string, ev *tracestore.Trace) ([]string, int) {
 	beta0 := int(a.cfg.C1 * float64(a.cfg.Alpha))
 	delta := int(a.cfg.C2 * float64(a.cfg.Alpha))
 	if beta0 < 2 {
@@ -910,21 +888,26 @@ func (a *Analyzer) growContext(snap *window.Snapshot, preps []prepared, pat *sna
 	if delta < 1 {
 		delta = 1
 	}
-	var prev []string
+	if cap(sc.hit) < cands.Len() {
+		sc.hit = make([]bool, cands.Len())
+	}
+	hit := sc.hit[:cands.Len()]
+	sc.prev = sc.prev[:0]
 	prevBeta := 0
-	seen := make(map[string]bool, len(preps))
 	for beta := beta0; ; beta += 2 * delta {
 		lo, hi := snap.ContextBounds(beta)
-		pattern, idx := pat.view(lo, hi)
-		var matched []string
-		clear(seen)
-		for _, p := range preps {
-			if !seen[p.name] && a.match(p.fp, pattern, idx, corrID != "") {
-				seen[p.name] = true
-				matched = append(matched, p.name)
+		pattern, idx := sc.view(lo, hi)
+		matched := sc.cur[:0]
+		clear(hit)
+		for i := range hit {
+			first := cands.First(i)
+			if !hit[first] && a.match(cands.Program(i, true, a.cfg.PruneRPC), pattern, idx, corrID != "") {
+				hit[first] = true
+				matched = append(matched, cands.Name(i))
 			}
 		}
-		stopped := !a.cfg.GrowToCover && corrID == "" && len(prev) > 0 && len(matched) > len(prev)
+		sc.cur = matched
+		stopped := !a.cfg.GrowToCover && corrID == "" && len(sc.prev) > 0 && len(matched) > len(sc.prev)
 		covered := snap.Covered(beta)
 		if ev != nil {
 			ev.Growth = append(ev.Growth, tracestore.GrowthStep{
@@ -935,12 +918,13 @@ func (a *Analyzer) growContext(snap *window.Snapshot, preps []prepared, pat *sna
 		}
 		if stopped {
 			// Precision dropped: keep the tighter previous set.
-			return prev, prevBeta
+			return sc.prev, prevBeta
 		}
 		if covered {
 			return matched, beta
 		}
-		prev, prevBeta = matched, beta
+		sc.prev, sc.cur = matched, sc.prev
+		prevBeta = beta
 	}
 }
 

@@ -85,17 +85,18 @@ func recordErrors(ev *tracestore.Trace, errors []trace.Event) {
 // buffer through the explaining matchers, which share their walks with
 // the production matchers — the verdicts reproduce rep.Candidates
 // exactly (growContext returns the set matched at the β it returns).
-func (a *Analyzer) explainCandidates(ev *tracestore.Trace, preps []prepared, pattern []rune, idx *fingerprint.SnapshotIndex, corrFiltered bool) {
-	variants := make(map[string]int, len(preps))
-	ev.Candidates = make([]tracestore.Candidate, 0, len(preps))
-	for _, p := range preps {
-		variant := variants[p.name]
-		variants[p.name] = variant + 1
+func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Candidates, truncate bool, pattern []rune, idx fingerprint.Index, corrFiltered bool) {
+	variants := make(map[string]int, cands.Len())
+	ev.Candidates = make([]tracestore.Candidate, 0, cands.Len())
+	for i := 0; i < cands.Len(); i++ {
+		name, p := cands.Name(i), cands.Program(i, truncate, a.cfg.PruneRPC)
+		variant := variants[name]
+		variants[name] = variant + 1
 		c := tracestore.Candidate{
-			Name: p.name, Variant: variant,
-			FPLen: p.fp.Len(), Truncated: p.truncated,
+			Name: name, Variant: variant,
+			FPLen: p.Len(), Truncated: truncate,
 		}
-		if p.fp.Len() == 0 {
+		if p.Len() == 0 {
 			c.Reason = "empty fingerprint after truncation and RPC pruning"
 			ev.Candidates = append(ev.Candidates, c)
 			continue
@@ -103,11 +104,11 @@ func (a *Analyzer) explainCandidates(ev *tracestore.Trace, preps []prepared, pat
 		var exp fingerprint.Explanation
 		switch {
 		case a.cfg.StrictMatch:
-			exp = p.fp.ExplainStrict(pattern, a.lib.Table)
+			exp = p.ExplainStrict(pattern, a.lib.Table)
 		case corrFiltered:
-			exp = p.fp.ExplainCorrelated(idx, a.lib.Table)
+			exp = p.ExplainCorrelated(idx, a.lib.Table)
 		default:
-			exp = p.fp.ExplainRelaxed(idx, a.lib.Table)
+			exp = p.ExplainRelaxed(idx, a.lib.Table)
 		}
 		c.Matched = exp.Matched
 		c.Score = exp.Score

@@ -75,7 +75,7 @@ func (a *Analyzer) dispatch(fault trace.Event, kind FaultKind, latency time.Dura
 		traceID = a.traceSeq
 	}
 	if a.jobs == nil {
-		rep := a.detect(fault, kind, latency, snap, traceID)
+		rep := a.detect(&a.scratch, fault, kind, latency, snap, traceID)
 		snap.Release()
 		rep.DegradedNodes = deg
 		a.finish(rep)
@@ -101,15 +101,16 @@ func (a *Analyzer) dispatch(fault trace.Event, kind FaultKind, latency time.Dura
 }
 
 // detectWorker drains the job queue, running Algorithm 2 per snapshot.
-// Each worker times its jobs into its own span histogram
-// (core.detect.worker<N>).
+// Each worker owns its detection scratch and times its jobs into its own
+// span histogram (core.detect.worker<N>).
 func (a *Analyzer) detectWorker(id int) {
 	defer a.workersWG.Done()
 	spans := telemetry.GetHistogram(fmt.Sprintf("core.detect.worker%d", id))
+	var sc detectScratch
 	for job := range a.jobs {
 		gDetectQueue.Add(-1)
 		sp := spans.Start()
-		rep := a.detect(job.fault, job.kind, job.latency, job.snap, job.traceID)
+		rep := a.detect(&sc, job.fault, job.kind, job.latency, job.snap, job.traceID)
 		job.snap.Release()
 		rep.DegradedNodes = job.degraded
 		sp.End()

@@ -66,31 +66,23 @@ func TestCorrDebug3(t *testing.T) {
 		}
 		offSym, okk := lib.Table.Lookup(rep.OffendingAPI)
 		fmt.Println("offSym known:", okk, "pattern len (full run):", len(pat))
-		fp := lib.ByName(ft.Op.Name)
-		tr := fp.Truncate(offSym)
-		if tr == nil {
-			fmt.Println("TRUNCATE RETURNED NIL — offending symbol not in truth fp!")
-			continue
-		}
-		lean := tr.WithoutRPC(lib.Table)
-		idx := fingerprint.NewSnapshotIndex(pat)
-		fmt.Println("lean len:", lean.Len(), "MatchCorrelated(full own pattern):", lean.MatchCorrelated(idx))
-		set := lean.SymbolSet()
-		covered, total := 0, 0
-		uncov := map[trace.API]int{}
-		for _, r := range pat {
-			total++
-			if set[r] {
-				covered++
-			} else {
-				if apiX, ok := lib.Table.API(r); ok {
-					uncov[apiX]++
-				}
+		// The truth operation's program as detect matches it: truncated at
+		// the offending API, RPC-pruned.
+		cands := lib.Candidates(offSym)
+		truth := -1
+		for i := 0; i < cands.Len(); i++ {
+			if cands.Name(i) == ft.Op.Name {
+				truth = i
+				break
 			}
 		}
-		fmt.Printf("coverage: %d/%d = %.2f\n", covered, total, float64(covered)/float64(total))
-		for k, v := range uncov {
-			fmt.Println("  uncovered:", k, "x", v)
+		if truth < 0 {
+			fmt.Println("NO CANDIDATE — offending symbol not in truth fp!")
+			continue
 		}
+		lean := cands.Program(truth, true, true)
+		exp := lean.ExplainCorrelated(fingerprint.NewIndex(pat), lib.Table)
+		fmt.Println("lean len:", lean.Len(), "MatchCorrelated(full own pattern):", exp.Matched)
+		fmt.Printf("coverage: %d/%d = %.2f %s\n", exp.Satisfied, len(pat), exp.Coverage, exp.Reason)
 	}
 }

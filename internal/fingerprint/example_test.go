@@ -40,16 +40,17 @@ func ExampleFingerprint_MatchRelaxed() {
 		trace.RESTAPI(trace.SvcGlance, "GET", "/v2/images/{id}"),
 		trace.RESTAPI(trace.SvcNeutron, "POST", "/v2.0/ports.json"),
 	})
-	offending, _ := lib.Table.Lookup(trace.RESTAPI(trace.SvcNeutron, "POST", "/v2.0/ports.json"))
-	truncated := fp.Truncate(offending)
+	// The candidates for the failing API, each truncated at it.
+	cands := lib.CandidatesForAPI(trace.RESTAPI(trace.SvcNeutron, "POST", "/v2.0/ports.json"))
+	truncated := cands.Program(0, true, false)
 
 	// Snapshot: the POST /servers and the failing POST /ports.json are in
 	// the context buffer; the GET (read-only) was displaced by concurrent
 	// traffic — the match still holds.
 	snapshot := []rune{fp.Symbols[0], 'x', 'y', fp.Symbols[2]}
-	fmt.Println(truncated.MatchRelaxed(snapshot))
+	fmt.Println(truncated.MatchRelaxed(fingerprint.NewIndex(snapshot)))
 	// Out of order: no match.
-	fmt.Println(truncated.MatchRelaxed([]rune{fp.Symbols[2], fp.Symbols[0]}))
+	fmt.Println(truncated.MatchRelaxed(fingerprint.NewIndex([]rune{fp.Symbols[2], fp.Symbols[0]})))
 	// Output:
 	// true
 	// false

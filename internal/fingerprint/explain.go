@@ -2,9 +2,9 @@
 // Explain* twin that records the evidence — how many mandatory symbols
 // were satisfied, which omissions the relaxed semantics tolerated, and
 // the concrete reason a losing candidate lost. The explain path reuses
-// the production walk (matchOrdered) wherever one exists, so verdicts
-// cannot drift between what the analyzer decided and what the evidence
-// trace claims.
+// the production walks (Program.walk, subsequencePrefix, covered), so
+// verdicts cannot drift between what the analyzer decided and what the
+// evidence trace claims.
 package fingerprint
 
 import (
@@ -50,20 +50,20 @@ func (e *Explanation) sym(r rune) string {
 	return fmt.Sprintf("symbol U+%04X", r)
 }
 
-// ExplainRelaxed is MatchRelaxedIndexed with evidence: same walk, same
-// verdict, plus the score and rejection reason.
-func (f *Fingerprint) ExplainRelaxed(idx *SnapshotIndex, tbl *symbol.Table) Explanation {
-	return f.explainOrdered(idx, tbl, true, "relaxed")
+// ExplainRelaxed is MatchRelaxed with evidence: same walk, same verdict,
+// plus the score and rejection reason.
+func (p Program) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
+	return p.explainOrdered(idx, tbl, true, "relaxed")
 }
 
-// ExplainExact is MatchExactIndexed with evidence.
-func (f *Fingerprint) ExplainExact(idx *SnapshotIndex, tbl *symbol.Table) Explanation {
-	return f.explainOrdered(idx, tbl, false, "exact")
+// ExplainExact is MatchExact with evidence.
+func (p Program) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
+	return p.explainOrdered(idx, tbl, false, "exact")
 }
 
-func (f *Fingerprint) explainOrdered(idx *SnapshotIndex, tbl *symbol.Table, allowOmission bool, mode string) Explanation {
+func (p Program) explainOrdered(idx Index, tbl *symbol.Table, allowOmission bool, mode string) Explanation {
 	exp := Explanation{Mode: mode, tbl: tbl}
-	ok, matched := f.matchOrdered(idx, allowOmission, &exp)
+	ok, matched := p.walk(&idx, allowOmission, &exp)
 	exp.Matched = ok
 	exp.Satisfied = matched
 	if exp.MandatoryTotal > 0 {
@@ -77,54 +77,40 @@ func (f *Fingerprint) explainOrdered(idx *SnapshotIndex, tbl *symbol.Table, allo
 
 // ExplainStrict is MatchStrict with evidence: the full-sequence
 // subsequence walk, recording where it stalled.
-func (f *Fingerprint) ExplainStrict(snapshot []rune, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "strict", tbl: tbl, MandatoryTotal: len(f.Symbols)}
-	if len(f.Symbols) == 0 {
-		// isSubsequence vacuously matches an empty pattern; mirror it.
-		exp.Matched = true
-		exp.Score = 1
+func (p Program) ExplainStrict(snapshot []rune, tbl *symbol.Table) Explanation {
+	exp := Explanation{Mode: "strict", tbl: tbl, MandatoryTotal: len(p.syms)}
+	if len(p.syms) == 0 {
+		exp.Reason = "empty fingerprint: no symbols to match"
 		return exp
 	}
-	i := 0
-	for _, r := range snapshot {
-		if r == f.Symbols[i] {
-			i++
-			if i == len(f.Symbols) {
-				break
-			}
-		}
-	}
+	i := subsequencePrefix(p.syms, snapshot)
 	exp.Satisfied = i
-	exp.Matched = i == len(f.Symbols)
-	exp.Score = float64(i) / float64(len(f.Symbols))
+	exp.Matched = i == len(p.syms)
+	exp.Score = float64(i) / float64(len(p.syms))
 	if !exp.Matched {
 		exp.Reason = fmt.Sprintf(
 			"strict subsequence stalled at symbol %d of %d: no %s after the match point",
-			i+1, len(f.Symbols), exp.sym(f.Symbols[i]))
+			i+1, len(p.syms), exp.sym(p.syms[i]))
 	}
 	return exp
 }
 
 // ExplainCorrelated is MatchCorrelated with evidence: the coverage
 // computation over the correlation-filtered pattern, verbatim.
-func (f *Fingerprint) ExplainCorrelated(idx *SnapshotIndex, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "correlated", tbl: tbl, MandatoryTotal: len(f.Symbols)}
+func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
+	exp := Explanation{Mode: "correlated", tbl: tbl, MandatoryTotal: len(p.syms)}
 	n := idx.Len()
-	if n == 0 || len(f.Symbols) == 0 {
+	if n == 0 || len(p.syms) == 0 {
 		exp.Reason = "empty correlation-filtered pattern or empty fingerprint"
 		return exp
 	}
-	final := f.Symbols[len(f.Symbols)-1]
+	final := p.syms[len(p.syms)-1]
 	if !idx.contains(final) {
 		exp.Reason = fmt.Sprintf(
 			"offending symbol %s absent from the correlation-filtered pattern", exp.sym(final))
 		return exp
 	}
-	set := f.SymbolSet()
-	covered := 0
-	for sym := range set {
-		covered += idx.count(sym)
-	}
+	covered := p.covered(&idx)
 	exp.Coverage = float64(covered) / float64(n)
 	exp.Score = exp.Coverage
 	exp.Satisfied = covered
@@ -135,4 +121,24 @@ func (f *Fingerprint) ExplainCorrelated(idx *SnapshotIndex, tbl *symbol.Table) E
 			covered, n, exp.Coverage*100, corrCoverage*100)
 	}
 	return exp
+}
+
+// ExplainRelaxed is Program.ExplainRelaxed for the whole fingerprint.
+func (f *Fingerprint) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
+	return f.whole().ExplainRelaxed(idx, tbl)
+}
+
+// ExplainExact is Program.ExplainExact for the whole fingerprint.
+func (f *Fingerprint) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
+	return f.whole().ExplainExact(idx, tbl)
+}
+
+// ExplainStrict is Program.ExplainStrict for the whole fingerprint.
+func (f *Fingerprint) ExplainStrict(snapshot []rune, tbl *symbol.Table) Explanation {
+	return f.whole().ExplainStrict(snapshot, tbl)
+}
+
+// ExplainCorrelated is Program.ExplainCorrelated for the whole fingerprint.
+func (f *Fingerprint) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
+	return f.whole().ExplainCorrelated(idx, tbl)
 }

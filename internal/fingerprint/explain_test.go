@@ -73,14 +73,22 @@ func snapshots(lib *Library) [][]rune {
 // matcher, with a non-empty reason on rejection and score 1 on a match.
 func TestExplainVerdictsEqualMatchVerdicts(t *testing.T) {
 	lib := explainLib()
-	var fps []*Fingerprint
-	for _, name := range []string{"op-a", "op-b", "op-c"} {
-		fp := lib.ByName(name)
-		fps = append(fps, fp)
-		// Truncated variants: what detect actually matches.
+	type named struct {
+		name string
+		Program
+	}
+	var progs []named
+	for _, fp := range lib.All() {
+		progs = append(progs, named{fp.Name, fp.whole()})
+		// Truncated (and pruned) programs: what detect actually matches.
 		for _, r := range fp.Symbols {
-			if tr := fp.Truncate(r); tr != nil {
-				fps = append(fps, tr)
+			cands := lib.Candidates(r)
+			for i := 0; i < cands.Len(); i++ {
+				if cands.Name(i) == fp.Name {
+					progs = append(progs,
+						named{fp.Name, cands.Program(i, true, false)},
+						named{fp.Name, cands.Program(i, true, true)})
+				}
 			}
 		}
 	}
@@ -110,12 +118,12 @@ func TestExplainVerdictsEqualMatchVerdicts(t *testing.T) {
 
 	n := 0
 	for _, snap := range snapshots(lib) {
-		idx := NewSnapshotIndex(snap)
-		for _, fp := range fps {
-			check(t, "relaxed", fp.ExplainRelaxed(idx, lib.Table), fp.MatchRelaxedIndexed(idx), fp.Name, len(snap))
-			check(t, "exact", fp.ExplainExact(idx, lib.Table), fp.MatchExactIndexed(idx), fp.Name, len(snap))
-			check(t, "strict", fp.ExplainStrict(snap, lib.Table), fp.MatchStrict(snap), fp.Name, len(snap))
-			check(t, "correlated", fp.ExplainCorrelated(idx, lib.Table), fp.MatchCorrelated(idx), fp.Name, len(snap))
+		idx := NewIndex(snap)
+		for _, p := range progs {
+			check(t, "relaxed", p.ExplainRelaxed(idx, lib.Table), p.MatchRelaxed(idx), p.name, len(snap))
+			check(t, "exact", p.ExplainExact(idx, lib.Table), p.MatchExact(idx), p.name, len(snap))
+			check(t, "strict", p.ExplainStrict(snap, lib.Table), p.MatchStrict(snap), p.name, len(snap))
+			check(t, "correlated", p.ExplainCorrelated(idx, lib.Table), p.MatchCorrelated(idx), p.name, len(snap))
 			n += 4
 		}
 	}
@@ -131,7 +139,7 @@ func TestExplainReasonsNameAPIs(t *testing.T) {
 	opA := lib.ByName("op-a")
 	// A snapshot holding everything except op-a's final symbol.
 	snap := opA.Symbols[:len(opA.Symbols)-1]
-	exp := opA.ExplainRelaxed(NewSnapshotIndex(snap), lib.Table)
+	exp := opA.ExplainRelaxed(NewIndex(snap), lib.Table)
 	if exp.Matched {
 		t.Fatal("should reject: final symbol absent")
 	}
@@ -144,7 +152,7 @@ func TestExplainReasonsNameAPIs(t *testing.T) {
 
 	// Without a table the raw code point is the fallback.
 	var noTbl *symbol.Table
-	exp = opA.ExplainRelaxed(NewSnapshotIndex(snap), noTbl)
+	exp = opA.ExplainRelaxed(NewIndex(snap), noTbl)
 	if !strings.Contains(exp.Reason, "U+") {
 		t.Fatalf("tableless reason should fall back to code points: %q", exp.Reason)
 	}

@@ -1,7 +1,12 @@
 // Package fingerprint implements GRETEL's operational fingerprints:
 // Algorithm 1 (offline learning from repeated isolated executions) and the
-// matching machinery Algorithm 2 builds on (truncation at the offending
-// API, relaxed state-change-preserving matching, per-symbol posting lists).
+// matching machinery Algorithm 2 builds on. The library is compiled once,
+// as fingerprints are added (program.go): truncation at the offending API
+// and RPC pruning are O(1) prefix views of the compiled form, not per-fault
+// copies; matching is the relaxed state-change-preserving walk over a dense
+// occurrence index of the snapshot; candidates come from per-symbol posting
+// lists. The naive per-fault path survives as the test oracle only
+// (reference_test.go).
 //
 // A fingerprint is the most precise API sequence identifying one
 // high-level administrative task. Learning filters noise (heartbeats,
@@ -33,6 +38,10 @@ type Fingerprint struct {
 	Symbols []rune
 	// state[i] reports whether Symbols[i] is state-changing.
 	state []bool
+	// lib and id locate the compiled form (nil/0 for a fingerprint not
+	// registered through Library.AddAPIs).
+	lib *Library
+	id  int32
 }
 
 // Len returns the fingerprint length in symbols.
@@ -64,286 +73,33 @@ func (f *Fingerprint) SymbolSet() map[rune]bool {
 	return out
 }
 
-// WithoutRPC returns a copy with RPC symbols removed — the §6 matching
-// optimization ("GRETEL removes symbols corresponding to RPC messages to
-// speed up operation detection").
-func (f *Fingerprint) WithoutRPC(tbl *symbol.Table) *Fingerprint {
-	out := &Fingerprint{Name: f.Name, Category: f.Category}
-	for i, api := range f.APIs {
-		if api.Kind == trace.RPC {
-			continue
-		}
-		out.APIs = append(out.APIs, api)
-		out.Symbols = append(out.Symbols, f.Symbols[i])
-		out.state = append(out.state, f.state[i])
+// whole returns the fingerprint's untruncated, unpruned match program.
+// Only fingerprints registered through Library.AddAPIs are compiled; any
+// other value yields the zero Program, which never matches.
+func (f *Fingerprint) whole() Program {
+	if f.lib == nil {
+		return Program{}
 	}
-	return out
+	return f.lib.program(f.id, int32(len(f.Symbols)), false)
 }
 
-// Truncate returns the fingerprint cut at the LAST occurrence of the
-// offending symbol, inclusive (Algorithm 2's
-// TRUNCATE_OPERATION_FINGERPRINTS). It returns nil if the symbol does not
-// occur.
-func (f *Fingerprint) Truncate(offending rune) *Fingerprint {
-	last := -1
-	for i, r := range f.Symbols {
-		if r == offending {
-			last = i
-		}
-	}
-	if last < 0 {
-		return nil
-	}
-	return &Fingerprint{
-		Name:     f.Name,
-		Category: f.Category,
-		APIs:     f.APIs[:last+1],
-		Symbols:  f.Symbols[:last+1],
-		state:    f.state[:last+1],
-	}
-}
-
-// mandatory returns the symbols that a relaxed match must find in order:
-// the state-change literals, always including the final symbol (the
-// offending API for truncated fingerprints). If the fingerprint has no
-// state-change symbols at all, every symbol is mandatory — otherwise a
-// read-only operation would match any snapshot.
-func (f *Fingerprint) mandatory() []rune {
-	out := make([]rune, 0, len(f.Symbols))
-	for i, r := range f.Symbols {
-		if f.state[i] || i == len(f.Symbols)-1 {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		return f.Symbols
-	}
-	return out
-}
-
-// SnapshotIndex pre-indexes a snapshot's symbol occurrences so many
-// fingerprints can be matched against one context buffer cheaply (the
-// §6 optimization of offloading regex matching applies the same idea:
-// index once, match hundreds of patterns). An index carries view bounds
-// [lo, hi) over the indexed sequence: Slice produces a sub-view sharing
-// the posting lists, so a growing context buffer re-slices one index
-// built over the whole snapshot instead of rebuilding per β step.
-type SnapshotIndex struct {
-	occ    map[rune][]int32
-	lo, hi int32
-}
-
-// NewSnapshotIndex builds the occurrence index for a symbol sequence.
-func NewSnapshotIndex(s []rune) *SnapshotIndex {
-	idx := &SnapshotIndex{occ: make(map[rune][]int32), hi: int32(len(s))}
-	for i, r := range s {
-		idx.occ[r] = append(idx.occ[r], int32(i))
-	}
-	return idx
-}
-
-// Slice returns a view of the index restricted to positions [lo, hi) of
-// the originally indexed sequence. The posting lists are shared — the
-// call is O(1) and the view is read-only like its parent.
-func (idx *SnapshotIndex) Slice(lo, hi int) *SnapshotIndex {
-	l, h := int32(lo), int32(hi)
-	if l < idx.lo {
-		l = idx.lo
-	}
-	if h > idx.hi {
-		h = idx.hi
-	}
-	if h < l {
-		h = l
-	}
-	return &SnapshotIndex{occ: idx.occ, lo: l, hi: h}
-}
-
-// Len reports the view length (the full snapshot length for an unsliced
-// index).
-func (idx *SnapshotIndex) Len() int { return int(idx.hi - idx.lo) }
-
-// searchPos returns the first index in positions holding a value >= j.
-func searchPos(positions []int32, j int32) int {
-	lo, hi := 0, len(positions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if positions[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// firstAtOrAfter returns the first occurrence position of r at or after
-// j within the view, or -1.
-func (idx *SnapshotIndex) firstAtOrAfter(r rune, j int32) int32 {
-	if j < idx.lo {
-		j = idx.lo
-	}
-	positions := idx.occ[r]
-	i := searchPos(positions, j)
-	if i == len(positions) || positions[i] >= idx.hi {
-		return -1
-	}
-	return positions[i]
-}
-
-// contains reports whether r occurs anywhere within the view.
-func (idx *SnapshotIndex) contains(r rune) bool {
-	return idx.firstAtOrAfter(r, idx.lo) >= 0
-}
-
-// count returns the number of occurrences of r within the view.
-func (idx *SnapshotIndex) count(r rune) int {
-	positions := idx.occ[r]
-	return searchPos(positions, idx.hi) - searchPos(positions, idx.lo)
-}
-
-// MatchRelaxed reports whether the fingerprint matches the snapshot under
-// the paper's relaxed semantics (§5.3.1 "Example", Fig 4): the mandatory
-// (state-change) symbols that are PRESENT in the snapshot must appear in
-// fingerprint order; symbols entirely absent from the snapshot are
-// tolerated (concurrent operations displace them out of the context
-// buffer — "even though symbol A is missing from the context buffer, the
-// truncated regular expression still matches as it preserves the order of
-// E and F"). The fingerprint's final symbol — the offending API for
-// truncated fingerprints — must itself be present.
-//
-// Growing the context buffer makes this test stricter, not looser: more
-// of a wrong candidate's symbols become present and must then be
-// explained in order, which is why a larger β "forces a more precise
-// match" (§7.3).
+// MatchRelaxed is Program.MatchRelaxed for the whole fingerprint over an
+// unindexed snapshot.
 func (f *Fingerprint) MatchRelaxed(snapshot []rune) bool {
-	return f.MatchRelaxedIndexed(NewSnapshotIndex(snapshot))
+	return f.whole().MatchRelaxed(NewIndex(snapshot))
 }
 
-// MatchRelaxedIndexed is MatchRelaxed over a pre-built index.
-func (f *Fingerprint) MatchRelaxedIndexed(idx *SnapshotIndex) bool {
-	ok, _ := f.matchOrdered(idx, true, nil)
-	return ok
-}
+// MatchRelaxedIndexed is Program.MatchRelaxed for the whole fingerprint.
+func (f *Fingerprint) MatchRelaxedIndexed(idx Index) bool { return f.whole().MatchRelaxed(idx) }
 
-// MatchExactIndexed requires every mandatory (state-change) symbol to be
-// present in order, with no omissions.
-func (f *Fingerprint) MatchExactIndexed(idx *SnapshotIndex) bool {
-	ok, _ := f.matchOrdered(idx, false, nil)
-	return ok
-}
+// MatchExactIndexed is Program.MatchExact for the whole fingerprint.
+func (f *Fingerprint) MatchExactIndexed(idx Index) bool { return f.whole().MatchExact(idx) }
 
-// MatchCorrelated matches a snapshot pre-filtered to one operation's own
-// messages (the §5.3.1 correlation-id extension). Because every pattern
-// symbol now belongs to a single operation, the decisive test flips: the
-// candidate's fingerprint must EXPLAIN the pattern — at least
-// corrCoverage of the pattern's symbol occurrences must be symbols of the
-// candidate — in addition to the ordered walk over whatever mandatory
-// symbols are present. The true operation always explains its own
-// messages (they are literally its fingerprint's symbols, plus idempotent
-// retries of them); unrelated candidates cannot.
-// An ordered walk is deliberately NOT applied here: when the window
-// truncates a long operation, repeated symbols make even the true
-// operation's own sequence appear locally out of order.
-func (f *Fingerprint) MatchCorrelated(idx *SnapshotIndex) bool {
-	n := idx.Len()
-	if n == 0 || len(f.Symbols) == 0 {
-		return false
-	}
-	if !idx.contains(f.Symbols[len(f.Symbols)-1]) {
-		return false // the offending (final) symbol must be present
-	}
-	set := f.SymbolSet()
-	covered := 0
-	for sym := range set {
-		covered += idx.count(sym)
-	}
-	return float64(covered) >= corrCoverage*float64(n)
-}
+// MatchStrict is Program.MatchStrict for the whole fingerprint.
+func (f *Fingerprint) MatchStrict(snapshot []rune) bool { return f.whole().MatchStrict(snapshot) }
 
-// corrCoverage is the fraction of a correlation-filtered pattern that a
-// matching candidate's fingerprint must explain.
-const corrCoverage = 0.95
-
-// matchOrdered is the shared ordered walk behind the relaxed and exact
-// matchers. When exp is non-nil (the explain path) it records, without
-// changing the verdict, the walk's evidence: the mandatory-symbol total,
-// omissions tolerated, and — on failure — the concrete rejection reason.
-// The hot path passes nil and pays nothing.
-func (f *Fingerprint) matchOrdered(idx *SnapshotIndex, allowOmission bool, exp *Explanation) (bool, int) {
-	pattern := f.mandatory()
-	if len(pattern) == 0 {
-		if exp != nil {
-			exp.Reason = "empty fingerprint: no mandatory symbols to match"
-		}
-		return false, 0
-	}
-	if exp != nil {
-		exp.MandatoryTotal = len(pattern)
-	}
-	j := idx.lo
-	matched := 0
-	for i, p := range pattern {
-		k := idx.firstAtOrAfter(p, j)
-		if k < 0 {
-			if idx.contains(p) {
-				// Present in the snapshot, but only before our match
-				// point: the state-change order is violated.
-				if exp != nil {
-					exp.Reason = fmt.Sprintf(
-						"order violated: %s occurs in the context buffer only before the match point (after %d of %d mandatory symbols)",
-						exp.sym(p), matched, len(pattern))
-				}
-				return false, matched
-			}
-			if !allowOmission || i == len(pattern)-1 {
-				// Absent symbol: fatal in exact mode, and the offending
-				// (final) symbol must be present in every mode.
-				if exp != nil {
-					if i == len(pattern)-1 {
-						exp.Reason = fmt.Sprintf(
-							"offending symbol %s absent from the context buffer", exp.sym(p))
-					} else {
-						exp.Reason = fmt.Sprintf(
-							"%s absent from the context buffer (exact mode tolerates no omissions)", exp.sym(p))
-					}
-				}
-				return false, matched
-			}
-			if exp != nil {
-				exp.Omitted++
-			}
-			continue // absent from the snapshot: omission allowed
-		}
-		matched++
-		j = k + 1
-	}
-	return true, matched
-}
-
-// MatchStrict reports whether every fingerprint symbol (reads included)
-// appears in order in the snapshot, with no omissions. Used by the
-// ablation comparing the relaxed matcher against a strict full-sequence
-// match.
-func (f *Fingerprint) MatchStrict(snapshot []rune) bool {
-	return isSubsequence(f.Symbols, snapshot)
-}
-
-func isSubsequence(pattern, s []rune) bool {
-	if len(pattern) == 0 {
-		return true
-	}
-	i := 0
-	for _, r := range s {
-		if r == pattern[i] {
-			i++
-			if i == len(pattern) {
-				return true
-			}
-		}
-	}
-	return false
-}
+// MatchCorrelated is Program.MatchCorrelated for the whole fingerprint.
+func (f *Fingerprint) MatchCorrelated(idx Index) bool { return f.whole().MatchCorrelated(idx) }
 
 // Overlap computes |sym(f) ∩ sym(g)| / |sym(f)| — the Fig 5 overlap
 // measure between two fingerprints, asymmetric in f.
@@ -547,21 +303,27 @@ func apiKey(apis []trace.API) string {
 }
 
 // Library holds every learned fingerprint, the shared symbol table, and
-// the per-symbol posting lists used to pre-select candidate operations
-// for a fault (GET_POSSIBLE_OFFENDING_OPERATIONS in Algorithm 2).
+// their compiled form (program.go): per-fingerprint match programs in two
+// flat stores, and the per-symbol posting lists used to pre-select
+// candidate operations for a fault (GET_POSSIBLE_OFFENDING_OPERATIONS in
+// Algorithm 2). AddAPIs compiles eagerly; once the last fingerprint is
+// added the library is immutable and safe for concurrent readers.
 type Library struct {
-	Table   *symbol.Table
-	fps     []*Fingerprint
-	byName  map[string]*Fingerprint
-	posting map[rune][]int
+	Table  *symbol.Table
+	fps    []*Fingerprint
+	byName map[string]*Fingerprint
+
+	forms   [][2]form    // by fingerprint index: unpruned, RPC-pruned
+	runes   []rune       // symbol store the forms point into
+	counts  []int32      // prefix-count store the forms point into
+	posting []Candidates // by symbol slot (rune - symbol.Base)
 }
 
 // NewLibrary returns an empty library over a fresh symbol table.
 func NewLibrary() *Library {
 	return &Library{
-		Table:   symbol.NewTable(),
-		byName:  make(map[string]*Fingerprint),
-		posting: make(map[rune][]int),
+		Table:  symbol.NewTable(),
+		byName: make(map[string]*Fingerprint),
 	}
 }
 
@@ -573,24 +335,48 @@ func (l *Library) Add(name, category string, traces [][]trace.API, nf *NoiseFilt
 	return l.AddAPIs(name, category, apis)
 }
 
-// AddAPIs registers a fingerprint from an already-learned API sequence.
+// AddAPIs registers a fingerprint from an already-learned API sequence
+// and compiles it.
 func (l *Library) AddAPIs(name, category string, apis []trace.API) *Fingerprint {
-	fp := &Fingerprint{Name: name, Category: category, APIs: apis}
+	id := int32(len(l.fps))
+	fp := &Fingerprint{Name: name, Category: category, APIs: apis, lib: l, id: id}
 	fp.Symbols = make([]rune, len(apis))
 	fp.state = make([]bool, len(apis))
 	for i, a := range apis {
 		fp.Symbols[i] = l.Table.Assign(a)
 		fp.state[i] = a.StateChanging()
 	}
-	idx := len(l.fps)
 	l.fps = append(l.fps, fp)
+	_, variant := l.byName[name]
 	l.byName[name] = fp
-	seen := map[rune]bool{}
-	for _, r := range fp.Symbols {
-		if !seen[r] {
-			seen[r] = true
-			l.posting[r] = append(l.posting[r], idx)
+	l.forms = append(l.forms, l.compile(fp))
+
+	// One posting per distinct symbol, cut after its last occurrence.
+	seen := make(map[rune]bool, len(apis))
+	for i := len(fp.Symbols) - 1; i >= 0; i-- {
+		r := fp.Symbols[i]
+		if seen[r] {
+			continue
 		}
+		seen[r] = true
+		s, _ := slot(r)
+		for len(l.posting) <= s {
+			l.posting = append(l.posting, Candidates{lib: l})
+		}
+		ps := &l.posting[s]
+		first := int32(len(ps.list))
+		if variant {
+			for _, e := range ps.list {
+				if l.fps[e.fp].Name == name {
+					first = e.first
+					break
+				}
+			}
+		}
+		if first == int32(len(ps.list)) {
+			ps.names++
+		}
+		ps.list = append(ps.list, posting{fp: id, cut: int32(i) + 1, first: first})
 	}
 	return fp
 }
@@ -606,20 +392,19 @@ func (l *Library) ByName(name string) *Fingerprint { return l.byName[name] }
 
 // Candidates returns the fingerprints containing the offending symbol —
 // the operations that could possibly contain the faulty API.
-func (l *Library) Candidates(offending rune) []*Fingerprint {
-	idxs := l.posting[offending]
-	out := make([]*Fingerprint, len(idxs))
-	for i, idx := range idxs {
-		out[i] = l.fps[idx]
+func (l *Library) Candidates(offending rune) Candidates {
+	s, ok := slot(offending)
+	if !ok || s >= len(l.posting) {
+		return Candidates{}
 	}
-	return out
+	return l.posting[s]
 }
 
 // CandidatesForAPI resolves the API through the symbol table first.
-func (l *Library) CandidatesForAPI(api trace.API) []*Fingerprint {
+func (l *Library) CandidatesForAPI(api trace.API) Candidates {
 	r, ok := l.Table.Lookup(api)
 	if !ok {
-		return nil
+		return Candidates{}
 	}
 	return l.Candidates(r)
 }

@@ -148,14 +148,14 @@ func TestLibraryLookupAndPosting(t *testing.T) {
 		t.Fatal("ByName broken")
 	}
 	cands := l.CandidatesForAPI(get("/a"))
-	if len(cands) != 2 {
-		t.Fatalf("candidates for /a = %d, want 2", len(cands))
+	if cands.Len() != 2 || cands.Names() != 2 {
+		t.Fatalf("candidates for /a = %d (%d names), want 2", cands.Len(), cands.Names())
 	}
 	cands = l.CandidatesForAPI(post("/vol"))
-	if len(cands) != 1 || cands[0].Name != "vol-create" {
-		t.Fatalf("candidates for /vol = %v", cands)
+	if cands.Len() != 1 || cands.Name(0) != "vol-create" {
+		t.Fatalf("candidates for /vol = %d", cands.Len())
 	}
-	if l.CandidatesForAPI(get("/never-seen")) != nil {
+	if l.CandidatesForAPI(get("/never-seen")).Len() != 0 {
 		t.Fatal("candidates for unknown API")
 	}
 	if l.MaxLen() != 5 {
@@ -262,7 +262,7 @@ func TestMatchRelaxedAllReadsFallback(t *testing.T) {
 func TestWithoutRPC(t *testing.T) {
 	l := NewLibrary()
 	fp := l.AddAPIs("op", "Compute", []trace.API{get("/a"), rpc("build"), post("/b")})
-	lean := fp.WithoutRPC(l.Table)
+	lean := fp.WithoutRPC()
 	if lean.Len() != 2 {
 		t.Fatalf("WithoutRPC len = %d", lean.Len())
 	}
@@ -356,15 +356,15 @@ func TestMatchExactIndexed(t *testing.T) {
 	noise := rune(0xF222)
 
 	full := []rune{sA, noise, sB, sC}
-	if !fp.MatchExactIndexed(NewSnapshotIndex(full)) {
+	if !fp.MatchExactIndexed(NewIndex(full)) {
 		t.Fatal("exact match failed on complete in-order pattern")
 	}
 	// Missing a mandatory symbol: exact fails where relaxed succeeds.
 	partial := []rune{sB, sC}
-	if fp.MatchExactIndexed(NewSnapshotIndex(partial)) {
+	if fp.MatchExactIndexed(NewIndex(partial)) {
 		t.Fatal("exact match tolerated an omission")
 	}
-	if !fp.MatchRelaxedIndexed(NewSnapshotIndex(partial)) {
+	if !fp.MatchRelaxedIndexed(NewIndex(partial)) {
 		t.Fatal("relaxed match should tolerate the omission")
 	}
 }
@@ -378,19 +378,19 @@ func TestMatchCorrelated(t *testing.T) {
 
 	// The operation's own pattern: fully covered by its fingerprint.
 	own := []rune{sA, sR, sR, sB} // includes an idempotent retry of /r
-	if !fp.MatchCorrelated(NewSnapshotIndex(own)) {
+	if !fp.MatchCorrelated(NewIndex(own)) {
 		t.Fatal("true operation failed correlated match on its own pattern")
 	}
 	// A different candidate explains only half the pattern: rejected.
-	if other.MatchCorrelated(NewSnapshotIndex(own)) {
+	if other.MatchCorrelated(NewIndex(own)) {
 		t.Fatal("foreign candidate passed coverage on another op's pattern")
 	}
 	// The offending (final) symbol must be present.
-	if fp.MatchCorrelated(NewSnapshotIndex([]rune{sA, sR})) {
+	if fp.MatchCorrelated(NewIndex([]rune{sA, sR})) {
 		t.Fatal("correlated match without the offending symbol")
 	}
 	// Empty pattern never matches.
-	if fp.MatchCorrelated(NewSnapshotIndex(nil)) {
+	if fp.MatchCorrelated(NewIndex(nil)) {
 		t.Fatal("correlated match on empty pattern")
 	}
 	_ = sX
@@ -491,8 +491,8 @@ func TestSliceViewMatchesRebuilt(t *testing.T) {
 		}
 		lo := int(loRaw) % (len(pattern) + 1)
 		hi := lo + int(hiRaw)%(len(pattern)-lo+1)
-		view := NewSnapshotIndex(pattern).Slice(lo, hi)
-		rebuilt := NewSnapshotIndex(pattern[lo:hi])
+		view := NewIndex(pattern).Slice(lo, hi)
+		rebuilt := NewIndex(pattern[lo:hi])
 		if view.Len() != rebuilt.Len() {
 			return false
 		}
@@ -511,7 +511,7 @@ func TestSliceViewMatchesRebuilt(t *testing.T) {
 }
 
 func TestSliceClampsBounds(t *testing.T) {
-	idx := NewSnapshotIndex([]rune{'a', 'b', 'c'})
+	idx := NewIndex([]rune{'a', 'b', 'c'})
 	if got := idx.Slice(-5, 99).Len(); got != 3 {
 		t.Fatalf("clamped slice len = %d, want 3", got)
 	}

@@ -1,0 +1,253 @@
+// The naive reference the compiled matcher (program.go) is differentially
+// tested against: what the analyzer did per fault before the library was
+// compiled once — a Truncate copy, a WithoutRPC copy, a fresh mandatory()
+// list per call — and linear scans over the raw pattern in place of the
+// occurrence index. It lives under _test.go on purpose: the product has
+// one matcher, and this is its oracle.
+
+package fingerprint
+
+import (
+	"math/rand"
+	"testing"
+
+	"gretel/internal/symbol"
+	"gretel/internal/trace"
+)
+
+// WithoutRPC returns a copy with RPC symbols removed — the §6 matching
+// optimization ("GRETEL removes symbols corresponding to RPC messages to
+// speed up operation detection").
+func (f *Fingerprint) WithoutRPC() *Fingerprint {
+	out := &Fingerprint{Name: f.Name, Category: f.Category}
+	for i, api := range f.APIs {
+		if api.Kind == trace.RPC {
+			continue
+		}
+		out.APIs = append(out.APIs, api)
+		out.Symbols = append(out.Symbols, f.Symbols[i])
+		out.state = append(out.state, f.state[i])
+	}
+	return out
+}
+
+// Truncate returns the fingerprint cut at the LAST occurrence of the
+// offending symbol, inclusive (Algorithm 2's
+// TRUNCATE_OPERATION_FINGERPRINTS). It returns nil if the symbol does not
+// occur.
+func (f *Fingerprint) Truncate(offending rune) *Fingerprint {
+	last := -1
+	for i, r := range f.Symbols {
+		if r == offending {
+			last = i
+		}
+	}
+	if last < 0 {
+		return nil
+	}
+	return &Fingerprint{
+		Name:     f.Name,
+		Category: f.Category,
+		APIs:     f.APIs[:last+1],
+		Symbols:  f.Symbols[:last+1],
+		state:    f.state[:last+1],
+	}
+}
+
+// mandatory returns the symbols that a relaxed match must find in order:
+// the state-change literals, always including the final symbol (the
+// offending API for truncated fingerprints).
+func (f *Fingerprint) mandatory() []rune {
+	var out []rune
+	for i, r := range f.Symbols {
+		if f.state[i] || i == len(f.Symbols)-1 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// indexFrom returns the first position of r in s at or after j, or -1.
+func indexFrom(s []rune, r rune, j int) int {
+	for k := j; k < len(s); k++ {
+		if s[k] == r {
+			return k
+		}
+	}
+	return -1
+}
+
+// naiveOrdered is the relaxed (allowOmission) or exact ordered walk.
+func (f *Fingerprint) naiveOrdered(s []rune, allowOmission bool) bool {
+	pattern := f.mandatory()
+	if len(pattern) == 0 {
+		return false
+	}
+	j := 0
+	for i, p := range pattern {
+		k := indexFrom(s, p, j)
+		if k >= 0 {
+			j = k + 1
+			continue
+		}
+		if indexFrom(s, p, 0) >= 0 {
+			return false // present, but only before the match point
+		}
+		if !allowOmission || i == len(pattern)-1 {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveStrict is the full-sequence subsequence test; like the analyzer,
+// it never matches an empty fingerprint.
+func (f *Fingerprint) naiveStrict(s []rune) bool {
+	i := 0
+	for _, r := range s {
+		if i < len(f.Symbols) && r == f.Symbols[i] {
+			i++
+		}
+	}
+	return len(f.Symbols) > 0 && i == len(f.Symbols)
+}
+
+// naiveCorrelated is the coverage test of the correlation-id extension.
+func (f *Fingerprint) naiveCorrelated(s []rune) bool {
+	if len(s) == 0 || len(f.Symbols) == 0 || indexFrom(s, f.Symbols[len(f.Symbols)-1], 0) < 0 {
+		return false
+	}
+	set := f.SymbolSet()
+	covered := 0
+	for _, r := range s {
+		if set[r] {
+			covered++
+		}
+	}
+	return float64(covered) >= corrCoverage*float64(len(s))
+}
+
+// referenceProgram is what the analyzer used to build per fault for one
+// candidate: truncate at the offending symbol, then prune.
+func referenceProgram(fp *Fingerprint, offending rune, truncate, pruneRPC bool) *Fingerprint {
+	ref := fp
+	if truncate {
+		ref = fp.Truncate(offending)
+	}
+	if pruneRPC {
+		ref = ref.WithoutRPC()
+	}
+	return ref
+}
+
+// fuzzLibrary draws a library of 1..6 fingerprints over a small alphabet
+// so every interesting shape is common: same-name variants, RPC symbols,
+// repeated symbols (so the offending symbol occurs more than once),
+// all-read-only and all-RPC fingerprints.
+func fuzzLibrary(rng *rand.Rand) *Library {
+	alphabet := []trace.API{
+		get("/a"), get("/b"), post("/c"), post("/d"), post("/e"),
+		rpc("x"), rpc("y"), get("/f"),
+	}
+	lib := NewLibrary()
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		name := string(rune('p' + rng.Intn(3))) // few names: variants collide
+		pick := func() trace.API { return alphabet[rng.Intn(len(alphabet))] }
+		switch rng.Intn(5) {
+		case 0: // all read-only
+			pick = func() trace.API { return []trace.API{get("/a"), get("/b"), get("/f")}[rng.Intn(3)] }
+		case 1: // all RPC
+			pick = func() trace.API { return []trace.API{rpc("x"), rpc("y")}[rng.Intn(2)] }
+		}
+		apis := make([]trace.API, 1+rng.Intn(9))
+		for i := range apis {
+			apis[i] = pick()
+		}
+		lib.AddAPIs(name, "Fuzz", apis)
+	}
+	return lib
+}
+
+// FuzzMatcherEquivalence holds the compiled matcher to the naive
+// reference: over random libraries, patterns and [lo, hi) views, every
+// candidate program's relaxed / exact / strict / correlated verdict equals
+// the reference's for the truncated-then-pruned copy, every Explain*
+// verdict equals its Match*, the precomputed posting facts (distinct
+// names, first-variant groups) equal a recount, and unknown runes and
+// empty patterns never panic.
+func FuzzMatcherEquivalence(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, []byte{1, 2, 3, 4, 5, 6, 7, 0, 3, 3}, uint8(0), uint8(10))
+	}
+	f.Add(int64(9), []byte{}, uint8(0), uint8(0))
+	f.Add(int64(10), []byte{255, 254, 9, 200}, uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte, loRaw, hiRaw uint8) {
+		lib := fuzzLibrary(rand.New(rand.NewSource(seed)))
+		known := lib.Table.Len()
+		pattern := make([]rune, len(raw))
+		for i, b := range raw {
+			switch {
+			case b >= 250: // outside the private-use area entirely
+				pattern[i] = rune(b)
+			case b >= 240: // inside it, beyond every assigned symbol
+				pattern[i] = symbol.Max - 1 - rune(b-240)
+			default:
+				pattern[i] = symbol.Base + rune(int(b)%(known+1)) // +1: one unassigned slot
+			}
+		}
+		lo := int(loRaw) % (len(pattern) + 1)
+		hi := lo + int(hiRaw)%(len(pattern)-lo+1)
+		view := NewIndex(pattern).Slice(lo, hi)
+		sub := pattern[lo:hi]
+		if view.Len() != len(sub) {
+			t.Fatalf("view len %d, want %d", view.Len(), len(sub))
+		}
+
+		for off := symbol.Base; off <= symbol.Base+rune(known); off++ {
+			cands := lib.Candidates(off)
+			var want []*Fingerprint // the posting list, recounted
+			for _, fp := range lib.All() {
+				if fp.Truncate(off) != nil {
+					want = append(want, fp)
+				}
+			}
+			if cands.Len() != len(want) {
+				t.Fatalf("symbol %U: %d candidates, want %d", off, cands.Len(), len(want))
+			}
+			names := map[string]int{}
+			for i, fp := range want {
+				if cands.Name(i) != fp.Name {
+					t.Fatalf("symbol %U candidate %d: %s, want %s (library order)", off, i, cands.Name(i), fp.Name)
+				}
+				if _, ok := names[fp.Name]; !ok {
+					names[fp.Name] = i
+				}
+				if cands.First(i) != names[fp.Name] {
+					t.Fatalf("symbol %U candidate %d: first %d, want %d", off, i, cands.First(i), names[fp.Name])
+				}
+				for mode := 0; mode < 4; mode++ {
+					truncate, prune := mode&1 != 0, mode&2 != 0
+					p := cands.Program(i, truncate, prune)
+					ref := referenceProgram(fp, off, truncate, prune)
+					if p.Len() != ref.Len() {
+						t.Fatalf("%s@%U truncate=%v prune=%v: program len %d, reference %d", fp.Name, off, truncate, prune, p.Len(), ref.Len())
+					}
+					check := func(matcher string, got, want, explained bool) {
+						t.Helper()
+						if got != want || explained != got {
+							t.Fatalf("%s %s@%U truncate=%v prune=%v fp=%q pattern=%q [%d,%d): compiled %v, explain %v, reference %v",
+								matcher, fp.Name, off, truncate, prune, string(fp.Symbols), string(pattern), lo, hi, got, explained, want)
+						}
+					}
+					check("relaxed", p.MatchRelaxed(view), ref.naiveOrdered(sub, true), p.ExplainRelaxed(view, lib.Table).Matched)
+					check("exact", p.MatchExact(view), ref.naiveOrdered(sub, false), p.ExplainExact(view, lib.Table).Matched)
+					check("strict", p.MatchStrict(sub), ref.naiveStrict(sub), p.ExplainStrict(sub, lib.Table).Matched)
+					check("correlated", p.MatchCorrelated(view), ref.naiveCorrelated(sub), p.ExplainCorrelated(view, lib.Table).Matched)
+				}
+			}
+			if cands.Names() != len(names) {
+				t.Fatalf("symbol %U: %d names, want %d", off, cands.Names(), len(names))
+			}
+		}
+	})
+}

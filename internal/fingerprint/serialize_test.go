@@ -48,8 +48,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Posting lists rebuilt: candidates for the RPC API resolve.
 	cands := got.CandidatesForAPI(trace.RPCAPI(trace.SvcNovaCompute, "build_and_run_instance"))
-	if len(cands) != 1 || cands[0].Name != "vm-create" {
-		t.Fatalf("candidates after load: %v", cands)
+	if cands.Len() != 1 || cands.Name(0) != "vm-create" {
+		t.Fatalf("candidates after load: %d", cands.Len())
 	}
 }
 
