@@ -3,15 +3,20 @@
 // bytes into events, resource pollers, and software-dependency watchers.
 //
 // The network agent reconstructs per-connection byte streams from tapped
-// packets and parses them incrementally, extracting only header-level
-// metadata: the API (verb + normalized URI, or RPC method + topic), the
-// endpoints, status codes, and error excerpts found by lightweight
-// regular-expression scans. It never decodes JSON argument payloads.
+// packets and scans them in place (rest.ScanRequest/ScanResponse,
+// amqp.Scan), extracting only header-level metadata: the API (verb +
+// normalized URI, or RPC method + topic), the endpoints, status codes,
+// and error excerpts found by lightweight regular-expression scans. It
+// never decodes JSON argument payloads, and it allocates only the
+// strings an emitted event keeps: a delivered event shares no memory
+// with the packet it came from.
 package agent
 
 import (
+	"bytes"
 	"net"
 	"regexp"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,11 +32,12 @@ import (
 // per-agent view). Emitted events are broken out per destination service
 // so an operator can see which OpenStack component dominates the stream.
 var (
-	mPacketsSeen  = telemetry.GetCounter("agent.packets_seen")
-	mPacketsIrrel = telemetry.GetCounter("agent.packets_irrelevant")
-	mParsed       = telemetry.GetCounter("agent.packets_parsed")
-	mParseErrors  = telemetry.GetCounter("agent.parse_errors")
-	mEmittedBySvc = func() []*telemetry.Counter {
+	mPacketsSeen    = telemetry.GetCounter("agent.packets_seen")
+	mPacketsIrrel   = telemetry.GetCounter("agent.packets_irrelevant")
+	mParsed         = telemetry.GetCounter("agent.packets_parsed")
+	mParseErrors    = telemetry.GetCounter("agent.parse_errors")
+	mPendingEvicted = telemetry.GetCounter("agent.pending_evicted")
+	mEmittedBySvc   = func() []*telemetry.Counter {
 		svcs := trace.Services()
 		out := make([]*telemetry.Counter, len(svcs)+1) // values are contiguous from SvcUnknown
 		out[trace.SvcUnknown] = telemetry.GetCounter("agent.events_emitted.unknown")
@@ -40,6 +46,16 @@ var (
 		}
 		return out
 	}()
+)
+
+// What a tap can be made to hold is bounded: a peer that never completes
+// a message, or requests that are never answered, must not grow it.
+const (
+	// maxStreamBytes caps one direction's reassembly buffer; a stream
+	// that exceeds it is abandoned like a corrupt one.
+	maxStreamBytes = 1 << 20
+	// maxPending caps each table of requests awaiting their response.
+	maxPending = 1 << 16
 )
 
 // Sink receives parsed events in capture order.
@@ -70,22 +86,36 @@ type Monitor struct {
 	// monitor still parses everything it sees (pairing state must stay
 	// complete); Emit only gates the sink. Per-node deployments feed both
 	// endpoints' agents every packet and use OwnerPolicy so each message
-	// is reported exactly once.
+	// is reported exactly once. Both arguments are the Monitor's own
+	// scratch, valid until Emit returns.
 	Emit func(ev *trace.Event, pkt *cluster.Packet) bool
 
 	sink  Sink
 	truth GroundTruth
 
-	// conns maps connID -> pending request metadata for REST pairing.
-	conns map[uint64]*pendingREST
+	// conns maps connID -> the pending request's API for REST pairing.
+	conns pending[uint64]
 	// calls maps RPC msgID -> API for reply pairing.
-	calls map[string]trace.API
-	// streams accumulates partial bytes per (connID, direction).
+	calls pending[string]
+	// streams holds the unparsed tail per (connID, direction); a stream
+	// whose packets each end on a message boundary never has an entry.
 	streams map[streamKey][]byte
 
+	// pkt and ev are the packet being handled and the event being
+	// built. They live here rather than on HandlePacket's stack because
+	// their addresses reach Emit, which would otherwise move both to the
+	// heap on every packet.
+	pkt cluster.Packet
+	ev  trace.Event
+	// scratch is reused for the normalized path and the failure scan.
+	scratch []byte
+	// apis interns API.Method and API.Path: a finite set, so an event's
+	// API strings cost nothing once the deployment's surface is seen.
+	apis trace.Interner
+
 	// Parsed counts successfully parsed messages; ParseErrors counts
-	// stream bytes abandoned as unparseable; Ignored counts packets
-	// dropped by the relevance filter.
+	// streams abandoned as unparseable (or as over maxStreamBytes);
+	// Ignored counts packets dropped by the relevance filter.
 	Parsed      uint64
 	ParseErrors uint64
 	Ignored     uint64
@@ -96,10 +126,31 @@ type streamKey struct {
 	src  string
 }
 
-type pendingREST struct {
-	api     trace.API
-	src     string
-	reqNode string
+// pending is a table of requests awaiting their response, bounded at
+// maxPending entries in two generations: when the young one holds half
+// the bound the old one is dropped whole, so the most recent maxPending/2
+// requests always survive and nothing is scanned to choose a victim.
+type pending[K comparable] struct{ young, old map[K]trace.API }
+
+func (p *pending[K]) put(k K, api trace.API) {
+	if len(p.young) >= maxPending/2 {
+		mPendingEvicted.Add(uint64(len(p.old)))
+		p.old, p.young = p.young, nil
+	}
+	if p.young == nil {
+		p.young = make(map[K]trace.API)
+	}
+	delete(p.old, k)
+	p.young[k] = api
+}
+
+func (p *pending[K]) take(k K) (api trace.API, ok bool) {
+	if api, ok = p.young[k]; ok {
+		delete(p.young, k)
+	} else if api, ok = p.old[k]; ok {
+		delete(p.old, k)
+	}
+	return api, ok
 }
 
 // NewMonitor builds an agent for a node. truth may be nil.
@@ -108,10 +159,26 @@ func NewMonitor(node string, sink Sink, truth GroundTruth) *Monitor {
 		Node:    node,
 		sink:    sink,
 		truth:   truth,
-		conns:   make(map[uint64]*pendingREST),
-		calls:   make(map[string]trace.API),
 		streams: make(map[streamKey][]byte),
 	}
+}
+
+// The well-known ports as the wire spells them, built once.
+var (
+	mysqlPort     = strconv.Itoa(cluster.ServicePorts[trace.SvcMySQL])
+	serviceByPort = func() map[string]trace.Service {
+		out := make(map[string]trace.Service, len(cluster.ServicePorts))
+		for svc, p := range cluster.ServicePorts {
+			out[strconv.Itoa(p)] = svc
+		}
+		return out
+	}()
+)
+
+// portOf returns the port of an "ip:port" endpoint, "" if it has none.
+func portOf(addr string) string {
+	_, port, _ := strings.Cut(addr, ":")
+	return port
 }
 
 // relevant implements the capture filter: GRETEL monitors only the
@@ -119,18 +186,14 @@ func NewMonitor(node string, sink Sink, truth GroundTruth) *Monitor {
 // (MySQL's port) is invisible to it by design — its effects surface
 // through API errors and the dependency watchers instead.
 func relevant(pkt *cluster.Packet) bool {
-	mysqlPort := itoa(cluster.ServicePorts[trace.SvcMySQL])
-	for _, addr := range []string{pkt.SrcAddr, pkt.DstAddr} {
-		if _, port, ok := strings.Cut(addr, ":"); ok && port == mysqlPort {
-			return false
-		}
-	}
-	return true
+	return portOf(pkt.SrcAddr) != mysqlPort && portOf(pkt.DstAddr) != mysqlPort
 }
 
 // HandlePacket ingests one tapped packet, reassembling the directional
 // byte stream and parsing any complete messages. Irrelevant traffic
-// (database protocol) is dropped by the capture filter.
+// (database protocol) is dropped by the capture filter. The payload is
+// only read, and nothing the Monitor keeps or delivers aliases it once
+// HandlePacket returns.
 func (m *Monitor) HandlePacket(pkt cluster.Packet) {
 	mPacketsSeen.Inc()
 	if !relevant(&pkt) {
@@ -138,75 +201,77 @@ func (m *Monitor) HandlePacket(pkt cluster.Packet) {
 		mPacketsIrrel.Inc()
 		return
 	}
+	m.pkt = pkt
 	key := streamKey{pkt.ConnID, pkt.SrcAddr}
-	buf := append(m.streams[key], pkt.Payload...)
+	// In place when nothing is held for the stream — every packet of a
+	// message-per-packet sender; otherwise behind the held tail.
+	buf := pkt.Payload
+	var held []byte
+	if len(m.streams) > 0 { // skip hashing the key on the common path
+		held = m.streams[key]
+	}
+	if held != nil {
+		held = append(held, pkt.Payload...)
+		buf = held
+	}
 	for len(buf) > 0 {
-		n, ok := m.parseOne(pkt, buf)
-		if !ok {
+		n, err := m.parseOne(buf)
+		if n == 0 {
+			if err == nil && len(buf) <= maxStreamBytes {
+				break // an incomplete message: wait for more bytes
+			}
+			// A corrupt (or never-completing) stream is abandoned: what
+			// is held is dropped, so the next packet starts clean.
+			m.ParseErrors++
+			mParseErrors.Inc()
+			buf = nil
 			break
 		}
+		m.Parsed++
+		mParsed.Inc()
 		buf = buf[n:]
 	}
-	if len(buf) == 0 {
+	switch {
+	case len(buf) > 0:
+		m.streams[key] = append(held[:0], buf...) // held is nil or buf's own backing array
+	case held != nil:
 		delete(m.streams, key)
-	} else {
-		m.streams[key] = buf
 	}
 }
 
-// parseOne attempts to parse a single message from buf, emitting an event
-// on success. It reports bytes consumed and whether parsing should
-// continue.
-func (m *Monitor) parseOne(pkt cluster.Packet, buf []byte) (int, bool) {
+// parseOne scans a single message at the front of buf and emits its
+// event. It reports the bytes consumed; zero with a nil error means the
+// message is incomplete, zero with an error that it cannot be parsed.
+func (m *Monitor) parseOne(buf []byte) (n int, err error) {
 	switch {
 	case amqp.IsAMQP(buf):
-		msg, n, err := amqp.Unmarshal(buf)
-		if err != nil {
-			if err == amqp.ErrShort {
-				return 0, false // wait for more bytes
-			}
-			m.ParseErrors++
-			mParseErrors.Inc()
-			return len(buf), false // abandon the stream
+		var msg amqp.View
+		if msg, n, err = amqp.Scan(buf); err == nil {
+			m.emitRPC(&msg, n)
 		}
-		m.Parsed++
-		mParsed.Inc()
-		m.emitRPC(pkt, msg, n)
-		return n, true
 	case rest.IsResponse(buf):
-		resp, n, err := rest.ParseResponse(buf)
-		if err != nil {
-			if err == rest.ErrShortMessage {
-				return 0, false
-			}
-			m.ParseErrors++
-			mParseErrors.Inc()
-			return len(buf), false
+		var resp rest.ResponseView
+		if resp, n, err = rest.ScanResponse(buf); err == nil {
+			m.emitRESTResponse(&resp, n)
 		}
-		m.Parsed++
-		mParsed.Inc()
-		m.emitRESTResponse(pkt, resp, n)
-		return n, true
 	default:
-		req, n, err := rest.ParseRequest(buf)
-		if err != nil {
-			if err == rest.ErrShortMessage {
-				return 0, false
-			}
-			m.ParseErrors++
-			mParseErrors.Inc()
-			return len(buf), false
+		var req rest.RequestView
+		if req, n, err = rest.ScanRequest(buf); err == nil {
+			m.emitRESTRequest(&req, n)
 		}
-		m.Parsed++
-		mParsed.Inc()
-		m.emitRESTRequest(pkt, req, n)
-		return n, true
 	}
+	if err == amqp.ErrShort || err == rest.ErrShortMessage {
+		err = nil // wait for more bytes
+	}
+	return n, err
 }
 
-func (m *Monitor) base(pkt cluster.Packet, wire int) trace.Event {
-	ev := trace.Event{
+// begin resets the scratch event to the packet-derived fields.
+func (m *Monitor) begin(typ trace.EventType, wire int) *trace.Event {
+	pkt := &m.pkt
+	m.ev = trace.Event{
 		Time:      pkt.Time,
+		Type:      typ,
 		SrcNode:   pkt.SrcNode,
 		DstNode:   pkt.DstNode,
 		SrcAddr:   pkt.SrcAddr,
@@ -214,25 +279,22 @@ func (m *Monitor) base(pkt cluster.Packet, wire int) trace.Event {
 		ConnID:    pkt.ConnID,
 		WireBytes: wire,
 	}
-	return ev
+	return &m.ev
 }
 
-func (m *Monitor) decorate(ev *trace.Event) {
+// deliver decorates, gates and sends the scratch event.
+func (m *Monitor) deliver() {
+	ev := &m.ev
 	if m.truth != nil {
 		ev.OpID, ev.OpName = m.truth(ev.ConnID, ev.MsgID)
 	}
-}
-
-// deliver gates and sends one parsed event.
-func (m *Monitor) deliver(ev trace.Event, pkt *cluster.Packet) {
-	m.decorate(&ev)
-	if m.Emit != nil && !m.Emit(&ev, pkt) {
+	if m.Emit != nil && !m.Emit(ev, &m.pkt) {
 		return
 	}
 	if svc := int(ev.API.Service); svc < len(mEmittedBySvc) {
 		mEmittedBySvc[svc].Inc()
 	}
-	m.sink(ev)
+	m.sink(*ev)
 }
 
 // OwnerPolicy returns the per-node Emit policy: a message is owned by the
@@ -250,31 +312,29 @@ func OwnerPolicy(node string) func(ev *trace.Event, pkt *cluster.Packet) bool {
 	}
 }
 
-func (m *Monitor) emitRESTRequest(pkt cluster.Packet, req *rest.Request, wire int) {
+func (m *Monitor) emitRESTRequest(req *rest.RequestView, wire int) {
 	svc := serviceFromHost(req.Header.Get("Host"))
 	if svc == trace.SvcUnknown {
-		svc = serviceFromPort(pkt.DstAddr)
+		svc = serviceFromPort(m.pkt.DstAddr)
 	}
-	api := trace.RESTAPI(svc, req.Method, rest.NormalizePath(req.Path))
-	m.conns[pkt.ConnID] = &pendingREST{api: api, src: pkt.SrcAddr, reqNode: pkt.SrcNode}
-	ev := m.base(pkt, wire)
-	ev.Type = trace.RESTRequest
+	m.scratch = rest.AppendNormalizedPath(m.scratch[:0], req.Path)
+	api := trace.RESTAPI(svc, m.apis.Intern(req.Method), m.apis.Intern(m.scratch))
+	m.conns.put(m.pkt.ConnID, api)
+	ev := m.begin(trace.RESTRequest, wire)
 	ev.API = api
-	ev.CorrID = req.Header.Get("X-Openstack-Request-Id")
-	m.deliver(ev, &pkt)
+	ev.CorrID = string(req.Header.Get("X-Openstack-Request-Id"))
+	m.deliver()
 }
 
-func (m *Monitor) emitRESTResponse(pkt cluster.Packet, resp *rest.Response, wire int) {
-	ev := m.base(pkt, wire)
-	ev.Type = trace.RESTResponse
+func (m *Monitor) emitRESTResponse(resp *rest.ResponseView, wire int) {
+	ev := m.begin(trace.RESTResponse, wire)
 	ev.Status = resp.Status
-	ev.CorrID = resp.Header.Get("X-Openstack-Request-Id")
-	if p, ok := m.conns[pkt.ConnID]; ok {
-		ev.API = p.api
-		delete(m.conns, pkt.ConnID)
+	ev.CorrID = string(resp.Header.Get("X-Openstack-Request-Id"))
+	if api, ok := m.conns.take(m.pkt.ConnID); ok {
+		ev.API = api
 	} else {
 		// Unpaired response: classify by source port only.
-		ev.API = trace.RESTAPI(serviceFromPort(pkt.SrcAddr), "", "")
+		ev.API = trace.RESTAPI(serviceFromPort(m.pkt.SrcAddr), "", "")
 	}
 	if resp.Status >= 400 {
 		if mtx := errMessageRe.FindSubmatch(resp.Body); mtx != nil {
@@ -283,114 +343,77 @@ func (m *Monitor) emitRESTResponse(pkt cluster.Packet, resp *rest.Response, wire
 			ev.ErrorText = rest.ReasonPhrase(resp.Status)
 		}
 	}
-	m.deliver(ev, &pkt)
+	m.deliver()
 }
 
-func (m *Monitor) emitRPC(pkt cluster.Packet, msg *amqp.Message, wire int) {
+func (m *Monitor) emitRPC(msg *amqp.View, wire int) {
 	if msg.MethodID == amqp.BasicPublish && !m.ReportPublishLeg {
 		return
 	}
-	env := &msg.Envelope
-	ev := m.base(pkt, wire)
-	ev.MsgID = env.MsgID
-	ev.CorrID = env.ReqID
+	ev := m.begin(trace.RPCReply, wire)
+	ev.MsgID = string(msg.MsgID)
+	ev.CorrID = string(msg.ReqID)
 	switch {
-	case env.Method != "":
-		svc := serviceFromTopic(msg.Exchange, msg.RoutingKey)
-		api := trace.RPCAPI(svc, env.Method)
-		ev.API = api
-		if env.ReplyTo != "" {
+	case len(msg.Method) > 0:
+		ev.API = trace.RPCAPI(serviceFromTopic(msg.Exchange, msg.RoutingKey), m.apis.Intern(msg.Method))
+		if len(msg.ReplyTo) > 0 {
 			ev.Type = trace.RPCCall
-			m.calls[env.MsgID] = api
+			m.calls.put(ev.MsgID, ev.API)
 		} else {
 			ev.Type = trace.RPCCast
 		}
 	default:
-		ev.Type = trace.RPCReply
-		if api, ok := m.calls[env.MsgID]; ok {
+		if api, ok := m.calls.take(ev.MsgID); ok {
 			ev.API = api
-			delete(m.calls, env.MsgID)
 		}
 		// The agents' regex scan over the raw envelope text is what the
-		// paper prescribes for RPC errors; our Unmarshal has already
-		// surfaced the failure string, so the scan runs over it directly.
-		if mtx := rpcFailureRe.FindSubmatch([]byte(`"failure":"` + env.Failure + `"`)); mtx != nil && env.Failure != "" {
-			ev.Status = 1
-			ev.ErrorText = string(mtx[1])
+		// paper prescribes for RPC errors; the envelope scan has already
+		// surfaced the (unescaped) failure string, so the regex runs
+		// over it, re-quoted in scratch — on failed replies only.
+		if len(msg.Failure) > 0 {
+			m.scratch = append(append(append(m.scratch[:0], `"failure":"`...), msg.Failure...), '"')
+			if mtx := rpcFailureRe.FindSubmatch(m.scratch); mtx != nil {
+				ev.Status = 1
+				ev.ErrorText = string(mtx[1])
+			}
 		}
 	}
-	m.deliver(ev, &pkt)
+	m.deliver()
 }
 
 // serviceFromHost maps an HTTP Host header to the owning service.
-func serviceFromHost(host string) trace.Service {
-	host, _, _ = strings.Cut(host, ":")
-	for _, svc := range trace.Services() {
-		if svc.String() == host {
-			return svc
-		}
+func serviceFromHost(host []byte) trace.Service {
+	if i := bytes.IndexByte(host, ':'); i >= 0 {
+		host = host[:i]
 	}
-	return trace.SvcUnknown
+	return trace.ServiceByName(string(host))
 }
 
 // serviceFromPort maps an "ip:port" endpoint to the service listening on
 // that well-known port.
 func serviceFromPort(addr string) trace.Service {
-	_, port, ok := strings.Cut(addr, ":")
-	if !ok {
-		return trace.SvcUnknown
-	}
-	for svc, p := range cluster.ServicePorts {
-		if port == itoa(p) {
-			return svc
-		}
-	}
-	return trace.SvcUnknown
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return serviceByPort[portOf(addr)] // SvcUnknown, the zero Service, when absent
 }
 
 // serviceFromTopic maps broker routing metadata to the consumer service.
-func serviceFromTopic(exchange, routingKey string) trace.Service {
-	switch {
-	case routingKey == "compute" || strings.HasPrefix(routingKey, "compute."):
+func serviceFromTopic(exchange, routingKey []byte) trace.Service {
+	if string(routingKey) == "compute" || bytes.HasPrefix(routingKey, []byte("compute.")) {
 		return trace.SvcNovaCompute
-	case strings.HasPrefix(routingKey, "q-agent-notifier"):
-		return trace.SvcNeutronAgent
-	case strings.HasPrefix(routingKey, "topic."):
-		name := strings.TrimPrefix(routingKey, "topic.")
-		for _, svc := range trace.Services() {
-			if svc.String() == name {
-				return svc
-			}
-		}
-	case strings.HasPrefix(routingKey, "reply_"):
-		name := strings.TrimPrefix(routingKey, "reply_")
-		for _, svc := range trace.Services() {
-			if svc.String() == name {
-				return svc
-			}
-		}
 	}
-	// Fall back to the exchange name.
-	for _, svc := range trace.Services() {
-		if svc.String() == exchange {
+	if bytes.HasPrefix(routingKey, []byte("q-agent-notifier")) {
+		return trace.SvcNeutronAgent
+	}
+	name, ok := bytes.CutPrefix(routingKey, []byte("topic."))
+	if !ok {
+		name, ok = bytes.CutPrefix(routingKey, []byte("reply_"))
+	}
+	if ok {
+		if svc := trace.ServiceByName(string(name)); svc != trace.SvcUnknown {
 			return svc
 		}
 	}
-	return trace.SvcUnknown
+	// Fall back to the exchange name.
+	return trace.ServiceByName(string(exchange))
 }
 
 // DepStatus is one watcher observation: a software dependency and whether

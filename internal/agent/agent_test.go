@@ -214,16 +214,34 @@ func TestMonitorAbandonsCorruptStream(t *testing.T) {
 	if len(*events) != 0 {
 		t.Fatal("event from garbage")
 	}
-	if m.ParseErrors == 0 {
-		t.Fatal("parse error not counted")
+	if m.ParseErrors != 1 {
+		t.Fatalf("parse errors = %d, want 1", m.ParseErrors)
+	}
+	// Abandoned means dropped: nothing is held, so the connection's next
+	// message parses from a clean start instead of behind the garbage.
+	if len(m.streams) != 0 {
+		t.Fatalf("%d streams held after a corrupt one was abandoned", len(m.streams))
+	}
+	for i := 0; i < 100; i++ {
+		m.HandlePacket(pkt(21, "a:1", "b:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
+	}
+	if len(*events) != 100 || m.ParseErrors != 1 || len(m.streams) != 0 {
+		t.Fatalf("after 100 valid requests: events=%d errors=%d streams=%d", len(*events), m.ParseErrors, len(m.streams))
+	}
+	// The same on the held-tail path: garbage arriving behind a partial
+	// message drops the tail with it.
+	m.HandlePacket(pkt(22, "a:1", "b:8774", []byte("GARBAGE\r\nNoCol")))
+	m.HandlePacket(pkt(22, "a:1", "b:8774", []byte("on\r\n\r\n")))
+	if m.ParseErrors != 2 || len(m.streams) != 0 {
+		t.Fatalf("split garbage: errors=%d streams=%d", m.ParseErrors, len(m.streams))
 	}
 }
 
 func TestServiceHelpers(t *testing.T) {
-	if serviceFromHost("nova") != trace.SvcNova || serviceFromHost("nova:8774") != trace.SvcNova {
+	if serviceFromHost([]byte("nova")) != trace.SvcNova || serviceFromHost([]byte("nova:8774")) != trace.SvcNova {
 		t.Error("serviceFromHost")
 	}
-	if serviceFromHost("whatever") != trace.SvcUnknown {
+	if serviceFromHost([]byte("whatever")) != trace.SvcUnknown || serviceFromHost(nil) != trace.SvcUnknown {
 		t.Error("serviceFromHost unknown")
 	}
 	if serviceFromPort("1.2.3.4:9696") != trace.SvcNeutron {
@@ -239,10 +257,11 @@ func TestServiceHelpers(t *testing.T) {
 		{"cinder", "topic.cinder"}:      trace.SvcCinder,
 		{"", "reply_nova"}:              trace.SvcNova,
 		{"glance", "weird"}:             trace.SvcGlance, // exchange fallback
+		{"glance", "topic.nosuch"}:      trace.SvcGlance,
 		{"unknown-exch", "weird"}:       trace.SvcUnknown,
 	}
 	for in, want := range cases {
-		if got := serviceFromTopic(in[0], in[1]); got != want {
+		if got := serviceFromTopic([]byte(in[0]), []byte(in[1])); got != want {
 			t.Errorf("serviceFromTopic(%q,%q) = %v, want %v", in[0], in[1], got, want)
 		}
 	}

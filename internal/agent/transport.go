@@ -149,12 +149,19 @@ func (c *SenderConfig) defaults() {
 // connection: the sender's write buffer (set by the default Dialer) and
 // the receiver's read buffer (set on accept). The plane bounds what is
 // in flight in frames — the spill ring, the receiver's event channel —
-// but the kernel buffers bound it in bytes, so with a slow consumer
-// compact frames would queue several times more events there than JSON
-// frames did, and every one of them is report lag. 256 KiB still holds
-// well over a thousand events per direction, so a fast consumer never
-// starves.
-const sockBufBytes = 256 << 10
+// but the kernel buffers bound it in bytes, and every compact frame
+// queued there is report lag. The faster the producer, the smaller the
+// bound has to be: an agent that outruns the analyzer keeps every queue
+// between them full, and by Little's law that standing backlog is the
+// lag. 64 KiB still holds some four hundred events per direction, so a
+// fast consumer never starves (DESIGN.md "Kernel buffers are part of
+// the backlog" has the sweep).
+const sockBufBytes = 64 << 10
+
+// recvEventBuffer sizes the receiver's decoded-event channel, the other
+// standing queue ahead of the analyzer, by the same argument: enough to
+// ride out a consumer stall of a millisecond or two, and no more.
+const recvEventBuffer = 512
 
 // wireFrame is one encoded frame retained in the spill ring.
 type wireFrame struct {
@@ -687,7 +694,7 @@ func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 	r := &Receiver{
 		ln:      ln,
 		cfg:     cfg,
-		events:  make(chan trace.Event, 4096),
+		events:  make(chan trace.Event, recvEventBuffer),
 		states:  make(chan StateUpdate, 64),
 		health:  make(chan Health, 256),
 		closing: make(chan struct{}),

@@ -19,6 +19,14 @@
 // A complete message is a method frame (basic.publish or basic.deliver
 // with exchange + routing key), a content-header frame (body size), and a
 // single body frame holding the envelope JSON.
+//
+// There is one parser. Scan walks the three frames and the envelope's
+// top level in place and returns a View — byte slices into the scanned
+// input, valid only while it is unchanged — stepping over args and
+// result without decoding them (scan.go); an envelope that is not in
+// the plain form every oslo sender writes is handed to encoding/json,
+// whose semantics are the specification. Unmarshal copies a View into
+// an owned Message for callers that keep it.
 package amqp
 
 import (
@@ -88,15 +96,15 @@ func writeShortStr(b *bytes.Buffer, s string) {
 	b.WriteString(s)
 }
 
-func readShortStr(p []byte) (string, int, error) {
+func readShortStr(p []byte) ([]byte, int, error) {
 	if len(p) < 1 {
-		return "", 0, ErrShort
+		return nil, 0, ErrShort
 	}
 	n := int(p[0])
 	if len(p) < 1+n {
-		return "", 0, ErrShort
+		return nil, 0, ErrShort
 	}
-	return string(p[1 : 1+n]), 1 + n, nil
+	return p[1 : 1+n], 1 + n, nil
 }
 
 func writeFrame(b *bytes.Buffer, ftype byte, channel uint16, payload []byte) {
@@ -159,57 +167,98 @@ func Marshal(m *Message) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Unmarshal decodes one complete message (three frames) from raw and
-// reports the bytes consumed, allowing back-to-back messages on a stream.
-func Unmarshal(raw []byte) (*Message, int, error) {
+// View is the header-level view of one broker message that Scan yields:
+// the routing metadata, the envelope's five header fields, and the spans
+// of its two opaque payloads, which are stepped over, never decoded.
+// Every slice aliases the scanned bytes (or, for an envelope Scan had to
+// hand to encoding/json, a decoded copy) and is valid only as long as
+// they are; a caller that keeps anything copies it out.
+type View struct {
+	MethodID             uint16
+	Exchange, RoutingKey []byte
+	MsgID, ReqID         []byte
+	ReplyTo, Method      []byte
+	Failure              []byte
+	Args, Result         []byte
+}
+
+// Scan scans one complete message (three frames) at the front of raw
+// without copying it, and reports the bytes consumed, allowing
+// back-to-back messages on a stream.
+func Scan(raw []byte) (View, int, error) {
 	ftype, _, payload, n1, err := readFrame(raw)
 	if err != nil {
-		return nil, 0, err
+		return View{}, 0, err
 	}
 	if ftype != FrameMethod {
-		return nil, 0, fmt.Errorf("%w: expected method frame, got %d", ErrBadFrame, ftype)
+		return View{}, 0, fmt.Errorf("%w: expected method frame, got %d", ErrBadFrame, ftype)
 	}
 	if len(payload) < 4 {
-		return nil, 0, ErrBadFrame
+		return View{}, 0, ErrBadFrame
 	}
 	class := binary.BigEndian.Uint16(payload[0:2])
 	if class != 60 {
-		return nil, 0, fmt.Errorf("%w: class %d", ErrBadFrame, class)
+		return View{}, 0, fmt.Errorf("%w: class %d", ErrBadFrame, class)
 	}
-	m := &Message{MethodID: binary.BigEndian.Uint16(payload[2:4])}
+	v := View{MethodID: binary.BigEndian.Uint16(payload[2:4])}
 	exch, en, err := readShortStr(payload[4:])
 	if err != nil {
-		return nil, 0, err
+		return View{}, 0, err
 	}
 	rk, _, err := readShortStr(payload[4+en:])
 	if err != nil {
-		return nil, 0, err
+		return View{}, 0, err
 	}
-	m.Exchange, m.RoutingKey = exch, rk
+	v.Exchange, v.RoutingKey = exch, rk
 
 	ftype, _, headerPayload, n2, err := readFrame(raw[n1:])
 	if err != nil {
-		return nil, 0, err
+		return View{}, 0, err
 	}
 	if ftype != FrameHeader || len(headerPayload) < 8 {
-		return nil, 0, fmt.Errorf("%w: expected content header", ErrBadFrame)
+		return View{}, 0, fmt.Errorf("%w: expected content header", ErrBadFrame)
 	}
 	bodySize := binary.BigEndian.Uint64(headerPayload[:8])
 
 	ftype, _, body, n3, err := readFrame(raw[n1+n2:])
 	if err != nil {
-		return nil, 0, err
+		return View{}, 0, err
 	}
 	if ftype != FrameBody {
-		return nil, 0, fmt.Errorf("%w: expected body frame", ErrBadFrame)
+		return View{}, 0, fmt.Errorf("%w: expected body frame", ErrBadFrame)
 	}
 	if uint64(len(body)) != bodySize {
-		return nil, 0, fmt.Errorf("%w: header says %d body bytes, frame has %d", ErrBadFrame, bodySize, len(body))
+		return View{}, 0, fmt.Errorf("%w: header says %d body bytes, frame has %d", ErrBadFrame, bodySize, len(body))
 	}
-	if err := json.Unmarshal(body, &m.Envelope); err != nil {
-		return nil, 0, fmt.Errorf("amqp: decoding envelope: %w", err)
+	if !scanEnvelope(body, &v) {
+		// Not the plain form: encoding/json, whose semantics are the
+		// envelope's specification, decides — reject or decode.
+		var env Envelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			return View{}, 0, fmt.Errorf("amqp: decoding envelope: %w", err)
+		}
+		v.MsgID, v.ReqID, v.ReplyTo = []byte(env.MsgID), []byte(env.ReqID), []byte(env.ReplyTo)
+		v.Method, v.Failure = []byte(env.Method), []byte(env.Failure)
+		v.Args, v.Result = env.Args, env.Result
 	}
-	return m, n1 + n2 + n3, nil
+	return v, n1 + n2 + n3, nil
+}
+
+// Unmarshal decodes one complete message from raw into an owned Message
+// and reports the bytes consumed.
+func Unmarshal(raw []byte) (*Message, int, error) {
+	v, n, err := Scan(raw)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &Message{
+		MethodID: v.MethodID, Exchange: string(v.Exchange), RoutingKey: string(v.RoutingKey),
+		Envelope: Envelope{
+			MsgID: string(v.MsgID), ReqID: string(v.ReqID), ReplyTo: string(v.ReplyTo),
+			Method: string(v.Method), Failure: string(v.Failure),
+			Args: bytes.Clone(v.Args), Result: bytes.Clone(v.Result),
+		},
+	}, n, nil
 }
 
 // IsAMQP reports whether raw starts with a plausible AMQP frame header.

@@ -127,7 +127,7 @@ func TestRunnerProfileCapturesHotspots(t *testing.T) {
 }
 
 func TestRegistryAndResolve(t *testing.T) {
-	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak", "opdetect"}
+	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak", "opdetect", "monitor"}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("registry = %v, want %v", got, want)

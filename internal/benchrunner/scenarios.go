@@ -17,6 +17,7 @@ import (
 
 	"gretel/internal/agent"
 	"gretel/internal/chaos"
+	"gretel/internal/cluster"
 	"gretel/internal/core"
 	"gretel/internal/experiments"
 	"gretel/internal/federation"
@@ -62,6 +63,9 @@ func init() {
 	})
 	Register("opdetect", func() Scenario {
 		return &opdetectScenario{desc: "Algorithm 2 alone: operation detection over the frozen snapshots of the canonical Fig 8c faulty stream (compiled match programs, dense posting index)"}
+	})
+	Register("monitor", func() Scenario {
+		return &monitorScenario{desc: "the tap alone: agent.Monitor.HandlePacket over the canonical tapped wire (in-place REST and AMQP scanners), sink discarding"}
 	})
 }
 
@@ -854,5 +858,44 @@ func (s *opdetectScenario) Cases() []Case {
 			return nil, fmt.Errorf("no snapshot matched any operation")
 		}
 		return Metrics{ReportsPerOp: float64(len(s.snaps)), "matched": float64(matched)}, nil
+	}}}
+}
+
+// --- monitor: the tap alone over the canonical wire ---
+
+type monitorScenario struct {
+	desc    string
+	packets []cluster.Packet
+}
+
+func (s *monitorScenario) Name() string        { return "monitor" }
+func (s *monitorScenario) Description() string { return s.desc }
+func (s *monitorScenario) Teardown() error     { s.packets = nil; return nil }
+
+func (s *monitorScenario) Setup(opts Options) error {
+	simSeconds := 60
+	if opts.Short {
+		simSeconds = 20
+	}
+	s.packets = experiments.BenchPackets(simSeconds)
+	return nil
+}
+
+func (s *monitorScenario) Cases() []Case {
+	return []Case{{Name: "tap", Run: func() (Metrics, error) {
+		events, faulty := 0, 0
+		mon := agent.NewMonitor("bench", func(ev trace.Event) {
+			events++
+			if ev.Faulty() {
+				faulty++
+			}
+		}, nil)
+		for _, pkt := range s.packets {
+			mon.HandlePacket(pkt)
+		}
+		if events == 0 || faulty == 0 || mon.Ignored == 0 || mon.ParseErrors != 0 {
+			return nil, fmt.Errorf("tap saw %d events (%d faulty), ignored %d packets, %d parse errors", events, faulty, mon.Ignored, mon.ParseErrors)
+		}
+		return Metrics{EventsPerOp: float64(events), "packets": float64(len(s.packets)), "faulty": float64(faulty)}, nil
 	}}}
 }

@@ -6,6 +6,11 @@
 package experiments
 
 import (
+	"bytes"
+	"math/rand"
+	"time"
+
+	"gretel/internal/cluster"
 	"gretel/internal/fingerprint"
 	"gretel/internal/openstack"
 	"gretel/internal/replay"
@@ -80,4 +85,38 @@ func DetectorBenchSeries(n int) []float64 {
 		}
 	}
 	return s
+}
+
+// BenchPackets is the canonical tapped wire: the seed-1 deployment with
+// 100 tests of the seed-1 catalog sustained for simSeconds of simulated
+// time (heartbeats on, MySQL traffic included, every 400th step failed
+// so error responses and failed replies are on it), recorded at the
+// fabric tap. The harness's monitor scenario replays exactly this
+// through agent.Monitor.HandlePacket.
+func BenchPackets(simSeconds int) []cluster.Packet {
+	d := openstack.NewDeployment(openstack.Config{
+		Seed:            1,
+		HeartbeatPeriod: 10 * time.Second,
+		ThinkMin:        50 * time.Millisecond,
+		ThinkMax:        150 * time.Millisecond,
+	})
+	d.Injector = &failEvery{n: 400}
+	var packets []cluster.Packet
+	d.Fabric.Tap(func(pkt cluster.Packet) {
+		pkt.Payload = bytes.Clone(pkt.Payload) // a tap may not retain the fabric's bytes
+		packets = append(packets, pkt)
+	})
+	tempest.SustainPool(d, tempest.NewCatalog(1), 100, rand.New(rand.NewSource(1)))
+	d.Sim.RunUntil(d.Sim.Now().Add(time.Duration(simSeconds) * time.Second))
+	return packets
+}
+
+// failEvery is the injector that fails every nth step it is asked about.
+type failEvery struct{ n, calls int }
+
+func (f *failEvery) Outcome(*openstack.Instance, int, openstack.Step, *cluster.Node, *cluster.Node) openstack.Outcome {
+	if f.calls++; f.calls%f.n == 0 {
+		return openstack.Outcome{Status: 500, ErrText: "Internal Server Error: injected fault"}
+	}
+	return openstack.Outcome{}
 }

@@ -13,6 +13,7 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte("POST /v2/images HTTP/1.1\r\nHost: glance\r\nContent-Length: 2\r\n\r\n{}"))
 	f.Add([]byte("garbage\r\n\r\n"))
 	f.Add([]byte{0x01, 0x00, 0xCE})
+	f.Add([]byte(overflowLength))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, n, err := ParseRequest(raw)
 		if err != nil {
@@ -36,6 +37,7 @@ func FuzzParseRequest(f *testing.F) {
 func FuzzParseResponse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 413 Request Entity Too Large\r\nContent-Length: 4\r\n\r\nbody"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\nabc"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		resp, n, err := ParseResponse(raw)
 		if err != nil {

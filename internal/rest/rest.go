@@ -10,6 +10,14 @@
 // The codec intentionally supports the subset OpenStack clients use:
 // Content-Length framed bodies (no chunked transfer encoding), token
 // headers, and the standard status-reason table.
+//
+// There is one parser. ScanRequest and ScanResponse scan a message in
+// place and return a view — byte slices into the scanned input, valid
+// only while it is unchanged — with the header block as Fields, looked
+// up by name without building a pair list; that is what the monitoring
+// agent runs per tapped message, and it allocates nothing.
+// ParseRequest and ParseResponse copy a view into an owned Request or
+// Response for callers that keep the message.
 package rest
 
 import (
@@ -147,78 +155,160 @@ func MarshalResponse(r *Response) []byte {
 	return b.Bytes()
 }
 
-// splitMessage splits raw bytes into start line, header block and body,
-// honoring Content-Length. It returns the number of bytes consumed so a
-// stream parser can handle back-to-back messages on one connection.
-func splitMessage(raw []byte) (start string, hdr Header, body []byte, consumed int, err error) {
-	headEnd := bytes.Index(raw, []byte(crlf+crlf))
-	if headEnd < 0 {
-		return "", Header{}, nil, 0, ErrShortMessage
-	}
-	head := string(raw[:headEnd])
-	lines := strings.Split(head, crlf)
-	if len(lines) == 0 || lines[0] == "" {
-		return "", Header{}, nil, 0, ErrBadStartLine
-	}
-	start = lines[0]
-	contentLen := 0
-	for _, ln := range lines[1:] {
-		k, v, ok := strings.Cut(ln, ":")
-		if !ok {
-			return "", Header{}, nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, ln)
+// Fields is the header block of one scanned message — the lines between
+// the start line and the blank line — aliasing the scanned bytes.
+type Fields []byte
+
+// Get returns the first value for the (case-insensitive) key, trimmed
+// of surrounding space, or nil. It allocates nothing.
+func (f Fields) Get(name string) []byte {
+	want := []byte(name) // does not escape: on the stack for any real header name
+	for rest := []byte(f); len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, crlfBytes)
+		if k, v, ok := bytes.Cut(line, colon); ok && bytes.EqualFold(bytes.TrimSpace(k), want) {
+			return bytes.TrimSpace(v)
 		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		hdr.pairs = append(hdr.pairs, [2]string{k, v})
-		if strings.EqualFold(k, "Content-Length") {
-			contentLen, err = strconv.Atoi(v)
-			if err != nil || contentLen < 0 {
-				return "", Header{}, nil, 0, ErrBadLength
+	}
+	return nil
+}
+
+// parseHeader copies a header block — a string the caller owns — into
+// a Header, in wire order; the pairs are substrings of it.
+func parseHeader(block string) (h Header) {
+	if len(block) == 0 {
+		return h
+	}
+	h.pairs = make([][2]string, 0, strings.Count(block, crlf)+1)
+	for len(block) > 0 {
+		var line string
+		line, block, _ = strings.Cut(block, crlf)
+		k, v, _ := strings.Cut(line, ":")
+		h.pairs = append(h.pairs, [2]string{strings.TrimSpace(k), strings.TrimSpace(v)})
+	}
+	return h
+}
+
+// RequestView and ResponseView are the header-level views of one
+// message that ScanRequest and ScanResponse yield. Every slice aliases
+// the scanned bytes and is valid only as long as they are; a caller
+// that keeps anything copies it out.
+type RequestView struct {
+	Method, Path []byte
+	Header       Fields
+	Body         []byte
+}
+
+type ResponseView struct {
+	Status int
+	Reason []byte
+	Header Fields
+	Body   []byte
+}
+
+var (
+	crlfBytes   = []byte(crlf)
+	headEndMark = []byte(crlf + crlf)
+	colon       = []byte(":")
+	space       = []byte(" ")
+	httpPrefix  = []byte("HTTP/")
+	lengthKey   = []byte("Content-Length")
+)
+
+// scan splits raw into start line, header block and body in place,
+// honoring Content-Length, and reports the bytes consumed so a stream
+// parser can handle back-to-back messages on one connection. It
+// allocates only to describe an error.
+func scan(raw []byte) (start []byte, hdr Fields, body []byte, consumed int, err error) {
+	headEnd := bytes.Index(raw, headEndMark)
+	if headEnd < 0 {
+		return nil, nil, nil, 0, ErrShortMessage
+	}
+	start, rest, more := bytes.Cut(raw[:headEnd], crlfBytes)
+	if len(start) == 0 {
+		return nil, nil, nil, 0, ErrBadStartLine
+	}
+	hdr = rest
+	bodyLen := 0
+	for more {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, crlfBytes)
+		k, v, ok := bytes.Cut(line, colon)
+		if !ok {
+			return nil, nil, nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, line)
+		}
+		if bytes.EqualFold(bytes.TrimSpace(k), lengthKey) {
+			bodyLen, err = strconv.Atoi(string(bytes.TrimSpace(v)))
+			if err != nil || bodyLen < 0 {
+				return nil, nil, nil, 0, ErrBadLength
 			}
 		}
 	}
-	bodyStart := headEnd + 4
-	if len(raw) < bodyStart+contentLen {
-		return "", Header{}, nil, 0, ErrShortMessage
+	bodyStart := headEnd + len(headEndMark)
+	if bodyLen > len(raw)-bodyStart { // not bodyStart+bodyLen: a tapped length may be near MaxInt
+		return nil, nil, nil, 0, ErrShortMessage
 	}
-	body = raw[bodyStart : bodyStart+contentLen]
-	return start, hdr, body, bodyStart + contentLen, nil
+	return start, hdr, raw[bodyStart : bodyStart+bodyLen], bodyStart + bodyLen, nil
 }
 
-// ParseRequest decodes one HTTP/1.1 request from raw and reports the bytes
-// consumed (trailing bytes may belong to the next pipelined message).
+// ScanRequest scans one HTTP/1.1 request at the front of raw without
+// copying it, and reports the bytes consumed (trailing bytes may belong
+// to the next pipelined message).
+func ScanRequest(raw []byte) (RequestView, int, error) {
+	start, hdr, body, n, err := scan(raw)
+	if err != nil {
+		return RequestView{}, 0, err
+	}
+	method, rest, _ := bytes.Cut(start, space)
+	path, proto, ok := bytes.Cut(rest, space)
+	if !ok || !bytes.HasPrefix(proto, httpPrefix) {
+		return RequestView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
+	}
+	return RequestView{Method: method, Path: path, Header: hdr, Body: body}, n, nil
+}
+
+// ScanResponse scans one HTTP/1.1 response at the front of raw without
+// copying it, and reports the bytes consumed.
+func ScanResponse(raw []byte) (ResponseView, int, error) {
+	start, hdr, body, n, err := scan(raw)
+	if err != nil {
+		return ResponseView{}, 0, err
+	}
+	proto, rest, ok := bytes.Cut(start, space)
+	if !ok || !bytes.HasPrefix(proto, httpPrefix) {
+		return ResponseView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
+	}
+	code, reason, _ := bytes.Cut(rest, space)
+	status, err := strconv.Atoi(string(code))
+	if err != nil {
+		return ResponseView{}, 0, fmt.Errorf("%w: status %q", ErrBadStartLine, code)
+	}
+	return ResponseView{Status: status, Reason: reason, Header: hdr, Body: body}, n, nil
+}
+
+// ParseRequest decodes one HTTP/1.1 request from raw into an owned
+// Request (its Body still aliases raw) and reports the bytes consumed.
+// The strings share one copy of the head: the start line leads it and
+// the header block ends it.
 func ParseRequest(raw []byte) (*Request, int, error) {
-	start, hdr, body, n, err := splitMessage(raw)
+	v, n, err := ScanRequest(raw)
 	if err != nil {
 		return nil, 0, err
 	}
-	parts := strings.SplitN(start, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
-	}
-	return &Request{Method: parts[0], Path: parts[1], Header: hdr, Body: body}, n, nil
+	head := string(raw[:n-len(v.Body)-len(headEndMark)])
+	m := len(v.Method)
+	return &Request{Method: head[:m], Path: head[m+1 : m+1+len(v.Path)],
+		Header: parseHeader(head[len(head)-len(v.Header):]), Body: v.Body}, n, nil
 }
 
-// ParseResponse decodes one HTTP/1.1 response from raw and reports the
-// bytes consumed.
+// ParseResponse decodes one HTTP/1.1 response from raw into an owned
+// Response (its Body still aliases raw) and reports the bytes consumed.
 func ParseResponse(raw []byte) (*Response, int, error) {
-	start, hdr, body, n, err := splitMessage(raw)
+	v, n, err := ScanResponse(raw)
 	if err != nil {
 		return nil, 0, err
 	}
-	parts := strings.SplitN(start, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: status %q", ErrBadStartLine, parts[1])
-	}
-	reason := ""
-	if len(parts) == 3 {
-		reason = parts[2]
-	}
-	return &Response{Status: status, Reason: reason, Header: hdr, Body: body}, n, nil
+	return &Response{Status: v.Status, Reason: string(v.Reason), Header: parseHeader(string(v.Header)), Body: v.Body}, n, nil
 }
 
 // IsResponse reports whether raw starts like an HTTP response (rather than
@@ -233,19 +323,35 @@ func IsResponse(raw []byte) bool {
 // numeric ids) with "{id}". This is how agents collapse concrete URIs onto
 // the finite API set without payload inspection.
 func NormalizePath(path string) string {
-	path, _, _ = strings.Cut(path, "?")
-	segs := strings.Split(path, "/")
-	for i, s := range segs {
-		if looksLikeID(s) {
-			segs[i] = "{id}"
-		}
-	}
-	return strings.Join(segs, "/")
+	return string(AppendNormalizedPath(nil, []byte(path)))
 }
+
+// AppendNormalizedPath appends path's API template (see NormalizePath)
+// to dst and returns the extended buffer.
+func AppendNormalizedPath(dst, path []byte) []byte {
+	if q := bytes.IndexByte(path, '?'); q >= 0 {
+		path = path[:q]
+	}
+	for {
+		seg, rest, more := bytes.Cut(path, slash)
+		if looksLikeID(seg) {
+			dst = append(dst, "{id}"...)
+		} else {
+			dst = append(dst, seg...)
+		}
+		if !more {
+			return dst
+		}
+		dst = append(dst, '/')
+		path = rest
+	}
+}
+
+var slash = []byte("/")
 
 // looksLikeID reports whether a path segment is a concrete identifier:
 // a UUID-shaped token, a hex string of 8+ chars, or a decimal number.
-func looksLikeID(s string) bool {
+func looksLikeID(s []byte) bool {
 	if len(s) == 0 {
 		return false
 	}

@@ -48,10 +48,10 @@ const (
 
 const (
 	bodyVersion = 1
-	// internMax and internMaxLen bound a Decoder's intern table: at most
-	// internMax strings of at most internMaxLen bytes each (128 KiB of
-	// string data), however many distinct values a peer sends. Past
-	// either bound a string is simply copied.
+	// internMax and internMaxLen bound an Interner: at most internMax
+	// strings of at most internMaxLen bytes each (128 KiB of string
+	// data), however many distinct values a peer sends. Past either
+	// bound a string is simply copied.
 	internMax    = 1024
 	internMaxLen = 128
 )
@@ -103,7 +103,7 @@ func appendString(dst []byte, s string) []byte {
 // than once per event. The zero value is ready to use; a Decoder is
 // not safe for concurrent use.
 type Decoder struct {
-	intern map[string]string
+	intern Interner
 	// zone caches the last non-UTC fixed zone, so a stream stamped in
 	// one local zone does not allocate a Location per event.
 	zone       *time.Location
@@ -195,20 +195,30 @@ func (r *bodyReader) bytes() []byte {
 func (r *bodyReader) str() string { return string(r.bytes()) }
 
 // interned returns the next string through the stream's intern table.
-func (d *Decoder) interned(r *bodyReader) string {
-	b := r.bytes()
+func (d *Decoder) interned(r *bodyReader) string { return d.intern.Intern(r.bytes()) }
+
+// Interner is a bounded string table for one stream of low-cardinality
+// strings (API methods and paths, nodes, addresses): Intern returns the
+// same string for equal bytes without allocating, and once the table is
+// full it stops filling — it never evicts, so a string handed out stays
+// valid. The zero value is ready to use; an Interner is not safe for
+// concurrent use.
+type Interner struct{ m map[string]string }
+
+// Intern returns b as a string that shares no memory with b.
+func (t *Interner) Intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := d.intern[string(b)]; ok { // no allocation: map lookup by converted key
+	if s, ok := t.m[string(b)]; ok { // no allocation: map lookup by converted key
 		return s
 	}
 	s := string(b)
-	if len(d.intern) < internMax && len(s) <= internMaxLen {
-		if d.intern == nil {
-			d.intern = make(map[string]string)
+	if len(t.m) < internMax && len(s) <= internMaxLen {
+		if t.m == nil {
+			t.m = make(map[string]string)
 		}
-		d.intern[s] = s
+		t.m[s] = s
 	}
 	return s
 }

@@ -149,8 +149,8 @@ func TestDecoderInternBound(t *testing.T) {
 			t.Fatalf("event %d: %v", i, err)
 		}
 		requireSame(t, out, ev)
-		if len(dec.intern) > internMax {
-			t.Fatalf("intern table grew to %d entries after %d events, bound is %d", len(dec.intern), i+1, internMax)
+		if len(dec.intern.m) > internMax {
+			t.Fatalf("intern table grew to %d entries after %d events, bound is %d", len(dec.intern.m), i+1, internMax)
 		}
 		if i == 0 {
 			first = out
@@ -158,10 +158,10 @@ func TestDecoderInternBound(t *testing.T) {
 			t.Fatalf("event %d: repeating API.Path was not interned", i)
 		}
 	}
-	if len(dec.intern) != internMax {
-		t.Fatalf("intern table holds %d entries, want it full at %d", len(dec.intern), internMax)
+	if len(dec.intern.m) != internMax {
+		t.Fatalf("intern table holds %d entries, want it full at %d", len(dec.intern.m), internMax)
 	}
-	if _, kept := dec.intern[ev.ErrorText]; kept {
+	if _, kept := dec.intern.m[ev.ErrorText]; kept {
 		t.Fatalf("a %d-byte string was interned past the %d-byte bound", len(ev.ErrorText), internMaxLen)
 	}
 }
