@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-go bench-baseline bench-gate experiments examples fmt vet clean
+.PHONY: all build test race loc bench bench-go bench-baseline bench-gate experiments examples fmt vet clean
 
 all: build vet test
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package and in total under internal/ and cmd/ —
+# the number ROADMAP aim 2 tracks ("net non-test LoC should go down").
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Scenario bench harness (full workloads, pinned iteration count);
 # writes BENCH_<scenario>.json into out/bench plus a table on stderr.

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"gretel/internal/seglog"
+	"strings"
 	"testing"
 )
 
@@ -19,13 +21,13 @@ func FuzzReadFrame(f *testing.F) {
 	good := jsonFrame(7, ev) // the legacy event frame
 	goodBin := binFrame(7, ev)
 	state, _ := json.Marshal(&StateUpdate{Nodes: []NodeState{{Name: "n1", Up: true}}})
-	goodState := encodeFrame(frameState, 8, state)
+	goodState := seglog.AppendRecord(nil, frameState, 8, state)
 	hb, _ := json.Marshal(heartbeatBody{Agent: "fuzz", Shed: 3})
 
 	// Seed corpus: real frames, then each documented corruption class.
 	f.Add(good)
 	f.Add(goodState)
-	f.Add(encodeFrame(frameHeartbeat, 99, hb))
+	f.Add(seglog.AppendRecord(nil, frameHeartbeat, 99, hb))
 	f.Add(append(append([]byte{}, good...), goodState...)) // back-to-back
 	f.Add(append([]byte{0x00, 0xF5, 0x13}, good...))       // garbage prefix
 
@@ -69,7 +71,7 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				return
 			}
-			if !validKind(kind) {
+			if strings.IndexByte(frameKinds, kind) < 0 {
 				t.Fatalf("returned invalid kind %q", kind)
 			}
 			if len(body) > MaxFrame {

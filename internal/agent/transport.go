@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
 	"gretel/internal/trace"
 )
@@ -306,7 +307,7 @@ func (s *Sender) enqueue(kind byte, data []byte) {
 		return
 	}
 	s.nextSeq++
-	sealFrame(data, kind, s.nextSeq)
+	seglog.Seal(data, kind, s.nextSeq)
 	fr := wireFrame{seq: s.nextSeq, data: data}
 	if s.n == len(s.ring) {
 		old := s.ring[s.head]
@@ -488,7 +489,7 @@ func (s *Sender) stream(conn net.Conn) error {
 		return err
 	}
 	hello, _ := json.Marshal(helloBody{Agent: s.cfg.Agent, Session: s.cfg.Session, Base: s.helloBase()})
-	if err := write(encodeFrame(frameHello, 0, hello)); err != nil {
+	if err := write(seglog.AppendRecord(nil, frameHello, 0, hello)); err != nil {
 		return err
 	}
 	s.rewind()
@@ -524,7 +525,7 @@ func (s *Sender) stream(conn net.Conn) error {
 				continue // frames are flowing; they carry liveness
 			}
 			body, _ := json.Marshal(heartbeatBody{Agent: s.cfg.Agent, Shed: shed})
-			if err := write(encodeFrame(frameHeartbeat, seq, body)); err != nil {
+			if err := write(seglog.AppendRecord(nil, frameHeartbeat, seq, body)); err != nil {
 				return err
 			}
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -946,12 +947,13 @@ func (r *Receiver) serve(conn net.Conn) {
 		if rt := r.cfg.ReadTimeout; rt > 0 {
 			conn.SetReadDeadline(time.Now().Add(rt))
 		}
-		kind, seq, body, skipped, err := readFrame(br, buf)
-		if skipped > 0 {
+		kind, seq, body, skipped, err := seglog.ReadRecord(br, frameKinds, buf, seglog.Socket)
+		if skipped.Bytes > 0 {
 			mResyncs.Inc()
-			mBytesSkipped.Add(uint64(skipped))
+			mBytesSkipped.Add(uint64(skipped.Bytes))
+			mCRCErrors.Add(uint64(skipped.CRC))
 			telemetry.LogFirst("transport.resync",
-				"agent: corrupt bytes from %s (%s): skipped %d resynchronizing", conn.RemoteAddr(), agent, skipped)
+				"agent: corrupt bytes from %s (%s): skipped %d resynchronizing", conn.RemoteAddr(), agent, skipped.Bytes)
 		}
 		if err != nil {
 			if err != io.EOF {

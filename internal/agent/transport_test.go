@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gretel/internal/chaos"
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
 	"gretel/internal/trace"
 )
@@ -31,13 +32,19 @@ func sampleEvent(seq uint64) trace.Event {
 // 'E' that receivers must keep reading.
 func binFrame(seq uint64, ev trace.Event) []byte {
 	fr := eventFrame(&ev)
-	sealFrame(fr, frameEvent, seq)
+	seglog.Seal(fr, frameEvent, seq)
 	return fr
+}
+
+// readFrame reads one frame the way the receiver does.
+func readFrame(br *bufio.Reader, buf []byte) (kind byte, seq uint64, body []byte, skipped int, err error) {
+	kind, seq, body, sk, err := seglog.ReadRecord(br, frameKinds, buf, seglog.Socket)
+	return kind, seq, body, int(sk.Bytes), err
 }
 
 func jsonFrame(seq uint64, ev trace.Event) []byte {
 	body, _ := json.Marshal(&ev)
-	return encodeFrame(frameEventJSON, seq, body)
+	return seglog.AppendRecord(nil, frameEventJSON, seq, body)
 }
 
 // decodeEventBody decodes an event frame body of either kind.
@@ -366,10 +373,10 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(encodeFrame(frameEventJSON, 0, []byte("not-json")))
+	conn.Write(seglog.AppendRecord(nil, frameEventJSON, 0, []byte("not-json")))
 	good := binFrame(0, sampleEvent(1))[frameHdrLen:]
-	conn.Write(encodeFrame(frameEvent, 0, good[:len(good)-1]))            // truncated
-	conn.Write(encodeFrame(frameEvent, 0, append([]byte{0xff}, good...))) // unknown body version
+	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, good[:len(good)-1]))            // truncated
+	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, append([]byte{0xff}, good...))) // unknown body version
 	ev := sampleEvent(7)
 	if err := WriteEvent(conn, &ev); err != nil {
 		t.Fatal(err)
@@ -401,7 +408,7 @@ func TestReceiverRecordsGapAndDedups(t *testing.T) {
 	defer conn.Close()
 
 	hello, _ := json.Marshal(helloBody{Agent: "gap-agent"})
-	conn.Write(encodeFrame(frameHello, 0, hello))
+	conn.Write(seglog.AppendRecord(nil, frameHello, 0, hello))
 	mk := func(seq uint64) []byte { return binFrame(seq, sampleEvent(seq)) }
 	conn.Write(mk(1))
 	conn.Write(mk(5)) // gap: 2,3,4 missing

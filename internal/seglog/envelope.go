@@ -1,0 +1,144 @@
+// Package seglog owns the two decisions every durable or wire byte in
+// GRETEL depends on: the record envelope (this file) and the segment
+// directory (log.go, scan.go). The agent's wire frames, the WAL's event
+// records and the TSDB's point batches are all this envelope; the WAL
+// and the TSDB are both this segment log under their own record bodies.
+//
+// The envelope:
+//
+//	offset size
+//	0      2    magic 0xF5 0x9E
+//	2      1    kind (the caller's: what the body is)
+//	3      8    sequence number, big-endian
+//	11     4    body length, big-endian
+//	15     4    CRC32 (IEEE) over bytes [2,15) and the body
+//	19     n    body
+//
+// The magic lets a reader that lost alignment find the next record by
+// scanning; the CRC covers the kind, so a record of one kind is never
+// taken for an intact record of another; corruption is skipped and
+// counted, never trusted and never an error.
+package seglog
+
+import (
+	"bufio"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"slices"
+	"strings"
+)
+
+const (
+	magic0 = 0xF5
+	magic1 = 0x9E
+	// HdrLen is the envelope's header size.
+	HdrLen = 19
+	// MaxRecord bounds one body. ReadRecord treats a longer length
+	// prefix as corruption, so a writer must refuse such a body: it would
+	// be durable and unrecoverable.
+	MaxRecord = 1 << 22
+)
+
+var hdrZero [HdrLen]byte
+
+// Reserve appends room for one header to buf. Encode the body after it,
+// then Seal the record in place — no second copy of the body.
+func Reserve(buf []byte) []byte { return append(buf, hdrZero[:]...) }
+
+// AppendRecord appends one sealed record around a copy of body — for a
+// body that already exists; one being encoded goes after Reserve.
+func AppendRecord(buf []byte, kind byte, seq uint64, body []byte) []byte {
+	start := len(buf)
+	buf = append(Reserve(buf), body...)
+	Seal(buf[start:], kind, seq)
+	return buf
+}
+
+// Seal completes a record in place: rec is HdrLen reserved bytes and
+// then the body.
+func Seal(rec []byte, kind byte, seq uint64) {
+	rec[0], rec[1], rec[2] = magic0, magic1, kind
+	binary.BigEndian.PutUint64(rec[3:], seq)
+	binary.BigEndian.PutUint32(rec[11:], uint32(len(rec)-HdrLen))
+	crc := crc32.ChecksumIEEE(rec[2:15])
+	crc = crc32.Update(crc, crc32.IEEETable, rec[HdrLen:])
+	binary.BigEndian.PutUint32(rec[15:], crc)
+}
+
+// Source is the one thing readers differ in: what a short read means.
+type Source bool
+
+const (
+	// Socket: more bytes may follow. A read that ends inside a record
+	// returns the I/O error and counts nothing; the connection is the
+	// caller's to drop.
+	Socket Source = false
+	// File: the end is real. A record cut off by it is drained, counted
+	// in Skipped.Bytes, and reported as io.EOF.
+	File Source = true
+)
+
+// Skipped is what one ReadRecord call discarded while resynchronising.
+type Skipped struct {
+	Bytes int64 // every discarded byte
+	CRC   int   // records among them that were whole but failed the CRC
+}
+
+// ReadRecord returns the next intact record whose kind is one of kinds.
+// A bad magic, kind or length advances the scan one byte (a false start
+// costs one byte, not a consumed prefix); a CRC mismatch skips the
+// record. The only errors are the reader's own. body aliases buf, grown
+// as needed, and is valid until the next call that is handed it.
+func ReadRecord(br *bufio.Reader, kinds string, buf []byte, src Source) (kind byte, seq uint64, body []byte, sk Skipped, err error) {
+	for {
+		b0, err := br.ReadByte()
+		if err != nil {
+			return 0, 0, nil, sk, err
+		}
+		if b0 != magic0 {
+			sk.Bytes++
+			continue
+		}
+		hdr, err := br.Peek(HdrLen - 1)
+		if err != nil {
+			if len(hdr) == 0 || hdr[0] != magic1 {
+				sk.Bytes++
+				continue
+			}
+			if src == File && err == io.EOF { // a record start torn mid-header
+				br.Discard(len(hdr))
+				sk.Bytes += 1 + int64(len(hdr))
+			}
+			return 0, 0, nil, sk, err
+		}
+		kind = hdr[1]
+		n := binary.BigEndian.Uint32(hdr[10:14])
+		if hdr[0] != magic1 || strings.IndexByte(kinds, kind) < 0 || n > MaxRecord {
+			sk.Bytes++
+			continue
+		}
+		seq = binary.BigEndian.Uint64(hdr[2:10])
+		want := binary.BigEndian.Uint32(hdr[14:18])
+		crc := crc32.ChecksumIEEE(hdr[1:14])
+		br.Discard(HdrLen - 1) // cannot fail: Peek just returned these bytes
+		buf = slices.Grow(buf[:0], int(n))
+		body = buf[:n]
+		if got, err := io.ReadFull(br, body); err != nil {
+			if src == File && (err == io.ErrUnexpectedEOF || err == io.EOF) {
+				sk.Bytes += HdrLen + int64(got)
+				err = io.EOF
+			}
+			return 0, 0, nil, sk, err
+		}
+		if crc32.Update(crc, crc32.IEEETable, body) != want {
+			// Corrupt, or a false magic inside corrupt bytes. If the length
+			// itself was damaged the scan is now misaligned and the next
+			// magic check finds its way back.
+			sk.Bytes += HdrLen + int64(n)
+			sk.CRC++
+			continue
+		}
+		return kind, seq, body, sk, nil
+	}
+}

@@ -12,8 +12,8 @@ import (
 	"strconv"
 	"time"
 
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
-	"gretel/internal/wal"
 )
 
 // Mounts returns the store's HTTP handlers for telemetry.Serve.
@@ -35,13 +35,13 @@ func (s *Store) handleWrite(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, wal.MaxRecord+1))
+	body, err := io.ReadAll(io.LimitReader(req.Body, seglog.MaxRecord+1))
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(body) > wal.MaxRecord {
-		http.Error(w, fmt.Sprintf("batch over the %d-byte bound", wal.MaxRecord), http.StatusRequestEntityTooLarge)
+	if len(body) > seglog.MaxRecord {
+		http.Error(w, fmt.Sprintf("batch over the %d-byte bound", seglog.MaxRecord), http.StatusRequestEntityTooLarge)
 		return
 	}
 	accepted, rejected, err := s.Write(body, time.Now())

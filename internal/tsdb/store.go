@@ -1,31 +1,28 @@
 // Package tsdb is the embedded time-series store behind gretel-tsdb:
 // the receiving end of the telemetry export pipeline. Writes land in
-// append-only, time-partitioned segments framed with the WAL record
-// codec (kind 'P', CRC-checked, skip-and-count recovery), and an
-// in-memory series index serves range queries — so an hours-long soak
-// gets queryable per-interval history with zero external dependencies,
-// and a crash loses at most the torn tail of the active segment.
+// an internal/seglog segment log (the WAL's envelope, lifecycle and
+// skip-and-count recovery; record kind 'P', files tsdb-<first-seq>.seg)
+// and an in-memory series index serves range queries — so an hours-long
+// soak gets queryable per-interval history with zero external
+// dependencies, and a crash loses at most the torn tail of the active
+// segment.
 //
 // The durable unit is one /write body: the raw line-protocol batch is
 // the record body, so recovery replays exactly what was posted and the
 // same parser handles both paths. Segments rotate on a partition
-// boundary (default 1h) or a size bound, whichever comes first, and
-// are named tsdb-<first-seq>.seg in WAL style.
+// boundary (default 1h) or a size bound, whichever comes first; every
+// segment is retained, and fsync happens when one closes and on Sync.
 package tsdb
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
-	"gretel/internal/wal"
 )
 
 var (
@@ -42,7 +39,8 @@ var (
 
 const (
 	segPrefix = "tsdb-"
-	segSuffix = ".seg"
+	// kindPoints is the store's record kind: one line-protocol batch.
+	kindPoints = "P"
 )
 
 // Options tunes the store. The zero value (plus Dir) is usable.
@@ -104,15 +102,21 @@ type Store struct {
 	mu     sync.Mutex
 	series map[string]*seriesData
 
-	f           *os.File
-	bw          *bufio.Writer
-	activeBytes int64
-	activePart  int64 // partition start (unix ns); 0 = no active segment
-	nextSeq     uint64
-	segs        int
-	diskBytes   int64
+	log        *seglog.Log
+	activePart int64 // partition (start, unix ns) of the last write
+	scratch    []byte
+	abandoned  uint64 // what tsdb.segments_abandoned has been told
 
 	stats Stats
+}
+
+// segOptions is the store's segment log: every segment retained, fsync
+// only when a segment closes or Sync asks.
+func segOptions(o Options) seglog.Options {
+	return seglog.Options{
+		Dir: o.Dir, Prefix: segPrefix, Kinds: kindPoints,
+		SegmentBytes: o.SegmentBytes, SyncInterval: -1, RetainBytes: -1,
+	}
 }
 
 // Open opens (or creates) the store at opts.Dir, replaying every intact
@@ -123,109 +127,31 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("tsdb: Options.Dir is required")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tsdb: creating %s: %w", opts.Dir, err)
-	}
 	s := &Store{opts: opts, series: make(map[string]*seriesData)}
-	if err := s.recover(); err != nil {
-		return nil, err
+	// Replay before opening for append: Open removes recordless torn
+	// segments, and their bytes belong in SkippedBytes.
+	sc, err := seglog.OpenScanner(opts.Dir, segPrefix, kindPoints)
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: listing %s: %w", opts.Dir, err)
+	}
+	for {
+		_, _, body, err := sc.Next()
+		if err != nil { // io.EOF: damage is skipped and counted, never returned
+			break
+		}
+		n, _ := s.ingestLocked(string(body))
+		s.stats.Recovered += uint64(n)
+	}
+	s.stats.SkippedBytes = sc.Stats().BytesSkipped
+	mRecovered.Add(s.stats.Recovered)
+	mBytesSkipped.Add(s.stats.SkippedBytes)
+	if s.log, err = seglog.Open(segOptions(opts)); err != nil {
+		return nil, fmt.Errorf("tsdb: %w", err)
+	}
+	if n := s.log.Stats().Dropped; n > 0 {
+		telemetry.LogFirst("tsdb.recordless", "tsdb: dropped %d recordless torn segment(s) from %s", n, opts.Dir)
 	}
 	return s, nil
-}
-
-// segName renders the segment file name for a first record sequence.
-func segName(firstSeq uint64) string {
-	return fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, segSuffix)
-}
-
-// listSegments returns the store's segments sorted by first sequence.
-func (s *Store) listSegments() ([]string, error) {
-	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasPrefix(n, segPrefix) || !strings.HasSuffix(n, segSuffix) {
-			continue
-		}
-		if _, err := strconv.ParseUint(n[len(segPrefix):len(n)-len(segSuffix)], 10, 64); err != nil {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names) // fixed-width zero-padded seq: lexical == numeric
-	return names, nil
-}
-
-// recover replays all segments through the shared record codec and the
-// line parser, rebuilding the series index.
-func (s *Store) recover() error {
-	names, err := s.listSegments()
-	if err != nil {
-		return fmt.Errorf("tsdb: listing %s: %w", s.opts.Dir, err)
-	}
-	var buf []byte
-	sizes := make([]int64, len(names))
-	counted := make([]bool, len(names))
-	lastIntact := -1 // index of the newest segment holding an intact record
-	for i, name := range names {
-		path := filepath.Join(s.opts.Dir, name)
-		f, err := os.Open(path)
-		if err != nil {
-			continue // unreadable segment: its bytes are simply absent
-		}
-		if fi, err := f.Stat(); err == nil {
-			sizes[i] = fi.Size()
-			s.diskBytes += fi.Size()
-		}
-		s.segs++
-		counted[i] = true
-		br := bufio.NewReaderSize(f, 256<<10)
-		for {
-			_, seq, body, skipped, rerr := wal.ReadRecord(br, string(wal.KindPoints), buf)
-			if skipped > 0 {
-				s.stats.SkippedBytes += uint64(skipped)
-				mBytesSkipped.Add(uint64(skipped))
-			}
-			if rerr != nil {
-				break
-			}
-			lastIntact = i
-			if cap(body) > cap(buf) {
-				buf = body[:0]
-			}
-			if seq > s.nextSeq {
-				s.nextSeq = seq
-			}
-			n, _ := s.ingestLocked(string(body))
-			s.stats.Recovered += uint64(n)
-			mRecovered.Add(uint64(n))
-		}
-		f.Close()
-	}
-	// Trailing segments holding no intact record — a crash created them
-	// and died before the first flush, or tore the first record — must
-	// go: they carry the name rotateIfDue's next O_EXCL create would use
-	// (segName(nextSeq+1), since nothing in them advanced nextSeq), so
-	// leaving them would fail every future Write with EEXIST. Same
-	// discipline as wal.Open; their torn bytes are already counted in
-	// SkippedBytes.
-	for i := lastIntact + 1; i < len(names); i++ {
-		path := filepath.Join(s.opts.Dir, names[i])
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("tsdb: removing recordless segment %s: %w", path, err)
-		}
-		if counted[i] {
-			s.segs--
-			s.diskBytes -= sizes[i]
-		}
-		telemetry.LogFirst("tsdb.recordless", "tsdb: dropped recordless torn segment %s (%d bytes)", path, sizes[i])
-	}
-	s.stats.Segments = s.segs
-	s.stats.Bytes = s.diskBytes
-	return nil
 }
 
 // ingestLocked parses a line-protocol batch into the index, returning
@@ -285,30 +211,16 @@ func (s *Store) Write(body []byte, now time.Time) (accepted, rejected int, err e
 	if len(body) == 0 {
 		return 0, 0, nil
 	}
-	if len(body) > wal.MaxRecord {
-		return 0, 0, fmt.Errorf("tsdb: batch is %d bytes, over the %d-byte record bound", len(body), wal.MaxRecord)
+	if len(body) > seglog.MaxRecord {
+		return 0, 0, fmt.Errorf("tsdb: batch is %d bytes, over the %d-byte record bound", len(body), seglog.MaxRecord)
 	}
 	sp := hWrite.Start()
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.rotateIfDue(now, int64(len(body))+24); err != nil {
+	if err := s.noted(s.appendLocked(body, now)); err != nil {
 		return 0, 0, err
 	}
-	rec := wal.EncodeRecord(nil, wal.KindPoints, s.nextSeq+1, body)
-	if _, err := s.bw.Write(rec); err != nil {
-		s.abandonActive()
-		return 0, 0, fmt.Errorf("tsdb: appending: %w", err)
-	}
-	if err := s.bw.Flush(); err != nil {
-		s.abandonActive()
-		return 0, 0, fmt.Errorf("tsdb: flushing: %w", err)
-	}
-	s.nextSeq++
-	s.activeBytes += int64(len(rec))
-	s.diskBytes += int64(len(rec))
-	s.stats.Bytes = s.diskBytes
-
 	accepted, rejected = s.ingestLocked(string(body))
 	s.stats.Written += uint64(accepted)
 	s.stats.Rejected += uint64(rejected)
@@ -318,86 +230,31 @@ func (s *Store) Write(body []byte, now time.Time) (accepted, rejected int, err e
 	return accepted, rejected, nil
 }
 
-// rotateIfDue opens the first segment lazily and rotates when the write
-// would land in a new time partition or push the segment over the size
-// bound.
-func (s *Store) rotateIfDue(now time.Time, need int64) error {
+// noted passes on the outcome of a segment-log call, once
+// tsdb.segments_abandoned knows of any segment the call gave up.
+func (s *Store) noted(err error) error {
+	n := s.log.Stats().Abandoned
+	mSegsAbandoned.Add(n - s.abandoned)
+	s.abandoned = n
+	if err != nil {
+		return fmt.Errorf("tsdb: %w", err)
+	}
+	return nil
+}
+
+// appendLocked makes body durable as one record, rotating first when the
+// write lands in a new time partition (the size rule is seglog's own).
+func (s *Store) appendLocked(body []byte, now time.Time) error {
 	part := now.Truncate(s.opts.PartitionDur).UnixNano()
-	if s.f != nil {
-		newPart := part != s.activePart
-		over := s.activeBytes > 0 && s.activeBytes+need > s.opts.SegmentBytes
-		if !newPart && !over {
-			return nil
-		}
-		if err := s.closeActive(); err != nil {
+	if part != s.activePart {
+		if err := s.log.Rotate(); err != nil {
 			return err
 		}
+		s.activePart = part
 	}
-	path := filepath.Join(s.opts.Dir, segName(s.nextSeq+1))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("tsdb: creating segment %s: %w", path, err)
-	}
-	s.f = f
-	s.bw = bufio.NewWriterSize(f, 64<<10)
-	s.activeBytes = 0
-	s.activePart = part
-	s.segs++
-	s.stats.Segments = s.segs
-	return nil
-}
-
-// closeActive flushes, fsyncs, and closes the active segment — a
-// rotated-away segment is finished history. The handles are released
-// even on failure: bufio latches its first I/O error (ENOSPC, EIO), so
-// once a Flush fails it fails forever, and keeping s.f/s.bw would pin
-// every later Write to the same sticky error until process restart.
-// Dropping them instead lets the next Write rotate to a fresh segment
-// once the condition clears; the unflushed tail is abandoned (counted
-// below) and whatever partial bytes did land read back as a torn tail.
-func (s *Store) closeActive() error {
-	if s.f == nil {
-		return nil
-	}
-	flushErr := s.bw.Flush()
-	var syncErr error
-	if flushErr == nil {
-		syncErr = s.f.Sync()
-	}
-	closeErr := s.f.Close()
-	s.f, s.bw = nil, nil
-	switch {
-	case flushErr != nil:
-		mSegsAbandoned.Inc()
-		return fmt.Errorf("tsdb: flushing segment: %w", flushErr)
-	case syncErr != nil:
-		mSegsAbandoned.Inc()
-		return fmt.Errorf("tsdb: syncing segment: %w", syncErr)
-	case closeErr != nil:
-		return fmt.Errorf("tsdb: closing segment: %w", closeErr)
-	}
-	return nil
-}
-
-// abandonActive drops a segment whose writer just hit an I/O error:
-// the bufio error is latched, so the handles must go for the store to
-// recover (see closeActive). A segment that never flushed an intact
-// record is also removed from disk — its name is segName(nextSeq+1),
-// exactly what the next rotation's O_EXCL create would use.
-func (s *Store) abandonActive() {
-	if s.f == nil {
-		return
-	}
-	path := s.f.Name()
-	s.f.Close()
-	s.f, s.bw = nil, nil
-	if s.activeBytes == 0 {
-		os.Remove(path)
-		s.segs--
-		s.stats.Segments = s.segs
-	}
-	mSegsAbandoned.Inc()
-	telemetry.LogFirst("tsdb.abandon", "tsdb: abandoned active segment %s after write error", path)
+	s.scratch = seglog.AppendRecord(s.scratch[:0], kindPoints[0], s.log.LastSeq()+1, body)
+	_, err := s.log.Append(s.scratch, 1)
+	return err
 }
 
 // Query returns series points with from <= t <= to (ns). A zero `to`
@@ -455,28 +312,21 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Series = len(s.series)
+	ls := s.log.Stats()
+	st.Segments, st.Bytes = ls.Segments, ls.Bytes
 	return st
 }
 
-// Sync flushes and fsyncs the active segment.
+// Sync fsyncs the active segment.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bw == nil {
-		return nil
-	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("tsdb: flushing: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("tsdb: syncing: %w", err)
-	}
-	return nil
+	return s.noted(s.log.Sync())
 }
 
-// Close flushes and closes the store.
+// Close fsyncs and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closeActive()
+	return s.noted(s.log.Close())
 }

@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry/export"
 )
 
@@ -177,12 +180,11 @@ func TestStoreRecoversTornTail(t *testing.T) {
 	}
 
 	// Simulate a crash mid-append: garbage at the end of the segment.
-	names, err := s.listSegments()
-	if err != nil || len(names) != 1 {
-		t.Fatalf("segments: %v %v", names, err)
+	names := segmentFiles(t, dir)
+	if len(names) != 1 {
+		t.Fatalf("segments: %v", names)
 	}
-	path := filepath.Join(dir, names[0])
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(names[0], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +213,10 @@ func TestStoreRecoversTornTail(t *testing.T) {
 }
 
 func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
-	// A crash after rotateIfDue creates a segment but before its first
-	// record flushes leaves a trailing recordless segment named
-	// segName(nextSeq+1) — exactly what the next Write's O_EXCL create
-	// uses. Open must drop it, or every Write after reopen fails EEXIST.
+	// A crash after a segment is created but before its first record
+	// lands leaves a trailing recordless segment named for the next
+	// sequence — exactly what the next Write's exclusive create uses.
+	// Open must drop it, or every Write after reopen fails EEXIST.
 	for _, tornBytes := range [][]byte{nil, {0xF5, 0x9E, 'P', 0, 1, 2}} {
 		dir := t.TempDir()
 		s, err := Open(Options{Dir: dir})
@@ -229,7 +231,7 @@ func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
 		}
 		// Simulate the crash: a segment at the next sequence holding no
 		// intact record (empty, or a torn first header).
-		torn := filepath.Join(dir, segName(s.nextSeq+1))
+		torn := filepath.Join(dir, seglog.SegmentName(segPrefix, s.log.LastSeq()+1))
 		if err := os.WriteFile(torn, tornBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -256,51 +258,66 @@ func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
 	}
 }
 
+// failNext is a segment writer that fails the next write when armed —
+// a transient ENOSPC/EIO that lets nothing through.
+type failNext struct {
+	w     io.Writer
+	armed *bool
+}
+
+func (f failNext) Write(p []byte) (int, error) {
+	if *f.armed {
+		*f.armed = false
+		return 0, errors.New("injected: no space left on device")
+	}
+	return f.w.Write(p)
+}
+
 func TestStoreRecoversFromWriteError(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir})
+	s, err := Open(Options{Dir: dir, PartitionDur: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=1i 1\n"), time.Unix(0, 0)); err != nil {
+	// The store has no fault-injection option; the test swaps in a
+	// segment log that differs only in its writer.
+	var fail bool
+	o := segOptions(s.opts)
+	o.WrapWriter = func(w io.Writer) io.Writer { return failNext{w, &fail} }
+	if s.log, err = seglog.Open(o); err != nil {
 		t.Fatal(err)
 	}
+	write := func(v int, at time.Time, wantErr bool) {
+		t.Helper()
+		_, _, err := s.Write([]byte(fmt.Sprintf("m,h=a v=%di %d\n", v, v)), at)
+		if (err != nil) != wantErr {
+			t.Fatalf("write v=%d: err=%v, want error %v", v, err, wantErr)
+		}
+	}
+	t0, t1 := time.Unix(0, 0), time.Unix(60, 0)
 
-	// Mid-segment failure: yank the fd so the next flush fails the way a
-	// transient ENOSPC/EIO would. bufio latches the error; the store must
-	// abandon the segment rather than return the sticky error forever.
-	s.f.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=2i 2\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("write on a dead fd unexpectedly succeeded")
-	}
-	if s.f != nil {
-		t.Fatal("handles not released after write error")
-	}
-	if _, _, err := s.Write([]byte("m,h=a v=3i 3\n"), time.Unix(0, 0)); err != nil {
-		t.Fatalf("write after abandoning dead segment: %v", err)
-	}
+	// Mid-segment failure: the segment is abandoned with its record kept,
+	// and the store does not return the same error forever.
+	write(1, t0, false)
+	fail = true
+	write(2, t0, true)
+	write(3, t0, false)
 
-	// First-write failure: a segment that never flushed a record must be
-	// removed on abandon, or the next rotation's O_EXCL create of the
+	// First-write failure: the new partition's segment never held a
+	// record and must be unlinked, or the next exclusive create of the
 	// same name fails EEXIST.
-	s.f.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=4i 4\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("second dead-fd write unexpectedly succeeded")
+	fail = true
+	write(4, t1, true)
+	write(5, t1, false)
+	if got := s.log.Stats().Abandoned; got != 2 {
+		t.Fatalf("abandoned %d segments, want 2", got)
 	}
-	if err := s.rotateIfDue(time.Unix(0, 0), 1); err != nil {
-		t.Fatal(err)
-	}
-	s.f.Close() // fresh segment, zero records flushed
-	if _, _, err := s.Write([]byte("m,h=a v=5i 5\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("write into closed fresh segment unexpectedly succeeded")
-	}
-	if _, _, err := s.Write([]byte("m,h=a v=6i 6\n"), time.Unix(0, 0)); err != nil {
-		t.Fatalf("write after abandoning recordless segment: %v", err)
+	if names := segmentFiles(t, dir); len(names) != 3 {
+		t.Fatalf("segments on disk %v, want 3 (the recordless one unlinked)", names)
 	}
 
-	// Everything durable must survive a reopen, and the abandoned tails
-	// must not confuse recovery.
+	// Everything durable must survive a reopen, and the abandoned
+	// segments must not confuse recovery.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +327,36 @@ func TestStoreRecoversFromWriteError(t *testing.T) {
 	}
 	defer s2.Close()
 	if got := s2.Query("m,h=a", 0, 0); len(got) != 3 {
-		t.Fatalf("recovered %d points, want 3 (v=1, v=3, v=6)", len(got))
+		t.Fatalf("recovered %d points, want 3 (v=1, v=3, v=5)", len(got))
+	}
+}
+
+// TestOpenFailsOnUnopenableSegment: a segment Open cannot read is an
+// error. It is not skipped, and above all not unlinked as "recordless" —
+// it may hold the newest intact records. A symlink loop under the next
+// segment's name cannot be opened whatever the test's privileges.
+func TestOpenFailsOnUnopenableSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Write([]byte("m,h=a v=1i 1\n"), time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loop := filepath.Join(dir, seglog.SegmentName(segPrefix, 2))
+	if err := os.Symlink(loop, loop); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(Options{Dir: dir}); err == nil {
+		s2.Close()
+		t.Error("Open succeeded over a segment it could not read")
+	}
+	if _, err := os.Lstat(loop); err != nil {
+		t.Fatalf("Open unlinked a segment it never read: %v", err)
 	}
 }
 
@@ -331,8 +377,7 @@ func TestStorePartitionRotation(t *testing.T) {
 	if _, _, err := s.Write([]byte("m v=3i 3\n"), time.Unix(61, 0)); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := s.listSegments()
-	if len(names) != 2 {
+	if names := segmentFiles(t, dir); len(names) != 2 {
 		t.Fatalf("expected 2 segments after partition rotation, got %v", names)
 	}
 }
@@ -401,6 +446,16 @@ func TestHTTPEndpoints(t *testing.T) {
 	if st.Written != 3 || st.Rejected != 2 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
+}
+
+// segmentFiles lists the store's segment files, oldest first.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 func getJSON(t *testing.T, url string, into any) {

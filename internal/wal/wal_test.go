@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"gretel/internal/agent"
+	"gretel/internal/seglog"
 	"gretel/internal/trace"
 )
 
@@ -33,16 +33,21 @@ func testEvents(n int) []trace.Event {
 	return evs
 }
 
+func segName(first uint64) string { return seglog.SegmentName(segPrefix, first) }
+
 // binRecord appends the record the log writes now (binary body, kind
 // 'B'); jsonRecord appends its legacy twin (JSON body, kind 'E').
 func binRecord(buf []byte, seq uint64, ev trace.Event) []byte {
-	return EncodeRecord(buf, KindEvent, seq, trace.AppendEvent(nil, &ev))
+	return seglog.AppendRecord(buf, KindEvent, seq, trace.AppendEvent(nil, &ev))
 }
 
 func jsonRecord(buf []byte, seq uint64, ev trace.Event) []byte {
 	body, _ := json.Marshal(&ev)
-	return EncodeRecord(buf, kindEventJSON, seq, body)
+	return seglog.AppendRecord(buf, kindEventJSON, seq, body)
 }
+
+// A record start: the envelope's magic.
+const recMagic0, recMagic1, recHdrLen = 0xF5, 0x9E, seglog.HdrLen
 
 // readAll scans the log and returns every intact record plus the stats.
 func readAll(t *testing.T, dir string) ([]trace.Event, ReadStats) {
@@ -411,32 +416,27 @@ func TestCursorClampedToDurableLog(t *testing.T) {
 	l2.Close()
 }
 
-// TestSegmentIsAgentFrameStream pins the format-reuse claim: a WAL
-// segment is a valid PR 3 wire-frame stream, decodable by the agent's
-// own frame reader.
+// TestSegmentIsAgentFrameStream pins the format: a WAL record is the
+// agent's event frame, byte for byte but for the sequence number.
 func TestSegmentIsAgentFrameStream(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir})
-	evs := testEvents(5)
-	for _, ev := range evs {
-		l.Append(ev)
-	}
+	ev := testEvents(1)[0]
+	l.Append(ev)
 	l.Close()
-
-	f, err := os.Open(filepath.Join(dir, segName(1)))
+	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for i := range evs {
-		got, err := agent.ReadEvent(br)
-		if err != nil {
-			t.Fatalf("agent.ReadEvent record %d: %v", i, err)
-		}
-		if got.ConnID != evs[i].ConnID || !got.Time.Equal(evs[i].Time) {
-			t.Fatalf("record %d decoded wrong via agent reader: %+v", i, got)
-		}
+	got, err := agent.ReadEvent(bytes.NewReader(seg))
+	if err != nil || got != ev {
+		t.Fatalf("agent.ReadEvent over a WAL segment: %+v, %v", got, err)
+	}
+	var frame bytes.Buffer
+	agent.WriteEvent(&frame, &ev)
+	seglog.Seal(frame.Bytes(), KindEvent, 1)
+	if !bytes.Equal(seg, frame.Bytes()) {
+		t.Fatalf("WAL record and agent frame differ:\n%x\n%x", seg, frame.Bytes())
 	}
 }
 
@@ -643,9 +643,9 @@ func TestLegacyJSONSegmentsRecover(t *testing.T) {
 		// kind — are quarantined, not returned and not fatal.
 		var seg []byte
 		seg = binRecord(seg, 1, evs[0])
-		seg = EncodeRecord(seg, kindEventJSON, 2, []byte("not-json"))
+		seg = seglog.AppendRecord(seg, kindEventJSON, 2, []byte("not-json"))
 		good := trace.AppendEvent(nil, &evs[2])
-		seg = EncodeRecord(seg, KindEvent, 3, good[:len(good)-1])
+		seg = seglog.AppendRecord(seg, KindEvent, 3, good[:len(good)-1])
 		seg = binRecord(seg, 4, evs[3])
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
