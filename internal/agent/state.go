@@ -39,11 +39,10 @@ type StateUpdate struct {
 	Samples []MetricSample `json:"samples,omitempty"`
 }
 
-// CollectState gathers the current node inventory, dependency health and
-// one resource sample per node/metric from a fabric — what the paper's
-// per-node collectd + watcher agents reported each polling interval.
-func CollectState(f *cluster.Fabric, at time.Time) StateUpdate {
-	u := StateUpdate{Time: at}
+// NodeStates snapshots the node inventory with the watcher view of each
+// node's dependencies.
+func NodeStates(f *cluster.Fabric) []NodeState {
+	var out []NodeState
 	for _, n := range f.Nodes() {
 		ns := NodeState{
 			Name:       n.Name,
@@ -54,7 +53,17 @@ func CollectState(f *cluster.Fabric, at time.Time) StateUpdate {
 		for _, d := range n.Dependencies() {
 			ns.Deps = append(ns.Deps, DepStatus{Node: n.Name, Name: d.Name, Running: d.Running && n.Up})
 		}
-		u.Nodes = append(u.Nodes, ns)
+		out = append(out, ns)
+	}
+	return out
+}
+
+// CollectState gathers the current node inventory, dependency health and
+// one resource sample per node/metric from a fabric — what the paper's
+// per-node collectd + watcher agents reported each polling interval.
+func CollectState(f *cluster.Fabric, at time.Time) StateUpdate {
+	u := StateUpdate{Time: at, Nodes: NodeStates(f)}
+	for _, n := range f.Nodes() {
 		if n.Up {
 			r := n.Sample()
 			for _, mv := range []struct {

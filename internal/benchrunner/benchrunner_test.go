@@ -1,6 +1,7 @@
 package benchrunner
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestRunnerProfileCapturesHotspots(t *testing.T) {
 }
 
 func TestRegistryAndResolve(t *testing.T) {
-	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak", "opdetect", "monitor"}
+	want := []string{"ingest", "fig8c-parallel", "explain-overhead", "chaos-soak", "table1-learning", "detector", "wal-append", "export-overhead", "cluster-soak", "opdetect", "monitor", "rca"}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("registry = %v, want %v", got, want)
@@ -213,6 +214,32 @@ func TestScenarioOpdetectShort(t *testing.T) {
 	}
 	if res.Telemetry.Counters["core.events_ingested"] != 0 {
 		t.Error("opdetect ingested events: the scenario must time detection alone")
+	}
+}
+
+// TestScenarioRCAShort checks the RCA-only scenario: every report finds
+// its one cause, each poll's burst is judged at most twice per node (the
+// window's newest sample arrives once, its oldest leaves once), and the
+// counters account for every examination.
+func TestScenarioRCAShort(t *testing.T) {
+	s, _ := Get("rca")
+	res, err := Run(s, Options{Iterations: 1, Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{0, 0.8, 0.98, 0.8} {
+		c := res.Cases[i]
+		if got := c.Extra["windows_reused_share"]; math.Abs(got-want) > 1e-9 || c.Extra["ns/report"] <= 0 {
+			t.Errorf("%s: reused share %v, want %v (%v)", c.Name, got, want, c.Extra)
+		}
+	}
+	ctr := res.Telemetry.Counters
+	if ctr["rca.windows.judged"] == 0 || (ctr["rca.windows.judged"]+ctr["rca.windows.reused"])%ctr["rca.invocations"] != 0 {
+		t.Errorf("judged %d + reused %d is not a whole walk per invocation (%d)",
+			ctr["rca.windows.judged"], ctr["rca.windows.reused"], ctr["rca.invocations"])
+	}
+	if ctr["core.events_ingested"] != 0 {
+		t.Error("rca ingested events: the scenario must time Algorithm 3 alone")
 	}
 }
 

@@ -22,6 +22,8 @@ import (
 	"gretel/internal/experiments"
 	"gretel/internal/federation"
 	"gretel/internal/fingerprint"
+	"gretel/internal/openstack"
+	"gretel/internal/rca"
 	"gretel/internal/replay"
 	"gretel/internal/scenario"
 	"gretel/internal/telemetry"
@@ -66,6 +68,9 @@ func init() {
 	})
 	Register("monitor", func() Scenario {
 		return &monitorScenario{desc: "the tap alone: agent.Monitor.HandlePacket over the canonical tapped wire (in-place REST and AMQP scanners), sink discarding"}
+	})
+	Register("rca", func() Scenario {
+		return &rcaScenario{desc: "Algorithm 3 alone: Engine.Analyze over a Store fed 1 s polls of 10 nodes with a full 120 s lookback, at 1/10/100 reports per poll, plus ExplainHook at 10"}
 	})
 }
 
@@ -859,6 +864,82 @@ func (s *opdetectScenario) Cases() []Case {
 		}
 		return Metrics{ReportsPerOp: float64(len(s.snaps)), "matched": float64(matched)}, nil
 	}}}
+}
+
+// --- rca: Algorithm 3 alone over a Store in its production shape ---
+
+type rcaScenario struct {
+	desc   string
+	store  *rca.Store
+	update agent.StateUpdate // an idle deployment's state, re-stamped per poll
+	polls  int               // per iteration
+	polled int               // so far: the store's clock, in seconds
+}
+
+func (s *rcaScenario) Name() string        { return "rca" }
+func (s *rcaScenario) Description() string { return s.desc }
+func (s *rcaScenario) Teardown() error     { s.store, s.update = nil, agent.StateUpdate{}; return nil }
+
+// Setup fills the store with a full lookback of polls, so that from the
+// first report on every window slides at both ends — the shape the
+// 6-sim-second end-to-end streams never reach.
+func (s *rcaScenario) Setup(opts Options) error {
+	s.polls = 300
+	if opts.Short {
+		s.polls = 100
+	}
+	s.store = rca.NewStore()
+	s.update = agent.CollectState(openstack.NewDeployment(openstack.Config{Seed: 16, ComputeNodes: 1}).Fabric, time.Time{})
+	for s.polled = 0; s.polled < 120; {
+		s.poll()
+	}
+	return nil
+}
+
+// poll applies one collectd interval, 1 s after the last: the same ten
+// nodes, every sample moved by a bounded ±1.
+func (s *rcaScenario) poll() time.Time {
+	s.polled++
+	at := time.Date(2016, 12, 12, 0, 0, s.polled, 0, time.UTC)
+	for i := range s.update.Samples {
+		m := &s.update.Samples[i]
+		m.Time, m.Value = at, m.Value+float64((s.polled+i)%3-1)
+	}
+	s.store.Apply(s.update)
+	return at
+}
+
+// Cases spread each poll's reports over its second, so a burst sees the
+// window's newest sample arrive once and its oldest leave once.
+func (s *rcaScenario) Cases() []Case {
+	judged, reused := telemetry.GetCounter("rca.windows.judged"), telemetry.GetCounter("rca.windows.reused")
+	lib := scenario.CoreLibrary()
+	mk := func(name string, perPoll int, explain bool) Case {
+		return Case{Name: name, Run: func() (Metrics, error) {
+			e := rca.NewEngine(lib, s.store, rca.Config{})
+			hook := e.Hook()
+			if ex := e.ExplainHook(); explain {
+				hook = func(rep *core.Report) []core.RootCause { c, _ := ex(rep); return c }
+			}
+			j0, r0 := judged.Value(), reused.Value()
+			rep := &core.Report{Kind: core.Operational, Candidates: []string{"vm-create"},
+				Errors: []trace.Event{{SrcNode: "horizon-node", DstNode: "nova-node"}}}
+			for p := 0; p < s.polls; p++ {
+				at := s.poll()
+				for r := 0; r < perPoll; r++ {
+					rep.Fault.Time = at.Add(time.Duration(r) * time.Second / time.Duration(perPoll))
+					hook(rep)
+				}
+			}
+			j, r := float64(judged.Value()-j0), float64(reused.Value()-r0)
+			if j == 0 {
+				return nil, fmt.Errorf("no node's windows were judged")
+			}
+			return Metrics{ReportsPerOp: float64(s.polls * perPoll), "windows_reused_share": r / (j + r)}, nil
+		}}
+	}
+	return []Case{mk("reports-per-poll=1", 1, false), mk("reports-per-poll=10", 10, false),
+		mk("reports-per-poll=100", 100, false), mk("explain/reports-per-poll=10", 10, true)}
 }
 
 // --- monitor: the tap alone over the canonical wire ---

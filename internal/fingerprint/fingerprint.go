@@ -38,6 +38,9 @@ type Fingerprint struct {
 	Symbols []rune
 	// state[i] reports whether Symbols[i] is state-changing.
 	state []bool
+	// services is the set of services the APIs touch: bit s for
+	// trace.Service s.
+	services uint32
 	// lib and id locate the compiled form (nil/0 for a fingerprint not
 	// registered through Library.AddAPIs).
 	lib *Library
@@ -46,6 +49,10 @@ type Fingerprint struct {
 
 // Len returns the fingerprint length in symbols.
 func (f *Fingerprint) Len() int { return len(f.Symbols) }
+
+// Services returns the services the fingerprint's APIs touch as a
+// bitmask: bit s is set for trace.Service s.
+func (f *Fingerprint) Services() uint32 { return f.services }
 
 // StateChange reports whether symbol i is a mandatory (state-change)
 // literal.
@@ -345,6 +352,7 @@ func (l *Library) AddAPIs(name, category string, apis []trace.API) *Fingerprint 
 	for i, a := range apis {
 		fp.Symbols[i] = l.Table.Assign(a)
 		fp.state[i] = a.StateChanging()
+		fp.services |= 1 << a.Service
 	}
 	l.fps = append(l.fps, fp)
 	_, variant := l.byName[name]

@@ -36,81 +36,108 @@ type Point struct {
 	Value float64
 }
 
-// Series is an append-only time series. Safe for concurrent use.
+// Series is an append-only time series in nondecreasing time order.
+// Safe for concurrent use.
 type Series struct {
 	mu     sync.RWMutex
 	name   string
+	retain time.Duration // trim horizon behind the newest sample; 0 keeps all
 	points []Point
+	base   uint64 // lifetime ordinal of points[0]: the samples trimmed so far
 }
 
 // Name returns the series key ("node/metric").
 func (s *Series) Name() string { return s.name }
 
-// Append records a sample. Samples must arrive in nondecreasing time
-// order, which the poller guarantees.
-func (s *Series) Append(t time.Time, v float64) {
+// Append records a sample and reports whether the series took it: one
+// older than the newest is dropped (equal time is kept), because windows
+// are binary-searched and identified by ordinal. Trimming only advances
+// the slice head — storage a Window aliases is never rewritten.
+func (s *Series) Append(t time.Time, v float64) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.points); n > 0 && t.Before(s.points[n-1].Time) {
+		return false
+	}
 	s.points = append(s.points, Point{t, v})
-	s.mu.Unlock()
+	if s.retain > 0 {
+		k := 0
+		for cut := t.Add(-s.retain); s.points[k].Time.Before(cut); k++ {
+		}
+		s.points, s.base = s.points[k:], s.base+uint64(k)
+	}
+	return true
 }
 
-// Len reports the number of samples.
+// Len reports the number of retained samples.
 func (s *Series) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.points)
 }
 
-// Window returns samples with from <= t <= to.
-func (s *Series) Window(from, to time.Time) []Point {
+// Window is a zero-copy view of consecutive samples of one series.
+// Points aliases the series' storage and must not be modified.
+type Window struct {
+	Points []Point
+	ID     WindowID
+}
+
+// WindowID identifies a window's content within its series: the lifetime
+// ordinals [Lo, Hi) of its samples. A series only appends (Append drops
+// what would land out of order) and ordinals survive trimming, so equal
+// IDs mean equal samples. Every empty window has the zero ID.
+type WindowID struct{ Lo, Hi uint64 }
+
+// Window returns the samples with from <= t <= to; a nil series has none.
+func (s *Series) Window(from, to time.Time) Window {
+	if s == nil {
+		return Window{}
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(from) })
 	hi := sort.Search(len(s.points), func(i int) bool { return s.points[i].Time.After(to) })
-	out := make([]Point, hi-lo)
-	copy(out, s.points[lo:hi])
-	return out
-}
-
-// Last returns up to n most recent samples.
-func (s *Series) Last(n int) []Point {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n > len(s.points) {
-		n = len(s.points)
+	if lo == hi {
+		return Window{}
 	}
-	out := make([]Point, n)
-	copy(out, s.points[len(s.points)-n:])
-	return out
+	return Window{s.points[lo:hi:hi], WindowID{s.base + uint64(lo), s.base + uint64(hi)}}
 }
 
-// Key builds the series key for a node and metric.
-func Key(node, metric string) string { return node + "/" + metric }
+type seriesKey struct{ node, metric string }
 
 // Collector polls nodes and stores their resource series.
 type Collector struct {
+	// Retention, when positive, trims each series to that horizon behind
+	// its newest sample. Set it before the first Record.
+	Retention time.Duration
+
 	mu     sync.RWMutex
-	series map[string]*Series
+	series map[seriesKey]*Series
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{series: make(map[string]*Series)}
+	return &Collector{series: make(map[seriesKey]*Series)}
 }
 
 // Record appends one sample to the node/metric series, creating it on
-// first use.
-func (c *Collector) Record(node, metric string, t time.Time, v float64) {
-	c.getOrCreate(Key(node, metric)).Append(t, v)
+// first use, and reports whether the series took it (see Series.Append).
+func (c *Collector) Record(node, metric string, t time.Time, v float64) bool {
+	s := c.Series(node, metric)
+	if s == nil {
+		s = c.create(seriesKey{node, metric})
+	}
+	return s.Append(t, v)
 }
 
-func (c *Collector) getOrCreate(key string) *Series {
+func (c *Collector) create(k seriesKey) *Series {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.series[key]
+	s, ok := c.series[k]
 	if !ok {
-		s = &Series{name: key}
-		c.series[key] = s
+		s = &Series{name: k.node + "/" + k.metric, retain: c.Retention}
+		c.series[k] = s
 	}
 	return s
 }
@@ -119,7 +146,7 @@ func (c *Collector) getOrCreate(key string) *Series {
 func (c *Collector) Series(node, metric string) *Series {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.series[Key(node, metric)]
+	return c.series[seriesKey{node, metric}]
 }
 
 // PollNode samples all resource metrics of a node at time t.
@@ -142,19 +169,6 @@ func (c *Collector) StartPolling(f *cluster.Fabric, sim *simclock.Sim, period ti
 			}
 		}
 	})
-}
-
-// Snapshot returns, for one node, every metric's samples within the given
-// window — what the analyzer requests for root-cause analysis over the
-// context-buffer duration.
-func (c *Collector) Snapshot(node string, from, to time.Time) map[string][]Point {
-	out := make(map[string][]Point, len(MetricNames))
-	for _, m := range MetricNames {
-		if s := c.Series(node, m); s != nil {
-			out[m] = s.Window(from, to)
-		}
-	}
-	return out
 }
 
 // Stats summarizes a set of points.

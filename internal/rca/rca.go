@@ -18,6 +18,8 @@ package rca
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,24 +36,35 @@ import (
 
 // RCA telemetry: how often the hook runs and what it finds, by cause
 // class (the latency of each invocation is timed by the analyzer's
-// core.rca histogram around the hook call).
+// core.rca histogram around the hook call). windows.judged counts node
+// examinations that replayed the node's metric windows, windows.reused
+// those served from the node's last judgment.
 var (
 	mInvocations      = telemetry.GetCounter("rca.invocations")
 	mFindingsResource = telemetry.GetCounter("rca.findings.resource")
 	mFindingsSoftware = telemetry.GetCounter("rca.findings.software")
+	mWindowsJudged    = telemetry.GetCounter("rca.windows.judged")
+	mWindowsReused    = telemetry.GetCounter("rca.windows.reused")
+	mStaleSamples     = telemetry.GetCounter("rca.store.stale_samples")
 )
+
+// sampleHorizon is how far behind its newest sample a Store keeps each
+// metric series — the bound on the analyzer service's sample memory.
+const sampleHorizon = 10 * time.Minute
 
 // StateSource is the engine's view of the deployment's distributed state.
 type StateSource interface {
-	// NodeStates returns the current node inventory with dependency health.
+	// NodeStates returns the current node inventory with dependency
+	// health. The engine only reads the slice.
 	NodeStates() []agent.NodeState
-	// MetricWindow returns each metric's samples for a node in [from, to].
-	MetricWindow(node string, from, to time.Time) map[string][]metrics.Point
+	// MetricWindow returns a node's samples of one metric in [from, to].
+	MetricWindow(node, metric string, from, to time.Time) metrics.Window
 }
 
 // Config tunes the anomaly judgments over node state.
 type Config struct {
-	// Lookback bounds the metric window inspected before the fault.
+	// Lookback bounds the metric window inspected before the fault; at
+	// most the 10 min of samples a Store retains.
 	Lookback time.Duration
 	// CPUHighPct flags sustained CPU above this level.
 	CPUHighPct float64
@@ -68,6 +81,7 @@ func (c *Config) defaults() {
 	if c.Lookback == 0 {
 		c.Lookback = 120 * time.Second
 	}
+	c.Lookback = min(c.Lookback, sampleHorizon)
 	if c.CPUHighPct == 0 {
 		c.CPUHighPct = 85
 	}
@@ -86,17 +100,38 @@ func (c *Config) defaults() {
 }
 
 // Engine evaluates root causes against a deployment's observable state.
+// Safe for concurrent use.
 type Engine struct {
 	cfg Config
 	lib *fingerprint.Library
 	src StateSource
+
+	mu     sync.Mutex
+	judged map[string]*judgment // by node: its last resource judgment
+	det    *tsoutliers.Detector // reset and replayed per judged series
+}
+
+// judgedMetrics are the series a judgment reads, in evidence order.
+var judgedMetrics = [...]string{metrics.MetricDiskFree, metrics.MetricMemUsed, metrics.MetricCPU, metrics.MetricNet}
+
+// judgment is one node's resource verdict and the evidence behind it,
+// kept with everything it was computed from: the judged windows, by
+// identity (equal IDs mean equal samples — metrics.WindowID), and the one
+// NodeState field the thresholds read. At a 1 s poll every report between
+// two polls sees the same windows, so it serves them all.
+type judgment struct {
+	windows    [len(judgedMetrics)]metrics.WindowID
+	memTotalMB float64
+	causes     []core.RootCause
+	metrics    []tracestore.RCAMetric
 }
 
 // NewEngine builds the engine over the fingerprint library (for
 // operation→node mapping) and a state source.
 func NewEngine(lib *fingerprint.Library, src StateSource, cfg Config) *Engine {
 	cfg.defaults()
-	return &Engine{cfg: cfg, lib: lib, src: src}
+	return &Engine{cfg: cfg, lib: lib, src: src,
+		judged: make(map[string]*judgment), det: tsoutliers.New(cfg.Shift)}
 }
 
 // fabricSource adapts the in-process simulation (fabric + collector).
@@ -111,22 +146,10 @@ func NewFabricSource(f *cluster.Fabric, c *metrics.Collector) StateSource {
 	return &fabricSource{fabric: f, collector: c}
 }
 
-func (s *fabricSource) NodeStates() []agent.NodeState {
-	var out []agent.NodeState
-	for _, n := range s.fabric.Nodes() {
-		ns := agent.NodeState{
-			Name: n.Name, Service: n.Service, Up: n.Up, MemTotalMB: n.Base.MemTotalMB,
-		}
-		for _, d := range n.Dependencies() {
-			ns.Deps = append(ns.Deps, agent.DepStatus{Node: n.Name, Name: d.Name, Running: d.Running && n.Up})
-		}
-		out = append(out, ns)
-	}
-	return out
-}
+func (s *fabricSource) NodeStates() []agent.NodeState { return agent.NodeStates(s.fabric) }
 
-func (s *fabricSource) MetricWindow(node string, from, to time.Time) map[string][]metrics.Point {
-	return s.collector.Snapshot(node, from, to)
+func (s *fabricSource) MetricWindow(node, metric string, from, to time.Time) metrics.Window {
+	return s.collector.Series(node, metric).Window(from, to)
 }
 
 // Store accumulates StateUpdates streamed by remote agents and serves
@@ -134,50 +157,54 @@ func (s *fabricSource) MetricWindow(node string, from, to time.Time) map[string]
 // pipeline. Safe for concurrent use.
 type Store struct {
 	mu        sync.RWMutex
-	nodes     map[string]agent.NodeState
+	nodes     []agent.NodeState // name-sorted; Apply replaces it, never edits it
 	collector *metrics.Collector
 }
 
 // NewStore returns an empty state store.
 func NewStore() *Store {
-	return &Store{nodes: make(map[string]agent.NodeState), collector: metrics.NewCollector()}
+	c := metrics.NewCollector()
+	c.Retention = sampleHorizon
+	return &Store{collector: c}
 }
 
-// Apply merges one update.
+// Apply merges one update. Agents are many and their clocks their own: a
+// sample older than its series' newest is dropped and counted in
+// rca.store.stale_samples (see metrics.Series.Append).
 func (s *Store) Apply(u agent.StateUpdate) {
-	s.mu.Lock()
-	for _, n := range u.Nodes {
-		s.nodes[n.Name] = n
+	if len(u.Nodes) > 0 {
+		s.mu.Lock()
+		nodes := slices.Clone(s.nodes)
+		for _, n := range u.Nodes {
+			i, found := slices.BinarySearchFunc(nodes, n.Name, func(e agent.NodeState, name string) int {
+				return strings.Compare(e.Name, name)
+			})
+			if !found {
+				nodes = slices.Insert(nodes, i, n)
+			}
+			nodes[i] = n
+		}
+		s.nodes = nodes
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	for _, m := range u.Samples {
-		s.collector.Record(m.Node, m.Metric, m.Time, m.Value)
-	}
-}
-
-// NodeStates implements StateSource.
-func (s *Store) NodeStates() []agent.NodeState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]agent.NodeState, 0, len(s.nodes))
-	for _, n := range s.nodes {
-		out = append(out, n)
-	}
-	sortNodeStates(out)
-	return out
-}
-
-func sortNodeStates(ns []agent.NodeState) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].Name < ns[j-1].Name; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
+		if !s.collector.Record(m.Node, m.Metric, m.Time, m.Value) {
+			mStaleSamples.Inc()
 		}
 	}
 }
 
+// NodeStates implements StateSource: the name-sorted inventory as of the
+// last Apply.
+func (s *Store) NodeStates() []agent.NodeState {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nodes
+}
+
 // MetricWindow implements StateSource.
-func (s *Store) MetricWindow(node string, from, to time.Time) map[string][]metrics.Point {
-	return s.collector.Snapshot(node, from, to)
+func (s *Store) MetricWindow(node, metric string, from, to time.Time) metrics.Window {
+	return s.collector.Series(node, metric).Window(from, to)
 }
 
 // Hook adapts the engine to the analyzer's RCA hook signature.
@@ -192,8 +219,7 @@ func (e *Engine) Hook() func(*core.Report) []core.RootCause {
 func (e *Engine) ExplainHook() func(*core.Report) ([]core.RootCause, *tracestore.RCAEvidence) {
 	return func(rep *core.Report) ([]core.RootCause, *tracestore.RCAEvidence) {
 		ev := &tracestore.RCAEvidence{}
-		causes := e.analyze(rep, ev)
-		return causes, ev
+		return e.analyze(rep, ev), ev
 	}
 }
 
@@ -203,193 +229,170 @@ func (e *Engine) Analyze(rep *core.Report) []core.RootCause {
 	return e.analyze(rep, nil)
 }
 
-// analyze is the shared implementation; when ev is non-nil it records
-// the evidence behind the verdict. The recording never changes the
-// verdict: both paths run the identical node walks and judgments.
+// analyze walks the nodes the error messages touch, and only if nothing
+// is anomalous there the remaining nodes of the matched operations.
+// With ev non-nil each examined node is appended to the evidence.
 func (e *Engine) analyze(rep *core.Report, ev *tracestore.RCAEvidence) []core.RootCause {
 	mInvocations.Inc()
-	at := rep.Fault.Time
-	nodes := e.src.NodeStates()
-	opNodes := e.nodesForOperations(rep.Candidates, nodes)
-
-	errorNodes := map[string]bool{}
-	for i := range rep.Errors {
-		ev := &rep.Errors[i]
-		if ev.SrcNode != "" {
-			errorNodes[ev.SrcNode] = true
-		}
-		if ev.DstNode != "" {
-			errorNodes[ev.DstNode] = true
-		}
-	}
-	if len(rep.Errors) == 0 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	errs := rep.Errors
+	if len(errs) == 0 {
 		// Performance faults carry no error messages; start from the
 		// slow message's endpoints.
-		if rep.Fault.SrcNode != "" {
-			errorNodes[rep.Fault.SrcNode] = true
-		}
-		if rep.Fault.DstNode != "" {
-			errorNodes[rep.Fault.DstNode] = true
+		errs = []trace.Event{rep.Fault}
+	}
+	nodes := e.src.NodeStates()
+	var causes []core.RootCause
+	for i := range nodes {
+		if touches(errs, nodes[i].Name) {
+			causes = e.examine(&nodes[i], rep.Fault.Time, "error", causes, ev)
 		}
 	}
-
-	var first, rest []agent.NodeState
-	for _, n := range nodes {
-		switch {
-		case errorNodes[n.Name]:
-			first = append(first, n)
-		case opNodes[n.Name]:
-			rest = append(rest, n)
-		}
-	}
-
-	causes := e.findRootCause(first, at, "error", ev)
 	if len(causes) == 0 {
-		causes = e.findRootCause(rest, at, "operation", ev)
-	}
-	for _, c := range causes {
-		switch c.Kind {
-		case "resource":
-			mFindingsResource.Inc()
-		case "software":
-			mFindingsSoftware.Inc()
+		wanted := e.operationServices(rep.Candidates)
+		for i := range nodes {
+			if n := &nodes[i]; wanted&(1<<n.Service) != 0 && !touches(errs, n.Name) {
+				causes = e.examine(n, rep.Fault.Time, "operation", causes, ev)
+			}
 		}
 	}
 	return causes
 }
 
-// nodesForOperations maps the matched operations to deployment nodes via
-// their fingerprints' services. nova-compute and neutron-agent APIs map
-// to every compute host.
-func (e *Engine) nodesForOperations(names []string, nodes []agent.NodeState) map[string]bool {
-	svcWanted := map[trace.Service]bool{}
+// touches reports whether one of the messages has the node as an endpoint.
+func touches(msgs []trace.Event, node string) bool {
+	for i := range msgs {
+		if node != "" && (msgs[i].SrcNode == node || msgs[i].DstNode == node) {
+			return true
+		}
+	}
+	return false
+}
+
+// operationServices is the set of services whose nodes take part in the
+// matched operations (a bitmask, as fingerprint.Services). nova-compute
+// and neutron-agent APIs both map to the compute hosts.
+func (e *Engine) operationServices(names []string) uint32 {
+	var set uint32
 	for _, name := range names {
-		fp := e.lib.ByName(name)
-		if fp == nil {
-			continue
-		}
-		for _, api := range fp.APIs {
-			svcWanted[api.Service] = true
-			if api.Service == trace.SvcNovaCompute || api.Service == trace.SvcNeutronAgent {
-				svcWanted[trace.SvcNovaCompute] = true
-			}
+		if fp := e.lib.ByName(name); fp != nil {
+			set |= fp.Services()
 		}
 	}
-	out := map[string]bool{}
-	for _, n := range nodes {
-		if svcWanted[n.Service] {
-			out[n.Name] = true
-		}
-		if n.Service == trace.SvcNovaCompute &&
-			(svcWanted[trace.SvcNovaCompute] || svcWanted[trace.SvcNeutronAgent]) {
-			out[n.Name] = true
-		}
+	if set&(1<<trace.SvcNeutronAgent) != 0 {
+		set |= 1 << trace.SvcNovaCompute
 	}
-	return out
+	return set
 }
 
-// findRootCause implements FIND_ROOT_CAUSE over a node list: anomalies in
-// resource metadata, then software-dependency health. With ev non-nil
-// each examined node is appended to the evidence — its stage, watcher
-// statuses, metric windows, and the findings it produced.
-func (e *Engine) findRootCause(nodes []agent.NodeState, at time.Time, stage string, ev *tracestore.RCAEvidence) []core.RootCause {
-	var out []core.RootCause
-	for _, n := range nodes {
-		var rec *tracestore.RCANode
-		if ev != nil {
-			ev.Nodes = append(ev.Nodes, tracestore.RCANode{Node: n.Name, Stage: stage, Up: n.Up})
-			rec = &ev.Nodes[len(ev.Nodes)-1]
-			for _, dep := range n.Deps {
-				rec.Deps = append(rec.Deps, tracestore.RCADep{Name: dep.Name, Running: dep.Running})
+// examine implements FIND_ROOT_CAUSE for one node: anomalies in resource
+// metadata, then software-dependency health, appended to out.
+func (e *Engine) examine(n *agent.NodeState, at time.Time, stage string, out []core.RootCause, ev *tracestore.RCAEvidence) []core.RootCause {
+	j := e.judge(n, at)
+	first := len(out)
+	out = append(out, j.causes...)
+	mFindingsResource.Add(uint64(len(j.causes)))
+	for _, dep := range n.Deps {
+		if !dep.Running || !n.Up {
+			detail := fmt.Sprintf("dependency %s is not running", dep.Name)
+			if !n.Up {
+				detail = fmt.Sprintf("node down (dependency %s unreachable)", dep.Name)
 			}
+			out = append(out, core.RootCause{Node: n.Name, Kind: "software", Detail: detail})
+			mFindingsSoftware.Inc()
 		}
-		found := e.resourceAnomalies(n, at, rec)
+	}
+	if ev != nil {
+		rec := tracestore.RCANode{Node: n.Name, Stage: stage, Up: n.Up,
+			Metrics: append([]tracestore.RCAMetric(nil), j.metrics...)}
 		for _, dep := range n.Deps {
-			if !dep.Running || !n.Up {
-				detail := fmt.Sprintf("dependency %s is not running", dep.Name)
-				if !n.Up {
-					detail = fmt.Sprintf("node down (dependency %s unreachable)", dep.Name)
-				}
-				found = append(found, core.RootCause{Node: n.Name, Kind: "software", Detail: detail})
-			}
+			rec.Deps = append(rec.Deps, tracestore.RCADep{Name: dep.Name, Running: dep.Running})
 		}
-		if rec != nil {
-			for _, c := range found {
-				rec.Findings = append(rec.Findings, c.Detail)
-			}
+		for _, c := range out[first:] {
+			rec.Findings = append(rec.Findings, c.Detail)
 		}
-		out = append(out, found...)
+		ev.Nodes = append(ev.Nodes, rec)
 	}
 	return out
 }
 
-// resourceAnomalies judges one node's metric windows: hard thresholds
-// (disk nearly full, CPU pegged, memory exhausted) plus level shifts in
-// the CPU and network series. With rec non-nil every inspected series is
-// recorded in a fixed order (disk, memory, CPU, network) — the recording
-// never alters the judgment.
-func (e *Engine) resourceAnomalies(n agent.NodeState, at time.Time, rec *tracestore.RCANode) []core.RootCause {
-	var out []core.RootCause
-	from := at.Add(-e.cfg.Lookback)
-	snap := e.src.MetricWindow(n.Name, from, at)
+// judge returns the node's resource judgment over the lookback window
+// ending at the fault: its last one when that read the same windows,
+// otherwise a fresh one that replaces it.
+func (e *Engine) judge(n *agent.NodeState, at time.Time) *judgment {
+	var wins [len(judgedMetrics)]metrics.Window
+	var ids [len(judgedMetrics)]metrics.WindowID
+	for i, m := range judgedMetrics {
+		wins[i] = e.src.MetricWindow(n.Name, m, at.Add(-e.cfg.Lookback), at)
+		ids[i] = wins[i].ID
+	}
+	j := e.judged[n.Name]
+	if j != nil && j.windows == ids && j.memTotalMB == n.MemTotalMB {
+		mWindowsReused.Inc()
+		return j
+	}
+	mWindowsJudged.Inc()
+	if j == nil {
+		j = &judgment{}
+		e.judged[n.Name] = j
+	}
+	j.windows, j.memTotalMB, j.causes, j.metrics = ids, n.MemTotalMB, j.causes[:0], j.metrics[:0]
+	for i, m := range judgedMetrics {
+		if pts := wins[i].Points; len(pts) > 0 {
+			e.judgeSeries(j, n, m, pts)
+		}
+	}
+	return j
+}
 
-	record := func(name string, pts []metrics.Point, shifted bool, to float64) {
-		if rec == nil {
-			return
+// judgeSeries judges one non-empty metric window: hard thresholds (disk
+// nearly full, memory exhausted, CPU pegged) plus level shifts in the
+// CPU and network series.
+func (e *Engine) judgeSeries(j *judgment, n *agent.NodeState, metric string, pts []metrics.Point) {
+	st := metrics.Summarize(pts)
+	var shifted bool
+	var to float64
+	detail := ""
+	switch metric {
+	case metrics.MetricDiskFree:
+		if st.Last < e.cfg.DiskLowGB {
+			detail = fmt.Sprintf("low free disk space (%.1f GB)", st.Last)
 		}
-		st := metrics.Summarize(pts)
-		rec.Metrics = append(rec.Metrics, tracestore.RCAMetric{
-			Name: name, Samples: len(pts), Last: pts[len(pts)-1].Value,
-			Mean: st.Mean, Shifted: shifted, ShiftTo: to,
-		})
-	}
-
-	if pts := snap[metrics.MetricDiskFree]; len(pts) > 0 {
-		record(metrics.MetricDiskFree, pts, false, 0)
-		if last := pts[len(pts)-1].Value; last < e.cfg.DiskLowGB {
-			out = append(out, core.RootCause{Node: n.Name, Kind: "resource",
-				Detail: fmt.Sprintf("low free disk space (%.1f GB)", last)})
+	case metrics.MetricMemUsed:
+		if n.MemTotalMB > 0 && st.Last > e.cfg.MemHighFrac*n.MemTotalMB {
+			detail = fmt.Sprintf("memory exhaustion (%.0f MB used)", st.Last)
 		}
-	}
-	if pts := snap[metrics.MetricMemUsed]; len(pts) > 0 {
-		record(metrics.MetricMemUsed, pts, false, 0)
-		if last := pts[len(pts)-1].Value; n.MemTotalMB > 0 && last > e.cfg.MemHighFrac*n.MemTotalMB {
-			out = append(out, core.RootCause{Node: n.Name, Kind: "resource",
-				Detail: fmt.Sprintf("memory exhaustion (%.0f MB used)", last)})
-		}
-	}
-	if pts := snap[metrics.MetricCPU]; len(pts) > 0 {
-		st := metrics.Summarize(pts)
-		shifted, to := e.levelShift(pts)
-		record(metrics.MetricCPU, pts, shifted, to)
+	case metrics.MetricCPU:
+		shifted, to = e.levelShift(pts)
 		switch {
 		case st.Mean > e.cfg.CPUHighPct:
-			out = append(out, core.RootCause{Node: n.Name, Kind: "resource",
-				Detail: fmt.Sprintf("sustained high CPU (mean %.1f%%)", st.Mean)})
+			detail = fmt.Sprintf("sustained high CPU (mean %.1f%%)", st.Mean)
 		case shifted && to > st.Min+10:
-			out = append(out, core.RootCause{Node: n.Name, Kind: "resource",
-				Detail: fmt.Sprintf("CPU usage surge (level shift to %.1f%%)", to)})
+			detail = fmt.Sprintf("CPU usage surge (level shift to %.1f%%)", to)
+		}
+	case metrics.MetricNet:
+		if shifted, to = e.levelShift(pts); shifted && to > 50 {
+			detail = fmt.Sprintf("network throughput surge (%.1f Mbps)", to)
 		}
 	}
-	if pts := snap[metrics.MetricNet]; len(pts) > 0 {
-		shifted, to := e.levelShift(pts)
-		record(metrics.MetricNet, pts, shifted, to)
-		if shifted && to > 50 {
-			out = append(out, core.RootCause{Node: n.Name, Kind: "resource",
-				Detail: fmt.Sprintf("network throughput surge (%.1f Mbps)", to)})
-		}
+	j.metrics = append(j.metrics, tracestore.RCAMetric{
+		Name: metric, Samples: len(pts), Last: st.Last, Mean: st.Mean, Shifted: shifted, ShiftTo: to,
+	})
+	if detail != "" {
+		j.causes = append(j.causes, core.RootCause{Node: n.Name, Kind: "resource", Detail: detail})
 	}
-	return out
 }
 
-// levelShift replays a metric window through a fresh LS detector and
-// reports whether a shift occurred and its final level.
+// levelShift replays a metric window through the engine's detector,
+// reset to its fresh state, and reports whether a shift occurred and its
+// final level.
 func (e *Engine) levelShift(pts []metrics.Point) (bool, float64) {
-	det := tsoutliers.New(e.cfg.Shift)
+	e.det.Reset()
 	for _, p := range pts {
-		det.Observe(p.Time, p.Value)
+		e.det.Observe(p.Time, p.Value)
 	}
-	shifts := det.Shifts()
+	shifts := e.det.Shifts()
 	if len(shifts) == 0 {
 		return false, 0
 	}

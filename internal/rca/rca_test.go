@@ -53,6 +53,7 @@ func findCause(t *testing.T, reps []*core.Report, node, kind, substr string) *co
 // with REST 413 from Glance; RCA finds low free disk on the Glance node.
 func TestCaseStudyFailedImageUpload(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 101, WithRCA: true, PollPeriod: time.Second})
+	checkAgainstReference(t, h)
 	glance := h.D.Fabric.NodeFor(trace.SvcGlance)
 	faults.ExhaustDisk(glance, 0.8)
 	h.Plan.FailAPI(trace.RESTAPI(trace.SvcGlance, "PUT", "/v2/images/{id}/file"),
@@ -89,6 +90,7 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 			Latency:       tsoutliers.Options{Warmup: 10, MinRun: 3, MinSpread: 0.01},
 		},
 	})
+	checkAgainstReference(t, h)
 	neutron := h.D.Fabric.NodeFor(trace.SvcNeutron)
 
 	// Steady VM-create stream to establish latency baselines, then the
@@ -129,6 +131,7 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 // to the compute hosts and names the crashed agent.
 func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 107, WithRCA: true, PollPeriod: time.Second})
+	checkAgainstReference(t, h)
 	for _, n := range h.D.ComputeNodes() {
 		faults.StopDependency(n, "neutron-plugin-linuxbridge-agent")
 	}
@@ -164,6 +167,7 @@ func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
 // RCA finds the stopped NTP daemon on the Cinder node.
 func TestCaseStudyNTPFailure(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 109, WithRCA: true, PollPeriod: time.Second})
+	checkAgainstReference(t, h)
 	cinder := h.D.Fabric.NodeFor(trace.SvcCinder)
 	faults.StopDependency(cinder, "ntp")
 	h.Plan.Add(faults.Rule{
@@ -199,6 +203,7 @@ func TestCaseStudyNTPFailure(t *testing.T) {
 // (no error messages): it starts from the slow message's endpoints.
 func TestRCAPerformanceFaultNoErrors(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 113, WithRCA: true, PollPeriod: time.Second})
+	analyze := checkAgainstReference(t, h)
 	glance := h.D.Fabric.NodeFor(trace.SvcGlance)
 	faults.ExhaustDisk(glance, 0.4)
 	h.Run(time.Minute) // collect some samples
@@ -207,7 +212,7 @@ func TestRCAPerformanceFaultNoErrors(t *testing.T) {
 		Kind:  core.Performance,
 		Fault: trace.Event{SrcNode: "glance-node", DstNode: "horizon-node", Time: h.D.Sim.Now()},
 	}
-	causes := h.Engine.Analyze(rep)
+	causes := analyze(rep)
 	found := false
 	for _, c := range causes {
 		if c.Node == "glance-node" && strings.Contains(c.Detail, "disk") {
@@ -224,6 +229,7 @@ func TestRCAPerformanceFaultNoErrors(t *testing.T) {
 // healthy deployment.
 func TestRCACleanSystemReportsNothing(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 127, WithRCA: true, PollPeriod: time.Second})
+	analyze := checkAgainstReference(t, h)
 	startBackground(h, 5)
 	h.Run(10 * time.Minute)
 
@@ -233,7 +239,7 @@ func TestRCACleanSystemReportsNothing(t *testing.T) {
 		Errors:     []trace.Event{{SrcNode: "nova-node", DstNode: "horizon-node"}},
 		Candidates: []string{"vm-create"},
 	}
-	causes := h.Engine.Analyze(rep)
+	causes := analyze(rep)
 	if len(causes) != 0 {
 		t.Fatalf("healthy system produced causes: %v", causes)
 	}
@@ -245,6 +251,7 @@ func TestRCACleanSystemReportsNothing(t *testing.T) {
 // report the lost mysql-conn dependency, and RCA names it.
 func TestCaseStudyMySQLOutage(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 131, WithRCA: true, PollPeriod: time.Second})
+	checkAgainstReference(t, h)
 	// The watchers observe TCP reachability to MySQL from every node.
 	mysql := h.D.Fabric.Node("mysql-node")
 	mysql.Up = false
@@ -276,6 +283,7 @@ func TestCaseStudyMySQLOutage(t *testing.T) {
 // dependency watchers still expose the broker outage for operators.
 func TestCaseStudyBrokerOutage(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 137, WithRCA: true, PollPeriod: time.Second})
+	checkAgainstReference(t, h)
 	h.D.BrokerNode().Up = false
 	inst := h.D.Start(openstack.OpVolumeCreate(), nil)
 	h.Run(30 * time.Minute)
@@ -348,6 +356,87 @@ func TestStoreNodeStatesSortedAndMerged(t *testing.T) {
 	}
 	if ns[1].Up {
 		t.Fatal("later update did not overwrite")
+	}
+}
+
+// TestStoreNodeStatesSnapshotIsImmutable: the slice a report walks is
+// never edited by a later Apply.
+func TestStoreNodeStatesSnapshotIsImmutable(t *testing.T) {
+	store := rca.NewStore()
+	store.Apply(agent.StateUpdate{Nodes: []agent.NodeState{{Name: "b", Up: true}, {Name: "d", Up: true}}})
+	held := store.NodeStates()
+	store.Apply(agent.StateUpdate{Nodes: []agent.NodeState{{Name: "a"}, {Name: "d", Up: false}, {Name: "c"}}})
+	if len(held) != 2 || held[0].Name != "b" || held[1].Name != "d" || !held[1].Up {
+		t.Fatalf("held snapshot changed: %+v", held)
+	}
+	var names string
+	for _, n := range store.NodeStates() {
+		names += n.Name
+	}
+	if names != "abcd" || store.NodeStates()[3].Up {
+		t.Fatalf("states = %+v", store.NodeStates())
+	}
+}
+
+// TestStoreDropsStaleSamples: samples reach one Store from any number of
+// agents, and one older than its series' newest would break the time
+// order windows are searched and identified by. It is dropped and
+// counted; an equal-time sample is kept.
+func TestStoreDropsStaleSamples(t *testing.T) {
+	store, at := fabricate("neutron-node", 131072, "cpu", make([]float64, 60))
+	stale := counter("rca.store.stale_samples")
+	sample := func(sec int, v float64) agent.StateUpdate {
+		return agent.StateUpdate{Samples: []agent.MetricSample{{Node: "neutron-node", Metric: "cpu",
+			Time: at.Add(time.Duration(sec) * time.Second), Value: v}}}
+	}
+	store.Apply(sample(-30, 100)) // a second agent, 30 s behind
+	store.Apply(sample(-1, 7))    // same instant as the newest: kept
+	store.Apply(sample(0, 8))
+	if got := counter("rca.store.stale_samples") - stale; got != 1 {
+		t.Fatalf("stale_samples rose by %d, want 1", got)
+	}
+	w := store.MetricWindow("neutron-node", "cpu", at.Add(-time.Hour), at.Add(time.Hour))
+	if len(w.Points) != 62 || w.Points[60].Value != 7 || w.Points[61].Value != 8 {
+		t.Fatalf("window holds %d points ending %v", len(w.Points), w.Points[len(w.Points)-2:])
+	}
+	for i := 1; i < len(w.Points); i++ {
+		if w.Points[i].Time.Before(w.Points[i-1].Time) {
+			t.Fatalf("series out of order at %d", i)
+		}
+	}
+}
+
+// TestStoreTrimsToHorizon: a day of 1 s polls keeps at most the horizon's
+// worth of points per series, and a report from before the horizon finds
+// no samples — no resource cause — rather than a window of the wrong ones.
+func TestStoreTrimsToHorizon(t *testing.T) {
+	store := rca.NewStore()
+	t0 := time.Date(2016, 12, 12, 0, 0, 0, 0, time.UTC)
+	store.Apply(agent.StateUpdate{Nodes: []agent.NodeState{{Name: "n", Service: trace.SvcNeutron, Up: true}}})
+	const day, horizon = 86400, 600
+	for i := 0; i < day; i++ {
+		store.Apply(agent.StateUpdate{Samples: []agent.MetricSample{
+			{Node: "n", Metric: "cpu", Time: t0.Add(time.Duration(i) * time.Second), Value: 96}}})
+		if i%3600 == 0 || i == day-1 {
+			w := store.MetricWindow("n", "cpu", t0, t0.Add(time.Duration(i)*time.Second))
+			if len(w.Points) > horizon+1 {
+				t.Fatalf("after %d s: %d points retained", i, len(w.Points))
+			}
+		}
+	}
+	engine := rca.NewEngine(scenario.CoreLibrary(), store, rca.Config{Lookback: time.Hour})
+	report := func(sec int) []core.RootCause {
+		return engine.Analyze(&core.Report{Fault: trace.Event{SrcNode: "n", Time: t0.Add(time.Duration(sec) * time.Second)}})
+	}
+	if causes := report(day - 1); len(causes) != 1 || !strings.Contains(causes[0].Detail, "sustained high CPU") {
+		t.Fatalf("current report: %v", causes)
+	}
+	if causes := report(day - 2*horizon); len(causes) != 0 {
+		t.Fatalf("report from before the horizon: %v", causes)
+	}
+	_, ev := engine.ExplainHook()(&core.Report{Fault: trace.Event{SrcNode: "n", Time: t0.Add((day - 1) * time.Second)}})
+	if m := ev.Nodes[0].Metrics; len(m) != 1 || m[0].Samples != horizon+1 {
+		t.Fatalf("an hour's lookback is capped at the horizon: %+v", m)
 	}
 }
 
@@ -507,6 +596,7 @@ func TestExplainHookMatchesAnalyze(t *testing.T) {
 // operation nodes are examined — and recorded — too.
 func TestExplainHookRecordsOperationStageWiden(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 107, WithRCA: true, PollPeriod: time.Second})
+	analyze := checkAgainstReference(t, h)
 	for _, n := range h.D.ComputeNodes() {
 		faults.StopDependency(n, "neutron-plugin-linuxbridge-agent")
 	}
@@ -517,6 +607,7 @@ func TestExplainHookRecordsOperationStageWiden(t *testing.T) {
 		Errors:     []trace.Event{{SrcNode: "nova-node", DstNode: "horizon-node"}},
 		Candidates: []string{"vm-create"},
 	}
+	analyze(rep)
 	causes, ev := h.Engine.ExplainHook()(rep)
 	found := false
 	for _, c := range causes {

@@ -129,11 +129,21 @@ func alarmsBitEqual(a, b []Alarm) bool {
 	return true
 }
 
-// driveBoth feeds series to a fresh pair of detectors and fails on the
-// first divergence: per-Observe alarms, then final level/shifts/TC.
+// driveBoth checks a fresh detector against the reference, then one that
+// has already judged the series and was Reset: reuse must be
+// indistinguishable from construction.
 func driveBoth(t *testing.T, opt Options, series []float64) {
 	t.Helper()
 	d := New(opt)
+	drive(t, d, opt, series)
+	d.Reset()
+	drive(t, d, opt, series)
+}
+
+// drive feeds series to d and a fresh reference and fails on the first
+// divergence: per-Observe alarms, then final level/shifts/TC.
+func drive(t *testing.T, d *Detector, opt Options, series []float64) {
+	t.Helper()
 	ref := newReference(opt)
 	for i, v := range series {
 		got := d.Observe(at(i), v)

@@ -180,6 +180,16 @@ func New(opt Options) *Detector {
 	return &Detector{opt: opt}
 }
 
+// Reset returns the detector to its just-constructed state, keeping its
+// options and buffers: it judges the next series exactly as a fresh
+// detector would, without the allocations. Slices earlier calls returned
+// (Alarms, Shifts) are overwritten.
+func (d *Detector) Reset() {
+	d.dev.Reset()
+	*d = Detector{opt: d.opt, dev: d.dev, seedBuf: d.seedBuf[:0], win: d.win, run: d.run[:0],
+		alarms: d.alarms[:0], out: d.out, scratch: d.scratch, shifts: d.shifts[:0]}
+}
+
 // median is the naive sort-and-pick median. It survives as the oracle
 // the equivalence tests compare the incremental structure against, and
 // still defines the selection semantics: s[m/2] for odd m,
@@ -262,7 +272,7 @@ func (d *Detector) Observe(t time.Time, v float64) []Alarm {
 			d.level = d.medianOf(d.seedBuf)
 			d.base = d.level
 			d.rebuildWindow(d.seedBuf)
-			d.seedBuf = nil
+			d.seedBuf = d.seedBuf[:0]
 			d.seeded = true
 		}
 		return nil
