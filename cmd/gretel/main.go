@@ -107,7 +107,7 @@ func main() {
 		backlog    = flag.Int("detect-backlog", 0, "bounded detect queue capacity (0 = 4x workers)")
 		shed       = flag.Bool("detect-shed", false, "shed snapshots when the detect queue is full instead of applying backpressure")
 		shards     = flag.Int("ingest-shards", 0, "sharded ingest front-end: partition pairing/latency state across this many shards (0 = classic inline ingest)")
-		ingBatch   = flag.Int("ingest-batch", 0, "batch size for sharded ingest (0 = default 256; only used with -ingest-shards > 0)")
+		ingBatch   = flag.Int("ingest-batch", 0, "chunk size -replay feeds sharded ingest with (0 = default 256; only used with -ingest-shards > 0). Agents' events arrive in the receiver's own batches, a socket read's worth each, whatever this says")
 		downAfter  = flag.Duration("down-after", 5*time.Second, "declare an agent down after this long without frames or heartbeats (0 disables liveness tracking)")
 		explain    = flag.Bool("explain", false, "record a full evidence trace per report, browsable at /traces on the telemetry address")
 		traceCap   = flag.Int("trace-store-cap", tracestore.DefaultCap, "max evidence traces held in memory (oldest evicted first, evictions counted)")

@@ -175,14 +175,15 @@ func TestReceiverHelloSessionStateMachine(t *testing.T) {
 	defer recv.Close()
 
 	const a = "sm-agent"
+	admit := func(seq uint64) bool { return recv.admitRun(a, []uint64{seq}, nil) == 1 }
 	recv.hello(a, 7, 10) // first contact mid-stream: adopt base 10
 	if st := recv.AgentStats()[a]; st.LastSeq != 10 || st.Missing != 0 {
 		t.Fatalf("after first hello: %+v", st)
 	}
-	if !recv.admit(a, 11) {
+	if !admit(11) {
 		t.Fatal("seq 11 rejected after base 10")
 	}
-	if recv.admit(a, 5) {
+	if admit(5) {
 		t.Fatal("below-base frame not deduplicated")
 	}
 	recv.hello(a, 7, 10) // same-session reconnect, base behind: no-op
@@ -198,7 +199,7 @@ func TestReceiverHelloSessionStateMachine(t *testing.T) {
 	if st.LastSeq != 3 || st.Missing != 9 {
 		t.Fatalf("after new-session hello: %+v", st)
 	}
-	if !recv.admit(a, 4) {
+	if !admit(4) {
 		t.Fatal("new session's frames rejected")
 	}
 	recv.hello(a, 0, 0) // legacy sender: no session info, no state change

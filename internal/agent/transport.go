@@ -41,6 +41,7 @@ var (
 	mFramesSent     = telemetry.GetCounter("transport.frames_sent")
 	mFramesReplayed = telemetry.GetCounter("transport.frames_replayed")
 	mFramesRecv     = telemetry.GetCounter("transport.frames_received")
+	mBatches        = telemetry.GetCounter("transport.batches")
 	mFramesDropped  = telemetry.GetCounter("transport.frames_dropped")
 	mFramesShed     = telemetry.GetCounter("transport.frames_shed")
 	mFramesDup      = telemetry.GetCounter("transport.frames_dup")
@@ -86,7 +87,8 @@ type SenderConfig struct {
 	Ring int
 	// DialTimeout bounds one dial attempt (default 3s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-write deadline (default 10s); a stalled
+	// WriteTimeout is the deadline of each socket write (default 10s),
+	// armed when buffered frames actually go to the socket; a stalled
 	// analyzer surfaces as a write error and triggers a redial.
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential redial backoff
@@ -149,7 +151,7 @@ func (c *SenderConfig) defaults() {
 // sockBufBytes bounds the kernel buffer at each end of a transport
 // connection: the sender's write buffer (set by the default Dialer) and
 // the receiver's read buffer (set on accept). The plane bounds what is
-// in flight in frames — the spill ring, the receiver's event channel —
+// in flight in frames — the spill ring, the receiver's batch queue —
 // but the kernel buffers bound it in bytes, and every compact frame
 // queued there is report lag. The faster the producer, the smaller the
 // bound has to be: an agent that outruns the analyzer keeps every queue
@@ -159,10 +161,15 @@ func (c *SenderConfig) defaults() {
 // the backlog" has the sweep).
 const sockBufBytes = 64 << 10
 
-// recvEventBuffer sizes the receiver's decoded-event channel, the other
-// standing queue ahead of the analyzer, by the same argument: enough to
-// ride out a consumer stall of a millisecond or two, and no more.
-const recvEventBuffer = 512
+// recvEventBuffer bounds, in events, the other standing queue ahead of
+// the analyzer — decoded, not yet ingested — by the same argument: enough
+// to ride out a consumer stall of a millisecond or two, and no more. It
+// is recvBatchQueue queued batches plus the one a connection is filling.
+const (
+	recvEventBuffer = 512
+	recvBatchMax    = 128
+	recvBatchQueue  = recvEventBuffer/recvBatchMax - 1
+)
 
 // wireFrame is one encoded frame retained in the spill ring.
 type wireFrame struct {
@@ -196,11 +203,12 @@ type Sender struct {
 	head, n int    // circular: ring[head..head+n) holds contiguous seqs
 	nextSeq uint64 // last assigned sequence number
 	cursor  uint64 // next seq to write on the current connection
-	maxSent uint64 // highest seq ever written (replay detection)
 	flushed uint64 // highest seq flushed to a socket
 	shed    uint64
 	lastErr error
 	closed  bool
+
+	maxSent uint64 // highest seq ever written (replay detection); the writer goroutine's own
 
 	kick      chan struct{}
 	stop      chan struct{}
@@ -332,23 +340,25 @@ func (s *Sender) enqueue(kind byte, data []byte) {
 	}
 }
 
-// takeFrame hands the writer the next unwritten frame, if any.
-func (s *Sender) takeFrame() (wireFrame, bool) {
+// takeFrames copies out the next run of contiguous unwritten frames under
+// one lock acquisition. Frame data is immutable once sealed, so the ring
+// may evict a slot whose copy is still being written.
+func (s *Sender) takeFrames(run []wireFrame) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
-		return wireFrame{}, false
+		return 0
 	}
 	oldest := s.ring[s.head].seq
 	if s.cursor < oldest {
 		s.cursor = oldest
 	}
-	if s.cursor > s.nextSeq {
-		return wireFrame{}, false
+	n := 0
+	for ; n < len(run) && s.cursor <= s.nextSeq; n++ {
+		run[n] = s.ring[(s.head+int(s.cursor-oldest))%len(s.ring)]
+		s.cursor++
 	}
-	fr := s.ring[(s.head+int(s.cursor-oldest))%len(s.ring)]
-	s.cursor++
-	return fr, true
+	return n
 }
 
 // helloBase is the sequence number immediately before the first frame
@@ -375,18 +385,6 @@ func (s *Sender) rewind() {
 		s.cursor = s.ring[s.head].seq
 	} else {
 		s.cursor = s.nextSeq + 1
-	}
-	s.mu.Unlock()
-}
-
-// noteWritten updates sent/replayed accounting after a frame write.
-func (s *Sender) noteWritten(seq uint64) {
-	s.mu.Lock()
-	if seq <= s.maxSent {
-		mFramesReplayed.Inc()
-	} else {
-		s.maxSent = seq
-		mFramesSent.Inc()
 	}
 	s.mu.Unlock()
 }
@@ -482,14 +480,9 @@ func (s *Sender) dialLoop(rng *rand.Rand) net.Conn {
 // stream drives one connection: hello, ring replay, live frames, and
 // idle heartbeats, until a write fails or the sender stops.
 func (s *Sender) stream(conn net.Conn) error {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	write := func(frame []byte) error {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		_, err := bw.Write(frame)
-		return err
-	}
+	bw := bufio.NewWriterSize(&deadlineConn{Conn: conn, write: s.cfg.WriteTimeout}, 64<<10)
 	hello, _ := json.Marshal(helloBody{Agent: s.cfg.Agent, Session: s.cfg.Session, Base: s.helloBase()})
-	if err := write(seglog.AppendRecord(nil, frameHello, 0, hello)); err != nil {
+	if _, err := bw.Write(seglog.AppendRecord(nil, frameHello, 0, hello)); err != nil {
 		return err
 	}
 	s.rewind()
@@ -500,16 +493,23 @@ func (s *Sender) stream(conn net.Conn) error {
 		defer t.Stop()
 		hbC = t.C
 	}
+	var run [64]wireFrame // frames taken per lock acquisition
 	for {
-		if fr, ok := s.takeFrame(); ok {
-			if err := write(fr.data); err != nil {
-				return err
+		if n := s.takeFrames(run[:]); n > 0 {
+			for _, fr := range run[:n] {
+				if _, err := bw.Write(fr.data); err != nil {
+					return err
+				}
+				if fr.seq <= s.maxSent {
+					mFramesReplayed.Inc()
+				} else {
+					s.maxSent = fr.seq
+					mFramesSent.Inc()
+				}
 			}
-			s.noteWritten(fr.seq)
 			continue
 		}
 		// Drained: push buffered frames out before waiting.
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -525,10 +525,9 @@ func (s *Sender) stream(conn net.Conn) error {
 				continue // frames are flowing; they carry liveness
 			}
 			body, _ := json.Marshal(heartbeatBody{Agent: s.cfg.Agent, Shed: shed})
-			if err := write(seglog.AppendRecord(nil, frameHeartbeat, seq, body)); err != nil {
+			if _, err := bw.Write(seglog.AppendRecord(nil, frameHeartbeat, seq, body)); err != nil {
 				return err
 			}
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if err := bw.Flush(); err != nil {
 				return err
 			}
@@ -538,6 +537,34 @@ func (s *Sender) stream(conn net.Conn) error {
 			return errSenderStopped
 		}
 	}
+}
+
+// deadlineConn arms a connection's timeouts where the socket is actually
+// touched: frames pass through 64 KiB bufio layers on both sides, so a
+// deadline per frame is a clock read and a timer update for nothing on
+// all but one frame in hundreds.
+type deadlineConn struct {
+	net.Conn
+	read, write time.Duration // <= 0: that direction is never armed
+	// armRead, set by the reader's owner at each frame boundary, makes the
+	// next socket read arm the deadline; later reads inside the same frame
+	// leave it standing, so it bounds the whole frame.
+	armRead bool
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	if c.armRead && c.read > 0 {
+		c.armRead = false
+		c.Conn.SetReadDeadline(time.Now().Add(c.read))
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	if c.write > 0 {
+		c.Conn.SetWriteDeadline(time.Now().Add(c.write))
+	}
+	return c.Conn.Write(p)
 }
 
 // Drain blocks until every frame spooled so far has been written and
@@ -649,10 +676,11 @@ type ReceiverConfig struct {
 	// DownAfter declares an agent down when no frame (heartbeats
 	// included) arrives for this long. 0 disables liveness tracking.
 	DownAfter time.Duration
-	// ReadTimeout is the per-frame read deadline (default 30s, negative
-	// disables). It bounds how long a corrupt length prefix can stall a
-	// connection: the read times out, the connection drops, and the
-	// sender replays through a fresh one.
+	// ReadTimeout is the read deadline (default 30s, negative disables),
+	// armed per socket read: at the first one a frame needs, and standing
+	// for the rest of that frame. It bounds how long a corrupt length
+	// prefix can stall a connection: the read times out, the connection
+	// drops, and the sender replays through a fresh one.
 	ReadTimeout time.Duration
 }
 
@@ -661,10 +689,17 @@ type ReceiverConfig struct {
 // frames are skipped via CRC + resync, replayed frames are
 // deduplicated per agent, and losses surface as Health records rather
 // than silence.
+//
+// The unit of hand-off is a batch — what one socket read delivered, in a
+// reused slice (Batches, Recycle) — and Events a per-event view of it.
+// A receiver has one event consumer: Batches or Events, never both.
 type Receiver struct {
 	ln        net.Listener
 	cfg       ReceiverConfig
-	events    chan trace.Event
+	batches   chan []trace.Event
+	free      chan []trace.Event // recycled batch slices
+	events    chan trace.Event   // the Events view, fed once it is asked for
+	viewOnce  sync.Once
 	states    chan StateUpdate
 	health    chan Health
 	wg        sync.WaitGroup
@@ -695,7 +730,9 @@ func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 	r := &Receiver{
 		ln:      ln,
 		cfg:     cfg,
-		events:  make(chan trace.Event, recvEventBuffer),
+		batches: make(chan []trace.Event, recvBatchQueue),   // the events bound above
+		free:    make(chan []trace.Event, recvBatchQueue+2), // + being ingested, being filled
+		events:  make(chan trace.Event, recvBatchMax),       // the view's consumer runs while it fetches the next batch
 		states:  make(chan StateUpdate, 64),
 		health:  make(chan Health, 256),
 		closing: make(chan struct{}),
@@ -714,30 +751,42 @@ func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 // Addr returns the bound listen address.
 func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
-// Events is the merged event stream. It closes after Close is called and
-// all connections drain.
-func (r *Receiver) Events() <-chan trace.Event { return r.events }
+// Batches is the merged event stream, a batch per hand-off: the events
+// one socket read delivered (at most recvBatchMax), in per-connection
+// arrival order, deduplicated. The slice is the consumer's until handed
+// back with Recycle. Closes after Close, once all connections drain.
+func (r *Receiver) Batches() <-chan []trace.Event { return r.batches }
 
-// DrainEvents appends events already buffered in the merged stream to
-// buf without blocking, up to max total entries, and returns the
-// extended slice. Batched drivers (replay.DriveTransport) take one
-// event with a blocking receive, then top the batch up from here —
-// amortizing the analyzer's sharded fan-out at high rate while adding
-// no latency when the stream is sparse. Safe to call after the stream
-// closed (it simply stops appending).
-func (r *Receiver) DrainEvents(buf []trace.Event, max int) []trace.Event {
-	for len(buf) < max {
-		select {
-		case ev, ok := <-r.events:
-			if !ok {
-				return buf
-			}
-			buf = append(buf, ev)
-		default:
-			return buf
-		}
+// Recycle returns a batch taken from Batches for reuse: the receiver
+// will overwrite it (strings in copied-out events stay valid).
+func (r *Receiver) Recycle(batch []trace.Event) {
+	select {
+	case r.free <- batch[:0]:
+	default: // more slices than can be in flight: let this one go
 	}
-	return buf
+}
+
+// Events is the merged event stream one event at a time: a view over
+// Batches, started by the first call and ending on its own once Close has
+// closed the batch stream. Close drops whatever the view has not yet
+// handed over.
+func (r *Receiver) Events() <-chan trace.Event {
+	r.viewOnce.Do(func() {
+		go func() {
+			defer close(r.events)
+			for batch := range r.batches {
+				for i := range batch {
+					select {
+					case r.events <- batch[i]:
+					case <-r.closing:
+						return
+					}
+				}
+				r.Recycle(batch)
+			}
+		}()
+	})
+	return r.events
 }
 
 // States is the merged state-update stream. It closes with the receiver.
@@ -782,16 +831,6 @@ func (r *Receiver) acceptLoop() {
 	}
 }
 
-// state returns the tracker for an agent; r.mu must be held.
-func (r *Receiver) state(agent string) *agentState {
-	st := r.agents[agent]
-	if st == nil {
-		st = &agentState{}
-		r.agents[agent] = st
-	}
-	return st
-}
-
 // emit delivers a health record without ever blocking ingest.
 func (r *Receiver) emit(h Health) {
 	select {
@@ -801,15 +840,21 @@ func (r *Receiver) emit(h Health) {
 	}
 }
 
-// touchLocked refreshes liveness and flips a down agent back up; r.mu
-// must be held.
-func (r *Receiver) touchLocked(st *agentState, agent string, now time.Time) {
+// touchLocked returns the tracker for an agent that has just been heard
+// from: liveness refreshed, a down agent flipped back up. r.mu must be held.
+func (r *Receiver) touchLocked(agent string, now time.Time) *agentState {
+	st := r.agents[agent]
+	if st == nil {
+		st = &agentState{}
+		r.agents[agent] = st
+	}
 	st.lastSeen = now
 	if st.down {
 		st.down = false
 		mAgentUp.Inc()
 		r.emit(Health{Kind: HealthUp, Agent: agent, At: now})
 	}
+	return st
 }
 
 // hello folds a connection's hello frame into the agent's tracker. A
@@ -821,14 +866,13 @@ func (r *Receiver) touchLocked(st *agentState, agent string, now time.Time) {
 // a base that moved past lastSeq means frames were shed from the ring
 // while disconnected and can never be replayed, which is a real gap.
 // Session-less hellos (legacy senders) keep the old behavior, where
-// admit treats any backward jump as duplicates and any forward jump as
-// a gap.
+// admitRun treats any backward jump as duplicates and any forward jump
+// as a gap.
 func (r *Receiver) hello(agent string, session, base uint64) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state(agent)
-	r.touchLocked(st, agent, now)
+	st := r.touchLocked(agent, now)
 	if session == 0 {
 		return
 	}
@@ -837,41 +881,51 @@ func (r *Receiver) hello(agent string, session, base uint64) {
 		st.lastSeq = base
 		return
 	}
-	if base > st.lastSeq {
-		miss := base - st.lastSeq
-		st.lastSeq = base
-		st.missing += miss
-		mGaps.Inc()
-		mFramesMissed.Add(miss)
-		r.emit(Health{Kind: HealthGap, Agent: agent, Missing: miss, At: now})
-	}
+	r.skipTo(st, agent, base, now)
 }
 
-// admit applies per-agent sequence tracking to a payload frame:
-// duplicates (replays already seen) are rejected, gaps are recorded and
-// surfaced. Unsequenced frames (seq 0) always pass.
-func (r *Receiver) admit(agent string, seq uint64) bool {
+// skipTo moves an agent's high-water mark up to mark, declaring every
+// sequence number passed over lost: one gap record. r.mu must be held.
+func (r *Receiver) skipTo(st *agentState, agent string, mark uint64, now time.Time) {
+	if mark <= st.lastSeq {
+		return
+	}
+	miss := mark - st.lastSeq
+	st.lastSeq = mark
+	st.missing += miss
+	mGaps.Inc()
+	mFramesMissed.Add(miss)
+	r.emit(Health{Kind: HealthGap, Agent: agent, Missing: miss, At: now})
+}
+
+// admitRun applies per-agent sequence tracking to a run of payload
+// frames — seqs[i] carried evs[i]; a state frame is a run of one with no
+// evs — under one lock acquisition and one clock read. Duplicates
+// (replays already seen) are compacted out of evs, gaps are recorded and
+// surfaced, unsequenced frames (seq 0) always pass; evs[:kept] are the
+// admitted frames' events, in order.
+func (r *Receiver) admitRun(agent string, seqs []uint64, evs []trace.Event) (kept int) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state(agent)
-	r.touchLocked(st, agent, now)
-	if seq == 0 {
-		return true
+	st := r.touchLocked(agent, now)
+	for i, seq := range seqs {
+		if seq != 0 {
+			if seq <= st.lastSeq {
+				continue
+			}
+			r.skipTo(st, agent, seq-1, now)
+			st.lastSeq = seq
+		}
+		if kept != i && evs != nil {
+			evs[kept] = evs[i]
+		}
+		kept++
 	}
-	if seq <= st.lastSeq {
-		st.dups++
-		mFramesDup.Inc()
-		return false
-	}
-	if miss := seq - st.lastSeq - 1; miss > 0 {
-		st.missing += miss
-		mGaps.Inc()
-		mFramesMissed.Add(miss)
-		r.emit(Health{Kind: HealthGap, Agent: agent, Missing: miss, At: now})
-	}
-	st.lastSeq = seq
-	return true
+	dups := uint64(len(seqs) - kept)
+	st.dups += dups
+	mFramesDup.Add(dups)
+	return kept
 }
 
 // noteHeartbeat folds a liveness frame in: the heartbeat's sequence is
@@ -881,16 +935,8 @@ func (r *Receiver) noteHeartbeat(agent string, seq uint64) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state(agent)
-	r.touchLocked(st, agent, now)
-	if seq > st.lastSeq {
-		miss := seq - st.lastSeq
-		st.lastSeq = seq
-		st.missing += miss
-		mGaps.Inc()
-		mFramesMissed.Add(miss)
-		r.emit(Health{Kind: HealthGap, Agent: agent, Missing: miss, At: now})
-	}
+	st := r.touchLocked(agent, now)
+	r.skipTo(st, agent, seq, now)
 }
 
 // liveness declares agents down when their frames stop.
@@ -923,6 +969,13 @@ func (r *Receiver) liveness() {
 	}
 }
 
+// serve reads one connection. Event frames are decoded straight into the
+// next slot of a reused batch, handed over under one rule: never wait on
+// the socket while holding decoded, undelivered events. So it goes out
+// when the reader does not already hold a whole next frame, when it is
+// full, before any non-event frame (per-connection order is the wire's),
+// and on exit: a socket read's worth at a time from a busy stream,
+// single events with no added delay from a sparse one.
 func (r *Receiver) serve(conn net.Conn) {
 	defer r.wg.Done()
 	defer func() {
@@ -933,20 +986,41 @@ func (r *Receiver) serve(conn net.Conn) {
 	}()
 	mActiveConns.Add(1)
 	defer mActiveConns.Add(-1)
-	br := bufio.NewReaderSize(conn, 64<<10)
+	dc := &deadlineConn{Conn: conn, read: r.cfg.ReadTimeout}
+	br := bufio.NewReaderSize(dc, 64<<10)
 	// Until a hello identifies the agent, track by remote address.
 	agent := "conn:" + conn.RemoteAddr().String()
 	// Per-connection decode state: the frame body buffer is reused (every
 	// decode below copies out of it) and the event decoder interns the
-	// connection's repeating strings.
+	// connection's repeating strings. seqs[i] is batch[i]'s frame sequence.
 	var (
-		buf []byte
-		dec trace.Decoder
+		buf   []byte
+		dec   trace.Decoder
+		batch []trace.Event
+		seqs  = make([]uint64, 0, recvBatchMax)
 	)
-	for {
-		if rt := r.cfg.ReadTimeout; rt > 0 {
-			conn.SetReadDeadline(time.Now().Add(rt))
+	flush := func() { // admit the batch, hand over what survives
+		if len(batch) == 0 {
+			return
 		}
+		out := batch[:r.admitRun(agent, seqs, batch)]
+		batch, seqs = batch[:0], seqs[:0]
+		if len(out) == 0 {
+			return // all duplicates: refill the same slice
+		}
+		batch = nil
+		mBatches.Inc()
+		select {
+		case r.batches <- out:
+		case <-r.closing: // Close also closes conn: the next read ends serve
+		}
+	}
+	defer flush()
+	for {
+		if len(batch) == recvBatchMax || !seglog.Buffered(br) {
+			flush()
+		}
+		dc.armRead = true
 		kind, seq, body, skipped, err := seglog.ReadRecord(br, frameKinds, buf, seglog.Socket)
 		if skipped.Bytes > 0 {
 			mResyncs.Inc()
@@ -965,6 +1039,26 @@ func (r *Receiver) serve(conn net.Conn) {
 		}
 		buf = body
 		mFramesRecv.Inc()
+		if kind == frameEvent || kind == frameEventJSON {
+			if batch == nil {
+				select {
+				case batch = <-r.free:
+				default:
+					batch = make([]trace.Event, 0, recvBatchMax)
+				}
+			}
+			batch = batch[:len(batch)+1]
+			if derr := dec.Decode(kind, body, &batch[len(batch)-1]); derr != nil {
+				batch = batch[:len(batch)-1]
+				mDecodeErrors.Inc()
+				telemetry.LogFirst("transport.decode",
+					"agent: undecodable event frame from %s: %v; skipping", conn.RemoteAddr(), derr)
+				continue
+			}
+			seqs = append(seqs, seq)
+			continue
+		}
+		flush()
 		switch kind {
 		case frameHello:
 			var h helloBody
@@ -979,22 +1073,6 @@ func (r *Receiver) serve(conn net.Conn) {
 			}
 			mHeartbeats.Inc()
 			r.noteHeartbeat(agent, seq)
-		case frameEvent, frameEventJSON:
-			var ev trace.Event
-			if derr := dec.Decode(kind, body, &ev); derr != nil {
-				mDecodeErrors.Inc()
-				telemetry.LogFirst("transport.decode",
-					"agent: undecodable event frame from %s: %v; skipping", conn.RemoteAddr(), derr)
-				continue
-			}
-			if !r.admit(agent, seq) {
-				continue
-			}
-			select {
-			case r.events <- ev:
-			case <-r.closing:
-				return
-			}
 		case frameState:
 			var u StateUpdate
 			if derr := json.Unmarshal(body, &u); derr != nil {
@@ -1003,7 +1081,7 @@ func (r *Receiver) serve(conn net.Conn) {
 					"agent: undecodable state frame from %s: %v; skipping", conn.RemoteAddr(), derr)
 				continue
 			}
-			if !r.admit(agent, seq) {
+			if r.admitRun(agent, []uint64{seq}, nil) == 0 {
 				continue
 			}
 			select {
@@ -1037,7 +1115,7 @@ func (r *Receiver) close() {
 	}
 	r.mu.Unlock()
 	r.wg.Wait()
-	close(r.events)
+	close(r.batches) // and with it the Events view, if anyone started one
 	close(r.states)
 	close(r.health)
 }

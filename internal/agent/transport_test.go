@@ -665,44 +665,65 @@ func TestSenderShedsOldestWhenRingFull(t *testing.T) {
 
 // TestReceiverCloseMidBurst is the shutdown-race regression test: a
 // serve goroutine blocked handing events to a consumer that stopped
-// reading must not deadlock Close.
+// reading must not deadlock Close — whichever of the two streams the
+// consumer had been reading.
 func TestReceiverCloseMidBurst(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", recv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Blast more events than the channel buffers; nobody consumes, so
-	// serve blocks mid-burst on the events channel.
-	go func() {
-		for i := uint64(1); i <= 8192; i++ {
-			ev := sampleEvent(i)
-			if WriteEvent(conn, &ev) != nil {
-				return
+	for name, backlog := range map[string]func(*Receiver) (held, room int){
+		"Batches": func(r *Receiver) (int, int) { return len(r.Batches()), cap(r.Batches()) },
+		"Events": func(r *Receiver) (int, int) {
+			return len(r.Events()) + len(r.Batches()), cap(r.Events()) + cap(r.Batches())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			recv, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	// Wait until the buffer is provably full (serve is blocked sending).
-	deadline := time.Now().Add(5 * time.Second)
-	for len(recv.Events()) < cap(recv.Events()) {
-		if time.Now().After(deadline) {
-			t.Fatal("events channel never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	done := make(chan struct{})
-	go func() {
-		recv.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Receiver.Close deadlocked with a blocked serve goroutine")
+			conn, err := net.Dial("tcp", recv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// Blast more events than the receiver buffers; nobody consumes,
+			// so serve (and the Events view, once started) blocks mid-burst.
+			go func() {
+				for i := uint64(1); i <= 8192; i++ {
+					ev := sampleEvent(i)
+					if WriteEvent(conn, &ev) != nil {
+						return
+					}
+				}
+			}()
+			// Wait until every queue is provably full.
+			deadline := time.Now().Add(5 * time.Second)
+			for held, room := backlog(recv); held < room; held, room = backlog(recv) {
+				if time.Now().After(deadline) {
+					t.Fatalf("queues never filled: %d of %d", held, room)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			done := make(chan struct{})
+			go func() {
+				recv.Close()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Receiver.Close deadlocked with a blocked serve goroutine")
+			}
+			// Events closes after Close even if nobody had started the view.
+			for timeout := time.After(5 * time.Second); ; {
+				select {
+				case _, open := <-recv.Events():
+					if !open {
+						return
+					}
+				case <-timeout:
+					t.Fatal("Events stayed open after Close")
+				}
+			}
+		})
 	}
 }
 

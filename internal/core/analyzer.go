@@ -453,11 +453,20 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 		a.IngestBatch(a.one[:])
 		return
 	}
+	a.ingestOne(&ev)
+}
+
+// ingestOne is the inline per-event body under Ingest and IngestBatch.
+// It reads the caller's event in place and never writes to it: the
+// window keeps its own copy.
+func (a *Analyzer) ingestOne(ev *trace.Event) {
 	a.Stats.Events++
 	mEventsIngested.Inc()
 	a.Stats.Bytes += uint64(ev.WireBytes)
 	if ev.Seq == 0 {
-		ev.Seq = a.Stats.Events
+		sequenced := *ev
+		sequenced.Seq = a.Stats.Events
+		ev = &sequenced
 	}
 
 	// Request/response pairing and latency measurement (§5.3: REST by
@@ -496,7 +505,7 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 		a.evictAgedPairs(ev.Time)
 	}
 
-	a.win.Push(ev)
+	a.win.Push(*ev)
 
 	// Operational fault detection: error statuses found by the agents'
 	// regex scans. Snapshots are armed only for REST errors (RPC errors
@@ -505,7 +514,7 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 		a.Stats.Faults++
 		mFaultsOper.Inc()
 		if ev.Type == trace.RESTResponse || a.cfg.SnapshotOnRPCErrors {
-			a.armSnapshot(ev, Operational, 0)
+			a.armSnapshot(*ev, Operational, 0)
 		}
 	}
 
@@ -517,7 +526,7 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 			a.Stats.PerfAlarms += uint64(alarms)
 			mFaultsPerf.Add(uint64(alarms))
 			if armPerf {
-				a.armSnapshot(ev, Performance, latency)
+				a.armSnapshot(*ev, Performance, latency)
 			}
 		}
 	}

@@ -237,8 +237,8 @@ func (s *ingestShard) latBatch(batch []trace.Event, idxs []int32, out []ingestOu
 
 // IngestBatch processes a batch of events through the sharded
 // front-end. Like Ingest it must be called from a single goroutine;
-// without shards (or after Close stopped them) it degrades to a plain
-// Ingest loop. The batch slice is not retained.
+// without shards (or after Close stopped them) it is the inline path over
+// the batch, read in place. The batch slice is neither retained nor written.
 func (a *Analyzer) IngestBatch(evs []trace.Event) {
 	if len(evs) == 0 {
 		return
@@ -249,8 +249,8 @@ func (a *Analyzer) IngestBatch(evs []trace.Event) {
 		a.captureEvents(evs)
 	}
 	if a.shards == nil || a.shardsOff {
-		for _, ev := range evs {
-			a.Ingest(ev)
+		for i := range evs {
+			a.ingestOne(&evs[i])
 		}
 		return
 	}

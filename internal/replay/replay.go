@@ -190,12 +190,29 @@ type Result struct {
 	TracesStored, TracesEvicted uint64
 }
 
-// explainCounters copies the evidence-trace store's counters into the
-// result when the analyzer ran in explain mode.
-func (r *Result) explainCounters(a *core.Analyzer) {
+// finish fills in what every analyzer run reports once it is closed:
+// rates over the wall time, the report count and worst report delay,
+// shed snapshots, and the evidence-trace store's counters when the
+// analyzer ran in explain mode.
+func (r *Result) finish(a *core.Analyzer) {
+	r.rates()
+	r.Reports = len(a.Reports())
+	r.SnapshotsShed = a.Stats.SnapshotsShed
+	for _, rep := range a.Reports() {
+		if rep.ReportDelay > r.MaxReportDelay {
+			r.MaxReportDelay = rep.ReportDelay
+		}
+	}
 	if s := a.ExplainStore(); s != nil {
 		r.TracesStored = s.Stored()
 		r.TracesEvicted = s.Evicted()
+	}
+}
+
+func (r *Result) rates() {
+	if r.Wall > 0 {
+		r.EventsPerSec = float64(r.Events) / r.Wall.Seconds()
+		r.Mbps = float64(r.Bytes) * 8 / 1e6 / r.Wall.Seconds()
 	}
 }
 
@@ -221,7 +238,7 @@ func DriveFrom(a *core.Analyzer, events []trace.Event, skip int, pace time.Durat
 		skip = len(events)
 	}
 	events = events[skip:]
-	start := time.Now()
+	start, bytes0 := time.Now(), a.Stats.Bytes
 	paceEvery := 1000
 	sincePace := 0
 	step := func(n int) {
@@ -250,78 +267,39 @@ func DriveFrom(a *core.Analyzer, events []trace.Event, skip int, pace time.Durat
 		}
 	}
 	a.Close()
-	wall := time.Since(start)
-
-	var bytes uint64
-	for i := range events {
-		bytes += uint64(events[i].WireBytes)
-	}
-	res := Result{
-		Events:        len(events),
-		Bytes:         bytes,
-		Wall:          wall,
-		Reports:       len(a.Reports()),
-		SnapshotsShed: a.Stats.SnapshotsShed,
-	}
-	if wall > 0 {
-		res.EventsPerSec = float64(len(events)) / wall.Seconds()
-		res.Mbps = float64(bytes) * 8 / 1e6 / wall.Seconds()
-	}
-	for _, rep := range a.Reports() {
-		if rep.ReportDelay > res.MaxReportDelay {
-			res.MaxReportDelay = rep.ReportDelay
-		}
-	}
-	res.explainCounters(a)
+	res := Result{Events: len(events), Bytes: a.Stats.Bytes - bytes0, Wall: time.Since(start)}
+	res.finish(a)
 	return res
 }
 
 // DriveTransport drains a live agent.Receiver into the analyzer until
-// the receiver is closed: events feed Ingest, state updates feed
-// onState (may be nil), and monitoring-plane health records feed the
-// analyzer's graceful degradation — a frame gap or a dark agent flushes
-// that node's pending pairs and marks reports degraded until the agent
-// returns (core.Analyzer.NodeGap / NodeRecovered). Agent names double
-// as node names in per-node deployments; a single merged agent degrades
-// under its own name, marking the whole feed.
+// the receiver is closed: event batches — a socket read's worth each —
+// feed IngestBatch and go back to the receiver for reuse, state updates
+// feed onState (may be nil), and monitoring-plane health records feed
+// the analyzer's graceful degradation — a frame gap or a dark agent
+// flushes that node's pending pairs and marks reports degraded until the
+// agent returns (core.Analyzer.NodeGap / NodeRecovered). Agent names
+// double as node names in per-node deployments; a single merged agent
+// degrades under its own name, marking the whole feed. With a capture
+// attached, a hand-off is one AppendBatch and one MarkProcessed — the
+// contract WAL replay runs under.
 //
 // All analyzer access stays on this goroutine, preserving Ingest's
 // single-caller contract. Returns after a.Close, so Reports and Stats
 // are complete.
 func DriveTransport(a *core.Analyzer, recv *agent.Receiver, onState func(agent.StateUpdate)) Result {
-	events, states, health := recv.Events(), recv.States(), recv.Health()
+	batches, states, health := recv.Batches(), recv.States(), recv.Health()
 	start := time.Now()
-	var bytes uint64
-	var n int
-	// Batched draining for the sharded front-end: one blocking receive,
-	// then top the batch up with whatever already arrived. Sparse streams
-	// degrade to single-event batches (no added latency).
-	batchMax := 0
-	var batch []trace.Event
-	if cfg := a.Config(); cfg.IngestShards > 0 && cfg.IngestBatch > 1 {
-		batchMax = cfg.IngestBatch
-		batch = make([]trace.Event, 0, batchMax)
-	}
-	for events != nil || states != nil || health != nil {
+	events0, bytes0 := a.Stats.Events, a.Stats.Bytes
+	for batches != nil || states != nil || health != nil {
 		select {
-		case ev, ok := <-events:
+		case batch, ok := <-batches:
 			if !ok {
-				events = nil
+				batches = nil
 				continue
 			}
-			if batchMax > 0 {
-				batch = append(batch[:0], ev)
-				batch = recv.DrainEvents(batch, batchMax)
-				for i := range batch {
-					bytes += uint64(batch[i].WireBytes)
-				}
-				n += len(batch)
-				a.IngestBatch(batch)
-				continue
-			}
-			n++
-			bytes += uint64(ev.WireBytes)
-			a.Ingest(ev)
+			a.IngestBatch(batch)
+			recv.Recycle(batch)
 		case u, ok := <-states:
 			if !ok {
 				states = nil
@@ -344,27 +322,15 @@ func DriveTransport(a *core.Analyzer, recv *agent.Receiver, onState func(agent.S
 		}
 	}
 	a.Close()
-	wall := time.Since(start)
 
 	res := Result{
-		Events:        n,
-		Bytes:         bytes,
-		Wall:          wall,
-		Reports:       len(a.Reports()),
-		SnapshotsShed: a.Stats.SnapshotsShed,
-		Gaps:          a.Stats.NodeGaps,
-		Missed:        a.Stats.FramesMissed,
+		Events: int(a.Stats.Events - events0),
+		Bytes:  a.Stats.Bytes - bytes0,
+		Wall:   time.Since(start),
+		Gaps:   a.Stats.NodeGaps,
+		Missed: a.Stats.FramesMissed,
 	}
-	if wall > 0 {
-		res.EventsPerSec = float64(n) / wall.Seconds()
-		res.Mbps = float64(bytes) * 8 / 1e6 / wall.Seconds()
-	}
-	for _, rep := range a.Reports() {
-		if rep.ReportDelay > res.MaxReportDelay {
-			res.MaxReportDelay = rep.ReportDelay
-		}
-	}
-	res.explainCounters(a)
+	res.finish(a)
 	return res
 }
 
@@ -383,16 +349,8 @@ func DriveHansel(s *hansel.Stitcher, events []trace.Event) Result {
 	for i := range events {
 		bytes += uint64(events[i].WireBytes)
 	}
-	res := Result{
-		Events:  len(events),
-		Bytes:   bytes,
-		Wall:    wall,
-		Reports: len(s.Reports()),
-	}
-	if wall > 0 {
-		res.EventsPerSec = float64(len(events)) / wall.Seconds()
-		res.Mbps = float64(bytes) * 8 / 1e6 / wall.Seconds()
-	}
+	res := Result{Events: len(events), Bytes: bytes, Wall: wall, Reports: len(s.Reports())}
+	res.rates()
 	for _, rep := range s.Reports() {
 		if d := rep.ReportedAt.Sub(rep.Fault.Time); d > res.MaxReportDelay {
 			res.MaxReportDelay = d

@@ -116,10 +116,7 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 	}
 	flush()
 	res.Wall = time.Since(start)
-	if res.Wall > 0 {
-		res.EventsPerSec = float64(res.Events) / res.Wall.Seconds()
-		res.Mbps = float64(res.Bytes) * 8 / 1e6 / res.Wall.Seconds()
-	}
+	res.rates()
 	res.Reports = len(a.Reports())
 	res.SnapshotsShed = a.Stats.SnapshotsShed
 	r.Close() // finalizes torn-tail attribution before the stats snapshot

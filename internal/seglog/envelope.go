@@ -142,3 +142,16 @@ func ReadRecord(br *bufio.Reader, kinds string, buf []byte, src Source) (kind by
 		return kind, seq, body, sk, nil
 	}
 }
+
+// Buffered reports whether br already holds a whole next record: unless
+// that record proves corrupt, the next ReadRecord returns it without
+// reading the underlying reader. Otherwise ReadRecord may wait for input.
+func Buffered(br *bufio.Reader) bool {
+	have := br.Buffered()
+	if have < HdrLen {
+		return false
+	}
+	hdr, _ := br.Peek(HdrLen) // cannot fail: the bytes are buffered
+	n := binary.BigEndian.Uint32(hdr[11:15])
+	return hdr[0] == magic0 && hdr[1] == magic1 && n <= MaxRecord && have-HdrLen >= int(n)
+}

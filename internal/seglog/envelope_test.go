@@ -265,3 +265,37 @@ func FuzzEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// TestBuffered: true exactly when a whole record already sits in the
+// reader's buffer — so that a caller holding work can tell whether the
+// next ReadRecord might wait for input.
+func TestBuffered(t *testing.T) {
+	one := record(nil, 'B', 1, eventBody(1))
+	two := record(nil, 'B', 2, eventBody(2))
+	oversized := append([]byte{}, one...)
+	binary.BigEndian.PutUint32(oversized[11:], MaxRecord+1)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want bool
+	}{
+		{"empty", nil, false},
+		{"short of a header", one[:HdrLen-1], false},
+		{"header and half a body", one[:HdrLen+3], false},
+		{"exactly one record", one, true},
+		{"a record and a half", append(append([]byte{}, one...), two[:len(two)/2]...), true},
+		{"not a record start", append([]byte{0x00}, one...), false},
+		{"implausible length", oversized, false},
+	} {
+		br := reader(tc.data)
+		br.Peek(1) // fill the buffer, as a previous read would have
+		if got := Buffered(br); got != tc.want {
+			t.Errorf("%s: Buffered = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// After the whole record is consumed, the half record left is not one.
+	br := reader(append(append([]byte{}, one...), two[:len(two)/2]...))
+	if _, _, _, _, err := ReadRecord(br, "B", nil, Socket); err != nil || Buffered(br) {
+		t.Fatalf("after reading the whole record: err=%v Buffered=%v, want nil and false", err, Buffered(br))
+	}
+}
