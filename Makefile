@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race loc bench bench-go bench-baseline bench-gate experiments examples fmt vet clean
+.PHONY: all build test race loc loc-gate bench bench-go bench-baseline bench-gate experiments examples fmt vet clean
 
 all: build vet test
 
@@ -22,6 +22,16 @@ loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# The ratchet on that number: fail when the total exceeds the ceiling.
+# A PR that removes code lowers LOC_CEILING to its new total; one that
+# must raise it says why in CHANGES.md.
+LOC_CEILING := 23997
+
+loc-gate:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
+	[ "$$total" -le $(LOC_CEILING) ]
 
 # Scenario bench harness (full workloads, pinned iteration count);
 # writes BENCH_<scenario>.json into out/bench plus a table on stderr.

@@ -371,11 +371,12 @@ func BenchmarkIngestExplainOff(b *testing.B) {
 // BenchmarkDetectorObserve measures the steady-state per-sample cost of
 // the level-shift detector on the canonical detector series
 // (internal/experiments/bench.go, shared with the harness's detector
-// scenario). Per-event work is O(log Window) with the incremental
-// order-statistic window, so the sub-benchmarks should stay near-flat
-// as the window grows 16x; allocs/op must be 0 — the MAD path owns no
-// per-event allocations anymore (the old re-sort allocated a deviation
-// slice per sample and was ~60% of ingest CPU).
+// scenario). Per-event work is a binary search plus a memmove over the
+// sorted deviation window: linear in Window with a tiny constant, so
+// the sub-benchmarks climb slowly as the window grows 16x from the 60
+// the product uses; allocs/op must be 0 — the MAD path owns no per-event
+// allocations (the original re-sort allocated a deviation slice per
+// sample and was ~60% of ingest CPU).
 func BenchmarkDetectorObserve(b *testing.B) {
 	series := experiments.DetectorBenchSeries(100000)
 	t0 := time.Date(2016, 12, 12, 0, 0, 0, 0, time.UTC)

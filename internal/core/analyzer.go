@@ -329,7 +329,6 @@ type Stats struct {
 
 type pendingReq struct {
 	at   time.Time
-	api  trace.API
 	seq  uint64 // event sequence, for deterministic eviction tie-breaks
 	node string // responder node, for NodeGap flushes
 }
@@ -342,7 +341,7 @@ type Analyzer struct {
 	win     *window.Dual
 	pending map[uint64]pendingReq // REST pairing by connection
 	calls   map[string]pendingReq // RPC pairing by message id
-	lat     latTrack              // per-API latency summaries + level-shift detectors
+	lat     latTrack              // per-API latency state (latency.go)
 	// degraded marks nodes with unhealed monitoring-feed loss (NodeGap)
 	// until the agent provably returns (NodeRecovered); value is the time
 	// of the last recorded loss.
@@ -476,7 +475,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 	switch ev.Type {
 	case trace.RESTRequest:
 		a.Stats.PairsEvicted += capPairs(a.pending, a.cfg.MaxPairs)
-		a.pending[ev.ConnID] = pendingReq{ev.Time, ev.API, ev.Seq, ev.DstNode}
+		a.pending[ev.ConnID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
 	case trace.RESTResponse:
 		if req, ok := a.pending[ev.ConnID]; ok {
 			delete(a.pending, ev.ConnID)
@@ -488,7 +487,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 	case trace.RPCCall:
 		if ev.MsgID != "" {
 			a.Stats.PairsEvicted += capPairs(a.calls, a.cfg.MaxPairs)
-			a.calls[ev.MsgID] = pendingReq{ev.Time, ev.API, ev.Seq, ev.DstNode}
+			a.calls[ev.MsgID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
 		}
 	case trace.RPCReply:
 		if req, ok := a.calls[ev.MsgID]; ok {
@@ -537,11 +536,14 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 // front-end, the detector lives on the shard that owns the API.
 func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
 	if s := a.latShard(api); s != nil {
-		if d := s.lat.bank.Detector(api.String()); d != nil {
-			return d
+		if al := s.lat.apis[api]; al != nil {
+			return al.det
 		}
 	}
-	return a.lat.bank.Detector(api.String())
+	if al := a.lat.apis[api]; al != nil {
+		return al.det
+	}
+	return nil
 }
 
 // APILatency pairs an API with its latency summary.
@@ -557,14 +559,14 @@ type APILatency struct {
 // API can exist if events were ingested after Close stopped the shards
 // (the larger count wins).
 func (a *Analyzer) LatencySummaries() []APILatency {
-	merged := make(map[trace.API]*stats.Summary, len(a.lat.stats))
-	for api, sum := range a.lat.stats {
-		merged[api] = sum
+	merged := make(map[trace.API]*stats.Summary, len(a.lat.apis))
+	for api, al := range a.lat.apis {
+		merged[api] = &al.sum
 	}
 	for _, s := range a.shards {
-		for api, sum := range s.lat.stats {
-			if prev, ok := merged[api]; !ok || sum.Count() > prev.Count() {
-				merged[api] = sum
+		for api, al := range s.lat.apis {
+			if prev, ok := merged[api]; !ok || al.sum.Count() > prev.Count() {
+				merged[api] = &al.sum
 			}
 		}
 	}

@@ -40,83 +40,14 @@ import (
 	"sync"
 	"time"
 
-	"gretel/internal/stats"
 	"gretel/internal/telemetry"
 	"gretel/internal/trace"
-	"gretel/internal/tsoutliers"
 )
 
 var (
 	mIngestBatches = telemetry.GetCounter("core.ingest_batches")
 	gShardQueue    = telemetry.GetGauge("core.shard_queue_depth")
 )
-
-// latTrack bundles the per-API latency state one owner (the inline
-// analyzer or one ingest shard) mutates: operator-facing summaries, the
-// level-shift detector bank, the perf-snapshot cooldown clock, and a
-// cache of API string keys (api.String() allocates; the bank is keyed
-// by it on every observation).
-type latTrack struct {
-	bank         *tsoutliers.Bank
-	stats        map[trace.API]*stats.Summary
-	lastPerfSnap map[trace.API]time.Time
-	keys         map[trace.API]string
-	// sumPool slab-allocates the per-API summaries (16 per allocation):
-	// first-observation cost for a new API stays off the per-event
-	// allocation profile.
-	sumPool stats.Pool
-}
-
-func newLatTrack(opt tsoutliers.Options) latTrack {
-	return latTrack{
-		bank:         tsoutliers.NewBank(opt),
-		stats:        make(map[trace.API]*stats.Summary),
-		lastPerfSnap: make(map[trace.API]time.Time),
-		keys:         make(map[trace.API]string),
-	}
-}
-
-// key returns the cached bank key for an API.
-func (l *latTrack) key(api trace.API) string {
-	k, ok := l.keys[api]
-	if !ok {
-		k = api.String()
-		l.keys[api] = k
-	}
-	return k
-}
-
-// due applies the per-API performance-snapshot cooldown (stamping the
-// clock as a side effect, so call it only when arming is otherwise
-// warranted).
-func (l *latTrack) due(api trace.API, at time.Time, cooldown time.Duration) bool {
-	if cooldown < 0 {
-		return true
-	}
-	if last, ok := l.lastPerfSnap[api]; ok && at.Sub(last) < cooldown {
-		return false
-	}
-	l.lastPerfSnap[api] = at
-	return true
-}
-
-// observe feeds one paired latency to the API's summary and level-shift
-// detector, returning the alarm count and whether a performance
-// snapshot should be armed — the same checks, in the same
-// short-circuit order, as the classic inline path.
-func (l *latTrack) observe(api trace.API, at time.Time, latency time.Duration, cfg *Config) (alarms int, armPerf bool) {
-	sum := l.stats[api]
-	if sum == nil {
-		sum = l.sumPool.Get()
-		l.stats[api] = sum
-	}
-	sum.Observe(latency.Seconds())
-	hits := l.bank.Observe(l.key(api), at, latency.Seconds())
-	if len(hits) == 0 {
-		return 0, false
-	}
-	return len(hits), cfg.PerfDetection && l.due(api, at, cfg.PerfCooldown)
-}
 
 // ingestOutcome is one event's phase results, written by at most one
 // shard per phase into its own slot — disjoint indices, no locks.
@@ -202,7 +133,7 @@ func (s *ingestShard) pairBatch(batch []trace.Event, idxs []int32, out []ingestO
 		switch ev.Type {
 		case trace.RESTRequest:
 			s.evicted += capPairs(s.pending, s.maxPairs)
-			s.pending[ev.ConnID] = pendingReq{ev.Time, ev.API, ev.Seq, ev.DstNode}
+			s.pending[ev.ConnID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
 		case trace.RESTResponse:
 			if req, ok := s.pending[ev.ConnID]; ok {
 				delete(s.pending, ev.ConnID)
@@ -212,7 +143,7 @@ func (s *ingestShard) pairBatch(batch []trace.Event, idxs []int32, out []ingestO
 		case trace.RPCCall:
 			if ev.MsgID != "" {
 				s.evicted += capPairs(s.calls, s.maxPairs)
-				s.calls[ev.MsgID] = pendingReq{ev.Time, ev.API, ev.Seq, ev.DstNode}
+				s.calls[ev.MsgID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
 			}
 		case trace.RPCReply:
 			if req, ok := s.calls[ev.MsgID]; ok {

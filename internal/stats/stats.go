@@ -42,30 +42,6 @@ func NewSummary() *Summary {
 	return &Summary{rngState: rngSeed}
 }
 
-// poolSlab is how many summaries a Pool allocates at once.
-const poolSlab = 16
-
-// Pool hands out summaries carved from slab allocations, for owners
-// that create one summary per key on a hot path (the analyzer's
-// per-API latency tracking): one allocation per poolSlab summaries
-// instead of one each. Summaries live as long as their owner; the pool
-// does not take them back. The zero value is ready to use. Not safe
-// for concurrent use, like Summary itself.
-type Pool struct {
-	slab []Summary
-}
-
-// Get returns a fresh summary, indistinguishable from NewSummary().
-func (p *Pool) Get() *Summary {
-	if len(p.slab) == 0 {
-		p.slab = make([]Summary, poolSlab)
-	}
-	s := &p.slab[0]
-	p.slab = p.slab[1:]
-	s.rngState = rngSeed
-	return s
-}
-
 func (s *Summary) rand() uint64 {
 	s.rngState ^= s.rngState << 13
 	s.rngState ^= s.rngState >> 7

@@ -178,39 +178,3 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPoolSummariesMatchNewSummary(t *testing.T) {
-	var p Pool
-	a, b := p.Get(), p.Get()
-	if a == b {
-		t.Fatal("pool handed out the same summary twice")
-	}
-	ref := NewSummary()
-	for i := 0; i < 2000; i++ {
-		v := float64(i%97) * 1.5
-		a.Observe(v)
-		ref.Observe(v)
-		b.Observe(-v) // interleave: slab neighbors must not interfere
-	}
-	if a.Count() != ref.Count() || a.Mean() != ref.Mean() || a.Min() != ref.Min() || a.Max() != ref.Max() {
-		t.Fatalf("pooled summary drifted: %v vs %v", a, ref)
-	}
-	// Identical reservoir sampling: same rng seed, same observations.
-	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if a.Quantile(q) != ref.Quantile(q) {
-			t.Fatalf("q%.2f: pooled %v, NewSummary %v", q, a.Quantile(q), ref.Quantile(q))
-		}
-	}
-	if b.Max() != 0 || b.Min() != -96*1.5 {
-		t.Fatalf("neighbor summary corrupted: %v", b)
-	}
-}
-
-func TestPoolAmortizesAllocations(t *testing.T) {
-	var p Pool
-	p.Get() // warm: first Get pays the slab
-	allocs := testing.AllocsPerRun(100, func() { p.Get() })
-	if allocs >= 1 {
-		t.Fatalf("Pool.Get averages %.2f allocs/op, want amortized < 1", allocs)
-	}
-}

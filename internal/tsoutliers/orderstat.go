@@ -1,38 +1,32 @@
-// Indexable order-statistic multiset over float64 keys: a treap
-// (randomized balanced BST) with duplicate counts and subtree sizes,
-// giving O(log n) Insert/Remove/Kth. The detector keeps one per series
-// for the inlier window's absolute deviations, so the rolling MAD is
-// two rank selections instead of a full re-sort per observation.
+// Selectable multiset over float64 keys: a sorted slice. Insert and
+// Remove binary-search the position and shift the tail with copy, Kth
+// is an index. The detector keeps one per series for the inlier
+// window's absolute deviations, so the rolling MAD is two indexed reads
+// instead of a full re-sort per observation.
 //
-// Selection is value-based: Kth(k) returns the same float64 the k-th
-// slot of the sorted multiset would hold, so Median reproduces the
-// naive sort-and-pick median bit for bit — the property the detector's
-// old-vs-new equivalence tests pin. The key order matches
-// sort.Float64s: NaN sorts before everything else, and all NaNs
-// compare equal (they share one node, so a rank inside the NaN run
-// yields a NaN just as a sorted slice would).
+// Cost is linear in the window with a tiny constant: a memmove of at
+// most Window floats, 480 bytes at the default 60 — the only window any
+// product caller configures. The gated detector scenario tracks it at
+// 60, 240 and 960.
 //
-// Nodes are pooled on a free list: once a detector has seen its
-// window's worth of distinct values, steady-state maintenance
-// allocates nothing. Priorities come from a deterministic xorshift so
-// runs are reproducible; tree shape never affects selected values.
+// The slice is the sorted multiset, so Kth(k) is by construction the
+// float64 the k-th slot of a sort.Float64s'd copy would hold and Median
+// reproduces the naive sort-and-pick median bit for bit — the property
+// the detector's old-vs-new equivalence tests pin. The key order matches
+// sort.Float64s: NaN sorts before everything else, and all NaNs compare
+// equal. -0 and +0 occupy one sort position; which of the two a rank
+// inside their run yields is as unspecified as it is for sort.Float64s
+// (the detector only stores |x - level|, never -0).
+//
+// Once the slice has grown to the window's high-water mark, steady-state
+// maintenance allocates nothing.
 package tsoutliers
 
 import "math"
 
-type osNode struct {
-	key         float64
-	prio        uint64
-	cnt         uint32 // multiplicity of key
-	size        uint32 // total multiplicity in this subtree
-	left, right *osNode
-}
-
 // orderStat is the selectable multiset. The zero value is ready to use.
 type orderStat struct {
-	root *osNode
-	free *osNode // node pool, chained via left
-	rng  uint64
+	s []float64 // ascending in osLess order
 }
 
 // osLess orders keys like sort.Float64s: ascending with NaN first.
@@ -46,173 +40,72 @@ func osEq(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-func osSize(n *osNode) uint32 {
-	if n == nil {
-		return 0
-	}
-	return n.size
-}
-
 // Len reports the total element count, duplicates included.
-func (t *orderStat) Len() int { return int(osSize(t.root)) }
+func (t *orderStat) Len() int { return len(t.s) }
 
-func (t *orderStat) nextPrio() uint64 {
-	if t.rng == 0 {
-		t.rng = 0x9e3779b97f4a7c15
+// search returns the first index whose key is greater than v: v's
+// insertion point, one past its last occurrence if present.
+//
+// A key at or above the maximum skips the binary search: every key of a
+// flat series and most of a coarsely quantized one (resource metrics,
+// which rca replays a window at a time), where the two searches per
+// sample, not the memmove, were the cost (DESIGN.md "Incremental order
+// statistics"). A NaN on either side fails the comparison and takes the
+// search. A plain >= rather than osLess keeps search inlinable.
+func (t *orderStat) search(v float64) int {
+	lo, hi := 0, len(t.s)
+	if hi > 0 && v >= t.s[hi-1] {
+		return hi
 	}
-	t.rng ^= t.rng << 13
-	t.rng ^= t.rng >> 7
-	t.rng ^= t.rng << 17
-	return t.rng
-}
-
-func (t *orderStat) get() *osNode {
-	if n := t.free; n != nil {
-		t.free = n.left
-		*n = osNode{}
-		return n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if osLess(v, t.s[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return &osNode{}
-}
-
-func (t *orderStat) put(n *osNode) {
-	n.right = nil
-	n.left = t.free
-	t.free = n
-}
-
-// rotations re-derive sizes from children, so callers may rotate with
-// temporarily stale counts and fix up afterwards.
-func osRotRight(n *osNode) *osNode {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	n.size = osSize(n.left) + osSize(n.right) + n.cnt
-	l.size = osSize(l.left) + n.size + l.cnt
-	return l
-}
-
-func osRotLeft(n *osNode) *osNode {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	n.size = osSize(n.left) + osSize(n.right) + n.cnt
-	r.size = n.size + osSize(r.right) + r.cnt
-	return r
+	return lo
 }
 
 // Insert adds one occurrence of v.
-func (t *orderStat) Insert(v float64) { t.root = t.insert(t.root, v) }
-
-func (t *orderStat) insert(n *osNode, v float64) *osNode {
-	if n == nil {
-		nn := t.get()
-		nn.key, nn.prio, nn.cnt, nn.size = v, t.nextPrio(), 1, 1
-		return nn
-	}
-	if osEq(v, n.key) {
-		n.cnt++
-		n.size++
-		return n
-	}
-	if osLess(v, n.key) {
-		n.left = t.insert(n.left, v)
-		n.size++
-		if n.left.prio < n.prio {
-			n = osRotRight(n)
-		}
-	} else {
-		n.right = t.insert(n.right, v)
-		n.size++
-		if n.right.prio < n.prio {
-			n = osRotLeft(n)
-		}
-	}
-	return n
+func (t *orderStat) Insert(v float64) {
+	i := t.search(v)
+	t.s = append(t.s, 0)
+	copy(t.s[i+1:], t.s[i:])
+	t.s[i] = v
 }
 
 // Remove drops one occurrence of v. Removing an absent key is a no-op
 // (the detector only ever evicts values it inserted).
-func (t *orderStat) Remove(v float64) { t.root = t.remove(t.root, v) }
-
-func (t *orderStat) remove(n *osNode, v float64) *osNode {
-	if n == nil {
-		return nil
+func (t *orderStat) Remove(v float64) {
+	i := t.search(v) - 1
+	if i >= 0 && osEq(t.s[i], v) {
+		t.s = append(t.s[:i], t.s[i+1:]...)
 	}
-	if osEq(v, n.key) {
-		if n.cnt > 1 {
-			n.cnt--
-			n.size--
-			return n
-		}
-		switch {
-		case n.left == nil:
-			r := n.right
-			t.put(n)
-			return r
-		case n.right == nil:
-			l := n.left
-			t.put(n)
-			return l
-		case n.left.prio < n.right.prio:
-			n = osRotRight(n)
-			n.right = t.remove(n.right, v)
-		default:
-			n = osRotLeft(n)
-			n.left = t.remove(n.left, v)
-		}
-	} else if osLess(v, n.key) {
-		n.left = t.remove(n.left, v)
-	} else {
-		n.right = t.remove(n.right, v)
-	}
-	n.size = osSize(n.left) + osSize(n.right) + n.cnt
-	return n
 }
 
 // Kth returns the k-th smallest element (0-based, duplicates counted):
 // the value sorted-multiset[k] would hold. Out-of-range ranks yield 0.
 func (t *orderStat) Kth(k int) float64 {
-	n := t.root
-	for n != nil {
-		ls := int(osSize(n.left))
-		switch {
-		case k < ls:
-			n = n.left
-		case k < ls+int(n.cnt):
-			return n.key
-		default:
-			k -= ls + int(n.cnt)
-			n = n.right
-		}
+	if k < 0 || k >= len(t.s) {
+		return 0
 	}
-	return 0
+	return t.s[k]
 }
 
 // Median reproduces the naive sorted-slice median exactly: s[m/2] for
 // odd m, (s[m/2-1]+s[m/2])/2 for even, 0 when empty.
 func (t *orderStat) Median() float64 {
-	m := t.Len()
+	m := len(t.s)
 	if m == 0 {
 		return 0
 	}
 	if m%2 == 1 {
-		return t.Kth(m / 2)
+		return t.s[m/2]
 	}
-	return (t.Kth(m/2-1) + t.Kth(m/2)) / 2
+	return (t.s[m/2-1] + t.s[m/2]) / 2
 }
 
-// Reset empties the multiset, returning every node to the pool.
-func (t *orderStat) Reset() {
-	t.recycle(t.root)
-	t.root = nil
-}
-
-func (t *orderStat) recycle(n *osNode) {
-	if n == nil {
-		return
-	}
-	t.recycle(n.left)
-	t.recycle(n.right)
-	t.put(n)
-}
+// Reset empties the multiset, keeping its capacity.
+func (t *orderStat) Reset() { t.s = t.s[:0] }

@@ -194,27 +194,6 @@ func TestMinSpreadFloorsConstantSeries(t *testing.T) {
 	}
 }
 
-func TestBankShardsByKey(t *testing.T) {
-	b := NewBank(Options{MinSpread: 0.5})
-	for i := 0; i < 60; i++ {
-		b.Observe("a", at(i), 10)
-		b.Observe("b", at(i), 500)
-	}
-	// A value normal for series b must alarm on series a.
-	if alarms := b.Observe("a", at(100), 500); len(alarms) == 0 {
-		t.Fatal("bank mixed series baselines")
-	}
-	if alarms := b.Observe("b", at(100), 500); len(alarms) != 0 {
-		t.Fatal("bank alarmed on series b's own level")
-	}
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if b.Detector("a") == nil || b.Detector("zzz") != nil {
-		t.Fatal("Detector lookup broken")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Outlier.String() != "outlier" || Shift.String() != "level-shift" || AlarmKind(9).String() != "unknown" {
 		t.Fatal("kind strings wrong")
@@ -382,9 +361,10 @@ func TestMaxAlarmsRingKindCountsAcrossShifts(t *testing.T) {
 	}
 }
 
-// TestObserveSteadyStateAllocFree pins the hot path: once warm (window
-// populated, alarm ring full, node pool at high water), Observe must
-// not allocate — neither on inliers nor on outlier alarms.
+// TestObserveSteadyStateAllocFree pins the hot path at the default
+// Window of 60: once warm (window populated, alarm ring full, deviation
+// slice at its high-water mark), Observe must not allocate — neither on
+// inliers nor on outlier alarms.
 func TestObserveSteadyStateAllocFree(t *testing.T) {
 	t.Run("inliers", func(t *testing.T) {
 		d := New(Options{MinSpread: 0.5, MaxAlarms: 64})

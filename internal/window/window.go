@@ -154,9 +154,12 @@ func (w *Dual) Pushed() uint64 { return w.pushed }
 func (w *Dual) Push(ev trace.Event) {
 	if w.size == w.alpha {
 		w.ring[w.start] = ev
-		w.start = (w.start + 1) % w.alpha
+		if w.start++; w.start == w.alpha {
+			w.start = 0
+		}
 	} else {
-		w.ring[(w.start+w.size)%w.alpha] = ev
+		// start stays 0 until the ring first fills.
+		w.ring[w.size] = ev
 		w.size++
 	}
 	w.pushed++
