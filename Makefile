@@ -26,12 +26,13 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 23997
+LOC_CEILING := 23523
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
 	[ "$$total" -le $(LOC_CEILING) ]
+	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field ROADMAP item 7 deletes
 
 # Scenario bench harness (full workloads, pinned iteration count);
 # writes BENCH_<scenario>.json into out/bench plus a table on stderr.

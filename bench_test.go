@@ -307,33 +307,6 @@ func BenchmarkAnalyzerIngest(b *testing.B) {
 	b.ReportMetric(float64(len(stream)), "events/op")
 }
 
-// BenchmarkIngestSharded measures the batched, sharded ingest
-// front-end against the inline baseline on a fault-free stream (the
-// pairing + per-API latency work is the whole cost when nothing arms a
-// snapshot). inline is Config.IngestShards = 0; the shard counts run
-// the identical stream through IngestBatch via replay.Drive. The
-// determinism tests pin that all variants produce identical output, so
-// this benchmark is a pure throughput ablation.
-func BenchmarkIngestSharded(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.CleanBenchStream(50000)
-	run := func(b *testing.B, cfg core.Config) {
-		b.ReportAllocs()
-		var res replay.Result
-		for i := 0; i < b.N; i++ {
-			a := core.New(lib, cfg)
-			res = replay.Drive(a, stream)
-		}
-		b.ReportMetric(res.EventsPerSec, "events/s")
-	}
-	b.Run("inline", func(b *testing.B) { run(b, core.Config{}) })
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			run(b, core.Config{IngestShards: shards})
-		})
-	}
-}
-
 // BenchmarkIngestExplainOff is the guard that keeps explain mode free
 // when it is off: the identical stream as BenchmarkAnalyzerIngest with
 // the evidence-trace subsystem compiled in but no store installed (the

@@ -50,8 +50,6 @@ func main() {
 		fast      = flag.Bool("fast", false, "reduced scales for a quick pass")
 		outDir    = flag.String("out", "", "also write each figure's raw data as CSV into this directory")
 		workers   = flag.Int("detect-workers", 0, "fig8c detection worker pool size (0 = inline detection)")
-		shards    = flag.Int("ingest-shards", 0, "fig8c sharded ingest front-end size (0 = inline ingest)")
-		ingBatch  = flag.Int("ingest-batch", 0, "fig8c ingest batch size (0 = default 256 with shards)")
 		walDir    = flag.String("wal-dir", "", "reanalyze: write-ahead log directory captured by gretel -wal")
 		walFrom   = flag.Uint64("wal-from", 0, "reanalyze: first WAL sequence to replay (0 = from the start)")
 		walTo     = flag.Uint64("wal-to", 0, "reanalyze: last WAL sequence to replay (0 = to the end)")
@@ -199,9 +197,7 @@ func main() {
 	})
 
 	run("fig8c", func() {
-		points := experiments.Fig8c(*seed, events, nil, core.Config{
-			DetectWorkers: *workers, IngestShards: *shards, IngestBatch: *ingBatch,
-		})
+		points := experiments.Fig8c(*seed, events, nil, core.Config{DetectWorkers: *workers})
 		fmt.Print(experiments.FormatFig8c(points))
 		rows := [][]string{{"fault_every", "events_per_sec", "mbps", "reports"}}
 		for _, p := range points {
@@ -251,9 +247,7 @@ func main() {
 			log.Fatal("reanalyze: -wal-dir is required (a directory captured by gretel -wal)")
 		}
 		run("reanalyze", func() {
-			res, err := experiments.Reanalyze(*seed, *walDir, *walFrom, *walTo, core.Config{
-				DetectWorkers: *workers, IngestShards: *shards, IngestBatch: *ingBatch,
-			})
+			res, err := experiments.Reanalyze(*seed, *walDir, *walFrom, *walTo, core.Config{DetectWorkers: *workers})
 			if err != nil {
 				log.Fatalf("reanalyze: %v", err)
 			}

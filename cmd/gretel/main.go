@@ -106,8 +106,6 @@ func main() {
 		workers    = flag.Int("detect-workers", runtime.GOMAXPROCS(0), "detection worker pool size (0 = detect inline on the receive path)")
 		backlog    = flag.Int("detect-backlog", 0, "bounded detect queue capacity (0 = 4x workers)")
 		shed       = flag.Bool("detect-shed", false, "shed snapshots when the detect queue is full instead of applying backpressure")
-		shards     = flag.Int("ingest-shards", 0, "sharded ingest front-end: partition pairing/latency state across this many shards (0 = classic inline ingest)")
-		ingBatch   = flag.Int("ingest-batch", 0, "chunk size -replay feeds sharded ingest with (0 = default 256; only used with -ingest-shards > 0). Agents' events arrive in the receiver's own batches, a socket read's worth each, whatever this says")
 		downAfter  = flag.Duration("down-after", 5*time.Second, "declare an agent down after this long without frames or heartbeats (0 disables liveness tracking)")
 		explain    = flag.Bool("explain", false, "record a full evidence trace per report, browsable at /traces on the telemetry address")
 		traceCap   = flag.Int("trace-store-cap", tracestore.DefaultCap, "max evidence traces held in memory (oldest evicted first, evictions counted)")
@@ -124,7 +122,7 @@ func main() {
 		memberName = flag.String("member", "", "federation member name: stamp reports with this id when running under a gretel-coord fleet (empty = standalone)")
 	)
 	flag.Parse()
-	if err := validateFlags(*backlog, *traceCap, *shards, *ingBatch, *walFsync, *exportIvl, *exportBuf); err != nil {
+	if err := validateFlags(*backlog, *traceCap, *walFsync, *exportIvl, *exportBuf); err != nil {
 		fmt.Fprintf(os.Stderr, "gretel: %v\n", err)
 		os.Exit(2)
 	}
@@ -212,7 +210,7 @@ func main() {
 	analyzer := core.New(lib, core.Config{
 		Alpha: *alpha, Prate: *prate, T: *horizonT, PerfDetection: *perf,
 		DetectWorkers: *workers, DetectBacklog: *backlog, DetectShed: *shed,
-		IngestShards: *shards, IngestBatch: *ingBatch, Member: *memberName,
+		Member: *memberName,
 	})
 	// Root-cause analysis over the distributed state the agents stream in.
 	store := rca.NewStore()
@@ -452,19 +450,15 @@ func main() {
 }
 
 // validateFlags rejects size flags that parse but cannot be meant.
-// Negative values would silently flip internal sentinels (GOMAXPROCS
-// sizing, "cap disabled") a CLI user has no reason to request — fail
+// Negative values would silently flip internal sentinels ("use the
+// default", "cap disabled") a CLI user has no reason to request — fail
 // loudly with exit 2 instead.
-func validateFlags(detectBacklog, traceStoreCap, ingestShards, ingestBatch int, walFsync string, exportIvl time.Duration, exportBuf int) error {
+func validateFlags(detectBacklog, traceStoreCap int, walFsync string, exportIvl time.Duration, exportBuf int) error {
 	switch {
 	case detectBacklog < 0:
 		return fmt.Errorf("-detect-backlog must be >= 0, got %d (0 means 4x workers)", detectBacklog)
 	case traceStoreCap < 0:
 		return fmt.Errorf("-trace-store-cap must be >= 0, got %d (0 means the default cap)", traceStoreCap)
-	case ingestShards < 0:
-		return fmt.Errorf("-ingest-shards must be >= 0, got %d (0 means classic inline ingest)", ingestShards)
-	case ingestBatch < 0:
-		return fmt.Errorf("-ingest-batch must be >= 0, got %d (0 means the default batch size)", ingestBatch)
 	case exportIvl <= 0:
 		return fmt.Errorf("-export-interval must be > 0, got %v", exportIvl)
 	case exportBuf <= 0:

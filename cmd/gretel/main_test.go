@@ -8,27 +8,25 @@ import (
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name                                string
-		backlog, traceCap, shards, ingBatch int
-		walFsync                            string
-		exportIvl                           time.Duration
-		exportBuf                           int
-		wantErr                             string // substring; empty = valid
+		name              string
+		backlog, traceCap int
+		walFsync          string
+		exportIvl         time.Duration
+		exportBuf         int
+		wantErr           string // substring; empty = valid
 	}{
-		{"all-zero-defaults", 0, 0, 0, 0, "interval", time.Second, 10000, ""},
-		{"all-positive", 8, 1024, 4, 256, "every", 100 * time.Millisecond, 1, ""},
-		{"fsync-none", 0, 0, 0, 0, "none", time.Second, 10000, ""},
-		{"negative-backlog", -1, 0, 0, 0, "interval", time.Second, 10000, "-detect-backlog"},
-		{"negative-trace-cap", 0, -5, 0, 0, "interval", time.Second, 10000, "-trace-store-cap"},
-		{"negative-shards", 0, 0, -2, 0, "interval", time.Second, 10000, "-ingest-shards"},
-		{"negative-batch", 0, 0, 4, -1, "interval", time.Second, 10000, "-ingest-batch"},
-		{"bad-fsync", 0, 0, 0, 0, "sometimes", time.Second, 10000, "-wal-fsync"},
-		{"zero-export-interval", 0, 0, 0, 0, "interval", 0, 10000, "-export-interval"},
-		{"negative-export-interval", 0, 0, 0, 0, "interval", -time.Second, 10000, "-export-interval"},
-		{"zero-export-buffer", 0, 0, 0, 0, "interval", time.Second, 0, "-export-buffer"},
+		{"all-zero-defaults", 0, 0, "interval", time.Second, 10000, ""},
+		{"all-positive", 8, 1024, "every", 100 * time.Millisecond, 1, ""},
+		{"fsync-none", 0, 0, "none", time.Second, 10000, ""},
+		{"negative-backlog", -1, 0, "interval", time.Second, 10000, "-detect-backlog"},
+		{"negative-trace-cap", 0, -5, "interval", time.Second, 10000, "-trace-store-cap"},
+		{"bad-fsync", 0, 0, "sometimes", time.Second, 10000, "-wal-fsync"},
+		{"zero-export-interval", 0, 0, "interval", 0, 10000, "-export-interval"},
+		{"negative-export-interval", 0, 0, "interval", -time.Second, 10000, "-export-interval"},
+		{"zero-export-buffer", 0, 0, "interval", time.Second, 0, "-export-buffer"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.backlog, c.traceCap, c.shards, c.ingBatch, c.walFsync, c.exportIvl, c.exportBuf)
+		err := validateFlags(c.backlog, c.traceCap, c.walFsync, c.exportIvl, c.exportBuf)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", c.name, err)

@@ -45,8 +45,8 @@ const EventsPerOp = "events/op"
 // "allocs/report" and "B/report" from it.
 const ReportsPerOp = "reports/op"
 
-// Case is one parameterized sub-benchmark of a scenario ("shards=4",
-// "workers=8"). Run executes exactly one iteration against state the
+// Case is one parameterized sub-benchmark of a scenario ("workers=8",
+// "fsync=interval"). Run executes exactly one iteration against state the
 // scenario's Setup prepared.
 type Case struct {
 	Name string

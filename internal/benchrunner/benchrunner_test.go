@@ -161,8 +161,8 @@ func TestScenarioIngestShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cases) != 5 {
-		t.Fatalf("ingest cases = %d, want inline + shards 1/2/4/8", len(res.Cases))
+	if len(res.Cases) != 1 {
+		t.Fatalf("ingest cases = %d, want the one inline case", len(res.Cases))
 	}
 	for _, c := range res.Cases {
 		if c.Extra["events/s"] <= 0 || c.Extra[EventsPerOp] != 20000 {

@@ -37,7 +37,7 @@ import (
 
 func init() {
 	Register("ingest", func() Scenario {
-		return &ingestScenario{desc: "sharded ingest front-end vs inline baseline on the canonical fault-free stream (replay.Drive)"}
+		return &ingestScenario{desc: "analyzer ingest (pairing, latency tracking, window push) on the canonical fault-free stream (replay.Drive)"}
 	})
 	Register("fig8c-parallel", func() Scenario {
 		return &parallelScenario{desc: "detect worker pool 1/2/4/8 vs inline on the canonical Fig 8c faulty stream"}
@@ -84,7 +84,7 @@ func driveExtras(res replay.Result) Metrics {
 	}
 }
 
-// --- ingest: inline vs -ingest-shards 1/2/4/8 ---
+// --- ingest: the analyzer alone on a fault-free stream ---
 
 type ingestScenario struct {
 	desc   string
@@ -107,17 +107,10 @@ func (s *ingestScenario) Setup(opts Options) error {
 }
 
 func (s *ingestScenario) Cases() []Case {
-	mk := func(name string, cfg core.Config) Case {
-		return Case{Name: name, Run: func() (Metrics, error) {
-			a := core.New(s.lib, cfg)
-			return driveExtras(replay.Drive(a, s.stream)), nil
-		}}
-	}
-	cases := []Case{mk("inline", core.Config{})}
-	for _, shards := range []int{1, 2, 4, 8} {
-		cases = append(cases, mk(fmt.Sprintf("shards=%d", shards), core.Config{IngestShards: shards}))
-	}
-	return cases
+	return []Case{{Name: "inline", Run: func() (Metrics, error) {
+		a := core.New(s.lib, core.Config{})
+		return driveExtras(replay.Drive(a, s.stream)), nil
+	}}}
 }
 
 // --- fig8c-parallel: detect workers 1/2/4/8 ---

@@ -206,9 +206,10 @@ type Config struct {
 	// keeping standalone output byte-identical.
 	Member string
 	// DetectWorkers sets the number of concurrent detection workers that
-	// run Algorithm 2 off the ingest hot path. 0 (the default) detects
-	// inline on the receiver goroutine — bit-for-bit the classic
-	// single-goroutine path, kept for ablation. Negative uses
+	// run Algorithm 2 off the ingest hot path. 0 (the default, and what
+	// every bench/ workload runs) detects inline on the receiver
+	// goroutine; the pool is the measured option (bench/'s
+	// core.detect.pooled_ratio: 1.9× inline on two cores). Negative uses
 	// GOMAXPROCS. The worker pool preserves report order: a sequenced
 	// collector delivers reports in fault-arrival order, so inline and
 	// parallel modes produce identical output.
@@ -226,22 +227,13 @@ type Config struct {
 	// in event time (default 10m; negative disables age eviction).
 	PairTTL time.Duration
 	// MaxPairs caps each pairing map; when full, the oldest quarter is
-	// evicted (default 65536; negative disables the cap). With ingest
-	// shards the cap is split evenly across shards (ceil(MaxPairs/N) per
-	// shard), preserving the global bound.
+	// evicted (default 65536; negative disables the cap).
 	MaxPairs int
-	// IngestShards partitions the keyed ingest state — pairing maps,
-	// per-API latency summaries and level-shift detectors, TTL/cap
-	// eviction — across this many shards fed by IngestBatch. 0 (the
-	// default) keeps the classic inline path, kept for ablation; negative
-	// uses GOMAXPROCS. Shard outcomes are re-sequenced by event order
-	// before the global window and detection, so reports and evidence
-	// traces are byte-identical across shard counts (shard.go).
+	// Deprecated: nothing reads this field — ingest is one path. It
+	// remains only because bench/e2e/layers.go, frozen between
+	// [benchmark] PRs, still sets it; the [benchmark] PR of ROADMAP item 7
+	// deletes it together with the core.ingest.sharded_ratio layer.
 	IngestShards int
-	// IngestBatch is the batch size drivers should feed IngestBatch with
-	// when IngestShards > 0 (default 256). Batching amortizes per-event
-	// dispatch across the shard barrier.
-	IngestBatch int
 }
 
 func (c *Config) defaults(lib *fingerprint.Library) {
@@ -295,12 +287,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	}
 	if c.MaxPairs == 0 {
 		c.MaxPairs = 1 << 16
-	}
-	if c.IngestShards < 0 {
-		c.IngestShards = runtime.GOMAXPROCS(0)
-	}
-	if c.IngestShards > 0 && c.IngestBatch <= 0 {
-		c.IngestBatch = 256
 	}
 }
 
@@ -372,33 +358,16 @@ type Analyzer struct {
 	workersWG     sync.WaitGroup
 	collectorDone chan struct{}
 
-	// Sharded ingest front-end state (shard.go); shards is nil in inline
-	// mode, shardsOff flips after Close stops the workers.
-	shards    []*ingestShard
-	shardsWG  sync.WaitGroup
-	shardsOff bool
-	batchWG   sync.WaitGroup
-	batchBuf  []trace.Event
-	outcomes  []ingestOutcome
-	pairIdx   [][]int32
-	latIdx    [][]int32
-	one       [1]trace.Event
-
 	// Durable event plane (capture.go); capture is nil unless SetCapture
-	// attached a WAL. capturing guards the Ingest⇄IngestBatch routing so
-	// each event is appended exactly once; captureLast is the record
-	// sequence the cursor advances to when the call completes.
-	capture     Capture
-	capturing   bool
-	captureLast uint64
-	capOne      [1]trace.Event
+	// attached a WAL, and capOne is the one-event batch Ingest hands it —
+	// a field, so the event does not escape to the heap on every call.
+	capture Capture
+	capOne  [1]trace.Event
 }
 
 // New builds an analyzer over a learned fingerprint library. When
 // cfg.DetectWorkers is non-zero the detection worker pool starts
-// immediately, and when cfg.IngestShards is non-zero so does the
-// sharded ingest front-end; call Close to stop them (Flush alone drains
-// the detection pipeline).
+// immediately; call Close to stop it (Flush alone drains it).
 func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 	cfg.defaults(lib)
 	a := &Analyzer{
@@ -412,9 +381,6 @@ func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 	}
 	if cfg.DetectWorkers > 0 {
 		a.startPipeline(cfg.DetectWorkers)
-	}
-	if cfg.IngestShards > 0 {
-		a.startShards(cfg.IngestShards)
 	}
 	return a
 }
@@ -436,28 +402,40 @@ func (a *Analyzer) SetRCA(fn func(*Report) []RootCause) { a.rca = fn }
 func (a *Analyzer) Reports() []*Report { return a.reports }
 
 // Ingest processes one event from the monitoring agents. It must be
-// called from a single goroutine (the event receiver). With the sharded
-// front-end running (Config.IngestShards > 0) the event is routed
-// through a single-event batch so pairing state stays coherent with
-// batched callers; high-rate drivers should call IngestBatch instead.
+// called from a single goroutine (the event receiver). A driver that
+// already holds a slice of events should hand it to IngestBatch, which
+// captures it in one append.
 func (a *Analyzer) Ingest(ev trace.Event) {
-	if a.capture != nil && !a.capturing {
-		a.capturing = true
-		defer a.endCapture()
+	var last uint64
+	if a.capture != nil {
 		a.capOne[0] = ev
-		a.captureEvents(a.capOne[:])
-	}
-	if a.shards != nil && !a.shardsOff {
-		a.one[0] = ev
-		a.IngestBatch(a.one[:])
-		return
+		last = a.captureEvents(a.capOne[:])
 	}
 	a.ingestOne(&ev)
+	a.markProcessed(last)
 }
 
-// ingestOne is the inline per-event body under Ingest and IngestBatch.
-// It reads the caller's event in place and never writes to it: the
-// window keeps its own copy.
+// IngestBatch is Ingest over a slice, in order, under the same
+// single-goroutine contract: with a capture attached the batch is one
+// AppendBatch and one MarkProcessed. The slice is read in place and
+// neither retained nor written.
+func (a *Analyzer) IngestBatch(evs []trace.Event) {
+	if len(evs) == 0 {
+		return
+	}
+	var last uint64
+	if a.capture != nil {
+		last = a.captureEvents(evs)
+	}
+	for i := range evs {
+		a.ingestOne(&evs[i])
+	}
+	a.markProcessed(last)
+}
+
+// ingestOne is the per-event body under Ingest and IngestBatch. It
+// reads the caller's event in place and never writes to it: the window
+// keeps its own copy.
 func (a *Analyzer) ingestOne(ev *trace.Event) {
 	a.Stats.Events++
 	mEventsIngested.Inc()
@@ -532,14 +510,8 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 }
 
 // LatencyDetector exposes the per-API latency detector (for experiment
-// plots of the adjusted series and level shifts). With the sharded
-// front-end, the detector lives on the shard that owns the API.
+// plots of the adjusted series and level shifts).
 func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
-	if s := a.latShard(api); s != nil {
-		if al := s.lat.apis[api]; al != nil {
-			return al.det
-		}
-	}
 	if al := a.lat.apis[api]; al != nil {
 		return al.det
 	}
@@ -554,25 +526,10 @@ type APILatency struct {
 
 // LatencySummaries returns per-API latency summaries sorted by p95
 // descending — the operator's view of the deployment's slowest APIs.
-// With the sharded front-end the shards' summaries are merged in; each
-// API lives on exactly one shard, but an inline summary for the same
-// API can exist if events were ingested after Close stopped the shards
-// (the larger count wins).
 func (a *Analyzer) LatencySummaries() []APILatency {
-	merged := make(map[trace.API]*stats.Summary, len(a.lat.apis))
+	out := make([]APILatency, 0, len(a.lat.apis))
 	for api, al := range a.lat.apis {
-		merged[api] = &al.sum
-	}
-	for _, s := range a.shards {
-		for api, al := range s.lat.apis {
-			if prev, ok := merged[api]; !ok || al.sum.Count() > prev.Count() {
-				merged[api] = &al.sum
-			}
-		}
-	}
-	out := make([]APILatency, 0, len(merged))
-	for api, sum := range merged {
-		out = append(out, APILatency{api, sum})
+		out = append(out, APILatency{api, &al.sum})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		qi, qj := out[i].Summary.Quantile(0.95), out[j].Summary.Quantile(0.95)
@@ -618,23 +575,6 @@ func (a *Analyzer) NodeGap(node string, missing uint64, at time.Time) {
 		if p.node == node {
 			delete(a.calls, k)
 			flushed++
-		}
-	}
-	// Shard pairing maps are safe to touch here: IngestBatch is
-	// synchronous, so no shard worker is running between calls, and the
-	// next batch's channel send orders these writes before its reads.
-	for _, s := range a.shards {
-		for k, p := range s.pending {
-			if p.node == node {
-				delete(s.pending, k)
-				flushed++
-			}
-		}
-		for k, p := range s.calls {
-			if p.node == node {
-				delete(s.calls, k)
-				flushed++
-			}
 		}
 	}
 	if flushed > 0 {

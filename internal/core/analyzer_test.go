@@ -27,8 +27,8 @@ func testLib() *fingerprint.Library {
 }
 
 // stream is a helper that emits a REST exchange for an API. Events go
-// to the analyzer, or to emit when set (shard tests record the stream
-// once and replay it through IngestBatch).
+// to the analyzer, or to emit when set (the entry-point parity test
+// records the stream once and replays it through IngestBatch).
 type stream struct {
 	a    *Analyzer
 	emit func(trace.Event)

@@ -31,25 +31,26 @@ type Capture interface {
 // recovered events are not appended a second time.
 func (a *Analyzer) SetCapture(c Capture) { a.capture = c }
 
-// captureEvents hands a batch to the capture hook. Append failure is
-// counted and logged but never stops ingest: the analyzer exists to
-// observe faults, and a full disk must not blind it.
-func (a *Analyzer) captureEvents(evs []trace.Event) {
+// captureEvents opens an ingest call's capture bracket: it hands the
+// call's events to the capture hook before any analyzer state mutates
+// and returns the last record sequence acked, for markProcessed. Append
+// failure is counted and logged but never stops ingest: the analyzer
+// exists to observe faults, and a full disk must not blind it.
+func (a *Analyzer) captureEvents(evs []trace.Event) uint64 {
 	last, err := a.capture.AppendBatch(evs)
-	a.captureLast = last
 	if err != nil {
 		a.Stats.CaptureErrors++
 		mCaptureErrors.Inc()
 		telemetry.LogFirst("core.capture", "core: durable capture failed (ingest continues uncaptured): %v", err)
 	}
+	return last
 }
 
-// endCapture closes out one top-level ingest call: the events captured
-// at its start are now fully processed, so the consumer cursor may
-// advance to their last record.
-func (a *Analyzer) endCapture() {
-	a.capturing = false
-	if a.capture != nil && a.captureLast > 0 {
-		a.capture.MarkProcessed(a.captureLast)
+// markProcessed closes the bracket: the events captured at the start of
+// the call are now fully processed, so the consumer cursor may advance
+// to their last record (zero: nothing was captured).
+func (a *Analyzer) markProcessed(last uint64) {
+	if last > 0 && a.capture != nil {
+		a.capture.MarkProcessed(last)
 	}
 }

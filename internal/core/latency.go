@@ -18,9 +18,8 @@ type apiLat struct {
 	perfArmed bool // lastPerf is set
 }
 
-// latTrack is the per-API latency state one owner (the inline analyzer
-// or one ingest shard) mutates, fed on every paired response: one map
-// probe finds all of an API's state.
+// latTrack is the analyzer's per-API latency state, fed on every paired
+// response: one map probe finds all of an API's state.
 type latTrack struct {
 	opt  tsoutliers.Options
 	apis map[trace.API]*apiLat

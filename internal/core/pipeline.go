@@ -3,8 +3,10 @@
 // runs Algorithm 2 off the hot path, so a fault burst never stalls event
 // intake (§7.4's throughput claim under load). A sequenced collector
 // applies finished reports in fault-arrival order, making parallel
-// detection's output byte-identical to the classic inline path
-// (Config.DetectWorkers = 0), which remains available for ablation.
+// detection's output byte-identical to inline detection
+// (Config.DetectWorkers = 0) — the default, and the path every bench/
+// workload runs; the pool is the measured option
+// (core.detect.pooled_ratio, 1.9× on two cores).
 package core
 
 import (
@@ -63,10 +65,9 @@ func (a *Analyzer) startPipeline(workers int) {
 }
 
 // dispatch hands a filled snapshot to the detection stage: inline when
-// no worker pool is configured (bit-for-bit the classic single-goroutine
-// path), otherwise enqueued to the pool. A full queue blocks the
-// receiver (backpressure) unless DetectShed is set, in which case the
-// snapshot is dropped and counted.
+// no worker pool is configured, otherwise enqueued to the pool. A full
+// queue blocks the receiver (backpressure) unless DetectShed is set, in
+// which case the snapshot is dropped and counted.
 func (a *Analyzer) dispatch(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) {
 	deg := a.degradedList()
 	var traceID uint64
@@ -139,14 +140,12 @@ func (a *Analyzer) collect() {
 	}
 }
 
-// Close drains the detection pipeline, stops its goroutines, and stops
-// the ingest shard workers (a no-op beyond Flush in inline mode). The
-// analyzer stays usable afterwards — later events pair on the inline
-// maps and faults are detected inline — and Reports/Stats are safe to
-// read once Close returns.
+// Close drains the detection pipeline and stops its goroutines (a no-op
+// beyond Flush without a worker pool). The analyzer stays usable
+// afterwards — later faults are detected inline — and Reports/Stats are
+// safe to read once Close returns.
 func (a *Analyzer) Close() {
 	a.Flush()
-	a.stopShards()
 	if a.jobs == nil {
 		return
 	}
@@ -172,10 +171,9 @@ func (a *Analyzer) evictAgedPairs(now time.Time) {
 	a.Stats.PairsEvicted += agePairs(a.pending, cutoff) + agePairs(a.calls, cutoff)
 }
 
-// agePairs drops entries older than the cutoff from one pairing map —
-// the TTL sweep primitive shared by the inline path and the ingest
-// shards. Returns the number evicted (also added to the telemetry
-// counter, but not to Stats: callers own their Stats accounting).
+// agePairs drops entries older than the cutoff from one pairing map.
+// Returns the number evicted (also added to the telemetry counter, but
+// not to Stats: the caller owns its Stats accounting).
 func agePairs[K comparable](m map[K]pendingReq, cutoff time.Time) uint64 {
 	var n uint64
 	for k, p := range m {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -28,7 +30,7 @@ func driveFaultyExplain(cfg Config, store *tracestore.Store) *Analyzer {
 }
 
 // faultyScript plays the shared multi-fault stream into a stream
-// helper — also recorded as a plain event slice by the shard tests.
+// helper — also recorded as a plain event slice by faultyEvents.
 func faultyScript(s *stream) {
 	for i := 0; i < 30; i++ {
 		id := uint64(i * 10)
@@ -41,6 +43,56 @@ func faultyScript(s *stream) {
 		s.filler(10)
 	}
 	s.filler(40)
+}
+
+// faultyEvents records the shared multi-fault script as a plain event
+// slice, so the same stream can be replayed through Ingest and
+// IngestBatch.
+func faultyEvents() []trace.Event {
+	var evs []trace.Event
+	faultyScript(&stream{emit: func(ev trace.Event) { evs = append(evs, ev) }})
+	return evs
+}
+
+// serializeReports renders reports to JSON — the byte-identical
+// contract covers the serialized form, not just DeepEqual.
+func serializeReports(t *testing.T, reps []*Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, r := range reps {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestIngestEntryPointParity pins that the analyzer has one ingest path
+// with two doors: the same faulty stream through per-event Ingest and
+// through IngestBatch in chunks of 1, 7 (boundaries land mid-exchange)
+// and 256 must produce byte-identical serialized reports and equal
+// Stats.
+func TestIngestEntryPointParity(t *testing.T) {
+	evs := faultyEvents()
+	base := driveFaulty(Config{Alpha: 32})
+	if len(base.Reports()) == 0 {
+		t.Fatal("no reports produced")
+	}
+	want := serializeReports(t, base.Reports())
+	for _, chunk := range []int{1, 7, 256} {
+		a := newAnalyzer(Config{Alpha: 32})
+		for lo := 0; lo < len(evs); lo += chunk {
+			a.IngestBatch(evs[lo:min(lo+chunk, len(evs))])
+		}
+		a.Close()
+		if got := serializeReports(t, a.Reports()); !bytes.Equal(got, want) {
+			t.Fatalf("IngestBatch(%d): serialized reports differ from per-event Ingest", chunk)
+		}
+		if a.Stats != base.Stats {
+			t.Fatalf("IngestBatch(%d): stats differ:\nIngest:      %+v\nIngestBatch: %+v", chunk, base.Stats, a.Stats)
+		}
+	}
 }
 
 // TestParallelMatchesInlineReports is the determinism contract of the
@@ -124,6 +176,28 @@ func TestDetectShed(t *testing.T) {
 	}
 }
 
+// TestUsableAfterClose: Close stops the detect pool but the analyzer
+// keeps working — pairing and latency state carry over, and a later
+// fault is detected inline.
+func TestUsableAfterClose(t *testing.T) {
+	a := newAnalyzer(Config{Alpha: 16, DetectWorkers: 2})
+	s := &stream{a: a}
+	s.rest(get("/x"), 200, 1, "op")
+	a.Close()
+	s.rest(post("/a2"), 500, 2, "op-a")
+	s.filler(20)
+	a.Flush()
+	if a.Stats.RESTPairs != 22 {
+		t.Fatalf("post-Close ingest broken: RESTPairs=%d, want 22", a.Stats.RESTPairs)
+	}
+	if len(a.Reports()) != 1 {
+		t.Fatalf("post-Close fault produced %d reports, want 1", len(a.Reports()))
+	}
+	if sums := a.LatencySummaries(); len(sums) != 2 {
+		t.Fatalf("summaries for %d APIs, want /x from before Close and /filler from after", len(sums))
+	}
+}
+
 // TestPairEvictionSizeCap floods the analyzer with requests whose
 // responses never arrive and asserts the pairing maps stay bounded.
 func TestPairEvictionSizeCap(t *testing.T) {
@@ -169,4 +243,63 @@ func TestPairEvictionTTL(t *testing.T) {
 	if a.Stats.RESTPairs != 1 {
 		t.Fatalf("evicted request paired anyway: RESTPairs=%d", a.Stats.RESTPairs)
 	}
+}
+
+// TestPairEvictionLedger holds pairing-state eviction to an exact ledger
+// under cap and TTL pressure together: every inserted request is still
+// pending, paired, or counted in Stats.PairsEvicted — none lost, none
+// counted twice. A response for a cap-evicted request must not form a
+// phantom pair while a surviving request still pairs.
+func TestPairEvictionLedger(t *testing.T) {
+	a := newAnalyzer(Config{Alpha: 16, MaxPairs: 64, PairTTL: time.Second})
+	var inserted uint64
+	ledger := func(when string) {
+		t.Helper()
+		pending := uint64(len(a.pending) + len(a.calls))
+		paired := a.Stats.RESTPairs + a.Stats.RPCPairs
+		if got := pending + paired + a.Stats.PairsEvicted; got != inserted {
+			t.Fatalf("%s: pending(%d) + paired(%d) + evicted(%d) = %d, want %d inserted",
+				when, pending, paired, a.Stats.PairsEvicted, got, inserted)
+		}
+	}
+
+	// Cap pressure: a flood of requests whose responses never arrive,
+	// all younger than PairTTL when the cap trips.
+	const flood = 300
+	for i := 1; i <= flood; i++ {
+		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
+		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RPCCall, API: rpc("build"), MsgID: "m" + itoa(i)})
+		inserted += 2
+	}
+	if a.Stats.PairsEvicted == 0 || len(a.pending) > 64 || len(a.calls) > 64 {
+		t.Fatalf("cap never bit: evicted=%d pending=%d calls=%d", a.Stats.PairsEvicted, len(a.pending), len(a.calls))
+	}
+	ledger("after the flood")
+
+	// The oldest request went with the first cap trip; the newest survived.
+	a.Ingest(trace.Event{Time: at(flood*10 + 5), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: 1})
+	if a.Stats.RESTPairs != 0 {
+		t.Fatalf("phantom pair for a cap-evicted request: RESTPairs=%d", a.Stats.RESTPairs)
+	}
+	a.Ingest(trace.Event{Time: at(flood*10 + 6), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: flood})
+	if a.Stats.RESTPairs != 1 {
+		t.Fatalf("surviving request did not pair: RESTPairs=%d", a.Stats.RESTPairs)
+	}
+	ledger("after the late responses")
+
+	// TTL pressure: a minute later, answered exchanges carry the event
+	// count across the amortized sweep. The sweep must evict the flood's
+	// survivors — exactly them — and nothing that was answered.
+	survivors := uint64(len(a.pending) + len(a.calls))
+	evicted := a.Stats.PairsEvicted
+	s := &stream{a: a, conn: flood, ms: 60000}
+	for a.Stats.Events <= pairSweepEvery {
+		s.rest(get("/y"), 200, 1, "op")
+		inserted++
+	}
+	if got := a.Stats.PairsEvicted - evicted; got != survivors || len(a.pending)+len(a.calls) != 0 {
+		t.Fatalf("TTL sweep evicted %d of %d survivors, %d still pending",
+			got, survivors, len(a.pending)+len(a.calls))
+	}
+	ledger("after the sweep")
 }

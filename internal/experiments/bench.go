@@ -50,8 +50,8 @@ func FaultyBenchStream(events int) []trace.Event {
 // CleanBenchStream is the canonical fault-free ingest stream: the
 // default core-operation mix at concurrency 200, seed 5 — pairing and
 // per-API latency accounting are the whole cost. BenchmarkAnalyzerIngest,
-// BenchmarkIngestSharded, BenchmarkIngestExplainOff, and the harness's
-// ingest scenario replay exactly this.
+// BenchmarkIngestExplainOff, and the harness's ingest scenario replay
+// exactly this.
 func CleanBenchStream(events int) []trace.Event {
 	return replay.Synthesize(replay.StreamConfig{Concurrency: 200, Events: events, Seed: 5})
 }

@@ -25,9 +25,8 @@ type ThroughputPoint struct {
 // Fig8c measures the analyzer's sustained throughput for fault
 // frequencies of 1 per {100, 500, 1000, 1500, 2000} messages (the paper's
 // sweep), replaying a synthesized concurrent-operation stream at full
-// speed. cfg configures the analyzer per point (detection worker pool,
-// sharded ingest front-end); the zero Config is the classic inline
-// path.
+// speed. cfg configures the analyzer per point (the detection worker
+// pool); the zero Config detects inline.
 func Fig8c(seed int64, events int, faultFreqs []int, cfg core.Config) []ThroughputPoint {
 	if events == 0 {
 		events = 200000

@@ -18,7 +18,7 @@
 // Envelope; the merger emits them in fault-arrival order within a
 // bounded reorder window, so a federation of one is byte-identical to a
 // bare analyzer (enforced by TestOneMemberFederationParity, the same
-// discipline as the shard and detect-worker parity tests).
+// discipline as the detect-worker parity tests).
 package federation
 
 import (

@@ -29,8 +29,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestOneMemberFederationParity is the ISSUE acceptance criterion: a
 // federation of one must produce byte-identical report output to a bare
-// analyzer over the same stream — same discipline as the shard and
-// detect-worker parity tests.
+// analyzer over the same stream — same discipline as the detect-worker
+// parity tests.
 func TestOneMemberFederationParity(t *testing.T) {
 	lib := experiments.BenchLibrary()
 	stream := experiments.FaultyBenchStream(20000)

@@ -216,13 +216,17 @@ func (r *Result) rates() {
 	}
 }
 
-// Drive pushes the stream through a GRETEL analyzer at full speed. If
-// the analyzer was configured with a detect worker pool
-// (Config.DetectWorkers > 0), detection runs in parallel with ingest,
-// and with a sharded ingest front-end (Config.IngestShards > 0) events
-// are fed in Config.IngestBatch chunks through IngestBatch; Close
-// drains the pipeline before the wall clock stops, so the measured
-// throughput includes finishing every report.
+// ingestChunk is how many events the slice-fed drivers (DriveFrom,
+// DriveWAL) hand IngestBatch at a time: with a capture attached, one
+// AppendBatch and one MarkProcessed per chunk, like a DriveTransport
+// hand-off.
+const ingestChunk = 256
+
+// Drive pushes the stream through a GRETEL analyzer at full speed, in
+// ingestChunk-sized batches. If the analyzer was configured with a
+// detect worker pool (Config.DetectWorkers > 0), detection runs in
+// parallel with ingest; Close drains the pipeline before the wall clock
+// stops, so the measured throughput includes finishing every report.
 func Drive(a *core.Analyzer, events []trace.Event) Result {
 	return DriveFrom(a, events, 0, 0)
 }
@@ -230,40 +234,23 @@ func Drive(a *core.Analyzer, events []trace.Event) Result {
 // DriveFrom is Drive with a resume offset and optional pacing: events
 // before skip are treated as already ingested (a restarted gretel
 // replays them from the WAL, then resumes the synthesized stream
-// here), and when pace > 0 the driver sleeps that long per 1000 events
-// — the crash-recovery smoke uses pacing to guarantee a kill -9 lands
-// mid-burst. Closes the analyzer like Drive.
+// here), and when pace > 0 the driver sleeps that long per 1000 events,
+// checked after each chunk — the crash-recovery smoke uses pacing to
+// guarantee a kill -9 lands mid-burst. Closes the analyzer like Drive.
 func DriveFrom(a *core.Analyzer, events []trace.Event, skip int, pace time.Duration) Result {
-	if skip > len(events) {
-		skip = len(events)
-	}
-	events = events[skip:]
+	events = events[min(skip, len(events)):]
 	start, bytes0 := time.Now(), a.Stats.Bytes
-	paceEvery := 1000
+	const paceEvery = 1000
 	sincePace := 0
-	step := func(n int) {
-		if pace <= 0 {
-			return
-		}
-		sincePace += n
-		for sincePace >= paceEvery {
-			sincePace -= paceEvery
-			time.Sleep(pace)
-		}
-	}
-	if batch := a.Config().IngestBatch; a.Config().IngestShards > 0 && batch > 0 {
-		for lo := 0; lo < len(events); lo += batch {
-			hi := lo + batch
-			if hi > len(events) {
-				hi = len(events)
+	for lo := 0; lo < len(events); lo += ingestChunk {
+		chunk := events[lo:min(lo+ingestChunk, len(events))]
+		a.IngestBatch(chunk)
+		if pace > 0 {
+			sincePace += len(chunk)
+			for sincePace >= paceEvery {
+				sincePace -= paceEvery
+				time.Sleep(pace)
 			}
-			a.IngestBatch(events[lo:hi])
-			step(hi - lo)
-		}
-	} else {
-		for i := range events {
-			a.Ingest(events[i])
-			step(1)
 		}
 	}
 	a.Close()

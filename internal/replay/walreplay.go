@@ -45,9 +45,8 @@ type WALDrive struct {
 
 // DriveWAL replays the write-ahead log at dir through the analyzer.
 // Records with sequence in [opt.From, opt.To] (0 = open bound) are fed
-// through IngestBatch in the analyzer's configured batch size (default
-// 256); corrupt or torn records are quarantined by the reader, never
-// fatal.
+// through IngestBatch in ingestChunk-sized batches; corrupt or torn
+// records are quarantined by the reader, never fatal.
 //
 // The analyzer is NOT flushed or closed: boot recovery continues
 // driving live events on the same analyzer (flushing here would tear
@@ -61,11 +60,7 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 	}
 	defer r.Close()
 
-	batchSize := a.Config().IngestBatch
-	if batchSize <= 0 {
-		batchSize = 256
-	}
-	batch := make([]trace.Event, 0, batchSize)
+	batch := make([]trace.Event, 0, ingestChunk)
 
 	start := time.Now()
 	var res WALResult
@@ -110,7 +105,7 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 		lastSeq = seq
 		res.Bytes += uint64(ev.WireBytes)
 		batch = append(batch, ev)
-		if len(batch) >= batchSize {
+		if len(batch) >= ingestChunk {
 			flush()
 		}
 	}

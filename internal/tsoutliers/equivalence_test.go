@@ -5,8 +5,9 @@ package tsoutliers
 // full re-sort, the naive median/mad oracles). Every test here feeds
 // the same stream to both and requires bit-identical behavior — same
 // alarms (kind, time, value, level, threshold), same shifts, same
-// level — because the analyzer's replay byte-identity across shard
-// counts rests on the detector being deterministic down to the float.
+// level — because the analyzer's replay byte-identity (live vs WAL,
+// inline vs pooled detection) rests on the detector being deterministic
+// down to the float.
 
 import (
 	"encoding/binary"

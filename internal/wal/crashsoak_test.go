@@ -280,9 +280,10 @@ func TestCaptureThroughAnalyzer(t *testing.T) {
 	}
 }
 
-// TestCaptureBatchedOnce guards the Ingest⇄IngestBatch routing: with
-// the sharded front-end on, each event must be captured exactly once
-// whichever public entry point it came through.
+// TestCaptureBatchedOnce guards the capture bracket Ingest and
+// IngestBatch share: each event must be captured exactly once, in
+// order, whichever public entry point it came through, and the consumer
+// cursor must end on the last record.
 func TestCaptureBatchedOnce(t *testing.T) {
 	events := replay.Synthesize(replay.StreamConfig{Concurrency: 50, Events: 600, Seed: 3})
 	dir := t.TempDir()
@@ -290,7 +291,7 @@ func TestCaptureBatchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := core.New(experiments.BenchLibrary(), core.Config{IngestShards: 2, IngestBatch: 64})
+	a := core.New(experiments.BenchLibrary(), core.Config{})
 	a.SetCapture(l)
 	// Mix entry points: batches and single-event ingests.
 	a.IngestBatch(events[:256])
@@ -299,6 +300,9 @@ func TestCaptureBatchedOnce(t *testing.T) {
 	}
 	a.IngestBatch(events[300:])
 	a.Close()
+	if l.Cursor() != uint64(len(events)) {
+		t.Fatalf("cursor %d, want %d (the last record)", l.Cursor(), len(events))
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
