@@ -15,9 +15,8 @@ package agent
 import (
 	"bytes"
 	"net"
+	"net/netip"
 	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
 	"gretel/internal/amqp"
@@ -37,6 +36,7 @@ var (
 	mParsed         = telemetry.GetCounter("agent.packets_parsed")
 	mParseErrors    = telemetry.GetCounter("agent.parse_errors")
 	mPendingEvicted = telemetry.GetCounter("agent.pending_evicted")
+	mBadEndpoints   = telemetry.GetCounter("agent.monitor.bad_endpoints")
 	mEmittedBySvc   = func() []*telemetry.Counter {
 		svcs := trace.Services()
 		out := make([]*telemetry.Counter, len(svcs)+1) // values are contiguous from SvcUnknown
@@ -104,9 +104,11 @@ type Monitor struct {
 	// pkt and ev are the packet being handled and the event being
 	// built. They live here rather than on HandlePacket's stack because
 	// their addresses reach Emit, which would otherwise move both to the
-	// heap on every packet.
-	pkt cluster.Packet
-	ev  trace.Event
+	// heap on every packet. src and dst are pkt's endpoints, parsed once.
+	pkt      cluster.Packet
+	src, dst netip.AddrPort
+	eps      endpoints
+	ev       trace.Event
 	// scratch is reused for the normalized path and the failure scan.
 	scratch []byte
 	// apis interns API.Method and API.Path: a finite set, so an event's
@@ -163,45 +165,69 @@ func NewMonitor(node string, sink Sink, truth GroundTruth) *Monitor {
 	}
 }
 
-// The well-known ports as the wire spells them, built once.
+// The well-known ports, built once.
 var (
-	mysqlPort     = strconv.Itoa(cluster.ServicePorts[trace.SvcMySQL])
-	serviceByPort = func() map[string]trace.Service {
-		out := make(map[string]trace.Service, len(cluster.ServicePorts))
+	mysqlPort     = uint16(cluster.ServicePorts[trace.SvcMySQL])
+	serviceByPort = func() map[uint16]trace.Service {
+		out := make(map[uint16]trace.Service, len(cluster.ServicePorts))
 		for svc, p := range cluster.ServicePorts {
-			out[strconv.Itoa(p)] = svc
+			out[uint16(p)] = svc
 		}
 		return out
 	}()
 )
 
-// portOf returns the port of an "ip:port" endpoint, "" if it has none.
-func portOf(addr string) string {
-	_, port, _ := strings.Cut(addr, ":")
-	return port
+// endpoints turns a packet's "ip:port" (or "[ip6]:port") strings into
+// values, memoized: a deployment's listeners are a handful of strings
+// and a client's ephemeral endpoint recurs on every packet of its
+// connection, so most packets parse nothing. Direct-mapped on the
+// string's last four bytes (the port's digits, where endpoints differ
+// most); a collision just parses again.
+type endpoints [256]struct {
+	addr string
+	ep   netip.AddrPort
 }
 
-// relevant implements the capture filter: GRETEL monitors only the
-// "relevant OpenStack REST and RPC communication" (§5); database traffic
-// (MySQL's port) is invisible to it by design — its effects surface
-// through API errors and the dependency watchers instead.
-func relevant(pkt *cluster.Packet) bool {
-	return portOf(pkt.SrcAddr) != mysqlPort && portOf(pkt.DstAddr) != mysqlPort
+// parse returns addr's endpoint without its zone — a captured packet
+// carries none, and the event body has no room for one. One that does
+// not parse is the zero value, counted at every sighting: the event
+// still flows, classified without its port.
+func (c *endpoints) parse(addr string) netip.AddrPort {
+	n := len(addr)
+	if n < 4 { // too short for an endpoint, and for the hash
+		mBadEndpoints.Inc()
+		return netip.AddrPort{}
+	}
+	h := uint32(addr[n-1]) | uint32(addr[n-2])<<8 | uint32(addr[n-3])<<16 | uint32(addr[n-4])<<24
+	e := &c[h*0x9E3779B1>>24]
+	if e.addr != addr {
+		ep, err := netip.ParseAddrPort(addr)
+		if err != nil {
+			mBadEndpoints.Inc()
+			return netip.AddrPort{}
+		}
+		e.addr, e.ep = addr, netip.AddrPortFrom(ep.Addr().WithZone(""), ep.Port())
+	}
+	return e.ep
 }
 
 // HandlePacket ingests one tapped packet, reassembling the directional
-// byte stream and parsing any complete messages. Irrelevant traffic
-// (database protocol) is dropped by the capture filter. The payload is
-// only read, and nothing the Monitor keeps or delivers aliases it once
-// HandlePacket returns.
+// byte stream and parsing any complete messages. The capture filter
+// drops irrelevant traffic: GRETEL monitors only the "relevant OpenStack
+// REST and RPC communication" (§5); database traffic (MySQL's port) is
+// invisible to it by design — its effects surface through API errors
+// and the dependency watchers instead. The payload is only read, and
+// nothing the Monitor keeps or delivers aliases it once HandlePacket
+// returns.
 func (m *Monitor) HandlePacket(pkt cluster.Packet) {
 	mPacketsSeen.Inc()
-	if !relevant(&pkt) {
+	src, dst := m.eps.parse(pkt.SrcAddr), m.eps.parse(pkt.DstAddr)
+	if src.Port() == mysqlPort || dst.Port() == mysqlPort {
 		m.Ignored++
 		mPacketsIrrel.Inc()
 		return
 	}
-	m.pkt = pkt
+	m.pkt, m.src, m.dst = pkt, src, dst
 	key := streamKey{pkt.ConnID, pkt.SrcAddr}
 	// In place when nothing is held for the stream — every packet of a
 	// message-per-packet sender; otherwise behind the held tail.
@@ -274,8 +300,8 @@ func (m *Monitor) begin(typ trace.EventType, wire int) *trace.Event {
 		Type:      typ,
 		SrcNode:   pkt.SrcNode,
 		DstNode:   pkt.DstNode,
-		SrcAddr:   pkt.SrcAddr,
-		DstAddr:   pkt.DstAddr,
+		SrcAddr:   m.src,
+		DstAddr:   m.dst,
 		ConnID:    pkt.ConnID,
 		WireBytes: wire,
 	}
@@ -315,7 +341,7 @@ func OwnerPolicy(node string) func(ev *trace.Event, pkt *cluster.Packet) bool {
 func (m *Monitor) emitRESTRequest(req *rest.RequestView, wire int) {
 	svc := serviceFromHost(req.Header.Get("Host"))
 	if svc == trace.SvcUnknown {
-		svc = serviceFromPort(m.pkt.DstAddr)
+		svc = serviceFromPort(m.dst)
 	}
 	m.scratch = rest.AppendNormalizedPath(m.scratch[:0], req.Path)
 	api := trace.RESTAPI(svc, m.apis.Intern(req.Method), m.apis.Intern(m.scratch))
@@ -334,7 +360,7 @@ func (m *Monitor) emitRESTResponse(resp *rest.ResponseView, wire int) {
 		ev.API = api
 	} else {
 		// Unpaired response: classify by source port only.
-		ev.API = trace.RESTAPI(serviceFromPort(m.pkt.SrcAddr), "", "")
+		ev.API = trace.RESTAPI(serviceFromPort(m.src), "", "")
 	}
 	if resp.Status >= 400 {
 		if mtx := errMessageRe.FindSubmatch(resp.Body); mtx != nil {
@@ -389,10 +415,10 @@ func serviceFromHost(host []byte) trace.Service {
 	return trace.ServiceByName(string(host))
 }
 
-// serviceFromPort maps an "ip:port" endpoint to the service listening on
-// that well-known port.
-func serviceFromPort(addr string) trace.Service {
-	return serviceByPort[portOf(addr)] // SvcUnknown, the zero Service, when absent
+// serviceFromPort maps an endpoint to the service listening on that
+// well-known port.
+func serviceFromPort(ep netip.AddrPort) trace.Service {
+	return serviceByPort[ep.Port()] // SvcUnknown, the zero Service, when absent
 }
 
 // serviceFromTopic maps broker routing metadata to the consumer service.

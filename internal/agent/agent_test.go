@@ -3,6 +3,7 @@ package agent
 import (
 	"encoding/json"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestMonitorParsesRESTExchange(t *testing.T) {
 func TestMonitorNormalizesConcreteIDs(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(2, "a:1", "b:9292",
+	m.HandlePacket(pkt(2, "10.0.0.1:1", "10.0.0.2:9292",
 		restReqBytes("PUT", "/v2/images/6f1c3b2a-99aa-4b1c-8d77-aabbccddeeff/file", "glance")))
 	if got := (*events)[0].API.Path; got != "/v2/images/{id}/file" {
 		t.Fatalf("path = %q", got)
@@ -74,25 +75,62 @@ func TestMonitorNormalizesConcreteIDs(t *testing.T) {
 func TestMonitorFallsBackToPortClassification(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(3, "a:1", "10.0.0.4:9696", restReqBytes("GET", "/v2.0/ports.json", "")))
+	m.HandlePacket(pkt(3, "10.0.0.1:1", "10.0.0.4:9696", restReqBytes("GET", "/v2.0/ports.json", "")))
 	if got := (*events)[0].API.Service; got != trace.SvcNeutron {
 		t.Fatalf("service = %v (want port-based neutron)", got)
+	}
+}
+
+// TestMonitorIPv6Endpoints: the capture filter and the port fallback read
+// the port of a bracketed IPv6 endpoint (cutting at the first colon found
+// none, so database bytes reached the scanners and every IPv6 listener
+// was SvcUnknown). A zone does not survive the tap; an endpoint that does
+// not parse, or is not there, is counted, and its event still flows.
+func TestMonitorIPv6Endpoints(t *testing.T) {
+	events, sink := collect()
+	m := NewMonitor("n1", sink, nil)
+	m.HandlePacket(pkt(1, "[fd00::1]:40000", "[fd00::5]:3306", []byte("\x03SELECT 1")))
+	if m.Ignored != 1 || m.ParseErrors != 0 || len(*events) != 0 {
+		t.Fatalf("IPv6 MySQL packet: ignored=%d errors=%d events=%d, want it filtered", m.Ignored, m.ParseErrors, len(*events))
+	}
+	m.HandlePacket(pkt(2, "[fd00::2%eth0]:9292", "[fd00::1]:40000", restRespBytes(200, `{}`)))
+	if len(*events) != 1 {
+		t.Fatalf("events = %d, want the unpaired response", len(*events))
+	}
+	if ev := (*events)[0]; ev.API != trace.RESTAPI(trace.SvcGlance, "", "") ||
+		ev.SrcAddr != netip.MustParseAddrPort("[fd00::2]:9292") || ev.DstAddr != netip.MustParseAddrPort("[fd00::1]:40000") {
+		t.Fatalf("IPv6 :9292 response: %+v, want glance from [fd00::2]:9292 without its zone", ev)
+	}
+
+	bad := mBadEndpoints.Value()
+	m.HandlePacket(pkt(3, "a:1", "10.0.0.4:9696", restReqBytes("GET", "/v2.0/ports.json", "")))
+	m.HandlePacket(pkt(4, "", "10.0.0.4:9696", restReqBytes("GET", "/v2.0/ports.json", "")))
+	if got := mBadEndpoints.Value() - bad; got != 2 {
+		t.Fatalf("agent.monitor.bad_endpoints grew by %d, want 2", got)
+	}
+	for _, ev := range (*events)[1:] {
+		if ev.SrcAddr.IsValid() || ev.DstAddr != netip.MustParseAddrPort("10.0.0.4:9696") || ev.API.Service != trace.SvcNeutron {
+			t.Fatalf("event with an unusable source endpoint: %+v", ev)
+		}
+	}
+	if len(*events) != 3 {
+		t.Fatalf("events = %d, want 3", len(*events))
 	}
 }
 
 func TestMonitorExtractsErrorText(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(4, "a:1", "b:9292", restReqBytes("PUT", "/v2/images/1234abcd99/file", "glance")))
-	m.HandlePacket(pkt(4, "b:9292", "a:1",
+	m.HandlePacket(pkt(4, "10.0.0.1:1", "10.0.0.2:9292", restReqBytes("PUT", "/v2/images/1234abcd99/file", "glance")))
+	m.HandlePacket(pkt(4, "10.0.0.2:9292", "10.0.0.1:1",
 		restRespBytes(413, `{"error": {"code": 413, "message": "Request Entity Too Large"}}`)))
 	resp := (*events)[1]
 	if resp.ErrorText != "Request Entity Too Large" {
 		t.Fatalf("error text = %q", resp.ErrorText)
 	}
 	// Error body without a message field falls back to the reason phrase.
-	m.HandlePacket(pkt(5, "a:1", "b:9292", restReqBytes("GET", "/v2/images", "glance")))
-	m.HandlePacket(pkt(5, "b:9292", "a:1", restRespBytes(503, `{}`)))
+	m.HandlePacket(pkt(5, "10.0.0.1:1", "10.0.0.2:9292", restReqBytes("GET", "/v2/images", "glance")))
+	m.HandlePacket(pkt(5, "10.0.0.2:9292", "10.0.0.1:1", restRespBytes(503, `{}`)))
 	if got := (*events)[3].ErrorText; got != "Service Unavailable" {
 		t.Fatalf("fallback error text = %q", got)
 	}
@@ -104,11 +142,11 @@ func TestMonitorSplitPackets(t *testing.T) {
 	m := NewMonitor("n1", sink, nil)
 	raw := restReqBytes("GET", "/v2.1/servers/detail", "nova")
 	half := len(raw) / 2
-	m.HandlePacket(pkt(6, "a:1", "b:8774", raw[:half]))
+	m.HandlePacket(pkt(6, "10.0.0.1:1", "10.0.0.2:8774", raw[:half]))
 	if len(*events) != 0 {
 		t.Fatal("emitted event from half a message")
 	}
-	m.HandlePacket(pkt(6, "a:1", "b:8774", raw[half:]))
+	m.HandlePacket(pkt(6, "10.0.0.1:1", "10.0.0.2:8774", raw[half:]))
 	if len(*events) != 1 {
 		t.Fatalf("events = %d after reassembly", len(*events))
 	}
@@ -118,7 +156,7 @@ func TestMonitorPipelinedMessages(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
 	raw := append(restReqBytes("GET", "/a", "nova"), restReqBytes("GET", "/b", "nova")...)
-	m.HandlePacket(pkt(7, "a:1", "b:8774", raw))
+	m.HandlePacket(pkt(7, "10.0.0.1:1", "10.0.0.2:8774", raw))
 	if len(*events) != 2 {
 		t.Fatalf("events = %d, want 2 from one packet", len(*events))
 	}
@@ -143,12 +181,12 @@ func rpcBytes(t *testing.T, methodID uint16, exchange, key, msgID, method, failu
 func TestMonitorSkipsPublishLegByDefault(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(8, "a:1", "b:5672",
+	m.HandlePacket(pkt(8, "10.0.0.1:1", "10.0.0.2:5672",
 		rpcBytes(t, amqp.BasicPublish, "nova", "compute", "m1", "build_and_run_instance", "", "reply_nova")))
 	if len(*events) != 0 {
 		t.Fatal("publish leg reported")
 	}
-	m.HandlePacket(pkt(9, "b:5672", "c:8775",
+	m.HandlePacket(pkt(9, "10.0.0.2:5672", "10.0.0.3:8775",
 		rpcBytes(t, amqp.BasicDeliver, "nova", "compute", "m1", "build_and_run_instance", "", "reply_nova")))
 	if len(*events) != 1 {
 		t.Fatal("deliver leg not reported")
@@ -160,7 +198,7 @@ func TestMonitorSkipsPublishLegByDefault(t *testing.T) {
 
 	m2 := NewMonitor("n2", sink, nil)
 	m2.ReportPublishLeg = true
-	m2.HandlePacket(pkt(10, "a:1", "b:5672",
+	m2.HandlePacket(pkt(10, "10.0.0.1:1", "10.0.0.2:5672",
 		rpcBytes(t, amqp.BasicPublish, "nova", "compute", "m2", "x", "", "reply_nova")))
 	if len(*events) != 2 {
 		t.Fatal("publish leg not reported when enabled")
@@ -171,15 +209,15 @@ func TestMonitorRPCCastAndReply(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
 	// Cast: method set, no reply-to.
-	m.HandlePacket(pkt(11, "b:5672", "c:8775",
+	m.HandlePacket(pkt(11, "10.0.0.2:5672", "10.0.0.3:8775",
 		rpcBytes(t, amqp.BasicDeliver, "nova", "topic.nova", "hb1", "report_state", "", "")))
 	if (*events)[0].Type != trace.RPCCast {
 		t.Fatalf("cast type = %v", (*events)[0].Type)
 	}
 	// Call then failed reply pairs by msg id and carries the failure text.
-	m.HandlePacket(pkt(12, "b:5672", "c:8775",
+	m.HandlePacket(pkt(12, "10.0.0.2:5672", "10.0.0.3:8775",
 		rpcBytes(t, amqp.BasicDeliver, "cinder", "topic.cinder", "m9", "create_volume", "", "reply_cinder")))
-	m.HandlePacket(pkt(13, "b:5672", "d:8776",
+	m.HandlePacket(pkt(13, "10.0.0.2:5672", "10.0.0.4:8776",
 		rpcBytes(t, amqp.BasicDeliver, "", "reply_cinder", "m9", "", "VolumeBackendAPIException: boom", "")))
 	reply := (*events)[2]
 	if reply.Type != trace.RPCReply || reply.Status == 0 {
@@ -201,7 +239,7 @@ func TestMonitorGroundTruthDecoration(t *testing.T) {
 		}
 		return 0, ""
 	})
-	m.HandlePacket(pkt(20, "a:1", "b:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
+	m.HandlePacket(pkt(20, "10.0.0.1:1", "10.0.0.2:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
 	if (*events)[0].OpID != 77 || (*events)[0].OpName != "vm-create" {
 		t.Fatalf("ground truth missing: %+v", (*events)[0])
 	}
@@ -210,7 +248,7 @@ func TestMonitorGroundTruthDecoration(t *testing.T) {
 func TestMonitorAbandonsCorruptStream(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(21, "a:1", "b:8774", []byte("GARBAGE\r\nNoColon\r\n\r\n")))
+	m.HandlePacket(pkt(21, "10.0.0.1:1", "10.0.0.2:8774", []byte("GARBAGE\r\nNoColon\r\n\r\n")))
 	if len(*events) != 0 {
 		t.Fatal("event from garbage")
 	}
@@ -223,15 +261,15 @@ func TestMonitorAbandonsCorruptStream(t *testing.T) {
 		t.Fatalf("%d streams held after a corrupt one was abandoned", len(m.streams))
 	}
 	for i := 0; i < 100; i++ {
-		m.HandlePacket(pkt(21, "a:1", "b:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
+		m.HandlePacket(pkt(21, "10.0.0.1:1", "10.0.0.2:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
 	}
 	if len(*events) != 100 || m.ParseErrors != 1 || len(m.streams) != 0 {
 		t.Fatalf("after 100 valid requests: events=%d errors=%d streams=%d", len(*events), m.ParseErrors, len(m.streams))
 	}
 	// The same on the held-tail path: garbage arriving behind a partial
 	// message drops the tail with it.
-	m.HandlePacket(pkt(22, "a:1", "b:8774", []byte("GARBAGE\r\nNoCol")))
-	m.HandlePacket(pkt(22, "a:1", "b:8774", []byte("on\r\n\r\n")))
+	m.HandlePacket(pkt(22, "10.0.0.1:1", "10.0.0.2:8774", []byte("GARBAGE\r\nNoCol")))
+	m.HandlePacket(pkt(22, "10.0.0.1:1", "10.0.0.2:8774", []byte("on\r\n\r\n")))
 	if m.ParseErrors != 2 || len(m.streams) != 0 {
 		t.Fatalf("split garbage: errors=%d streams=%d", m.ParseErrors, len(m.streams))
 	}
@@ -244,10 +282,11 @@ func TestServiceHelpers(t *testing.T) {
 	if serviceFromHost([]byte("whatever")) != trace.SvcUnknown || serviceFromHost(nil) != trace.SvcUnknown {
 		t.Error("serviceFromHost unknown")
 	}
-	if serviceFromPort("1.2.3.4:9696") != trace.SvcNeutron {
+	var eps endpoints
+	if serviceFromPort(eps.parse("1.2.3.4:9696")) != trace.SvcNeutron || serviceFromPort(eps.parse("[fd00::4%eth0]:9696")) != trace.SvcNeutron {
 		t.Error("serviceFromPort")
 	}
-	if serviceFromPort("nonsense") != trace.SvcUnknown || serviceFromPort("1.2.3.4:1") != trace.SvcUnknown {
+	if serviceFromPort(eps.parse("nonsense")) != trace.SvcUnknown || serviceFromPort(eps.parse("1.2.3.4:1")) != trace.SvcUnknown {
 		t.Error("serviceFromPort unknown")
 	}
 	cases := map[[2]string]trace.Service{

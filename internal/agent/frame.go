@@ -72,20 +72,19 @@ type heartbeatBody struct {
 	Shed  uint64 `json:"shed,omitempty"`
 }
 
-// eventFrame encodes ev's binary body after a reserved header, in the
-// one buffer the frame will live in; seglog.Seal finishes it once the
-// sequence number is known.
-func eventFrame(ev *trace.Event) []byte {
-	fr := make([]byte, frameHdrLen, frameHdrLen+trace.EventSizeHint(ev))
-	return trace.AppendEvent(fr, ev)
+// appendEventFrame appends ev as one sealed event frame: the binary body
+// is encoded in place after the header, in whatever buffer dst is.
+func appendEventFrame(dst []byte, ev *trace.Event, seq uint64) []byte {
+	start := len(dst)
+	dst = trace.AppendEvent(seglog.Reserve(dst), ev)
+	seglog.Seal(dst[start:], frameEvent, seq)
+	return dst
 }
 
 // WriteEvent encodes one unsequenced event frame (test and
 // single-purpose producers; the Sender assigns sequence numbers).
 func WriteEvent(w io.Writer, ev *trace.Event) error {
-	fr := eventFrame(ev)
-	seglog.Seal(fr, frameEvent, 0)
-	_, err := w.Write(fr)
+	_, err := w.Write(appendEventFrame(nil, ev, 0))
 	return err
 }
 

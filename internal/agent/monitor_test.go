@@ -50,7 +50,7 @@ func TestMonitorSplitAtEveryOffset(t *testing.T) {
 		events, sink := collect()
 		m := NewMonitor("n1", sink, nil)
 		for _, c := range chunks {
-			m.HandlePacket(pkt(1, "a:1", "b:9292", c))
+			m.HandlePacket(pkt(1, "10.0.0.1:1", "10.0.0.2:9292", c))
 		}
 		if len(m.streams) != 0 {
 			t.Fatalf("%d streams still held after a whole number of messages", len(m.streams))
@@ -89,14 +89,14 @@ func TestMonitorEventsOwnTheirStrings(t *testing.T) {
 	stream := bytes.Join([][]byte{req, resp, call, reply, cast}, nil)
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(1, "a:1", "b:9292", bytes.Clone(stream)))
+	m.HandlePacket(pkt(1, "10.0.0.1:1", "10.0.0.2:9292", bytes.Clone(stream)))
 	want := fmt.Sprintf("%+v", *events)
 
 	*events = nil
 	m = NewMonitor("n1", sink, nil)
 	for _, cut := range [][2]int{{0, len(req) + 10}, {len(req) + 10, len(stream) - 7}, {len(stream) - 7, len(stream)}} {
 		payload := bytes.Clone(stream[cut[0]:cut[1]])
-		m.HandlePacket(pkt(1, "a:1", "b:9292", payload))
+		m.HandlePacket(pkt(1, "10.0.0.1:1", "10.0.0.2:9292", payload))
 		for i := range payload {
 			payload[i] = 'X'
 		}
@@ -125,15 +125,15 @@ func TestMonitorAllocBudget(t *testing.T) {
 		src     string
 		budget  float64
 	}{
-		{"REST request", req, "a:1", 1},
-		{"REST response", resp, "b:9292", 1},
-		{"RPC call", call, "b:5672", 2},
-		{"RPC reply", okReply, "b:5672", 2},
-		{"RPC cast", cast, "b:5672", 2},
-		{"publish leg", publish, "a:1", 0},
-		{"MySQL packet", []byte("\x03SELECT 1"), "a:3306", 0},
+		{"REST request", req, "10.0.0.1:1", 1},
+		{"REST response", resp, "10.0.0.2:9292", 1},
+		{"RPC call", call, "10.0.0.2:5672", 2},
+		{"RPC reply", okReply, "10.0.0.2:5672", 2},
+		{"RPC cast", cast, "10.0.0.2:5672", 2},
+		{"publish leg", publish, "10.0.0.1:1", 0},
+		{"MySQL packet", []byte("\x03SELECT 1"), "10.0.0.1:3306", 0},
 	} {
-		p := pkt(1, c.src, "c:2", c.payload)
+		p := pkt(1, c.src, "10.0.0.3:2", c.payload)
 		m.HandlePacket(p) // warm: intern table, scratch, pending maps
 		parsed := m.Parsed
 		if got := testing.AllocsPerRun(200, func() { m.HandlePacket(p) }); got > c.budget {
@@ -141,6 +141,19 @@ func TestMonitorAllocBudget(t *testing.T) {
 		}
 		if c.budget > 0 && m.Parsed == parsed {
 			t.Errorf("%s: not parsed", c.name)
+		}
+		// The same budget when no two packets share a peer endpoint.
+		peers := make([]string, 202)
+		for i := range peers {
+			peers[i] = fmt.Sprintf("10.0.%d.%d:%d", 1+i/250, 1+i%250, 32768+i)
+		}
+		i := 0
+		if got := testing.AllocsPerRun(len(peers)-2, func() {
+			p.DstAddr = peers[i]
+			i++
+			m.HandlePacket(p)
+		}); got > c.budget {
+			t.Errorf("%s: %v allocations per packet from distinct peers, budget %v", c.name, got, c.budget)
 		}
 	}
 	if m.ParseErrors != 0 {
@@ -208,7 +221,7 @@ func TestMonitorMatchesReference(t *testing.T) {
 func TestMonitorHugeContentLength(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
-	m.HandlePacket(pkt(30, "a:1", "b:8774", []byte("GET /x HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\nabc")))
+	m.HandlePacket(pkt(30, "10.0.0.1:1", "10.0.0.2:8774", []byte("GET /x HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\nabc")))
 	if len(*events) != 0 || m.ParseErrors != 0 || len(m.streams) != 1 {
 		t.Fatalf("events=%d errors=%d streams=%d, want the message held", len(*events), m.ParseErrors, len(m.streams))
 	}
@@ -221,17 +234,17 @@ func TestMonitorCapsReassemblyBuffer(t *testing.T) {
 	events, sink := collect()
 	m := NewMonitor("n1", sink, nil)
 	chunk := bytes.Repeat([]byte("X-Filler: never a blank line\r\n"), 1024)
-	m.HandlePacket(pkt(31, "a:1", "b:8774", []byte("GET /x HTTP/1.1\r\n")))
+	m.HandlePacket(pkt(31, "10.0.0.1:1", "10.0.0.2:8774", []byte("GET /x HTTP/1.1\r\n")))
 	for sent := 0; sent <= maxStreamBytes; sent += len(chunk) {
-		m.HandlePacket(pkt(31, "a:1", "b:8774", chunk))
-		if held := len(m.streams[streamKey{31, "a:1"}]); held > maxStreamBytes {
+		m.HandlePacket(pkt(31, "10.0.0.1:1", "10.0.0.2:8774", chunk))
+		if held := len(m.streams[streamKey{31, "10.0.0.1:1"}]); held > maxStreamBytes {
 			t.Fatalf("%d bytes held, cap is %d", held, maxStreamBytes)
 		}
 	}
 	if m.ParseErrors != 1 || len(m.streams) != 0 {
 		t.Fatalf("errors=%d streams=%d, want one abandoned stream and nothing held", m.ParseErrors, len(m.streams))
 	}
-	m.HandlePacket(pkt(31, "a:1", "b:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
+	m.HandlePacket(pkt(31, "10.0.0.1:1", "10.0.0.2:8774", restReqBytes("GET", "/v2.1/servers", "nova")))
 	if len(*events) != 1 {
 		t.Fatalf("events = %d after the stream was abandoned, want 1", len(*events))
 	}
@@ -249,9 +262,9 @@ func TestMonitorCapsPendingTables(t *testing.T) {
 	id := bytes.Index(call, []byte("msg-0000000001"))
 	const n = maxPending + 10
 	for i := 0; i < n; i++ {
-		m.HandlePacket(pkt(uint64(1000+i), "a:1", "b:8774", req))
+		m.HandlePacket(pkt(uint64(1000+i), "10.0.0.1:1", "10.0.0.2:8774", req))
 		copy(call[id:], fmt.Sprintf("msg-%010d", i))
-		m.HandlePacket(pkt(1, "b:5672", "c:8775", call))
+		m.HandlePacket(pkt(1, "10.0.0.2:5672", "10.0.0.3:8775", call))
 		rest, rpc := len(m.conns.young)+len(m.conns.old), len(m.calls.young)+len(m.calls.old)
 		if rest > maxPending || rpc > maxPending {
 			t.Fatalf("after %d requests: %d REST and %d RPC entries pending, cap %d", i+1, rest, rpc, maxPending)
@@ -262,8 +275,8 @@ func TestMonitorCapsPendingTables(t *testing.T) {
 	}
 	*events = nil
 	resp := restRespBytes(200, `{}`)
-	m.HandlePacket(pkt(1000, "b:8774", "a:1", resp))     // evicted
-	m.HandlePacket(pkt(1000+n-1, "b:8774", "a:1", resp)) // recent
+	m.HandlePacket(pkt(1000, "10.0.0.2:8774", "10.0.0.1:1", resp))     // evicted
+	m.HandlePacket(pkt(1000+n-1, "10.0.0.2:8774", "10.0.0.1:1", resp)) // recent
 	if old, recent := (*events)[0], (*events)[1]; old.API != trace.RESTAPI(trace.SvcNova, "", "") ||
 		recent.API != trace.RESTAPI(trace.SvcNova, "GET", "/v2.1/servers") {
 		t.Fatalf("evicted response API %+v, recent %+v", old.API, recent.API)

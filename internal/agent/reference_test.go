@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"net/netip"
 	"strings"
 
 	"gretel/internal/amqp"
@@ -151,12 +152,19 @@ func (m *refMonitor) base(pkt cluster.Packet, wire int) trace.Event {
 		Time:      pkt.Time,
 		SrcNode:   pkt.SrcNode,
 		DstNode:   pkt.DstNode,
-		SrcAddr:   pkt.SrcAddr,
-		DstAddr:   pkt.DstAddr,
+		SrcAddr:   refEndpoint(pkt.SrcAddr),
+		DstAddr:   refEndpoint(pkt.DstAddr),
 		ConnID:    pkt.ConnID,
 		WireBytes: wire,
 	}
 	return ev
+}
+
+// refEndpoint is the event's view of a packet endpoint; the reference
+// keeps classifying by the packet's own strings.
+func refEndpoint(addr string) netip.AddrPort {
+	ep, _ := netip.ParseAddrPort(addr)
+	return ep
 }
 
 func (m *refMonitor) decorate(ev *trace.Event) {

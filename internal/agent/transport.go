@@ -148,18 +148,19 @@ func (c *SenderConfig) defaults() {
 	}
 }
 
-// sockBufBytes bounds the kernel buffer at each end of a transport
-// connection: the sender's write buffer (set by the default Dialer) and
-// the receiver's read buffer (set on accept). The plane bounds what is
-// in flight in frames — the spill ring, the receiver's batch queue —
-// but the kernel buffers bound it in bytes, and every compact frame
-// queued there is report lag. The faster the producer, the smaller the
-// bound has to be: an agent that outruns the analyzer keeps every queue
-// between them full, and by Little's law that standing backlog is the
-// lag. 64 KiB still holds some four hundred events per direction, so a
-// fast consumer never starves (DESIGN.md "Kernel buffers are part of
-// the backlog" has the sweep).
-const sockBufBytes = 64 << 10
+// sockBufBytes bounds each byte-counted buffer of a transport connection:
+// the sender's stage, its kernel write buffer (set by the default
+// Dialer), the kernel read buffer (set on accept) and the receiver's
+// reader. The plane bounds what is in flight in frames — the spill ring,
+// the receiver's batch queue — but these bound it in bytes, and every
+// compact frame queued there is report lag. The faster the producer, the
+// smaller the bound has to be: an agent that outruns the analyzer keeps
+// every queue between them full, and by Little's law that standing
+// backlog is the lag. And the smaller the frame, the smaller the bound:
+// 56 KiB of 116-byte frames is the some four hundred events per buffer
+// that 64 KiB of 132-byte ones was, so a fast consumer never starves
+// (DESIGN.md "Kernel buffers are part of the backlog" has the sweeps).
+const sockBufBytes = 56 << 10
 
 // recvEventBuffer bounds, in events, the other standing queue ahead of
 // the analyzer — decoded, not yet ingested — by the same argument: enough
@@ -171,11 +172,23 @@ const (
 	recvBatchQueue  = recvEventBuffer/recvBatchMax - 1
 )
 
-// wireFrame is one encoded frame retained in the spill ring.
-type wireFrame struct {
+// slot is one entry of the spill ring: a sealed frame in a buffer the
+// ring owns and reuses. spool encodes into it and takeFrames copies out
+// of it, both under s.mu, so its bytes are never read while rewritten.
+type slot struct {
 	seq  uint64
 	data []byte
 }
+
+const (
+	// A slot's buffer starts at slotMin bytes — room for an ordinary event
+	// frame, so it is allocated once — and one over slotKeep (a state
+	// update's) is let go at the slot's next event, not pinned Ring times.
+	slotMin, slotKeep = 192, 512
+	// takeBytes is what the writer copies out of the ring per lock
+	// acquisition. Send waits a take out, so it is kept short.
+	takeBytes = 8 << 10
+)
 
 // SenderStats is a point-in-time view of the sender's sequence space.
 type SenderStats struct {
@@ -199,16 +212,15 @@ type Sender struct {
 	cfg SenderConfig
 
 	mu      sync.Mutex
-	ring    []wireFrame
+	ring    []slot
 	head, n int    // circular: ring[head..head+n) holds contiguous seqs
 	nextSeq uint64 // last assigned sequence number
 	cursor  uint64 // next seq to write on the current connection
 	flushed uint64 // highest seq flushed to a socket
+	maxSent uint64 // highest seq ever taken for writing (replay detection)
 	shed    uint64
 	lastErr error
 	closed  bool
-
-	maxSent uint64 // highest seq ever written (replay detection); the writer goroutine's own
 
 	kick      chan struct{}
 	stop      chan struct{}
@@ -244,7 +256,7 @@ func DialConfig(cfg SenderConfig) (*Sender, error) {
 	}
 	s := &Sender{
 		cfg:       cfg,
-		ring:      make([]wireFrame, cfg.Ring),
+		ring:      make([]slot, cfg.Ring),
 		cursor:    1,
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
@@ -290,7 +302,7 @@ func (s *Sender) setErr(err error) {
 
 // Send spools one event. It never blocks and never fails; if the ring
 // is full the oldest unsent frame is shed and counted.
-func (s *Sender) Send(ev trace.Event) { s.enqueue(frameEvent, eventFrame(&ev)) }
+func (s *Sender) Send(ev trace.Event) { s.spool(&ev, nil) }
 
 // SendState spools one state update.
 func (s *Sender) SendState(u StateUpdate) {
@@ -300,14 +312,14 @@ func (s *Sender) SendState(u StateUpdate) {
 		telemetry.LogFirst("transport.encode", "agent: encoding frame: %v; dropping", err)
 		return
 	}
-	s.enqueue(frameState, append(make([]byte, frameHdrLen, frameHdrLen+len(body)), body...))
+	s.spool(nil, append(make([]byte, frameHdrLen, frameHdrLen+len(body)), body...))
 }
 
-// enqueue takes a frame whose body is already in place after the
-// reserved header bytes, assigns its sequence number, seals it, and
-// hands it to the ring — the buffer the caller encoded into is the one
-// the ring retains.
-func (s *Sender) enqueue(kind byte, data []byte) {
+// spool assigns the next sequence number and puts one frame in the ring:
+// ev, encoded straight into the slot's own buffer, or else state, a state
+// frame already built but for its header. A state frame is per-period and
+// large, so it brings its buffer; the slot drops it at its next event.
+func (s *Sender) spool(ev *trace.Event, state []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -315,24 +327,33 @@ func (s *Sender) enqueue(kind byte, data []byte) {
 		return
 	}
 	s.nextSeq++
-	seglog.Seal(data, kind, s.nextSeq)
-	fr := wireFrame{seq: s.nextSeq, data: data}
 	if s.n == len(s.ring) {
-		old := s.ring[s.head]
+		old := s.ring[s.head].seq
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
-		if old.seq >= s.cursor {
+		if old >= s.cursor {
 			// Evicted before it was ever written: deliberate, counted
 			// loss. The receiver will see the sequence gap too.
-			s.shed++
-			s.cursor = old.seq + 1
+			s.cursor = old + 1
 			mFramesShed.Inc()
-			telemetry.LogFirst("transport.shed",
-				"agent: spill ring full (%d frames) while disconnected from %s; shedding oldest", len(s.ring), s.target())
+			if s.shed++; s.shed == 1 { // not per frame: the arguments alone allocate
+				telemetry.LogFirst("transport.shed",
+					"agent: spill ring full (%d frames) while disconnected from %s; shedding oldest", len(s.ring), s.target())
+			}
 		}
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = fr
+	sl := &s.ring[(s.head+s.n)%len(s.ring)]
 	s.n++
+	sl.seq = s.nextSeq
+	if ev == nil {
+		seglog.Seal(state, frameState, sl.seq)
+		sl.data = state
+	} else {
+		if need := frameHdrLen + trace.EventSizeHint(ev); cap(sl.data) < need || cap(sl.data) > slotKeep {
+			sl.data = make([]byte, 0, max(need, slotMin))
+		}
+		sl.data = appendEventFrame(sl.data[:0], ev, sl.seq)
+	}
 	s.mu.Unlock()
 	select {
 	case s.kick <- struct{}{}:
@@ -340,62 +361,45 @@ func (s *Sender) enqueue(kind byte, data []byte) {
 	}
 }
 
-// takeFrames copies out the next run of contiguous unwritten frames under
-// one lock acquisition. Frame data is immutable once sealed, so the ring
-// may evict a slot whose copy is still being written.
-func (s *Sender) takeFrames(run []wireFrame) int {
+// takeFrames appends the next run of contiguous unwritten frames to stage
+// — takeBytes of them, or until it holds sockBufBytes — and moves the
+// cursor past them, under one lock acquisition. The writer sends its own
+// copy: the ring is free to overwrite a slot the moment the lock drops.
+func (s *Sender) takeFrames(stage []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
-		return 0
+		return stage
 	}
 	oldest := s.ring[s.head].seq
-	if s.cursor < oldest {
-		s.cursor = oldest
+	first := max(s.cursor, oldest)
+	limit := min(len(stage)+takeBytes, sockBufBytes)
+	for s.cursor = first; s.cursor <= s.nextSeq && len(stage) < limit; s.cursor++ {
+		stage = append(stage, s.ring[(s.head+int(s.cursor-oldest))%len(s.ring)].data...)
 	}
-	n := 0
-	for ; n < len(run) && s.cursor <= s.nextSeq; n++ {
-		run[n] = s.ring[(s.head+int(s.cursor-oldest))%len(s.ring)]
-		s.cursor++
-	}
-	return n
-}
-
-// helloBase is the sequence number immediately before the first frame
-// this connection can replay: the oldest retained ring entry minus one,
-// or the full assigned space when the ring is empty. Frames at or below
-// it are gone from this sender for good (shed, or consumed by a previous
-// session) — a receiver meeting this session for the first time starts
-// counting after it instead of calling the unseen prefix a gap.
-func (s *Sender) helloBase() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n > 0 {
-		return s.ring[s.head].seq - 1
-	}
-	return s.nextSeq
+	replayed := min(s.cursor, max(s.maxSent+1, first)) - first
+	mFramesReplayed.Add(replayed)
+	mFramesSent.Add(s.cursor - first - replayed)
+	s.maxSent = max(s.maxSent, s.cursor-1)
+	return stage
 }
 
 // rewind points the write cursor at the oldest retained frame — called
 // on every reconnect so frames a dying connection may have swallowed
-// are replayed (the receiver deduplicates by sequence number).
-func (s *Sender) rewind() {
+// are replayed (the receiver deduplicates by sequence number) — and
+// returns the hello's base: the sequence number immediately before it,
+// or the full assigned space when the ring is empty. Frames at or below
+// the base are gone from this sender for good (shed, or consumed by a
+// previous session) — a receiver meeting this session for the first time
+// starts counting after it instead of calling the unseen prefix a gap.
+func (s *Sender) rewind() (base uint64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cursor = s.nextSeq + 1
 	if s.n > 0 {
 		s.cursor = s.ring[s.head].seq
-	} else {
-		s.cursor = s.nextSeq + 1
 	}
-	s.mu.Unlock()
-}
-
-// noteFlushed records that everything written so far reached the socket.
-func (s *Sender) noteFlushed() {
-	s.mu.Lock()
-	if w := s.cursor - 1; w > s.flushed {
-		s.flushed = w
-	}
-	s.mu.Unlock()
+	return s.cursor - 1
 }
 
 // errSenderStopped signals an orderly stop through the writer loop.
@@ -478,14 +482,14 @@ func (s *Sender) dialLoop(rng *rand.Rand) net.Conn {
 }
 
 // stream drives one connection: hello, ring replay, live frames, and
-// idle heartbeats, until a write fails or the sender stops.
+// idle heartbeats, until a write fails or the sender stops. Frames reach
+// the socket from stage, the writer's own buffer, a write at a time: when
+// it is full, and whenever the ring has been drained.
 func (s *Sender) stream(conn net.Conn) error {
-	bw := bufio.NewWriterSize(&deadlineConn{Conn: conn, write: s.cfg.WriteTimeout}, 64<<10)
-	hello, _ := json.Marshal(helloBody{Agent: s.cfg.Agent, Session: s.cfg.Session, Base: s.helloBase()})
-	if _, err := bw.Write(seglog.AppendRecord(nil, frameHello, 0, hello)); err != nil {
-		return err
-	}
-	s.rewind()
+	w := &deadlineConn{Conn: conn, write: s.cfg.WriteTimeout}
+	hello, _ := json.Marshal(helloBody{Agent: s.cfg.Agent, Session: s.cfg.Session, Base: s.rewind()})
+	// A take stops at the first frame that reaches the bound: room for it.
+	stage := seglog.AppendRecord(make([]byte, 0, sockBufBytes+4096), frameHello, 0, hello)
 
 	var hbC <-chan time.Time
 	if s.cfg.Heartbeat > 0 {
@@ -493,27 +497,27 @@ func (s *Sender) stream(conn net.Conn) error {
 		defer t.Stop()
 		hbC = t.C
 	}
-	var run [64]wireFrame // frames taken per lock acquisition
 	for {
-		if n := s.takeFrames(run[:]); n > 0 {
-			for _, fr := range run[:n] {
-				if _, err := bw.Write(fr.data); err != nil {
-					return err
-				}
-				if fr.seq <= s.maxSent {
-					mFramesReplayed.Inc()
-				} else {
-					s.maxSent = fr.seq
-					mFramesSent.Inc()
-				}
+		had := len(stage)
+		stage = s.takeFrames(stage)
+		took := len(stage) > had
+		if took && len(stage) < sockBufBytes {
+			continue // frames are flowing: keep filling
+		}
+		if len(stage) > 0 {
+			if _, err := w.Write(stage); err != nil {
+				return err
 			}
+			stage = stage[:0]
+		}
+		if took {
 			continue
 		}
-		// Drained: push buffered frames out before waiting.
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		s.noteFlushed()
+		// Drained, and everything taken has reached the socket: say so
+		// (Drain and the callers' in-flight accounting read it), then wait.
+		s.mu.Lock()
+		s.flushed = max(s.flushed, s.cursor-1)
+		s.mu.Unlock()
 		select {
 		case <-s.kick:
 		case <-hbC:
@@ -525,24 +529,21 @@ func (s *Sender) stream(conn net.Conn) error {
 				continue // frames are flowing; they carry liveness
 			}
 			body, _ := json.Marshal(heartbeatBody{Agent: s.cfg.Agent, Shed: shed})
-			if _, err := bw.Write(seglog.AppendRecord(nil, frameHeartbeat, seq, body)); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
+			if _, err := w.Write(seglog.AppendRecord(stage, frameHeartbeat, seq, body)); err != nil {
 				return err
 			}
 			mHeartbeats.Inc()
 		case <-s.stop:
-			bw.Flush()
 			return errSenderStopped
 		}
 	}
 }
 
 // deadlineConn arms a connection's timeouts where the socket is actually
-// touched: frames pass through 64 KiB bufio layers on both sides, so a
-// deadline per frame is a clock read and a timer update for nothing on
-// all but one frame in hundreds.
+// touched: frames pass through sockBufBytes of buffer on both sides (the
+// sender's stage, the receiver's bufio.Reader), so a deadline per frame
+// is a clock read and a timer update for nothing on all but one frame in
+// hundreds.
 type deadlineConn struct {
 	net.Conn
 	read, write time.Duration // <= 0: that direction is never armed
@@ -987,7 +988,7 @@ func (r *Receiver) serve(conn net.Conn) {
 	mActiveConns.Add(1)
 	defer mActiveConns.Add(-1)
 	dc := &deadlineConn{Conn: conn, read: r.cfg.ReadTimeout}
-	br := bufio.NewReaderSize(dc, 64<<10)
+	br := bufio.NewReaderSize(dc, sockBufBytes)
 	// Until a hello identifies the agent, track by remote address.
 	agent := "conn:" + conn.RemoteAddr().String()
 	// Per-connection decode state: the frame body buffer is reused (every

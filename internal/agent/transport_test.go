@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
+	"net/netip"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,9 +35,7 @@ func sampleEvent(seq uint64) trace.Event {
 // kind 'B'. jsonFrame builds its legacy twin, the JSON body under kind
 // 'E' that receivers must keep reading.
 func binFrame(seq uint64, ev trace.Event) []byte {
-	fr := eventFrame(&ev)
-	seglog.Seal(fr, frameEvent, seq)
-	return fr
+	return appendEventFrame(nil, &ev, seq)
 }
 
 // readFrame reads one frame the way the receiver does.
@@ -788,4 +790,171 @@ func TestConcurrentSendDuringReconnect(t *testing.T) {
 		t.Fatalf("lastSeq = %d, want %d (monotonic sequence numbering broke)", st.LastSeq, total)
 	}
 	recv.Close()
+}
+
+// TestSendAllocatesNothingOnAWarmRing: once every slot of the ring has
+// held a frame, spooling an event to a connected analyzer is allocation
+// free — the frame is encoded into the slot's own buffer and the writer
+// sends from its own.
+func TestSendAllocatesNothingOnAWarmRing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(io.Discard, conn)
+	}()
+	cfg := fastSender(ln.Addr().String(), "warm")
+	cfg.Ring, cfg.Heartbeat = 256, -1
+	s, err := DialConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WaitConnected(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ev := sampleEvent(1)
+	ev.SrcAddr, ev.DstAddr = netip.MustParseAddrPort("10.0.0.7:41234"), netip.MustParseAddrPort("10.0.0.2:9292")
+	ev.MsgID, ev.CorrID = "9f3c1e", "req-4b1d"
+	for i := 0; i < 2*cfg.Ring; i++ {
+		s.Send(ev)
+	}
+	if n := testing.AllocsPerRun(20*cfg.Ring, func() {
+		ev.SrcAddr = netip.AddrPortFrom(ev.SrcAddr.Addr(), ev.SrcAddr.Port()+1)
+		s.Send(ev)
+	}); n != 0 {
+		t.Fatalf("Send on a warm ring: %v allocations per event, want 0", n)
+	}
+}
+
+// TestSendWhileWriterStalled is the case the ring's old aliasing rule
+// existed for: the writer is blocked inside a socket write while Send
+// keeps spooling until the ring has wrapped — twice — over the very slots
+// that write was taken from. When the write is released, every frame the
+// receiver admits must be intact (no CRC error, no resync, no decode
+// error, fields consistent) and delivered + missing == sent must close.
+func TestSendWhileWriterStalled(t *testing.T) {
+	recv, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	var damage []*telemetry.Counter
+	var before []uint64
+	for _, name := range []string{"transport.crc_errors", "transport.resyncs", "transport.bytes_skipped", "transport.decode_errors"} {
+		c := telemetry.GetCounter(name)
+		damage, before = append(damage, c), append(before, c.Value())
+	}
+
+	// The sender connects once the first burst is spooled, over a net.Pipe
+	// whose far end is not read until release closes: its first write — the
+	// hello and that burst — blocks, and says so on writing.
+	spooled, writing, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	cfg := fastSender(recv.Addr(), "staller")
+	cfg.Ring, cfg.Heartbeat, cfg.WriteTimeout = 128, -1, time.Minute
+	cfg.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-spooled
+		up, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		near, far := net.Pipe()
+		go func() {
+			defer up.Close()
+			<-release
+			io.Copy(up, far)
+		}()
+		return &signalConn{Conn: near, writing: writing}, nil
+	}
+	s, err := DialConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var delivered atomic.Uint64
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		last := uint64(0)
+		for ev := range recv.Events() {
+			if ev != stallEvent(ev.Seq) || ev.Seq <= last {
+				t.Errorf("admitted a damaged or reordered event after %d: %+v", last, ev)
+			}
+			last = ev.Seq
+			delivered.Add(1)
+		}
+	}()
+
+	sent := uint64(0)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			sent++
+			s.Send(stallEvent(sent))
+		}
+	}
+	burst := cfg.Ring / 2
+	send(burst)
+	close(spooled)
+	select {
+	case <-writing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer never wrote")
+	}
+	send(3 * cfg.Ring) // over the blocked write's slots, twice, and again
+	unblock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shed := s.Stats().Shed
+	if want := sent - uint64(burst+cfg.Ring); shed != want {
+		t.Fatalf("shed %d frames of %d, want %d: all but the blocked burst and the last ring", shed, sent, want)
+	}
+	ledger := func() AgentStat { return recv.AgentStats()["staller"] }
+	for deadline := time.Now().Add(10 * time.Second); delivered.Load()+ledger().Missing != sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger open: %d delivered + %d missing != %d sent", delivered.Load(), ledger().Missing, sent)
+		}
+	}
+	if st := ledger(); st.Missing != shed || st.Dups != 0 || st.LastSeq != sent {
+		t.Fatalf("receiver ledger %+v, want missing=%d (the sender's shed count) dups=0 lastSeq=%d", st, shed, sent)
+	}
+	recv.Close()
+	<-consumed
+	for i, c := range damage {
+		if got := c.Value() - before[i]; got != 0 {
+			t.Errorf("counter %d of the damage set grew by %d", i, got)
+		}
+	}
+}
+
+// signalConn closes writing when its first Write begins.
+type signalConn struct {
+	net.Conn
+	writing chan struct{}
+	once    sync.Once
+}
+
+func (c *signalConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	return c.Conn.Write(p)
+}
+
+// stallEvent is an event every field of which names its sequence number,
+// so bytes of two frames spliced together cannot pass for one.
+func stallEvent(seq uint64) trace.Event {
+	ev := sampleEvent(seq)
+	ev.ConnID, ev.OpID, ev.WireBytes = seq, seq, int(seq)
+	ev.SrcAddr = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(seq >> 16), byte(seq >> 8), byte(seq)}), uint16(seq))
+	ev.MsgID = strconv.FormatUint(seq, 16)
+	return ev
 }

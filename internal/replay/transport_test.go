@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"net/netip"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -242,9 +243,10 @@ func TestBatchPathMatchesPerEventReference(t *testing.T) {
 	// Ownership: the consumer owns the batch between receive and Recycle.
 	scribbled := newAnalyzer()
 	var count atomic.Uint64
+	scribble := netip.MustParseAddrPort("[2001:db8::5c]:65535")
 	garbage := trace.Event{
 		Seq: 1 << 40, Time: time.Unix(1, 1), Type: trace.RPCReply, API: trace.RPCAPI(trace.SvcSwift, "scribble"),
-		SrcNode: "scribble", DstNode: "scribble", SrcAddr: "scribble", DstAddr: "scribble", ConnID: 1 << 40,
+		SrcNode: "scribble", DstNode: "scribble", SrcAddr: scribble, DstAddr: scribble, ConnID: 1 << 40,
 		MsgID: "scribble", CorrID: "scribble", Status: 599, ErrorText: "scribble", WireBytes: 1 << 20, OpID: 1 << 40, OpName: "scribble",
 	}
 	scribbleStats := play(t, first, second, n, count.Load, func(recv *agent.Receiver) {

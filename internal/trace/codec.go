@@ -7,7 +7,7 @@
 // the paper's Bro agents streamed through Broccoli (§6). Integers are
 // varints (signed ones zig-zag), strings a uvarint length plus bytes:
 //
-//	byte     body version (1)
+//	byte     body version (2)
 //	uvarint  Seq
 //	varint   Time: Unix seconds
 //	uvarint  Time: nanoseconds, 0..999999999
@@ -16,7 +16,8 @@
 //	byte     API.Service
 //	byte     API.Kind
 //	string   API.Method, API.Path
-//	string   SrcNode, DstNode, SrcAddr, DstAddr
+//	string   SrcNode, DstNode
+//	endpoint SrcAddr, DstAddr
 //	uvarint  ConnID
 //	string   MsgID, CorrID
 //	varint   Status
@@ -24,6 +25,14 @@
 //	varint   WireBytes
 //	uvarint  OpID
 //	string   OpName
+//
+// An endpoint is fixed-width in memory (netip.AddrPort) and nearly so on
+// the wire: one length byte — 0 (no address), 4 or 16 — that many
+// address bytes, and the port as a uvarint. A zone is not carried: the
+// agents strip it, since a captured packet has none. Version 1 spelled
+// the endpoints as "ip:port" strings; nothing reads it — no log or agent
+// that wrote it is deployed — so a v1 body is an unknown version like
+// any other: skipped and counted on the wire, quarantined in a WAL.
 //
 // BodyJSON ('E') is the legacy encoding/json body. Nothing writes it any
 // more; it is decoded because old WAL segments and not-yet-upgraded
@@ -37,6 +46,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/netip"
 	"time"
 )
 
@@ -47,7 +58,7 @@ const (
 )
 
 const (
-	bodyVersion = 1
+	bodyVersion = 2
 	// internMax and internMaxLen bound an Interner: at most internMax
 	// strings of at most internMaxLen bytes each (128 KiB of string
 	// data), however many distinct values a peer sends. Past either
@@ -57,11 +68,12 @@ const (
 )
 
 // EventSizeHint estimates the length of ev's binary body: exact in the
-// strings, with room for typical integers. It sizes a buffer so the
-// usual AppendEvent does not grow it; a longer body still encodes.
+// strings, with room for typical integers and two IPv4 endpoints. It
+// sizes a buffer so the usual AppendEvent does not grow it; a longer
+// body still encodes.
 func EventSizeHint(ev *Event) int {
-	return 64 + len(ev.API.Method) + len(ev.API.Path) +
-		len(ev.SrcNode) + len(ev.DstNode) + len(ev.SrcAddr) + len(ev.DstAddr) +
+	return 80 + len(ev.API.Method) + len(ev.API.Path) +
+		len(ev.SrcNode) + len(ev.DstNode) +
 		len(ev.MsgID) + len(ev.CorrID) + len(ev.ErrorText) + len(ev.OpName)
 }
 
@@ -79,8 +91,8 @@ func AppendEvent(dst []byte, ev *Event) []byte {
 	dst = appendString(dst, ev.API.Path)
 	dst = appendString(dst, ev.SrcNode)
 	dst = appendString(dst, ev.DstNode)
-	dst = appendString(dst, ev.SrcAddr)
-	dst = appendString(dst, ev.DstAddr)
+	dst = appendEndpoint(dst, ev.SrcAddr)
+	dst = appendEndpoint(dst, ev.DstAddr)
 	dst = binary.AppendUvarint(dst, ev.ConnID)
 	dst = appendString(dst, ev.MsgID)
 	dst = appendString(dst, ev.CorrID)
@@ -96,12 +108,28 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// appendEndpoint writes ep without its zone. By hand, because
+// netip's AppendBinary is newer than go.mod's language version.
+func appendEndpoint(dst []byte, ep netip.AddrPort) []byte {
+	switch ip := ep.Addr(); {
+	case ip.Is4():
+		a := ip.As4()
+		dst = append(append(dst, 4), a[:]...)
+	case ip.Is6():
+		a := ip.As16()
+		dst = append(append(dst, 16), a[:]...)
+	default:
+		dst = append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(ep.Port()))
+}
+
 // Decoder decodes event bodies of one stream — a transport connection
 // or a WAL scan — and owns that stream's intern table, so the strings
-// that repeat on every event (API method and path, nodes, addresses,
-// operation name, error text) are allocated once per stream rather
-// than once per event. The zero value is ready to use; a Decoder is
-// not safe for concurrent use.
+// that repeat on every event (API method and path, nodes, operation
+// name, error text) are allocated once per stream rather than once per
+// event. The zero value is ready to use; a Decoder is not safe for
+// concurrent use.
 type Decoder struct {
 	intern Interner
 	// zone caches the last non-UTC fixed zone, so a stream stamped in
@@ -194,11 +222,26 @@ func (r *bodyReader) bytes() []byte {
 // str copies the next string out of the body (high-cardinality fields).
 func (r *bodyReader) str() string { return string(r.bytes()) }
 
+// endpoint reads what appendEndpoint wrote: the address is a
+// length-prefixed field like any other, of no, 4 or 16 bytes.
+func (r *bodyReader) endpoint() netip.AddrPort {
+	a := r.bytes()
+	ip, ok := netip.AddrFromSlice(a)
+	if !ok && len(a) != 0 {
+		r.err = fmt.Errorf("trace: endpoint address of %d bytes", len(a))
+	}
+	port := r.uvarint()
+	if port > math.MaxUint16 && r.err == nil {
+		r.err = fmt.Errorf("trace: endpoint port %d", port)
+	}
+	return netip.AddrPortFrom(ip, uint16(port))
+}
+
 // interned returns the next string through the stream's intern table.
 func (d *Decoder) interned(r *bodyReader) string { return d.intern.Intern(r.bytes()) }
 
 // Interner is a bounded string table for one stream of low-cardinality
-// strings (API methods and paths, nodes, addresses): Intern returns the
+// strings (API methods and paths, nodes): Intern returns the
 // same string for equal bytes without allocating, and once the table is
 // full it stops filling — it never evicts, so a string handed out stays
 // valid. The zero value is ready to use; an Interner is not safe for
@@ -237,8 +280,8 @@ func (d *Decoder) decodeBinary(body []byte, ev *Event) error {
 	ev.API.Path = d.interned(&r)
 	ev.SrcNode = d.interned(&r)
 	ev.DstNode = d.interned(&r)
-	ev.SrcAddr = d.interned(&r)
-	ev.DstAddr = d.interned(&r)
+	ev.SrcAddr = r.endpoint()
+	ev.DstAddr = r.endpoint()
 	ev.ConnID = r.uvarint()
 	ev.MsgID = r.str()
 	ev.CorrID = r.str()

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 )
 
@@ -207,8 +208,10 @@ type Event struct {
 	// SrcNode and DstNode are deployment node names (one service per node
 	// in the reference deployment, §5.4 "Improving precision").
 	SrcNode, DstNode string
-	// SrcAddr and DstAddr are "ip:port" endpoints from the wire.
-	SrcAddr, DstAddr string
+	// SrcAddr and DstAddr are the endpoints from the wire, zone-less;
+	// the zero value when the capture had none. As text and in JSON they
+	// are "ip:port", the zero value "".
+	SrcAddr, DstAddr netip.AddrPort
 	// ConnID identifies the TCP connection (REST pairing key).
 	ConnID uint64
 	// MsgID is the oslo.messaging message id (RPC pairing key).

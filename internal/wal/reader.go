@@ -22,8 +22,12 @@ type ReadStats = seglog.ScanStats
 // a concurrently appending writer is safe but its new records are not
 // seen.
 type Reader struct {
-	sc          *seglog.Scanner
-	dec         trace.Decoder // interns the scan's repeating strings
+	sc  *seglog.Scanner
+	dec trace.Decoder // interns the scan's repeating strings
+	// ev is what every record is decoded into. The decoder's pointer to
+	// it may reach encoding/json, so a per-call variable would be moved
+	// to the heap once per record; Next returns a copy of this one.
+	ev          trace.Event
 	undecodable uint64
 	span        telemetry.Span
 	done        bool
@@ -57,21 +61,21 @@ func (r *Reader) Stats() ReadStats {
 // Next returns the next intact record in sequence order, or io.EOF at
 // the end of the log. Corruption never surfaces as an error: damaged
 // bytes are skipped and quarantined, and the scan continues.
-func (r *Reader) Next() (seq uint64, ev trace.Event, err error) {
+func (r *Reader) Next() (uint64, trace.Event, error) {
 	for {
 		kind, seq, body, err := r.sc.Next()
 		if err != nil {
 			r.finish()
 			return 0, trace.Event{}, err
 		}
-		if err := r.dec.Decode(kind, body, &ev); err != nil {
+		if err := r.dec.Decode(kind, body, &r.ev); err != nil {
 			// CRC-intact but undecodable: a writer-side bug, not wire
 			// damage. Quarantined, not returned and not fatal.
 			r.undecodable++
 			continue
 		}
 		mRecovered.Inc()
-		return seq, ev, nil
+		return seq, r.ev, nil
 	}
 }
 

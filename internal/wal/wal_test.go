@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
@@ -680,5 +682,77 @@ func TestOpenTailScanReusesBuffer(t *testing.T) {
 	})
 	if allocs > 100 {
 		t.Fatalf("reopening a %d-record log made %.0f allocations: the tail scan allocates per record", records, allocs)
+	}
+}
+
+// TestV1RecordsAreQuarantined: a record whose body is the version-1
+// event encoding (the agent package's golden frame of it) is CRC-intact
+// and undecodable — quarantined and counted, its neighbours recovered,
+// recovered + quarantined == written.
+func TestV1RecordsAreQuarantined(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "agent", "testdata", "event_frame_binary_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(3)
+	seg := binRecord(nil, 1, evs[0])
+	seg = seglog.AppendRecord(seg, KindEvent, 2, v1[recHdrLen:])
+	seg = binRecord(seg, 3, evs[2])
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, stats := readAll(t, dir)
+	if stats.Records != 2 || stats.Quarantined != 1 || len(got) != 2 || got[0] != evs[0] || got[1] != evs[2] {
+		t.Fatalf("recovered %d (%d returned) + quarantined %d of 3 written with one v1 record", stats.Records, len(got), stats.Quarantined)
+	}
+}
+
+// TestReaderAllocatesOnlyIdentifiers: recovery decodes every record into
+// the reader's own event, so a scan of the tape's shape — each event from
+// its own ephemeral port — costs the two identifier strings per record
+// and nothing when a record has none.
+func TestReaderAllocatesOnlyIdentifiers(t *testing.T) {
+	const records = 10000
+	for _, tc := range []struct {
+		name string
+		ids  bool
+		max  float64
+	}{{"ids", true, 2}, {"no-ids", false, 0}} {
+		evs := testEvents(records)
+		for i := range evs {
+			evs[i].API = trace.RESTAPI(trace.SvcNova, "GET", "/v2.1/servers/{id}")
+			evs[i].SrcAddr = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), uint16(32768+i))
+			evs[i].DstAddr = netip.MustParseAddrPort("10.0.0.3:8774")
+			if tc.ids {
+				evs[i].MsgID, evs[i].CorrID = fmt.Sprintf("msg-%d", i), fmt.Sprintf("req-%d", i)
+			}
+		}
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SegmentBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		next := func() {
+			seq, ev, err := r.Next()
+			if err != nil || seq != uint64(i+1) || ev != evs[i] {
+				t.Fatalf("%s: record %d: seq %d, err %v, event %+v", tc.name, i+1, seq, err, ev)
+			}
+			i++
+		}
+		next() // the scan's one-time costs: segment open, body buffer, intern table
+		if got := testing.AllocsPerRun(records-2, next); got > tc.max {
+			t.Errorf("%s: %v allocations per recovered record, want <= %v", tc.name, got, tc.max)
+		}
+		r.Close()
 	}
 }
