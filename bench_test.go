@@ -1,11 +1,12 @@
-// Repository benchmarks: one per table/figure of the paper's evaluation
-// plus ablations of the design choices DESIGN.md calls out. Figures that
-// are sweeps are benchmarked at one representative cell; the
-// cmd/gretel-experiments binary regenerates the full sweeps.
+// Repository benchmarks: the tables and figures of the paper's
+// evaluation that are not one of the twelve pipeline scenarios
+// (scenario_bench_test.go, soak_bench_test.go — Table 1 and Fig 8c live
+// there), plus ablations of the design choices DESIGN.md calls out.
+// Figures that are sweeps are benchmarked at one representative cell;
+// the cmd/gretel-experiments binary regenerates the full sweeps.
 package gretel_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -18,20 +19,7 @@ import (
 	"gretel/internal/telemetry"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
-	"gretel/internal/tracestore"
-	"gretel/internal/tsoutliers"
 )
-
-// BenchmarkTable1_Characterization measures the full offline learning
-// pass: 1200 isolated test executions, noise filtering and LCS learning.
-func BenchmarkTable1_Characterization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table1(1, 1)
-		if res.FPMax != 384 {
-			b.Fatalf("FPmax = %d", res.FPMax)
-		}
-	}
-}
 
 // BenchmarkFig5_OverlapCDF measures the cross-category overlap CDF over
 // the full 1200-fingerprint library.
@@ -57,47 +45,8 @@ func BenchmarkFig7a_Precision(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8c_Throughput measures sustained analyzer throughput at the
-// paper's sweet spot (1 fault per 1000 messages) and reports Mbps. The
-// workload is the canonical faulty stream (internal/experiments/bench.go)
-// shared with the gretel-bench fig8c-parallel scenario.
-func BenchmarkFig8c_Throughput(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.FaultyBenchStream(100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res replay.Result
-	for i := 0; i < b.N; i++ {
-		a := core.New(lib, core.Config{})
-		res = replay.Drive(a, stream)
-	}
-	b.ReportMetric(res.Mbps, "Mbps")
-	b.ReportMetric(res.EventsPerSec, "events/s")
-}
-
-// BenchmarkFig8c_Parallel runs the same faulty stream with detection on
-// a worker pool of 1/2/4/8 workers (0 in BenchmarkFig8c_Throughput is
-// the inline baseline), so the concurrency speedup lands in BENCH
-// history alongside the Mbps series.
-func BenchmarkFig8c_Parallel(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.FaultyBenchStream(100000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var res replay.Result
-			for i := 0; i < b.N; i++ {
-				a := core.New(lib, core.Config{DetectWorkers: workers})
-				res = replay.Drive(a, stream)
-			}
-			b.ReportMetric(res.Mbps, "Mbps")
-			b.ReportMetric(res.EventsPerSec, "events/s")
-		})
-	}
-}
-
-// BenchmarkHanselBaseline drives the identical stream through the HANSEL
-// per-message stitcher for the §7.4.1 comparison.
+// BenchmarkHanselBaseline drives a Fig 8c-sized stream through the
+// HANSEL per-message stitcher for the §7.4.1 comparison.
 func BenchmarkHanselBaseline(b *testing.B) {
 	stream := replay.Synthesize(replay.StreamConfig{
 		Concurrency: 400, Events: 100000, FaultEvery: 1000, Seed: 7,
@@ -289,86 +238,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			telemetry.StartSpan("bench.span_lookup").End()
 		}
 	})
-}
-
-// BenchmarkAnalyzerIngest measures the per-event hot path with no faults,
-// on the canonical clean stream shared with the ingest scenario.
-func BenchmarkAnalyzerIngest(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.CleanBenchStream(50000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := core.New(lib, core.Config{})
-		for j := range stream {
-			a.Ingest(stream[j])
-		}
-	}
-	b.ReportMetric(float64(len(stream)), "events/op")
-}
-
-// BenchmarkIngestExplainOff is the guard that keeps explain mode free
-// when it is off: the identical stream as BenchmarkAnalyzerIngest with
-// the evidence-trace subsystem compiled in but no store installed (the
-// default). The disabled path is one nil check inside detect, so
-// allocs/op must match the plain ingest benchmark exactly. The explain-on
-// sub-benchmark shows what recording actually costs for contrast.
-func BenchmarkIngestExplainOff(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.CleanBenchStream(50000)
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a := core.New(lib, core.Config{})
-			a.SetExplain(nil)
-			for j := range stream {
-				a.Ingest(stream[j])
-			}
-		}
-		b.ReportMetric(float64(len(stream)), "events/op")
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a := core.New(lib, core.Config{})
-			a.SetExplain(tracestore.New(0))
-			for j := range stream {
-				a.Ingest(stream[j])
-			}
-			a.Close()
-		}
-		b.ReportMetric(float64(len(stream)), "events/op")
-	})
-}
-
-// BenchmarkDetectorObserve measures the steady-state per-sample cost of
-// the level-shift detector on the canonical detector series
-// (internal/experiments/bench.go, shared with the harness's detector
-// scenario). Per-event work is a binary search plus a memmove over the
-// sorted deviation window: linear in Window with a tiny constant, so
-// the sub-benchmarks climb slowly as the window grows 16x from the 60
-// the product uses; allocs/op must be 0 — the MAD path owns no per-event
-// allocations (the original re-sort allocated a deviation slice per
-// sample and was ~60% of ingest CPU).
-func BenchmarkDetectorObserve(b *testing.B) {
-	series := experiments.DetectorBenchSeries(100000)
-	t0 := time.Date(2016, 12, 12, 0, 0, 0, 0, time.UTC)
-	for _, window := range []int{60, 240, 960} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			d := tsoutliers.New(tsoutliers.Options{Window: window, MinSpread: 0.5, MaxAlarms: 4096})
-			// Warm past seeding, window fill, and alarm-ring growth so
-			// the timed region is pure steady state.
-			for i, v := range series {
-				d.Observe(t0.Add(time.Duration(i)*time.Millisecond), v)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := series[i%len(series)]
-				d.Observe(t0.Add(time.Duration(i)*time.Millisecond), v)
-			}
-		})
-	}
 }
 
 // BenchmarkFingerprintLearn measures Algorithm 1 on a realistic trace set.

@@ -28,14 +28,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
-	"net/url"
-	"strings"
 	"time"
 
 	"gretel/internal/agent"
@@ -79,31 +74,12 @@ func main() {
 	// failover is just a redial to the replacement.
 	var resolve func() (string, error)
 	if *coordURL != "" {
-		base := strings.TrimRight(*coordURL, "/")
 		key := *partKey
 		if key == "" {
 			key = "agent"
 		}
-		client := &http.Client{Timeout: 5 * time.Second}
-		resolve = func() (string, error) {
-			resp, err := client.Get(base + "/assign?agent=" + url.QueryEscape(key))
-			if err != nil {
-				return "", err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return "", fmt.Errorf("coord assign: %s", resp.Status)
-			}
-			var asg federation.Assignment
-			if err := json.NewDecoder(resp.Body).Decode(&asg); err != nil {
-				return "", fmt.Errorf("coord assign: decoding: %w", err)
-			}
-			if asg.Addr == "" {
-				return "", fmt.Errorf("coord assign: no address for %q", key)
-			}
-			return asg.Addr, nil
-		}
-		log.Printf("resolving analyzer via coordinator %s (partition key %q)", base, key)
+		resolve = federation.Resolver(*coordURL, key)
+		log.Printf("resolving analyzer via coordinator %s (partition key %q)", *coordURL, key)
 	}
 
 	if *telAddr != "" {

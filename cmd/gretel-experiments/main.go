@@ -95,10 +95,9 @@ func main() {
 	// Each experiment runs against a zeroed default registry; its
 	// telemetry snapshot is appended to out/telemetry.txt — and the
 	// machine-readable mirror out/telemetry.json, one entry per
-	// experiment in the same snapshot schema (provenance included) the
-	// bench harness embeds in BENCH_*.json — so every figure's raw data
-	// ships with the pipeline counters and stage latencies that produced
-	// it.
+	// experiment in the snapshot schema /metrics?format=json serves
+	// (provenance included) — so every figure's raw data ships with the
+	// pipeline counters and stage latencies that produced it.
 	var sections []telemetrySection
 	run := func(name string, fn func()) {
 		if *exp != "all" && *exp != name {
@@ -328,8 +327,8 @@ func appendTelemetryLP(dir, name string, snap *telemetry.Snapshot, base []export
 }
 
 // telemetrySection is one experiment's entry in out/telemetry.json: the
-// same snapshot schema the bench harness embeds in BENCH_*.json, so one
-// set of tooling reads both.
+// same snapshot schema /metrics?format=json serves, so one set of
+// tooling reads both.
 type telemetrySection struct {
 	Experiment string             `json:"experiment"`
 	Telemetry  telemetry.Snapshot `json:"telemetry"`

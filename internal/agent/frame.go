@@ -5,15 +5,13 @@
 // connection, the per-agent sequence number lets replayed frames
 // deduplicate and losses surface as explicit gap records, and a corrupt
 // frame is skipped, not trusted. This file owns what goes in the
-// envelope: the kinds ('I' hello, 'B' event, 'S' state, 'H' heartbeat,
-// 'E' legacy JSON event; sequence 0 = unsequenced) and their bodies.
+// envelope: the kinds ('I' hello, 'B' event, 'S' state, 'H' heartbeat;
+// sequence 0 = unsequenced) and their bodies.
 //
 // Event bodies — the per-event traffic — are trace's binary encoding
 // (trace.BodyBinary, laid out in internal/trace/codec.go) under kind
-// 'B'. Kind 'E' carries the same event as JSON: senders before the
-// binary body wrote it and receivers still read it, so an analyzer can
-// be upgraded ahead of its agents. Hello, heartbeat and state bodies are
-// per-connection or per-period, not per-event, and stay JSON.
+// 'B'. Hello, heartbeat and state bodies are per-connection or
+// per-period, not per-event, and are JSON.
 
 package agent
 
@@ -37,13 +35,13 @@ const frameHdrLen = seglog.HdrLen
 const (
 	frameHello     byte = 'I' // per-connection agent identification
 	frameEvent          = trace.BodyBinary
-	frameEventJSON      = trace.BodyJSON // legacy: read, never written
 	frameState     byte = 'S'
 	frameHeartbeat byte = 'H' // liveness + sequence high-water mark
 
-	// frameKinds is what a receiver accepts; any other kind byte is
+	// frameKinds is what a receiver accepts; any other kind byte — the
+	// 'E' of the JSON event body senders once wrote included — is
 	// corruption to resynchronize past.
-	frameKinds = string(frameHello) + string(frameEvent) + string(frameEventJSON) + string(frameState) + string(frameHeartbeat)
+	frameKinds = string(frameHello) + string(frameEvent) + string(frameState) + string(frameHeartbeat)
 )
 
 // helloBody identifies the sending agent on a fresh connection, keying
@@ -98,9 +96,8 @@ func WriteState(w io.Writer, u *StateUpdate) error {
 	return err
 }
 
-// ReadEvent decodes one frame, which must be an event frame of either
-// body kind (test and single-purpose consumers; the Receiver handles
-// mixed streams).
+// ReadEvent decodes one frame, which must be an event frame (test and
+// single-purpose consumers; the Receiver handles mixed streams).
 func ReadEvent(r io.Reader) (trace.Event, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -110,7 +107,7 @@ func ReadEvent(r io.Reader) (trace.Event, error) {
 	if err != nil {
 		return trace.Event{}, err
 	}
-	if kind != frameEvent && kind != frameEventJSON {
+	if kind != frameEvent {
 		return trace.Event{}, fmt.Errorf("agent: expected event frame, got %q", kind)
 	}
 	var (

@@ -17,10 +17,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden frame files with current encoder output")
 
-// TestEventFrameGolden pins both event frame formats byte for byte: the
-// binary frame senders write, and the legacy JSON frame that deployed
-// agents and old WAL segments still hold. Format drift in either fails
-// here, and each golden must still decode to the event it was made from.
+// TestEventFrameGolden pins the event frame format byte for byte. Format
+// drift fails here, and the golden must still decode to the event it was
+// made from.
 func TestEventFrameGolden(t *testing.T) {
 	ev := sampleEvent(9)
 	ev.Time = time.Date(2016, 12, 12, 9, 30, 0, 123456789, time.FixedZone("", -5*3600))
@@ -31,7 +30,6 @@ func TestEventFrameGolden(t *testing.T) {
 		frame []byte
 	}{
 		{"event_frame_binary.golden", binFrame(9, ev)},
-		{"event_frame_json.golden", jsonFrame(9, ev)},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		if *updateGolden {
@@ -119,44 +117,50 @@ func sameEvent(a, b trace.Event) bool {
 	return a == b
 }
 
-// TestReceiverReadsLegacyJSONFrames: a not-yet-upgraded agent still
-// sends JSON event frames; the receiver delivers them, and a stream that
-// changes kind mid-way (an agent upgraded between reconnects) stays in
-// order with its sequence ledger closed.
-func TestReceiverReadsLegacyJSONFrames(t *testing.T) {
+// TestReceiverSkipsLegacyJSONFrame: kind 'E', the JSON event body
+// senders once wrote, is an unknown kind now. A CRC-valid frame of it is
+// scanned past and counted like any other bytes the receiver cannot
+// read — not decoded, not a decode error — the stream resynchronises on
+// the next frame, and the sequence number it carried is declared missing.
+func TestReceiverSkipsLegacyJSONFrame(t *testing.T) {
 	recv, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
+	skipped := telemetry.GetCounter("transport.bytes_skipped")
+	decode := telemetry.GetCounter("transport.decode_errors")
+	skipped0, decode0 := skipped.Value(), decode.Value()
 	conn, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	const n = 6
-	for seq := uint64(1); seq <= n; seq++ {
-		fr := jsonFrame(seq, sampleEvent(seq))
-		if seq > n/2 {
-			fr = binFrame(seq, sampleEvent(seq))
-		}
+	legacy := jsonFrame(2, sampleEvent(2))
+	for _, fr := range [][]byte{binFrame(1, sampleEvent(1)), legacy, binFrame(3, sampleEvent(3))} {
 		if _, err := conn.Write(fr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for seq := uint64(1); seq <= n; seq++ {
+	for _, seq := range []uint64{1, 3} {
 		select {
 		case got := <-recv.Events():
 			if want := sampleEvent(seq); got != want {
-				t.Fatalf("event %d: got %+v, want %+v", seq, got, want)
+				t.Fatalf("got %+v, want event %d", got, seq)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timeout waiting for event %d", seq)
 		}
 	}
+	if got := skipped.Value() - skipped0; got != uint64(len(legacy)) {
+		t.Fatalf("transport.bytes_skipped += %d, want the %d bytes of the 'E' frame", got, len(legacy))
+	}
+	if got := decode.Value() - decode0; got != 0 {
+		t.Fatalf("transport.decode_errors += %d: the 'E' body was handed to the decoder", got)
+	}
 	for _, st := range recv.AgentStats() {
-		if st.LastSeq != n || st.Missing != 0 || st.Dups != 0 {
-			t.Fatalf("ledger = %+v, want lastSeq=%d missing=0 dups=0", st, n)
+		if st.LastSeq != 3 || st.Missing != 1 || st.Dups != 0 {
+			t.Fatalf("ledger = %+v, want lastSeq=3 missing=1 dups=0", st)
 		}
 	}
 }

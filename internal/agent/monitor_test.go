@@ -81,7 +81,7 @@ func TestMonitorSplitAtEveryOffset(t *testing.T) {
 	}
 }
 
-// Taps must not retain the payload (pcap replay reuses its buffer):
+// Taps must not retain the payload (the bytes are the fabric's):
 // scribbling over it once HandlePacket has returned — mid-message too —
 // changes neither a delivered event nor what is still to be parsed.
 func TestMonitorEventsOwnTheirStrings(t *testing.T) {

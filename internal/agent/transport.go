@@ -1040,7 +1040,7 @@ func (r *Receiver) serve(conn net.Conn) {
 		}
 		buf = body
 		mFramesRecv.Inc()
-		if kind == frameEvent || kind == frameEventJSON {
+		if kind == frameEvent {
 			if batch == nil {
 				select {
 				case batch = <-r.free:

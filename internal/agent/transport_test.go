@@ -32,8 +32,7 @@ func sampleEvent(seq uint64) trace.Event {
 }
 
 // binFrame builds the event frame every sender writes: binary body,
-// kind 'B'. jsonFrame builds its legacy twin, the JSON body under kind
-// 'E' that receivers must keep reading.
+// kind 'B'.
 func binFrame(seq uint64, ev trace.Event) []byte {
 	return appendEventFrame(nil, &ev, seq)
 }
@@ -44,12 +43,17 @@ func readFrame(br *bufio.Reader, buf []byte) (kind byte, seq uint64, body []byte
 	return kind, seq, body, int(sk.Bytes), err
 }
 
+// frameEventJSON is the kind senders once gave an encoding/json event
+// body. No reader knows it any more; jsonFrame builds such a frame,
+// CRC-valid, for the tests that feed one to a reader.
+const frameEventJSON byte = 'E'
+
 func jsonFrame(seq uint64, ev trace.Event) []byte {
 	body, _ := json.Marshal(&ev)
 	return seglog.AppendRecord(nil, frameEventJSON, seq, body)
 }
 
-// decodeEventBody decodes an event frame body of either kind.
+// decodeEventBody decodes an event frame body.
 func decodeEventBody(t *testing.T, kind byte, body []byte) trace.Event {
 	t.Helper()
 	var (
@@ -358,9 +362,8 @@ func TestReceiverResyncsOnCorruptBytes(t *testing.T) {
 	waitCounterAbove(t, resyncs, before)
 }
 
-// TestReceiverSkipsUndecodableFrame: a well-framed but undecodable body
-// of either event kind must be counted and skipped — the connection
-// survives.
+// TestReceiverSkipsUndecodableFrame: a well-framed but undecodable
+// event body must be counted and skipped — the connection survives.
 func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 	recv, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -375,7 +378,6 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(seglog.AppendRecord(nil, frameEventJSON, 0, []byte("not-json")))
 	good := binFrame(0, sampleEvent(1))[frameHdrLen:]
 	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, good[:len(good)-1]))            // truncated
 	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, append([]byte{0xff}, good...))) // unknown body version
@@ -391,7 +393,7 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("event after undecodable frame never arrived")
 	}
-	waitCounterAbove(t, decode, before+2)
+	waitCounterAbove(t, decode, before+1)
 }
 
 // TestReceiverRecordsGapAndDedups drives sequence tracking directly: a
@@ -562,7 +564,7 @@ func TestSenderAutoReconnectReplays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after %d distinct events: %v", len(seen), err)
 		}
-		if kind != frameEvent && kind != frameEventJSON {
+		if kind != frameEvent {
 			continue
 		}
 		if seq := decodeEventBody(t, kind, body).Seq; seq <= 20 {

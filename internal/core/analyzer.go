@@ -163,10 +163,9 @@ type Config struct {
 	// C1 and C2 set the context buffer start (β₀ = c1·α) and growth step
 	// (δ = c2·α); paper: 0.1 and 0.04.
 	C1, C2 float64
-	// PruneRPC drops RPC symbols from fingerprints and snapshots before
-	// matching (the §6 optimization). Default true.
-	PruneRPC bool
-	// DisablePruneRPC turns PruneRPC off explicitly (Fig 7c ablation).
+	// DisablePruneRPC keeps RPC symbols in fingerprints and snapshots.
+	// By default they are dropped before matching (the §6 optimization);
+	// keeping them is the Fig 7c ablation.
 	DisablePruneRPC bool
 	// StrictMatch uses the full-sequence matcher instead of the relaxed
 	// state-change matcher (ablation).
@@ -258,7 +257,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	if c.C2 == 0 {
 		c.C2 = 0.04
 	}
-	c.PruneRPC = !c.DisablePruneRPC
 	if c.TotalOps == 0 {
 		c.TotalOps = lib.Len()
 	}
@@ -650,7 +648,7 @@ func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, cor
 		if corrID != "" && ev.CorrID != corrID {
 			continue
 		}
-		if a.cfg.PruneRPC && ev.API.Kind == trace.RPC {
+		if !a.cfg.DisablePruneRPC && ev.API.Kind == trace.RPC {
 			continue
 		}
 		r, ok := a.lib.Table.Lookup(ev.API)
@@ -768,7 +766,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 		beta = a.cfg.Alpha
 		matched = sc.cur[:0]
 		for i := 0; i < cands.Len(); i++ {
-			if a.match(cands.Program(i, truncate, a.cfg.PruneRPC), sc.syms, sc.idx, corrID != "") {
+			if a.match(cands.Program(i, truncate, !a.cfg.DisablePruneRPC), sc.syms, sc.idx, corrID != "") {
 				matched = append(matched, cands.Name(i))
 			}
 		}
@@ -816,8 +814,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 // Detect runs Algorithm 2 over one frozen snapshot on the caller's
 // goroutine and returns the report without recording it: no RCA, no
 // OnReport, no Stats. It is what dispatch runs inline, exposed so the
-// operation-detection stage can be measured alone (benchrunner's opdetect
-// scenario). Like Ingest, call it from the receiver goroutine only.
+// operation-detection stage can be measured alone (BenchmarkOpdetect). Like Ingest, call it from the receiver goroutine only.
 func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *Report {
 	return a.detect(&a.scratch, fault, kind, latency, snap, 0)
 }
@@ -852,7 +849,7 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 		clear(hit)
 		for i := range hit {
 			first := cands.First(i)
-			if !hit[first] && a.match(cands.Program(i, true, a.cfg.PruneRPC), pattern, idx, corrID != "") {
+			if !hit[first] && a.match(cands.Program(i, true, !a.cfg.DisablePruneRPC), pattern, idx, corrID != "") {
 				hit[first] = true
 				matched = append(matched, cands.Name(i))
 			}

@@ -118,8 +118,8 @@ func TestConfigDefaultsPaperValues(t *testing.T) {
 	if int(cfg.C1*float64(cfg.Alpha)) != 76 { // β₀ ≈ 80 in the paper (rounding)
 		t.Logf("beta0 = %d", int(cfg.C1*float64(cfg.Alpha)))
 	}
-	if !cfg.PruneRPC {
-		t.Fatal("PruneRPC should default on")
+	if cfg.DisablePruneRPC {
+		t.Fatal("RPC pruning should default on")
 	}
 }
 
@@ -411,21 +411,28 @@ func TestMultipleFaultsMultipleReports(t *testing.T) {
 }
 
 func TestPruneRPCAblationChangesPattern(t *testing.T) {
-	// With pruning on (default), RPC symbols are ignored; disabling it
-	// must still find the true op when RPCs are present in the window.
-	a := newAnalyzer(Config{Alpha: 32, DisablePruneRPC: true})
-	if a.Config().PruneRPC {
-		t.Fatal("DisablePruneRPC not honored")
+	// With pruning on (default) the one RPC request is dropped from the
+	// matched pattern; with it off the pattern carries that symbol too,
+	// and detection must still find the true op.
+	var patternSyms [2]uint64
+	for i, disable := range []bool{false, true} {
+		a := newAnalyzer(Config{Alpha: 32, DisablePruneRPC: disable})
+		before := mPatternSyms.Value()
+		s := &stream{a: a}
+		s.rest(get("/list"), 200, 1, "op-a")
+		s.rest(post("/a1"), 200, 1, "op-a")
+		s.rpcCall(rpc("build"), false, 1, "op-a")
+		s.rest(post("/a2"), 500, 1, "op-a")
+		s.filler(20)
+		a.Flush()
+		patternSyms[i] = mPatternSyms.Value() - before
+		if len(a.Reports()) != 1 || !a.Reports()[0].Hit() {
+			t.Fatalf("DisablePruneRPC=%v: detection failed: %+v", disable, a.Reports())
+		}
 	}
-	s := &stream{a: a}
-	s.rest(get("/list"), 200, 1, "op-a")
-	s.rest(post("/a1"), 200, 1, "op-a")
-	s.rpcCall(rpc("build"), false, 1, "op-a")
-	s.rest(post("/a2"), 500, 1, "op-a")
-	s.filler(20)
-	a.Flush()
-	if len(a.Reports()) != 1 || !a.Reports()[0].Hit() {
-		t.Fatalf("no-prune detection failed: %+v", a.Reports())
+	if patternSyms[1] != patternSyms[0]+1 {
+		t.Fatalf("pattern symbols: %d pruned, %d unpruned; want the RPC symbol to add exactly one",
+			patternSyms[0], patternSyms[1])
 	}
 }
 

@@ -52,7 +52,7 @@ func (a *Analyzer) newEvidence(traceID uint64, faultEv trace.Event, kind FaultKi
 		FaultTime:   faultEv.Time,
 		LatencyMs:   latency.Seconds() * 1000,
 		StrictMatch: a.cfg.StrictMatch,
-		RPCPruned:   a.cfg.PruneRPC,
+		RPCPruned:   !a.cfg.DisablePruneRPC,
 		Window: tracestore.Window{
 			Alpha:        a.cfg.Alpha,
 			Events:       len(snap.Events),
@@ -89,7 +89,7 @@ func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Can
 	variants := make(map[string]int, cands.Len())
 	ev.Candidates = make([]tracestore.Candidate, 0, cands.Len())
 	for i := 0; i < cands.Len(); i++ {
-		name, p := cands.Name(i), cands.Program(i, truncate, a.cfg.PruneRPC)
+		name, p := cands.Name(i), cands.Program(i, truncate, !a.cfg.DisablePruneRPC)
 		variant := variants[name]
 		variants[name] = variant + 1
 		c := tracestore.Candidate{

@@ -1,8 +1,7 @@
-// Canonical benchmark workloads. The repository's go-test benchmarks
-// (bench_test.go) and the scenario bench harness
-// (internal/benchrunner) both build their streams and libraries here,
-// so the two measurement paths exercise identical inputs by
-// construction — `go test -bench` and `gretel-bench` cannot drift.
+// Canonical benchmark workloads: the streams, libraries and series the
+// root package's benchmarks (scenario_bench_test.go, bench_test.go) and
+// the wire→report benchmark (bench/) are built from, so a number in
+// BENCH.txt and a layer of bench/'s budget describe the same inputs.
 package experiments
 
 import (
@@ -39,8 +38,8 @@ func BenchOps() []*openstack.Operation {
 
 // FaultyBenchStream is the canonical Fig 8c-shaped stream: the BenchOps
 // mix at concurrency 400 with one injected fault per 1000 messages,
-// seed 7. Both BenchmarkFig8c_* and the harness's fig8c-parallel and
-// explain-overhead scenarios replay exactly this.
+// seed 7. BenchmarkFig8cParallel, BenchmarkExplainOverhead and
+// BenchmarkOpdetect replay exactly this.
 func FaultyBenchStream(events int) []trace.Event {
 	return replay.Synthesize(replay.StreamConfig{
 		Ops: BenchOps(), Concurrency: 400, Events: events, FaultEvery: 1000, Seed: 7,
@@ -49,9 +48,8 @@ func FaultyBenchStream(events int) []trace.Event {
 
 // CleanBenchStream is the canonical fault-free ingest stream: the
 // default core-operation mix at concurrency 200, seed 5 — pairing and
-// per-API latency accounting are the whole cost. BenchmarkAnalyzerIngest,
-// BenchmarkIngestExplainOff, and the harness's ingest scenario replay
-// exactly this.
+// per-API latency accounting are the whole cost. BenchmarkIngest,
+// BenchmarkWALAppend and BenchmarkExportOverhead replay exactly this.
 func CleanBenchStream(events int) []trace.Event {
 	return replay.Synthesize(replay.StreamConfig{Concurrency: 200, Events: events, Seed: 5})
 }
@@ -61,8 +59,7 @@ func CleanBenchStream(events int) []trace.Event {
 // and occasional isolated spikes, deterministic in n. It exercises the
 // detector's whole state machine — inlier maintenance (the MAD hot
 // path), outlier runs, confirmed shifts with window rebuilds.
-// BenchmarkDetectorObserve and the harness's detector scenario feed
-// exactly this.
+// BenchmarkDetector feeds exactly this.
 func DetectorBenchSeries(n int) []float64 {
 	s := make([]float64, n)
 	state := uint64(0x9e3779b97f4a7c15)
@@ -91,8 +88,8 @@ func DetectorBenchSeries(n int) []float64 {
 // 100 tests of the seed-1 catalog sustained for simSeconds of simulated
 // time (heartbeats on, MySQL traffic included, every 400th step failed
 // so error responses and failed replies are on it), recorded at the
-// fabric tap. The harness's monitor scenario replays exactly this
-// through agent.Monitor.HandlePacket.
+// fabric tap. BenchmarkMonitor replays exactly this through
+// agent.Monitor.HandlePacket.
 func BenchPackets(simSeconds int) []cluster.Packet {
 	d := openstack.NewDeployment(openstack.Config{
 		Seed:            1,

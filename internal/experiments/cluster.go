@@ -6,11 +6,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -151,24 +149,7 @@ func Cluster(seed int64, events int) (ClusterResult, error) {
 	coordSrv := &http.Server{Handler: coordMux}
 	go coordSrv.Serve(coordLn)
 	defer coordSrv.Close()
-	assignURL := "http://" + coordLn.Addr().String() + "/assign"
-	resolve := func(key string) func() (string, error) {
-		return func() (string, error) {
-			resp, err := http.Get(assignURL + "?agent=" + url.QueryEscape(key))
-			if err != nil {
-				return "", err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return "", fmt.Errorf("assign: %s", resp.Status)
-			}
-			var asg federation.Assignment
-			if err := json.NewDecoder(resp.Body).Decode(&asg); err != nil {
-				return "", err
-			}
-			return asg.Addr, nil
-		}
-	}
+	coordURL := "http://" + coordLn.Addr().String()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for coord.Epoch() == 0 || len(aliveNames(coord)) != len(members) {
@@ -200,7 +181,7 @@ func Cluster(seed int64, events int) (ClusterResult, error) {
 		go func() {
 			defer wg.Done()
 			snd, err := agent.DialConfig(agent.SenderConfig{
-				Resolve: resolve(key), Agent: key,
+				Resolve: federation.Resolver(coordURL, key), Agent: key,
 				Ring:       1 << 18, // retain everything: failover loses nothing
 				Heartbeat:  5 * time.Millisecond,
 				BackoffMin: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -449,6 +450,35 @@ func (c *Coordinator) AssignHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(asg)
 	})
+}
+
+// Resolver is the client half of AssignHandler: the function an agent
+// sender calls before every dial (agent.SenderConfig.Resolve) to learn
+// which member owns partition key. baseURL is the coordinator's HTTP
+// base. A coordinator that hangs fails the attempt after 5 s instead of
+// parking the sender's dial loop; a non-200 answer or an assignment
+// without an address is an error, so the sender backs off and asks again.
+func Resolver(baseURL, key string) func() (string, error) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	u := strings.TrimRight(baseURL, "/") + "/assign?agent=" + url.QueryEscape(key)
+	return func() (string, error) {
+		resp, err := client.Get(u)
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("coord assign: %s", resp.Status)
+		}
+		var asg Assignment
+		if err := json.NewDecoder(resp.Body).Decode(&asg); err != nil {
+			return "", fmt.Errorf("coord assign: decoding: %w", err)
+		}
+		if asg.Addr == "" {
+			return "", fmt.Errorf("coord assign: no address for %q", key)
+		}
+		return asg.Addr, nil
+	}
 }
 
 // ClusterHandler serves GET /cluster.

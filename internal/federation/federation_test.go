@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -458,6 +459,38 @@ func TestCoordinatorAssignmentFailsWithNoAliveMembers(t *testing.T) {
 	}
 	if resp, _ := http.Get(srv.URL); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("assign handler without agent: %d", resp.StatusCode)
+	}
+}
+
+// TestResolverAgainstAssignHandler: the client half agrees with the
+// handler — the owner's event address on 200, an error (so the sender
+// backs off and asks again) on a refusal or an assignment with no address.
+func TestResolverAgainstAssignHandler(t *testing.T) {
+	a := newTestMember(t, "alpha")
+	c := fastCoordinator(t, a)
+	waitFor(t, "alpha alive", func() bool { return c.Cluster().Members[0].Alive })
+	mux := http.NewServeMux()
+	mux.Handle("/assign", c.AssignHandler())
+	mux.HandleFunc("/blank/assign", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(Assignment{Agent: r.URL.Query().Get("agent"), Member: "alpha"})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	resolve := Resolver(srv.URL+"/", "dep 1&x") // trailing slash and a key that needs escaping
+	if addr, err := resolve(); err != nil || addr != a.config().EventAddr {
+		t.Fatalf("resolve = %q, %v; want %q", addr, err, a.config().EventAddr)
+	}
+	if asg, _ := c.Assignment("dep 1&x"); asg.Member != "alpha" {
+		t.Fatalf("the key did not reach the coordinator intact: %+v", c.Cluster().Assignments)
+	}
+	if addr, err := Resolver(srv.URL+"/blank", "dep-1")(); err == nil {
+		t.Fatalf("an assignment without an address resolved to %q", addr)
+	}
+	a.up.Store(false)
+	waitFor(t, "alpha dead", func() bool { return !c.Cluster().Members[0].Alive })
+	if addr, err := resolve(); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("resolve with no alive member = %q, %v; want the 503", addr, err)
 	}
 }
 

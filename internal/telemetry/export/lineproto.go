@@ -5,9 +5,8 @@
 //
 // Encoding is byte-deterministic — tags and fields are emitted in
 // ascending key order, floats are formatted with strconv's shortest
-// round-trip form, and every point ends in exactly one '\n' — the same
-// determinism policy the BENCH_*.json reporters follow, so golden-file
-// tests can hold the encoder to exact bytes.
+// round-trip form, and every point ends in exactly one '\n' — so
+// golden-file tests can hold the encoder to exact bytes.
 //
 // Escaping follows the line-protocol rules: ',', '=', and ' ' are
 // backslash-escaped in tag keys, tag values, and field keys; ',' and

@@ -14,8 +14,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with 
 
 // TestAppendPointGolden holds the encoder to exact bytes: tag/field
 // escaping, deterministic ordering of unsorted inputs, int vs float
-// forms, and the one-trailing-newline invariant — the same
-// byte-determinism policy the BENCH_*.json baselines follow.
+// forms, and the one-trailing-newline invariant.
 func TestAppendPointGolden(t *testing.T) {
 	points := []Point{
 		{

@@ -465,8 +465,7 @@ func (r *Registry) StartSpan(name string) Span { return r.Histogram(name).Start(
 
 // Provenance identifies the build and runtime a snapshot came from, so
 // every exported measurement — /metrics JSON, out/telemetry.json from
-// the experiments harness, BENCH_*.json from the bench runner — carries
-// the same answer to "which code, on how many cores, produced this".
+// the experiments harness — carries the same answer to "which code, on how many cores, produced this".
 type Provenance struct {
 	// GitRev is the VCS revision stamped into the binary by the go tool
 	// ("unknown" when the build carries no VCS info, e.g. test binaries).

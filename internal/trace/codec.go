@@ -1,10 +1,10 @@
 // Event body codec: the one encoding of Event that travels in agent
 // wire frames and WAL records. The envelope (magic, kind, seq, length,
 // CRC32) belongs to internal/agent and internal/wal; the kind byte they
-// carry names which of the two body encodings follows.
+// carry names the body encoding that follows.
 //
-// BodyBinary ('B') is what every writer produces — the compact record
-// the paper's Bro agents streamed through Broccoli (§6). Integers are
+// BodyBinary ('B') is the only one — the compact record the paper's
+// Bro agents streamed through Broccoli (§6). Integers are
 // varints (signed ones zig-zag), strings a uvarint length plus bytes:
 //
 //	byte     body version (2)
@@ -33,17 +33,14 @@
 // the endpoints as "ip:port" strings; nothing reads it — no log or agent
 // that wrote it is deployed — so a v1 body is an unknown version like
 // any other: skipped and counted on the wire, quarantined in a WAL.
-//
-// BodyJSON ('E') is the legacy encoding/json body. Nothing writes it any
-// more; it is decoded because old WAL segments and not-yet-upgraded
-// agents are supported input, and its round trip is the oracle the
-// binary codec is fuzzed against.
+// The encoding/json body that preceded both (kind 'E') went the same
+// way; its round trip lives on in codec_test.go as the oracle the binary
+// codec is fuzzed against.
 
 package trace
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -51,11 +48,9 @@ import (
 	"time"
 )
 
-// Event body encodings, named by the kind byte of the enclosing frame.
-const (
-	BodyJSON   byte = 'E'
-	BodyBinary byte = 'B'
-)
+// BodyBinary is the event body encoding, named by the kind byte of the
+// enclosing frame.
+const BodyBinary byte = 'B'
 
 const (
 	bodyVersion = 2
@@ -143,14 +138,10 @@ type Decoder struct {
 // version, a length past the end of the body, trailing bytes — is an
 // error, never a panic; ev is then unspecified.
 func (d *Decoder) Decode(kind byte, body []byte, ev *Event) error {
-	switch kind {
-	case BodyBinary:
-		return d.decodeBinary(body, ev)
-	case BodyJSON:
-		*ev = Event{}
-		return json.Unmarshal(body, ev)
+	if kind != BodyBinary {
+		return fmt.Errorf("trace: unknown event body kind %q", kind)
 	}
-	return fmt.Errorf("trace: unknown event body kind %q", kind)
+	return d.decodeBinary(body, ev)
 }
 
 var (

@@ -20,7 +20,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 	var healthy, healthyBin, mixed []byte
 	for i := 1; i <= 4; i++ {
 		ev := trace.Event{Seq: uint64(i), ConnID: uint64(i), Status: 200}
-		healthy = jsonRecord(healthy, uint64(i), ev) // a legacy segment
+		healthy = jsonRecord(healthy, uint64(i), ev) // a segment of the unknown kind 'E'
 		healthyBin = binRecord(healthyBin, uint64(i), ev)
 		if i%2 == 0 {
 			mixed = jsonRecord(mixed, uint64(i), ev)
@@ -33,7 +33,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 	f.Add(append([]byte{recMagic0, recMagic1, kindEventJSON, 0xff}, healthy...))
 	f.Add([]byte{})
 	f.Add([]byte{recMagic0})
-	// The same on the binary records the log writes now.
+	// The same on the binary records the log writes.
 	f.Add(healthyBin)
 	f.Add(healthyBin[:len(healthyBin)-7])
 	f.Add(append([]byte{recMagic0, recMagic1, KindEvent, 0xff}, healthyBin...))
@@ -84,7 +84,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 // stored CRC verifies. Mutating one byte of a healthy segment must
 // never yield more intact records than were written.
 func FuzzRecordCRC(f *testing.F) {
-	// A segment of both record kinds: legacy JSON first, then binary.
+	// A record of the unknown kind 'E' (skipped whole), then binary ones.
 	healthy := jsonRecord(nil, 1, trace.Event{Seq: 1, ConnID: 1})
 	firstBin := len(healthy)
 	for i := 2; i <= 3; i++ {
@@ -92,7 +92,7 @@ func FuzzRecordCRC(f *testing.F) {
 	}
 	f.Add(uint16(0), byte(0xff))
 	f.Add(uint16(20), byte(0x01))
-	f.Add(uint16(firstBin+2), byte('B'^'E'))      // binary record's kind byte turned legacy
+	f.Add(uint16(firstBin+2), byte('B'^'E'))      // binary record's kind byte turned unknown
 	f.Add(uint16(firstBin+recHdrLen), byte(0x03)) // binary body version byte
 	f.Add(uint16(len(healthy)-1), byte(0x80))     // last byte of the last binary body
 	f.Fuzz(func(t *testing.T, pos uint16, flip byte) {
@@ -133,7 +133,7 @@ func FuzzRecordCRC(f *testing.F) {
 // given sequence — the fuzz oracle, independent of the reader's logic.
 func recordVerifies(data []byte, seq uint64) bool {
 	for i := 0; i+recHdrLen <= len(data); i++ {
-		if data[i] != recMagic0 || data[i+1] != recMagic1 || (data[i+2] != KindEvent && data[i+2] != kindEventJSON) {
+		if data[i] != recMagic0 || data[i+1] != recMagic1 || data[i+2] != KindEvent {
 			continue
 		}
 		var s uint64

@@ -64,11 +64,11 @@ var (
 const MaxRecord = seglog.MaxRecord
 
 const (
-	// KindEvent is the record kind the log writes; kindEventJSON is the
-	// one older logs wrote — read, never written.
-	KindEvent     = trace.BodyBinary
-	kindEventJSON = trace.BodyJSON
-	eventKinds    = string(KindEvent) + string(kindEventJSON)
+	// KindEvent is the one record kind the log writes and reads. Any
+	// other — the 'E' of the JSON body older logs wrote included — is
+	// bytes for a scan to skip and count.
+	KindEvent  = trace.BodyBinary
+	eventKinds = string(KindEvent)
 
 	segPrefix = "wal-"
 	// cursorFile holds the durable consumer cursor: the highest record

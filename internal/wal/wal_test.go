@@ -37,11 +37,15 @@ func testEvents(n int) []trace.Event {
 
 func segName(first uint64) string { return seglog.SegmentName(segPrefix, first) }
 
-// binRecord appends the record the log writes now (binary body, kind
-// 'B'); jsonRecord appends its legacy twin (JSON body, kind 'E').
+// binRecord appends the record the log writes (binary body, kind 'B').
 func binRecord(buf []byte, seq uint64, ev trace.Event) []byte {
 	return seglog.AppendRecord(buf, KindEvent, seq, trace.AppendEvent(nil, &ev))
 }
+
+// kindEventJSON is the kind older logs gave an encoding/json event body.
+// No reader knows it any more; jsonRecord appends such a record,
+// CRC-valid, for the tests that put one in front of a scan.
+const kindEventJSON byte = 'E'
 
 func jsonRecord(buf []byte, seq uint64, ev trace.Event) []byte {
 	body, _ := json.Marshal(&ev)
@@ -564,97 +568,50 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONSegmentsRecover is the upgrade path: testdata/
-// json-records.seg was written by the log when records had JSON bodies
-// (kind 'E', testEvents(8) as one batch). It must recover event for
-// event, the writer must resume after it, and a directory — or a single
-// segment — holding both body kinds must close the recovery ledger.
-func TestLegacyJSONSegmentsRecover(t *testing.T) {
+// TestLegacyJSONRecordsAreSkipped: kind 'E', the JSON body older logs
+// wrote, is an unknown kind now. testdata/json-records.seg is such a log
+// (testEvents(8) as one batch, every record CRC-valid): a scan decodes
+// none of it, counts every byte as skipped, resynchronises on the binary
+// record that follows, and closes the ledger — recovered + quarantined
+// == written, the quarantined ones being the sequence numbers the
+// skipped records carried.
+func TestLegacyJSONRecordsAreSkipped(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "json-records.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := testEvents(14)
-	check := func(t *testing.T, dir string, written, quarantined int, skip map[int]bool) {
-		t.Helper()
-		got, stats := readAll(t, dir)
-		if int(stats.Records+stats.Quarantined) != written || int(stats.Quarantined) != quarantined {
-			t.Fatalf("recovered %d + quarantined %d, want %d written with %d quarantined",
-				stats.Records, stats.Quarantined, written, quarantined)
-		}
-		want := make([]trace.Event, 0, written)
-		for i := 0; i < written; i++ {
-			if !skip[i] {
-				want = append(want, evs[i])
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("recovered %d events, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
+	evs := testEvents(10)
+	seg := binRecord(nil, 1, evs[0])
+	legacy := jsonRecord(nil, 2, evs[1])
+	seg = append(seg, legacy...)
+	seg = binRecord(seg, 3, evs[2])
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, stats := readAll(t, dir)
+	if len(got) != 2 || got[0] != evs[0] || got[1] != evs[2] {
+		t.Fatalf("recovered %+v, want records 1 and 3", got)
+	}
+	if stats.Records != 2 || stats.Quarantined != 1 || stats.BytesSkipped != uint64(len(legacy)) {
+		t.Fatalf("stats %+v, want 2 recovered + 1 quarantined with the %d bytes of the 'E' record skipped", stats, len(legacy))
 	}
 
-	t.Run("json-segment-then-binary-segment", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), fixture, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, 8, 0, nil)
-		l, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.LastSeq() != 8 {
-			t.Fatalf("LastSeq %d over the JSON segment, want 8", l.LastSeq())
-		}
-		if seq, err := l.AppendBatch(evs[8:]); err != nil || seq != 14 {
-			t.Fatalf("AppendBatch after the JSON segment: seq %d, err %v", seq, err)
-		}
-		l.Close()
-		check(t, dir, 14, 0, nil)
-	})
-
-	t.Run("mixed-segment-with-damage", func(t *testing.T) {
-		// One file: JSON records 1..8, then binary records 9..14, with
-		// one record of each kind corrupted mid-body.
-		var seg []byte
-		starts := make([]int, 14)
-		for i := range evs {
-			starts[i] = len(seg)
-			if i < 8 {
-				seg = jsonRecord(seg, uint64(i+1), evs[i])
-			} else {
-				seg = binRecord(seg, uint64(i+1), evs[i])
-			}
-		}
-		seg[starts[2]+recHdrLen+40] ^= 0xff // JSON record 3
-		seg[starts[9]+recHdrLen+5] ^= 0xff  // binary record 10
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, 14, 2, map[int]bool{2: true, 9: true})
-	})
-
-	t.Run("undecodable-bodies-quarantined", func(t *testing.T) {
-		// CRC-intact records whose body does not decode — one of each
-		// kind — are quarantined, not returned and not fatal.
-		var seg []byte
-		seg = binRecord(seg, 1, evs[0])
-		seg = seglog.AppendRecord(seg, kindEventJSON, 2, []byte("not-json"))
-		good := trace.AppendEvent(nil, &evs[2])
-		seg = seglog.AppendRecord(seg, KindEvent, 3, good[:len(good)-1])
-		seg = binRecord(seg, 4, evs[3])
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, 4, 2, map[int]bool{1: true, 2: true})
-	})
+	// A whole segment of them, then the binary segment a writer adds.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(9)), binRecord(binRecord(nil, 9, evs[8]), 10, evs[9]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, stats = readAll(t, dir)
+	if len(got) != 2 || got[0] != evs[8] || got[1] != evs[9] {
+		t.Fatalf("recovered %+v, want records 9 and 10", got)
+	}
+	if stats.BytesSkipped != uint64(len(fixture)) || stats.FirstSeq != 9 || stats.LastSeq != 10 {
+		t.Fatalf("stats %+v, want all %d fixture bytes skipped and records 9..10 returned", stats, len(fixture))
+	}
 }
 
 // TestOpenTailScanReusesBuffer: reopening a log scans its last segment
