@@ -617,13 +617,16 @@ func (a *Analyzer) armSnapshot(ev trace.Event, kind FaultKind, latency time.Dura
 // the snapshot's symbol pattern, computed once per snapshot: syms are the
 // matchable symbols, evIdx maps each symbol back to its event index in
 // the snapshot (the fault-centered position map), and idx is the
-// occurrence index over the whole snapshot that β views re-slice, so
-// growing the context buffer is O(log) per step instead of rebuilding
-// pattern and index from the events each time.
+// next-occurrence table over the whole snapshot, with the candidates'
+// programs bound to it, that every β view walks — so growing the context
+// buffer rebuilds neither pattern, table nor programs.
 type detectScratch struct {
 	syms  []rune
 	evIdx []int32
 	idx   fingerprint.Index
+	// truncate is how idx's programs were cut: every match of the
+	// report cuts its candidates the same way.
+	truncate bool
 	// cur and prev are growContext's matched-name buffers (this β step's
 	// and the last one's); hit marks the candidates whose operation name
 	// already matched in this step.
@@ -660,29 +663,48 @@ func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, cor
 		evIdx = append(evIdx, int32(i))
 	}
 	sc.syms, sc.evIdx = syms, evIdx
-	sc.idx.Reset(syms)
 	mPatternSyms.Add(uint64(len(syms)))
 	mUnknownSyms.Add(unknown)
 }
 
-// view restricts the pattern to the symbols of events [lo, hi) by
-// re-slicing the precomputed pattern and index — no rebuild.
-func (sc *detectScratch) view(lo, hi int) ([]rune, fingerprint.Index) {
+// bounds maps events [lo, hi) of the snapshot to the pattern positions
+// of their symbols.
+func (sc *detectScratch) bounds(lo, hi int) (int, int) {
 	sLo, _ := slices.BinarySearch(sc.evIdx, int32(lo))
 	sHi, _ := slices.BinarySearch(sc.evIdx, int32(hi))
-	return sc.syms[sLo:sHi], sc.idx.Slice(sLo, sHi)
+	return sLo, sHi
 }
 
-func (a *Analyzer) match(p fingerprint.Program, pattern []rune, idx fingerprint.Index, corrFiltered bool) bool {
+// index builds the snapshot pattern's table for the configured matcher,
+// once per report, with the candidates' programs cut as truncate says:
+// for the relaxed matcher with the programs bound to it, for the
+// correlated one with every symbol in a column. In explain mode the
+// relaxed table also gives every symbol a column, so the explaining
+// walks read the same table. The strict matcher reads the pattern itself.
+func (a *Analyzer) index(sc *detectScratch, cands fingerprint.Candidates, truncate, corrFiltered, explain bool) {
+	sc.truncate = truncate
+	switch {
+	case a.cfg.StrictMatch:
+	case corrFiltered:
+		sc.idx.Reset(sc.syms)
+	default:
+		sc.idx.ResetBound(sc.syms, cands, truncate, !a.cfg.DisablePruneRPC, explain)
+	}
+}
+
+// match reports whether candidate i matches pattern positions [lo, hi)
+// under the configured matcher.
+func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo, hi int, corrFiltered bool) bool {
+	if !a.cfg.StrictMatch && !corrFiltered {
+		return sc.idx.MatchBound(i, lo, hi)
+	}
+	p := cands.Program(i, sc.truncate, !a.cfg.DisablePruneRPC)
 	if a.cfg.StrictMatch {
-		return p.MatchStrict(pattern)
+		return p.MatchStrict(sc.syms[lo:hi])
 	}
-	if corrFiltered {
-		// The pattern holds one operation's own messages; require real
-		// coverage beyond the offending symbol alone.
-		return p.MatchCorrelated(idx)
-	}
-	return p.MatchRelaxed(idx)
+	// The pattern holds one operation's own messages; require real
+	// coverage beyond the offending symbol alone.
+	return p.MatchCorrelated(sc.idx.Slice(lo, hi))
 }
 
 // detect runs Algorithm 2 over a filled snapshot and returns the report.
@@ -758,6 +780,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 		corrID = faultEv.CorrID
 	}
 	a.snapshotPattern(sc, snap, corrID)
+	a.index(sc, cands, truncate, corrID != "", rep.evidence != nil)
 	if rep.evidence != nil {
 		rep.evidence.CorrID = corrID
 		recordErrors(rep.evidence, rep.Errors)
@@ -766,7 +789,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 		beta = a.cfg.Alpha
 		matched = sc.cur[:0]
 		for i := 0; i < cands.Len(); i++ {
-			if a.match(cands.Program(i, truncate, !a.cfg.DisablePruneRPC), sc.syms, sc.idx, corrID != "") {
+			if a.match(sc, cands, i, 0, len(sc.syms), corrID != "") {
 				matched = append(matched, cands.Name(i))
 			}
 		}
@@ -797,14 +820,14 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	if rep.evidence != nil {
 		// Explain every candidate against the FINAL context buffer —
 		// exactly the view the verdict came from.
-		pattern, idx := sc.syms, sc.idx
+		sLo, sHi := 0, len(sc.syms)
 		ctx := snap.Events
 		if kind == Operational {
 			lo, hi := snap.ContextBounds(beta)
-			pattern, idx = sc.view(lo, hi)
+			sLo, sHi = sc.bounds(lo, hi)
 			ctx = snap.Events[lo:hi]
 		}
-		a.explainCandidates(rep.evidence, cands, truncate, pattern, idx, corrID != "")
+		a.explainCandidates(rep.evidence, cands, truncate, sc.syms[sLo:sHi], sc.idx.Slice(sLo, sHi), corrID != "")
 		a.finalizeEvidence(rep.evidence, rep, ctx)
 	}
 	span.End()
@@ -821,12 +844,14 @@ func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Durati
 
 // growContext iterates the context buffer from β₀ by δ per side, stopping
 // as soon as the precision drops (the matched set grows), per §5.3.1.
-// The snapshot's pattern and occurrence index were built once by the
-// caller; each β step re-slices them (O(α) total instead of O(α²)), and
-// an operation with several variants is matched by its first one that
-// hits. The returned names live in sc. When ev is non-nil (explain mode)
-// every step — including the final, discarded one the stop rule rejects —
-// is recorded in the evidence.
+// The snapshot's pattern, table and bound programs were built once by the
+// caller; each β step only walks them over a wider view, and an operation
+// with several variants is matched by its first one that hits. Once a
+// step's matched set outgrows the previous step's, the stop rule has
+// fired and the verdict is the previous set whatever the remaining
+// candidates do, so the step ends there — unless ev is non-nil (explain
+// mode), which records every step complete, including the final one the
+// stop rule rejects. The returned names live in sc.
 func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands fingerprint.Candidates, corrID string, ev *tracestore.Trace) ([]string, int) {
 	beta0 := int(a.cfg.C1 * float64(a.cfg.Alpha))
 	delta := int(a.cfg.C2 * float64(a.cfg.Alpha))
@@ -842,24 +867,31 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 	hit := sc.hit[:cands.Len()]
 	sc.prev = sc.prev[:0]
 	prevBeta := 0
+	armed := !a.cfg.GrowToCover && corrID == ""
 	for beta := beta0; ; beta += 2 * delta {
 		lo, hi := snap.ContextBounds(beta)
-		pattern, idx := sc.view(lo, hi)
+		sLo, sHi := sc.bounds(lo, hi)
+		limit := len(hit) // names this step may match before the stop rule fires
+		if armed && len(sc.prev) > 0 && ev == nil {
+			limit = len(sc.prev)
+		}
 		matched := sc.cur[:0]
 		clear(hit)
 		for i := range hit {
 			first := cands.First(i)
-			if !hit[first] && a.match(cands.Program(i, true, !a.cfg.DisablePruneRPC), pattern, idx, corrID != "") {
+			if !hit[first] && a.match(sc, cands, i, sLo, sHi, corrID != "") {
 				hit[first] = true
-				matched = append(matched, cands.Name(i))
+				if matched = append(matched, cands.Name(i)); len(matched) > limit {
+					break
+				}
 			}
 		}
 		sc.cur = matched
-		stopped := !a.cfg.GrowToCover && corrID == "" && len(sc.prev) > 0 && len(matched) > len(sc.prev)
+		stopped := armed && len(sc.prev) > 0 && len(matched) > len(sc.prev)
 		covered := snap.Covered(beta)
 		if ev != nil {
 			ev.Growth = append(ev.Growth, tracestore.GrowthStep{
-				Beta: beta, Lo: lo, Hi: hi, Pattern: len(pattern),
+				Beta: beta, Lo: lo, Hi: hi, Pattern: sHi - sLo,
 				Matched: append([]string(nil), matched...),
 				Stopped: stopped, Covered: covered && !stopped,
 			})

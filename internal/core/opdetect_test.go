@@ -204,7 +204,9 @@ func TestPooledJSONMatchesInlineReports(t *testing.T) {
 
 // TestDetectAllocsIndependentOfCandidates pins steady-state detection to
 // what the Report keeps: a warmed inline detect allocates a small
-// constant, the same for four candidate fingerprints as for four hundred.
+// constant, the same for four candidate fingerprints as for four hundred,
+// and none of it is the snapshot's table or the candidates' bound
+// programs, which live in the scratch.
 func TestDetectAllocsIndependentOfCandidates(t *testing.T) {
 	allocs := func(candidates int) float64 {
 		lib := fingerprint.NewLibrary()
@@ -215,6 +217,10 @@ func TestDetectAllocsIndependentOfCandidates(t *testing.T) {
 		fault, snap := frozen(get("/list"), post("/p3"), rpc("build"), get("/list"), post("/boom"))
 		if rep := a.Detect(fault, Operational, 0, snap); rep.CandidatesByErrorOnly != candidates || len(rep.Candidates) == 0 {
 			t.Fatalf("%d candidates: by-error-only %d, matched %d", candidates, rep.CandidatesByErrorOnly, len(rep.Candidates))
+		}
+		cands := lib.CandidatesForAPI(post("/boom"))
+		if n := testing.AllocsPerRun(50, func() { a.index(&a.scratch, cands, true, false, false) }); n != 0 {
+			t.Fatalf("%d candidates: a warmed table build and binding allocates %.0f, want 0", candidates, n)
 		}
 		return testing.AllocsPerRun(50, func() { a.Detect(fault, Operational, 0, snap) })
 	}

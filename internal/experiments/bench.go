@@ -38,11 +38,20 @@ func BenchOps() []*openstack.Operation {
 
 // FaultyBenchStream is the canonical Fig 8c-shaped stream: the BenchOps
 // mix at concurrency 400 with one injected fault per 1000 messages,
-// seed 7. BenchmarkFig8cParallel, BenchmarkExplainOverhead and
-// BenchmarkOpdetect replay exactly this.
+// seed 7. BenchmarkExplainOverhead and BenchmarkOpdetect replay exactly
+// this.
 func FaultyBenchStream(events int) []trace.Event {
 	return replay.Synthesize(replay.StreamConfig{
 		Ops: BenchOps(), Concurrency: 400, Events: events, FaultEvery: 1000, Seed: 7,
+	})
+}
+
+// StormBenchStream is FaultyBenchStream at Fig 8c's densest point, one
+// fault per 100 messages (bench/'s direct-storm density).
+// BenchmarkFig8cParallel replays it.
+func StormBenchStream(events int) []trace.Event {
+	return replay.Synthesize(replay.StreamConfig{
+		Ops: BenchOps(), Concurrency: 400, Events: events, FaultEvery: 100, Seed: 7,
 	})
 }
 

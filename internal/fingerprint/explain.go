@@ -2,7 +2,7 @@
 // Explain* twin that records the evidence — how many mandatory symbols
 // were satisfied, which omissions the relaxed semantics tolerated, and
 // the concrete reason a losing candidate lost. The explain path reuses
-// the production walks (Program.walk, subsequencePrefix, covered), so
+// the production walks (Index.walk, subsequencePrefix, covered), so
 // verdicts cannot drift between what the analyzer decided and what the
 // evidence trace claims.
 package fingerprint
@@ -53,26 +53,58 @@ func (e *Explanation) sym(r rune) string {
 // ExplainRelaxed is MatchRelaxed with evidence: same walk, same verdict,
 // plus the score and rejection reason.
 func (p Program) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
-	return p.explainOrdered(idx, tbl, true, "relaxed")
+	exp := Explanation{Mode: "relaxed", tbl: tbl}
+	exp.Matched = p.explainOrdered(&idx, true, &exp)
+	return exp
 }
 
 // ExplainExact is MatchExact with evidence.
 func (p Program) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
-	return p.explainOrdered(idx, tbl, false, "exact")
+	exp := Explanation{Mode: "exact", tbl: tbl}
+	exp.Matched = p.explainOrdered(&idx, false, &exp)
+	return exp
 }
 
-func (p Program) explainOrdered(idx Index, tbl *symbol.Table, allowOmission bool, mode string) Explanation {
-	exp := Explanation{Mode: mode, tbl: tbl}
-	ok, matched := p.walk(&idx, allowOmission, &exp)
-	exp.Matched = ok
-	exp.Satisfied = matched
-	if exp.MandatoryTotal > 0 {
-		exp.Score = float64(matched) / float64(exp.MandatoryTotal)
+// explainOrdered runs the ordered walk over idx's view with every
+// obligation of p resolved, absent ones included, and returns the
+// verdict. When exp is non-nil (the explain path) it also records the
+// walk's evidence: the mandatory-symbol total, omissions tolerated, the
+// score and — on failure — the concrete rejection reason.
+func (p Program) explainOrdered(idx *Index, allowOmission bool, exp *Explanation) bool {
+	if len(p.syms) == 0 {
+		if exp != nil {
+			exp.Reason = "empty fingerprint: no mandatory symbols to match"
+		}
+		return false
 	}
-	if ok {
+	var buf [32]uint16
+	prog := idx.resolve(buf[:0], p)
+	matched, at, early := idx.walk(prog, idx.rank[idx.lo], idx.rank[idx.hi], allowOmission)
+	total := len(prog)
+	if exp == nil {
+		return at == total
+	}
+	exp.MandatoryTotal, exp.Satisfied, exp.Omitted = total, matched, at-matched
+	if at == total {
 		exp.Score = 1
+		return true
 	}
-	return exp
+	exp.Score = float64(matched) / float64(total)
+	sym := p.syms[len(p.syms)-1]
+	if at < len(p.mand) {
+		sym = p.mand[at]
+	}
+	switch {
+	case early:
+		exp.Reason = fmt.Sprintf(
+			"order violated: %s occurs in the context buffer only before the match point (after %d of %d mandatory symbols)",
+			exp.sym(sym), matched, total)
+	case at == total-1:
+		exp.Reason = fmt.Sprintf("offending symbol %s absent from the context buffer", exp.sym(sym))
+	default:
+		exp.Reason = fmt.Sprintf("%s absent from the context buffer (exact mode tolerates no omissions)", exp.sym(sym))
+	}
+	return false
 }
 
 // ExplainStrict is MatchStrict with evidence: the full-sequence

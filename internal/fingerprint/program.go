@@ -1,13 +1,14 @@
 // The compiled matcher. Library.AddAPIs compiles each fingerprint once
 // into the library's flat, pointer-free stores; Algorithm 2 then cuts a
-// Program out of them per candidate in O(1) and walks it against a dense
-// occurrence Index of the snapshot pattern. Nothing here is written after
+// Program out of them per candidate in O(1), binds it to the columns of
+// the snapshot pattern's next-occurrence Index once per snapshot, and
+// walks it with one table load per symbol. Nothing here is written after
 // AddAPIs returns, so concurrent detect workers share it without locks.
 
 package fingerprint
 
 import (
-	"fmt"
+	"math"
 	"slices"
 
 	"gretel/internal/symbol"
@@ -144,19 +145,33 @@ func (c Candidates) Program(i int, truncate, pruneRPC bool) Program {
 	return c.lib.program(e.fp, e.cut, pruneRPC)
 }
 
-// Index is the occurrence index of one snapshot pattern, so many programs
-// can be matched against one context buffer cheaply (the §6 optimization
-// of offloading regex matching applies the same idea: index once, match
-// hundreds of patterns). Symbols are symbol.Base+s, so the posting lists
-// are dense, CSR-style: pos groups the pattern positions by symbol and
-// first[s]:first[s+1] bounds symbol s's group; runes outside the table
-// have no occurrences. An Index carries view bounds [lo, hi) over the
-// indexed sequence, so a growing context buffer re-slices one index built
-// over the whole snapshot instead of rebuilding per β step.
+// Index is the next-occurrence table of one snapshot pattern, so many
+// programs can be matched against one context buffer cheaply (the §6
+// optimization of offloading regex matching applies the same idea: index
+// once, match hundreds of patterns). Each indexed symbol of the pattern
+// has a column c, and only the m positions holding one have a row: row
+// j's entry next[j*cols+c] is the first row >= j holding c's symbol, or m
+// when there is none; column 0, absent, stands for every rune without a
+// column and holds m throughout. A symbol's next occurrence from any
+// match point is then one load, and rank maps a pattern position to the
+// first row at or after it. An Index carries view bounds [lo, hi) over
+// the indexed sequence, so a growing context buffer re-slices one index
+// built over the whole snapshot instead of rebuilding per β step.
 type Index struct {
-	first  []int32
-	pos    []int32
+	// col maps a symbol slot (rune - symbol.Base) to its column: 0 when
+	// the pattern lacks the symbol, -1 while a present one has none.
+	col    []int32
+	rank   []int32  // by pattern position 0..n: rows before it
+	narrow []uint16 // the table, while every row fits 16 bits
+	wide   []int32  // the table, for more rows
+	cols   int32
+	isWide bool
 	lo, hi int32
+	// prog holds the programs ResetBound bound, as columns (there are
+	// fewer than symbol.Max - symbol.Base): candidate i's are
+	// prog[ends[i-1]:ends[i]].
+	prog []uint16
+	ends []int32
 }
 
 // NewIndex builds the occurrence index for a symbol sequence.
@@ -171,40 +186,153 @@ func slot(r rune) (int, bool) {
 	return int(r - symbol.Base), r >= symbol.Base && r < symbol.Max
 }
 
-// Reset re-indexes idx over pattern, reusing its storage. Views sliced
-// from idx earlier are invalidated.
+// Reset re-indexes idx over pattern, every distinct symbol in a column of
+// its own, reusing idx's storage. Views sliced from idx earlier are
+// invalidated.
 func (idx *Index) Reset(pattern []rune) {
+	idx.mark(pattern)
+	for _, r := range pattern {
+		idx.assign(r)
+	}
+	idx.fill(pattern)
+}
+
+// ResetBound re-indexes idx over pattern for one report's candidates: it
+// binds each candidate's program — cut and pruned as Candidates.Program
+// does — to the columns of its mandatory and final symbols, and only
+// those symbols get a column, so the table holds what the walks load and
+// nothing else. A mandatory symbol absent from the whole pattern is
+// absent from every view of it, so the relaxed walk would omit it at
+// every β step; binding drops it once. A program that is empty or whose
+// final symbol is absent binds to nothing and matches no view. With
+// every set, every symbol gets a column as under Reset, so the table
+// also serves the other matchers and the explaining walks; without it
+// the table serves MatchBound only.
+func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRPC, every bool) {
+	idx.mark(pattern)
+	if every {
+		for _, r := range pattern {
+			idx.assign(r)
+		}
+	}
+	prog, ends := idx.prog[:0], idx.ends[:0]
+	for i := 0; i < cands.Len(); i++ {
+		if p := cands.Program(i, truncate, pruneRPC); len(p.syms) > 0 {
+			if final := idx.assign(p.syms[len(p.syms)-1]); final != 0 {
+				for _, r := range p.mand {
+					if c := idx.assign(r); c != 0 {
+						prog = append(prog, uint16(c))
+					}
+				}
+				prog = append(prog, uint16(final))
+			}
+		}
+		ends = append(ends, int32(len(prog)))
+	}
+	idx.prog, idx.ends = prog, ends
+	idx.fill(pattern)
+}
+
+// mark clears idx for pattern: no columns yet, every symbol the pattern
+// holds marked present.
+func (idx *Index) mark(pattern []rune) {
 	slots := 0
 	for _, r := range pattern {
 		if s, ok := slot(r); ok && s >= slots {
 			slots = s + 1
 		}
 	}
-	// Count into first[s+2], prefix-sum so first[s+1] is where s's group
-	// begins, then let the fill advance it to where the group ends.
-	first := slices.Grow(idx.first[:0], slots+2)[:slots+2]
-	clear(first)
+	col := slices.Grow(idx.col[:0], slots)[:slots]
+	clear(col)
 	for _, r := range pattern {
 		if s, ok := slot(r); ok {
-			first[s+2]++
+			col[s] = -1
 		}
 	}
-	for s := 2; s < len(first); s++ {
-		first[s] += first[s-1]
+	*idx = Index{col: col, rank: idx.rank, narrow: idx.narrow, wide: idx.wide, prog: idx.prog, ends: idx.ends,
+		cols: 1, hi: int32(len(pattern))}
+}
+
+// assign returns r's column, giving r the next one if the pattern holds
+// it and it has none yet; 0 (absent) if the pattern lacks r.
+func (idx *Index) assign(r rune) int32 {
+	s, ok := slot(r)
+	if !ok || s >= len(idx.col) {
+		return 0
 	}
-	pos := slices.Grow(idx.pos[:0], int(first[slots+1]))[:first[slots+1]]
-	for i, r := range pattern {
-		if s, ok := slot(r); ok {
-			pos[first[s+1]] = int32(i)
-			first[s+1]++
+	if idx.col[s] < 0 {
+		idx.col[s] = idx.cols
+		idx.cols++
+	}
+	return idx.col[s]
+}
+
+// fill ranks the pattern and builds the table for the columns assigned
+// so far, narrow when every row fits.
+func (idx *Index) fill(pattern []rune) {
+	rank := slices.Grow(idx.rank[:0], len(pattern)+1)[:len(pattern)+1]
+	m := int32(0)
+	for p, r := range pattern {
+		rank[p] = m
+		if idx.column(r) > 0 {
+			m++
 		}
 	}
-	*idx = Index{first: first, pos: pos, hi: int32(len(pattern))}
+	rank[len(pattern)] = m
+	idx.rank = rank
+	if idx.isWide = m > math.MaxUint16; idx.isWide {
+		idx.wide = fill(idx.wide, pattern, idx.col, int(idx.cols), int(m))
+	} else {
+		idx.narrow = fill(idx.narrow, pattern, idx.col, int(idx.cols), int(m))
+	}
+}
+
+// fill builds the m-row next-occurrence table of pattern into next's
+// storage, from the last row (all m) backwards: each row is the one
+// after it with its own symbol's column set to itself. Storage that must
+// grow doubles past the need, so a stream whose snapshots vary little in
+// shape settles on one table after a growth or two.
+func fill[T uint16 | int32](next []T, pattern []rune, col []int32, cols, m int) []T {
+	if cap(next) < (m+1)*cols {
+		next = make([]T, 2*(m+1)*cols)
+	}
+	next = next[:(m+1)*cols]
+	last := next[m*cols:]
+	for c := range last {
+		last[c] = T(m)
+	}
+	for p := len(pattern) - 1; p >= 0; p-- {
+		if s, ok := slot(pattern[p]); ok && col[s] > 0 {
+			m--
+			row := next[m*cols : (m+1)*cols]
+			copy(row, next[(m+1)*cols:])
+			row[col[s]] = T(m)
+		}
+	}
+	return next
+}
+
+// next returns the first row >= j holding column c's symbol, or the row
+// count when there is none.
+func (idx *Index) next(j, c int32) int32 {
+	k := int(j)*int(idx.cols) + int(c)
+	if idx.isWide {
+		return idx.wide[k]
+	}
+	return int32(idx.narrow[k])
+}
+
+// column returns r's column, or 0 (absent) when r has none.
+func (idx *Index) column(r rune) int32 {
+	if s, ok := slot(r); ok && s < len(idx.col) && idx.col[s] > 0 {
+		return idx.col[s]
+	}
+	return 0
 }
 
 // Slice returns a view of the index restricted to positions [lo, hi) of
-// the originally indexed sequence. The posting lists are shared — the
-// call is O(1) and the view is read-only like its parent.
+// the originally indexed sequence. The table is shared — the call is O(1)
+// and the view is read-only like its parent.
 func (idx Index) Slice(lo, hi int) Index {
 	l, h := int32(lo), int32(hi)
 	if l < idx.lo {
@@ -224,37 +352,69 @@ func (idx Index) Slice(lo, hi int) Index {
 // index).
 func (idx Index) Len() int { return int(idx.hi - idx.lo) }
 
-// positions returns every position of r in the indexed sequence.
-func (idx *Index) positions(r rune) []int32 {
-	s, ok := slot(r)
-	if !ok || s+1 >= len(idx.first) {
-		return nil
-	}
-	return idx.pos[idx.first[s]:idx.first[s+1]]
-}
-
-// searchPos returns the first index in positions holding a value >= j.
-func searchPos(positions []int32, j int32) int {
-	lo, hi := 0, len(positions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if positions[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // count returns the number of occurrences of r within the view.
 func (idx *Index) count(r rune) int {
-	positions := idx.positions(r)
-	return searchPos(positions, idx.hi) - searchPos(positions, idx.lo)
+	c, n, hi := idx.column(r), 0, idx.rank[idx.hi]
+	for k := idx.next(idx.rank[idx.lo], c); k < hi; k = idx.next(k+1, c) {
+		n++
+	}
+	return n
 }
 
 // contains reports whether r occurs anywhere within the view.
-func (idx *Index) contains(r rune) bool { return idx.count(r) > 0 }
+func (idx *Index) contains(r rune) bool {
+	return idx.next(idx.rank[idx.lo], idx.column(r)) < idx.rank[idx.hi]
+}
+
+// MatchBound is MatchRelaxed for candidate i of the set ResetBound bound,
+// over positions [lo, hi) of the indexed pattern (0 <= lo <= hi <= n,
+// whatever view idx itself carries): one table load per symbol, no
+// search, no copy.
+func (idx *Index) MatchBound(i, lo, hi int) bool {
+	start := int32(0)
+	if i > 0 {
+		start = idx.ends[i-1]
+	}
+	prog := idx.prog[start:idx.ends[i]]
+	_, at, _ := idx.walk(prog, idx.rank[lo], idx.rank[hi], true)
+	return len(prog) > 0 && at == len(prog)
+}
+
+// resolve appends every obligation of the non-empty program p as a column
+// of idx, absent symbols included (as the absent column), so the walk's
+// stopping point indexes p's obligations one to one.
+func (idx *Index) resolve(dst []uint16, p Program) []uint16 {
+	for _, r := range p.mand {
+		dst = append(dst, uint16(idx.column(r)))
+	}
+	return append(dst, uint16(idx.column(p.syms[len(p.syms)-1])))
+}
+
+// walk is the ordered walk behind every relaxed and exact verdict: prog's
+// columns must occur in order within rows [lo, hi). Each symbol costs one
+// table load from the match point j — it either occurs at or after j
+// (the walk advances past it), occurs in the view only before j (the
+// state-change order is violated: early), or is absent from the view,
+// which the relaxed semantics tolerate for every symbol but the final
+// one. It returns how many symbols matched and where the walk stopped:
+// at == len(prog) on success; otherwise prog[at] failed.
+func (idx *Index) walk(prog []uint16, lo, hi int32, allowOmission bool) (matched, at int, early bool) {
+	j := lo
+	for i, c := range prog {
+		if k := idx.next(j, int32(c)); k < hi {
+			matched++
+			j = k + 1
+			continue
+		}
+		if idx.next(lo, int32(c)) < hi {
+			return matched, i, true
+		}
+		if !allowOmission || i == len(prog)-1 {
+			return matched, i, false
+		}
+	}
+	return matched, len(prog), false
+}
 
 // MatchRelaxed reports whether the program matches the indexed snapshot
 // under the paper's relaxed semantics (§5.3.1 "Example", Fig 4): the
@@ -273,80 +433,13 @@ func (idx *Index) contains(r rune) bool { return idx.count(r) > 0 }
 // explained in order, which is why a larger β "forces a more precise
 // match" (§7.3).
 func (p Program) MatchRelaxed(idx Index) bool {
-	ok, _ := p.walk(&idx, true, nil)
-	return ok
+	return p.explainOrdered(&idx, true, nil)
 }
 
 // MatchExact requires every mandatory (state-change) symbol to be present
 // in order, with no omissions.
 func (p Program) MatchExact(idx Index) bool {
-	ok, _ := p.walk(&idx, false, nil)
-	return ok
-}
-
-// walk is the shared ordered walk behind the relaxed and exact matchers.
-// When exp is non-nil (the explain path) it records, without changing the
-// verdict, the walk's evidence: the mandatory-symbol total, omissions
-// tolerated, and — on failure — the concrete rejection reason. The hot
-// path passes nil and pays nothing.
-func (p Program) walk(idx *Index, allowOmission bool, exp *Explanation) (bool, int) {
-	if len(p.syms) == 0 {
-		if exp != nil {
-			exp.Reason = "empty fingerprint: no mandatory symbols to match"
-		}
-		return false, 0
-	}
-	total := len(p.mand) + 1
-	if exp != nil {
-		exp.MandatoryTotal = total
-	}
-	j := idx.lo
-	matched := 0
-	for i := 0; i < total; i++ {
-		final := i == total-1
-		sym := p.syms[len(p.syms)-1]
-		if !final {
-			sym = p.mand[i]
-		}
-		// The first occurrence at or after the match point, if the view
-		// has one; failing that, one just before it means sym is present
-		// in the view, only too early.
-		ps := idx.positions(sym)
-		at := searchPos(ps, j)
-		if at == len(ps) || ps[at] >= idx.hi {
-			if at > 0 && ps[at-1] >= idx.lo {
-				// Present in the snapshot, but only before our match
-				// point: the state-change order is violated.
-				if exp != nil {
-					exp.Reason = fmt.Sprintf(
-						"order violated: %s occurs in the context buffer only before the match point (after %d of %d mandatory symbols)",
-						exp.sym(sym), matched, total)
-				}
-				return false, matched
-			}
-			if !allowOmission || final {
-				// Absent symbol: fatal in exact mode, and the offending
-				// (final) symbol must be present in every mode.
-				if exp != nil {
-					if final {
-						exp.Reason = fmt.Sprintf(
-							"offending symbol %s absent from the context buffer", exp.sym(sym))
-					} else {
-						exp.Reason = fmt.Sprintf(
-							"%s absent from the context buffer (exact mode tolerates no omissions)", exp.sym(sym))
-					}
-				}
-				return false, matched
-			}
-			if exp != nil {
-				exp.Omitted++
-			}
-			continue // absent from the snapshot: omission allowed
-		}
-		matched++
-		j = ps[at] + 1
-	}
-	return true, matched
+	return p.explainOrdered(&idx, false, nil)
 }
 
 // MatchStrict reports whether every program symbol (reads included)

@@ -2,13 +2,16 @@
 // tested against: what the analyzer did per fault before the library was
 // compiled once — a Truncate copy, a WithoutRPC copy, a fresh mandatory()
 // list per call — and linear scans over the raw pattern in place of the
-// occurrence index. It lives under _test.go on purpose: the product has
-// one matcher, and this is its oracle.
+// occurrence index; beside it, the binary-search walk the next-occurrence
+// table replaced. They live under _test.go on purpose: the product has
+// one matcher, and these are its oracles.
 
 package fingerprint
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"gretel/internal/symbol"
@@ -127,6 +130,44 @@ func (f *Fingerprint) naiveCorrelated(s []rune) bool {
 	return float64(covered) >= corrCoverage*float64(len(s))
 }
 
+// searchIndex is the occurrence index the matcher walked before the
+// next-occurrence table: each symbol's sorted positions in the pattern.
+type searchIndex map[rune][]int
+
+func newSearchIndex(pattern []rune) searchIndex {
+	si := searchIndex{}
+	for i, r := range pattern {
+		si[r] = append(si[r], i)
+	}
+	return si
+}
+
+// relaxed is the binary-search relaxed walk over positions [lo, hi): one
+// search per mandatory symbol for its first occurrence at or after the
+// match point.
+func (si searchIndex) relaxed(f *Fingerprint, lo, hi int) bool {
+	pattern := f.mandatory()
+	if len(pattern) == 0 {
+		return false
+	}
+	j := lo
+	for i, sym := range pattern {
+		ps := si[sym]
+		at := sort.SearchInts(ps, j)
+		if at < len(ps) && ps[at] < hi {
+			j = ps[at] + 1
+			continue
+		}
+		if at > 0 && ps[at-1] >= lo {
+			return false // present, but only before the match point
+		}
+		if i == len(pattern)-1 {
+			return false
+		}
+	}
+	return true
+}
+
 // referenceProgram is what the analyzer used to build per fault for one
 // candidate: truncate at the offending symbol, then prune.
 func referenceProgram(fp *Fingerprint, offending rune, truncate, pruneRPC bool) *Fingerprint {
@@ -174,7 +215,13 @@ func fuzzLibrary(rng *rand.Rand) *Library {
 // the reference's for the truncated-then-pruned copy, every Explain*
 // verdict equals its Match*, the precomputed posting facts (distinct
 // names, first-variant groups) equal a recount, and unknown runes and
-// empty patterns never panic.
+// empty patterns never panic. The bound walk Algorithm 2 runs is held to
+// the naive reference and the binary-search walk at once, the way detect
+// uses it: one ResetBound per pattern, then nested views growing from
+// [lo, hi) to the whole pattern — over the pattern as drawn, and over it
+// with the offending symbol (every truncated program's final one) or
+// another symbol removed, so absent finals and absent mandatory symbols
+// are common.
 func FuzzMatcherEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, []byte{1, 2, 3, 4, 5, 6, 7, 0, 3, 3}, uint8(0), uint8(10))
@@ -248,6 +295,107 @@ func FuzzMatcherEquivalence(f *testing.F) {
 			if cands.Names() != len(names) {
 				t.Fatalf("symbol %U: %d names, want %d", off, cands.Names(), len(names))
 			}
+			other := symbol.Base + rune(int(loRaw^hiRaw)%(known+1))
+			for _, pat := range [][]rune{pattern, without(pattern, off), without(pattern, other)} {
+				checkBound(t, cands, want, off, pat, lo, hi)
+			}
 		}
 	})
+}
+
+// without returns pattern with every occurrence of r removed.
+func without(pattern []rune, r rune) []rune {
+	return slices.DeleteFunc(slices.Clone(pattern), func(s rune) bool { return s == r })
+}
+
+// checkBound binds cands (whose fingerprints are fps) to one index over
+// pattern under every truncate / prune / every-column mode, then checks
+// MatchBound for every candidate against the naive and binary-search
+// walks over views nested like Algorithm 2's growing context buffer, and
+// on the every-column table MatchRelaxed too.
+func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pattern []rune, lo, hi int) {
+	t.Helper()
+	lo, hi = min(lo, len(pattern)), min(hi, len(pattern))
+	si := newSearchIndex(pattern)
+	var idx Index
+	for mode := 0; mode < 8; mode++ {
+		truncate, prune, every := mode&1 != 0, mode&2 != 0, mode&4 != 0
+		idx.ResetBound(pattern, cands, truncate, prune, every)
+		for vlo, vhi := lo, hi; ; vlo, vhi = max(vlo-2, 0), min(vhi+2, len(pattern)) {
+			for i, fp := range fps {
+				ref := referenceProgram(fp, off, truncate, prune)
+				got, want := idx.MatchBound(i, vlo, vhi), ref.naiveOrdered(pattern[vlo:vhi], true)
+				if every {
+					// The explain-mode table also serves the relaxed matcher.
+					if p := cands.Program(i, truncate, prune); p.MatchRelaxed(idx.Slice(vlo, vhi)) != want {
+						t.Fatalf("every-column table: relaxed %s@%U truncate=%v prune=%v pattern=%q [%d,%d): want %v",
+							fp.Name, off, truncate, prune, string(pattern), vlo, vhi, want)
+					}
+				}
+				if searched := si.relaxed(ref, vlo, vhi); got != want || searched != want {
+					t.Fatalf("bound %s@%U truncate=%v prune=%v every=%v fp=%q pattern=%q [%d,%d): bound %v, binary search %v, reference %v",
+						fp.Name, off, truncate, prune, every, string(fp.Symbols), string(pattern), vlo, vhi, got, searched, want)
+				}
+			}
+			if vlo == 0 && vhi == len(pattern) {
+				break
+			}
+		}
+	}
+}
+
+// TestWideTableMatchesReference drives the int32 table: patterns of more
+// than math.MaxUint16 indexed positions, which the fuzzer's short
+// patterns never reach. Every bound, relaxed, exact and correlated
+// verdict over views at the start, middle and end of such a pattern,
+// and over all of it, must equal the naive reference's — with the
+// offending symbol present and removed.
+func TestWideTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lib := fuzzLibrary(rng)
+	known := lib.Table.Len()
+	// Wide enough that removing one of the known symbols leaves it wide.
+	pattern := make([]rune, 70000*known/(known-1))
+	for i := range pattern {
+		pattern[i] = symbol.Base + rune(rng.Intn(known))
+	}
+	var idx Index
+	for off := symbol.Base; off < symbol.Base+rune(known); off++ {
+		cands := lib.Candidates(off)
+		var fps []*Fingerprint
+		for _, fp := range lib.All() {
+			if fp.Truncate(off) != nil {
+				fps = append(fps, fp)
+			}
+		}
+		for _, pat := range [][]rune{pattern, without(pattern, off)} {
+			n := len(pat)
+			views := [][2]int{{0, n}, {0, 300}, {n/2 - 150, n/2 + 150}, {n - 300, n}, {n - 1, n}, {n - 66000, n}}
+			for mode := 0; mode < 4; mode++ {
+				truncate, prune := mode&1 != 0, mode&2 != 0
+				idx.ResetBound(pat, cands, truncate, prune, true)
+				if !idx.isWide {
+					t.Fatalf("%U: %d indexed positions built a narrow table", off, idx.rank[n])
+				}
+				for _, v := range views {
+					view, sub := idx.Slice(v[0], v[1]), pat[v[0]:v[1]]
+					for i, fp := range fps {
+						ref, p := referenceProgram(fp, off, truncate, prune), cands.Program(i, truncate, prune)
+						check := func(matcher string, got, want bool) {
+							t.Helper()
+							if got != want {
+								t.Fatalf("%s %s@%U truncate=%v prune=%v fp=%q view [%d,%d) of %d: got %v, reference %v",
+									matcher, fp.Name, off, truncate, prune, string(fp.Symbols), v[0], v[1], n, got, want)
+							}
+						}
+						relaxed := ref.naiveOrdered(sub, true)
+						check("bound", idx.MatchBound(i, v[0], v[1]), relaxed)
+						check("relaxed", p.MatchRelaxed(view), relaxed)
+						check("exact", p.MatchExact(view), ref.naiveOrdered(sub, false))
+						check("correlated", p.MatchCorrelated(view), ref.naiveCorrelated(sub))
+					}
+				}
+			}
+		}
+	}
 }
