@@ -26,13 +26,13 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 20499
+LOC_CEILING := 20246
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
 	[ "$$total" -le $(LOC_CEILING) ]
-	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field ROADMAP item 7 deletes
+	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field ROADMAP item 10 deletes
 
 # Every benchmark of the root package — the twelve pipeline scenarios
 # and the paper-figure / ablation ones — on the full workloads, three
@@ -53,7 +53,7 @@ bench-gate:
 
 # Regenerate every table and figure (writes CSVs under out/).
 experiments:
-	$(GO) run ./cmd/gretel-experiments -exp all -out out
+	$(GO) run ./cmd/gretel experiments -exp all -out out
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -3,7 +3,7 @@
 // (scenario_bench_test.go, soak_bench_test.go — Table 1 and Fig 8c live
 // there), plus ablations of the design choices DESIGN.md calls out.
 // Figures that are sweeps are benchmarked at one representative cell;
-// the cmd/gretel-experiments binary regenerates the full sweeps.
+// `gretel experiments` regenerates the full sweeps.
 package gretel_test
 
 import (

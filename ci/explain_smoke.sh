@@ -11,7 +11,7 @@ out=$(mktemp -d)
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 
 go build -o "$out/gretel" ./cmd/gretel
-"$out/gretel" -replay 40000 -fault-every 500 -quiet -explain \
+"$out/gretel" analyze -replay 40000 -fault-every 500 -quiet -explain \
   -telemetry "127.0.0.1:$port" -linger 60s >"$out/run.log" 2>&1 &
 pid=$!
 

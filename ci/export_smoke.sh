@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Export smoke: end-to-end soak of the telemetry export pipeline against
-# a real gretel-tsdb. Two phases:
+# a real gretel tsdb. Two phases:
 #
 #   1. Healthy path — run a replay with -telemetry-export, then assert
 #      the exporter's closed ledger balances (delivered + shed ==
@@ -20,10 +20,9 @@ tsdb_pid=
 trap 'kill "$tsdb_pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 
 go build -o "$out/gretel" ./cmd/gretel
-go build -o "$out/gretel-tsdb" ./cmd/gretel-tsdb
 
 start_tsdb() {
-  "$out/gretel-tsdb" -listen "127.0.0.1:$port" -dir "$out/tsdb-data" \
+  "$out/gretel" tsdb -listen "127.0.0.1:$port" -dir "$out/tsdb-data" \
     >>"$out/tsdb.log" 2>&1 &
   tsdb_pid=$!
   for _ in $(seq 1 100); do
@@ -32,7 +31,7 @@ start_tsdb() {
     fi
     sleep 0.1
   done
-  echo "FAIL: gretel-tsdb not ready on port $port" >&2
+  echo "FAIL: gretel tsdb not ready on port $port" >&2
   cat "$out/tsdb.log" >&2
   exit 1
 }
@@ -60,7 +59,7 @@ check_ledger() {
 start_tsdb
 
 # --- Phase 1: healthy receiver ---
-"$out/gretel" -replay 40000 -fault-every 500 -quiet \
+"$out/gretel" analyze -replay 40000 -fault-every 500 -quiet \
   -telemetry-export "http://127.0.0.1:$port" \
   -export-interval 200ms -replay-pace 25ms >"$out/run1.log" 2>&1
 
@@ -92,7 +91,7 @@ fi
 echo "phase 1: $count intervals queryable for $key"
 
 # --- Phase 2: kill the receiver mid-run, restart, retry must drain ---
-"$out/gretel" -replay 40000 -fault-every 500 -quiet \
+"$out/gretel" analyze -replay 40000 -fault-every 500 -quiet \
   -telemetry-export "http://127.0.0.1:$port" \
   -export-interval 200ms -replay-pace 100ms >"$out/run2.log" 2>&1 &
 gpid=$!

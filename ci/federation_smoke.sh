@@ -3,7 +3,7 @@
 #
 # Phase 1 — parity: a federation of ONE member must be byte-identical
 # to a bare analyzer. Run the same deterministic replay twice — once
-# bare, once as a single-member fleet pulled by gretel-coord — and
+# bare, once as a single-member fleet pulled by gretel coord — and
 # diff the coordinator's merged /reports NDJSON against the bare run's
 # report lines.
 #
@@ -27,8 +27,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$out/gretel" ./cmd/gretel
-go build -o "$out/gretel-agent" ./cmd/gretel-agent
-go build -o "$out/gretel-coord" ./cmd/gretel-coord
 
 wait_http() { # url attempts
   for _ in $(seq 1 "${2:-100}"); do
@@ -43,7 +41,7 @@ FAULT_EVERY=500
 
 # ---- Phase 1: one-member federation parity ----
 
-"$out/gretel" -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
+"$out/gretel" analyze -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
   2>"$out/log.base" | grep '^{' >"$out/reports.base" || true
 n=$(wc -l <"$out/reports.base")
 echo "phase 1: baseline produced $n reports"
@@ -53,7 +51,7 @@ if [ "$n" -eq 0 ]; then
   exit 1
 fi
 
-"$out/gretel" -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
+"$out/gretel" analyze -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
   -telemetry 127.0.0.1:16267 -linger 60s \
   >"$out/reports.solo" 2>"$out/log.solo" &
 pids+=($!)
@@ -64,7 +62,7 @@ wait_http "http://127.0.0.1:16267/healthz" || {
 }
 
 # EventAddr is only handed to agents; the replay member never uses it.
-"$out/gretel-coord" -listen 127.0.0.1:16270 \
+"$out/gretel" coord -listen 127.0.0.1:16270 \
   -member solo,127.0.0.1:1,http://127.0.0.1:16267 \
   -probe-interval 100ms -pull-interval 50ms \
   >"$out/coord1.out" 2>"$out/coord1.log" &
@@ -98,11 +96,11 @@ pids=()
 
 # ---- Phase 2: failover mid-burst ----
 
-"$out/gretel" -listen 127.0.0.1:16166 -telemetry 127.0.0.1:16167 \
+"$out/gretel" analyze -listen 127.0.0.1:16166 -telemetry 127.0.0.1:16167 \
   -member alpha -quiet >"$out/alpha.out" 2>"$out/alpha.log" &
 alpha_pid=$!
 pids+=("$alpha_pid")
-"$out/gretel" -listen 127.0.0.1:16266 -telemetry 127.0.0.1:16268 \
+"$out/gretel" analyze -listen 127.0.0.1:16266 -telemetry 127.0.0.1:16268 \
   -member beta -quiet >"$out/beta.out" 2>"$out/beta.log" &
 beta_pid=$!
 pids+=("$beta_pid")
@@ -111,7 +109,7 @@ wait_http "http://127.0.0.1:16167/healthz" && wait_http "http://127.0.0.1:16268/
   exit 1
 }
 
-"$out/gretel-coord" -listen 127.0.0.1:16170 \
+"$out/gretel" coord -listen 127.0.0.1:16170 \
   -member alpha,127.0.0.1:16166,http://127.0.0.1:16167 \
   -member beta,127.0.0.1:16266,http://127.0.0.1:16268 \
   -probe-interval 100ms -down-fails 2 -pull-interval 50ms \
@@ -138,7 +136,7 @@ esac
 echo "phase 2: key 'smoke' assigned to $victim; survivor is $survivor"
 
 # Spool sized to retain the whole stream so failover replays everything.
-"$out/gretel-agent" -coord http://127.0.0.1:16170 -name smoke \
+"$out/gretel" agent -coord http://127.0.0.1:16170 -name smoke \
   -parallel 50 -faults 4 -duration 2m -spool 262144 \
   -heartbeat 100ms -drain-timeout 60s \
   >"$out/agent.log" 2>&1 &
@@ -214,8 +212,9 @@ if [ "$got_reports" -ne 1 ]; then
   exit 1
 fi
 
-# Survivor ledger: the replayed stream must close with zero loss.
-kill -INT "$survivor_pid"
+# Survivor ledger: the replayed stream must close with zero loss. SIGTERM
+# drains the analyzer the way Ctrl-C does, summary ledger included.
+kill -TERM "$survivor_pid"
 wait "$survivor_pid" 2>/dev/null || true
 ledger=$(grep '^agent: ' "$out/$survivor.out" || true)
 echo "phase 2: survivor ledger: ${ledger:-<none>}"
@@ -225,4 +224,14 @@ if ! printf '%s\n' "$ledger" | grep -q 'missing=0 dups=0'; then
   exit 1
 fi
 echo "phase 2: PASS — failover replayed the stream with zero loss"
+
+# SIGTERM drains the coordinator too: final pull, merge flush, tally.
+kill -TERM "$coord_pid"
+wait "$coord_pid" 2>/dev/null || true
+if ! grep -q 'done: [0-9]* reports merged' "$out/coord2.log"; then
+  echo "FAIL: coordinator did not drain on SIGTERM" >&2
+  cat "$out/coord2.log" >&2
+  exit 1
+fi
+echo "phase 2: coordinator $(grep -o 'done: .*' "$out/coord2.log")"
 echo "federation smoke: PASS"

@@ -21,7 +21,7 @@ EVENTS=40000
 FAULT_EVERY=500
 
 # Baseline: uninterrupted, no WAL.
-"$out/gretel" -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
+"$out/gretel" analyze -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
   2>"$out/log.base" | grep '^{' >"$out/reports.base" || true
 n=$(wc -l <"$out/reports.base")
 echo "baseline: $n reports"
@@ -34,7 +34,7 @@ fi
 # WAL run, killed mid-burst. Pace the replay (~2ms per 1000 events)
 # so the process is still appending when the kill fires.
 wal="$out/wal"
-"$out/gretel" -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
+"$out/gretel" analyze -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
   -wal "$wal" -wal-fsync none -replay-pace 2ms \
   2>"$out/log.kill" | grep '^{' >"$out/reports.kill" &
 pid=$!
@@ -59,7 +59,7 @@ fi
 # Restart the same command: boot recovery replays the WAL (reprinting
 # every report, since -replay self-test mode ignores the cursor), then
 # the synthesized stream resumes where the log ends.
-"$out/gretel" -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
+"$out/gretel" analyze -replay "$EVENTS" -fault-every "$FAULT_EVERY" -json \
   -wal "$wal" -wal-fsync none \
   2>"$out/log.restart" | grep '^{' >"$out/reports.restart" || true
 

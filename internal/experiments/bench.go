@@ -23,17 +23,10 @@ func BenchLibrary() *fingerprint.Library {
 	return GroundTruthLibrary(tempest.NewCatalog(1))
 }
 
-// BenchOps is the canonical throughput operation mix: every 6th test of
-// the seed-1 catalog (~200 operations across all service categories).
+// BenchOps is the canonical throughput operation mix: ThroughputMix of
+// the seed-1 catalog.
 func BenchOps() []*openstack.Operation {
-	cat := tempest.NewCatalog(1)
-	ops := make([]*openstack.Operation, 0, 200)
-	for i, t := range cat.Tests {
-		if i%6 == 0 {
-			ops = append(ops, t.Op)
-		}
-	}
-	return ops
+	return ThroughputMix(tempest.NewCatalog(1))
 }
 
 // FaultyBenchStream is the canonical Fig 8c-shaped stream: the BenchOps

@@ -2,7 +2,7 @@
 // evaluation (§7) on the simulated deployment: Table 1 and Fig 5
 // (characterization), Fig 6/8b (performance faults), Fig 7a-c and 8a
 // (precision), Fig 8c and the HANSEL comparison (throughput), and the
-// §7.4.2 overhead measurement. The cmd/gretel-experiments binary and the
+// §7.4.2 overhead measurement. `gretel experiments` and the
 // repository benchmarks call these drivers.
 package experiments
 

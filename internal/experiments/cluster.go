@@ -70,9 +70,9 @@ func (m *clusterMember) kill() {
 // Cluster runs the federated fleet soak: two members, two monitored
 // deployments streaming ~events each, the owner of the first deployment
 // killed after its first half. Every layer is the production one — the
-// coordinator talks to members over HTTP exactly as gretel-coord does,
+// coordinator talks to members over HTTP exactly as `gretel coord` does,
 // and agents resolve their analyzer through GET /assign exactly as
-// gretel-agent does.
+// `gretel agent` does.
 func Cluster(seed int64, events int) (ClusterResult, error) {
 	lib := BenchLibrary()
 	streams := [][]trace.Event{
@@ -122,7 +122,7 @@ func Cluster(seed int64, events int) (ClusterResult, error) {
 	}
 
 	// Coordinator, plus its /assign endpoint on a real listener so the
-	// agents resolve over HTTP like gretel-agent does.
+	// agents resolve over HTTP like `gretel agent` does.
 	cfgs := make([]federation.MemberConfig, len(members))
 	byName := map[string]*clusterMember{}
 	for i, m := range members {

@@ -22,6 +22,19 @@ type ThroughputPoint struct {
 	Result     replay.Result
 }
 
+// ThroughputMix is the operation mix of the throughput streams: every
+// 6th test of the catalog (~200 operations across all service
+// categories).
+func ThroughputMix(cat *tempest.Catalog) []*openstack.Operation {
+	ops := make([]*openstack.Operation, 0, len(cat.Tests)/6+1)
+	for i, t := range cat.Tests {
+		if i%6 == 0 {
+			ops = append(ops, t.Op)
+		}
+	}
+	return ops
+}
+
 // Fig8c measures the analyzer's sustained throughput for fault
 // frequencies of 1 per {100, 500, 1000, 1500, 2000} messages (the paper's
 // sweep), replaying a synthesized concurrent-operation stream at full
@@ -36,12 +49,7 @@ func Fig8c(seed int64, events int, faultFreqs []int, cfg core.Config) []Throughp
 	}
 	cat := tempest.NewCatalog(seed)
 	lib := GroundTruthLibrary(cat)
-	ops := make([]*openstack.Operation, 0, 200)
-	for i, t := range cat.Tests {
-		if i%6 == 0 {
-			ops = append(ops, t.Op)
-		}
-	}
+	ops := ThroughputMix(cat)
 
 	var out []ThroughputPoint
 	for _, fe := range faultFreqs {

@@ -156,9 +156,8 @@ type Deployment struct {
 	connOp map[uint64]opRef
 	msgOp  map[string]opRef
 
-	running   int
-	completed []*Instance
-	stopped   bool
+	running int
+	stopped bool
 }
 
 // NewDeployment builds the reference topology on a fresh simulator.
@@ -300,9 +299,6 @@ func (d *Deployment) GroundTruth(connID uint64, msgID string) (uint64, string) {
 // Running reports the number of in-flight operation instances.
 func (d *Deployment) Running() int { return d.running }
 
-// Completed returns finished instances in completion order.
-func (d *Deployment) Completed() []*Instance { return d.completed }
-
 // StopNoise halts heartbeat generation (used at the end of experiments so
 // the simulator drains).
 func (d *Deployment) StopNoise() { d.stopped = true }
@@ -421,7 +417,6 @@ func (d *Deployment) complete(inst *Instance, state InstanceState) {
 	inst.Ended = d.Sim.Now()
 	d.running--
 	d.adjustLoad(inst.Op, -1)
-	d.completed = append(d.completed, inst)
 	if inst.done != nil {
 		inst.done(inst)
 	}

@@ -1,7 +1,7 @@
 // WAL replay: feed the durable event log back through the analyzer.
 // Two callers share this path — gretel's boot-time crash recovery
 // (replay the retained log, then go live on the same analyzer) and
-// gretel-experiments' offline reanalysis ("reanalyze yesterday's
+// `gretel experiments`' offline reanalysis ("reanalyze yesterday's
 // incident with today's fingerprints").
 
 package replay

@@ -1,7 +1,7 @@
 // Package export is the telemetry egress pipeline: a periodic sampler
 // walks the registry, computes per-interval deltas, encodes InfluxDB
 // line protocol, and hands batches to a shipper that POSTs them to
-// gretel-tsdb (or any line-protocol /write endpoint) with bounded
+// `gretel tsdb` (or any line-protocol /write endpoint) with bounded
 // buffering and fully-accounted loss. See DESIGN.md "Telemetry export".
 package export
 

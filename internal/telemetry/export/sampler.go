@@ -192,7 +192,7 @@ func (s *Sampler) emit(dst []byte, name string, ts int64, points int) ([]byte, i
 // AppendSnapshot encodes a cumulative snapshot as line protocol — one
 // point per metric with running totals rather than interval deltas. The
 // experiments harness uses it to write out/telemetry.lp so any run can
-// be bulk-loaded into gretel-tsdb. Metrics are emitted in sorted name
+// be bulk-loaded into `gretel tsdb`. Metrics are emitted in sorted name
 // order; histograms carry cumulative count/sum/quantiles.
 func AppendSnapshot(dst []byte, snap *telemetry.Snapshot, tags []Tag, tsNS int64) []byte {
 	names := make([]string, 0, len(snap.Counters)+len(snap.Gauges)+len(snap.Funcs)+len(snap.Histograms))

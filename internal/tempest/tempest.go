@@ -228,10 +228,10 @@ func buildTest(cat openstack.Category, i int, rng *rand.Rand, pool *openstack.AP
 		return steps
 	}
 
-	restSteps := pick(pool.REST, restCur, nREST, minInt(3, nREST))
+	restSteps := pick(pool.REST, restCur, nREST, min(3, nREST))
 	var rpcSteps []openstack.Step
 	if len(pool.RPC) > 0 && nRPC > 0 {
-		rpcSteps = pick(pool.RPC, rpcCur, nRPC, minInt(2, nRPC))
+		rpcSteps = pick(pool.RPC, rpcCur, nRPC, min(2, nRPC))
 	}
 
 	// Interleave REST and RPC variation steps deterministically, split
@@ -310,13 +310,6 @@ func categorySlug(cat openstack.Category) string {
 	default:
 		return "misc"
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SustainPool keeps n uniformly drawn catalog tests executing

@@ -1,5 +1,5 @@
 // HTTP surface: /write (line protocol in), /query and /series (JSON
-// out). Handlers are exposed as telemetry.Mounts so gretel-tsdb serves
+// out). Handlers are exposed as telemetry.Mounts so `gretel tsdb` serves
 // them on the same mux as /metrics and /healthz.
 
 package tsdb

@@ -1,4 +1,4 @@
-// Package tsdb is the embedded time-series store behind gretel-tsdb:
+// Package tsdb is the embedded time-series store behind `gretel tsdb`:
 // the receiving end of the telemetry export pipeline. Writes land in
 // an internal/seglog segment log (the WAL's envelope, lifecycle and
 // skip-and-count recovery; record kind 'P', files tsdb-<first-seq>.seg)
