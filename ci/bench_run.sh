@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Runs the gated benchmarks — the twelve pipeline scenarios of the root
+# Runs the gated benchmarks — the thirteen pipeline scenarios of the root
 # package (scenario_bench_test.go, soak_bench_test.go) in short mode,
 # three passes per case — and prints Go's benchmark text format on
 # stdout: what ci/bench_gate.sh compares and what `make bench-baseline`
 # commits as BENCH.txt. The test binary is built once and run directly,
 # so the pipelines' log lines stay on stderr instead of tearing a result
-# line. The three scenarios where goroutines contend run at GOMAXPROCS
-# 1, 2 and 4 (Go suffixes the name: BenchmarkChaosSoak/soak-4); the rest
-# are single-goroutine work and run at 1. The root package's other
+# line. The four scenarios where goroutines contend or overlap run at
+# GOMAXPROCS 1, 2 and 4 (Go suffixes the name: BenchmarkChaosSoak/soak-4);
+# the rest are single-goroutine work and run at 1. The root package's other
 # benchmarks (paper figures, ablations, telemetry overhead) are not
 # gated: three iterations of a 20 ns operation time the clock, not the
 # operation. CI smokes them at -benchtime 1x instead.
 set -euo pipefail
 
-MULTI='^Benchmark(Fig8cParallel|ChaosSoak|ClusterSoak)$'
+MULTI='^Benchmark(Fig8cParallel|ChaosSoak|ClusterSoak|WALReplay)$'
 SINGLE='^Benchmark(Ingest|ExplainOverhead|Table1Learning|Detector|WALAppend|ExportOverhead|Opdetect|Monitor|RCA)$'
 
 bin=out/bench/gretel.test

@@ -43,10 +43,40 @@ type WALDrive struct {
 	OnBatch func(segment, total int, lastSeq uint64)
 }
 
+// walBatches bounds DriveWAL's read-ahead: one batch being ingested, up
+// to four queued, one being filled. The queue keeps the caller busy while
+// a reader woken by a recycled batch waits for a processor, which on a
+// shared two-core VM can take longer than ingesting a batch. The reader
+// allocates batches as it first needs them, then recycles them.
+const walBatches = 6
+
+// walBatch is one IngestBatch hand-off from DriveWAL's reader: the
+// first n of its slots, records decoded in place, and the scan state at
+// the moment it was cut.
+type walBatch struct {
+	slots          []trace.Event // ingestChunk of them
+	n              int
+	bytes          uint64 // wire bytes of the n events
+	lastSeq        uint64 // sequence of the last event
+	segment, total int    // Reader.Progress when the batch was cut
+	// barrier: OnBarrier fires once the n events (maybe none) are ingested.
+	barrier bool
+}
+
 // DriveWAL replays the write-ahead log at dir through the analyzer.
 // Records with sequence in [opt.From, opt.To] (0 = open bound) are fed
 // through IngestBatch in ingestChunk-sized batches; corrupt or torn
 // records are quarantined by the reader, never fatal.
+//
+// It runs in two stages, like a Receiver feeding DriveTransport. A
+// reader goroutine scans, checks and decodes the log into recycled
+// batches, at most walBatches ahead, cutting them where a one-goroutine
+// loop would flush: every ingestChunk records, before the first record
+// past Barrier, and at To or the end of the log, where it stops and
+// closes the scan. The calling goroutine does the rest — IngestBatch,
+// OnBatch, then OnBarrier if the batch ends at the barrier — in log
+// order, so the analyzer keeps a single caller. DriveWAL returns after
+// the reader has finished.
 //
 // The analyzer is NOT flushed or closed: boot recovery continues
 // driving live events on the same analyzer (flushing here would tear
@@ -58,63 +88,110 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 	if err != nil {
 		return WALResult{}, err
 	}
-	defer r.Close()
-
-	batch := make([]trace.Event, 0, ingestChunk)
-
 	start := time.Now()
+	full, free := make(chan *walBatch, walBatches), make(chan *walBatch, walBatches)
+	stop := make(chan struct{})
+	var readErr error
+	go func() {
+		defer close(full)
+		readErr = readAhead(r, opt, full, free, stop)
+		r.Close() // finalizes torn-tail attribution before the stats snapshot
+	}()
+	defer func() {
+		// Normally a no-op; if the caller panicked, unblock the reader and
+		// wait for it.
+		close(stop)
+		for range full {
+		}
+	}()
+
 	var res WALResult
-	var lastSeq uint64
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a.IngestBatch(batch)
-		res.Events += len(batch)
-		batch = batch[:0]
-		if opt.OnBatch != nil {
-			seg, total := r.Progress()
-			opt.OnBatch(seg, total, lastSeq)
-		}
-	}
-	crossed := opt.Barrier == 0
-	for {
-		seq, ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		if opt.From > 0 && seq < opt.From {
-			continue
-		}
-		if opt.To > 0 && seq > opt.To {
-			break
-		}
-		if !crossed && seq > opt.Barrier {
-			// Everything at or below the barrier must be through the
-			// analyzer before the caller's barrier action (lifting report
-			// suppression) takes effect for the records after it.
-			flush()
-			crossed = true
-			if opt.OnBarrier != nil {
-				opt.OnBarrier()
+	for b := range full {
+		if b.n > 0 {
+			a.IngestBatch(b.slots[:b.n])
+			res.Events += b.n
+			res.Bytes += b.bytes
+			if opt.OnBatch != nil {
+				opt.OnBatch(b.segment, b.total, b.lastSeq)
 			}
 		}
-		lastSeq = seq
-		res.Bytes += uint64(ev.WireBytes)
-		batch = append(batch, ev)
-		if len(batch) >= ingestChunk {
-			flush()
+		if b.barrier && opt.OnBarrier != nil {
+			// Everything at or below the barrier is through the analyzer
+			// before the caller's barrier action (lifting report
+			// suppression) takes effect for the records after it.
+			opt.OnBarrier()
 		}
+		free <- b
 	}
-	flush()
+	if readErr != nil {
+		return res, readErr
+	}
 	res.Wall = time.Since(start)
 	res.rates()
 	res.Reports = len(a.Reports())
 	res.SnapshotsShed = a.Stats.SnapshotsShed
-	r.Close() // finalizes torn-tail attribution before the stats snapshot
 	res.Recovery = r.Stats()
 	return res, nil
+}
+
+// readAhead is DriveWAL's reader stage: it decodes records in place into
+// batches taken from free and sends each cut batch on full. It returns at
+// the end of the window or the log, on a read error (after sending only
+// the batches cut before it), or when stop closes. A send never blocks:
+// full has room for every batch there is.
+func readAhead(r *wal.Reader, opt WALDrive, full chan<- *walBatch, free chan *walBatch, stop <-chan struct{}) error {
+	made := 0
+	take := func() *walBatch {
+		if made < walBatches && len(free) == 0 {
+			made++
+			return &walBatch{slots: make([]trace.Event, ingestChunk)}
+		}
+		select {
+		case b := <-free:
+			*b = walBatch{slots: b.slots}
+			return b
+		case <-stop:
+			return nil
+		}
+	}
+	send := func(b *walBatch) {
+		b.segment, b.total = r.Progress()
+		full <- b
+	}
+
+	crossed := opt.Barrier == 0
+	for b := take(); b != nil; {
+		seq, err := r.NextInto(&b.slots[b.n])
+		if err == nil && opt.To > 0 && seq > opt.To {
+			err = io.EOF // the window ends here: read no further
+		}
+		if err == io.EOF {
+			if b.n > 0 {
+				send(b)
+			}
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if opt.From > 0 && seq < opt.From {
+			continue
+		}
+		if !crossed && seq > opt.Barrier {
+			crossed, b.barrier = true, true
+			ev := b.slots[b.n]
+			send(b)
+			if b = take(); b == nil {
+				return nil
+			}
+			b.slots[0] = ev
+		}
+		b.bytes += uint64(b.slots[b.n].WireBytes)
+		b.lastSeq = seq
+		if b.n++; b.n == ingestChunk {
+			send(b)
+			b = take()
+		}
+	}
+	return nil
 }

@@ -269,7 +269,8 @@ func TestCodecAllocations(t *testing.T) {
 // endpoints among them: IPv4, IPv6, 4-in-6, none, port 0, and a zoned
 // address, which comes back without its zone — decode(encode(ev))
 // equals the JSON round trip of ev, field for field. A body whose
-// endpoint length byte is not 0, 4 or 16 is refused.
+// endpoint length byte is not 0, 4 or 16 is refused. Decoding over an
+// Event that holds another event equals decoding into a zero one.
 func FuzzEventCodec(f *testing.F) {
 	ev := codecSample()
 	good := AppendEvent(nil, &ev)
@@ -349,6 +350,22 @@ func FuzzEventCodec(f *testing.F) {
 		requireSame(t, got, want)
 		if src.Addr().Zone() == "" {
 			requireSame(t, got, ev)
+		}
+
+		// A decode overwrites every field, so a batch slot can be reused:
+		// ev's body decoded over a slot still holding another event — a
+		// full one, or the unspecified leftovers of raw's decode — equals
+		// it decoded into a zero Event.
+		var fresh Event
+		if err := dec.Decode(BodyBinary, AppendEvent(nil, &ev), &fresh); err != nil {
+			t.Fatalf("decode(encode(ev)): %v", err)
+		}
+		held := codecSample()
+		held.Time = held.Time.In(time.FixedZone("", -7*3600))
+		for _, slot := range []Event{held, out} {
+			if err := dec.Decode(BodyBinary, AppendEvent(nil, &ev), &slot); err != nil || slot != fresh {
+				t.Fatalf("decoded over a used slot: %+v (err %v)\nover a zero one: %+v", slot, err, fresh)
+			}
 		}
 
 		body := withEndpointLength(AppendEvent(nil, &ev), ev, epLen)

@@ -22,12 +22,8 @@ type ReadStats = seglog.ScanStats
 // a concurrently appending writer is safe but its new records are not
 // seen.
 type Reader struct {
-	sc  *seglog.Scanner
-	dec trace.Decoder // interns the scan's repeating strings
-	// ev is what every record is decoded into. The decoder's pointer to
-	// it may reach encoding/json, so a per-call variable would be moved
-	// to the heap once per record; Next returns a copy of this one.
-	ev          trace.Event
+	sc          *seglog.Scanner
+	dec         trace.Decoder // interns the scan's repeating strings
 	undecodable uint64
 	span        telemetry.Span
 	done        bool
@@ -62,20 +58,33 @@ func (r *Reader) Stats() ReadStats {
 // the end of the log. Corruption never surfaces as an error: damaged
 // bytes are skipped and quarantined, and the scan continues.
 func (r *Reader) Next() (uint64, trace.Event, error) {
+	// The decoder keeps no pointer to the event, so ev stays on the stack.
+	var ev trace.Event
+	seq, err := r.NextInto(&ev)
+	if err != nil {
+		return 0, trace.Event{}, err
+	}
+	return seq, ev, nil
+}
+
+// NextInto is Next decoding in place: the record lands in *ev, every
+// field overwritten, so a caller filling a reused batch copies no event.
+// On an error *ev is unspecified.
+func (r *Reader) NextInto(ev *trace.Event) (uint64, error) {
 	for {
 		kind, seq, body, err := r.sc.Next()
 		if err != nil {
 			r.finish()
-			return 0, trace.Event{}, err
+			return 0, err
 		}
-		if err := r.dec.Decode(kind, body, &r.ev); err != nil {
+		if err := r.dec.Decode(kind, body, ev); err != nil {
 			// CRC-intact but undecodable: a writer-side bug, not wire
 			// damage. Quarantined, not returned and not fatal.
 			r.undecodable++
 			continue
 		}
 		mRecovered.Inc()
-		return seq, r.ev, nil
+		return seq, nil
 	}
 }
 

@@ -1,4 +1,4 @@
-// The twelve pipeline scenarios, one Benchmark each with a b.Run per
+// The thirteen pipeline scenarios, one Benchmark each with a b.Run per
 // case. One b.N iteration is one full pass over the canonical workload
 // (internal/experiments/bench.go), so `-benchtime 3x` is three passes;
 // -short picks the CI-sized workloads ci/bench_gate.sh runs. Each case
@@ -219,6 +219,42 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportMetric(float64(st.Synced), "syncs")
 		})
 	}
+}
+
+// BenchmarkWALReplay is boot recovery: replay.DriveWAL over a log
+// pre-written with the canonical faulty stream, into a fresh analyzer
+// each pass. The reader stage (scan, CRC, decode) overlaps the analyzer
+// only when a second processor is free, so it runs at -cpu 1,2,4.
+func BenchmarkWALReplay(b *testing.B) {
+	lib := experiments.BenchLibrary()
+	stream := experiments.FaultyBenchStream(scale(50000, 20000))
+	dir := b.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := l.AppendBatch(stream); err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("recover", func(b *testing.B) {
+		b.ReportAllocs()
+		var res replay.WALResult
+		for i := 0; i < b.N; i++ {
+			if res, err = replay.DriveWAL(core.New(lib, core.Config{}), dir, replay.WALDrive{}); err != nil {
+				b.Fatal(err)
+			}
+			if rs := res.Recovery; res.Events != len(stream) || rs.Records != uint64(len(stream)) || rs.Quarantined != 0 {
+				b.Fatalf("replayed %d of %d events (recovered %d, quarantined %d)", res.Events, len(stream), rs.Records, rs.Quarantined)
+			}
+		}
+		b.ReportMetric(float64(len(stream)), "events/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
+		b.ReportMetric(res.EventsPerSec, "events/s")
+		b.ReportMetric(float64(res.Reports), "reports")
+	})
 }
 
 // BenchmarkExportOverhead is the canonical ingest workload with the
