@@ -2,11 +2,12 @@
 // installed (SetExplain), every detection also records the full
 // Algorithm 2 decision — the frozen window, the span tree of paired
 // exchanges in the final context buffer, every candidate's score and
-// rejection reason, each β growth step, and the HANSEL-style identifier
-// chain around the fault. All of it is assembled inside detect, on the
-// detect workers, from the snapshot and immutable analyzer state — the
-// ingest hot path never sees any of this, and with no store installed
-// detect pays a single nil check.
+// rejection reason, and each β growth step. All of it is assembled
+// inside detect, on the detect workers, from the snapshot and immutable
+// analyzer state — the ingest hot path never sees any of this, and with
+// no store installed detect pays a single nil check. No identifier
+// stitching happens here: the span tree already marks the fault's own
+// exchange, and stitching beyond it would key on ground truth.
 //
 // Every recorded value derives from event (virtual) time, receiver
 // sequence numbers, and deterministic walks, so traces are identical
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"gretel/internal/fingerprint"
-	"gretel/internal/hansel"
 	"gretel/internal/trace"
 	"gretel/internal/tracestore"
 	"gretel/internal/window"
@@ -121,8 +121,7 @@ func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Can
 }
 
 // finalizeEvidence fills everything known once matching has settled:
-// the verdict, the span tree over the final context buffer, and the
-// identifier chain.
+// the verdict and the span tree over the final context buffer.
 func (a *Analyzer) finalizeEvidence(ev *tracestore.Trace, rep *Report, ctx []trace.Event) {
 	ev.OffendingAPI = rep.OffendingAPI.String()
 	ev.DetectedAt = rep.DetectedAt
@@ -130,33 +129,6 @@ func (a *Analyzer) finalizeEvidence(ev *tracestore.Trace, rep *Report, ctx []tra
 	ev.Beta = rep.Beta
 	ev.Precision = rep.Precision
 	ev.Spans = buildSpans(ctx, rep.Fault.Seq)
-	ev.Chain, ev.ChainTruncated = faultChain(ctx, rep.Fault.Seq)
-}
-
-// maxChainLinks caps recorded identifier-chain links per trace; the
-// overflow is counted in ChainTruncated, never dropped silently.
-const maxChainLinks = 64
-
-// faultChain runs HANSEL-style identifier stitching over the context
-// buffer and records the chain containing the fault. Chains of one
-// (the fault linked to nothing) carry no cross-operation evidence and
-// are skipped.
-func faultChain(ctx []trace.Event, faultSeq uint64) ([]tracestore.ChainLink, int) {
-	links := hansel.FaultChain(ctx, faultSeq, hansel.Config{})
-	if len(links) <= 1 {
-		return nil, 0
-	}
-	truncated := 0
-	if len(links) > maxChainLinks {
-		// Keep the most recent links — the ones leading into the fault.
-		truncated = len(links) - maxChainLinks
-		links = links[len(links)-maxChainLinks:]
-	}
-	out := make([]tracestore.ChainLink, len(links))
-	for i, l := range links {
-		out[i] = tracestore.ChainLink{Seq: l.Seq, Time: l.Time, API: l.API.String(), Ident: l.Ident}
-	}
-	return out, truncated
 }
 
 // openSpan tracks an in-flight REST exchange during the span-tree walk,

@@ -10,6 +10,11 @@
 // per-message stitching plus the buffering window make it orders of
 // magnitude slower than GRETEL's trigger-on-fault design, which the
 // throughput comparison (§7.4.1) quantifies.
+//
+// The package is an experiment baseline only: `gretel experiments -exp
+// hansel`, the throughput comparison and replay.DriveHansel use it. The
+// analyzer (internal/core) and its evidence traces (internal/tracestore)
+// never import it, and CI fails if they come to.
 package hansel
 
 import (
@@ -89,10 +94,9 @@ type Stitcher struct {
 	reports []*FaultReport
 
 	// Stats.
-	Events    uint64
-	Stitched  uint64
-	Merges    uint64
-	ChainsNow int
+	Events   uint64
+	Stitched uint64
+	Merges   uint64
 }
 
 // New returns a stitcher.
@@ -201,7 +205,6 @@ func (s *Stitcher) stitch(ev trace.Event) {
 			s.byIdent[id] = chain
 		}
 	}
-	s.ChainsNow = len(s.chains)
 
 	if ev.Faulty() {
 		// The report leaves only after the bucket window has already
@@ -247,7 +250,6 @@ func (s *Stitcher) expire(now time.Time) {
 			delete(s.chains, id)
 		}
 	}
-	s.ChainsNow = len(s.chains)
 }
 
 // Reports returns the fault reports so far.

@@ -165,70 +165,3 @@ func TestTenantLinkingMergesOperations(t *testing.T) {
 		t.Fatalf("operations linked = %d, want 1", got)
 	}
 }
-
-// TestFaultChainExtractsFaultChain verifies FaultChain returns exactly
-// the chain holding the fault, in order, with linking identifiers, and
-// excludes unrelated chains.
-func TestFaultChainExtractsFaultChain(t *testing.T) {
-	events := []trace.Event{
-		ev(0, 7, 1, 200),
-		ev(1, 9, 5, 200), // unrelated operation
-		ev(2, 7, 2, 200),
-		ev(3, 7, 3, 503), // fault
-		ev(4, 9, 6, 200), // unrelated
-	}
-	for i := range events {
-		events[i].Seq = uint64(100 + i)
-	}
-	links := FaultChain(events, 103, Config{})
-	if len(links) != 3 {
-		t.Fatalf("links = %d, want 3 (op-7 messages only): %+v", len(links), links)
-	}
-	for i, want := range []uint64{100, 102, 103} {
-		if links[i].Seq != want {
-			t.Fatalf("links[%d].Seq = %d, want %d", i, links[i].Seq, want)
-		}
-		// Every link shares the op identifier with the fault.
-		if links[i].Ident != "op:7" {
-			t.Fatalf("links[%d].Ident = %q, want op:7", i, links[i].Ident)
-		}
-	}
-}
-
-// TestFaultChainNoChain covers the degenerate inputs: no events, or a
-// fault sequence no chain contains.
-func TestFaultChainNoChain(t *testing.T) {
-	if got := FaultChain(nil, 1, Config{}); got != nil {
-		t.Fatalf("empty events: %v", got)
-	}
-	events := []trace.Event{ev(0, 7, 1, 200)}
-	events[0].Seq = 50
-	if got := FaultChain(events, 99, Config{}); got != nil {
-		t.Fatalf("missing fault seq: %v", got)
-	}
-}
-
-// TestFaultChainDeterministic re-runs the extraction and demands an
-// identical result — the property the evidence-trace determinism
-// guarantee rests on.
-func TestFaultChainDeterministic(t *testing.T) {
-	var events []trace.Event
-	for i := 0; i < 40; i++ {
-		e := ev(i, uint64(1+i%3), uint64(i+1), 200)
-		e.Seq = uint64(i + 1)
-		events = append(events, e)
-	}
-	events[30].Status = 500
-	a := FaultChain(events, 31, Config{})
-	for trial := 0; trial < 20; trial++ {
-		b := FaultChain(events, 31, Config{})
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: lengths differ %d vs %d", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: link %d differs: %+v vs %+v", trial, i, a[i], b[i])
-			}
-		}
-	}
-}

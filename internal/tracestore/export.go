@@ -306,17 +306,6 @@ func WriteText(w io.Writer, t *Trace) {
 		}
 	}
 
-	if len(t.Chain) > 0 {
-		fmt.Fprintf(w, "  identifier chain (%d links", len(t.Chain))
-		if t.ChainTruncated > 0 {
-			fmt.Fprintf(w, ", %d more truncated", t.ChainTruncated)
-		}
-		fmt.Fprintf(w, "):\n")
-		for _, l := range t.Chain {
-			fmt.Fprintf(w, "    seq %-8d %-50s via %s\n", l.Seq, l.API, l.Ident)
-		}
-	}
-
 	if t.RCA != nil {
 		fmt.Fprintf(w, "  rca evidence:\n")
 		for _, n := range t.RCA.Nodes {

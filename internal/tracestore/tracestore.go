@@ -2,9 +2,8 @@
 // replayable record of one Algorithm 2 decision — the paired
 // request/response spans of the matched window, every fingerprint
 // candidate with its match score and concrete rejection reason, each
-// context-buffer growth step, the RCA inputs behind the root-cause
-// verdict, and the identifier-chain links a HANSEL-style stitcher finds
-// around the fault. A verdict alone ("op-x, θ=99.9%") asks operators to
+// context-buffer growth step, and the RCA inputs behind the root-cause
+// verdict. A verdict alone ("op-x, θ=99.9%") asks operators to
 // trust passive localization blindly; the trace lets them replay the
 // reasoning (the state-graph and event-analysis literature both make
 // this the precondition for adoption).
@@ -134,15 +133,6 @@ type EventRef struct {
 	Error  string    `json:"error,omitempty"`
 }
 
-// ChainLink is one event a HANSEL-style identifier stitch links to the
-// fault — cross-operation evidence the span tree cannot show.
-type ChainLink struct {
-	Seq   uint64    `json:"seq"`
-	Time  time.Time `json:"time"`
-	API   string    `json:"api"`
-	Ident string    `json:"ident"`
-}
-
 // RCADep is one watched software dependency's status on an examined node.
 type RCADep struct {
 	Name    string `json:"name"`
@@ -201,10 +191,6 @@ type Trace struct {
 	Growth     []GrowthStep `json:"growth"`
 	Candidates []Candidate  `json:"candidates"`
 	Spans      []Span       `json:"spans"`
-	Chain      []ChainLink  `json:"chain,omitempty"`
-	// ChainTruncated counts chain links dropped past the recording cap
-	// (never silently: the count is the evidence they existed).
-	ChainTruncated int `json:"chain_truncated,omitempty"`
 
 	// The verdict, duplicated from the report for self-containment.
 	Matched       []string     `json:"matched"`
