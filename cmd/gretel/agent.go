@@ -23,7 +23,7 @@ const statePeriod = 5 * time.Second
 // -coord, all of the deployment's streams share one partition key
 // (-name), because REST/RPC pairing spans its nodes.
 func runAgent(args []string) error {
-	p := newProc("agent", "gretel-agent")
+	p := newProc("agent")
 	fs := p.fs
 	var (
 		addr         = fs.String("analyzer", "127.0.0.1:6166", "analyzer event listener address")

@@ -30,7 +30,7 @@ import (
 // snapshots with -detect-shed; reports come out in fault-arrival order
 // either way.
 func runAnalyze(args []string) error {
-	p := newProc("analyze", "gretel")
+	p := newProc("analyze")
 	fs := p.fs
 	var (
 		listen     = fs.String("listen", ":6166", "address to receive agent event streams on")
@@ -297,7 +297,6 @@ func runAnalyze(args []string) error {
 		fmt.Printf("wal:       %d records appended across %d segments (%d B, %d rotations, %d retired, cursor %d)\n",
 			ws.Appended, ws.Segments, ws.Bytes, ws.Rotated, ws.Retired, wlog.Cursor())
 	}
-	p.closeExport()
 	if wm := telemetry.GetHistogram("core.window_match").Stats(); wm.Count > 0 {
 		fmt.Printf("detect:    window-match p50=%.2fms p99=%.2fms max=%.2fms over %d snapshots\n",
 			wm.P50Ms, wm.P99Ms, wm.MaxMs, wm.Count)

@@ -38,7 +38,7 @@ func (m *memberList) Set(v string) error {
 // merged within a -window reorder horizon, so a federation of one emits
 // byte-identical output to a bare analyzer.
 func runCoord(args []string) error {
-	p := newProc("coord", "")
+	p := newProc("coord")
 	fs := p.fs
 	var members memberList
 	var (

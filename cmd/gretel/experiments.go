@@ -16,13 +16,12 @@ import (
 	"gretel/internal/core"
 	"gretel/internal/experiments"
 	"gretel/internal/telemetry"
-	"gretel/internal/telemetry/export"
 	"gretel/internal/tempest"
 )
 
 // runExperiments regenerates the paper's tables and figures (§7).
 func runExperiments(args []string) error {
-	p := newProc("experiments", "gretel-experiments")
+	p := newProc("experiments")
 	fs := p.fs
 	var (
 		exp     = fs.String("exp", "all", "experiment to run: table1, fig5, fig6, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, hansel, explain, overhead, all; or reanalyze, cluster")
@@ -172,20 +171,10 @@ func runExperiments(args []string) error {
 			return err
 		}
 		// Per-run sections append; start each invocation fresh.
-		for _, name := range []string{"telemetry.txt", "telemetry.json", "telemetry.lp"} {
+		for _, name := range []string{"telemetry.txt", "telemetry.json"} {
 			os.Remove(filepath.Join(*outDir, name))
 		}
 	}
-
-	// The per-experiment telemetry.Reset() shows up to a live exporter's
-	// sampler as a monotonic reset, detected rather than mis-counted.
-	if err := p.start(""); err != nil {
-		return err
-	}
-	defer p.stop()
-	// telemetry.lp points carry the live exporter's host/proc/rev tags,
-	// so a bulk-loaded file and a live stream land in comparable series.
-	lpTags := export.NewSampler(telemetry.Default(), p.tag).BaseTags()
 
 	// Each experiment runs against a zeroed registry, and its snapshot
 	// ships beside its figure.
@@ -202,21 +191,19 @@ func runExperiments(args []string) error {
 		}
 		fmt.Printf("(%s took %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 		sections = append(sections, telemetrySection{Experiment: e.name, Telemetry: telemetry.Snap()})
-		if err := writeTelemetry(*outDir, sections, lpTags); err != nil {
+		if err := writeTelemetry(*outDir, sections); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeTelemetry writes the last section's snapshot: appended to
-// telemetry.txt and, as cumulative line protocol tagged with the
-// experiment, to telemetry.lp. telemetry.json is rewritten with every
-// section so far, in the schema /metrics?format=json serves, so an
-// interrupted "all" still leaves a valid file.
-func writeTelemetry(dir string, sections []telemetrySection, lpTags []export.Tag) error {
+// writeTelemetry appends the last section's snapshot to telemetry.txt
+// and rewrites telemetry.json with every section so far, in the schema
+// /metrics?format=json serves, so an interrupted "all" still leaves a
+// valid file.
+func writeTelemetry(dir string, sections []telemetrySection) error {
 	s := &sections[len(sections)-1]
-	tags := append(lpTags[:len(lpTags):len(lpTags)], export.Tag{Key: "experiment", Value: s.Experiment})
 	return errors.Join(
 		writeOut(dir, "telemetry.txt", os.O_APPEND, func(w io.Writer) error {
 			fmt.Fprintf(w, "=== %s ===\n", s.Experiment)
@@ -224,10 +211,6 @@ func writeTelemetry(dir string, sections []telemetrySection, lpTags []export.Tag
 				return err
 			}
 			_, err := fmt.Fprintln(w)
-			return err
-		}),
-		writeOut(dir, "telemetry.lp", os.O_APPEND, func(w io.Writer) error {
-			_, err := w.Write(export.AppendSnapshot(nil, &s.Telemetry, tags, time.Now().UnixNano()))
 			return err
 		}),
 		writeOut(dir, "telemetry.json", os.O_TRUNC, func(w io.Writer) error {

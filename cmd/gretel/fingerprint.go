@@ -11,7 +11,7 @@ import (
 // runFingerprint is the offline learning phase (Algorithm 1) over
 // isolated runs of every catalog test on the simulated deployment.
 func runFingerprint(args []string) error {
-	p := newProc("fingerprint", "")
+	p := newProc("fingerprint")
 	seed := p.fs.Int64("seed", 1, "catalog seed")
 	runs := p.fs.Int("runs", 2, "isolated executions per test (LCS pruning needs >= 2)")
 	out := p.fs.String("o", "", "write the learned library to this JSON file")

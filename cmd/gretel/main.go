@@ -23,11 +23,6 @@
 //	gretel coord -listen :6170 -member a,127.0.0.1:6166,http://127.0.0.1:6167 \
 //	    -member b,127.0.0.1:6266,http://127.0.0.1:6267
 //
-// tsdb stores what -telemetry-export ships as per-interval history
-// (POST /write, GET /query, /series, /stats).
-//
-//	gretel tsdb -listen :9870 -dir /var/lib/gretel-tsdb
-//
 // experiments regenerates the tables and figures of the paper's §7;
 // reanalyze and cluster run only when named.
 //
@@ -39,7 +34,7 @@
 //
 //	gretel fingerprint -seed 1 -runs 2 -o fingerprints.json
 //
-// analyze, coord and tsdb drain on SIGINT or SIGTERM alike.
+// analyze and coord drain on SIGINT or SIGTERM alike.
 package main
 
 import (
@@ -61,7 +56,6 @@ var commands = []command{
 	{"analyze", "receive agent streams (or -replay), detect and localize faults, print reports", runAnalyze},
 	{"agent", "drive the simulated deployment and stream its tapped events to an analyzer", runAgent},
 	{"coord", "federate analyzers: assignment, failover, merged reports and metrics", runCoord},
-	{"tsdb", "store exported telemetry as queryable per-interval history", runTSDB},
 	{"experiments", "regenerate the paper's tables and figures", runExperiments},
 	{"fingerprint", "learn the fingerprint library offline and print Table 1", runFingerprint},
 }

@@ -37,32 +37,9 @@ func wantUsage(t *testing.T, label string, err error, want string) {
 	}
 }
 
-// TestValidateFlags: every subcommand that registers the export flags
-// rejects values that parse but cannot be meant, the others do not
-// register them, and the analyzer's own size and policy flags are
-// checked the same way — all before anything starts.
+// TestValidateFlags: the analyzer's size and policy flags reject values
+// that parse but cannot be meant, before anything starts.
 func TestValidateFlags(t *testing.T) {
-	exporting := map[string]bool{"analyze": true, "agent": true, "experiments": true}
-	bad := []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-export-interval", "0"}, "-export-interval"},
-		{[]string{"-export-interval", "-1s"}, "-export-interval"},
-		{[]string{"-export-buffer", "0"}, "-export-buffer"},
-		{[]string{"-export-buffer", "-3"}, "-export-buffer"},
-	}
-	for _, c := range commands {
-		for _, b := range bad {
-			label := c.name + " " + strings.Join(b.args, " ")
-			if exporting[c.name] {
-				wantUsage(t, label, c.run(b.args), b.wantErr)
-			} else {
-				wantUsage(t, label, c.run(b.args), "not defined")
-			}
-		}
-	}
-
 	analyze := lookup(t, "analyze")
 	for _, b := range []struct {
 		args    []string
@@ -78,7 +55,7 @@ func TestValidateFlags(t *testing.T) {
 	// The accepted edge of every checked flag, on a run small enough to
 	// finish in a moment.
 	err := analyze.run([]string{"-replay", "2000", "-quiet", "-detect-backlog", "0", "-trace-store-cap", "0",
-		"-wal-fsync", "none", "-export-interval", "100ms", "-export-buffer", "1"})
+		"-wal-fsync", "none"})
 	if err != nil {
 		t.Fatalf("valid analyze flags: %v", err)
 	}
@@ -91,6 +68,8 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	for _, c := range commands {
 		wantUsage(t, c.name+" -no-such-flag", c.run([]string{"-no-such-flag"}), "not defined")
 		wantUsage(t, c.name+" stray", c.run([]string{"stray"}), "unexpected argument")
+		// No subcommand exports its telemetry: /metrics is the only egress.
+		wantUsage(t, c.name+" -telemetry-export", c.run([]string{"-telemetry-export", "http://x"}), "not defined")
 	}
 	wantUsage(t, "analyze -replay x", lookup(t, "analyze").run([]string{"-replay", "x"}), "-replay")
 	wantUsage(t, "agent -scenario", lookup(t, "agent").run([]string{"-scenario", "flood"}), "-scenario")
@@ -116,6 +95,10 @@ func TestDispatchExitCodes(t *testing.T) {
 	}
 	if code := dispatch([]string{"tempest"}, &stderr); code != 2 {
 		t.Errorf("unknown subcommand: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := dispatch([]string{"tsdb"}, &stderr); code != 2 || !strings.Contains(stderr.String(), "unknown subcommand") {
+		t.Errorf("tsdb: exit %d, stderr %q; want 2 and unknown subcommand", code, stderr.String())
 	}
 	if code := dispatch([]string{"coord"}, &stderr); code != 2 {
 		t.Errorf("usage error: exit %d, want 2", code)

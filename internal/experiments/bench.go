@@ -50,8 +50,8 @@ func StormBenchStream(events int) []trace.Event {
 
 // CleanBenchStream is the canonical fault-free ingest stream: the
 // default core-operation mix at concurrency 200, seed 5 — pairing and
-// per-API latency accounting are the whole cost. BenchmarkIngest,
-// BenchmarkWALAppend and BenchmarkExportOverhead replay exactly this.
+// per-API latency accounting are the whole cost. BenchmarkIngest and
+// BenchmarkWALAppend replay exactly this.
 func CleanBenchStream(events int) []trace.Event {
 	return replay.Synthesize(replay.StreamConfig{Concurrency: 200, Events: events, Seed: 5})
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // testKinds is every kind in use: the agent's frames ('I' hello, 'B'
-// event, 'E' legacy JSON event, 'S' state, 'H' heartbeat) and the TSDB's
-// point batches ('P').
+// event, 'E' legacy JSON event, 'S' state, 'H' heartbeat) and 'P', the
+// tests' own second record kind (text batches), which proves kinds are
+// never confused.
 const testKinds = "IBESHP"
 
 var record = AppendRecord

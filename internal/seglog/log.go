@@ -22,16 +22,15 @@ import (
 
 const segSuffix = ".seg"
 
-// Options configures a Log. The two stores set these to constants where
-// they do not pass their own options through.
+// Options configures a Log. The WAL sets these to constants where it
+// does not pass its own options through.
 type Options struct {
 	Dir    string // created if missing
 	Prefix string // segment files are <Prefix><first seq, 20 digits>.seg
 	Kinds  string // record kinds the resume scan accepts
 	// SegmentBytes rotates the active segment before an append that
 	// would take it past this size; SegmentAge, if positive, once it is
-	// this old, so retention can expire quiet periods too. Any other rule
-	// is the caller's, through Rotate.
+	// this old, so retention can expire quiet periods too.
 	SegmentBytes int64
 	SegmentAge   time.Duration
 	// SyncInterval is the fsync policy: an append fsyncs when the last
@@ -189,7 +188,7 @@ func (l *Log) Stats() Stats { return l.stats }
 func (l *Log) Append(recs []byte, n int) (acked int, err error) {
 	need := int64(len(recs))
 	if l.f != nil && (l.active.bytes+need > l.o.SegmentBytes || l.o.SegmentAge > 0 && time.Since(l.opened) >= l.o.SegmentAge) {
-		if err := l.Rotate(); err != nil {
+		if err := l.rotate(); err != nil {
 			return 0, err
 		}
 	}
@@ -281,10 +280,9 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Rotate closes the active segment now — for a rule that is the
-// caller's, like a time partition — and applies retention. A no-op when
+// rotate closes the active segment and applies retention. A no-op when
 // nothing has been appended since the last rotation.
-func (l *Log) Rotate() error {
+func (l *Log) rotate() error {
 	if l.f == nil {
 		return nil
 	}

@@ -14,8 +14,8 @@ import (
 	"gretel/internal/trace"
 )
 
-// codec is one of the two stores' record shapes: the segment log is the
-// same under both, so every lifecycle test runs once per codec.
+// codec is a record shape: the segment log is the same under any, so
+// every lifecycle test runs once per codec.
 type codec struct {
 	name, prefix, kinds string
 	kind                byte
@@ -44,8 +44,10 @@ var codecs = []codec{
 		},
 	},
 	{
-		// The TSDB: one line-protocol batch per record, one record per write.
-		name: "points", prefix: "tsdb-", kinds: "P", kind: 'P', batch: 1,
+		// A second kind and prefix, one text batch per record and one
+		// record per write: beside the WAL's, it proves the log never
+		// confuses two kinds.
+		name: "points", prefix: "points-", kinds: "P", kind: 'P', batch: 1,
 		body: func(i int) []byte {
 			return []byte(fmt.Sprintf("core.events,host=a delta=%di %d\nwal.appended,host=a delta=1i %d\n", i, i, i))
 		},
@@ -251,8 +253,8 @@ func TestOpenFailsOnUnopenableSegment(t *testing.T) {
 }
 
 // TestRotation: the size rule uses the exact bytes of the write at hand,
-// Rotate is the caller's rule and a no-op on nothing, and retention
-// holds the byte budget by dropping closed segments oldest-first.
+// a rotation is a no-op on nothing, and retention holds the byte budget
+// by dropping closed segments oldest-first.
 func TestRotation(t *testing.T) {
 	c := codecs[1]
 	recLen := int64(len(record(nil, c.kind, 1, c.body(1))))
@@ -260,8 +262,8 @@ func TestRotation(t *testing.T) {
 	o := c.options(dir)
 	o.SegmentBytes, o.RetainBytes = 2*recLen, 4*recLen
 	l := mustOpen(t, o)
-	if err := l.Rotate(); err != nil || l.Stats().Rotated != 0 {
-		t.Fatalf("Rotate with no active segment: err=%v rotated=%d", err, l.Stats().Rotated)
+	if err := l.rotate(); err != nil || l.Stats().Rotated != 0 {
+		t.Fatalf("rotate with no active segment: err=%v rotated=%d", err, l.Stats().Rotated)
 	}
 	for i := 1; i <= 9; i++ { // single-digit records are all recLen long
 		if _, err := c.appendN(l, i, 1); err != nil {
@@ -272,11 +274,11 @@ func TestRotation(t *testing.T) {
 	if st := l.Stats(); st.Rotated != 4 || st.Segments != 3 || st.Retired != 2 || st.Bytes != 5*recLen {
 		t.Fatalf("stats %+v, want 4 rotations, 3 segments left of 5, 5 records' bytes", st)
 	}
-	if err := l.Rotate(); err != nil || l.Stats().Rotated != 5 {
-		t.Fatalf("explicit Rotate: err=%v rotated=%d", err, l.Stats().Rotated)
+	if err := l.rotate(); err != nil || l.Stats().Rotated != 5 {
+		t.Fatalf("explicit rotate: err=%v rotated=%d", err, l.Stats().Rotated)
 	}
-	if err := l.Rotate(); err != nil || l.Stats().Rotated != 5 {
-		t.Fatalf("Rotate twice over: err=%v rotated=%d, want a no-op", err, l.Stats().Rotated)
+	if err := l.rotate(); err != nil || l.Stats().Rotated != 5 {
+		t.Fatalf("rotate twice over: err=%v rotated=%d, want a no-op", err, l.Stats().Rotated)
 	}
 	l.Close()
 	// That rotation retired a third segment. Retention is not loss: the
@@ -370,7 +372,7 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestCrashSoak is the segment log's reason to exist, proven the hard
-// way, for both stores. A writer is killed mid-append at random byte
+// way, for both codecs. A writer is killed mid-append at random byte
 // offsets (torn records) and at clean record boundaries, over and over;
 // each time the log is abandoned unclosed, scanned, reopened, and what
 // the tear lost is appended again. After every crash the scan must

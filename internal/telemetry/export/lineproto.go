@@ -1,5 +1,5 @@
-// InfluxDB line-protocol encoder: the wire format the telemetry
-// exporter ships and `gretel tsdb` ingests. One point per line:
+// InfluxDB line-protocol encoder: the format the Sampler emits. One
+// point per line:
 //
 //	measurement[,tag=value...] field=value[,field=value...] <ns timestamp>\n
 //

@@ -1,3 +1,8 @@
+// Package export turns the telemetry registry into InfluxDB line
+// protocol: a Sampler walks the registry, computes per-interval deltas,
+// and encodes one point per metric. Nothing in the repository ships
+// these points anywhere; /metrics is the process's only telemetry
+// egress. See DESIGN.md "Decision: no export tier".
 package export
 
 import (
@@ -17,7 +22,7 @@ import (
 //
 // The sampler reuses its snapshot buffers and per-histogram captures, so
 // a 1s interval stays allocation-free once the metric set stabilizes.
-// It is not safe for concurrent use; the Exporter serializes calls.
+// It is not safe for concurrent use: callers serialize Sample calls.
 type Sampler struct {
 	reg      *telemetry.Registry
 	baseTags []Tag
@@ -59,8 +64,8 @@ func NewSampler(reg *telemetry.Registry, proc string) *Sampler {
 		rev = "unknown"
 	}
 	if prov.Dirty {
-		// "-dirty", not the conventional "+dirty": the series key goes
-		// into /query URLs verbatim, where '+' decodes to a space.
+		// "-dirty", not the conventional "+dirty": a series key put
+		// into a URL query verbatim would decode '+' to a space.
 		rev += "-dirty"
 	}
 	if proc == "" {
@@ -187,71 +192,4 @@ func (s *Sampler) emit(dst []byte, name string, ts int64, points int) ([]byte, i
 		return dst, points // NaN-only funcs etc.: nothing representable
 	}
 	return out, points + 1
-}
-
-// AppendSnapshot encodes a cumulative snapshot as line protocol — one
-// point per metric with running totals rather than interval deltas. The
-// experiments harness uses it to write out/telemetry.lp so any run can
-// be bulk-loaded into `gretel tsdb`. Metrics are emitted in sorted name
-// order; histograms carry cumulative count/sum/quantiles.
-func AppendSnapshot(dst []byte, snap *telemetry.Snapshot, tags []Tag, tsNS int64) []byte {
-	names := make([]string, 0, len(snap.Counters)+len(snap.Gauges)+len(snap.Funcs)+len(snap.Histograms))
-	emit := func(name string, fields []Field) {
-		p := Point{Name: name, Tags: tags, Fields: fields, TimeNS: tsNS}
-		if out, err := AppendPoint(dst, &p); err == nil {
-			dst = out
-		}
-	}
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		emit(name, []Field{{Key: "total", Value: float64(snap.Counters[name]), Integer: true}})
-	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		emit(name, []Field{{Key: "value", Value: float64(snap.Gauges[name]), Integer: true}})
-	}
-	names = names[:0]
-	for name := range snap.Funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		emit(name, []Field{{Key: "value", Value: snap.Funcs[name]}})
-	}
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Histograms[name]
-		if h.Count == 0 {
-			continue
-		}
-		emit(name, []Field{
-			{Key: "count", Value: float64(h.Count), Integer: true},
-			{Key: "mean_ms", Value: h.MeanMs},
-			{Key: "p50_ms", Value: h.P50Ms},
-			{Key: "p90_ms", Value: h.P90Ms},
-			{Key: "p99_ms", Value: h.P99Ms},
-			{Key: "max_ms", Value: h.MaxMs},
-		})
-	}
-	return dst
-}
-
-// BaseTags returns the sampler's identity tags (host/proc/rev) so
-// callers composing their own points — the experiments harness writing
-// telemetry.lp — stay consistent with the exported stream.
-func (s *Sampler) BaseTags() []Tag {
-	out := make([]Tag, len(s.baseTags))
-	copy(out, s.baseTags)
-	return out
 }

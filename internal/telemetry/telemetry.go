@@ -291,8 +291,8 @@ func (h *Histogram) Stats() HistStats {
 
 // HistSnap is a raw histogram capture: the totals plus every bucket
 // count, enough to compute quantiles over the *difference* of two
-// captures — how the telemetry exporter turns cumulative histograms
-// into per-interval latency series. The zero value is ready for Snap.
+// captures — how the export Sampler turns cumulative histograms into
+// per-interval latency series. The zero value is ready for Snap.
 type HistSnap struct {
 	Count, Sum uint64
 	// Max is the cumulative maximum (nanoseconds) at capture time. A
@@ -544,8 +544,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // SnapshotInto captures every metric into snap, reusing its maps and
-// scratch buffers: a periodic scraper (the telemetry exporter at a 1s
-// interval) reaches zero steady-state allocations once the metric set
+// scratch buffers: a periodic scraper (the export Sampler, called once
+// per interval) reaches zero steady-state allocations once the metric set
 // stabilizes, instead of rebuilding four maps per scrape. The snap must
 // not be read concurrently with the next SnapshotInto on it.
 func (r *Registry) SnapshotInto(snap *Snapshot) {

@@ -344,7 +344,7 @@ func TestQuantileTopBucketInterpolation(t *testing.T) {
 }
 
 // TestHistSnapDeltaQuantiles exercises the capture-and-subtract path
-// the exporter uses: quantiles over an interval's bucket deltas, with
+// the export Sampler uses: quantiles over an interval's bucket deltas, with
 // reset detection, and the single-sample-interval exactness regression.
 func TestHistSnapDeltaQuantiles(t *testing.T) {
 	h := &Histogram{}
@@ -403,7 +403,7 @@ func TestHistSnapDeltaQuantiles(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntoReusesBuffers pins the exporter's scrape cost: once
+// TestSnapshotIntoReusesBuffers pins the Sampler's scrape cost: once
 // the metric set is stable, SnapshotInto into a reused Snapshot must
 // not allocate.
 func TestSnapshotIntoReusesBuffers(t *testing.T) {

@@ -5,7 +5,7 @@
 // the log through the analyzer must produce reports byte-identical to
 // an uninterrupted run. The per-crash ledger (recovered + quarantined
 // == written, torn-tail attribution, dense resume) is the segment
-// log's and is soaked there, under both stores' records
+// log's and is soaked there, under both of its test codecs
 // (internal/seglog TestCrashSoak); here each cycle checks only what
 // the event codec adds — no acked event lost, every one decoding to
 // itself.

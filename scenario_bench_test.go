@@ -1,4 +1,4 @@
-// The thirteen pipeline scenarios, one Benchmark each with a b.Run per
+// The twelve pipeline scenarios, one Benchmark each with a b.Run per
 // case. One b.N iteration is one full pass over the canonical workload
 // (internal/experiments/bench.go), so `-benchtime 3x` is three passes;
 // -short picks the CI-sized workloads ci/bench_gate.sh runs. Each case
@@ -11,10 +11,7 @@ package gretel_test
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"net"
-	"net/http"
 	"testing"
 	"time"
 
@@ -26,7 +23,6 @@ import (
 	"gretel/internal/replay"
 	"gretel/internal/scenario"
 	"gretel/internal/telemetry"
-	"gretel/internal/telemetry/export"
 	"gretel/internal/trace"
 	"gretel/internal/tracestore"
 	"gretel/internal/tsoutliers"
@@ -254,77 +250,6 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
 		b.ReportMetric(res.EventsPerSec, "events/s")
 		b.ReportMetric(float64(res.Reports), "reports")
-	})
-}
-
-// BenchmarkExportOverhead is the canonical ingest workload with the
-// export pipeline live: registry sampling and line-protocol shipping to a
-// healthy local receiver (every /write POST answered 204, so it measures
-// sampling + encoding + delivery, not retry). The same workload bare is
-// BenchmarkIngest/inline. Sampling is driven at a fixed event cadence (32
-// samples per op) rather than the production wall-clock tick, so the
-// per-op export work is deterministic and the allocation gate stays
-// meaningful across machine speeds.
-func BenchmarkExportOverhead(b *testing.B) {
-	lib := experiments.BenchLibrary()
-	stream := experiments.CleanBenchStream(scale(50000, 20000))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		w.WriteHeader(http.StatusNoContent)
-	})}
-	go srv.Serve(ln)
-	defer srv.Close()
-	url := "http://" + ln.Addr().String() + "/write"
-
-	sampleEvery := len(stream) / 32
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		var (
-			st      export.ShipperStats
-			samples int
-			wall    time.Duration
-		)
-		for i := 0; i < b.N; i++ {
-			smp := export.NewSampler(telemetry.Default(), "bench")
-			ship := export.NewShipper(export.ShipperConfig{URL: url, MaxPoints: 1 << 16})
-			a := core.New(lib, core.Config{})
-			start := time.Now()
-			samples = 0
-			for j := range stream {
-				a.Ingest(stream[j])
-				if (j+1)%sampleEvery == 0 {
-					// Pre-size the batch (the shipper takes ownership, so it
-					// cannot be reused): append-doubling growth sits on a
-					// power-of-two knife edge where a one-byte-longer tag
-					// value shifts B/op past the gate tolerance.
-					buf, n := smp.Sample(make([]byte, 0, 128<<10), time.Now())
-					ship.Enqueue(buf, n)
-					samples++
-				}
-			}
-			a.Close()
-			wall = time.Since(start)
-			drained := ship.Drain(30 * time.Second)
-			ship.Close()
-			st = ship.Stats()
-			if !drained {
-				b.Fatalf("shipper failed to drain against a healthy receiver (buffered %d)", st.Buffered)
-			}
-			if st.Delivered+st.Shed != st.Enqueued {
-				b.Fatalf("export ledger unbalanced: %d delivered + %d shed != %d enqueued", st.Delivered, st.Shed, st.Enqueued)
-			}
-			if st.Shed != 0 || st.Delivered == 0 {
-				b.Fatalf("healthy receiver: want 0 shed and >0 delivered, got shed=%d delivered=%d", st.Shed, st.Delivered)
-			}
-		}
-		b.ReportMetric(float64(len(stream)), "events/op")
-		b.ReportMetric(float64(len(stream))/wall.Seconds(), "events/s")
-		b.ReportMetric(float64(samples), "samples")
-		b.ReportMetric(float64(st.Delivered), "points")
 	})
 }
 
