@@ -26,15 +26,15 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 18930
+LOC_CEILING := 19217
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
 	[ "$$total" -le $(LOC_CEILING) ]
-	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field ROADMAP item 10 deletes
+	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field the ROADMAP's "Refresh the benchmark contract" item deletes
 
-# Every benchmark of the root package — the twelve pipeline scenarios
+# Every benchmark of the root package — the thirteen pipeline scenarios
 # and the paper-figure / ablation ones — on the full workloads, three
 # passes per case, in Go's benchmark text format. For a profile add
 # `-cpuprofile cpu.out` to the same line and read it with

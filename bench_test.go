@@ -1,5 +1,5 @@
 // Repository benchmarks: the tables and figures of the paper's
-// evaluation that are not one of the twelve pipeline scenarios
+// evaluation that are not one of the thirteen pipeline scenarios
 // (scenario_bench_test.go, soak_bench_test.go — Table 1 and Fig 8c live
 // there), plus ablations of the design choices DESIGN.md calls out.
 // Figures that are sweeps are benchmarked at one representative cell;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the gated benchmarks — the twelve pipeline scenarios of the root
+# Runs the gated benchmarks — the thirteen pipeline scenarios of the root
 # package (scenario_bench_test.go, soak_bench_test.go) in short mode,
 # three passes per case — and prints Go's benchmark text format on
 # stdout: what ci/bench_gate.sh compares and what `make bench-baseline`
@@ -14,7 +14,7 @@
 set -euo pipefail
 
 MULTI='^Benchmark(Fig8cParallel|ChaosSoak|ClusterSoak|WALReplay)$'
-SINGLE='^Benchmark(Ingest|ExplainOverhead|Table1Learning|Detector|WALAppend|Opdetect|Monitor|RCA)$'
+SINGLE='^Benchmark(Ingest|ExplainOverhead|Table1Learning|Detector|WALAppend|Opdetect|Monitor|Codec|RCA)$'
 
 bin=out/bench/gretel.test
 mkdir -p out/bench

@@ -201,14 +201,73 @@ func (c *endpoints) parse(addr string) netip.AddrPort {
 	h := uint32(addr[n-1]) | uint32(addr[n-2])<<8 | uint32(addr[n-3])<<16 | uint32(addr[n-4])<<24
 	e := &c[h*0x9E3779B1>>24]
 	if e.addr != addr {
-		ep, err := netip.ParseAddrPort(addr)
-		if err != nil {
-			mBadEndpoints.Inc()
-			return netip.AddrPort{}
+		ep, ok := parseIPv4Port(addr)
+		if !ok {
+			var err error
+			if ep, err = netip.ParseAddrPort(addr); err != nil {
+				mBadEndpoints.Inc()
+				return netip.AddrPort{}
+			}
+			ep = netip.AddrPortFrom(ep.Addr().WithZone(""), ep.Port())
 		}
-		e.addr, e.ep = addr, netip.AddrPortFrom(ep.Addr().WithZone(""), ep.Port())
+		e.addr, e.ep = addr, ep
 	}
 	return e.ep
+}
+
+// parseIPv4Port parses the common "a.b.c.d:port" by hand — each octet
+// 0 to 255 without a leading zero, the port one to five digits up to
+// 65535 — to exactly what netip.ParseAddrPort returns for it. ok is
+// false for any other shape (IPv6, a zone, a longer port, anything
+// odd), which the caller hands to netip.
+func parseIPv4Port(s string) (ep netip.AddrPort, ok bool) {
+	var ip [4]byte
+	k, v, n, i := 0, uint(0), 0, 0 // the octet, its value and digits so far; the byte
+	for ; i < len(s); i++ {
+		c := s[i]
+		if d := uint(c - '0'); d <= 9 {
+			if n == 1 && v == 0 { // a leading zero
+				return netip.AddrPort{}, false
+			}
+			if v, n = v*10+d, n+1; v > 255 {
+				return netip.AddrPort{}, false
+			}
+			continue
+		}
+		if n == 0 {
+			return netip.AddrPort{}, false
+		}
+		ip[k] = byte(v)
+		if k == len(ip)-1 {
+			if c != ':' {
+				return netip.AddrPort{}, false
+			}
+			break
+		}
+		if c != '.' {
+			return netip.AddrPort{}, false
+		}
+		k, v, n = k+1, 0, 0
+	}
+	if i == len(s) { // no ':' after a fourth octet
+		return netip.AddrPort{}, false
+	}
+	port := s[i+1:]
+	if len(port) == 0 || len(port) > 5 {
+		return netip.AddrPort{}, false
+	}
+	p := uint(0)
+	for j := 0; j < len(port); j++ {
+		d := uint(port[j] - '0')
+		if d > 9 {
+			return netip.AddrPort{}, false
+		}
+		p = p*10 + d
+	}
+	if p > 65535 {
+		return netip.AddrPort{}, false
+	}
+	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(p)), true
 }
 
 // HandlePacket ingests one tapped packet, reassembling the directional
@@ -294,18 +353,11 @@ func (m *Monitor) parseOne(buf []byte) (n int, err error) {
 
 // begin resets the scratch event to the packet-derived fields.
 func (m *Monitor) begin(typ trace.EventType, wire int) *trace.Event {
-	pkt := &m.pkt
-	m.ev = trace.Event{
-		Time:      pkt.Time,
-		Type:      typ,
-		SrcNode:   pkt.SrcNode,
-		DstNode:   pkt.DstNode,
-		SrcAddr:   m.src,
-		DstAddr:   m.dst,
-		ConnID:    pkt.ConnID,
-		WireBytes: wire,
-	}
-	return &m.ev
+	ev, pkt := &m.ev, &m.pkt
+	*ev = trace.Event{} // in place: a literal with fields would be built aside and copied
+	ev.Time, ev.Type, ev.SrcNode, ev.DstNode = pkt.Time, typ, pkt.SrcNode, pkt.DstNode
+	ev.SrcAddr, ev.DstAddr, ev.ConnID, ev.WireBytes = m.src, m.dst, pkt.ConnID, wire
+	return ev
 }
 
 // deliver decorates, gates and sends the scratch event.
@@ -339,7 +391,7 @@ func OwnerPolicy(node string) func(ev *trace.Event, pkt *cluster.Packet) bool {
 }
 
 func (m *Monitor) emitRESTRequest(req *rest.RequestView, wire int) {
-	svc := serviceFromHost(req.Header.Get("Host"))
+	svc := serviceFromHost(req.Host)
 	if svc == trace.SvcUnknown {
 		svc = serviceFromPort(m.dst)
 	}
@@ -348,14 +400,14 @@ func (m *Monitor) emitRESTRequest(req *rest.RequestView, wire int) {
 	m.conns.put(m.pkt.ConnID, api)
 	ev := m.begin(trace.RESTRequest, wire)
 	ev.API = api
-	ev.CorrID = string(req.Header.Get("X-Openstack-Request-Id"))
+	ev.CorrID = string(req.RequestID)
 	m.deliver()
 }
 
 func (m *Monitor) emitRESTResponse(resp *rest.ResponseView, wire int) {
 	ev := m.begin(trace.RESTResponse, wire)
 	ev.Status = resp.Status
-	ev.CorrID = string(resp.Header.Get("X-Openstack-Request-Id"))
+	ev.CorrID = string(resp.RequestID)
 	if api, ok := m.conns.take(m.pkt.ConnID); ok {
 		ev.API = api
 	} else {

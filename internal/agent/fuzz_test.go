@@ -6,9 +6,41 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"gretel/internal/seglog"
+	"net/netip"
 	"strings"
 	"testing"
 )
+
+// FuzzEndpoint holds the hand-written IPv4 endpoint parser to
+// netip.ParseAddrPort: on any string it either defers or returns
+// exactly what netip does, and it never defers on a canonical
+// "a.b.c.d:port", the shape every tapped packet carries. The memoized
+// lookup the Monitor runs answers as netip does, zone stripped, asked
+// twice.
+func FuzzEndpoint(f *testing.F) {
+	for _, s := range []string{
+		"10.0.0.2:9292", "0.0.0.0:0", "255.255.255.255:65535", "1.2.3.4:65536", "1.2.3.4:00080",
+		"01.2.3.4:1", "1.2.3:4", "1.2.3.4.5:6", "256.1.1.1:1", "1.2.3.4:", ":1", "1..2.3:4", "1.2.3.4::5",
+		"1.2.3.4%eth0:1", "[::ffff:1.2.3.4]:1", "[fe80::1%eth0]:8774", "[1.2.3.4]:1", "", "a:1", "1.2.3.4:+1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := netip.ParseAddrPort(s)
+		if got, ok := parseIPv4Port(s); ok && (err != nil || got != want) {
+			t.Fatalf("parseIPv4Port(%q) = %v; netip: %v, %v", s, got, want, err)
+		} else if !ok && err == nil && want.Addr().Is4() && want.String() == s {
+			t.Fatalf("parseIPv4Port deferred on the canonical %q", s)
+		}
+		want = netip.AddrPortFrom(want.Addr().WithZone(""), want.Port())
+		var eps endpoints
+		for i := 0; i < 2; i++ {
+			if got := eps.parse(s); got != want {
+				t.Fatalf("endpoints.parse(%q) = %v, netip %v", s, got, want)
+			}
+		}
+	})
+}
 
 // FuzzReadFrame throws arbitrary byte streams at the frame reader. The
 // invariants under fuzzing: never panic, never return an invalid kind

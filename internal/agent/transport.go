@@ -24,6 +24,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,6 +189,14 @@ const (
 	// takeBytes is what the writer copies out of the ring per lock
 	// acquisition. Send waits a take out, so it is kept short.
 	takeBytes = 8 << 10
+	// yieldFrames paces a producer that outruns the writer. A kick
+	// readies the writer on the producer's own processor, where it waits
+	// until the producer blocks, and a tap never does: so every
+	// yieldFrames frames spooled and not yet taken, spool yields the
+	// processor once. On two cores that let wire-steady's frames flow as
+	// they are made rather than stand in the ring (DESIGN.md "A faster
+	// tap lengthens the closed loop's standing queue").
+	yieldFrames = 64
 )
 
 // SenderStats is a point-in-time view of the sender's sequence space.
@@ -301,7 +310,8 @@ func (s *Sender) setErr(err error) {
 }
 
 // Send spools one event. It never blocks and never fails; if the ring
-// is full the oldest unsent frame is shed and counted.
+// is full the oldest unsent frame is shed and counted. It may yield the
+// processor to the writer (yieldFrames).
 func (s *Sender) Send(ev trace.Event) { s.spool(&ev, nil) }
 
 // SendState spools one state update.
@@ -354,10 +364,14 @@ func (s *Sender) spool(ev *trace.Event, state []byte) {
 		}
 		sl.data = appendEventFrame(sl.data[:0], ev, sl.seq)
 	}
+	untaken := s.nextSeq - s.cursor + 1
 	s.mu.Unlock()
 	select {
 	case s.kick <- struct{}{}:
 	default:
+	}
+	if untaken%yieldFrames == 0 {
+		runtime.Gosched()
 	}
 }
 

@@ -15,11 +15,31 @@ package amqp
 // deeper payloads (encoding/json's own limit is 10000) are declined.
 const maxScanDepth = 64
 
-// envelopeKeys are Envelope's JSON keys, the envelopeStrings string
-// fields first, in the order scanEnvelope lists the View's fields.
-var envelopeKeys = [...]string{"_msg_id", "_request_id", "_reply_q", "method", "failure", "args", "result"}
+// envelopeKey numbers Envelope's JSON keys, the envelopeStrings string
+// fields first, in the order scanEnvelope lists the View's fields; any
+// other key is envelopeKeys. A switch, not a loop over the names: it
+// tells the keys apart by length first.
+func envelopeKey(key []byte) int {
+	switch string(key) {
+	case "_msg_id":
+		return 0
+	case "_request_id":
+		return 1
+	case "_reply_q":
+		return 2
+	case "method":
+		return 3
+	case "failure":
+		return 4
+	case "args":
+		return 5
+	case "result":
+		return 6
+	}
+	return envelopeKeys
+}
 
-const envelopeStrings = 5
+const envelopeKeys, envelopeStrings = 7, 5
 
 // scanEnvelope walks the top level of the envelope in b, filling v's
 // envelope fields with sub-slices of b. False means "not plain": v's
@@ -47,12 +67,9 @@ func scanEnvelope(b []byte, v *View) bool {
 		}
 		i = skipSpace(b, i+1)
 
-		k := 0
-		for k < len(envelopeKeys) && string(key) != envelopeKeys[k] {
-			k++
-		}
+		k := envelopeKey(key)
 		switch {
-		case k == len(envelopeKeys):
+		case k == envelopeKeys:
 			// An unknown key is skipped — unless it could case-fold onto
 			// a known one, which only a key with an upper-case letter can
 			// (the known keys are lower-case ASCII; escapes and non-ASCII
@@ -100,6 +117,23 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
+// strClass sorts the bytes of a string literal's content: 2 for
+// printable ASCII other than '"' and '\\', which a plain literal holds
+// as its own value; 1 for the bytes at or above 0x80, which only a
+// non-plain literal may hold; 0 for the rest, which skipString's
+// switch decides on.
+var strClass = func() (t [256]uint8) {
+	for c := 0x20; c < 0x80; c++ {
+		if c != '"' && c != '\\' {
+			t[c] = 2
+		}
+	}
+	for c := 0x80; c < 0x100; c++ {
+		t[c] = 1
+	}
+	return t
+}()
+
 // skipString steps over the string literal at b[i:] and returns the
 // index past its closing quote. With plain set it vouches only for a
 // literal whose content is its decoded value: ASCII, no escapes.
@@ -107,7 +141,17 @@ func skipString(b []byte, i int, plain bool) (end int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return 0, false
 	}
+	run := uint8(0) // a byte of a class above run needs no decision
+	if plain {
+		run = 1
+	}
 	for i++; i < len(b); i++ {
+		for i < len(b) && strClass[b[i]] > run {
+			i++
+		}
+		if i == len(b) {
+			break
+		}
 		switch c := b[i]; {
 		case c == '"':
 			return i + 1, true

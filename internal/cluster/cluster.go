@@ -58,8 +58,10 @@ type Resources struct {
 // Node is one server in the deployment. The reference deployment installs
 // each OpenStack component on its own node (§5.4 "Improving precision").
 type Node struct {
-	Name    string
-	IP      string
+	Name string
+	IP   string
+	// Service is fixed once AddNode registers the node: NodeFor's index
+	// is kept then.
 	Service trace.Service
 	Up      bool
 
@@ -160,6 +162,9 @@ type TapFn func(Packet)
 type Fabric struct {
 	Sim   *simclock.Sim
 	nodes map[string]*Node
+	// first maps each service to its node of least name: what NodeFor
+	// answers, kept as nodes register instead of sorted per call.
+	first map[trace.Service]*Node
 	taps  []TapFn
 	rng   *rand.Rand
 
@@ -191,6 +196,7 @@ func NewFabric(sim *simclock.Sim, seed int64) *Fabric {
 	return &Fabric{
 		Sim:          sim,
 		nodes:        make(map[string]*Node),
+		first:        make(map[trace.Service]*Node),
 		rng:          rand.New(rand.NewSource(seed)),
 		BaseLatency:  300 * time.Microsecond,
 		extraLatency: make(map[string]time.Duration),
@@ -224,8 +230,24 @@ func (f *Fabric) AddNode(name, ip string, svc trace.Service) *Node {
 	n.AddDependency("ntp")
 	n.AddDependency("mysql-conn")
 	n.AddDependency("rabbitmq-conn")
+	_, replaced := f.nodes[name]
 	f.nodes[name] = n
+	if replaced { // rare: re-derive the index without the old node
+		clear(f.first)
+		for _, m := range f.nodes {
+			f.index(m)
+		}
+	} else {
+		f.index(n)
+	}
 	return n
+}
+
+// index records n in first if it precedes its service's current node.
+func (f *Fabric) index(n *Node) {
+	if cur := f.first[n.Service]; cur == nil || n.Name < cur.Name {
+		f.first[n.Service] = n
+	}
 }
 
 func seedFor(name string) int64 {
@@ -254,16 +276,10 @@ func (f *Fabric) Nodes() []*Node {
 	return out
 }
 
-// NodeFor returns the node hosting the given service, or nil. The
-// reference deployment has exactly one node per service.
-func (f *Fabric) NodeFor(svc trace.Service) *Node {
-	for _, n := range f.Nodes() {
-		if n.Service == svc {
-			return n
-		}
-	}
-	return nil
-}
+// NodeFor returns the node hosting the given service — of several, the
+// first by name — or nil. The reference deployment has exactly one node
+// per service.
+func (f *Fabric) NodeFor(svc trace.Service) *Node { return f.first[svc] }
 
 // Tap registers a passive monitor receiving a copy of every delivered
 // packet.

@@ -31,6 +31,44 @@ func TestAddAndLookupNodes(t *testing.T) {
 	}
 }
 
+// NodeFor's index answers as the scan it replaced — the first node by
+// name hosting the service — after every registration: two nodes for
+// one service added in either order, and a node replaced under its name
+// by one of another service.
+func TestNodeForMatchesScan(t *testing.T) {
+	scan := func(f *Fabric, svc trace.Service) *Node {
+		for _, n := range f.Nodes() {
+			if n.Service == svc {
+				return n
+			}
+		}
+		return nil
+	}
+	f := newTestFabric()
+	for _, add := range []struct {
+		name string
+		svc  trace.Service
+	}{
+		{"compute-2", trace.SvcNovaCompute},
+		{"nova-node", trace.SvcNova},
+		{"compute-1", trace.SvcNovaCompute},
+		{"compute-3", trace.SvcNovaCompute},
+		{"compute-1", trace.SvcCinder}, // replaces compute-1
+		{"cinder-node", trace.SvcCinder},
+		{"nova-node", trace.SvcNova}, // replaced by its own service
+	} {
+		f.AddNode(add.name, "10.0.0.1", add.svc)
+		for _, svc := range append(trace.Services(), trace.SvcUnknown) {
+			if got, want := f.NodeFor(svc), scan(f, svc); got != want {
+				t.Fatalf("after adding %s: NodeFor(%v) = %v, scan %v", add.name, svc, got, want)
+			}
+		}
+	}
+	if got := f.NodeFor(trace.SvcNovaCompute); got == nil || got.Name != "compute-2" {
+		t.Fatalf("NodeFor(nova-compute) = %v, want compute-2 once compute-1 left the service", got)
+	}
+}
+
 func TestDefaultDependencies(t *testing.T) {
 	f := newTestFabric()
 	n := f.AddNode("n1", "10.0.0.1", trace.SvcNova)

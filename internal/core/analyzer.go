@@ -230,8 +230,9 @@ type Config struct {
 	MaxPairs int
 	// Deprecated: nothing reads this field — ingest is one path. It
 	// remains only because bench/e2e/layers.go, frozen between
-	// [benchmark] PRs, still sets it; the [benchmark] PR of ROADMAP item 7
-	// deletes it together with the core.ingest.sharded_ratio layer.
+	// [benchmark] PRs, still sets it; the ROADMAP's "Refresh the
+	// benchmark contract" item deletes it together with the
+	// core.ingest.sharded_ratio layer.
 	IngestShards int
 }
 
@@ -438,10 +439,9 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 	a.Stats.Events++
 	mEventsIngested.Inc()
 	a.Stats.Bytes += uint64(ev.WireBytes)
-	if ev.Seq == 0 {
-		sequenced := *ev
-		sequenced.Seq = a.Stats.Events
-		ev = &sequenced
+	seq := ev.Seq // an unsequenced event is numbered in arrival order
+	if seq == 0 {
+		seq = a.Stats.Events
 	}
 
 	// Request/response pairing and latency measurement (§5.3: REST by
@@ -451,7 +451,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 	switch ev.Type {
 	case trace.RESTRequest:
 		a.Stats.PairsEvicted += capPairs(a.pending, a.cfg.MaxPairs)
-		a.pending[ev.ConnID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
+		a.pending[ev.ConnID] = pendingReq{ev.Time, seq, ev.DstNode}
 	case trace.RESTResponse:
 		if req, ok := a.pending[ev.ConnID]; ok {
 			delete(a.pending, ev.ConnID)
@@ -463,7 +463,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 	case trace.RPCCall:
 		if ev.MsgID != "" {
 			a.Stats.PairsEvicted += capPairs(a.calls, a.cfg.MaxPairs)
-			a.calls[ev.MsgID] = pendingReq{ev.Time, ev.Seq, ev.DstNode}
+			a.calls[ev.MsgID] = pendingReq{ev.Time, seq, ev.DstNode}
 		}
 	case trace.RPCReply:
 		if req, ok := a.calls[ev.MsgID]; ok {
@@ -480,7 +480,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 		a.evictAgedPairs(ev.Time)
 	}
 
-	a.win.Push(*ev)
+	a.win.PushSeq(ev, seq)
 
 	// Operational fault detection: error statuses found by the agents'
 	// regex scans. Snapshots are armed only for REST errors (RPC errors
@@ -489,7 +489,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 		a.Stats.Faults++
 		mFaultsOper.Inc()
 		if ev.Type == trace.RESTResponse || a.cfg.SnapshotOnRPCErrors {
-			a.armSnapshot(*ev, Operational, 0)
+			a.armSnapshot(withSeq(ev, seq), Operational, 0)
 		}
 	}
 
@@ -501,10 +501,17 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 			a.Stats.PerfAlarms += uint64(alarms)
 			mFaultsPerf.Add(uint64(alarms))
 			if armPerf {
-				a.armSnapshot(*ev, Performance, latency)
+				a.armSnapshot(withSeq(ev, seq), Performance, latency)
 			}
 		}
 	}
+}
+
+// withSeq is a copy of *ev numbered seq.
+func withSeq(ev *trace.Event, seq uint64) trace.Event {
+	e := *ev
+	e.Seq = seq
+	return e
 }
 
 // LatencyDetector exposes the per-API latency detector (for experiment

@@ -13,8 +13,9 @@
 //
 // There is one parser. ScanRequest and ScanResponse scan a message in
 // place and return a view — byte slices into the scanned input, valid
-// only while it is unchanged — with the header block as Fields, looked
-// up by name without building a pair list; that is what the monitoring
+// only while it is unchanged — in one walk over the head, with the
+// header block as Fields and the two headers the monitoring agent reads
+// (Host, X-Openstack-Request-Id) already picked out; that is what the
 // agent runs per tapped message, and it allocates nothing.
 // ParseRequest and ParseResponse copy a view into an owned Request or
 // Response for callers that keep the message.
@@ -159,20 +160,6 @@ func MarshalResponse(r *Response) []byte {
 // the start line and the blank line — aliasing the scanned bytes.
 type Fields []byte
 
-// Get returns the first value for the (case-insensitive) key, trimmed
-// of surrounding space, or nil. It allocates nothing.
-func (f Fields) Get(name string) []byte {
-	want := []byte(name) // does not escape: on the stack for any real header name
-	for rest := []byte(f); len(rest) > 0; {
-		var line []byte
-		line, rest, _ = bytes.Cut(rest, crlfBytes)
-		if k, v, ok := bytes.Cut(line, colon); ok && bytes.EqualFold(bytes.TrimSpace(k), want) {
-			return bytes.TrimSpace(v)
-		}
-	}
-	return nil
-}
-
 // parseHeader copies a header block — a string the caller owns — into
 // a Header, in wire order; the pairs are substrings of it.
 func parseHeader(block string) (h Header) {
@@ -190,100 +177,174 @@ func parseHeader(block string) (h Header) {
 }
 
 // RequestView and ResponseView are the header-level views of one
-// message that ScanRequest and ScanResponse yield. Every slice aliases
-// the scanned bytes and is valid only as long as they are; a caller
-// that keeps anything copies it out.
+// message that ScanRequest and ScanResponse yield. Host and RequestID
+// are the first Host and X-Openstack-Request-Id fields' values, trimmed
+// of surrounding space (nil when absent): what Header.Get would answer
+// for them. Every slice aliases the scanned bytes and is valid only as
+// long as they are; a caller that keeps anything copies it out.
 type RequestView struct {
-	Method, Path []byte
-	Header       Fields
-	Body         []byte
+	Method, Path    []byte
+	Header          Fields
+	Host, RequestID []byte
+	Body            []byte
 }
 
 type ResponseView struct {
-	Status int
-	Reason []byte
-	Header Fields
-	Body   []byte
+	Status    int
+	Reason    []byte
+	Header    Fields
+	RequestID []byte
+	Body      []byte
 }
 
 var (
-	crlfBytes   = []byte(crlf)
-	headEndMark = []byte(crlf + crlf)
-	colon       = []byte(":")
-	space       = []byte(" ")
-	httpPrefix  = []byte("HTTP/")
-	lengthKey   = []byte("Content-Length")
+	headEndMark  = []byte(crlf + crlf)
+	space        = []byte(" ")
+	httpPrefix   = []byte("HTTP/")
+	lengthKey    = []byte("Content-Length")
+	hostKey      = []byte("Host")
+	requestIDKey = []byte("X-Openstack-Request-Id")
 )
 
+// message is one message split in place by scan.
+type message struct {
+	start           []byte
+	header          Fields
+	host, requestID []byte
+	body            []byte
+	consumed        int
+}
+
 // scan splits raw into start line, header block and body in place,
-// honoring Content-Length, and reports the bytes consumed so a stream
-// parser can handle back-to-back messages on one connection. It
-// allocates only to describe an error.
-func scan(raw []byte) (start []byte, hdr Fields, body []byte, consumed int, err error) {
-	headEnd := bytes.Index(raw, headEndMark)
-	if headEnd < 0 {
-		return nil, nil, nil, 0, ErrShortMessage
+// honoring Content-Length (the last one wins), and reports the bytes
+// consumed so a stream parser can handle back-to-back messages on one
+// connection. It walks the head's lines once, up to the empty line that
+// ends it, picking out the first Host and X-Openstack-Request-Id on the
+// way. A message with no empty line is short whatever its lines hold;
+// otherwise the first bad line is the error. It allocates only to
+// describe an error.
+func scan(raw []byte) (m message, err error) {
+	eol := lineEnd(raw, 0)
+	if eol < 0 {
+		return message{}, ErrShortMessage
 	}
-	start, rest, more := bytes.Cut(raw[:headEnd], crlfBytes)
-	if len(start) == 0 {
-		return nil, nil, nil, 0, ErrBadStartLine
+	if eol == 0 {
+		return message{}, headError(raw, eol, ErrBadStartLine, nil)
 	}
-	hdr = rest
+	m.start = raw[:eol]
 	bodyLen := 0
-	for more {
-		var line []byte
-		line, rest, more = bytes.Cut(rest, crlfBytes)
-		k, v, ok := bytes.Cut(line, colon)
-		if !ok {
-			return nil, nil, nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, line)
+	i := eol + len(crlf) // the current line's first byte
+	for {
+		e := lineEnd(raw, i)
+		if e < 0 {
+			return message{}, ErrShortMessage
 		}
-		if bytes.EqualFold(bytes.TrimSpace(k), lengthKey) {
+		if e == i {
+			break // the empty line
+		}
+		line := raw[i:e]
+		c := bytes.IndexByte(line, ':')
+		if c < 0 {
+			return message{}, headError(raw, e, ErrBadHeader, line)
+		}
+		k, v := line[:c], line[c+1:]
+		// Only a key whose first byte folds to c, h or x can name a
+		// wanted field: no other rune folds onto those letters.
+		switch k = bytes.TrimSpace(k); {
+		case len(k) == 0:
+		case k[0]|0x20 == 'c' && bytes.EqualFold(k, lengthKey):
 			bodyLen, err = strconv.Atoi(string(bytes.TrimSpace(v)))
 			if err != nil || bodyLen < 0 {
-				return nil, nil, nil, 0, ErrBadLength
+				return message{}, headError(raw, e, ErrBadLength, nil)
 			}
+		case k[0]|0x20 == 'h' && m.host == nil && bytes.EqualFold(k, hostKey):
+			m.host = fieldValue(v)
+		case k[0]|0x20 == 'x' && m.requestID == nil && bytes.EqualFold(k, requestIDKey):
+			m.requestID = fieldValue(v)
+		}
+		i = e + len(crlf)
+	}
+	if hdr := eol + len(crlf); i > hdr {
+		m.header = raw[hdr : i-len(crlf)]
+	}
+	bodyStart := i + len(crlf)
+	if bodyLen > len(raw)-bodyStart { // not bodyStart+bodyLen: a tapped length may be near MaxInt
+		return message{}, ErrShortMessage
+	}
+	m.body = raw[bodyStart : bodyStart+bodyLen]
+	m.consumed = bodyStart + bodyLen
+	return m, nil
+}
+
+// lineEnd returns the index of the first CRLF in raw at or after i, or
+// -1: an IndexByte for each '\n', checked for its '\r', costs less per
+// line than a two-byte bytes.Index.
+func lineEnd(raw []byte, i int) int {
+	for from := i; ; i++ {
+		j := bytes.IndexByte(raw[i:], '\n')
+		if j < 0 {
+			return -1
+		}
+		if i += j; i > from && raw[i-1] == '\r' {
+			return i - 1
 		}
 	}
-	bodyStart := headEnd + len(headEndMark)
-	if bodyLen > len(raw)-bodyStart { // not bodyStart+bodyLen: a tapped length may be near MaxInt
-		return nil, nil, nil, 0, ErrShortMessage
+}
+
+// headError is the error for a bad head line ending at eol: the message
+// is short if no empty line follows, else err, quoting line if given.
+func headError(raw []byte, eol int, err error, line []byte) error {
+	switch {
+	case bytes.Index(raw[eol:], headEndMark) < 0:
+		return ErrShortMessage
+	case line != nil:
+		return fmt.Errorf("%w: %q", err, line)
 	}
-	return start, hdr, raw[bodyStart : bodyStart+bodyLen], bodyStart + bodyLen, nil
+	return err
+}
+
+// fieldValue trims v of surrounding space, keeping an all-space value
+// non-nil so that scan sees the field as found.
+func fieldValue(v []byte) []byte {
+	if t := bytes.TrimSpace(v); t != nil {
+		return t
+	}
+	return v[:0]
 }
 
 // ScanRequest scans one HTTP/1.1 request at the front of raw without
 // copying it, and reports the bytes consumed (trailing bytes may belong
 // to the next pipelined message).
 func ScanRequest(raw []byte) (RequestView, int, error) {
-	start, hdr, body, n, err := scan(raw)
+	m, err := scan(raw)
 	if err != nil {
 		return RequestView{}, 0, err
 	}
-	method, rest, _ := bytes.Cut(start, space)
+	method, rest, _ := bytes.Cut(m.start, space)
 	path, proto, ok := bytes.Cut(rest, space)
 	if !ok || !bytes.HasPrefix(proto, httpPrefix) {
-		return RequestView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
+		return RequestView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, m.start)
 	}
-	return RequestView{Method: method, Path: path, Header: hdr, Body: body}, n, nil
+	return RequestView{Method: method, Path: path, Header: m.header, Host: m.host, RequestID: m.requestID, Body: m.body}, m.consumed, nil
 }
 
 // ScanResponse scans one HTTP/1.1 response at the front of raw without
 // copying it, and reports the bytes consumed.
 func ScanResponse(raw []byte) (ResponseView, int, error) {
-	start, hdr, body, n, err := scan(raw)
+	m, err := scan(raw)
 	if err != nil {
 		return ResponseView{}, 0, err
 	}
-	proto, rest, ok := bytes.Cut(start, space)
+	proto, rest, ok := bytes.Cut(m.start, space)
 	if !ok || !bytes.HasPrefix(proto, httpPrefix) {
-		return ResponseView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, start)
+		return ResponseView{}, 0, fmt.Errorf("%w: %q", ErrBadStartLine, m.start)
 	}
 	code, reason, _ := bytes.Cut(rest, space)
 	status, err := strconv.Atoi(string(code))
 	if err != nil {
 		return ResponseView{}, 0, fmt.Errorf("%w: status %q", ErrBadStartLine, code)
 	}
-	return ResponseView{Status: status, Reason: reason, Header: hdr, Body: body}, n, nil
+	return ResponseView{Status: status, Reason: reason, Header: m.header, RequestID: m.requestID, Body: m.body}, m.consumed, nil
 }
 
 // ParseRequest decodes one HTTP/1.1 request from raw into an owned
@@ -355,27 +416,31 @@ func looksLikeID(s []byte) bool {
 	if len(s) == 0 {
 		return false
 	}
-	// Decimal identifiers.
-	allDigit := true
+	var seen uint8
+	hex := 0
 	for _, c := range s {
-		if c < '0' || c > '9' {
-			allDigit = false
-			break
-		}
-	}
-	if allDigit {
-		return true
-	}
-	// UUID-ish: hex and dashes, at least 8 hex chars, no letters beyond f.
-	hexCount := 0
-	for _, c := range s {
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'f', c >= 'A' && c <= 'F':
-			hexCount++
-		case c == '-':
-		default:
+		k := idClass[c]
+		if k == 0 {
 			return false
 		}
+		seen |= k
+		hex += int(k & idHex)
 	}
-	return hexCount >= 8
+	return seen == idHex || hex >= 8 // all decimal digits, or enough hex
 }
+
+// idClass sorts the bytes an identifier may hold, in one table so that
+// looksLikeID makes one pass: hex digits have idHex (the letters
+// idLetter too), and '-' has idDash.
+const idHex, idLetter, idDash = 1, 2, 4
+
+var idClass = func() (t [256]uint8) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = idHex
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c], t[c-'a'+'A'] = idHex|idLetter, idHex|idLetter
+	}
+	t['-'] = idDash
+	return t
+}()

@@ -61,10 +61,51 @@ func Seal(rec []byte, kind byte, seq uint64) {
 	rec[0], rec[1], rec[2] = magic0, magic1, kind
 	binary.BigEndian.PutUint64(rec[3:], seq)
 	binary.BigEndian.PutUint32(rec[11:], uint32(len(rec)-HdrLen))
-	crc := crc32.ChecksumIEEE(rec[2:15])
-	crc = crc32.Update(crc, crc32.IEEETable, rec[HdrLen:])
-	binary.BigEndian.PutUint32(rec[15:], crc)
+	binary.BigEndian.PutUint32(rec[15:], crcBody(crcShort(0, rec[2:15]), rec[HdrLen:]))
 }
+
+// The envelope's CRC is crc32.ChecksumIEEE over the 13 header bytes,
+// continued by crc32.Update over the body. The library runs a piece
+// shorter than 16 bytes a byte at a time, and every record has two: the
+// header, and whatever a body leaves past its last 16-byte block. Here
+// those go through slicing-by-8 (crcShort), and the body's blocks still
+// take the library's own path (crcBody).
+
+// crcBody continues crc over a record body.
+func crcBody(crc uint32, body []byte) uint32 {
+	if k := len(body) &^ 15; k >= 64 {
+		crc = crc32.Update(crc, crc32.IEEETable, body[:k])
+		body = body[k:]
+	}
+	return crcShort(crc, body)
+}
+
+// crcShort continues an IEEE CRC over p, eight bytes per step.
+func crcShort(crc uint32, p []byte) uint32 {
+	t := &slicing8
+	crc = ^crc
+	for ; len(p) >= 8; p = p[8:] {
+		crc ^= binary.LittleEndian.Uint32(p)
+		crc = t[0][p[7]] ^ t[1][p[6]] ^ t[2][p[5]] ^ t[3][p[4]] ^
+			t[4][crc>>24] ^ t[5][crc>>16&0xff] ^ t[6][crc>>8&0xff] ^ t[7][crc&0xff]
+	}
+	for _, v := range p {
+		crc = t[0][byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
+}
+
+// slicing8[k][b] is the IEEE CRC register after byte b is followed by k
+// zero bytes.
+var slicing8 = func() (t [8][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for b := range t[0] {
+		for k := 1; k < len(t); k++ {
+			t[k][b] = t[0][t[k-1][b]&0xff] ^ t[k-1][b]>>8
+		}
+	}
+	return t
+}()
 
 // Source is the one thing readers differ in: what a short read means.
 type Source bool
@@ -120,7 +161,7 @@ func ReadRecord(br *bufio.Reader, kinds string, buf []byte, src Source) (kind by
 		}
 		seq = binary.BigEndian.Uint64(hdr[2:10])
 		want := binary.BigEndian.Uint32(hdr[14:18])
-		crc := crc32.ChecksumIEEE(hdr[1:14])
+		crc := crcShort(0, hdr[1:14])
 		br.Discard(HdrLen - 1) // cannot fail: Peek just returned these bytes
 		buf = slices.Grow(buf[:0], int(n))
 		body = buf[:n]
@@ -131,7 +172,7 @@ func ReadRecord(br *bufio.Reader, kinds string, buf []byte, src Source) (kind by
 			}
 			return 0, 0, nil, sk, err
 		}
-		if crc32.Update(crc, crc32.IEEETable, body) != want {
+		if crcBody(crc, body) != want {
 			// Corrupt, or a false magic inside corrupt bytes. If the length
 			// itself was damaged the scan is now misaligned and the next
 			// magic check finds its way back.

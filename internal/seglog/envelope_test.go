@@ -300,3 +300,20 @@ func TestBuffered(t *testing.T) {
 		t.Fatalf("after reading the whole record: err=%v Buffered=%v, want nil and false", err, Buffered(br))
 	}
 }
+
+// The envelope CRC's short-piece path equals the library's CRC, header
+// and body alike, at every body length around the 16-byte blocks and
+// the 64-byte threshold of the library's block path.
+func TestRecordCRCMatchesLibrary(t *testing.T) {
+	hdr := []byte("B\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x01\x2c")
+	body := make([]byte, 300)
+	for i := range body {
+		body[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(body); n++ {
+		want := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, body[:n])
+		if got := crcBody(crcShort(0, hdr), body[:n]); got != want {
+			t.Fatalf("%d-byte body: CRC %08x, library %08x", n, got, want)
+		}
+	}
+}

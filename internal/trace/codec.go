@@ -150,18 +150,23 @@ var (
 )
 
 // bodyReader consumes a body front to back; the first failure sticks
-// and every later read returns zero values.
+// and drops the rest of the body, so every later read returns zero
+// values.
 type bodyReader struct {
 	b   []byte
 	err error
 }
 
-func (r *bodyReader) byte() byte {
-	if r.err != nil {
-		return 0
+func (r *bodyReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
+	r.b = nil
+}
+
+func (r *bodyReader) byte() byte {
 	if len(r.b) == 0 {
-		r.err = errShortBody
+		r.fail(errShortBody)
 		return 0
 	}
 	c := r.b[0]
@@ -169,17 +174,24 @@ func (r *bodyReader) byte() byte {
 	return c
 }
 
+// uvarint reads a one-byte varint, every length and most counts of a
+// typical body, without the general loop.
 func (r *bodyReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if b := r.b; len(b) > 0 && b[0] < 0x80 {
+		r.b = b[1:]
+		return uint64(b[0])
 	}
+	return r.uvarintSlow()
+}
+
+func (r *bodyReader) uvarintSlow() uint64 {
 	v, n := binary.Uvarint(r.b)
 	switch {
 	case n == 0:
-		r.err = errShortBody
+		r.fail(errShortBody)
 		return 0
 	case n < 0:
-		r.err = errBadVarint
+		r.fail(errBadVarint)
 		return 0
 	}
 	r.b = r.b[n:]
@@ -198,11 +210,8 @@ func (r *bodyReader) varint() int64 {
 // bytes returns the next length-prefixed field, aliasing the body.
 func (r *bodyReader) bytes() []byte {
 	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
 	if n > uint64(len(r.b)) {
-		r.err = errShortBody
+		r.fail(errShortBody)
 		return nil
 	}
 	s := r.b[:n]
@@ -219,11 +228,11 @@ func (r *bodyReader) endpoint() netip.AddrPort {
 	a := r.bytes()
 	ip, ok := netip.AddrFromSlice(a)
 	if !ok && len(a) != 0 {
-		r.err = fmt.Errorf("trace: endpoint address of %d bytes", len(a))
+		r.fail(fmt.Errorf("trace: endpoint address of %d bytes", len(a)))
 	}
 	port := r.uvarint()
-	if port > math.MaxUint16 && r.err == nil {
-		r.err = fmt.Errorf("trace: endpoint port %d", port)
+	if port > math.MaxUint16 {
+		r.fail(fmt.Errorf("trace: endpoint port %d", port))
 	}
 	return netip.AddrPortFrom(ip, uint16(port))
 }
@@ -235,24 +244,56 @@ func (d *Decoder) interned(r *bodyReader) string { return d.intern.Intern(r.byte
 // strings (API methods and paths, nodes): Intern returns the
 // same string for equal bytes without allocating, and once the table is
 // full it stops filling — it never evicts, so a string handed out stays
-// valid. The zero value is ready to use; an Interner is not safe for
-// concurrent use.
-type Interner struct{ m map[string]string }
+// valid. A repeat is answered from a direct-mapped front table keyed on
+// the length and sampled bytes and confirmed by comparing the bytes,
+// without hashing them all; the map behind it holds every interned
+// string, so two that share a slot both stay interned. The zero value is
+// ready to use; an Interner is not safe for concurrent use.
+type Interner struct {
+	front *[1 << internSlotBits]string
+	m     map[string]string
+}
+
+// internSlotBits sizes the front table at 1024 slots (16 KiB), about
+// three per distinct string of a deployment's stream, allocated with
+// the map on the first string kept.
+const internSlotBits = 10
+
+// slot picks b's front-table slot from its length and its middle and
+// last eight bytes (first, middle and last byte when shorter).
+func (t *Interner) slot(b []byte) *string {
+	n := len(b)
+	h := uint64(n)
+	if n >= 8 {
+		h ^= binary.LittleEndian.Uint64(b[n/2-4:]) ^ binary.LittleEndian.Uint64(b[n-8:])<<1
+	} else {
+		h ^= uint64(b[0])<<8 | uint64(b[n/2])<<16 | uint64(b[n-1])<<24
+	}
+	return &t.front[h*0x9E3779B97F4A7C15>>(64-internSlotBits)]
+}
 
 // Intern returns b as a string that shares no memory with b.
 func (t *Interner) Intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
+	if t.front != nil {
+		if f := t.slot(b); *f == string(b) { // no allocation: a comparison
+			return *f
+		}
+	}
 	if s, ok := t.m[string(b)]; ok { // no allocation: map lookup by converted key
+		*t.slot(b) = s
 		return s
 	}
 	s := string(b)
 	if len(t.m) < internMax && len(s) <= internMaxLen {
 		if t.m == nil {
 			t.m = make(map[string]string)
+			t.front = new([1 << internSlotBits]string)
 		}
 		t.m[s] = s
+		*t.slot(b) = s
 	}
 	return s
 }

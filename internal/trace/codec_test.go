@@ -210,6 +210,51 @@ func TestDecoderInternBound(t *testing.T) {
 	}
 }
 
+// TestInternerFrontTable: a repeat answered by the front table is the
+// interned copy, never the caller's bytes, and the table holds it; two strings that share a
+// front slot both stay interned and repeat without allocating; and a
+// string the bounds keep out is copied on every sighting.
+func TestInternerFrontTable(t *testing.T) {
+	var in Interner
+	in.Intern([]byte("seed")) // allocates the tables
+	buf := []byte("compute-1")
+	first := in.Intern(buf)
+	again := in.Intern(buf)
+	if unsafe.StringData(again) != unsafe.StringData(first) || unsafe.StringData(again) == &buf[0] {
+		t.Fatal("a repeat did not return the interned copy")
+	}
+	if f := in.slot(buf); unsafe.StringData(*f) != unsafe.StringData(first) {
+		t.Fatalf("the front table holds %q, not the interned string", *f)
+	}
+	buf[0] = 'X'
+	if first != "compute-1" || again != "compute-1" {
+		t.Fatalf("interned strings changed with the caller's bytes: %q %q", first, again)
+	}
+
+	// Two strings of one length sharing a slot.
+	a := []byte("n-000000")
+	var b []byte
+	for i := 1; b == nil; i++ {
+		if c := []byte(fmt.Sprintf("n-%06d", i)); in.slot(c) == in.slot(a) {
+			b = c
+		}
+	}
+	sa, sb := in.Intern(a), in.Intern(b)
+	for i := 0; i < 3; i++ {
+		if x, y := in.Intern(a), in.Intern(b); unsafe.StringData(x) != unsafe.StringData(sa) || unsafe.StringData(y) != unsafe.StringData(sb) {
+			t.Fatalf("round %d: colliding %q and %q were not both interned", i, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { in.Intern(a); in.Intern(b) }); n != 0 {
+		t.Fatalf("repeating two colliding strings: %.1f allocs, want 0", n)
+	}
+
+	long := []byte(strings.Repeat("y", internMaxLen+1))
+	if x, y := in.Intern(long), in.Intern(long); unsafe.StringData(x) == unsafe.StringData(y) {
+		t.Fatalf("a %d-byte string was interned past the %d-byte bound", len(long), internMaxLen)
+	}
+}
+
 // TestCodecAllocations pins the point of the codec on the traffic the
 // taps actually produce — every event from a fresh ephemeral source
 // port, more of them than any table could hold: encoding into a sized

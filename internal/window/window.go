@@ -151,17 +151,24 @@ func (w *Dual) Pushed() uint64 { return w.pushed }
 
 // Push appends a message, evicting the oldest once full, and fires any
 // armed snapshot whose future half has filled.
-func (w *Dual) Push(ev trace.Event) {
+func (w *Dual) Push(ev trace.Event) { w.PushSeq(&ev, ev.Seq) }
+
+// PushSeq is Push of *ev numbered seq: the window's copy, the only one
+// it makes, carries seq in place of ev.Seq, and *ev is not written.
+func (w *Dual) PushSeq(ev *trace.Event, seq uint64) {
+	var slot *trace.Event
 	if w.size == w.alpha {
-		w.ring[w.start] = ev
+		slot = &w.ring[w.start]
 		if w.start++; w.start == w.alpha {
 			w.start = 0
 		}
 	} else {
 		// start stays 0 until the ring first fills.
-		w.ring[w.size] = ev
+		slot = &w.ring[w.size]
 		w.size++
 	}
+	*slot = *ev
+	slot.Seq = seq
 	w.pushed++
 
 	if len(w.armed) == 0 {

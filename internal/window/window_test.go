@@ -55,6 +55,25 @@ func TestPushEvictsOldest(t *testing.T) {
 	}
 }
 
+// PushSeq numbers the window's copy and leaves the caller's event as
+// it was, before and after the ring wraps.
+func TestPushSeqNumbersTheCopy(t *testing.T) {
+	w := New(2)
+	for i := uint64(1); i <= 3; i++ {
+		in := trace.Event{ConnID: i}
+		w.PushSeq(&in, 10*i)
+		if in.Seq != 0 || in.ConnID != i {
+			t.Fatalf("push %d wrote the caller's event: %+v", i, in)
+		}
+	}
+	got := w.contents()
+	for i, want := range []uint64{20, 30} {
+		if got[i].Seq != want || got[i].ConnID != want/10 {
+			t.Fatalf("contents[%d] = seq %d conn %d, want seq %d conn %d", i, got[i].Seq, got[i].ConnID, want, want/10)
+		}
+	}
+}
+
 func TestArmSnapshotCentersFault(t *testing.T) {
 	w := New(8)
 	for i := uint64(1); i <= 10; i++ {

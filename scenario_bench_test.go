@@ -1,4 +1,4 @@
-// The twelve pipeline scenarios, one Benchmark each with a b.Run per
+// The thirteen pipeline scenarios, one Benchmark each with a b.Run per
 // case. One b.N iteration is one full pass over the canonical workload
 // (internal/experiments/bench.go), so `-benchtime 3x` is three passes;
 // -short picks the CI-sized workloads ci/bench_gate.sh runs. Each case
@@ -10,6 +10,7 @@
 package gretel_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -328,6 +329,60 @@ func BenchmarkMonitor(b *testing.B) {
 		b.ReportMetric(float64(events), "events/op")
 		b.ReportMetric(float64(len(packets)), "packets")
 		b.ReportMetric(float64(faulty), "faulty")
+	})
+}
+
+// BenchmarkCodec is the event body codec alone over the events the tap
+// emits from the canonical tapped wire (BenchmarkMonitor's input):
+// encode appends each body into one reused buffer, as a Sender's frame
+// does; decode reads the bodies back through one fresh Decoder per pass,
+// as a Receiver connection or a WAL scan does, and fails unless the
+// last event re-encodes to its own body.
+func BenchmarkCodec(b *testing.B) {
+	var stream []trace.Event
+	mon := agent.NewMonitor("bench", func(ev trace.Event) { stream = append(stream, ev) }, nil)
+	for _, pkt := range experiments.BenchPackets(scale(60, 20)) {
+		mon.HandlePacket(pkt)
+	}
+	bodies, size := make([][]byte, len(stream)), 0
+	for i := range stream {
+		bodies[i] = trace.AppendEvent(nil, &stream[i])
+		size += len(bodies[i])
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(len(stream)), "events/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 1024)
+		for i := 0; i < b.N; i++ {
+			n := 0
+			for j := range stream {
+				buf = trace.AppendEvent(buf[:0], &stream[j])
+				n += len(buf)
+			}
+			if n != size {
+				b.Fatalf("encoded %d bytes, want %d", n, size)
+			}
+		}
+		report(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		var ev trace.Event
+		for i := 0; i < b.N; i++ {
+			var dec trace.Decoder
+			for _, body := range bodies {
+				if err := dec.Decode(trace.BodyBinary, body, &ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if last := bodies[len(bodies)-1]; !bytes.Equal(trace.AppendEvent(nil, &ev), last) {
+				b.Fatal("the last event did not decode to its own body")
+			}
+		}
+		report(b)
 	})
 }
 
