@@ -326,7 +326,9 @@ type Analyzer struct {
 	win     *window.Dual
 	pending map[uint64]pendingReq // REST pairing by connection
 	calls   map[string]pendingReq // RPC pairing by message id
-	lat     latTrack              // per-API latency state (latency.go)
+	// apis resolves each event's API once: its window word's symbol and
+	// its latency state (apis.go, latency.go).
+	apis apiTable
 	// degraded marks nodes with unhealed monitoring-feed loss (NodeGap)
 	// until the agent provably returns (NodeRecovered); value is the time
 	// of the last recorded loss.
@@ -375,7 +377,7 @@ func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 		win:      window.New(cfg.Alpha),
 		pending:  make(map[uint64]pendingReq),
 		calls:    make(map[string]pendingReq),
-		lat:      newLatTrack(cfg.Latency),
+		apis:     newAPITable(lib.Table, cfg.Latency),
 		degraded: make(map[string]time.Time),
 	}
 	if cfg.DetectWorkers > 0 {
@@ -480,12 +482,14 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 		a.evictAgedPairs(ev.Time)
 	}
 
-	a.win.PushSeq(ev, seq)
+	word, api := a.apis.word(ev)
+	a.win.PushSeq(ev, seq, word)
 
 	// Operational fault detection: error statuses found by the agents'
 	// regex scans. Snapshots are armed only for REST errors (RPC errors
 	// ride along inside the snapshot) unless configured otherwise.
-	if ev.Faulty() {
+	faulty := word&wFaulty != 0
+	if faulty {
 		a.Stats.Faults++
 		mFaultsOper.Inc()
 		if ev.Type == trace.RESTResponse || a.cfg.SnapshotOnRPCErrors {
@@ -495,8 +499,8 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 
 	// Performance fault detection: feed the paired latency to the per-API
 	// level-shift detector and the operator-facing summary.
-	if havePair && !ev.Faulty() {
-		alarms, armPerf := a.lat.observe(ev.API, ev.Time, latency, &a.cfg)
+	if havePair && !faulty {
+		alarms, armPerf := a.apis.observe(api, ev.Time, latency, &a.cfg)
 		if alarms > 0 {
 			a.Stats.PerfAlarms += uint64(alarms)
 			mFaultsPerf.Add(uint64(alarms))
@@ -517,7 +521,7 @@ func withSeq(ev *trace.Event, seq uint64) trace.Event {
 // LatencyDetector exposes the per-API latency detector (for experiment
 // plots of the adjusted series and level shifts).
 func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
-	if al := a.lat.apis[api]; al != nil {
+	if al := a.apis.latency(api); al != nil {
 		return al.det
 	}
 	return nil
@@ -532,9 +536,11 @@ type APILatency struct {
 // LatencySummaries returns per-API latency summaries sorted by p95
 // descending — the operator's view of the deployment's slowest APIs.
 func (a *Analyzer) LatencySummaries() []APILatency {
-	out := make([]APILatency, 0, len(a.lat.apis))
-	for api, al := range a.lat.apis {
-		out = append(out, APILatency{api, &al.sum})
+	var out []APILatency
+	for i := range a.apis.recs {
+		if rec := &a.apis.recs[i]; rec.lat != nil {
+			out = append(out, APILatency{rec.api, &rec.lat.sum})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		qi, qj := out[i].Summary.Quantile(0.95), out[j].Summary.Quantile(0.95)
@@ -628,6 +634,9 @@ func (a *Analyzer) armSnapshot(ev trace.Event, kind FaultKind, latency time.Dura
 // programs bound to it, that every β view walks — so growing the context
 // buffer rebuilds neither pattern, table nor programs.
 type detectScratch struct {
+	// words holds the window words Detect fills for a snapshot frozen
+	// without them.
+	words []uint32
 	syms  []rune
 	evIdx []int32
 	idx   fingerprint.Index
@@ -641,37 +650,45 @@ type detectScratch struct {
 	hit       []bool
 }
 
-// snapshotPattern builds the pattern from snapshot events: one symbol
-// per *request-side* message (responses repeat the API and would only
-// duplicate symbols), skipping RPC symbols when pruning. When corrID is
-// non-empty (correlation-id mode), only events stamped with it
-// contribute — the precision extension of §5.3.1.
-func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, corrID string) {
-	events := snap.Events
-	syms, evIdx := sc.syms[:0], sc.evIdx[:0]
-	var unknown uint64
-	for i := range events {
-		ev := &events[i]
-		if !ev.Type.Request() {
-			continue
-		}
-		if corrID != "" && ev.CorrID != corrID {
-			continue
-		}
-		if !a.cfg.DisablePruneRPC && ev.API.Kind == trace.RPC {
-			continue
-		}
-		r, ok := a.lib.Table.Lookup(ev.API)
-		if !ok {
-			unknown++ // API never fingerprinted: cannot help matching
-			continue
-		}
-		syms = append(syms, r)
-		evIdx = append(evIdx, int32(i))
+// snapshotPattern builds the pattern from the snapshot's window words:
+// one symbol per *request-side* message (responses repeat the API and
+// would only duplicate symbols), skipping RPC symbols when pruning. When
+// corrID is non-empty (correlation-id mode), only events stamped with it
+// contribute — the precision extension of §5.3.1 — and only then are the
+// events themselves read.
+func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, words []uint32, corrID string) {
+	// A word contributes its symbol when its masked bits are exactly
+	// wRequest|wKnown, and counts as unknown (an API never fingerprinted:
+	// it cannot help matching) when they are wRequest alone. Every word
+	// is written and the length advanced by the verdict, so the loop has
+	// no branch on the words.
+	mask := wRequest | wKnown
+	if !a.cfg.DisablePruneRPC {
+		mask |= wRPC
 	}
-	sc.syms, sc.evIdx = syms, evIdx
-	mPatternSyms.Add(uint64(len(syms)))
-	mUnknownSyms.Add(unknown)
+	syms := slices.Grow(sc.syms[:0], len(words))[:len(words)]
+	evIdx := slices.Grow(sc.evIdx[:0], len(words))[:len(words)]
+	n, unknown := 0, 0
+	for i, w := range words {
+		m := w & mask
+		if corrID != "" && m&^wKnown == wRequest && snap.Events[i].CorrID != corrID {
+			continue
+		}
+		syms[n], evIdx[n] = rune(w>>wSymShift), int32(i)
+		n += b2i(m == wRequest|wKnown)
+		unknown += b2i(m == wRequest)
+	}
+	sc.syms, sc.evIdx = syms[:n], evIdx[:n]
+	mPatternSyms.Add(uint64(n))
+	mUnknownSyms.Add(uint64(unknown))
+}
+
+// b2i is 1 for true, 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // bounds maps events [lo, hi) of the snapshot to the pattern positions
@@ -721,7 +738,9 @@ func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo,
 // finish. traceID is nonzero only in explain mode, in which case detect
 // also assembles the report's evidence trace (explain.go) — here on the
 // worker, never on the ingest path.
-func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, traceID uint64) *Report {
+// words are the snapshot's window words, snap.Words unless Detect filled
+// them.
+func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, words []uint32, traceID uint64) *Report {
 	mDetectAttempts.Inc()
 	span := hWindowMatch.Start()
 	rep := &Report{
@@ -742,10 +761,9 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	// manifestation and selects the offending API.
 	offending := faultEv.API
 	if kind == Operational {
-		for i := range snap.Events {
-			ev := &snap.Events[i]
-			if ev.Faulty() {
-				rep.Errors = append(rep.Errors, *ev)
+		for i, w := range words {
+			if w&wFaulty != 0 {
+				rep.Errors = append(rep.Errors, snap.Events[i])
 			}
 		}
 		if len(rep.Errors) > 0 {
@@ -786,7 +804,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	if a.cfg.UseCorrelationIDs {
 		corrID = faultEv.CorrID
 	}
-	a.snapshotPattern(sc, snap, corrID)
+	a.snapshotPattern(sc, snap, words, corrID)
 	a.index(sc, cands, truncate, corrID != "", rep.evidence != nil)
 	if rep.evidence != nil {
 		rep.evidence.CorrID = corrID
@@ -844,9 +862,36 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 // Detect runs Algorithm 2 over one frozen snapshot on the caller's
 // goroutine and returns the report without recording it: no RCA, no
 // OnReport, no Stats. It is what dispatch runs inline, exposed so the
-// operation-detection stage can be measured alone (BenchmarkOpdetect). Like Ingest, call it from the receiver goroutine only.
+// operation-detection stage can be measured alone (BenchmarkOpdetect).
+// Like Ingest, call it from the receiver goroutine only: a snapshot
+// frozen without window words (window.Push, a literal) has them filled
+// here, through the analyzer's API table, as ingest would have.
 func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *Report {
-	return a.detect(&a.scratch, fault, kind, latency, snap, 0)
+	return a.detect(&a.scratch, fault, kind, latency, snap, a.snapWords(snap), 0)
+}
+
+// Word returns ev's window word as ingest pushes it beside ev
+// (window.Dual.PushSeq): its API's symbol and whether it is a request,
+// an RPC, an error. A caller freezing its own snapshots pushes it to
+// freeze them as the analyzer does. Call it from the receiver goroutine
+// only: it resolves ev's API in the analyzer's table.
+func (a *Analyzer) Word(ev *trace.Event) uint32 {
+	w, _ := a.apis.word(ev)
+	return w
+}
+
+// snapWords returns snap's window words, filling them into the inline
+// scratch when snap carries none.
+func (a *Analyzer) snapWords(snap *window.Snapshot) []uint32 {
+	if snap.Words != nil {
+		return snap.Words
+	}
+	words := a.scratch.words[:0]
+	for i := range snap.Events {
+		words = append(words, a.Word(&snap.Events[i]))
+	}
+	a.scratch.words = words
+	return words
 }
 
 // growContext iterates the context buffer from β₀ by δ per side, stopping
@@ -858,7 +903,10 @@ func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Durati
 // fired and the verdict is the previous set whatever the remaining
 // candidates do, so the step ends there — unless ev is non-nil (explain
 // mode), which records every step complete, including the final one the
-// stop rule rejects. The returned names live in sc.
+// stop rule rejects. On the bound path a verdict reads only the table
+// rows the view starts and ends at, so a step whose view gained no row
+// matches exactly the previous step's set and walks nothing. The
+// returned names live in sc.
 func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands fingerprint.Candidates, corrID string, ev *tracestore.Trace) ([]string, int) {
 	beta0 := int(a.cfg.C1 * float64(a.cfg.Alpha))
 	delta := int(a.cfg.C2 * float64(a.cfg.Alpha))
@@ -875,21 +923,34 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 	sc.prev = sc.prev[:0]
 	prevBeta := 0
 	armed := !a.cfg.GrowToCover && corrID == ""
+	bound := !a.cfg.StrictMatch && corrID == ""
+	rowLo, rowHi := int32(-1), int32(-1) // the last walked step's view, as table rows
 	for beta := beta0; ; beta += 2 * delta {
 		lo, hi := snap.ContextBounds(beta)
 		sLo, sHi := sc.bounds(lo, hi)
-		limit := len(hit) // names this step may match before the stop rule fires
-		if armed && len(sc.prev) > 0 && ev == nil {
-			limit = len(sc.prev)
+		walk := true
+		if bound {
+			rLo, rHi := sc.idx.Rows(sLo, sHi)
+			walk = rLo != rowLo || rHi != rowHi
+			rowLo, rowHi = rLo, rHi
 		}
 		matched := sc.cur[:0]
-		clear(hit)
-		for i := range hit {
-			first := cands.First(i)
-			if !hit[first] && a.match(sc, cands, i, sLo, sHi, corrID != "") {
-				hit[first] = true
-				if matched = append(matched, cands.Name(i)); len(matched) > limit {
-					break
+		if !walk {
+			// The previous step was not stopped, so its set is complete.
+			matched = append(matched, sc.prev...)
+		} else {
+			limit := len(hit) // names this step may match before the stop rule fires
+			if armed && len(sc.prev) > 0 && ev == nil {
+				limit = len(sc.prev)
+			}
+			clear(hit)
+			for i := range hit {
+				first := cands.First(i)
+				if !hit[first] && a.match(sc, cands, i, sLo, sHi, corrID != "") {
+					hit[first] = true
+					if matched = append(matched, cands.Name(i)); len(matched) > limit {
+						break
+					}
 				}
 			}
 		}

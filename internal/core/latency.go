@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gretel/internal/stats"
-	"gretel/internal/trace"
 	"gretel/internal/tsoutliers"
 )
 
@@ -16,17 +15,6 @@ type apiLat struct {
 	det       *tsoutliers.Detector
 	lastPerf  time.Time
 	perfArmed bool // lastPerf is set
-}
-
-// latTrack is the analyzer's per-API latency state, fed on every paired
-// response: one map probe finds all of an API's state.
-type latTrack struct {
-	opt  tsoutliers.Options
-	apis map[trace.API]*apiLat
-}
-
-func newLatTrack(opt tsoutliers.Options) latTrack {
-	return latTrack{opt: opt, apis: make(map[trace.API]*apiLat)}
 }
 
 // due applies the performance-snapshot cooldown (stamping the clock as a
@@ -42,14 +30,14 @@ func (al *apiLat) due(at time.Time, cooldown time.Duration) bool {
 	return true
 }
 
-// observe feeds one paired latency to the API's summary and level-shift
-// detector, returning the alarm count and whether a performance
-// snapshot should be armed.
-func (l *latTrack) observe(api trace.API, at time.Time, latency time.Duration, cfg *Config) (alarms int, armPerf bool) {
-	al := l.apis[api]
+// observe feeds one paired latency to the summary and level-shift
+// detector of rec's API, creating them on its first pair, and returns the
+// alarm count and whether a performance snapshot should be armed.
+func (t *apiTable) observe(rec *apiRec, at time.Time, latency time.Duration, cfg *Config) (alarms int, armPerf bool) {
+	al := rec.lat
 	if al == nil {
-		al = &apiLat{sum: *stats.NewSummary(), det: tsoutliers.New(l.opt)}
-		l.apis[api] = al
+		al = &apiLat{sum: *stats.NewSummary(), det: tsoutliers.New(t.opt)}
+		rec.lat = al
 	}
 	v := latency.Seconds()
 	al.sum.Observe(v)

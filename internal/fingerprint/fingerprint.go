@@ -384,7 +384,11 @@ func (l *Library) AddAPIs(name, category string, apis []trace.API) *Fingerprint 
 		if first == int32(len(ps.list)) {
 			ps.names++
 		}
-		ps.list = append(ps.list, posting{fp: id, cut: int32(i) + 1, first: first})
+		e := posting{fp: id, cut: int32(i) + 1, first: first}
+		for m := range e.bind {
+			e.bind[m] = bindingOf(l.program(id, e.cut, m == 1))
+		}
+		ps.list = append(ps.list, e)
 	}
 	return fp
 }

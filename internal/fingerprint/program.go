@@ -1,9 +1,11 @@
 // The compiled matcher. Library.AddAPIs compiles each fingerprint once
-// into the library's flat, pointer-free stores; Algorithm 2 then cuts a
-// Program out of them per candidate in O(1), binds it to the columns of
-// the snapshot pattern's next-occurrence Index once per snapshot, and
-// walks it with one table load per symbol. Nothing here is written after
-// AddAPIs returns, so concurrent detect workers share it without locks.
+// into the library's flat, pointer-free stores, and records in every
+// posting entry the binding record of its cut program; Algorithm 2 binds
+// each candidate's mandatory run and final symbol to the columns of the
+// snapshot pattern's next-occurrence Index once per snapshot, straight
+// from that record, and walks it with one table load per symbol.
+// Nothing here is written after AddAPIs returns, so concurrent detect
+// workers share it without locks.
 
 package fingerprint
 
@@ -27,7 +29,49 @@ import (
 //
 // Every prefix of the fingerprint is thereby three prefix slices: the
 // truncated, pruned pattern is a view, never a copy.
-type form struct{ syms, mand, set, cuts int32 }
+//
+// whole is the uncut program's binding record (see binding).
+type form struct {
+	syms, mand, set, cuts int32
+	whole                 binding
+}
+
+// binding packs what binding a program to an Index reads of it: the slot
+// of its final symbol plus one in the low slotBits (0 for a program pruned
+// to nothing), and above them how many mandatory symbols precede the
+// final one — a prefix of the form's mand run. Posting entries carry one per
+// prune mode for their cut, the form one for the whole fingerprint, so
+// ResetBound binds every candidate from one 4-byte record and the run
+// it names, without cutting a Program.
+type binding uint32
+
+// slotBits holds every symbol slot plus one: symbol.Max - symbol.Base is
+// 6400, under 1<<13.
+const slotBits = 13
+
+// The constant overflows, failing the build, if slotBits stops holding
+// every slot plus one.
+const _ = uint(1<<slotBits - 1 - (symbol.Max - symbol.Base))
+
+// bindingOf packs program p's binding record.
+func bindingOf(p Program) binding {
+	if len(p.syms) == 0 {
+		return 0
+	}
+	if len(p.mand) >= 1<<(32-slotBits) {
+		panic("fingerprint: too many state-change symbols in one fingerprint")
+	}
+	s, _ := slot(p.syms[len(p.syms)-1])
+	return binding(len(p.mand))<<slotBits | binding(s+1)
+}
+
+// final returns the program's final symbol, false for an empty program.
+func (b binding) final() (rune, bool) {
+	return symbol.Base + rune(b&(1<<slotBits-1)) - 1, b != 0
+}
+
+// mand returns the length of the program's mandatory run.
+func (b binding) mand() int32 { return int32(b >> slotBits) }
 
 // compile appends fp's two forms (index 0 unpruned, 1 RPC-pruned) to the
 // library stores.
@@ -61,6 +105,7 @@ func (l *Library) compile(fp *Fingerprint) [2]form {
 			syms: push(&l.runes, syms), mand: push(&l.runes, mand), set: push(&l.runes, set),
 			cuts: push(&l.counts, cuts),
 		}
+		fs[m].whole = bindingOf(l.cutForm(&fs[m], int32(len(fp.Symbols))))
 	}
 	return fs
 }
@@ -77,10 +122,20 @@ func push[T any](store *[]T, s []T) int32 {
 // applied after it, so when the symbol at the cut is itself pruned the
 // program ends at the last survivor before it.
 func (l *Library) program(id, cut int32, pruneRPC bool) Program {
-	f := &l.forms[id][0]
+	return l.cutForm(&l.forms[id][mode(pruneRPC)], cut)
+}
+
+// mode indexes a fingerprint's forms and a posting's bindings by prune
+// mode.
+func mode(pruneRPC bool) int {
 	if pruneRPC {
-		f = &l.forms[id][1]
+		return 1
 	}
+	return 0
+}
+
+// cutForm cuts form f before original index cut.
+func (l *Library) cutForm(f *form, cut int32) Program {
 	n := l.counts[f.cuts+3*cut:]
 	return Program{
 		syms: l.runes[f.syms : f.syms+n[0]],
@@ -115,9 +170,10 @@ type Candidates struct {
 }
 
 type posting struct {
-	fp    int32 // index into Library.fps
-	cut   int32 // one past the symbol's LAST occurrence in that fingerprint
-	first int32 // list index of the first entry sharing this entry's Name
+	fp    int32      // index into Library.fps
+	cut   int32      // one past the symbol's LAST occurrence in that fingerprint
+	first int32      // list index of the first entry sharing this entry's Name
+	bind  [2]binding // the program cut at cut, by prune mode (unpruned, RPC-pruned)
 }
 
 // Len returns the number of candidate fingerprints.
@@ -143,6 +199,23 @@ func (c Candidates) Program(i int, truncate, pruneRPC bool) Program {
 		e.cut = int32(len(c.lib.fps[e.fp].Symbols))
 	}
 	return c.lib.program(e.fp, e.cut, pruneRPC)
+}
+
+// bound returns candidate i's program as ResetBound binds it — the
+// mandatory run before its final symbol, and that final symbol — read
+// from the posting entry (truncated) or the form (whole) without cutting
+// a Program. ok is false for a program pruned to nothing.
+func (c Candidates) bound(i, m int, truncate bool) (mand []rune, final rune, ok bool) {
+	e := &c.list[i]
+	f := &c.lib.forms[e.fp][m]
+	b := f.whole
+	if truncate {
+		b = e.bind[m]
+	}
+	if final, ok = b.final(); !ok {
+		return nil, 0, false
+	}
+	return c.lib.runes[f.mand : f.mand+b.mand()], final, true
 }
 
 // Index is the next-occurrence table of one snapshot pattern, so many
@@ -216,10 +289,11 @@ func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRP
 		}
 	}
 	prog, ends := idx.prog[:0], idx.ends[:0]
-	for i := 0; i < cands.Len(); i++ {
-		if p := cands.Program(i, truncate, pruneRPC); len(p.syms) > 0 {
-			if final := idx.assign(p.syms[len(p.syms)-1]); final != 0 {
-				for _, r := range p.mand {
+	m := mode(pruneRPC)
+	for i := range cands.list {
+		if mand, r, ok := cands.bound(i, m, truncate); ok {
+			if final := idx.assign(r); final != 0 {
+				for _, r := range mand {
 					if c := idx.assign(r); c != 0 {
 						prog = append(prog, uint16(c))
 					}
@@ -347,6 +421,11 @@ func (idx Index) Slice(lo, hi int) Index {
 	idx.lo, idx.hi = l, h
 	return idx
 }
+
+// Rows returns the table rows that pattern positions lo and hi map to.
+// A view's MatchBound verdicts depend on nothing else, so two views with
+// equal rows match the same candidates.
+func (idx *Index) Rows(lo, hi int) (int32, int32) { return idx.rank[lo], idx.rank[hi] }
 
 // Len reports the view length (the full pattern length for an unsliced
 // index).

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gretel/internal/trace"
 )
@@ -30,6 +31,8 @@ type Table struct {
 	byAPI  map[trace.API]rune
 	byRune map[rune]trace.API
 	next   rune
+	// size is len(byAPI), readable without the lock.
+	size atomic.Int32
 }
 
 // NewTable returns an empty symbol table.
@@ -56,6 +59,7 @@ func (t *Table) Assign(api trace.API) rune {
 	r := t.next
 	t.next++
 	t.byAPI[api] = r
+	t.size.Add(1)
 	t.byRune[r] = api
 	return r
 }
@@ -76,12 +80,9 @@ func (t *Table) API(r rune) (trace.API, bool) {
 	return api, ok
 }
 
-// Len reports how many APIs have been assigned symbols.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.byAPI)
-}
+// Len reports how many APIs have been assigned symbols. It takes no
+// lock, so a reader may poll it per event to learn the table has grown.
+func (t *Table) Len() int { return int(t.size.Load()) }
 
 // StateChanging reports whether the API behind r is state-changing.
 // Unknown runes are treated as read-only.

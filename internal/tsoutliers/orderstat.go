@@ -1,6 +1,7 @@
 // Selectable multiset over float64 keys: a sorted slice. Insert and
-// Remove binary-search the position and shift the tail with copy, Kth
-// is an index. The detector keeps one per series for the inlier
+// Remove binary-search the position and shift the tail with copy,
+// Replace shifts only the elements between the two positions, Kth is an
+// index. The detector keeps one per series for the inlier
 // window's absolute deviations, so the rolling MAD is two indexed reads
 // instead of a full re-sort per observation.
 //
@@ -82,6 +83,32 @@ func (t *orderStat) Remove(v float64) {
 	i := t.search(v) - 1
 	if i >= 0 && osEq(t.s[i], v) {
 		t.s = append(t.s[:i], t.s[i+1:]...)
+	}
+}
+
+// Replace drops one occurrence of old and adds one of v, leaving the
+// multiset exactly as Insert(v) then Remove(old) would, in one shift of
+// the elements between the two positions instead of two of the tail.
+// When old and v share a sort position the insert-then-remove pair
+// would drop the v it just added, so the slice stays as it is; an
+// absent old makes it an Insert.
+func (t *orderStat) Replace(old, v float64) {
+	if osEq(old, v) {
+		return
+	}
+	j := t.search(old) - 1
+	if j < 0 || !osEq(t.s[j], old) {
+		t.Insert(v)
+		return
+	}
+	// j is the last of old's run, which Remove would drop whether v
+	// lands before or after it.
+	if i := t.search(v); i <= j {
+		copy(t.s[i+1:j+1], t.s[i:j])
+		t.s[i] = v
+	} else {
+		copy(t.s[j:i-1], t.s[j+1:i])
+		t.s[i-1] = v
 	}
 }
 

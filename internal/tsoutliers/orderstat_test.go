@@ -151,3 +151,40 @@ func TestOrderStatSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state insert/median/remove allocated %.1f allocs/op", allocs)
 	}
 }
+
+// FuzzOrderStatReplace pins Replace to the pair it stands for: from any
+// multiset, Replace(old, v) must leave the slice bit for bit as Insert(v)
+// then Remove(old) does — duplicates, NaN, ±0 and absent keys included.
+func FuzzOrderStatReplace(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 3, 4}, byte(3), byte(4))
+	f.Add([]byte{3, 3, 4, 4, 4}, byte(3), byte(4))   // -0 out, +0 in
+	f.Add([]byte{4, 4, 3}, byte(4), byte(3))         // +0 out, -0 in
+	f.Add([]byte{0, 0, 7, 9}, byte(0), byte(0))      // NaN for NaN
+	f.Add([]byte{5, 6, 7, 8}, byte(0), byte(13))     // NaN out absent
+	f.Add([]byte{13, 12, 11, 10}, byte(11), byte(1)) // new below old
+	f.Add([]byte{}, byte(2), byte(2))
+	f.Fuzz(func(t *testing.T, keys []byte, old, v byte) {
+		key := func(b byte) float64 {
+			if i := int(b); i < len(osDomain) {
+				return osDomain[i]
+			}
+			return float64(b) / 7
+		}
+		var want, got orderStat
+		for _, b := range keys {
+			want.Insert(key(b))
+			got.Insert(key(b))
+		}
+		want.Insert(key(v))
+		want.Remove(key(old))
+		got.Replace(key(old), key(v))
+		if len(got.s) != len(want.s) {
+			t.Fatalf("Replace(%v, %v) over %v: len %d, Insert+Remove %d", key(old), key(v), keys, len(got.s), len(want.s))
+		}
+		for k := range want.s {
+			if math.Float64bits(got.s[k]) != math.Float64bits(want.s[k]) {
+				t.Fatalf("Replace(%v, %v) over %v: %v, Insert+Remove %v", key(old), key(v), keys, got.s, want.s)
+			}
+		}
+	})
+}

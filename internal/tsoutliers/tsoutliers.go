@@ -352,16 +352,28 @@ func (d *Detector) pushInlier(v float64) {
 	}
 	d.win[i] = v
 	d.winLen++
-	d.dev.Insert(math.Abs(v - d.level))
-	for d.winLen > d.opt.Window {
-		old := d.win[d.winHead]
-		d.winHead++
-		if d.winHead == len(d.win) {
-			d.winHead = 0
-		}
-		d.winLen--
-		d.dev.Remove(math.Abs(old - d.level))
+	dv := math.Abs(v - d.level)
+	if d.winLen <= d.opt.Window {
+		d.dev.Insert(dv)
+		return
 	}
+	// A full window slides: the oldest deviation makes way for the new
+	// one in a single shift.
+	d.dev.Replace(math.Abs(d.popOldest()-d.level), dv)
+	for d.winLen > d.opt.Window {
+		d.dev.Remove(math.Abs(d.popOldest() - d.level))
+	}
+}
+
+// popOldest drops the oldest inlier from the window ring and returns it.
+func (d *Detector) popOldest() float64 {
+	old := d.win[d.winHead]
+	d.winHead++
+	if d.winHead == len(d.win) {
+		d.winHead = 0
+	}
+	d.winLen--
+	return old
 }
 
 // growWin linearizes the ring into a larger buffer. It settles once

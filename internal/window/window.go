@@ -36,14 +36,18 @@ func Alpha(fpMax int, prate, t float64) int {
 // same push, refcounted so the last Release returns it to the window's
 // buffer pool.
 type snapBuf struct {
-	evs  []trace.Event // cap == alpha
-	refs atomic.Int32
+	evs   []trace.Event // cap == alpha
+	words []uint32      // cap == alpha
+	refs  atomic.Int32
 }
 
 // Snapshot is a frozen fault-centered message window.
 type Snapshot struct {
 	// Events holds the α messages around the fault, oldest first.
 	Events []trace.Event
+	// Words holds the word each event was pushed with (PushSeq), beside
+	// Events; nil when any of them was pushed without one (Push).
+	Words []uint32
 	// FaultIndex locates the offending message within Events.
 	FaultIndex int
 
@@ -63,7 +67,7 @@ func (s *Snapshot) Release() {
 		return
 	}
 	buf, pool := s.buf, s.pool
-	s.buf, s.pool, s.Events = nil, nil, nil
+	s.buf, s.pool, s.Events, s.Words = nil, nil, nil, nil
 	if buf.refs.Add(-1) == 0 && pool != nil {
 		pool.Put(buf)
 	}
@@ -120,10 +124,14 @@ type pending struct {
 type Dual struct {
 	alpha int
 	ring  []trace.Event
+	words []uint32 // the word each ring slot was pushed with
 	// start indexes the oldest element; size is the fill level.
 	start, size int
 	pushed      uint64
-	armed       []*pending
+	// bare is the Pushed count just after the last push that carried
+	// no word: a snapshot holding that push has no Words.
+	bare  uint64
+	armed []*pending
 	// pool recycles snapshot ring copies; Release may return buffers
 	// from concurrent detect workers, hence sync.Pool rather than a
 	// plain free list.
@@ -135,8 +143,8 @@ func New(alpha int) *Dual {
 	if alpha < 2 {
 		alpha = 2
 	}
-	w := &Dual{alpha: alpha, ring: make([]trace.Event, alpha)}
-	w.pool.New = func() any { return &snapBuf{evs: make([]trace.Event, alpha)} }
+	w := &Dual{alpha: alpha, ring: make([]trace.Event, alpha), words: make([]uint32, alpha)}
+	w.pool.New = func() any { return &snapBuf{evs: make([]trace.Event, alpha), words: make([]uint32, alpha)} }
 	return w
 }
 
@@ -150,25 +158,33 @@ func (w *Dual) Len() int { return w.size }
 func (w *Dual) Pushed() uint64 { return w.pushed }
 
 // Push appends a message, evicting the oldest once full, and fires any
-// armed snapshot whose future half has filled.
-func (w *Dual) Push(ev trace.Event) { w.PushSeq(&ev, ev.Seq) }
+// armed snapshot whose future half has filled. It carries no word, so
+// snapshots holding the message have nil Words.
+func (w *Dual) Push(ev trace.Event) {
+	w.bare = w.pushed + 1 // before PushSeq fires a snapshot holding it
+	w.PushSeq(&ev, ev.Seq, 0)
+}
 
-// PushSeq is Push of *ev numbered seq: the window's copy, the only one
-// it makes, carries seq in place of ev.Seq, and *ev is not written.
-func (w *Dual) PushSeq(ev *trace.Event, seq uint64) {
-	var slot *trace.Event
+// PushSeq is Push of *ev numbered seq, carrying the caller's word: the
+// window's copy, the only one it makes, carries seq in place of ev.Seq,
+// and *ev is not written. Snapshots hand the word back in Words, at the
+// event's index; the window never reads it.
+func (w *Dual) PushSeq(ev *trace.Event, seq uint64, word uint32) {
+	var i int
 	if w.size == w.alpha {
-		slot = &w.ring[w.start]
+		i = w.start
 		if w.start++; w.start == w.alpha {
 			w.start = 0
 		}
 	} else {
 		// start stays 0 until the ring first fills.
-		slot = &w.ring[w.size]
+		i = w.size
 		w.size++
 	}
+	slot := &w.ring[i]
 	*slot = *ev
 	slot.Seq = seq
+	w.words[i] = word
 	w.pushed++
 
 	if len(w.armed) == 0 {
@@ -215,18 +231,27 @@ func (w *Dual) contents() []trace.Event {
 func (w *Dual) sharedCopy(refs int) *snapBuf {
 	buf := w.pool.Get().(*snapBuf)
 	buf.refs.Store(int32(refs))
-	evs := buf.evs[:w.size]
-	for i := 0; i < w.size; i++ {
-		evs[i] = w.ring[(w.start+i)%w.alpha]
-	}
+	// Oldest first: the ring from start, then its head.
+	n := copy(buf.evs[:w.size], w.ring[w.start:w.size])
+	copy(buf.evs[n:w.size], w.ring[:w.start])
+	n = copy(buf.words[:w.size], w.words[w.start:w.size])
+	copy(buf.words[n:w.size], w.words[:w.start])
 	return buf
+}
+
+// snapshot is a Snapshot over buf's copy of the current window.
+func (w *Dual) snapshot(buf *snapBuf, faultIdx int) *Snapshot {
+	s := &Snapshot{Events: buf.evs[:w.size], FaultIndex: faultIdx, buf: buf, pool: &w.pool}
+	if w.bare <= w.pushed-uint64(w.size) {
+		s.Words = buf.words[:w.size]
+	}
+	return s
 }
 
 // sharedSnapshot freezes the current window into a pooled snapshot held
 // by refs consumers.
 func (w *Dual) sharedSnapshot(refs, faultIdx int) *Snapshot {
-	buf := w.sharedCopy(refs)
-	return &Snapshot{Events: buf.evs[:w.size], FaultIndex: faultIdx, buf: buf, pool: &w.pool}
+	return w.snapshot(w.sharedCopy(refs), faultIdx)
 }
 
 // Arm registers a freeze point at the most recently pushed message (the
@@ -258,6 +283,6 @@ func (w *Dual) Flush() {
 		if idx < 0 {
 			idx = 0
 		}
-		p.onReady(&Snapshot{Events: buf.evs[:w.size], FaultIndex: idx, buf: buf, pool: &w.pool})
+		p.onReady(w.snapshot(buf, idx))
 	}
 }

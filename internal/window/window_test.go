@@ -61,7 +61,7 @@ func TestPushSeqNumbersTheCopy(t *testing.T) {
 	w := New(2)
 	for i := uint64(1); i <= 3; i++ {
 		in := trace.Event{ConnID: i}
-		w.PushSeq(&in, 10*i)
+		w.PushSeq(&in, 10*i, uint32(i))
 		if in.Seq != 0 || in.ConnID != i {
 			t.Fatalf("push %d wrote the caller's event: %+v", i, in)
 		}
@@ -347,4 +347,49 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 	lit.Release()
 	var nilSnap *Snapshot
 	nilSnap.Release()
+}
+
+// Snapshots hand back the words their events were pushed with, aligned
+// with Events across a wrapped ring, and carry none while any of their
+// events came from the word-less Push.
+func TestSnapshotWords(t *testing.T) {
+	w := New(4)
+	var snaps []*Snapshot
+	push := func(i int, bare bool) {
+		ev := trace.Event{Seq: uint64(i)}
+		if bare {
+			w.Push(ev)
+		} else {
+			w.PushSeq(&ev, ev.Seq, uint32(100+i))
+		}
+	}
+	push(1, true)
+	for i := 2; i <= 9; i++ {
+		push(i, false)
+		w.Arm(func(s *Snapshot) { snaps = append(snaps, s) })
+	}
+	push(10, true) // fires the snapshot armed at 8
+	w.Flush()
+	worded := 0
+	for _, s := range snaps {
+		if s.Words != nil {
+			worded++
+		}
+		bare := false
+		for _, ev := range s.Events {
+			bare = bare || ev.Seq == 1 || ev.Seq == 10
+		}
+		if bare != (s.Words == nil) {
+			t.Fatalf("snapshot from seq %d: words %v", s.Events[0].Seq, s.Words)
+		}
+		for i, word := range s.Words {
+			if want := uint32(100 + s.Events[i].Seq); word != want {
+				t.Fatalf("snapshot from seq %d: word %d = %d, want %d", s.Events[0].Seq, i, word, want)
+			}
+		}
+		s.Release()
+	}
+	if len(snaps) != 8 || worded != 5 {
+		t.Fatalf("%d snapshots, %d with words: the bare pushes no longer bracket word-carrying ones", len(snaps), worded)
+	}
 }

@@ -258,9 +258,10 @@ func BenchmarkWALReplay(b *testing.B) {
 // frozen snapshots of the canonical Fig 8c faulty stream, reported per
 // snapshot as ns/report. Set-up freezes
 // one fault-centered snapshot per REST error — the analyzer's own arming
-// rule, through the same dual-buffer window — so the case times
-// detection and nothing else. The snapshots are never released: every
-// pass re-detects the same frozen windows.
+// rule, through the same dual-buffer window, each event pushed with the
+// window word ingest gives it — so the case times detection as the
+// analyzer runs it and nothing else. The snapshots are never released:
+// every pass re-detects the same frozen windows.
 func BenchmarkOpdetect(b *testing.B) {
 	a := core.New(experiments.BenchLibrary(), core.Config{})
 	var (
@@ -268,10 +269,12 @@ func BenchmarkOpdetect(b *testing.B) {
 		snaps  []*window.Snapshot
 	)
 	win := window.New(a.Config().Alpha)
-	for _, ev := range experiments.FaultyBenchStream(scale(500000, 200000)) {
-		win.Push(ev)
+	stream := experiments.FaultyBenchStream(scale(500000, 200000))
+	for i := range stream {
+		ev := &stream[i]
+		win.PushSeq(ev, ev.Seq, a.Word(ev))
 		if ev.Faulty() && ev.Type == trace.RESTResponse {
-			fault := ev
+			fault := *ev
 			win.Arm(func(snap *window.Snapshot) {
 				faults = append(faults, fault)
 				snaps = append(snaps, snap)
@@ -279,8 +282,8 @@ func BenchmarkOpdetect(b *testing.B) {
 		}
 	}
 	win.Flush()
-	if len(snaps) == 0 {
-		b.Fatal("faulty stream froze no snapshots")
+	if len(snaps) == 0 || snaps[0].Words == nil {
+		b.Fatal("faulty stream froze no word-carrying snapshots")
 	}
 	attempts := telemetry.GetCounter("core.opdetect.attempts")
 	b.Run("inline", func(b *testing.B) {
