@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -329,6 +330,9 @@ type Analyzer struct {
 	// apis resolves each event's API once: its window word's symbol and
 	// its latency state (apis.go, latency.go).
 	apis apiTable
+	// lat folds paired latencies into that state beside ingest
+	// (latency.go).
+	lat *latStage
 	// degraded marks nodes with unhealed monitoring-feed loss (NodeGap)
 	// until the agent provably returns (NodeRecovered); value is the time
 	// of the last recorded loss.
@@ -377,9 +381,10 @@ func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 		win:      window.New(cfg.Alpha),
 		pending:  make(map[uint64]pendingReq),
 		calls:    make(map[string]pendingReq),
-		apis:     newAPITable(lib.Table, cfg.Latency),
+		apis:     newAPITable(lib.Table),
 		degraded: make(map[string]time.Time),
 	}
+	a.lat = newLatStage(&cfg, a.win.Alpha())
 	if cfg.DetectWorkers > 0 {
 		a.startPipeline(cfg.DetectWorkers)
 	}
@@ -438,6 +443,23 @@ func (a *Analyzer) IngestBatch(evs []trace.Event) {
 // reads the caller's event in place and never writes to it: the window
 // keeps its own copy.
 func (a *Analyzer) ingestOne(ev *trace.Event) {
+	// Performance fault detection: the paired latency goes to the
+	// latency stage, which folds it into its API's level-shift detector
+	// and summary a batch at a time and arms a performance snapshot at
+	// this push when the detector alarms (latency.go).
+	if rec, latency, ok := a.receive(ev); ok {
+		a.observeLatency(rec, ev.Time, latency)
+	}
+	if now := a.win.Pushed(); now >= a.lat.due {
+		a.settleLatency(now - a.lat.collectBy)
+	}
+}
+
+// receive is ingest's work on ev before latency tracking: it numbers,
+// pairs and pushes ev, and arms an operational snapshot when ev is an
+// error. When ev is a paired, non-faulty response it returns its API's
+// record and its latency, for the level-shift detector.
+func (a *Analyzer) receive(ev *trace.Event) (rec *apiRec, latency time.Duration, sample bool) {
 	a.Stats.Events++
 	mEventsIngested.Inc()
 	a.Stats.Bytes += uint64(ev.WireBytes)
@@ -448,7 +470,6 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 
 	// Request/response pairing and latency measurement (§5.3: REST by
 	// TCP connection metadata, RPC by message identifier).
-	var latency time.Duration
 	var havePair bool
 	switch ev.Type {
 	case trace.RESTRequest:
@@ -482,7 +503,7 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 		a.evictAgedPairs(ev.Time)
 	}
 
-	word, api := a.apis.word(ev)
+	word, rec := a.apis.word(ev)
 	a.win.PushSeq(ev, seq, word)
 
 	// Operational fault detection: error statuses found by the agents'
@@ -493,34 +514,18 @@ func (a *Analyzer) ingestOne(ev *trace.Event) {
 		a.Stats.Faults++
 		mFaultsOper.Inc()
 		if ev.Type == trace.RESTResponse || a.cfg.SnapshotOnRPCErrors {
-			a.armSnapshot(withSeq(ev, seq), Operational, 0)
+			a.armSnapshot(Operational, 0, 0)
 		}
 	}
-
-	// Performance fault detection: feed the paired latency to the per-API
-	// level-shift detector and the operator-facing summary.
-	if havePair && !faulty {
-		alarms, armPerf := a.apis.observe(api, ev.Time, latency, &a.cfg)
-		if alarms > 0 {
-			a.Stats.PerfAlarms += uint64(alarms)
-			mFaultsPerf.Add(uint64(alarms))
-			if armPerf {
-				a.armSnapshot(withSeq(ev, seq), Performance, latency)
-			}
-		}
-	}
-}
-
-// withSeq is a copy of *ev numbered seq.
-func withSeq(ev *trace.Event, seq uint64) trace.Event {
-	e := *ev
-	e.Seq = seq
-	return e
+	return rec, latency, havePair && !faulty
 }
 
 // LatencyDetector exposes the per-API latency detector (for experiment
-// plots of the adjusted series and level shifts).
+// plots of the adjusted series and level shifts), with every latency
+// ingested so far folded in. Call it from the ingest goroutine; the
+// detector is safe to read until the next ingest call.
 func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
+	a.settleLatency(math.MaxUint64)
 	if al := a.apis.latency(api); al != nil {
 		return al.det
 	}
@@ -534,8 +539,11 @@ type APILatency struct {
 }
 
 // LatencySummaries returns per-API latency summaries sorted by p95
-// descending — the operator's view of the deployment's slowest APIs.
+// descending — the operator's view of the deployment's slowest APIs —
+// with every latency ingested so far folded in. Call it from the ingest
+// goroutine; the summaries are safe to read until the next ingest call.
 func (a *Analyzer) LatencySummaries() []APILatency {
+	a.settleLatency(math.MaxUint64)
 	var out []APILatency
 	for i := range a.apis.recs {
 		if rec := &a.apis.recs[i]; rec.lat != nil {
@@ -552,11 +560,12 @@ func (a *Analyzer) LatencySummaries() []APILatency {
 	return out
 }
 
-// Flush forces any armed snapshots to fire with the data already in the
-// window, then drains the detection pipeline — called at end of stream.
-// Once Flush returns, Reports and Stats reflect every fault ingested so
-// far.
+// Flush folds every latency ingested so far, forces any armed snapshots
+// to fire with the data already in the window, then drains the
+// detection pipeline — called at end of stream. Once Flush returns,
+// Reports and Stats reflect every fault ingested so far.
 func (a *Analyzer) Flush() {
+	a.settleLatency(math.MaxUint64)
 	a.win.Flush()
 	if a.jobs != nil {
 		a.inFlight.Wait()
@@ -617,10 +626,13 @@ func (a *Analyzer) degradedList() []string {
 	return nodes
 }
 
-func (a *Analyzer) armSnapshot(ev trace.Event, kind FaultKind, latency time.Duration) {
+// armSnapshot arms a snapshot for the message pushed back pushes ago.
+// The snapshot holds that message at its fault index, numbered as ingest
+// numbered it, which is the fault the report carries.
+func (a *Analyzer) armSnapshot(kind FaultKind, latency time.Duration, back int) {
 	a.Stats.Snapshots++
-	a.win.Arm(func(snap *window.Snapshot) {
-		a.dispatch(ev, kind, latency, snap)
+	a.win.ArmBack(back, func(snap *window.Snapshot) {
+		a.dispatch(snap.Events[snap.FaultIndex], kind, latency, snap)
 	})
 }
 

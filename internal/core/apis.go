@@ -3,7 +3,6 @@ package core
 import (
 	"gretel/internal/symbol"
 	"gretel/internal/trace"
-	"gretel/internal/tsoutliers"
 )
 
 // An event's window word: what ingest knows about it that detection
@@ -46,17 +45,18 @@ const apiSlotBits = 12
 // comparison, no hashing of the strings; index, the map behind it, holds
 // every API, so two that share a slot both stay resolvable. Records are
 // dense, in first-sighting order. It is owned by the receiver goroutine:
-// detect workers read words from snapshots, never the table.
+// detect workers read words from snapshots, never the table, and the
+// latency stage's fold reaches only records' apiLat values, through the
+// pointers its samples carry (recs may move as it grows).
 type apiTable struct {
 	syms  *symbol.Table
-	opt   tsoutliers.Options
 	front [1 << apiSlotBits]int32 // record index + 1, 0 when empty
 	index map[trace.API]int32
 	recs  []apiRec
 }
 
-func newAPITable(syms *symbol.Table, opt tsoutliers.Options) apiTable {
-	return apiTable{syms: syms, opt: opt, index: make(map[trace.API]int32)}
+func newAPITable(syms *symbol.Table) apiTable {
+	return apiTable{syms: syms, index: make(map[trace.API]int32)}
 }
 
 // slot picks api's front-table slot from its service, kind, string

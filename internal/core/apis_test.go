@@ -25,7 +25,7 @@ func wantWord(syms *symbol.Table, api trace.API) uint32 {
 // resolve must still return the API's own record, with its own word.
 func TestAPITableFrontCollisions(t *testing.T) {
 	lib := testLib()
-	tab := newAPITable(lib.Table, Config{}.Latency)
+	tab := newAPITable(lib.Table)
 	// Find APIs colliding with a fingerprinted one and with each other.
 	known := post("/a1")
 	group := []trace.API{known}

@@ -47,6 +47,29 @@ func (s *LatencySeries) AlarmsBetween(from, to time.Time) int {
 	return n
 }
 
+// PerfStream is what a performance harness fed its analyzer: every
+// event in order, with the library and configuration the analyzer ran
+// with, so a test can replay the run through other analyzers.
+type PerfStream struct {
+	Events []trace.Event
+	Lib    *fingerprint.Library
+	Config core.Config
+}
+
+// Fig6Stream records the stream Fig6 feeds its analyzer.
+func Fig6Stream(seed int64, concurrent int) *PerfStream {
+	rec := &PerfStream{}
+	fig6(seed, concurrent, rec)
+	return rec
+}
+
+// Fig8bStream records the stream Fig8b feeds its analyzer.
+func Fig8bStream(seed int64, concurrent int) *PerfStream {
+	rec := &PerfStream{}
+	fig8b(seed, concurrent, rec)
+	return rec
+}
+
 // perfHarness drives a deployment while tracking one API's latency
 // through the analyzer's own detector.
 type perfHarness struct {
@@ -55,13 +78,17 @@ type perfHarness struct {
 	target   trace.API
 	pending  map[uint64]time.Time
 	series   *LatencySeries
+	rec      *PerfStream // records the run when non-nil
 }
 
-func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg core.Config) *perfHarness {
+func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg core.Config, rec *PerfStream) *perfHarness {
 	d := openstack.NewDeployment(openstack.Config{Seed: seed, HeartbeatPeriod: 10 * time.Second})
 	acfg.PerfDetection = true
 	if acfg.Latency.MinRun == 0 {
 		acfg.Latency = tsoutliers.Options{Warmup: 12, MinRun: 4, K: 4, MinSpread: 0.008}
+	}
+	if rec != nil {
+		rec.Lib, rec.Config = lib, acfg
 	}
 	h := &perfHarness{
 		d:        d,
@@ -69,6 +96,7 @@ func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg
 		target:   target,
 		pending:  make(map[uint64]time.Time),
 		series:   &LatencySeries{API: target},
+		rec:      rec,
 	}
 	mon := agent.NewMonitor("analyzer", h.ingest, d.GroundTruth)
 	d.Fabric.Tap(mon.HandlePacket)
@@ -78,6 +106,9 @@ func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg
 // ingest forwards every event to the analyzer and mirrors the target
 // API's request/response pairing to record the latency series.
 func (h *perfHarness) ingest(ev trace.Event) {
+	if h.rec != nil {
+		h.rec.Events = append(h.rec.Events, ev)
+	}
 	h.analyzer.Ingest(ev)
 	if ev.API != h.target {
 		return
@@ -122,13 +153,15 @@ type Fig6Result struct {
 // Fig6 reproduces §7.2.2/Fig 6: a steady stream of VM-create operations
 // (400 concurrent at peak), a CPU surge on the Neutron server partway
 // through, and level-shift detection on Neutron's GET /v2.0/ports.json.
-func Fig6(seed int64, concurrent int) Fig6Result {
+func Fig6(seed int64, concurrent int) Fig6Result { return fig6(seed, concurrent, nil) }
+
+func fig6(seed int64, concurrent int, rec *PerfStream) Fig6Result {
 	if concurrent == 0 {
 		concurrent = 400
 	}
 	target := trace.RESTAPI(trace.SvcNeutron, "GET", "/v2.0/ports.json")
 	lib := coreLib()
-	h := newPerfHarness(seed, target, lib, core.Config{})
+	h := newPerfHarness(seed, target, lib, core.Config{}, rec)
 
 	// Maintain roughly `concurrent` in-flight VM creates.
 	stop := false
@@ -177,7 +210,9 @@ type Fig8bResult struct {
 // Fig8b reproduces §7.3(4)/Fig 8b: 200 concurrent Tempest operations for
 // ~20 minutes, with 50 ms of injected latency on all Glance traffic
 // between the 5- and 15-minute marks, watching GET /v2/images/{id}.
-func Fig8b(seed int64, concurrent int) Fig8bResult {
+func Fig8b(seed int64, concurrent int) Fig8bResult { return fig8b(seed, concurrent, nil) }
+
+func fig8b(seed int64, concurrent int, rec *PerfStream) Fig8bResult {
 	if concurrent == 0 {
 		concurrent = 200
 	}
@@ -189,7 +224,7 @@ func Fig8b(seed int64, concurrent int) Fig8bResult {
 	// in the paper produced 18 alarms across the injection window.
 	h := newPerfHarness(seed, target, lib, core.Config{
 		Latency: tsoutliers.Options{Warmup: 12, MinRun: 9, K: 4, MinSpread: 0.008},
-	})
+	}, rec)
 
 	// A mix of image and compute tests keeps the target API hot; ops
 	// restart to sustain concurrency for the full window.

@@ -11,7 +11,9 @@
 package window
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -259,8 +261,28 @@ func (w *Dual) sharedSnapshot(refs, faultIdx int) *Snapshot {
 // whose fault index points at the offending message, giving the detector
 // α/2 of past and α/2 of future (§5.3.1). Multiple faults may be armed
 // simultaneously; each gets its own snapshot.
-func (w *Dual) Arm(onReady func(*Snapshot)) {
-	w.armed = append(w.armed, &pending{remaining: w.alpha / 2, onReady: onReady})
+func (w *Dual) Arm(onReady func(*Snapshot)) { w.ArmBack(0, onReady) }
+
+// ArmBack is Arm for the message pushed k pushes ago (Arm is ArmBack(0)),
+// for a caller that learns only later that the message is a fault: the
+// snapshot fires on the push Arm would have fired it on, over the same
+// ring contents, and in the same order among the other armed freeze
+// points, at a push and at Flush. k must lie in [0, α/2), where that push
+// is still ahead; ArmBack panics otherwise.
+func (w *Dual) ArmBack(k int, onReady func(*Snapshot)) {
+	half := w.alpha / 2
+	if k < 0 || k >= half {
+		panic(fmt.Sprintf("window: ArmBack(%d) outside [0, %d)", k, half))
+	}
+	// Freeze points are kept in arming order, so their remaining counts
+	// never fall along the list: this one goes after every point armed at
+	// or before its message and before those armed since.
+	p := &pending{remaining: half - k, onReady: onReady}
+	i := len(w.armed)
+	for i > 0 && w.armed[i-1].remaining > p.remaining {
+		i--
+	}
+	w.armed = slices.Insert(w.armed, i, p)
 }
 
 // ArmedCount reports how many freeze points are waiting to fill.

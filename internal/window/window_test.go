@@ -1,6 +1,8 @@
 package window
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -391,5 +393,77 @@ func TestSnapshotWords(t *testing.T) {
 	}
 	if len(snaps) != 8 || worded != 5 {
 		t.Fatalf("%d snapshots, %d with words: the bare pushes no longer bracket word-carrying ones", len(snaps), worded)
+	}
+}
+
+// TestArmBack holds ArmBack(k) to Arm at the fault's push: for every k in
+// [0, α/2), with other freeze points armed at every push around the
+// fault (and, at the push ArmBack is called on, both before and after
+// it), the same points fire on the same pushes, in the same order, with
+// the same Events, Words and FaultIndex — both as the window fills and
+// at a Flush that catches them pending. k outside [0, α/2) is rejected.
+func TestArmBack(t *testing.T) {
+	const alpha, fault = 8, 6
+	half := alpha / 2
+	type fire struct {
+		tag   string
+		at    uint64 // Pushed() when it fired
+		seqs  []uint64
+		words []uint32
+		idx   int
+	}
+	run := func(k, tail int, late bool) []fire {
+		w := New(alpha)
+		var fires []fire
+		arm := func(tag string) func(*Snapshot) {
+			return func(s *Snapshot) {
+				f := fire{tag: tag, at: w.Pushed(), words: append([]uint32(nil), s.Words...), idx: s.FaultIndex}
+				for _, e := range s.Events {
+					f.seqs = append(f.seqs, e.Seq)
+				}
+				fires = append(fires, f)
+				s.Release()
+			}
+		}
+		push := func(i int) {
+			e := ev(uint64(i))
+			w.PushSeq(&e, uint64(i), uint32(i)*3)
+		}
+		for i := 1; i <= fault+k; i++ {
+			push(i)
+			if i >= fault-2 {
+				w.Arm(arm(fmt.Sprint("other@", i)))
+			}
+			if i == fault && !late {
+				w.Arm(arm("fault"))
+			}
+		}
+		if late {
+			w.ArmBack(k, arm("fault"))
+		}
+		w.Arm(arm("after"))
+		for i := fault + k + 1; i <= fault+k+tail; i++ {
+			push(i)
+		}
+		w.Flush()
+		return fires
+	}
+	for k := 0; k < half; k++ {
+		for _, tail := range []int{0, 1, half - k - 1, half - k, alpha} {
+			want, got := run(k, tail, false), run(k, tail, true)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d tail=%d: ArmBack fired\n%+v\nArm at the fault fired\n%+v", k, tail, got, want)
+			}
+		}
+	}
+	for _, k := range []int{-1, half, half + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ArmBack(%d) with α=%d was accepted", k, alpha)
+				}
+			}()
+			New(alpha).ArmBack(k, func(*Snapshot) {})
+		}()
 	}
 }

@@ -49,17 +49,25 @@ func reportDrive(b *testing.B, res replay.Result) {
 
 // BenchmarkIngest is the analyzer alone on the canonical fault-free
 // stream: pairing, latency tracking and window push are the whole cost.
+// "inline" is the library default, whose latency stage folds full
+// batches beside the receiver; "perf" turns on performance detection,
+// as `gretel analyze` does, which collects every batch within α/2
+// pushes and arms the snapshots of the stream's latency alarms.
 func BenchmarkIngest(b *testing.B) {
 	lib := experiments.BenchLibrary()
 	stream := experiments.CleanBenchStream(scale(50000, 20000))
-	b.Run("inline", func(b *testing.B) {
-		b.ReportAllocs()
-		var res replay.Result
-		for i := 0; i < b.N; i++ {
-			res = replay.Drive(core.New(lib, core.Config{}), stream)
-		}
-		reportDrive(b, res)
-	})
+	run := func(name string, cfg core.Config) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res replay.Result
+			for i := 0; i < b.N; i++ {
+				res = replay.Drive(core.New(lib, cfg), stream)
+			}
+			reportDrive(b, res)
+		})
+	}
+	run("inline", core.Config{})
+	run("perf", core.Config{PerfDetection: true})
 }
 
 // BenchmarkFig8cParallel replays the fault-dense Fig 8c stream (one
