@@ -214,43 +214,39 @@ func (c *Coordinator) run() {
 }
 
 // probeAll checks every member's /healthz and applies liveness
-// transitions; any change to the alive set bumps the epoch.
+// transitions. Each change to the alive set bumps the epoch in the same
+// critical section as the flip, so Cluster and Assignment never show an
+// alive set under the epoch of the one before it.
 func (c *Coordinator) probeAll() {
-	changed := false
 	for _, name := range c.names {
 		st := c.member(name)
 		ok, err := c.probe(st.cfg.BaseURL)
 		c.mu.Lock()
+		was := st.alive
 		if ok {
 			st.fails = 0
 			st.lastErr = ""
-			if !st.alive {
-				st.alive = true
-				changed = true
-			}
+			st.alive = true
 		} else {
 			mProbeFails.Inc()
 			st.fails++
 			st.lastErr = err
-			if st.alive && st.fails >= c.cfg.DownFails {
+			if st.fails >= c.cfg.DownFails {
 				st.alive = false
-				changed = true
 			}
+		}
+		if st.alive != was {
+			c.bumpEpochLocked()
+			alive := int64(0)
+			for _, m := range c.members {
+				if m.alive {
+					alive++
+				}
+			}
+			gAlive.Set(alive)
 		}
 		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	if changed {
-		c.bumpEpochLocked()
-	}
-	alive := int64(0)
-	for _, st := range c.members {
-		if st.alive {
-			alive++
-		}
-	}
-	gAlive.Set(alive)
-	c.mu.Unlock()
 }
 
 func (c *Coordinator) probe(base string) (bool, string) {

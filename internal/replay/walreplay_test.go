@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -125,13 +126,18 @@ func observe(t *testing.T, drive walDriver, dir string, opt WALDrive) walRun {
 // segments of at most segBytes (0: the default), and returns the segment
 // paths in order.
 func walLog(t *testing.T, dir string, events []trace.Event, segBytes int64) []string {
+	return walLogPer(t, dir, events, segBytes, 100)
+}
+
+// walLogPer is walLog with per events to an append.
+func walLogPer(t *testing.T, dir string, events []trace.Event, segBytes int64, per int) []string {
 	t.Helper()
 	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone, SegmentBytes: segBytes, RetainBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < len(events); lo += 100 {
-		if _, err := l.AppendBatch(events[lo:min(lo+100, len(events))]); err != nil {
+	for lo := 0; lo < len(events); lo += per {
+		if _, err := l.AppendBatch(events[lo:min(lo+per, len(events))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,12 +196,13 @@ func TestDriveWALMatchesSequential(t *testing.T) {
 	}
 
 	clean := func(t *testing.T, dir string) { walLog(t, dir, events, 32<<10) }
-	for _, tc := range []struct {
+	type walCase struct {
 		name  string
 		write func(t *testing.T, dir string)
 		opt   WALDrive
 		check func(t *testing.T, res WALResult)
-	}{
+	}
+	cases := []walCase{
 		{name: "clean multi-segment", write: clean, check: func(t *testing.T, res WALResult) {
 			if res.Recovery.Segments < 3 || res.Events != n || res.Reports == 0 {
 				t.Fatalf("want every event of a log of 3+ segments and some reports: %+v", res)
@@ -278,7 +285,31 @@ func TestDriveWALMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-	} {
+	}
+	// Cuts that fall inside a record, over logs of 1, 7 and 256 events
+	// to an append: the reader returns a record's events one at a time,
+	// and a window or barrier sees no record boundary.
+	for _, per := range []int{1, 7, 256} {
+		write := func(t *testing.T, dir string) { walLogPer(t, dir, events, 32<<10, per) }
+		cases = append(cases,
+			walCase{name: fmt.Sprintf("%d per append, From inside a record", per), write: write, opt: WALDrive{From: 303}},
+			walCase{name: fmt.Sprintf("%d per append, To inside a record", per), write: write, opt: WALDrive{To: 700},
+				check: func(t *testing.T, res WALResult) {
+					if rs := res.Recovery; res.Events != 700 || rs.Records != 701 || rs.LastSeq != 701 {
+						t.Fatalf("fed %d, scanned %+v; want 700 fed and the scan stopped at 701", res.Events, rs)
+					}
+				}},
+			walCase{name: fmt.Sprintf("%d per append, barrier inside a record", per), write: write, opt: WALDrive{Barrier: 1000}},
+			walCase{name: fmt.Sprintf("%d per append, all three inside records", per), write: write,
+				opt: WALDrive{From: 303, To: 1700, Barrier: 1000},
+				check: func(t *testing.T, res WALResult) {
+					if res.Events != 1398 {
+						t.Fatalf("fed %d events, want 1398", res.Events)
+					}
+				}},
+		)
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			tc.write(t, dir)

@@ -1,8 +1,8 @@
 // Package seglog owns the two decisions every durable or wire byte in
 // GRETEL depends on: the record envelope (this file) and the segment
 // directory (log.go, scan.go). The agent's wire frames and the WAL's
-// event records are both this envelope; the WAL is this segment log
-// under its own record bodies.
+// batches of events are both this envelope; the WAL is this segment log
+// under batch records (batch.go) of its own event bodies.
 //
 // The envelope:
 //

@@ -153,7 +153,8 @@ func Open(o Options) (*Log, error) {
 	return l, nil
 }
 
-// lastIntact reads one segment to its end for its last intact record.
+// lastIntact reads one segment to its end for the last sequence number
+// an intact record in it covers.
 func lastIntact(path, kinds string) (seq uint64, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -163,14 +164,17 @@ func lastIntact(path, kinds string) (seq uint64, ok bool, err error) {
 	br := bufio.NewReaderSize(f, 64<<10)
 	var buf []byte
 	for {
-		_, s, body, _, err := ReadRecord(br, kinds, buf, File)
+		kind, s, body, _, err := ReadRecord(br, kinds, buf, File)
 		if err == io.EOF {
 			return seq, ok, nil
 		}
 		if err != nil {
 			return 0, false, fmt.Errorf("seglog: resuming: reading %s: %w", path, err)
 		}
-		seq, ok, buf = s, true, body
+		buf = body
+		if n, intact := span(kind, body); intact {
+			seq, ok = s+n-1, true
+		}
 	}
 }
 
@@ -180,10 +184,10 @@ func (l *Log) LastSeq() uint64 { return l.last }
 // Stats snapshots the accounting.
 func (l *Log) Stats() Stats { return l.stats }
 
-// Append writes recs — n sealed records numbered LastSeq()+1 onward —
-// with one write, then fsyncs as the policy says. acked is n once the
-// write has reached the OS and 0 before; an error with acked == n is the
-// fsync's. Any error abandons the segment, and the next Append starts a
+// Append writes recs — sealed records covering the n sequence numbers
+// LastSeq()+1 onward — with one write, then fsyncs as the policy says.
+// acked is n once the write has reached the OS and 0 before; an error
+// with acked == n is the fsync's. Any error abandons the segment, and the next Append starts a
 // fresh one.
 func (l *Log) Append(recs []byte, n int) (acked int, err error) {
 	need := int64(len(recs))
@@ -250,7 +254,7 @@ func (l *Log) release() error {
 
 // abandon gives up the active segment after an I/O error on it, so the
 // error costs one append instead of every later one. failed is the
-// number of records in the write that failed: if any of its bytes
+// count of sequence numbers in the write that failed: if any of its bytes
 // reached a segment that is kept, one of them may sit there whole, and
 // reusing its sequence number would let it shadow the acked record that
 // took the number next — so those numbers are skipped, and recovery

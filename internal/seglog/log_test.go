@@ -2,12 +2,14 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gretel/internal/chaos"
@@ -28,19 +30,17 @@ var codecs = []codec{
 	{
 		// The WAL: binary event records, appended in batches as the
 		// analyzer's ingest hands them over; the legacy JSON kind accepted.
-		name: "events", prefix: "wal-", kinds: "BE", kind: 'B', batch: 8, body: eventBody,
+		name: "events", prefix: "wal-", kinds: "BE", kind: 'B', batch: 8, body: eventBody, check: checkEvent,
+	},
+	{
+		// The WAL as it writes now: each append one batch record of event
+		// bodies, in a log that still reads the one-event records above.
+		name: "batches", prefix: "wal-", kinds: "BR", kind: KindBatch, batch: 8, body: eventBody,
 		check: func(kind byte, body []byte, i int) error {
-			var (
-				dec trace.Decoder
-				ev  trace.Event
-			)
-			if err := dec.Decode(kind, body, &ev); err != nil {
-				return err
+			if kind == KindBatch {
+				kind = trace.BodyBinary
 			}
-			if ev.ConnID != uint64(i) {
-				return fmt.Errorf("decoded event %d, want %d", ev.ConnID, i)
-			}
-			return nil
+			return checkEvent(kind, body, i)
 		},
 	},
 	{
@@ -60,13 +60,32 @@ var codecs = []codec{
 	},
 }
 
+// checkEvent decodes an event body and checks it is event i.
+func checkEvent(kind byte, body []byte, i int) error {
+	var (
+		dec trace.Decoder
+		ev  trace.Event
+	)
+	if err := dec.Decode(kind, body, &ev); err != nil {
+		return err
+	}
+	if ev.ConnID != uint64(i) {
+		return fmt.Errorf("decoded event %d, want %d", ev.ConnID, i)
+	}
+	return nil
+}
+
 func (c codec) options(dir string) Options {
 	return Options{Dir: dir, Prefix: c.prefix, Kinds: c.kinds, SegmentBytes: 1 << 20, SyncInterval: -1, RetainBytes: -1}
 }
 
 // appendN appends records first..first+n-1 (record i carries sequence i)
-// as one batch.
+// with one write: n records, or under the batch kind one record of n
+// entries.
 func (c codec) appendN(l *Log, first, n int) (int, error) {
+	if c.kind == KindBatch {
+		return l.Append(batch(nil, uint64(first), n, c.body), n)
+	}
 	var recs []byte
 	for i := first; i < first+n; i++ {
 		recs = record(recs, c.kind, uint64(i), c.body(i))
@@ -256,7 +275,7 @@ func TestOpenFailsOnUnopenableSegment(t *testing.T) {
 // a rotation is a no-op on nothing, and retention holds the byte budget
 // by dropping closed segments oldest-first.
 func TestRotation(t *testing.T) {
-	c := codecs[1]
+	c := codecs[2]
 	recLen := int64(len(record(nil, c.kind, 1, c.body(1))))
 	dir := t.TempDir()
 	o := c.options(dir)
@@ -291,9 +310,11 @@ func TestRotation(t *testing.T) {
 
 // FuzzSegmentRecovery hands arbitrary bytes to the scanner as a segment
 // file, under each codec's kinds. Under any input the scan must not
-// panic or loop, must return sequences in increasing order, and must
-// keep its books: every input byte is in a returned record, in a
-// duplicate, or counted as skipped.
+// panic or loop, must return sequences in increasing order, must return
+// only what a CRC-valid record in the input holds — never an entry of a
+// batch that failed its CRC or whose count or lengths lie — and must
+// keep its books: every input byte is in a record read or counted as
+// skipped.
 func FuzzSegmentRecovery(f *testing.F) {
 	var legacy, events, mixed, points []byte
 	for i := 1; i <= 4; i++ {
@@ -305,17 +326,41 @@ func FuzzSegmentRecovery(f *testing.F) {
 		} else {
 			mixed = record(mixed, 'B', uint64(i), eventBody(i))
 		}
-		points = record(points, 'P', uint64(i), codecs[1].body(i))
+		points = record(points, 'P', uint64(i), codecs[2].body(i))
 	}
-	for _, healthy := range [][]byte{legacy, events, points} {
+	// Batch records: a healthy pair, then the first one torn inside its
+	// count, inside the two-byte length prefix of a long entry, and
+	// inside that entry; and resealed, CRC-valid, around a count or a
+	// length that lies, with the healthy second batch behind it.
+	batches := batch(batch(nil, 1, 4, eventBody), 5, 3, eventBody)
+	long := batch(nil, 1, 2, func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 300) })
+	countAt := HdrLen
+	lenAt := countAt + countLen
+	second := batch(nil, 5, 3, eventBody)
+	lie := func(edit func(rec []byte)) []byte {
+		rec := batch(nil, 1, 4, eventBody)
+		edit(rec)
+		Seal(rec, KindBatch, 1)
+		return append(rec, second...)
+	}
+	for _, healthy := range [][]byte{legacy, events, points, batches} {
 		f.Add(healthy)
 		f.Add(healthy[:len(healthy)-7])
 		f.Add(append([]byte{magic0, magic1, healthy[2], 0xff}, healthy...))
 	}
+	f.Add(long[:countAt+2])
+	f.Add(long[:lenAt+1])
+	f.Add(long[:lenAt+2+100])
+	f.Add(lie(func(rec []byte) { rec[countAt+3]++ }))
+	f.Add(lie(func(rec []byte) { rec[countAt+3]-- }))
+	f.Add(lie(func(rec []byte) { rec[lenAt]++ }))
+	f.Add(lie(func(rec []byte) { rec[lenAt]-- }))
+	f.Add(append(append([]byte{}, events...), second...)) // one-event records, then a batch
 	f.Add([]byte{})
 	f.Add([]byte{magic0})
 	f.Add(mixed)
-	f.Add(append(append([]byte{}, events...), events...)) // every record again: duplicates
+	f.Add(append(append([]byte{}, events...), events...))   // every record again: duplicates
+	f.Add(append(append([]byte{}, batches...), batches...)) // every batch again
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
@@ -323,11 +368,12 @@ func FuzzSegmentRecovery(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(dir, SegmentName(c.prefix, 1)), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			intact := intactIn(data, c.kinds)
 			sc, err := OpenScanner(dir, c.prefix, c.kinds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var n, last, bytesReturned uint64
+			var n, last uint64
 			for {
 				_, seq, body, err := sc.Next()
 				if err == io.EOF {
@@ -342,16 +388,17 @@ func FuzzSegmentRecovery(f *testing.F) {
 				if n > 1 && seq <= last {
 					t.Fatalf("%s: records out of order: %d after %d", c.name, seq, last)
 				}
+				if !slices.ContainsFunc(intact[seq], func(b []byte) bool { return bytes.Equal(b, body) }) {
+					t.Fatalf("%s: returned %d, %q, which no CRC-valid record in the input holds", c.name, seq, body)
+				}
 				last = seq
-				bytesReturned += HdrLen + uint64(len(body))
 			}
 			st := sc.Stats()
 			if st.Records != n || (n > 0 && st.LastSeq != last) {
 				t.Fatalf("%s: stats %+v after %d records ending at %d", c.name, st, n, last)
 			}
-			if total := bytesReturned + st.BytesSkipped; total > uint64(len(data)) || st.Duplicates == 0 && total != uint64(len(data)) {
-				t.Fatalf("%s: %d bytes returned + %d skipped (%d duplicates) of %d input bytes",
-					c.name, bytesReturned, st.BytesSkipped, st.Duplicates, len(data))
+			if total := st.BytesRead + st.BytesSkipped; total != uint64(len(data)) {
+				t.Fatalf("%s: %d bytes read + %d skipped of %d input bytes", c.name, st.BytesRead, st.BytesSkipped, len(data))
 			}
 			// Resuming over the same bytes never fails and never unlinks a
 			// segment that holds a record.
@@ -364,6 +411,43 @@ func FuzzSegmentRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// intactIn is the scan's fuzz oracle: by sequence number, every body a
+// CRC-valid record of an accepted kind anywhere in data holds — a batch
+// contributing its entries only when they fill it exactly, found by a
+// walk of its own.
+func intactIn(data []byte, kinds string) map[uint64][][]byte {
+	out := make(map[uint64][][]byte)
+	for i := range data {
+		kind, seq, body, ok := validAt(data, i, kinds)
+		if !ok {
+			continue
+		}
+		if kind != KindBatch {
+			out[seq] = append(out[seq], body)
+			continue
+		}
+		if len(body) < 4 {
+			continue
+		}
+		var entries [][]byte
+		p := body[4:]
+		for k := binary.BigEndian.Uint32(body); k > 0 && len(p) > 0; k-- {
+			l, w := binary.Uvarint(p)
+			if w <= 0 || l > uint64(len(p)-w) {
+				break
+			}
+			entries = append(entries, p[w:w+int(l)])
+			p = p[w+int(l):]
+		}
+		if len(p) == 0 && len(entries) > 0 && uint32(len(entries)) == binary.BigEndian.Uint32(body) {
+			for k, e := range entries {
+				out[seq+uint64(k)] = append(out[seq+uint64(k)], e)
+			}
+		}
+	}
+	return out
 }
 
 // writerFunc adapts a function to io.Writer.

@@ -1,8 +1,10 @@
 // The recovery scan: every intact record in a segment directory, in
 // sequence order, the way a receiver reads a damaged wire — skip and
-// count, never abort. What the scan cannot return it accounts for, so
-// that Records + Quarantined equals the records ever written to the
-// retained segments.
+// count, never abort. A batch record is returned an entry at a time,
+// each under its own sequence number, so the ledger counts sequence
+// numbers, not envelopes. What the scan cannot return it accounts for,
+// so that Records + Quarantined equals the sequence numbers ever
+// written to the retained segments.
 
 package seglog
 
@@ -18,18 +20,23 @@ import (
 type ScanStats struct {
 	// Segments is the number of segment files in the scan.
 	Segments int
-	// Records counts intact records returned.
+	// Records counts the records and batch entries returned.
 	Records uint64
-	// Quarantined counts records lost to damage: sequence gaps between
-	// intact records, and a torn tail. Trailing garbage counts as one
-	// record — a torn write can only lose the record it tore.
+	// Quarantined counts sequence numbers lost to damage: gaps between
+	// intact records, which is all of a corrupt batch's entries, and a
+	// torn tail. Trailing garbage counts as one — a torn write can only
+	// lose the append it tore, and a torn batch's count cannot be
+	// trusted.
 	Quarantined uint64
-	// Duplicates counts intact records skipped because their sequence
-	// had already been returned (a writer re-appending what a tear lost
-	// can legitimately produce these).
+	// Duplicates counts records and entries skipped because their
+	// sequence had already been returned (a writer re-appending what a
+	// tear lost can legitimately produce these).
 	Duplicates uint64
-	// BytesSkipped is the total discarded while resynchronising.
-	BytesSkipped uint64
+	// BytesRead is the bytes of the intact records read, envelopes
+	// included; BytesSkipped is the total discarded while
+	// resynchronising. A scan read to its end has accounted for every
+	// byte of its segments in one or the other.
+	BytesRead, BytesSkipped uint64
 	// TornTail reports that the log ended in unparseable bytes — the
 	// signature of a crash mid-append.
 	TornTail bool
@@ -50,6 +57,12 @@ type Scanner struct {
 	tail  int64 // bytes skipped since the last intact record
 	stats ScanStats
 	done  bool
+
+	// The batch record being returned an entry at a time: its entries
+	// not yet returned, how many, and the next one's sequence number.
+	entries []byte
+	left    uint64
+	next    uint64
 }
 
 // OpenScanner starts a scan of dir. A directory that does not exist is
@@ -71,11 +84,22 @@ func (s *Scanner) Progress() (segment, total int) {
 // Stats snapshots the accounting.
 func (s *Scanner) Stats() ScanStats { return s.stats }
 
-// Next returns the next intact record in sequence order, or io.EOF at
-// the end of the log; damage never surfaces as an error. body is valid
-// until the next call.
+// Next returns the next intact record, or batch entry, in sequence
+// order, or io.EOF at the end of the log; damage never surfaces as an
+// error. An entry comes with kind KindBatch. body is valid until the
+// next call.
 func (s *Scanner) Next() (kind byte, seq uint64, body []byte, err error) {
 	for {
+		if s.left > 0 {
+			seq := s.next
+			s.next++
+			s.left--
+			body, s.entries = nextEntry(s.entries) // cannot fail: span checked it
+			if s.admit(seq) {
+				return KindBatch, seq, body, nil
+			}
+			continue
+		}
 		if s.br == nil {
 			if s.cur >= len(s.segs) {
 				s.finish()
@@ -101,22 +125,39 @@ func (s *Scanner) Next() (kind byte, seq uint64, body []byte, err error) {
 			continue
 		}
 		s.buf = body
-		last := s.stats.LastSeq
-		if last != 0 && seq <= last {
-			s.stats.Duplicates++
+		n, ok := span(kind, body)
+		if !ok {
+			s.skip(HdrLen + int64(len(body)))
 			continue
 		}
-		if last != 0 {
-			s.stats.Quarantined += seq - last - 1
+		s.stats.BytesRead += HdrLen + uint64(len(body))
+		if kind == KindBatch {
+			s.entries, s.left, s.next = body[countLen:], n, seq
+			continue
 		}
-		if s.stats.Records == 0 {
-			s.stats.FirstSeq = seq
+		if s.admit(seq) {
+			return kind, seq, body, nil
 		}
-		s.stats.LastSeq = seq
-		s.stats.Records++
-		s.tail = 0
-		return kind, seq, body, nil
 	}
+}
+
+// admit books seq as returned, or as a duplicate to skip.
+func (s *Scanner) admit(seq uint64) bool {
+	last := s.stats.LastSeq
+	if last != 0 && seq <= last {
+		s.stats.Duplicates++
+		return false
+	}
+	if last != 0 {
+		s.stats.Quarantined += seq - last - 1
+	}
+	if s.stats.Records == 0 {
+		s.stats.FirstSeq = seq
+	}
+	s.stats.LastSeq = seq
+	s.stats.Records++
+	s.tail = 0
+	return true
 }
 
 func (s *Scanner) skip(n int64) {

@@ -21,12 +21,15 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gretel/internal/chaos"
 	"gretel/internal/core"
 	"gretel/internal/experiments"
 	"gretel/internal/replay"
+	"gretel/internal/seglog"
 	"gretel/internal/trace"
 	"gretel/internal/wal"
 )
@@ -369,5 +372,67 @@ func TestDriveWALBarrierSplitsBatch(t *testing.T) {
 	b.Close()
 	if fired {
 		t.Fatal("OnBarrier fired although no record lies past the barrier")
+	}
+}
+
+// TestUpgradeInPlaceReplays: a log whose older segments hold one record
+// per event, the layout logs had before batch records, and whose newer
+// ones hold the batches a writer appends after resuming on it, replays
+// through DriveWAL to the same reports as an uninterrupted run — also
+// with the barrier on either side of the layout change.
+func TestUpgradeInPlaceReplays(t *testing.T) {
+	const total, old = 3000, 1200
+	events := replay.Synthesize(replay.StreamConfig{Concurrency: 100, Events: total, FaultEvery: 97, Seed: 17})
+	dir := t.TempDir()
+	for first := 1; first <= old; first += old / 2 {
+		var seg []byte
+		for seq := first; seq < first+old/2; seq++ {
+			seg = seglog.AppendRecord(seg, wal.KindEvent, uint64(seq), trace.AppendEvent(nil, &events[seq-1]))
+		}
+		if err := os.WriteFile(filepath.Join(dir, seglog.SegmentName("wal-", uint64(first))), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.LastSeq() != old {
+		t.Fatalf("resumed at %d, want %d", l.LastSeq(), old)
+	}
+	for lo := old; lo < total; lo += 128 {
+		if _, err := l.AppendBatch(events[lo:min(lo+128, total)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reports := func(drive func(a *core.Analyzer)) []byte {
+		a := core.New(experiments.BenchLibrary(), core.Config{})
+		drive(a)
+		a.Close()
+		b, err := json.Marshal(a.Reports())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	uninterrupted := reports(func(a *core.Analyzer) { a.IngestBatch(events) })
+	for _, barrier := range []uint64{0, old - 50, old + 50} {
+		fromWAL := reports(func(a *core.Analyzer) {
+			res, err := replay.DriveWAL(a, dir, replay.WALDrive{Barrier: barrier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs := res.Recovery; res.Events != total || rs.Quarantined != 0 || rs.Segments != 3 || rs.LastSeq != total {
+				t.Fatalf("barrier %d: fed %d events, %+v; want %d over 3 segments, clean", barrier, res.Events, rs, total)
+			}
+		})
+		if !bytes.Equal(fromWAL, uninterrupted) {
+			t.Fatalf("barrier %d: reports of the upgraded log differ from an uninterrupted run (%d vs %d bytes)",
+				barrier, len(fromWAL), len(uninterrupted))
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Recovery reader: seglog's skip-and-count scan of the log directory,
 // with the event codec on top. Torn writes, truncated tails and corrupt
 // records are quarantined (counted, with their bytes skipped) and every
-// record whose CRC passes and whose body decodes is returned, so
+// event of a record whose CRC passes that decodes is returned, so
 // recovery upholds the log's one invariant:
 // recovered + quarantined == written.
 
@@ -13,14 +13,15 @@ import (
 	"gretel/internal/trace"
 )
 
-// ReadStats is the recovery scan's accounting. Quarantined includes
-// CRC-intact records whose body would not decode.
+// ReadStats is the recovery scan's accounting, counted in events.
+// Quarantined includes events of CRC-intact records that would not
+// decode.
 type ReadStats = seglog.ScanStats
 
-// Reader iterates every intact record in a WAL directory in sequence
-// order. It reads a static snapshot of the segment list taken at open;
-// a concurrently appending writer is safe but its new records are not
-// seen.
+// Reader iterates every intact event in a WAL directory in sequence
+// order, a batch record's one at a time. It reads a static snapshot of
+// the segment list taken at open; a concurrently appending writer is
+// safe but its new records are not seen.
 type Reader struct {
 	sc          *seglog.Scanner
 	dec         trace.Decoder // interns the scan's repeating strings
@@ -54,7 +55,7 @@ func (r *Reader) Stats() ReadStats {
 	return st
 }
 
-// Next returns the next intact record in sequence order, or io.EOF at
+// Next returns the next intact event in sequence order, or io.EOF at
 // the end of the log. Corruption never surfaces as an error: damaged
 // bytes are skipped and quarantined, and the scan continues.
 func (r *Reader) Next() (uint64, trace.Event, error) {
@@ -67,7 +68,7 @@ func (r *Reader) Next() (uint64, trace.Event, error) {
 	return seq, ev, nil
 }
 
-// NextInto is Next decoding in place: the record lands in *ev, every
+// NextInto is Next decoding in place: the event lands in *ev, every
 // field overwritten, so a caller filling a reused batch copies no event.
 // On an error *ev is unspecified.
 func (r *Reader) NextInto(ev *trace.Event) (uint64, error) {
@@ -76,6 +77,9 @@ func (r *Reader) NextInto(ev *trace.Event) (uint64, error) {
 		if err != nil {
 			r.finish()
 			return 0, err
+		}
+		if kind == seglog.KindBatch {
+			kind = KindEvent // a batch's entries are event bodies
 		}
 		if err := r.dec.Decode(kind, body, ev); err != nil {
 			// CRC-intact but undecodable: a writer-side bug, not wire

@@ -5,13 +5,19 @@
 // WAL is the one thing that must not die with the process.
 //
 // The log is internal/seglog — its envelope, its segment lifecycle, its
-// recovery scan — under event bodies: a WAL segment is a captured frame
-// stream on disk, read back the way the transport receiver reads a
-// damaged wire. This package owns what goes in the records and beside
-// them: the event codec (kind 'B', trace's binary body laid out in
-// internal/trace/codec.go; kind 'E', the JSON body older logs wrote, is
-// still read, in one segment with 'B' if need be) and the consumer
-// cursor.
+// recovery scan — under batch records of event bodies: each AppendBatch
+// is sealed as one seglog batch record (kind 'R': an event count, then
+// each event's trace binary body, laid out in internal/trace/codec.go,
+// behind a uvarint length), split only where a record's body passes
+// seglog.BatchBytes. A record carries a run of dense sequence numbers,
+// its header's first, and the Reader returns its events one at a time
+// under them, so a consumer sees the same event stream as when every
+// event was a record of its own. Logs of that older layout (kind 'B',
+// one event per record) still recover, in one segment with batches if
+// need be. Kind 'E', the JSON body logs wrote before that, is not read:
+// a scan skips its bytes and counts its sequence numbers as
+// quarantined. This package owns what goes in the records and beside
+// them: the event codec and the consumer cursor.
 //
 // Segments are named wal-<first-seq>.seg and rotate on a size or age
 // bound; retention drops whole closed segments oldest-first to hold a
@@ -21,10 +27,12 @@
 // append that met it and the rest of its segment, never the log: the
 // next append starts a fresh segment.
 //
-// The recovery invariant, proven by the crash soak: for every record
+// The recovery invariant, proven by the crash soak: for every event
 // handed to Append, recovery either returns it intact (recovered) or
 // counts it as lost (quarantined) — recovered + quarantined == written.
-// Silent loss is the only failure mode the log does not permit.
+// A record that fails its CRC costs all of its events, counted through
+// the sequence gap it leaves. Silent loss is the only failure mode the
+// log does not permit.
 package wal
 
 import (
@@ -48,6 +56,7 @@ import (
 // durability — and wal.replay times full recovery scans.
 var (
 	mAppended     = telemetry.GetCounter("wal.appended")
+	mRecords      = telemetry.GetCounter("wal.records") // wal.appended / wal.records: events per record
 	mAppendErrors = telemetry.GetCounter("wal.append_errors")
 	mSynced       = telemetry.GetCounter("wal.synced")
 	mRotated      = telemetry.GetCounter("wal.rotated")
@@ -60,15 +69,17 @@ var (
 	hReplay       = telemetry.GetHistogram("wal.replay")
 )
 
-// MaxRecord bounds one encoded event (same bound as agent.MaxFrame).
+// MaxRecord bounds one encoded record (same bound as agent.MaxFrame):
+// an event too large for a record of its own is refused.
 const MaxRecord = seglog.MaxRecord
 
 const (
-	// KindEvent is the one record kind the log writes and reads. Any
-	// other — the 'E' of the JSON body older logs wrote included — is
-	// bytes for a scan to skip and count.
+	// KindEvent is the kind of the one-event records older logs wrote,
+	// still read. The log writes seglog.KindBatch records of events; any
+	// other kind — the 'E' of the JSON body included — is bytes for a
+	// scan to skip and count.
 	KindEvent  = trace.BodyBinary
-	eventKinds = string(KindEvent)
+	eventKinds = string(KindEvent) + string(seglog.KindBatch)
 
 	segPrefix = "wal-"
 	// cursorFile holds the durable consumer cursor: the highest record
@@ -166,7 +177,7 @@ func (o *Options) defaults() {
 // Stats is a point-in-time view of the log's write-side accounting:
 // the segment log's (fsyncs, rotations, segments retired by retention,
 // on-disk footprint with the active segment included), and Appended,
-// the records acked by Append/AppendBatch this session.
+// the events acked by Append/AppendBatch this session.
 type Stats struct {
 	Appended uint64
 	seglog.Stats
@@ -258,10 +269,11 @@ func (l *Log) Append(ev trace.Event) (uint64, error) {
 	return l.AppendBatch([]trace.Event{ev})
 }
 
-// AppendBatch appends a batch of events as consecutive records with one
-// flush (and at most one fsync), returning the last record sequence.
-// On error the batch may be partially durable; the sequence reflects
-// only what was acked, and recovery quarantines any torn remainder.
+// AppendBatch appends a batch of events, numbered consecutively, as one
+// batch record (more if it passes seglog.BatchBytes) with one flush and
+// at most one fsync, returning the last sequence number. On error the
+// batch may be partially durable; the sequence reflects only what was
+// acked, and recovery quarantines any torn remainder.
 func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 	if len(evs) == 0 {
 		return l.seg.LastSeq(), nil
@@ -280,22 +292,28 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 func (l *Log) appendBatch(evs []trace.Event) error {
 	l.scratch = l.scratch[:0]
 	next := l.seg.LastSeq() + 1
-	for i := range evs {
-		// Encode straight into the batch buffer after a reserved header,
-		// then seal the record in place.
+	records := 0
+	for i := 0; i < len(evs); records++ {
+		// Encode straight into the batch buffer, behind the record's
+		// reserved header; seglog seals it in place.
 		start := len(l.scratch)
-		l.scratch = trace.AppendEvent(seglog.Reserve(l.scratch), &evs[i])
-		rec := l.scratch[start:]
-		if n := len(rec) - seglog.HdrLen; n > MaxRecord {
+		var n int
+		l.scratch, n = seglog.AppendBatch(l.scratch, next+uint64(i), len(evs)-i, func(buf []byte, j int) []byte {
+			return trace.AppendEvent(buf, &evs[i+j])
+		})
+		if size := len(l.scratch) - start - seglog.HdrLen; size > MaxRecord {
 			// The reader unconditionally skips any length prefix over
 			// MaxRecord, so acking this record would make it durable but
 			// unrecoverable — refuse the whole batch before any byte of
 			// it is written.
-			return fmt.Errorf("encoded event is %d bytes, over the %d-byte record bound", n, MaxRecord)
+			return fmt.Errorf("encoded event makes a %d-byte record, over the %d-byte bound", size, MaxRecord)
 		}
-		seglog.Seal(rec, KindEvent, next+uint64(i))
+		i += n
 	}
 	acked, err := l.seg.Append(l.scratch, len(evs))
+	if acked > 0 {
+		mRecords.Add(uint64(records))
+	}
 	l.appended += uint64(acked)
 	mAppended.Add(uint64(acked))
 	return err

@@ -2,16 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
-	"gretel/internal/agent"
 	"gretel/internal/seglog"
 	"gretel/internal/trace"
 )
@@ -115,26 +116,60 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAppendBatchMatchesAppend(t *testing.T) {
-	evs := testEvents(64)
-	dirA, dirB := t.TempDir(), t.TempDir()
-
-	la, _ := Open(Options{Dir: dirA})
-	for _, ev := range evs {
-		la.Append(ev)
+// TestAppendBatchRecoversAppendStream: however the same events are cut
+// into appends — one at a time, seven at a time, all at once, or in one
+// batch large enough to split at seglog.BatchBytes — recovery returns
+// the same events under the same sequence numbers with the same ledger,
+// and only the bytes the envelopes take differ.
+func TestAppendBatchRecoversAppendStream(t *testing.T) {
+	evs := testEvents(2000)
+	for i := range evs {
+		if i%3 == 0 { // bodies of 128 bytes and up take a two-byte length
+			evs[i].ErrorText = fmt.Sprintf("%0*d", 100+i%200, i)
+		}
 	}
-	la.Close()
-
-	lb, _ := Open(Options{Dir: dirB})
-	if last, err := lb.AppendBatch(evs); err != nil || last != 64 {
-		t.Fatalf("AppendBatch: last=%d err=%v", last, err)
-	}
-	lb.Close()
-
-	ba, _ := os.ReadFile(filepath.Join(dirA, segName(1)))
-	bb, _ := os.ReadFile(filepath.Join(dirB, segName(1)))
-	if !bytes.Equal(ba, bb) {
-		t.Fatalf("batch and single appends produced different bytes (%d vs %d)", len(ba), len(bb))
+	var want ReadStats
+	var wantBytes uint64
+	for _, per := range []int{1, 7, 256, len(evs)} {
+		dir := t.TempDir()
+		l, err := Open(Options{Dir: dir, SegmentBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(evs); lo += per {
+			hi := min(lo+per, len(evs))
+			if last, err := l.AppendBatch(evs[lo:hi]); err != nil || last != uint64(hi) {
+				t.Fatalf("%d per append: AppendBatch: last=%d err=%v, want %d", per, last, err, hi)
+			}
+		}
+		l.Close()
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range evs {
+			seq, ev, err := r.Next()
+			if err != nil || seq != uint64(i+1) || ev != evs[i] {
+				t.Fatalf("%d per append: event %d: seq %d, err %v, %+v", per, i+1, seq, err, ev)
+			}
+		}
+		if _, _, err := r.Next(); err != io.EOF {
+			t.Fatalf("%d per append: past the last event: %v", per, err)
+		}
+		st := r.Stats()
+		if per > 1 && st.BytesRead >= wantBytes {
+			t.Fatalf("%d per append: %d bytes on disk, not fewer than one event a record's %d", per, st.BytesRead, wantBytes)
+		}
+		if per == 1 {
+			wantBytes = st.BytesRead
+		}
+		st.BytesRead = 0
+		if per == 1 {
+			want = st
+		}
+		if st != want || st.Records != uint64(len(evs)) || st.Quarantined != 0 {
+			t.Fatalf("%d per append: ledger %+v, want %+v", per, st, want)
+		}
 	}
 }
 
@@ -422,27 +457,73 @@ func TestCursorClampedToDurableLog(t *testing.T) {
 	l2.Close()
 }
 
-// TestSegmentIsAgentFrameStream pins the format: a WAL record is the
-// agent's event frame, byte for byte but for the sequence number.
-func TestSegmentIsAgentFrameStream(t *testing.T) {
+// TestSegmentLayout pins the format: each append is one seglog batch
+// record numbered from its first event — a four-byte count, then each
+// event's trace binary body behind a uvarint length — built here by
+// hand, so a change to either side shows.
+func TestSegmentLayout(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir})
-	ev := testEvents(1)[0]
-	l.Append(ev)
+	evs := testEvents(4)
+	l.AppendBatch(evs[:3])
+	l.Append(evs[3])
 	l.Close()
 	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := agent.ReadEvent(bytes.NewReader(seg))
-	if err != nil || got != ev {
-		t.Fatalf("agent.ReadEvent over a WAL segment: %+v, %v", got, err)
+	record := func(buf []byte, seq uint64, evs []trace.Event) []byte {
+		body := binary.BigEndian.AppendUint32(nil, uint32(len(evs)))
+		for i := range evs {
+			ev := trace.AppendEvent(nil, &evs[i])
+			body = append(binary.AppendUvarint(body, uint64(len(ev))), ev...)
+		}
+		return seglog.AppendRecord(buf, seglog.KindBatch, seq, body)
 	}
-	var frame bytes.Buffer
-	agent.WriteEvent(&frame, &ev)
-	seglog.Seal(frame.Bytes(), KindEvent, 1)
-	if !bytes.Equal(seg, frame.Bytes()) {
-		t.Fatalf("WAL record and agent frame differ:\n%x\n%x", seg, frame.Bytes())
+	want := record(record(nil, 1, evs[:3]), 4, evs[3:])
+	if !bytes.Equal(seg, want) {
+		t.Fatalf("WAL segment and the batch layout differ:\n%x\n%x", seg, want)
+	}
+}
+
+// TestPerEventLayoutRecovers: testdata/per-event-records.seg is a segment
+// of the layout logs had before batch records — testEvents(12) appended
+// 1, 4 and 7 at a time, one record per event. It recovers to the same
+// events, sequence numbers and ledger, a writer resumes after it, and
+// the log it leaves — one segment of each layout, as after an upgrade in
+// place — reads back dense.
+func TestPerEventLayoutRecovers(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "per-event-records.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(20)
+	got, st := readAll(t, dir)
+	if !slices.Equal(got, evs[:12]) {
+		t.Fatalf("recovered %+v, want testEvents(12)", got)
+	}
+	if want := (ReadStats{Segments: 1, Records: 12, FirstSeq: 1, LastSeq: 12, BytesRead: uint64(len(fixture))}); st != want {
+		t.Fatalf("ledger %+v, want %+v", st, want)
+	}
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.LastSeq() != 12 {
+		t.Fatalf("resumed at %d, want 12", l.LastSeq())
+	}
+	if last, err := l.AppendBatch(evs[12:]); err != nil || last != 20 {
+		t.Fatalf("AppendBatch after the upgrade: last %d, err %v", last, err)
+	}
+	l.Close()
+	got, st = readAll(t, dir)
+	if !slices.Equal(got, evs) || st.Segments != 2 || st.FirstSeq != 1 || st.LastSeq != 20 ||
+		st.Quarantined != 0 || st.BytesSkipped != 0 || st.Duplicates != 0 {
+		t.Fatalf("after the upgrade: %d events, %+v; want testEvents(20) over two segments, clean", len(got), st)
 	}
 }
 

@@ -189,9 +189,11 @@ func BenchmarkDetector(b *testing.B) {
 // append is disk-bound, not a pipeline cost, and would swamp the gate
 // tolerance with device noise. Each pass appends the canonical clean
 // stream in ingest-sized batches through a fresh log in a throwaway
-// directory.
+// directory. events/record is the mean number of events each batch
+// record carries — what the append and replay costs per event divide by.
 func BenchmarkWALAppend(b *testing.B) {
 	stream := experiments.CleanBenchStream(scale(50000, 20000))
+	records := telemetry.GetCounter("wal.records")
 	for _, tc := range []struct {
 		name   string
 		policy wal.Fsync
@@ -199,7 +201,9 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st wal.Stats
+			var recs uint64
 			for i := 0; i < b.N; i++ {
+				recs0 := records.Value()
 				l, err := wal.Open(wal.Options{Dir: b.TempDir(), Fsync: tc.policy})
 				if err != nil {
 					b.Fatal(err)
@@ -210,7 +214,7 @@ func BenchmarkWALAppend(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				st = l.Stats()
+				st, recs = l.Stats(), records.Value()-recs0
 				if err := l.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -222,6 +226,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportMetric(float64(st.Bytes)/float64(len(stream)), "disk-B/event")
 			b.ReportMetric(float64(st.Segments), "segments")
 			b.ReportMetric(float64(st.Synced), "syncs")
+			b.ReportMetric(float64(len(stream))/float64(recs), "events/record")
 		})
 	}
 }
@@ -229,37 +234,53 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkWALReplay is boot recovery: replay.DriveWAL over a log
 // pre-written with the canonical faulty stream, into a fresh analyzer
 // each pass. The reader stage (scan, CRC, decode) overlaps the analyzer
-// only when a second processor is free, so it runs at -cpu 1,2,4.
+// only when a second processor is free, so it runs at -cpu 1,2,4. Its
+// cost per event depends on how many events each append captured, since
+// each append is one batch record: "recover" reads a log written in one
+// AppendBatch (records split at seglog.BatchBytes), per-append=16 and
+// per-append=1 logs written 16 and 1 events at a time — the last is the
+// single Ingest's capture, one envelope and one CRC per event.
 func BenchmarkWALReplay(b *testing.B) {
 	lib := experiments.BenchLibrary()
 	stream := experiments.FaultyBenchStream(scale(50000, 20000))
-	dir := b.TempDir()
-	l, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := l.AppendBatch(stream); err != nil {
-		b.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("recover", func(b *testing.B) {
-		b.ReportAllocs()
-		var res replay.WALResult
-		for i := 0; i < b.N; i++ {
-			if res, err = replay.DriveWAL(core.New(lib, core.Config{}), dir, replay.WALDrive{}); err != nil {
+	records := telemetry.GetCounter("wal.records")
+	for _, tc := range []struct {
+		name string
+		per  int
+	}{{"recover", len(stream)}, {"per-append=16", 16}, {"per-append=1", 1}} {
+		dir := b.TempDir()
+		recs0 := records.Value()
+		l, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(stream); lo += tc.per {
+			if _, err := l.AppendBatch(stream[lo:min(lo+tc.per, len(stream))]); err != nil {
 				b.Fatal(err)
 			}
-			if rs := res.Recovery; res.Events != len(stream) || rs.Records != uint64(len(stream)) || rs.Quarantined != 0 {
-				b.Fatalf("replayed %d of %d events (recovered %d, quarantined %d)", res.Events, len(stream), rs.Records, rs.Quarantined)
-			}
 		}
-		b.ReportMetric(float64(len(stream)), "events/op")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
-		b.ReportMetric(res.EventsPerSec, "events/s")
-		b.ReportMetric(float64(res.Reports), "reports")
-	})
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		perRecord := float64(len(stream)) / float64(records.Value()-recs0)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res replay.WALResult
+			for i := 0; i < b.N; i++ {
+				if res, err = replay.DriveWAL(core.New(lib, core.Config{}), dir, replay.WALDrive{}); err != nil {
+					b.Fatal(err)
+				}
+				if rs := res.Recovery; res.Events != len(stream) || rs.Records != uint64(len(stream)) || rs.Quarantined != 0 {
+					b.Fatalf("replayed %d of %d events (recovered %d, quarantined %d)", res.Events, len(stream), rs.Records, rs.Quarantined)
+				}
+			}
+			b.ReportMetric(float64(len(stream)), "events/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
+			b.ReportMetric(res.EventsPerSec, "events/s")
+			b.ReportMetric(float64(res.Reports), "reports")
+			b.ReportMetric(perRecord, "events/record")
+		})
+	}
 }
 
 // BenchmarkOpdetect is Algorithm 2 alone: operation detection over the
