@@ -11,11 +11,11 @@ import (
 	"math/rand"
 	"time"
 
-	"gretel/internal/agent"
 	"gretel/internal/core"
 	"gretel/internal/experiments"
 	"gretel/internal/faults"
 	"gretel/internal/openstack"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
 )
@@ -24,39 +24,24 @@ func main() {
 	const parallel = 100
 	seed := int64(3)
 	cat := tempest.NewCatalog(seed)
-	lib := experiments.GroundTruthLibrary(cat)
-
-	d := openstack.NewDeployment(openstack.Config{
-		Seed:            seed,
-		HeartbeatPeriod: 10 * time.Second,
-		ThinkMin:        50 * time.Millisecond,
-		ThinkMax:        150 * time.Millisecond,
+	h := scenario.New(scenario.Options{
+		Deploy: openstack.Config{
+			Seed:     seed,
+			ThinkMin: 50 * time.Millisecond,
+			ThinkMax: 150 * time.Millisecond,
+		},
+		Analyzer: core.Config{Prate: parallel * 16, T: 10},
+		Library:  experiments.GroundTruthLibrary(cat),
 	})
-	plan := faults.NewPlan()
-	d.Injector = plan
-	analyzer := core.New(lib, core.Config{Prate: parallel * 16, T: 10})
-	mon := agent.NewMonitor("analyzer", analyzer.Ingest, d.GroundTruth)
-	d.Fabric.Tap(mon.HandlePacket)
 
 	// Sustain 100 concurrent tests.
-	rng := rand.New(rand.NewSource(seed))
-	stopped := false
-	var restart func(*openstack.Instance)
-	restart = func(*openstack.Instance) {
-		if stopped {
-			return
-		}
-		d.Start(cat.Tests[rng.Intn(len(cat.Tests))].Op, restart)
-	}
-	for i := 0; i < parallel; i++ {
-		d.Start(cat.Tests[rng.Intn(len(cat.Tests))].Op, restart)
-	}
+	stopPool := tempest.SustainPool(h.D, cat, parallel, rand.New(rand.NewSource(seed)))
 
 	// After a warmup, one instance of a VM-create-family test fails at a
 	// mid-operation POST.
 	victim := cat.ByCategory[openstack.Compute][3]
-	d.Sim.After(90*time.Second, func() {
-		inst := d.Start(victim.Op, nil)
+	h.D.Sim.After(90*time.Second, func() {
+		inst := h.D.Start(victim.Op, nil)
 		var api trace.API
 		for _, s := range victim.Op.Steps {
 			if !s.Noise && s.API.Kind == trace.REST && s.API.StateChanging() {
@@ -64,30 +49,29 @@ func main() {
 				break
 			}
 		}
-		plan.Add(faults.Rule{OpID: inst.ID, API: api, StepIndex: -1, Once: true,
+		h.Plan.Add(faults.Rule{OpID: inst.ID, API: api, StepIndex: -1, Once: true,
 			Outcome: openstack.Outcome{Status: 503, ErrText: "Service Unavailable (injected)"}})
 		fmt.Printf("injected fault into one instance of %s\n", victim.Op.Name)
 	})
 
-	d.Sim.RunUntil(d.Sim.Now().Add(4 * time.Minute))
-	stopped = true
-	d.Sim.RunUntil(d.Sim.Now().Add(time.Minute))
-	d.StopNoise()
-	d.Sim.Run()
-	analyzer.Flush()
+	h.Run(4 * time.Minute)
+	stopPool()
+	h.Run(time.Minute)
+	h.Finish()
 
 	fmt.Printf("events processed: %d; snapshots taken: %d (detection runs only on faults)\n",
-		analyzer.Stats.Events, analyzer.Stats.Snapshots)
-	for _, rep := range analyzer.Reports() {
+		h.Analyzer.Stats.Events, h.Analyzer.Stats.Snapshots)
+	for _, rep := range h.Reports() {
 		fmt.Printf("fault: %v -> %d candidate operations, matched %d (precision %.2f%%)\n",
 			rep.OffendingAPI, rep.CandidatesByErrorOnly, len(rep.Candidates), rep.Precision*100)
+		_, truth := h.Truth(rep)
 		show := len(rep.Candidates)
 		if show > 6 {
 			show = 6
 		}
 		for _, name := range rep.Candidates[:show] {
 			marker := " "
-			if name == rep.TruthOp {
+			if name == truth {
 				marker = "*"
 			}
 			fmt.Printf("  %s %s\n", marker, name)

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"gretel/internal/core"
 	"gretel/internal/openstack"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
 )
@@ -283,4 +285,57 @@ func TestHanselLinkingOverReporting(t *testing.T) {
 	if withT <= withoutT {
 		t.Errorf("shared tenant ids should over-link: %v vs %v", withT, withoutT)
 	}
+}
+
+// TestTruthJoinMatchesDecoration: the harness grades a report by joining
+// its offending message's wire identifiers to the deployment's ground
+// truth. On every run the experiments grade, that join must agree with
+// the truth the monitor writes onto events, which it is meant to replace.
+func TestTruthJoinMatchesDecoration(t *testing.T) {
+	check := func(name string, h *scenario.Harness, minReports int) {
+		reps := h.Reports()
+		if len(reps) < minReports {
+			t.Fatalf("%s: %d reports, want at least %d", name, len(reps), minReports)
+		}
+		for _, rep := range reps {
+			id, op := h.Truth(rep)
+			if id != rep.Fault.OpID || op != rep.TruthOp {
+				t.Errorf("%s: join (%d, %s), decoration (%d, %s)", name, id, op, rep.Fault.OpID, rep.TruthOp)
+			}
+			if h.Hit(rep) != rep.Hit() {
+				t.Errorf("%s: join hit %v, decoration hit %v (candidates %v)", name, h.Hit(rep), rep.Hit(), rep.Candidates)
+			}
+		}
+	}
+	cat := tempest.NewCatalog(21)
+	lib := GroundTruthLibrary(cat)
+	for _, corr := range []bool{false, true} {
+		run := &ParallelRun{
+			Catalog: cat, Library: lib, Parallel: 40,
+			FaultTests:     pickFaultTestsDeterministic(cat, 4),
+			Seed:           77,
+			CorrelationIDs: corr,
+		}
+		check(fmt.Sprintf("precision, correlation ids %v", corr), run.run(), 4)
+	}
+
+	// Fig 8a's shape: identical faulty operations, so every truth names
+	// the same operation and only the instance ids tell them apart.
+	fig8a := fig8aRun(21, cat, lib, 20, 16)
+	h := fig8a.run()
+	check("fig8a", h, 12)
+	ids := map[uint64]bool{}
+	for _, rep := range h.Reports() {
+		id, op := h.Truth(rep)
+		if want := fig8a.FaultTests[0].Op.Name; op != want {
+			t.Errorf("fig8a: truth %s, want %s", op, want)
+		}
+		ids[id] = true
+	}
+	if len(ids) < 12 {
+		t.Errorf("fig8a: %d distinct faulty instances, want at least 12", len(ids))
+	}
+
+	_, h = fig6(3, 120, nil)
+	check("fig6", h, 1)
 }

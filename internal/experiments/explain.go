@@ -2,20 +2,20 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
-	"gretel/internal/core"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/tracestore"
 )
 
 // ExplainResult holds one explain-mode precision run: the aggregate
-// cell, the raw reports, and the evidence-trace store behind them.
+// cell, the finished harness (its reports and the ground truth they are
+// graded by), and the evidence-trace store behind them.
 type ExplainResult struct {
 	Cell    PrecisionCell
-	Reports []*core.Report
+	Harness *scenario.Harness
 	Store   *tracestore.Store
 }
 
@@ -26,22 +26,10 @@ type ExplainResult struct {
 // why the runners-up were rejected.
 func Explain(seed int64, parallel, faults int) ExplainResult {
 	c := tempest.NewCatalog(seed)
-	lib := GroundTruthLibrary(c)
-	rng := rand.New(rand.NewSource(seed ^ 0x8a))
-	one := pickFaultTests(c, 1, rng)[0]
-	faultTests := make([]*tempest.Test, faults)
-	for i := range faultTests {
-		faultTests[i] = one
-	}
-	res := ExplainResult{Store: tracestore.New(0)}
-	run := &ParallelRun{
-		Catalog: c, Library: lib, Parallel: parallel,
-		FaultTests: faultTests,
-		Seed:       seed ^ int64(parallel)*31,
-		TraceStore: res.Store,
-	}
-	res.Cell = run.runCollect(&res.Reports)
-	return res
+	run := fig8aRun(seed, c, GroundTruthLibrary(c), parallel, faults)
+	run.TraceStore = tracestore.New(0)
+	h := run.run()
+	return ExplainResult{Cell: summarize(h, parallel, faults), Harness: h, Store: run.TraceStore}
 }
 
 // FormatExplain renders one line block per fault report: the blamed
@@ -50,9 +38,10 @@ func Explain(seed int64, parallel, faults int) ExplainResult {
 // its concrete rejection reason.
 func FormatExplain(res ExplainResult) string {
 	var b strings.Builder
+	reps := res.Harness.Reports()
 	fmt.Fprintf(&b, "%d injected faults, %d reports, %d evidence traces (%d evicted)\n\n",
-		res.Cell.Faults, len(res.Reports), res.Store.Stored(), res.Store.Evicted())
-	for _, rep := range res.Reports {
+		res.Cell.Faults, len(reps), res.Store.Stored(), res.Store.Evicted())
+	for _, rep := range reps {
 		tr := res.Store.Get(rep.TraceID)
 		fmt.Fprintf(&b, "trace %-4d %s fault at %v\n", rep.TraceID, rep.Kind, rep.OffendingAPI)
 		if tr == nil {
@@ -60,12 +49,13 @@ func FormatExplain(res ExplainResult) string {
 			continue
 		}
 		verdict := "MISS"
-		if rep.Hit() {
+		if res.Harness.Hit(rep) {
 			verdict = "hit"
 		}
+		_, truth := res.Harness.Truth(rep)
 		fmt.Fprintf(&b, "  blamed: %d candidate(s) at beta=%d precision=%.2f%% — ground truth %s (%s)\n",
-			len(rep.Candidates), rep.Beta, rep.Precision*100, rep.TruthOp, verdict)
-		if win := winningCandidate(tr, rep.TruthOp); win != nil {
+			len(rep.Candidates), rep.Beta, rep.Precision*100, truth, verdict)
+		if win := winningCandidate(tr, truth); win != nil {
 			fmt.Fprintf(&b, "  winning fingerprint: %s (len %d, %d/%d mandatory symbols, %d omitted)\n",
 				win.Name, win.FPLen, win.MandatoryHit, win.MandatoryTotal, win.Omitted)
 		} else {

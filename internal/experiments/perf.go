@@ -5,11 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"gretel/internal/agent"
 	"gretel/internal/core"
 	"gretel/internal/faults"
 	"gretel/internal/fingerprint"
 	"gretel/internal/openstack"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
 	"gretel/internal/tsoutliers"
@@ -70,19 +70,17 @@ func Fig8bStream(seed int64, concurrent int) *PerfStream {
 	return rec
 }
 
-// perfHarness drives a deployment while tracking one API's latency
+// perfHarness runs a scenario harness while tracking one API's latency
 // through the analyzer's own detector.
 type perfHarness struct {
-	d        *openstack.Deployment
-	analyzer *core.Analyzer
-	target   trace.API
-	pending  map[uint64]time.Time
-	series   *LatencySeries
-	rec      *PerfStream // records the run when non-nil
+	*scenario.Harness
+	target  trace.API
+	pending map[uint64]time.Time
+	series  *LatencySeries
+	rec     *PerfStream // records the run when non-nil
 }
 
 func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg core.Config, rec *PerfStream) *perfHarness {
-	d := openstack.NewDeployment(openstack.Config{Seed: seed, HeartbeatPeriod: 10 * time.Second})
 	acfg.PerfDetection = true
 	if acfg.Latency.MinRun == 0 {
 		acfg.Latency = tsoutliers.Options{Warmup: 12, MinRun: 4, K: 4, MinSpread: 0.008}
@@ -91,15 +89,13 @@ func newPerfHarness(seed int64, target trace.API, lib *fingerprint.Library, acfg
 		rec.Lib, rec.Config = lib, acfg
 	}
 	h := &perfHarness{
-		d:        d,
-		analyzer: core.New(lib, acfg),
-		target:   target,
-		pending:  make(map[uint64]time.Time),
-		series:   &LatencySeries{API: target},
-		rec:      rec,
+		Harness: scenario.New(scenario.Options{Seed: seed, Library: lib, Analyzer: acfg}),
+		target:  target,
+		pending: make(map[uint64]time.Time),
+		series:  &LatencySeries{API: target},
+		rec:     rec,
 	}
-	mon := agent.NewMonitor("analyzer", h.ingest, d.GroundTruth)
-	d.Fabric.Tap(mon.HandlePacket)
+	h.Sink = h.ingest
 	return h
 }
 
@@ -109,7 +105,7 @@ func (h *perfHarness) ingest(ev trace.Event) {
 	if h.rec != nil {
 		h.rec.Events = append(h.rec.Events, ev)
 	}
-	h.analyzer.Ingest(ev)
+	h.Analyzer.Ingest(ev)
 	if ev.API != h.target {
 		return
 	}
@@ -121,7 +117,7 @@ func (h *perfHarness) ingest(ev trace.Event) {
 			delete(h.pending, ev.ConnID)
 			lat := ev.Time.Sub(t0)
 			adj := lat
-			if det := h.analyzer.LatencyDetector(h.target); det != nil {
+			if det := h.Analyzer.LatencyDetector(h.target); det != nil {
 				adj = time.Duration(det.Adjusted(lat.Seconds()) * float64(time.Second))
 			}
 			h.series.Points = append(h.series.Points, LatencyPoint{Time: ev.Time, Latency: lat, Adjusted: adj})
@@ -130,10 +126,8 @@ func (h *perfHarness) ingest(ev trace.Event) {
 }
 
 func (h *perfHarness) finish() *LatencySeries {
-	h.d.StopNoise()
-	h.d.Sim.Run()
-	h.analyzer.Flush()
-	if det := h.analyzer.LatencyDetector(h.target); det != nil {
+	h.Finish()
+	if det := h.Analyzer.LatencyDetector(h.target); det != nil {
 		h.series.Alarms = det.Alarms()
 		h.series.Shifts = det.Shifts()
 		h.series.TempChanges = det.TempChanges()
@@ -153,46 +147,40 @@ type Fig6Result struct {
 // Fig6 reproduces §7.2.2/Fig 6: a steady stream of VM-create operations
 // (400 concurrent at peak), a CPU surge on the Neutron server partway
 // through, and level-shift detection on Neutron's GET /v2.0/ports.json.
-func Fig6(seed int64, concurrent int) Fig6Result { return fig6(seed, concurrent, nil) }
+func Fig6(seed int64, concurrent int) Fig6Result {
+	res, _ := fig6(seed, concurrent, nil)
+	return res
+}
 
-func fig6(seed int64, concurrent int, rec *PerfStream) Fig6Result {
+// fig6 also returns the finished harness, to grade the reports by.
+func fig6(seed int64, concurrent int, rec *PerfStream) (Fig6Result, *scenario.Harness) {
 	if concurrent == 0 {
 		concurrent = 400
 	}
 	target := trace.RESTAPI(trace.SvcNeutron, "GET", "/v2.0/ports.json")
-	lib := coreLib()
-	h := newPerfHarness(seed, target, lib, core.Config{}, rec)
+	h := newPerfHarness(seed, target, scenario.CoreLibrary(), core.Config{}, rec)
 
 	// Maintain roughly `concurrent` in-flight VM creates.
 	stop := false
-	h.d.Sim.Every(2*time.Second, func() bool { return stop }, func() {
-		if h.d.Running() < concurrent {
-			h.d.Start(openstack.OpVMCreate(), nil)
+	h.D.Sim.Every(2*time.Second, func() bool { return stop }, func() {
+		if h.D.Running() < concurrent {
+			h.D.Start(openstack.OpVMCreate(), nil)
 		}
 	})
-	h.d.Sim.RunUntil(h.d.Sim.Now().Add(12 * time.Minute))
-	surgeAt := h.d.Sim.Now()
-	neutron := h.d.Fabric.NodeFor(trace.SvcNeutron)
-	faults.InjectCPUSurge(neutron, 95)
-	h.d.Sim.RunUntil(h.d.Sim.Now().Add(15 * time.Minute))
+	h.Run(12 * time.Minute)
+	surgeAt := h.D.Sim.Now()
+	faults.InjectCPUSurge(h.D.Fabric.NodeFor(trace.SvcNeutron), 95)
+	h.Run(15 * time.Minute)
 	stop = true
 	series := h.finish()
 
 	var perfReports []*core.Report
-	for _, rep := range h.analyzer.Reports() {
+	for _, rep := range h.Reports() {
 		if rep.Kind == core.Performance {
 			perfReports = append(perfReports, rep)
 		}
 	}
-	return Fig6Result{Series: series, SurgeAt: surgeAt, Reports: perfReports}
-}
-
-func coreLib() *fingerprint.Library {
-	lib := fingerprint.NewLibrary()
-	for _, op := range openstack.CoreOperations() {
-		lib.AddAPIs(op.Name, op.Category.String(), op.APIs())
-	}
-	return lib
+	return Fig6Result{Series: series, SurgeAt: surgeAt, Reports: perfReports}, h.Harness
 }
 
 // Fig8bResult carries the injected-latency experiment output.
@@ -232,20 +220,20 @@ func fig8b(seed int64, concurrent int, rec *PerfStream) Fig8bResult {
 		cat.ByCategory[openstack.Compute][:50]...)
 	idx := 0
 	stop := false
-	h.d.Sim.Every(time.Second, func() bool { return stop }, func() {
-		for h.d.Running() < concurrent {
-			h.d.Start(pool[idx%len(pool)].Op, nil)
+	h.D.Sim.Every(time.Second, func() bool { return stop }, func() {
+		for h.D.Running() < concurrent {
+			h.D.Start(pool[idx%len(pool)].Op, nil)
 			idx++
 		}
 	})
 
-	h.d.Sim.RunUntil(h.d.Sim.Now().Add(5 * time.Minute))
-	injectAt := h.d.Sim.Now()
-	h.d.Fabric.InjectLatency("glance-node", 50*time.Millisecond)
-	h.d.Sim.RunUntil(h.d.Sim.Now().Add(10 * time.Minute))
-	removeAt := h.d.Sim.Now()
-	h.d.Fabric.InjectLatency("glance-node", 0)
-	h.d.Sim.RunUntil(h.d.Sim.Now().Add(5 * time.Minute))
+	h.Run(5 * time.Minute)
+	injectAt := h.D.Sim.Now()
+	h.D.Fabric.InjectLatency("glance-node", 50*time.Millisecond)
+	h.Run(10 * time.Minute)
+	removeAt := h.D.Sim.Now()
+	h.D.Fabric.InjectLatency("glance-node", 0)
+	h.Run(5 * time.Minute)
 	stop = true
 	series := h.finish()
 

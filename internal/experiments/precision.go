@@ -6,11 +6,11 @@ import (
 	"strings"
 	"time"
 
-	"gretel/internal/agent"
 	"gretel/internal/core"
 	"gretel/internal/faults"
 	"gretel/internal/fingerprint"
 	"gretel/internal/openstack"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
 	"gretel/internal/tracestore"
@@ -84,8 +84,6 @@ type ParallelRun struct {
 	// on both the deployment (request-id stamping) and the analyzer
 	// (corr-id-filtered matching).
 	CorrelationIDs bool
-	// CaptureEvents, when non-nil, receives every ingested event (debug).
-	CaptureEvents *[]trace.Event
 	// TraceStore, when non-nil, turns on explain mode: every report's
 	// evidence trace is recorded into it.
 	TraceStore *tracestore.Store
@@ -97,64 +95,54 @@ type ParallelRun struct {
 }
 
 // Run executes the parallel workload and aggregates the precision cell.
-func (pr *ParallelRun) Run() PrecisionCell { return pr.runCollect(nil) }
+func (pr *ParallelRun) Run() PrecisionCell {
+	return summarize(pr.run(), pr.Parallel, len(pr.FaultTests))
+}
 
-func (pr *ParallelRun) runCollect(reportsOut *[]*core.Report) PrecisionCell {
-	rng := rand.New(rand.NewSource(pr.Seed))
-	// Tests pace like Tempest's: steps separated by fractions of a
-	// second, so a typical operation completes in seconds and its
-	// fingerprint fits inside the sliding window.
-	d := openstack.NewDeployment(openstack.Config{
-		Seed:            pr.Seed,
-		HeartbeatPeriod: 10 * time.Second,
-		ThinkMin:        50 * time.Millisecond,
-		ThinkMax:        150 * time.Millisecond,
-		CorrelationIDs:  pr.CorrelationIDs,
-	})
-	pr.Analyzer.UseCorrelationIDs = pr.CorrelationIDs
-	if pr.Analyzer.Alpha == 0 {
+// run executes the parallel workload and returns the finished harness.
+func (pr *ParallelRun) run() *scenario.Harness {
+	cfg := pr.Analyzer
+	cfg.UseCorrelationIDs = pr.CorrelationIDs
+	if cfg.Alpha == 0 {
 		// α = 2·max(FPmax, Prate·t). The paper fixes α (768) across all
 		// parallelism levels; here Prate·t is anchored to the 100-test
 		// baseline (each op emits ~16 messages/s at this pacing), so α
 		// stays constant as parallelism grows, exactly as in §7.
-		t := pr.T
-		if t == 0 {
-			t = 10
-		}
-		pr.Analyzer.Prate = 100 * 16
-		pr.Analyzer.T = t
-	}
-	plan := faults.NewPlan()
-	d.Injector = plan
-
-	analyzer := core.New(pr.Library, pr.Analyzer)
-	analyzer.SetExplain(pr.TraceStore)
-	sink := analyzer.Ingest
-	if pr.CaptureEvents != nil {
-		sink = func(ev trace.Event) {
-			*pr.CaptureEvents = append(*pr.CaptureEvents, ev)
-			analyzer.Ingest(ev)
+		cfg.Prate, cfg.T = 100*16, pr.T
+		if cfg.T == 0 {
+			cfg.T = 10
 		}
 	}
-	mon := agent.NewMonitor("analyzer", sink, d.GroundTruth)
-	d.Fabric.Tap(mon.HandlePacket)
+	// Tests pace like Tempest's: steps separated by fractions of a
+	// second, so a typical operation completes in seconds and its
+	// fingerprint fits inside the sliding window.
+	h := scenario.New(scenario.Options{
+		Deploy: openstack.Config{
+			Seed:           pr.Seed,
+			ThinkMin:       50 * time.Millisecond,
+			ThinkMax:       150 * time.Millisecond,
+			CorrelationIDs: pr.CorrelationIDs,
+		},
+		Analyzer: cfg,
+		Library:  pr.Library,
+	})
+	h.Analyzer.SetExplain(pr.TraceStore)
 
 	// Sustain `Parallel` concurrently executing tests.
-	stopPool := tempest.SustainPool(d, pr.Catalog, pr.Parallel, rng)
+	stopPool := tempest.SustainPool(h.D, pr.Catalog, pr.Parallel, rand.New(rand.NewSource(pr.Seed)))
 
 	// Reach steady state, then stagger the faulty instances through the
 	// middle of the run so each has full past and future context.
 	warmup := 60 * time.Second
 	spacing := 15 * time.Second
 	for i, test := range pr.FaultTests {
-		test := test
 		api, ok := chooseFaultAPI(test.Op)
 		if !ok {
 			continue
 		}
-		d.Sim.After(warmup+time.Duration(i)*spacing, func() {
-			inst := d.Start(test.Op, nil)
-			plan.Add(faults.Rule{
+		h.D.Sim.After(warmup+time.Duration(i)*spacing, func() {
+			inst := h.D.Start(test.Op, nil)
+			h.Plan.Add(faults.Rule{
 				OpID: inst.ID, API: api, StepIndex: -1, Once: true,
 				Outcome: openstack.Outcome{Status: 500,
 					ErrText: "Internal Server Error: injected fault in " + test.Op.Name},
@@ -164,29 +152,18 @@ func (pr *ParallelRun) runCollect(reportsOut *[]*core.Report) PrecisionCell {
 
 	// Run long enough for every fault's snapshot to fill, then drain.
 	tail := 2 * time.Minute
-	d.Sim.RunUntil(d.Sim.Now().Add(warmup + time.Duration(len(pr.FaultTests))*spacing + tail))
+	h.Run(warmup + time.Duration(len(pr.FaultTests))*spacing + tail)
 	stopPool()
-	d.Sim.RunUntil(d.Sim.Now().Add(time.Minute))
-	d.StopNoise()
-	d.Sim.Run()
-	analyzer.Flush()
-
-	if reportsOut != nil {
-		*reportsOut = analyzer.Reports()
-	}
-	return summarize(analyzer, pr.Parallel, len(pr.FaultTests))
+	h.Run(time.Minute)
+	h.Finish()
+	return h
 }
 
-// runWithReports is a test helper: run and also expose raw reports.
-func runWithReports(pr *ParallelRun, out *[]*core.Report) PrecisionCell {
-	pr2 := *pr
-	cell := pr2.runCollect(out)
-	return cell
-}
-
-func summarize(a *core.Analyzer, parallel, faultCount int) PrecisionCell {
+// summarize grades a finished run's reports against the harness's
+// ground truth.
+func summarize(h *scenario.Harness, parallel, faultCount int) PrecisionCell {
 	cell := PrecisionCell{Parallel: parallel, Faults: faultCount}
-	reps := a.Reports()
+	reps := h.Reports()
 	cell.Reports = len(reps)
 	if len(reps) == 0 {
 		return cell
@@ -198,7 +175,7 @@ func summarize(a *core.Analyzer, parallel, faultCount int) PrecisionCell {
 		matched += float64(len(rep.Candidates))
 		byErr += float64(rep.CandidatesByErrorOnly)
 		beta += float64(rep.Beta)
-		if rep.Hit() {
+		if h.Hit(rep) {
 			hits++
 		}
 		if rep.ReportDelay > cell.MaxReportDelay {
@@ -289,23 +266,26 @@ func Fig7c(seed int64) (withRPC, withoutRPC PrecisionCell) {
 func Fig8a(seed int64, parallels []int) []PrecisionCell {
 	c := tempest.NewCatalog(seed)
 	lib := GroundTruthLibrary(c)
-	rng := rand.New(rand.NewSource(seed ^ 0x8a))
-	// One Compute test with a usable fault point, repeated 16 times.
-	one := pickFaultTests(c, 1, rng)[0]
-	faultTests := make([]*tempest.Test, 16)
+	var out []PrecisionCell
+	for _, p := range parallels {
+		out = append(out, fig8aRun(seed, c, lib, p, 16).Run())
+	}
+	return out
+}
+
+// fig8aRun is Fig 8a's run at one parallelism: n instances of one Compute
+// test with a usable fault point, each failing once.
+func fig8aRun(seed int64, c *tempest.Catalog, lib *fingerprint.Library, parallel, n int) *ParallelRun {
+	one := pickFaultTests(c, 1, rand.New(rand.NewSource(seed^0x8a)))[0]
+	faultTests := make([]*tempest.Test, n)
 	for i := range faultTests {
 		faultTests[i] = one
 	}
-	var out []PrecisionCell
-	for _, p := range parallels {
-		run := &ParallelRun{
-			Catalog: c, Library: lib, Parallel: p,
-			FaultTests: faultTests,
-			Seed:       seed ^ int64(p)*31,
-		}
-		out = append(out, run.Run())
+	return &ParallelRun{
+		Catalog: c, Library: lib, Parallel: parallel,
+		FaultTests: faultTests,
+		Seed:       seed ^ int64(parallel)*31,
 	}
-	return out
 }
 
 // FormatPrecision renders precision cells as a table.

@@ -7,11 +7,11 @@ import (
 	"strings"
 	"time"
 
-	"gretel/internal/agent"
 	"gretel/internal/core"
 	"gretel/internal/hansel"
 	"gretel/internal/openstack"
 	"gretel/internal/replay"
+	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
 )
@@ -145,40 +145,36 @@ func Overhead(seed int64, parallel int) OverheadResult {
 	runtime.ReadMemStats(&ms0)
 
 	runSeed := seed ^ 0x0bead
-	d := openstack.NewDeployment(openstack.Config{Seed: runSeed, HeartbeatPeriod: 10 * time.Second})
-	analyzer := core.New(lib, core.Config{})
+	h := scenario.New(scenario.Options{Seed: runSeed, Library: lib})
 	var analyzerWall time.Duration
-	mon := agent.NewMonitor("analyzer", func(ev trace.Event) {
+	h.Sink = func(ev trace.Event) {
 		t0 := time.Now()
-		analyzer.Ingest(ev)
+		h.Analyzer.Ingest(ev)
 		analyzerWall += time.Since(t0)
-	}, d.GroundTruth)
-	d.Fabric.Tap(mon.HandlePacket)
+	}
 
 	startWall := time.Now()
-	startSim := d.Sim.Now()
+	startSim := h.D.Sim.Now()
 	rng := rand.New(rand.NewSource(runSeed))
 	for i := 0; i < parallel; i++ {
-		d.Start(cat.Tests[rng.Intn(len(cat.Tests))].Op, nil)
+		h.D.Start(cat.Tests[rng.Intn(len(cat.Tests))].Op, nil)
 	}
-	d.Sim.RunUntil(d.Sim.Now().Add(2 * time.Hour))
-	d.StopNoise()
-	d.Sim.Run()
-	analyzer.Flush()
+	h.Run(2 * time.Hour)
+	h.Finish()
 	totalWall := time.Since(startWall)
 
 	runtime.ReadMemStats(&ms1)
 	res := OverheadResult{
 		Tests:         parallel,
-		Events:        analyzer.Stats.Events,
+		Events:        h.Analyzer.Stats.Events,
 		AnalyzerWall:  analyzerWall,
-		SimulatedSpan: d.Sim.Now().Sub(startSim),
+		SimulatedSpan: h.D.Sim.Now().Sub(startSim),
 		TotalWall:     totalWall,
 		HeapGrowthMB:  float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / 1e6,
 		PeakHeapMB:    float64(ms1.HeapSys) / 1e6,
 	}
-	if analyzer.Stats.Events > 0 {
-		res.PerEvent = analyzerWall / time.Duration(analyzer.Stats.Events)
+	if res.Events > 0 {
+		res.PerEvent = analyzerWall / time.Duration(res.Events)
 	}
 	if totalWall > 0 {
 		res.AnalyzerShare = float64(analyzerWall) / float64(totalWall)

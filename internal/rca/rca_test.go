@@ -49,11 +49,27 @@ func findCause(t *testing.T, reps []*core.Report, node, kind, substr string) *co
 	return nil
 }
 
+// checkTruthJoin asserts, once the test ends, that the harness's
+// wire-identifier join grades every report exactly as the truth the
+// monitor writes onto events does.
+func checkTruthJoin(t *testing.T, h *scenario.Harness) {
+	t.Cleanup(func() {
+		for _, rep := range h.Reports() {
+			id, op := h.Truth(rep)
+			if id != rep.Fault.OpID || op != rep.TruthOp || h.Hit(rep) != rep.Hit() {
+				t.Errorf("report at %v: join (%d, %s, hit %v), decoration (%d, %s, hit %v)",
+					rep.Fault.Time, id, op, h.Hit(rep), rep.Fault.OpID, rep.TruthOp, rep.Hit())
+			}
+		}
+	})
+}
+
 // TestCaseStudyFailedImageUpload reproduces §7.2.1: image upload fails
 // with REST 413 from Glance; RCA finds low free disk on the Glance node.
 func TestCaseStudyFailedImageUpload(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 101, WithRCA: true, PollPeriod: time.Second})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	glance := h.D.Fabric.NodeFor(trace.SvcGlance)
 	faults.ExhaustDisk(glance, 0.8)
 	h.Plan.FailAPI(trace.RESTAPI(trace.SvcGlance, "PUT", "/v2/images/{id}/file"),
@@ -65,8 +81,8 @@ func TestCaseStudyFailedImageUpload(t *testing.T) {
 	h.Finish()
 
 	rep := findCause(t, h.Reports(), "glance-node", "resource", "disk")
-	if !rep.Hit() {
-		t.Fatalf("operation not localized: candidates=%v truth=%s", rep.Candidates, rep.TruthOp)
+	if _, truth := h.Truth(rep); !h.Hit(rep) {
+		t.Fatalf("operation not localized: candidates=%v truth=%s", rep.Candidates, truth)
 	}
 	// The paper narrowed this fault to exactly one operation.
 	if len(rep.Candidates) != 1 || rep.Candidates[0] != "image-upload" {
@@ -91,6 +107,7 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 		},
 	})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	neutron := h.D.Fabric.NodeFor(trace.SvcNeutron)
 
 	// Steady VM-create stream to establish latency baselines, then the
@@ -120,7 +137,7 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 		t.Fatal("no performance report for a Neutron API")
 	}
 	findCause(t, []*core.Report{perf}, "neutron-node", "resource", "CPU")
-	if !perf.Hit() {
+	if !h.Hit(perf) {
 		t.Fatalf("operation not identified: %v", perf.Candidates)
 	}
 }
@@ -132,6 +149,7 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 107, WithRCA: true, PollPeriod: time.Second})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	for _, n := range h.D.ComputeNodes() {
 		faults.StopDependency(n, "neutron-plugin-linuxbridge-agent")
 	}
@@ -149,8 +167,8 @@ func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
 	h.Finish()
 
 	rep := findCause(t, h.Reports(), "compute-1", "software", "neutron-plugin-linuxbridge-agent")
-	if !rep.Hit() || rep.TruthOp != "vm-create" {
-		t.Fatalf("vm-create not localized: %v (truth %s)", rep.Candidates, rep.TruthOp)
+	if _, truth := h.Truth(rep); !h.Hit(rep) || truth != "vm-create" {
+		t.Fatalf("vm-create not localized: %v (truth %s)", rep.Candidates, truth)
 	}
 	// The offending API is the upstream RPC, not the relayed REST error.
 	if rep.OffendingAPI.Kind != trace.RPC {
@@ -168,6 +186,7 @@ func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
 func TestCaseStudyNTPFailure(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 109, WithRCA: true, PollPeriod: time.Second})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	cinder := h.D.Fabric.NodeFor(trace.SvcCinder)
 	faults.StopDependency(cinder, "ntp")
 	h.Plan.Add(faults.Rule{
@@ -252,6 +271,7 @@ func TestRCACleanSystemReportsNothing(t *testing.T) {
 func TestCaseStudyMySQLOutage(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 131, WithRCA: true, PollPeriod: time.Second})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	// The watchers observe TCP reachability to MySQL from every node.
 	mysql := h.D.Fabric.Node("mysql-node")
 	mysql.Up = false
@@ -284,6 +304,7 @@ func TestCaseStudyMySQLOutage(t *testing.T) {
 func TestCaseStudyBrokerOutage(t *testing.T) {
 	h := scenario.New(scenario.Options{Seed: 137, WithRCA: true, PollPeriod: time.Second})
 	checkAgainstReference(t, h)
+	checkTruthJoin(t, h)
 	h.D.BrokerNode().Up = false
 	inst := h.D.Start(openstack.OpVolumeCreate(), nil)
 	h.Run(30 * time.Minute)

@@ -5,9 +5,15 @@
 //
 // The case-study tests (§7.2), the evaluation experiments (§7.3/§7.4)
 // and the runnable examples all build on this harness.
+//
+// Ground truth meets reports here and nowhere else: Truth and Hit join a
+// report's offending message, by its wire identifiers (connection and
+// message id), to the deployment's record of which operation sent it.
+// Graders read truth through them, never off the report.
 package scenario
 
 import (
+	"slices"
 	"time"
 
 	"gretel/internal/agent"
@@ -43,6 +49,9 @@ type Harness struct {
 	Plan     *faults.Plan
 	Monitor  *agent.Monitor
 	Engine   *rca.Engine
+	// Sink receives every event the monitor emits. New sets it to
+	// Analyzer.Ingest; a caller may wrap it before running.
+	Sink agent.Sink
 
 	finished bool
 }
@@ -78,9 +87,8 @@ func New(opts Options) *Harness {
 	}
 	h.D.Injector = h.Plan
 	h.Analyzer = core.New(lib, opts.Analyzer)
-	h.Monitor = agent.NewMonitor("analyzer", func(ev trace.Event) {
-		h.Analyzer.Ingest(ev)
-	}, h.D.GroundTruth)
+	h.Sink = h.Analyzer.Ingest
+	h.Monitor = agent.NewMonitor("analyzer", func(ev trace.Event) { h.Sink(ev) }, h.D.GroundTruth)
 	h.D.Fabric.Tap(h.Monitor.HandlePacket)
 
 	if opts.WithRCA {
@@ -110,3 +118,15 @@ func (h *Harness) Finish() {
 
 // Reports is shorthand for the analyzer's reports.
 func (h *Harness) Reports() []*core.Report { return h.Analyzer.Reports() }
+
+// Truth is the operation instance that sent the report's offending
+// message, joined by the message's wire identifiers.
+func (h *Harness) Truth(rep *core.Report) (opID uint64, op string) {
+	return h.D.GroundTruth(rep.Fault.ConnID, rep.Fault.MsgID)
+}
+
+// Hit reports whether the report's candidate set contains its truth.
+func (h *Harness) Hit(rep *core.Report) bool {
+	_, op := h.Truth(rep)
+	return slices.Contains(rep.Candidates, op)
+}

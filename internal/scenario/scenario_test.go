@@ -39,7 +39,7 @@ func TestHarnessEndToEnd(t *testing.T) {
 	if len(reps) != 1 {
 		t.Fatalf("reports = %d", len(reps))
 	}
-	if !reps[0].Hit() {
+	if !h.Hit(reps[0]) {
 		t.Fatalf("candidates = %v", reps[0].Candidates)
 	}
 	if h.Monitor.ParseErrors != 0 {
@@ -171,26 +171,21 @@ func TestBranchedFingerprintExtension(t *testing.T) {
 	for _, v := range variants {
 		lib.AddAPIs("branchy-op", "Network", v)
 	}
-	d := openstack.NewDeployment(openstack.Config{Seed: 4242})
-	plan := faults.NewPlan()
-	plan.FailAPI(asyncAPI, 500, "boom in the async branch")
-	d.Injector = plan
-	analyzer := core.New(lib, core.Config{Alpha: 64})
-	mon := agent.NewMonitor("x", analyzer.Ingest, d.GroundTruth)
-	d.Fabric.Tap(mon.HandlePacket)
+	h := New(Options{Seed: 4242, Library: lib, Analyzer: core.Config{Alpha: 64}})
+	h.Plan.FailAPI(asyncAPI, 500, "boom in the async branch")
 	// Start instances until one takes the async branch and faults.
 	for i := 0; i < 10; i++ {
-		d.Start(branchy, nil)
+		h.D.Start(branchy, nil)
 	}
-	d.Sim.Run()
-	analyzer.Flush()
+	h.Run(10 * time.Minute)
+	h.Finish()
 
-	reps := analyzer.Reports()
+	reps := h.Reports()
 	if len(reps) == 0 {
 		t.Fatal("no instance took the async branch in 10 runs")
 	}
 	for _, rep := range reps {
-		if !rep.Hit() {
+		if !h.Hit(rep) {
 			t.Fatalf("async-branch fault not localized: %v", rep.Candidates)
 		}
 		if len(rep.Candidates) != 1 {
