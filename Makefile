@@ -26,13 +26,14 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 19935
+LOC_CEILING := 19692
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
 	[ "$$total" -le $(LOC_CEILING) ]
 	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field the ROADMAP's "Refresh the benchmark contract" item deletes
+	@[ "$$(grep -rn '\.Events()' --include='*.go' . | grep -vc '^./bench/')" -eq 2 ] # Receiver.Events' one remaining test, TestReceiverCloseMidBurst's Events case; the same item deletes both
 
 # Every benchmark of the root package — the thirteen pipeline scenarios
 # and the paper-figure / ablation ones — on the full workloads, three

@@ -43,6 +43,14 @@ func runAgent(args []string) error {
 		partKey      = fs.String("name", "agent", "federation partition key reported to -coord; one key per deployment, since event pairing spans its nodes")
 	)
 	err := p.parse(args, func() error {
+		switch {
+		case *parallel < 0:
+			return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
+		case *nFaults < 0:
+			return fmt.Errorf("-faults must be >= 0, got %d", *nFaults)
+		case *spool < 0:
+			return fmt.Errorf("-spool must be >= 0, got %d (0 means 4096)", *spool)
+		}
 		if _, ok := scenarios[*scenarioF]; !ok {
 			return fmt.Errorf("-scenario: unknown case study %q", *scenarioF)
 		}

@@ -37,27 +37,41 @@ func wantUsage(t *testing.T, label string, err error, want string) {
 	}
 }
 
-// TestValidateFlags: the analyzer's size and policy flags reject values
-// that parse but cannot be meant, before anything starts.
+// TestValidateFlags: the analyzer's and the agent's size and policy flags
+// reject values that parse but cannot be meant, before anything starts.
 func TestValidateFlags(t *testing.T) {
-	analyze := lookup(t, "analyze")
+	analyze, agentCmd := lookup(t, "analyze"), lookup(t, "agent")
 	for _, b := range []struct {
+		cmd     command
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-detect-backlog", "-1"}, "-detect-backlog"},
-		{[]string{"-trace-store-cap", "-5"}, "-trace-store-cap"},
-		{[]string{"-wal-fsync", "sometimes"}, "-wal-fsync"},
+		{analyze, []string{"-detect-backlog", "-1"}, "-detect-backlog"},
+		{analyze, []string{"-trace-store-cap", "-5"}, "-trace-store-cap"},
+		{analyze, []string{"-wal-fsync", "sometimes"}, "-wal-fsync"},
+		{agentCmd, []string{"-spool", "-1"}, "-spool"},
+		{agentCmd, []string{"-parallel", "-1"}, "-parallel"},
+		{agentCmd, []string{"-faults", "-1"}, "-faults"},
 	} {
-		wantUsage(t, "analyze "+strings.Join(b.args, " "), analyze.run(b.args), b.wantErr)
+		wantUsage(t, b.cmd.name+" "+strings.Join(b.args, " "), b.cmd.run(b.args), b.wantErr)
 	}
 
-	// The accepted edge of every checked flag, on a run small enough to
+	// The accepted edge of every checked flag, on runs small enough to
 	// finish in a moment.
 	err := analyze.run([]string{"-replay", "2000", "-quiet", "-detect-backlog", "0", "-trace-store-cap", "0",
 		"-wal-fsync", "none"})
 	if err != nil {
 		t.Fatalf("valid analyze flags: %v", err)
+	}
+	recv, err := agent.ListenConfig(agent.ReceiverConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	err = agentCmd.run([]string{"-analyzer", recv.Addr(), "-spool", "0", "-parallel", "0", "-faults", "0",
+		"-duration", "1s"})
+	if err != nil {
+		t.Fatalf("valid agent flags: %v", err)
 	}
 }
 

@@ -14,10 +14,8 @@ package agent
 
 import (
 	"bytes"
-	"net"
 	"net/netip"
 	"regexp"
-	"time"
 
 	"gretel/internal/amqp"
 	"gretel/internal/cluster"
@@ -500,29 +498,4 @@ type DepStatus struct {
 	Node    string
 	Name    string
 	Running bool
-}
-
-// WatchDependencies snapshots the watcher view of every dependency on
-// every node — TCP-level reachability to MySQL/RabbitMQ/NTP and liveness
-// of installed agents/plugins (§6 "System state monitoring").
-func WatchDependencies(f *cluster.Fabric) []DepStatus {
-	var out []DepStatus
-	for _, n := range f.Nodes() {
-		for _, d := range n.Dependencies() {
-			out = append(out, DepStatus{Node: n.Name, Name: d.Name, Running: d.Running && n.Up})
-		}
-	}
-	return out
-}
-
-// CheckTCPReachable performs the watcher's live TCP-level reachability
-// probe (§6: "watchers to detect TCP-level reachability to MySQL,
-// RabbitMQ and NTP servers"): dial with a deadline, close immediately.
-func CheckTCPReachable(addr string, timeout time.Duration) bool {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return false
-	}
-	conn.Close()
-	return true
 }

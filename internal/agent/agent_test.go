@@ -2,7 +2,6 @@ package agent
 
 import (
 	"encoding/json"
-	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -303,21 +302,6 @@ func TestServiceHelpers(t *testing.T) {
 		if got := serviceFromTopic([]byte(in[0]), []byte(in[1])); got != want {
 			t.Errorf("serviceFromTopic(%q,%q) = %v, want %v", in[0], in[1], got, want)
 		}
-	}
-}
-
-func TestCheckTCPReachable(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	if !CheckTCPReachable(addr, time.Second) {
-		t.Fatal("live listener reported unreachable")
-	}
-	ln.Close()
-	if CheckTCPReachable(addr, 200*time.Millisecond) {
-		t.Fatal("closed listener reported reachable")
 	}
 }
 

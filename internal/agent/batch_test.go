@@ -77,7 +77,7 @@ func wantSeqs(t *testing.T, got []uint64, want ...uint64) {
 // that holds everything at once: replayed duplicates at the front, new
 // frames, a gap, an unsequenced frame.
 func TestAdmitRunCompactsInPlace(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAdmitRunCompactsInPlace(t *testing.T) {
 // out, the gap surfaces once with the right count, and the ledger
 // closes: delivered + missing == sent.
 func TestReconnectReplayInsideOneBatch(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestReconnectReplayInsideOneBatch(t *testing.T) {
 // resync is counted, the frames on both sides are delivered in order,
 // and the lost one is a gap, not silence.
 func TestCorruptFrameMidRead(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

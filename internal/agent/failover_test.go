@@ -14,11 +14,11 @@ import (
 // receiver misread the whole unseen prefix as a gap. With the session
 // base adopted, the replacement reports zero missing frames.
 func TestRedialToReplacementAdoptsSession(t *testing.T) {
-	recvA, err := Listen("127.0.0.1:0")
+	recvA, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recvB, err := Listen("127.0.0.1:0")
+	recvB, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +55,7 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	if shed := s.Stats().Shed; shed != 0 {
 		t.Fatalf("test setup shed %d frames", shed)
 	}
-	gotA := 0
-	for timeout := time.After(5 * time.Second); gotA < total; {
-		select {
-		case <-recvA.Events():
-			gotA++
-		case <-timeout:
-			t.Fatalf("receiver A got %d/%d events", gotA, total)
-		}
-	}
+	takeEvents(t, recvA, total, 5*time.Second)
 
 	// Fail the analyzer over: reassign first, then kill A so the very
 	// next redial resolves to the replacement.
@@ -91,11 +83,14 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	replayedAtB := 0
 	for {
 		select {
-		case ev := <-recvB.Events():
-			if ev.Seq <= total-uint64(cfg.Ring) {
-				t.Fatalf("replacement received seq %d, below the retained suffix", ev.Seq)
+		case batch := <-recvB.Batches():
+			for _, ev := range batch {
+				if ev.Seq <= total-uint64(cfg.Ring) {
+					t.Fatalf("replacement received seq %d, below the retained suffix", ev.Seq)
+				}
 			}
-			replayedAtB++
+			replayedAtB += len(batch)
+			recvB.Recycle(batch)
 			continue
 		case <-time.After(50 * time.Millisecond):
 		}
@@ -114,7 +109,7 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 // must accept the new stream rather than deduplicating it against the
 // dead session's high-water mark.
 func TestAgentRestartStartsNewSession(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +127,7 @@ func TestAgentRestartStartsNewSession(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for got := 0; got < 50; got++ {
-		select {
-		case <-recv.Events():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("first incarnation delivered %d/50", got)
-		}
-	}
+	takeEvents(t, recv, 50, 5*time.Second) // the first incarnation
 
 	cfg.Session = 2
 	s2, err := DialConfig(cfg)
@@ -152,13 +141,8 @@ func TestAgentRestartStartsNewSession(t *testing.T) {
 	if err := s2.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for got := 0; got < 10; got++ {
-		select {
-		case <-recv.Events():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("restarted agent delivered %d/10 — deduplicated against the old session", got)
-		}
-	}
+	// Short of 10, the restart was deduplicated against the old session.
+	takeEvents(t, recv, 10, 5*time.Second)
 	st := recv.AgentStats()["phoenix"]
 	if st.Dups != 0 || st.Missing != 0 {
 		t.Fatalf("restart accounting polluted: %+v", st)
@@ -168,7 +152,7 @@ func TestAgentRestartStartsNewSession(t *testing.T) {
 // TestReceiverHelloSessionStateMachine pins the tracker transitions
 // directly: reconnect vs shed-while-away vs new session vs legacy hello.
 func TestReceiverHelloSessionStateMachine(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,6 @@
 package agent
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"gretel/internal/seglog"
 	"gretel/internal/trace"
 )
@@ -77,45 +72,4 @@ func appendEventFrame(dst []byte, ev *trace.Event, seq uint64) []byte {
 	dst = trace.AppendEvent(seglog.Reserve(dst), ev)
 	seglog.Seal(dst[start:], frameEvent, seq)
 	return dst
-}
-
-// WriteEvent encodes one unsequenced event frame (test and
-// single-purpose producers; the Sender assigns sequence numbers).
-func WriteEvent(w io.Writer, ev *trace.Event) error {
-	_, err := w.Write(appendEventFrame(nil, ev, 0))
-	return err
-}
-
-// WriteState encodes one unsequenced state-update frame.
-func WriteState(w io.Writer, u *StateUpdate) error {
-	body, err := json.Marshal(u)
-	if err != nil {
-		return fmt.Errorf("agent: encoding frame: %w", err)
-	}
-	_, err = w.Write(seglog.AppendRecord(nil, frameState, 0, body))
-	return err
-}
-
-// ReadEvent decodes one frame, which must be an event frame (test and
-// single-purpose consumers; the Receiver handles mixed streams).
-func ReadEvent(r io.Reader) (trace.Event, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	kind, _, body, _, err := seglog.ReadRecord(br, frameKinds, nil, seglog.Socket)
-	if err != nil {
-		return trace.Event{}, err
-	}
-	if kind != frameEvent {
-		return trace.Event{}, fmt.Errorf("agent: expected event frame, got %q", kind)
-	}
-	var (
-		dec trace.Decoder
-		ev  trace.Event
-	)
-	if err := dec.Decode(kind, body, &ev); err != nil {
-		return trace.Event{}, fmt.Errorf("agent: decoding event: %w", err)
-	}
-	return ev, nil
 }

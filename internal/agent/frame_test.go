@@ -44,9 +44,9 @@ func TestEventFrameGolden(t *testing.T) {
 		if !bytes.Equal(tc.frame, want) {
 			t.Errorf("%s: frame encoding drifted from the golden\n got: %x\nwant: %x", tc.file, tc.frame, want)
 		}
-		got, err := ReadEvent(bytes.NewReader(want))
+		got, err := readEventFrame(want)
 		if err != nil {
-			t.Fatalf("%s: ReadEvent: %v", tc.file, err)
+			t.Fatalf("%s: reading the golden frame: %v", tc.file, err)
 		}
 		if !sameEvent(got, ev) {
 			t.Errorf("%s: decoded %+v, want %+v", tc.file, got, ev)
@@ -63,10 +63,10 @@ func TestV1EventFrameIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadEvent(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unknown event body version 1") {
-		t.Fatalf("ReadEvent(v1 frame) = %v, want the unknown-version error", err)
+	if _, err := readEventFrame(v1); err == nil || !strings.Contains(err.Error(), "unknown event body version 1") {
+		t.Fatalf("reading the v1 frame: %v, want the unknown-version error", err)
 	}
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,10 @@ func TestV1EventFrameIsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, seq := range []uint64{8, 10} {
-		select {
-		case got := <-recv.Events():
-			if got != sampleEvent(seq) {
-				t.Fatalf("got %+v, want event %d", got, seq)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout waiting for event %d", seq)
+	got := takeEvents(t, recv, 2, 5*time.Second)
+	for i, seq := range []uint64{8, 10} {
+		if got[i] != sampleEvent(seq) {
+			t.Fatalf("got %+v, want event %d", got[i], seq)
 		}
 	}
 	if got := decode.Value() - before; got != 1 {
@@ -123,7 +119,7 @@ func sameEvent(a, b trace.Event) bool {
 // read — not decoded, not a decode error — the stream resynchronises on
 // the next frame, and the sequence number it carried is declared missing.
 func TestReceiverSkipsLegacyJSONFrame(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +138,10 @@ func TestReceiverSkipsLegacyJSONFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, seq := range []uint64{1, 3} {
-		select {
-		case got := <-recv.Events():
-			if want := sampleEvent(seq); got != want {
-				t.Fatalf("got %+v, want event %d", got, seq)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout waiting for event %d", seq)
+	got := takeEvents(t, recv, 2, 5*time.Second)
+	for i, seq := range []uint64{1, 3} {
+		if want := sampleEvent(seq); got[i] != want {
+			t.Fatalf("got %+v, want event %d", got[i], seq)
 		}
 	}
 	if got := skipped.Value() - skipped0; got != uint64(len(legacy)) {

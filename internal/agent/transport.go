@@ -74,7 +74,7 @@ type SenderConfig struct {
 	// Addr is empty) and go through the normal backoff.
 	Resolve func() (string, error)
 	// Session names this sender incarnation in hello frames (default:
-	// wall-clock nanoseconds at Dial). A receiver that has never seen
+	// wall-clock nanoseconds at DialConfig). A receiver that has never seen
 	// the session — a fresh replacement analyzer, or the same analyzer
 	// after an agent restart — adopts the hello's base sequence instead
 	// of misreading the unseen history as a gap.
@@ -234,7 +234,6 @@ type Sender struct {
 	kick      chan struct{}
 	stop      chan struct{}
 	done      chan struct{}
-	connected atomic.Bool
 	firstConn chan struct{}
 	connOnce  sync.Once
 	lastAddr  atomic.Value // string: most recently resolved target
@@ -249,15 +248,10 @@ func (s *Sender) target() string {
 	return s.cfg.Addr
 }
 
-// Dial starts a sender for the analyzer's event listener with default
-// configuration. Dialing is lazy: the sender is usable immediately and
-// connects (and keeps reconnecting) in the background — use
-// WaitConnected to bound startup ordering.
-func Dial(addr string) (*Sender, error) {
-	return DialConfig(SenderConfig{Addr: addr})
-}
-
-// DialConfig starts a sender with explicit configuration.
+// DialConfig starts a sender for the analyzer's event listener. Dialing
+// is lazy: the sender is usable immediately and connects (and keeps
+// reconnecting) in the background — use WaitConnected to bound startup
+// ordering.
 func DialConfig(cfg SenderConfig) (*Sender, error) {
 	cfg.defaults()
 	if cfg.Addr == "" && cfg.Resolve == nil {
@@ -286,9 +280,6 @@ func (s *Sender) WaitConnected(timeout time.Duration) error {
 		return fmt.Errorf("agent: no connection to %s within %v: %v", s.target(), timeout, s.err())
 	}
 }
-
-// Connected reports whether a connection is currently established.
-func (s *Sender) Connected() bool { return s.connected.Load() }
 
 // Stats returns a snapshot of the sequence space.
 func (s *Sender) Stats() SenderStats {
@@ -435,9 +426,7 @@ func (s *Sender) run() {
 		}
 		first = false
 		s.connOnce.Do(func() { close(s.firstConn) })
-		s.connected.Store(true)
 		err := s.stream(conn)
-		s.connected.Store(false)
 		conn.Close()
 		if err == errSenderStopped {
 			return
@@ -727,13 +716,7 @@ type Receiver struct {
 	shutdown bool
 }
 
-// Listen starts a receiver on addr with default configuration (no
-// liveness tracking).
-func Listen(addr string) (*Receiver, error) {
-	return ListenConfig(ReceiverConfig{Addr: addr})
-}
-
-// ListenConfig starts a receiver with explicit configuration.
+// ListenConfig starts a receiver on cfg.Addr.
 func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 30 * time.Second

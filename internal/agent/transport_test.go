@@ -66,6 +66,53 @@ func decodeEventBody(t *testing.T, kind byte, body []byte) trace.Event {
 	return ev
 }
 
+// readEventFrame reads the first frame of b and decodes it as an event,
+// the receiver's two steps: seglog's reader, then trace's decoder.
+func readEventFrame(b []byte) (trace.Event, error) {
+	var (
+		dec trace.Decoder
+		ev  trace.Event
+	)
+	kind, _, body, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
+	if err == nil {
+		err = dec.Decode(kind, body, &ev)
+	}
+	return ev, err
+}
+
+// stateFrame builds an unsequenced state-update frame around the JSON
+// body SendState spools.
+func stateFrame(t *testing.T, u StateUpdate) []byte {
+	t.Helper()
+	body, err := json.Marshal(&u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seglog.AppendRecord(nil, frameState, 0, body)
+}
+
+// takeEvents reads at least n events from the receiver the way the
+// analyzer does, a batch at a time, recycling each batch once copied out.
+// It fails the test if the stream closes or the timeout passes first.
+func takeEvents(t *testing.T, r *Receiver, n int, timeout time.Duration) []trace.Event {
+	t.Helper()
+	var got []trace.Event
+	deadline := time.After(timeout)
+	for len(got) < n {
+		select {
+		case batch, ok := <-r.Batches():
+			if !ok {
+				t.Fatalf("receiver closed after %d of %d events", len(got), n)
+			}
+			got = append(got, batch...)
+			r.Recycle(batch)
+		case <-deadline:
+			t.Fatalf("timeout after %d of %d events", len(got), n)
+		}
+	}
+	return got
+}
+
 // fastSender returns a SenderConfig with test-tight timers.
 func fastSender(addr, name string) SenderConfig {
 	return SenderConfig{
@@ -77,12 +124,8 @@ func fastSender(addr, name string) SenderConfig {
 }
 
 func TestWriteReadEventRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	ev := sampleEvent(3)
-	if err := WriteEvent(&buf, &ev); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEvent(&buf)
+	got, err := readEventFrame(binFrame(0, ev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +139,7 @@ func TestWriteReadEventRoundTrip(t *testing.T) {
 }
 
 func TestReadEventRejectsGarbageStream(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadEvent(&buf); err == nil {
+	if _, err := readEventFrame([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("garbage stream accepted")
 	}
 }
@@ -123,9 +164,7 @@ func TestReadFrameSkipsOversizedLength(t *testing.T) {
 }
 
 func TestReadEventShortBody(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := ReadEvent(&buf); err == nil {
+	if _, err := readEventFrame([]byte{0, 0, 0, 10, 'x'}); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }
@@ -153,11 +192,11 @@ func TestReadFrameResyncAfterCorruptFrame(t *testing.T) {
 }
 
 func TestSenderReceiverEndToEnd(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender, err := Dial(recv.Addr())
+	sender, err := DialConfig(SenderConfig{Addr: recv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +209,7 @@ func TestSenderReceiverEndToEnd(t *testing.T) {
 		sender.Close()
 	}()
 
-	var got []trace.Event
-	timeout := time.After(5 * time.Second)
-	for len(got) < n {
-		select {
-		case ev, ok := <-recv.Events():
-			if !ok {
-				t.Fatalf("receiver closed early after %d events", len(got))
-			}
-			got = append(got, ev)
-		case <-timeout:
-			t.Fatalf("timeout after %d events", len(got))
-		}
-	}
+	got := takeEvents(t, recv, n, 5*time.Second)
 	// Per-connection ordering must be preserved (§5.2).
 	for i := range got {
 		if got[i].Seq != uint64(i+1) {
@@ -193,7 +220,7 @@ func TestSenderReceiverEndToEnd(t *testing.T) {
 }
 
 func TestMultipleSenders(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,24 +241,11 @@ func TestMultipleSenders(t *testing.T) {
 			snd.Close()
 		}()
 	}
-	count := 0
-	timeout := time.After(5 * time.Second)
-	for count < senders*per {
-		select {
-		case _, ok := <-recv.Events():
-			if !ok {
-				t.Fatalf("closed early at %d", count)
-			}
-			count++
-		case <-timeout:
-			t.Fatalf("timeout at %d events", count)
-		}
-	}
+	takeEvents(t, recv, senders*per, 5*time.Second)
 	recv.Close()
 }
 
 func TestStateFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	u := StateUpdate{
 		Time: time.Date(2016, 12, 12, 0, 0, 5, 0, time.UTC),
 		Nodes: []NodeState{{
@@ -241,14 +255,12 @@ func TestStateFrameRoundTrip(t *testing.T) {
 		Samples: []MetricSample{{Node: "glance-node", Metric: "disk_free_gb",
 			Time: time.Date(2016, 12, 12, 0, 0, 5, 0, time.UTC), Value: 0.6}},
 	}
-	if err := WriteState(&buf, &u); err != nil {
-		t.Fatal(err)
+	frame := stateFrame(t, u)
+	// The event reader must reject a state frame.
+	if _, err := readEventFrame(frame); err == nil {
+		t.Fatal("a state frame decoded as an event")
 	}
-	// ReadEvent must reject a state frame.
-	if _, err := ReadEvent(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadEvent accepted a state frame")
-	}
-	kind, seq, body, skipped, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
+	kind, seq, body, skipped, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil || kind != frameState || seq != 0 || skipped != 0 {
 		t.Fatalf("kind=%q seq=%d skipped=%d err=%v", kind, seq, skipped, err)
 	}
@@ -258,11 +270,11 @@ func TestStateFrameRoundTrip(t *testing.T) {
 }
 
 func TestMixedFrameStreamOverTCP(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender, err := Dial(recv.Addr())
+	sender, err := DialConfig(SenderConfig{Addr: recv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +291,10 @@ func TestMixedFrameStreamOverTCP(t *testing.T) {
 	timeout := time.After(5 * time.Second)
 	for events < 50 || states < 5 {
 		select {
-		case _, ok := <-recv.Events():
+		case batch, ok := <-recv.Batches():
 			if ok {
-				events++
+				events += len(batch)
+				recv.Recycle(batch)
 			}
 		case _, ok := <-recv.States():
 			if ok {
@@ -297,22 +310,28 @@ func TestMixedFrameStreamOverTCP(t *testing.T) {
 func TestCollectStateAndStoreRoundTrip(t *testing.T) {
 	// CollectState over a fabric, applied to an rca.Store via the wire
 	// format, must reproduce dependency status (tested here only up to
-	// the agent package boundary: serialize/deserialize).
-	var buf bytes.Buffer
-	u := StateUpdate{Nodes: []NodeState{{Name: "c1", Up: false}}}
-	if err := WriteState(&buf, &u); err != nil {
+	// the agent package boundary: a state frame in, a StateUpdate out of
+	// the receiver).
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	kind, _, body, _, err := readFrame(bufio.NewReader(&buf), nil)
-	if err != nil || kind != frameState {
-		t.Fatal("frame broken")
-	}
-	var got StateUpdate
-	if err := json.Unmarshal(body, &got); err != nil {
+	defer recv.Close()
+	conn, err := net.Dial("tcp", recv.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Nodes) != 1 || got.Nodes[0].Name != "c1" || got.Nodes[0].Up {
-		t.Fatalf("round trip: %+v", got)
+	defer conn.Close()
+	if _, err := conn.Write(stateFrame(t, StateUpdate{Nodes: []NodeState{{Name: "c1", Up: false}}})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-recv.States():
+		if len(got.Nodes) != 1 || got.Nodes[0].Name != "c1" || got.Nodes[0].Up {
+			t.Fatalf("round trip: %+v", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("state frame never arrived")
 	}
 }
 
@@ -333,7 +352,7 @@ func waitCounterAbove(t *testing.T, c *telemetry.Counter, floor uint64) {
 // skipped via resync — the connection survives and the next valid
 // frame is still delivered.
 func TestReceiverResyncsOnCorruptBytes(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,17 +366,11 @@ func TestReceiverResyncsOnCorruptBytes(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.Write([]byte{'X', 0xff, 0x01, 0xab, 0x00, 0x7f})
-	ev := sampleEvent(99)
-	if err := WriteEvent(conn, &ev); err != nil {
+	if _, err := conn.Write(binFrame(0, sampleEvent(99))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-recv.Events():
-		if got.Seq != 99 {
-			t.Fatalf("wrong event after resync: %+v", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("event after garbage never arrived: connection torn down?")
+	if got := takeEvents(t, recv, 1, 5*time.Second)[0]; got.Seq != 99 {
+		t.Fatalf("wrong event after resync: %+v", got)
 	}
 	waitCounterAbove(t, resyncs, before)
 }
@@ -365,7 +378,7 @@ func TestReceiverResyncsOnCorruptBytes(t *testing.T) {
 // TestReceiverSkipsUndecodableFrame: a well-framed but undecodable
 // event body must be counted and skipped — the connection survives.
 func TestReceiverSkipsUndecodableFrame(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +394,11 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 	good := binFrame(0, sampleEvent(1))[frameHdrLen:]
 	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, good[:len(good)-1]))            // truncated
 	conn.Write(seglog.AppendRecord(nil, frameEvent, 0, append([]byte{0xff}, good...))) // unknown body version
-	ev := sampleEvent(7)
-	if err := WriteEvent(conn, &ev); err != nil {
+	if _, err := conn.Write(binFrame(0, sampleEvent(7))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-recv.Events():
-		if got.Seq != 7 {
-			t.Fatalf("wrong event after decode error: %+v", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("event after undecodable frame never arrived")
+	if got := takeEvents(t, recv, 1, 5*time.Second)[0]; got.Seq != 7 {
+		t.Fatalf("wrong event after decode error: %+v", got)
 	}
 	waitCounterAbove(t, decode, before+1)
 }
@@ -400,7 +407,7 @@ func TestReceiverSkipsUndecodableFrame(t *testing.T) {
 // jump in sequence numbers yields a gap record, and a replayed frame is
 // dropped as a duplicate.
 func TestReceiverRecordsGapAndDedups(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,16 +425,7 @@ func TestReceiverRecordsGapAndDedups(t *testing.T) {
 	conn.Write(mk(5)) // gap: 2,3,4 missing
 	conn.Write(mk(5)) // duplicate
 
-	var events []trace.Event
-	timeout := time.After(5 * time.Second)
-	for len(events) < 2 {
-		select {
-		case ev := <-recv.Events():
-			events = append(events, ev)
-		case <-timeout:
-			t.Fatalf("timeout after %d events", len(events))
-		}
-	}
+	takeEvents(t, recv, 2, 5*time.Second)
 	select {
 	case h := <-recv.Health():
 		if h.Kind != HealthGap || h.Agent != "gap-agent" || h.Missing != 3 {
@@ -463,7 +461,7 @@ func TestReceiverLivenessDownUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	snd.Send(sampleEvent(1))
-	<-recv.Events()
+	takeEvents(t, recv, 1, 5*time.Second)
 	if err := snd.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +605,7 @@ func TestSenderLazyDialBeforeReceiver(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // let a few dial attempts fail
 
-	recv, err := Listen(addr)
+	recv, err := ListenConfig(ReceiverConfig{Addr: addr})
 	if err != nil {
 		t.Skipf("reserved address %s re-taken: %v", addr, err)
 	}
@@ -616,14 +614,11 @@ func TestSenderLazyDialBeforeReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(map[uint64]bool)
-	timeout := time.After(5 * time.Second)
-	for len(got) < 5 {
-		select {
-		case ev := <-recv.Events():
-			got[ev.Seq] = true
-		case <-timeout:
-			t.Fatalf("timeout with %d/5 spooled events delivered", len(got))
-		}
+	for _, ev := range takeEvents(t, recv, 5, 5*time.Second) {
+		got[ev.Seq] = true
+	}
+	if len(got) != 5 {
+		t.Fatalf("%d distinct of 5 spooled events delivered", len(got))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -670,16 +665,25 @@ func TestSenderShedsOldestWhenRingFull(t *testing.T) {
 // TestReceiverCloseMidBurst is the shutdown-race regression test: a
 // serve goroutine blocked handing events to a consumer that stopped
 // reading must not deadlock Close — whichever of the two streams the
-// consumer had been reading.
+// consumer had been reading — and that stream closes after Close.
 func TestReceiverCloseMidBurst(t *testing.T) {
-	for name, backlog := range map[string]func(*Receiver) (held, room int){
-		"Batches": func(r *Receiver) (int, int) { return len(r.Batches()), cap(r.Batches()) },
-		"Events": func(r *Receiver) (int, int) {
-			return len(r.Events()) + len(r.Batches()), cap(r.Events()) + cap(r.Batches())
+	for name, stream := range map[string]struct {
+		backlog func(*Receiver) (held, room int)
+		open    func(*Receiver) bool // takes one hand-off; false once closed
+	}{
+		"Batches": {
+			backlog: func(r *Receiver) (int, int) { return len(r.Batches()), cap(r.Batches()) },
+			open:    func(r *Receiver) bool { _, ok := <-r.Batches(); return ok },
+		},
+		"Events": {
+			backlog: func(r *Receiver) (int, int) {
+				return len(r.Events()) + len(r.Batches()), cap(r.Events()) + cap(r.Batches())
+			},
+			open: func(r *Receiver) bool { _, ok := <-r.Events(); return ok },
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			recv, err := Listen("127.0.0.1:0")
+			recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -692,15 +696,14 @@ func TestReceiverCloseMidBurst(t *testing.T) {
 			// so serve (and the Events view, once started) blocks mid-burst.
 			go func() {
 				for i := uint64(1); i <= 8192; i++ {
-					ev := sampleEvent(i)
-					if WriteEvent(conn, &ev) != nil {
+					if _, err := conn.Write(binFrame(0, sampleEvent(i))); err != nil {
 						return
 					}
 				}
 			}()
 			// Wait until every queue is provably full.
 			deadline := time.Now().Add(5 * time.Second)
-			for held, room := backlog(recv); held < room; held, room = backlog(recv) {
+			for held, room := stream.backlog(recv); held < room; held, room = stream.backlog(recv) {
 				if time.Now().After(deadline) {
 					t.Fatalf("queues never filled: %d of %d", held, room)
 				}
@@ -716,16 +719,16 @@ func TestReceiverCloseMidBurst(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("Receiver.Close deadlocked with a blocked serve goroutine")
 			}
-			// Events closes after Close even if nobody had started the view.
-			for timeout := time.After(5 * time.Second); ; {
-				select {
-				case _, open := <-recv.Events():
-					if !open {
-						return
-					}
-				case <-timeout:
-					t.Fatal("Events stayed open after Close")
+			closed := make(chan struct{})
+			go func() {
+				for stream.open(recv) {
 				}
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s stayed open after Close", name)
 			}
 		})
 	}
@@ -769,19 +772,9 @@ func TestConcurrentSendDuringReconnect(t *testing.T) {
 
 	const total = goroutines * per
 	counts := make(map[uint64]int, total)
-	delivered := 0
-	timeout := time.After(20 * time.Second)
-	for delivered < total {
-		select {
-		case ev := <-recv.Events():
-			counts[ev.Seq]++
-			if counts[ev.Seq] > 1 {
-				t.Fatalf("event %d delivered %d times", ev.Seq, counts[ev.Seq])
-			}
-			delivered++
-		case <-timeout:
-			st := recv.AgentStats()["stress"]
-			t.Fatalf("timeout with %d/%d delivered (receiver view: %+v)", delivered, total, st)
+	for _, ev := range takeEvents(t, recv, total, 20*time.Second) {
+		if counts[ev.Seq]++; counts[ev.Seq] > 1 {
+			t.Fatalf("event %d delivered %d times", ev.Seq, counts[ev.Seq])
 		}
 	}
 	st := recv.AgentStats()["stress"]
@@ -843,7 +836,7 @@ func TestSendAllocatesNothingOnAWarmRing(t *testing.T) {
 // receiver admits must be intact (no CRC error, no resync, no decode
 // error, fields consistent) and delivered + missing == sent must close.
 func TestSendWhileWriterStalled(t *testing.T) {
-	recv, err := Listen("127.0.0.1:0")
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,12 +881,15 @@ func TestSendWhileWriterStalled(t *testing.T) {
 	go func() {
 		defer close(consumed)
 		last := uint64(0)
-		for ev := range recv.Events() {
-			if ev != stallEvent(ev.Seq) || ev.Seq <= last {
-				t.Errorf("admitted a damaged or reordered event after %d: %+v", last, ev)
+		for batch := range recv.Batches() {
+			for _, ev := range batch {
+				if ev != stallEvent(ev.Seq) || ev.Seq <= last {
+					t.Errorf("admitted a damaged or reordered event after %d: %+v", last, ev)
+				}
+				last = ev.Seq
 			}
-			last = ev.Seq
-			delivered.Add(1)
+			delivered.Add(uint64(len(batch)))
+			recv.Recycle(batch)
 		}
 	}()
 

@@ -26,15 +26,12 @@ type Delivery struct {
 }
 
 // Consumer identifies a subscribed service endpoint: the deployment node
-// it runs on and the callback invoked when a delivery reaches it.
+// it runs on.
 type Consumer struct {
 	Node string
-	Tag  string
-	Fn   func(*amqp.Message)
 }
 
 type queue struct {
-	name      string
 	consumers []Consumer
 	next      int
 }
@@ -65,21 +62,8 @@ func New() *Broker {
 // existing queue is a no-op, matching AMQP semantics.
 func (b *Broker) DeclareQueue(name string) {
 	if _, ok := b.queues[name]; !ok {
-		b.queues[name] = &queue{name: name}
+		b.queues[name] = &queue{}
 	}
-}
-
-// DeleteQueue removes a queue and its bindings (e.g. a reply queue torn
-// down when its client disconnects).
-func (b *Broker) DeleteQueue(name string) {
-	delete(b.queues, name)
-	kept := b.bindings[:0]
-	for _, bd := range b.bindings {
-		if bd.queue != name {
-			kept = append(kept, bd)
-		}
-	}
-	b.bindings = kept
 }
 
 // Bind routes messages published to exchange whose routing key matches
@@ -105,33 +89,6 @@ func (b *Broker) Subscribe(queueName string, c Consumer) error {
 	}
 	q.consumers = append(q.consumers, c)
 	return nil
-}
-
-// Unsubscribe removes all consumers on the queue whose tag matches
-// (simulating a crashed agent's channel closing).
-func (b *Broker) Unsubscribe(queueName, tag string) {
-	q, ok := b.queues[queueName]
-	if !ok {
-		return
-	}
-	kept := q.consumers[:0]
-	for _, c := range q.consumers {
-		if c.Tag != tag {
-			kept = append(kept, c)
-		}
-	}
-	q.consumers = kept
-	if q.next >= len(q.consumers) {
-		q.next = 0
-	}
-}
-
-// Consumers reports the number of live consumers on a queue.
-func (b *Broker) Consumers(queueName string) int {
-	if q, ok := b.queues[queueName]; ok {
-		return len(q.consumers)
-	}
-	return 0
 }
 
 // Route determines the deliveries for a published message without invoking
@@ -174,19 +131,6 @@ func (b *Broker) Route(m *amqp.Message) []Delivery {
 		out = append(out, Delivery{Queue: qn, Consumer: c, Message: &dm})
 	}
 	return out
-}
-
-// Publish routes the message and synchronously invokes each chosen
-// consumer. The cluster layer uses Route directly so it can interpose
-// network latency; Publish is a convenience for tests and simple users.
-func (b *Broker) Publish(m *amqp.Message) int {
-	ds := b.Route(m)
-	for _, d := range ds {
-		if d.Consumer.Fn != nil {
-			d.Consumer.Fn(d.Message)
-		}
-	}
-	return len(ds)
 }
 
 // MatchTopic implements AMQP topic matching: patterns and keys are

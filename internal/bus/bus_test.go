@@ -49,19 +49,18 @@ func TestMatchTopic(t *testing.T) {
 func TestDefaultExchangeRoutesToQueueByName(t *testing.T) {
 	b := New()
 	b.DeclareQueue("reply_q1")
-	got := 0
-	if err := b.Subscribe("reply_q1", Consumer{Node: "n1", Fn: func(*amqp.Message) { got++ }}); err != nil {
+	if err := b.Subscribe("reply_q1", Consumer{Node: "n1"}); err != nil {
 		t.Fatal(err)
 	}
-	if n := b.Publish(msg("", "reply_q1")); n != 1 || got != 1 {
-		t.Fatalf("deliveries = %d, invoked = %d", n, got)
+	if ds := b.Route(msg("", "reply_q1")); len(ds) != 1 || ds[0].Queue != "reply_q1" || ds[0].Consumer.Node != "n1" {
+		t.Fatalf("deliveries = %+v, want one to n1 on reply_q1", ds)
 	}
 }
 
 func TestUnroutableCounted(t *testing.T) {
 	b := New()
-	if n := b.Publish(msg("", "nowhere")); n != 0 {
-		t.Fatalf("unroutable delivered %d times", n)
+	if ds := b.Route(msg("", "nowhere")); len(ds) != 0 {
+		t.Fatalf("unroutable delivered %d times", len(ds))
 	}
 	if b.Unroutable != 1 || b.Published != 1 {
 		t.Fatalf("counters: published=%d unroutable=%d", b.Published, b.Unroutable)
@@ -71,12 +70,12 @@ func TestUnroutableCounted(t *testing.T) {
 func TestTopicBindingAndDeliverRewrite(t *testing.T) {
 	b := New()
 	b.Bind("nova", "compute.*", "q-compute-1")
-	var delivered *amqp.Message
-	b.Subscribe("q-compute-1", Consumer{Node: "compute-1", Fn: func(m *amqp.Message) { delivered = m }})
-	b.Publish(msg("nova", "compute.compute-1"))
-	if delivered == nil {
-		t.Fatal("no delivery")
+	b.Subscribe("q-compute-1", Consumer{Node: "compute-1"})
+	ds := b.Route(msg("nova", "compute.compute-1"))
+	if len(ds) != 1 || ds[0].Consumer.Node != "compute-1" {
+		t.Fatalf("deliveries = %+v, want one to compute-1", ds)
 	}
+	delivered := ds[0].Message
 	if delivered.MethodID != amqp.BasicDeliver {
 		t.Fatalf("delivery MethodID = %d, want BasicDeliver", delivered.MethodID)
 	}
@@ -89,13 +88,17 @@ func TestFanoutToMultipleQueues(t *testing.T) {
 	b := New()
 	b.Bind("neutron", "agent.#", "q-agent-a")
 	b.Bind("neutron", "agent.#", "q-agent-b")
-	hits := map[string]int{}
-	b.Subscribe("q-agent-a", Consumer{Node: "na", Fn: func(*amqp.Message) { hits["a"]++ }})
-	b.Subscribe("q-agent-b", Consumer{Node: "nb", Fn: func(*amqp.Message) { hits["b"]++ }})
-	if n := b.Publish(msg("neutron", "agent.port_update")); n != 2 {
-		t.Fatalf("deliveries = %d, want 2", n)
+	b.Subscribe("q-agent-a", Consumer{Node: "na"})
+	b.Subscribe("q-agent-b", Consumer{Node: "nb"})
+	ds := b.Route(msg("neutron", "agent.port_update"))
+	if len(ds) != 2 {
+		t.Fatalf("deliveries = %d, want 2", len(ds))
 	}
-	if hits["a"] != 1 || hits["b"] != 1 {
+	hits := map[string]int{}
+	for _, d := range ds {
+		hits[d.Consumer.Node]++
+	}
+	if hits["na"] != 1 || hits["nb"] != 1 {
 		t.Fatalf("hits = %v", hits)
 	}
 }
@@ -104,15 +107,16 @@ func TestRoundRobinConsumers(t *testing.T) {
 	b := New()
 	b.DeclareQueue("work")
 	hits := map[string]int{}
-	for _, tag := range []string{"w1", "w2", "w3"} {
-		tag := tag
-		b.Subscribe("work", Consumer{Node: tag, Tag: tag, Fn: func(*amqp.Message) { hits[tag]++ }})
+	for _, node := range []string{"w1", "w2", "w3"} {
+		b.Subscribe("work", Consumer{Node: node})
 	}
 	for i := 0; i < 9; i++ {
-		b.Publish(msg("", "work"))
+		for _, d := range b.Route(msg("", "work")) {
+			hits[d.Consumer.Node]++
+		}
 	}
-	for _, tag := range []string{"w1", "w2", "w3"} {
-		if hits[tag] != 3 {
+	for _, node := range []string{"w1", "w2", "w3"} {
+		if hits[node] != 3 {
 			t.Fatalf("round robin uneven: %v", hits)
 		}
 	}
@@ -125,41 +129,12 @@ func TestSubscribeUndeclared(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeStopsDelivery(t *testing.T) {
-	b := New()
-	b.DeclareQueue("q")
-	n := 0
-	b.Subscribe("q", Consumer{Tag: "c1", Fn: func(*amqp.Message) { n++ }})
-	b.Publish(msg("", "q"))
-	b.Unsubscribe("q", "c1")
-	if got := b.Publish(msg("", "q")); got != 0 {
-		t.Fatalf("delivered to unsubscribed consumer: %d", got)
-	}
-	if n != 1 {
-		t.Fatalf("n = %d, want 1", n)
-	}
-	if b.Consumers("q") != 0 {
-		t.Fatalf("Consumers = %d, want 0", b.Consumers("q"))
-	}
-}
-
-func TestDeleteQueueRemovesBindings(t *testing.T) {
-	b := New()
-	b.Bind("nova", "compute.#", "q1")
-	b.DeleteQueue("q1")
-	if n := b.Publish(msg("nova", "compute.x")); n != 0 {
-		t.Fatalf("deleted queue still routed: %d", n)
-	}
-}
-
 func TestDuplicateBindingIgnored(t *testing.T) {
 	b := New()
 	b.Bind("nova", "compute.#", "q1")
 	b.Bind("nova", "compute.#", "q1")
-	n := 0
-	b.Subscribe("q1", Consumer{Fn: func(*amqp.Message) { n++ }})
-	b.Publish(msg("nova", "compute.x"))
-	if n != 1 {
+	b.Subscribe("q1", Consumer{})
+	if n := len(b.Route(msg("nova", "compute.x"))); n != 1 {
 		t.Fatalf("duplicate binding caused %d deliveries", n)
 	}
 }
@@ -167,7 +142,7 @@ func TestDuplicateBindingIgnored(t *testing.T) {
 func TestQueueWithNoConsumersDropsButRoutes(t *testing.T) {
 	b := New()
 	b.Bind("nova", "compute.#", "q1")
-	if n := b.Publish(msg("nova", "compute.x")); n != 0 {
+	if n := len(b.Route(msg("nova", "compute.x"))); n != 0 {
 		t.Fatalf("consumerless queue delivered %d", n)
 	}
 	// Not counted unroutable: the queue matched.

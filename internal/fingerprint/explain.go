@@ -159,18 +159,3 @@ func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
 func (f *Fingerprint) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
 	return f.whole().ExplainRelaxed(idx, tbl)
 }
-
-// ExplainExact is Program.ExplainExact for the whole fingerprint.
-func (f *Fingerprint) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
-	return f.whole().ExplainExact(idx, tbl)
-}
-
-// ExplainStrict is Program.ExplainStrict for the whole fingerprint.
-func (f *Fingerprint) ExplainStrict(snapshot []rune, tbl *symbol.Table) Explanation {
-	return f.whole().ExplainStrict(snapshot, tbl)
-}
-
-// ExplainCorrelated is Program.ExplainCorrelated for the whole fingerprint.
-func (f *Fingerprint) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
-	return f.whole().ExplainCorrelated(idx, tbl)
-}

@@ -58,19 +58,6 @@ func (f *Fingerprint) Services() uint32 { return f.services }
 // literal.
 func (f *Fingerprint) StateChange(i int) bool { return f.state[i] }
 
-// Regex renders the paper's regular-expression form: state-change symbols
-// as literals, read-only symbols suffixed with '*'.
-func (f *Fingerprint) Regex() string {
-	var b strings.Builder
-	for i, r := range f.Symbols {
-		b.WriteRune(r)
-		if !f.state[i] {
-			b.WriteByte('*')
-		}
-	}
-	return b.String()
-}
-
 // SymbolSet returns the distinct symbols in the fingerprint.
 func (f *Fingerprint) SymbolSet() map[rune]bool {
 	out := make(map[rune]bool, len(f.Symbols))

@@ -166,19 +166,6 @@ func TestLibraryLookupAndPosting(t *testing.T) {
 	}
 }
 
-func TestRegexRendering(t *testing.T) {
-	l := newLib(t)
-	fp := l.ByName("vm-create")
-	re := []rune(fp.Regex())
-	// get(*), post, rpc, get(*), post => symbols: s0 * s1 s2 s3 * s4
-	if len(re) != 7 {
-		t.Fatalf("regex runes = %d (%q)", len(re), string(re))
-	}
-	if re[1] != '*' || re[5] != '*' {
-		t.Fatalf("stars misplaced: %q", string(re))
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	l := NewLibrary()
 	fp := l.AddAPIs("op", "Compute", []trace.API{get("/a"), post("/b"), get("/a"), post("/c")})

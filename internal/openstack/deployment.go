@@ -210,13 +210,13 @@ func NewDeployment(cfg Config) *Deployment {
 		case trace.SvcRabbitMQ, trace.SvcMySQL:
 			continue
 		default:
-			d.Broker.Subscribe(topicFor(n.Service), bus.Consumer{Node: n.Name, Tag: n.Name})
-			d.Broker.Subscribe(replyQueue(n.Service), bus.Consumer{Node: n.Name, Tag: n.Name})
+			d.Broker.Subscribe(topicFor(n.Service), bus.Consumer{Node: n.Name})
+			d.Broker.Subscribe(replyQueue(n.Service), bus.Consumer{Node: n.Name})
 		}
 	}
 	for _, n := range d.computes {
-		d.Broker.Subscribe(topicFor(trace.SvcNovaCompute), bus.Consumer{Node: n.Name, Tag: n.Name})
-		d.Broker.Subscribe(topicFor(trace.SvcNeutronAgent), bus.Consumer{Node: n.Name, Tag: n.Name})
+		d.Broker.Subscribe(topicFor(trace.SvcNovaCompute), bus.Consumer{Node: n.Name})
+		d.Broker.Subscribe(topicFor(trace.SvcNeutronAgent), bus.Consumer{Node: n.Name})
 	}
 	// nova-compute and neutron-agent replies land on the controller nodes
 	// of their parent services.
@@ -270,18 +270,6 @@ func (d *Deployment) ComputeNodes() []*cluster.Node { return d.computes }
 
 // BrokerNode returns the RabbitMQ host.
 func (d *Deployment) BrokerNode() *cluster.Node { return d.brokerNode }
-
-// Lookup returns the ground-truth operation for a REST connection id.
-func (d *Deployment) Lookup(connID uint64) (uint64, string) {
-	r := d.connOp[connID]
-	return r.id, r.name
-}
-
-// LookupMsg returns the ground-truth operation for an RPC message id.
-func (d *Deployment) LookupMsg(msgID string) (uint64, string) {
-	r := d.msgOp[msgID]
-	return r.id, r.name
-}
 
 // GroundTruth resolves the evaluation-only operation identity for an
 // event, preferring the RPC message id over the connection id. It has the

@@ -88,12 +88,6 @@ func TestOperationAccessors(t *testing.T) {
 	if len(svcs) != len(want) {
 		t.Errorf("Services() = %v", svcs)
 	}
-	if idx := op.StepIndexOf(trace.RESTAPI(trace.SvcNeutron, "POST", "/v2.0/ports.json")); idx < 0 {
-		t.Error("StepIndexOf missed the port-create step")
-	}
-	if op.StepIndexOf(trace.RESTAPI(trace.SvcSwift, "GET", "/nope")) != -1 {
-		t.Error("StepIndexOf found a bogus API")
-	}
 	if op.String() == "" {
 		t.Error("empty op string")
 	}
@@ -404,11 +398,12 @@ func TestDownNodeAbortsSilently(t *testing.T) {
 func TestWatchDependencies(t *testing.T) {
 	d := NewDeployment(Config{Seed: 1})
 	d.ComputeNodes()[0].SetDependency("neutron-plugin-linuxbridge-agent", false)
-	statuses := agent.WatchDependencies(d.Fabric)
 	var found, running bool
-	for _, s := range statuses {
-		if s.Node == "compute-1" && s.Name == "neutron-plugin-linuxbridge-agent" {
-			found, running = true, s.Running
+	for _, ns := range agent.NodeStates(d.Fabric) {
+		for _, s := range ns.Deps {
+			if s.Node == "compute-1" && s.Name == "neutron-plugin-linuxbridge-agent" {
+				found, running = true, s.Running
+			}
 		}
 	}
 	if !found || running {

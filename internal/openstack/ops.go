@@ -80,17 +80,6 @@ func (o *Operation) Services() []trace.Service {
 	return out
 }
 
-// StepIndexOf returns the index of the first non-noise step invoking api,
-// or -1.
-func (o *Operation) StepIndexOf(api trace.API) int {
-	for i, s := range o.Steps {
-		if !s.Noise && s.API == api {
-			return i
-		}
-	}
-	return -1
-}
-
 // String implements fmt.Stringer.
 func (o *Operation) String() string {
 	return fmt.Sprintf("%s[%s, %d steps]", o.Name, o.Category, len(o.Steps))

@@ -318,11 +318,12 @@ func TestCaseStudyBrokerOutage(t *testing.T) {
 	}
 	// The watcher view still shows every node's rabbitmq-conn dead
 	// (broker node down makes reachability false).
-	statuses := agent.WatchDependencies(h.D.Fabric)
 	down := 0
-	for _, s := range statuses {
-		if s.Node == "rabbitmq-node" && !s.Running {
-			down++
+	for _, ns := range agent.NodeStates(h.D.Fabric) {
+		for _, s := range ns.Deps {
+			if s.Node == "rabbitmq-node" && !s.Running {
+				down++
+			}
 		}
 	}
 	if down == 0 {

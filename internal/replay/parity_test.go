@@ -35,7 +35,7 @@ func (f *failEvery) Outcome(*openstack.Instance, int, openstack.Step, *cluster.N
 func TestReportsIdenticalOnEveryPath(t *testing.T) {
 	newAnalyzer := func() *core.Analyzer { return core.New(scenario.CoreLibrary(), core.Config{Alpha: 256}) }
 
-	recv, err := agent.Listen("127.0.0.1:0")
+	recv, err := agent.ListenConfig(agent.ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 // consume drains it; delivered reports how many events consume has seen.
 func play(t *testing.T, first, second []byte, want int, delivered func() uint64, consume func(*agent.Receiver)) map[string]agent.AgentStat {
 	t.Helper()
-	recv, err := agent.Listen("127.0.0.1:0")
+	recv, err := agent.ListenConfig(agent.ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func reportsJSON(t *testing.T, a *core.Analyzer) []byte {
 //   - a consumer that scribbles over every batch once IngestBatch has
 //     returned, before recycling it (nothing may still alias the slice,
 //     and a reused slot must be overwritten whole), and
-//   - the per-event loop DriveTransport used to be, over Events().
+//   - the per-event loop DriveTransport used to be: one Ingest per event.
 //
 // All three must give the reports of in-process ingestion, byte for
 // byte, and the same per-agent accounting; the ledgers must close.
@@ -264,13 +264,16 @@ func TestBatchPathMatchesPerEventReference(t *testing.T) {
 		t.Fatal("reports changed when batches were overwritten after IngestBatch returned")
 	}
 
-	// Reference: one Ingest per event off the Events view.
+	// Reference: one Ingest per event of each batch.
 	perEvent := newAnalyzer()
 	count.Store(0)
 	refStats := play(t, first, second, n, count.Load, func(recv *agent.Receiver) {
-		for ev := range recv.Events() {
-			perEvent.Ingest(ev)
-			count.Add(1)
+		for batch := range recv.Batches() {
+			for _, ev := range batch {
+				perEvent.Ingest(ev)
+				count.Add(1)
+			}
+			recv.Recycle(batch)
 		}
 		perEvent.Close()
 	})

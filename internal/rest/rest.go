@@ -70,10 +70,6 @@ func (h *Header) Get(key string) string {
 // Len reports the number of header fields.
 func (h *Header) Len() int { return len(h.pairs) }
 
-// Pairs returns the headers in wire order. The slice aliases internal
-// state; callers must not mutate it.
-func (h *Header) Pairs() [][2]string { return h.pairs }
-
 func (h *Header) write(b *bytes.Buffer) {
 	for _, p := range h.pairs {
 		b.WriteString(p[0])

@@ -9,7 +9,6 @@
 package symbol
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,13 +83,6 @@ func (t *Table) API(r rune) (trace.API, bool) {
 // lock, so a reader may poll it per event to learn the table has grown.
 func (t *Table) Len() int { return int(t.size.Load()) }
 
-// StateChanging reports whether the API behind r is state-changing.
-// Unknown runes are treated as read-only.
-func (t *Table) StateChanging(r rune) bool {
-	api, ok := t.API(r)
-	return ok && api.StateChanging()
-}
-
 // APIs returns all assigned APIs in rune order (i.e. assignment order).
 func (t *Table) APIs() []trace.API {
 	t.mu.RLock()
@@ -105,37 +97,4 @@ func (t *Table) APIs() []trace.API {
 		out[i] = t.byRune[r]
 	}
 	return out
-}
-
-// Encode maps a sequence of events to a symbol string, one rune per event,
-// allocating symbols for unseen APIs. Events are encoded in slice order.
-func (t *Table) Encode(events []trace.Event) string {
-	runes := make([]rune, len(events))
-	for i := range events {
-		runes[i] = t.Assign(events[i].API)
-	}
-	return string(runes)
-}
-
-// EncodeAPIs maps a sequence of APIs to a symbol string.
-func (t *Table) EncodeAPIs(apis []trace.API) string {
-	runes := make([]rune, len(apis))
-	for i, a := range apis {
-		runes[i] = t.Assign(a)
-	}
-	return string(runes)
-}
-
-// Decode maps a symbol string back to APIs. It returns an error on the
-// first rune that has no assignment.
-func (t *Table) Decode(s string) ([]trace.API, error) {
-	out := make([]trace.API, 0, len(s))
-	for i, r := range s {
-		api, ok := t.API(r)
-		if !ok {
-			return nil, fmt.Errorf("symbol: rune %q at index %d is unassigned", r, i)
-		}
-		out = append(out, api)
-	}
-	return out, nil
 }

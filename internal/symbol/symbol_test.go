@@ -14,6 +14,16 @@ func api(i int) trace.API {
 	return trace.RESTAPI(trace.SvcNova, "GET", fmt.Sprintf("/v2.1/x/%d", i))
 }
 
+// encode assigns each API its rune, in order, as a fingerprint's
+// Symbols are built.
+func encode(tb *Table, apis []trace.API) string {
+	runes := make([]rune, len(apis))
+	for i, a := range apis {
+		runes[i] = tb.Assign(a)
+	}
+	return string(runes)
+}
+
 func TestAssignStable(t *testing.T) {
 	tb := NewTable()
 	a := trace.RESTAPI(trace.SvcNova, "POST", "/v2.1/servers")
@@ -64,22 +74,6 @@ func TestLookupAndAPI(t *testing.T) {
 	}
 }
 
-func TestStateChangingThroughTable(t *testing.T) {
-	tb := NewTable()
-	get := tb.Assign(trace.RESTAPI(trace.SvcNeutron, "GET", "/v2.0/ports"))
-	post := tb.Assign(trace.RESTAPI(trace.SvcNeutron, "POST", "/v2.0/ports"))
-	rpc := tb.Assign(trace.RPCAPI(trace.SvcNeutronAgent, "port_update"))
-	if tb.StateChanging(get) {
-		t.Error("GET flagged state-changing")
-	}
-	if !tb.StateChanging(post) || !tb.StateChanging(rpc) {
-		t.Error("POST/RPC not flagged state-changing")
-	}
-	if tb.StateChanging(Max - 1) {
-		t.Error("unassigned rune flagged state-changing")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tb := NewTable()
 	apis := []trace.API{
@@ -88,42 +82,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		trace.RPCAPI(trace.SvcNovaCompute, "build_and_run_instance"),
 		trace.RESTAPI(trace.SvcNova, "POST", "/v2.1/servers"), // repeat
 	}
-	s := tb.EncodeAPIs(apis)
+	s := encode(tb, apis)
 	if utf8.RuneCountInString(s) != len(apis) {
 		t.Fatalf("encoded %d runes, want %d", utf8.RuneCountInString(s), len(apis))
 	}
 	if !utf8.ValidString(s) {
 		t.Fatal("encoded string is invalid UTF-8")
 	}
-	back, err := tb.Decode(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range apis {
-		if back[i] != apis[i] {
-			t.Fatalf("round trip mismatch at %d: %v != %v", i, back[i], apis[i])
+	i := 0
+	for _, r := range s {
+		if back, ok := tb.API(r); !ok || back != apis[i] {
+			t.Fatalf("round trip mismatch at %d: %v,%v != %v", i, back, ok, apis[i])
 		}
-	}
-}
-
-func TestEncodeEvents(t *testing.T) {
-	tb := NewTable()
-	evs := []trace.Event{
-		{API: trace.RESTAPI(trace.SvcNova, "GET", "/a")},
-		{API: trace.RESTAPI(trace.SvcNova, "GET", "/b")},
-		{API: trace.RESTAPI(trace.SvcNova, "GET", "/a")},
-	}
-	s := tb.Encode(evs)
-	runes := []rune(s)
-	if len(runes) != 3 || runes[0] != runes[2] || runes[0] == runes[1] {
-		t.Fatalf("Encode produced %q", s)
+		i++
 	}
 }
 
 func TestDecodeUnassigned(t *testing.T) {
 	tb := NewTable()
-	if _, err := tb.Decode(string(Base)); err == nil {
-		t.Fatal("Decode of unassigned rune succeeded")
+	if api, ok := tb.API(Base); ok {
+		t.Fatalf("API of unassigned rune %#U = %v", Base, api)
 	}
 }
 
@@ -183,18 +161,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, p := range paths {
 			apis[i] = trace.RESTAPI(trace.SvcNova, "GET", p)
 		}
-		s := tb.EncodeAPIs(apis)
-		for _, r := range s {
+		for i, r := range []rune(encode(tb, apis)) {
 			if r < Base || r >= Max {
 				return false
 			}
-		}
-		back, err := tb.Decode(s)
-		if err != nil || len(back) != len(apis) {
-			return false
-		}
-		for i := range apis {
-			if back[i] != apis[i] {
+			if back, ok := tb.API(r); !ok || back != apis[i] {
 				return false
 			}
 		}

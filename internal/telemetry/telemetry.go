@@ -188,9 +188,6 @@ func (s Span) End() time.Duration {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
@@ -623,9 +620,6 @@ func GetGauge(name string) *Gauge { return std.Gauge(name) }
 
 // GetHistogram returns a histogram from the default registry.
 func GetHistogram(name string) *Histogram { return std.Histogram(name) }
-
-// RegisterFunc registers a computed value on the default registry.
-func RegisterFunc(name string, fn func() float64) { std.RegisterFunc(name, fn) }
 
 // StartSpan opens a span on the default registry.
 func StartSpan(name string) Span { return std.StartSpan(name) }

@@ -251,9 +251,6 @@ func (l *Log) publish() {
 // LastSeq returns the highest record sequence acked so far.
 func (l *Log) LastSeq() uint64 { return l.seg.LastSeq() }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
 // Stats snapshots the write-side accounting.
 func (l *Log) Stats() Stats { return Stats{l.appended, l.seg.Stats()} }
 
