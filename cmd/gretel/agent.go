@@ -38,7 +38,7 @@ func runAgent(args []string) error {
 		connTimeout  = fs.Duration("connect-timeout", 30*time.Second, "give up if the analyzer is unreachable for this long at startup (dialing is lazy: the agent may start first)")
 		heartbeat    = fs.Duration("heartbeat", time.Second, "liveness heartbeat period per agent stream (negative disables)")
 		spool        = fs.Int("spool", 4096, "frames spooled in memory per stream while the analyzer is unreachable (oldest shed beyond this)")
-		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "wait this long at exit for spooled frames to flush")
+		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "wait this long at exit for spooled frames to flush (0 means 2s)")
 		coordURL     = fs.String("coord", "", "gretel coord base URL: resolve the analyzer via GET /assign before every dial, overriding -analyzer (empty disables)")
 		partKey      = fs.String("name", "agent", "federation partition key reported to -coord; one key per deployment, since event pairing spans its nodes")
 	)
@@ -50,6 +50,10 @@ func runAgent(args []string) error {
 			return fmt.Errorf("-faults must be >= 0, got %d", *nFaults)
 		case *spool < 0:
 			return fmt.Errorf("-spool must be >= 0, got %d (0 means 4096)", *spool)
+		case *duration < 0:
+			return fmt.Errorf("-duration must be >= 0, got %v", *duration)
+		case *drainTimeout < 0:
+			return fmt.Errorf("-drain-timeout must be >= 0, got %v (0 means 2s)", *drainTimeout)
 		}
 		if _, ok := scenarios[*scenarioF]; !ok {
 			return fmt.Errorf("-scenario: unknown case study %q", *scenarioF)

@@ -52,6 +52,8 @@ func TestValidateFlags(t *testing.T) {
 		{agentCmd, []string{"-spool", "-1"}, "-spool"},
 		{agentCmd, []string{"-parallel", "-1"}, "-parallel"},
 		{agentCmd, []string{"-faults", "-1"}, "-faults"},
+		{agentCmd, []string{"-duration", "-5m"}, "-duration"},
+		{agentCmd, []string{"-drain-timeout", "-1s"}, "-drain-timeout"},
 	} {
 		wantUsage(t, b.cmd.name+" "+strings.Join(b.args, " "), b.cmd.run(b.args), b.wantErr)
 	}
@@ -69,9 +71,16 @@ func TestValidateFlags(t *testing.T) {
 	}
 	defer recv.Close()
 	err = agentCmd.run([]string{"-analyzer", recv.Addr(), "-spool", "0", "-parallel", "0", "-faults", "0",
-		"-duration", "1s"})
+		"-duration", "0s", "-drain-timeout", "0"})
 	if err != nil {
 		t.Fatalf("valid agent flags: %v", err)
+	}
+	// A zero drain timeout is the default one, not none: a run with
+	// frames to flush at exit must still succeed.
+	err = agentCmd.run([]string{"-analyzer", recv.Addr(), "-parallel", "2", "-faults", "0",
+		"-duration", "2s", "-drain-timeout", "0"})
+	if err != nil {
+		t.Fatalf("-drain-timeout 0 with frames to drain: %v", err)
 	}
 }
 

@@ -573,8 +573,12 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 
 // Drain blocks until every frame spooled so far has been written and
 // flushed to a socket at least once, or the timeout passes (e.g. the
-// analyzer is unreachable and frames are still spooled).
+// analyzer is unreachable and frames are still spooled). A timeout <= 0
+// means the configured DrainTimeout, as for Close.
 func (s *Sender) Drain(timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = s.cfg.DrainTimeout
+	}
 	s.mu.Lock()
 	target := s.nextSeq
 	s.mu.Unlock()

@@ -632,7 +632,7 @@ func (a *Analyzer) degradedList() []string {
 func (a *Analyzer) armSnapshot(kind FaultKind, latency time.Duration, back int) {
 	a.Stats.Snapshots++
 	a.win.ArmBack(back, func(snap *window.Snapshot) {
-		a.dispatch(snap.Events[snap.FaultIndex], kind, latency, snap)
+		a.dispatch(*snap.At(snap.FaultIndex), kind, latency, snap)
 	})
 }
 
@@ -646,19 +646,23 @@ func (a *Analyzer) armSnapshot(kind FaultKind, latency time.Duration, back int) 
 // programs bound to it, that every β view walks — so growing the context
 // buffer rebuilds neither pattern, table nor programs.
 type detectScratch struct {
-	// words holds the window words Detect fills for a snapshot frozen
+	// words holds the snapshot's window words, one slice per window
+	// chunk; filled holds the words Detect fills for a snapshot frozen
 	// without them.
-	words []uint32
-	syms  []rune
-	evIdx []int32
-	idx   fingerprint.Index
+	words  [][]uint32
+	filled []uint32
+	syms   []rune
+	evIdx  []int32
+	idx    fingerprint.Index
 	// truncate is how idx's programs were cut: every match of the
 	// report cuts its candidates the same way.
 	truncate bool
 	// cur and prev are growContext's matched-name buffers (this β step's
-	// and the last one's); hit marks the candidates whose operation name
-	// already matched in this step.
+	// and the last one's); step holds the candidates a bound step
+	// matched, and hit marks, on the other matchers' per-candidate
+	// path, the candidates whose operation already matched in the step.
 	cur, prev []string
+	step      []int32
 	hit       []bool
 }
 
@@ -668,7 +672,7 @@ type detectScratch struct {
 // corrID is non-empty (correlation-id mode), only events stamped with it
 // contribute — the precision extension of §5.3.1 — and only then are the
 // events themselves read.
-func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, words []uint32, corrID string) {
+func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, words [][]uint32, corrID string) {
 	// A word contributes its symbol when its masked bits are exactly
 	// wRequest|wKnown, and counts as unknown (an API never fingerprinted:
 	// it cannot help matching) when they are wRequest alone. Every word
@@ -678,17 +682,20 @@ func (a *Analyzer) snapshotPattern(sc *detectScratch, snap *window.Snapshot, wor
 	if !a.cfg.DisablePruneRPC {
 		mask |= wRPC
 	}
-	syms := slices.Grow(sc.syms[:0], len(words))[:len(words)]
-	evIdx := slices.Grow(sc.evIdx[:0], len(words))[:len(words)]
-	n, unknown := 0, 0
-	for i, w := range words {
-		m := w & mask
-		if corrID != "" && m&^wKnown == wRequest && snap.Events[i].CorrID != corrID {
-			continue
+	syms := slices.Grow(sc.syms[:0], snap.Len())[:snap.Len()]
+	evIdx := slices.Grow(sc.evIdx[:0], snap.Len())[:snap.Len()]
+	n, unknown, i := 0, 0, int32(-1)
+	for _, ws := range words {
+		for _, w := range ws {
+			i++
+			m := w & mask
+			if corrID != "" && m&^wKnown == wRequest && snap.At(int(i)).CorrID != corrID {
+				continue
+			}
+			syms[n], evIdx[n] = rune(w>>wSymShift), i
+			n += b2i(m == wRequest|wKnown)
+			unknown += b2i(m == wRequest)
 		}
-		syms[n], evIdx[n] = rune(w>>wSymShift), int32(i)
-		n += b2i(m == wRequest|wKnown)
-		unknown += b2i(m == wRequest)
 	}
 	sc.syms, sc.evIdx = syms[:n], evIdx[:n]
 	mPatternSyms.Add(uint64(n))
@@ -728,12 +735,41 @@ func (a *Analyzer) index(sc *detectScratch, cands fingerprint.Candidates, trunca
 	}
 }
 
-// match reports whether candidate i matches pattern positions [lo, hi)
-// under the configured matcher.
-func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo, hi int, corrFiltered bool) bool {
+// matchStep appends to matched, which must be empty, the operations
+// whose candidates match pattern positions [lo, hi) under the configured
+// matcher, one name per operation (a branched operation matches by its
+// first variant that hits), stopping once more than limit have matched.
+// The relaxed matcher walks every bound candidate in one pass
+// (fingerprint.Index.MatchStep); the strict and correlated matchers cut
+// and match each candidate's program in turn.
+func (a *Analyzer) matchStep(sc *detectScratch, cands fingerprint.Candidates, lo, hi, limit int, corrFiltered bool, matched []string) []string {
 	if !a.cfg.StrictMatch && !corrFiltered {
-		return sc.idx.MatchBound(i, lo, hi)
+		sc.step = sc.idx.MatchStep(lo, hi, limit, sc.step[:0])
+		for _, i := range sc.step {
+			matched = append(matched, cands.Name(int(i)))
+		}
+		return matched
 	}
+	if cap(sc.hit) < cands.Len() {
+		sc.hit = make([]bool, cands.Len())
+	}
+	hit := sc.hit[:cands.Len()]
+	clear(hit)
+	for i := range hit {
+		first := cands.First(i)
+		if !hit[first] && a.match(sc, cands, i, lo, hi) {
+			hit[first] = true
+			if matched = append(matched, cands.Name(i)); len(matched) > limit {
+				break
+			}
+		}
+	}
+	return matched
+}
+
+// match reports whether candidate i matches pattern positions [lo, hi)
+// under the strict or the correlated matcher.
+func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo, hi int) bool {
 	p := cands.Program(i, sc.truncate, !a.cfg.DisablePruneRPC)
 	if a.cfg.StrictMatch {
 		return p.MatchStrict(sc.syms[lo:hi])
@@ -750,16 +786,16 @@ func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo,
 // finish. traceID is nonzero only in explain mode, in which case detect
 // also assembles the report's evidence trace (explain.go) — here on the
 // worker, never on the ingest path.
-// words are the snapshot's window words, snap.Words unless Detect filled
-// them.
-func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, words []uint32, traceID uint64) *Report {
+// words are the snapshot's window words, one slice per window chunk
+// (detectScratch.wordsOf), unless Detect filled them.
+func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot, words [][]uint32, traceID uint64) *Report {
 	mDetectAttempts.Inc()
 	span := hWindowMatch.Start()
 	rep := &Report{
 		Kind:       kind,
 		Fault:      faultEv,
 		Latency:    latency,
-		DetectedAt: snap.Events[len(snap.Events)-1].Time,
+		DetectedAt: snap.At(snap.Len() - 1).Time,
 		TruthOp:    faultEv.OpName,
 	}
 	rep.ReportDelay = rep.DetectedAt.Sub(faultEv.Time)
@@ -773,9 +809,13 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	// manifestation and selects the offending API.
 	offending := faultEv.API
 	if kind == Operational {
-		for i, w := range words {
-			if w&wFaulty != 0 {
-				rep.Errors = append(rep.Errors, snap.Events[i])
+		i := 0
+		for _, ws := range words {
+			for _, w := range ws {
+				if w&wFaulty != 0 {
+					rep.Errors = append(rep.Errors, *snap.At(i))
+				}
+				i++
 			}
 		}
 		if len(rep.Errors) > 0 {
@@ -798,7 +838,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 			// No fingerprint contains the offending API: the whole window
 			// is the evidence for the empty verdict.
 			recordErrors(rep.evidence, rep.Errors)
-			a.finalizeEvidence(rep.evidence, rep, snap.Events)
+			a.finalizeEvidence(rep.evidence, rep, snap, 0, snap.Len())
 		}
 		span.End()
 		return rep
@@ -824,18 +864,13 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	}
 	if kind == Performance {
 		beta = a.cfg.Alpha
-		matched = sc.cur[:0]
-		for i := 0; i < cands.Len(); i++ {
-			if a.match(sc, cands, i, 0, len(sc.syms), corrID != "") {
-				matched = append(matched, cands.Name(i))
-			}
-		}
+		matched = a.matchStep(sc, cands, 0, len(sc.syms), cands.Len(), corrID != "", sc.cur[:0])
 		sc.cur = matched
 		if rep.evidence != nil {
 			// No growth loop for performance faults: the whole window is
 			// matched at once.
 			rep.evidence.Growth = []tracestore.GrowthStep{{
-				Beta: beta, Lo: 0, Hi: len(snap.Events),
+				Beta: beta, Lo: 0, Hi: snap.Len(),
 				Pattern: len(sc.syms), Matched: append([]string(nil), matched...),
 				Covered: true,
 			}}
@@ -857,15 +892,14 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	if rep.evidence != nil {
 		// Explain every candidate against the FINAL context buffer —
 		// exactly the view the verdict came from.
+		lo, hi := 0, snap.Len()
 		sLo, sHi := 0, len(sc.syms)
-		ctx := snap.Events
 		if kind == Operational {
-			lo, hi := snap.ContextBounds(beta)
+			lo, hi = snap.ContextBounds(beta)
 			sLo, sHi = sc.bounds(lo, hi)
-			ctx = snap.Events[lo:hi]
 		}
 		a.explainCandidates(rep.evidence, cands, truncate, sc.syms[sLo:sHi], sc.idx.Slice(sLo, sHi), corrID != "")
-		a.finalizeEvidence(rep.evidence, rep, ctx)
+		a.finalizeEvidence(rep.evidence, rep, snap, lo, hi)
 	}
 	span.End()
 	return rep
@@ -876,8 +910,8 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 // OnReport, no Stats. It is what dispatch runs inline, exposed so the
 // operation-detection stage can be measured alone (BenchmarkOpdetect).
 // Like Ingest, call it from the receiver goroutine only: a snapshot
-// frozen without window words (window.Push, a literal) has them filled
-// here, through the analyzer's API table, as ingest would have.
+// frozen without window words (window.Push) has them filled here,
+// through the analyzer's API table, as ingest would have.
 func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *Report {
 	return a.detect(&a.scratch, fault, kind, latency, snap, a.snapWords(snap), 0)
 }
@@ -894,30 +928,39 @@ func (a *Analyzer) Word(ev *trace.Event) uint32 {
 
 // snapWords returns snap's window words, filling them into the inline
 // scratch when snap carries none.
-func (a *Analyzer) snapWords(snap *window.Snapshot) []uint32 {
-	if snap.Words != nil {
-		return snap.Words
+func (a *Analyzer) snapWords(snap *window.Snapshot) [][]uint32 {
+	sc := &a.scratch
+	if words := sc.wordsOf(snap); len(words) > 0 {
+		return words
 	}
-	words := a.scratch.words[:0]
-	for i := range snap.Events {
-		words = append(words, a.Word(&snap.Events[i]))
+	filled := sc.filled[:0]
+	for i := 0; i < snap.Len(); i++ {
+		filled = append(filled, a.Word(snap.At(i)))
 	}
-	a.scratch.words = words
-	return words
+	sc.filled = filled
+	sc.words = append(sc.words, filled)
+	return sc.words
+}
+
+// wordsOf returns the words snap carries, one slice per window chunk,
+// in sc: none when snap was frozen without them.
+func (sc *detectScratch) wordsOf(snap *window.Snapshot) [][]uint32 {
+	sc.words = snap.Words(sc.words[:0])
+	return sc.words
 }
 
 // growContext iterates the context buffer from β₀ by δ per side, stopping
 // as soon as the precision drops (the matched set grows), per §5.3.1.
 // The snapshot's pattern, table and bound programs were built once by the
-// caller; each β step only walks them over a wider view, and an operation
-// with several variants is matched by its first one that hits. Once a
-// step's matched set outgrows the previous step's, the stop rule has
-// fired and the verdict is the previous set whatever the remaining
-// candidates do, so the step ends there — unless ev is non-nil (explain
-// mode), which records every step complete, including the final one the
-// stop rule rejects. On the bound path a verdict reads only the table
-// rows the view starts and ends at, so a step whose view gained no row
-// matches exactly the previous step's set and walks nothing. The
+// caller; each β step only matches them over a wider view (matchStep),
+// and an operation with several variants is matched by its first one
+// that hits. Once a step's matched set outgrows the previous step's, the
+// stop rule has fired and the verdict is the previous set whatever the
+// remaining candidates do, so the step ends there — unless ev is non-nil
+// (explain mode), which records every step complete, including the final
+// one the stop rule rejects. On the bound path a verdict reads only the
+// table rows the view starts and ends at, so a step whose view gained no
+// row matches exactly the previous step's set and walks nothing. The
 // returned names live in sc.
 func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands fingerprint.Candidates, corrID string, ev *tracestore.Trace) ([]string, int) {
 	beta0 := int(a.cfg.C1 * float64(a.cfg.Alpha))
@@ -928,10 +971,6 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 	if delta < 1 {
 		delta = 1
 	}
-	if cap(sc.hit) < cands.Len() {
-		sc.hit = make([]bool, cands.Len())
-	}
-	hit := sc.hit[:cands.Len()]
 	sc.prev = sc.prev[:0]
 	prevBeta := 0
 	armed := !a.cfg.GrowToCover && corrID == ""
@@ -951,20 +990,11 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 			// The previous step was not stopped, so its set is complete.
 			matched = append(matched, sc.prev...)
 		} else {
-			limit := len(hit) // names this step may match before the stop rule fires
+			limit := cands.Len() // names this step may match before the stop rule fires
 			if armed && len(sc.prev) > 0 && ev == nil {
 				limit = len(sc.prev)
 			}
-			clear(hit)
-			for i := range hit {
-				first := cands.First(i)
-				if !hit[first] && a.match(sc, cands, i, sLo, sHi, corrID != "") {
-					hit[first] = true
-					if matched = append(matched, cands.Name(i)); len(matched) > limit {
-						break
-					}
-				}
-			}
+			matched = a.matchStep(sc, cands, sLo, sHi, limit, corrID != "", matched)
 		}
 		sc.cur = matched
 		stopped := armed && len(sc.prev) > 0 && len(matched) > len(sc.prev)

@@ -44,7 +44,7 @@ func (a *Analyzer) SetRCAExplain(fn func(*Report) ([]RootCause, *tracestore.RCAE
 // newEvidence starts a report's evidence trace: identity, matcher
 // configuration, and the frozen-window summary.
 func (a *Analyzer) newEvidence(traceID uint64, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *tracestore.Trace {
-	future := len(snap.Events) - 1 - snap.FaultIndex
+	future := snap.Len() - 1 - snap.FaultIndex
 	ev := &tracestore.Trace{
 		ID:          traceID,
 		Kind:        kind.String(),
@@ -55,12 +55,12 @@ func (a *Analyzer) newEvidence(traceID uint64, faultEv trace.Event, kind FaultKi
 		RPCPruned:   !a.cfg.DisablePruneRPC,
 		Window: tracestore.Window{
 			Alpha:        a.cfg.Alpha,
-			Events:       len(snap.Events),
+			Events:       snap.Len(),
 			FaultIndex:   snap.FaultIndex,
 			PastEvents:   snap.FaultIndex,
 			FutureEvents: future,
-			FirstSeq:     snap.Events[0].Seq,
-			LastSeq:      snap.Events[len(snap.Events)-1].Seq,
+			FirstSeq:     snap.At(0).Seq,
+			LastSeq:      snap.At(snap.Len() - 1).Seq,
 			// Fewer future slides than α/2 means the snapshot fired on
 			// Flush (end of stream) rather than filling naturally.
 			Truncated: future < a.cfg.Alpha/2,
@@ -121,14 +121,15 @@ func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Can
 }
 
 // finalizeEvidence fills everything known once matching has settled:
-// the verdict and the span tree over the final context buffer.
-func (a *Analyzer) finalizeEvidence(ev *tracestore.Trace, rep *Report, ctx []trace.Event) {
+// the verdict and the span tree over the final context buffer, messages
+// [lo, hi) of the snapshot.
+func (a *Analyzer) finalizeEvidence(ev *tracestore.Trace, rep *Report, snap *window.Snapshot, lo, hi int) {
 	ev.OffendingAPI = rep.OffendingAPI.String()
 	ev.DetectedAt = rep.DetectedAt
 	ev.Matched = append([]string(nil), rep.Candidates...)
 	ev.Beta = rep.Beta
 	ev.Precision = rep.Precision
-	ev.Spans = buildSpans(ctx, rep.Fault.Seq)
+	ev.Spans = buildSpans(snap, lo, hi, rep.Fault.Seq)
 }
 
 // openSpan tracks an in-flight REST exchange during the span-tree walk,
@@ -139,7 +140,8 @@ type openSpan struct {
 	dstNode string
 }
 
-// buildSpans pairs the context buffer's messages into a span tree:
+// buildSpans pairs the context buffer's messages, [lo, hi) of snap, read
+// in place, into a span tree:
 // REST exchanges by connection, RPC exchanges by message id, casts as
 // points. An exchange nests under the innermost open REST span stamped
 // with its correlation id when one is present, else under the innermost
@@ -147,8 +149,8 @@ type openSpan struct {
 // ground-truth operation identity, which the detector must not read.
 // Half-exchanges whose other side fell outside the buffer stay as
 // unpaired point spans, so every message is represented.
-func buildSpans(ctx []trace.Event, faultSeq uint64) []tracestore.Span {
-	spans := make([]tracestore.Span, 0, len(ctx)/2+1)
+func buildSpans(snap *window.Snapshot, lo, hi int, faultSeq uint64) []tracestore.Span {
+	spans := make([]tracestore.Span, 0, (hi-lo)/2+1)
 	openREST := make(map[uint64]int) // ConnID -> span index
 	openRPC := make(map[string]int)  // MsgID -> span index
 	open := make([]openSpan, 0, 8)   // open REST spans, outermost first
@@ -187,8 +189,8 @@ func buildSpans(ctx []trace.Event, faultSeq uint64) []tracestore.Span {
 		return idx
 	}
 
-	for i := range ctx {
-		e := &ctx[i]
+	for i := lo; i < hi; i++ {
+		e := snap.At(i)
 		switch e.Type {
 		case trace.RESTRequest:
 			idx := len(spans)

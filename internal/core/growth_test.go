@@ -49,7 +49,7 @@ func TestGrowContextEarlyExitKeepsVerdict(t *testing.T) {
 		}
 		cands := lib.CandidatesForAPI(full.OffendingAPI)
 		for _, step := range ev.Growth {
-			if want := matchedAt(lib, cands, snap.Events[step.Lo:step.Hi]); !slices.Equal(step.Matched, want) {
+			if want := matchedAt(lib, cands, events(snap, step.Lo, step.Hi)); !slices.Equal(step.Matched, want) {
 				t.Fatalf("snapshot %d β=%d: step matched %v, want the complete set %v", k, step.Beta, step.Matched, want)
 			}
 			if step.Stopped {
@@ -82,6 +82,15 @@ func matchedAt(lib *fingerprint.Library, cands fingerprint.Candidates, view []tr
 	return matched
 }
 
+// events copies messages [lo, hi) of snap.
+func events(snap *window.Snapshot, lo, hi int) []trace.Event {
+	out := make([]trace.Event, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, *snap.At(i))
+	}
+	return out
+}
+
 // frozenFaults replays evs through a bare window (word-less Push) and
 // returns each REST error with its frozen snapshot.
 func frozenFaults(alpha int, evs []trace.Event) ([]trace.Event, []*window.Snapshot) {
@@ -111,7 +120,7 @@ func frozenFaults(alpha int, evs []trace.Event) ([]trace.Event, []*window.Snapsh
 func naiveGrowth(lib *fingerprint.Library, cfg core.Config, cands fingerprint.Candidates, snap *window.Snapshot) ([]string, int, []tracestore.GrowthStep) {
 	var pattern []rune
 	var evIdx []int
-	for i, ev := range snap.Events {
+	for i, ev := range events(snap, 0, snap.Len()) {
 		if r, ok := lib.Table.Lookup(ev.API); ok && ev.Type.Request() && ev.API.Kind != trace.RPC {
 			pattern = append(pattern, r)
 			evIdx = append(evIdx, i)

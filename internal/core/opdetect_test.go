@@ -41,6 +41,31 @@ func TestSameNameVariantsMatchedByOwnProgram(t *testing.T) {
 	}
 }
 
+// TestPerformanceReportsListAVariantOnce: a performance report names a
+// branched operation once, however many of its variants match the
+// window, as the operational report over the same snapshot does — under
+// the relaxed matcher, with RPCs kept, and under the strict matcher.
+func TestPerformanceReportsListAVariantOnce(t *testing.T) {
+	lib := fingerprint.NewLibrary()
+	lib.AddAPIs("boot", "Compute", []trace.API{post("/a"), post("/b")})
+	lib.AddAPIs("boot", "Compute", []trace.API{post("/a"), get("/c"), post("/b")})
+	fault, snap := frozen(post("/a"), get("/c"), post("/b"))
+	for name, cfg := range map[string]Config{
+		"relaxed":  {Alpha: 16},
+		"rpc-kept": {Alpha: 16, DisablePruneRPC: true},
+		"strict":   {Alpha: 16, StrictMatch: true},
+	} {
+		a := New(lib, cfg)
+		op := a.Detect(fault, Operational, 0, snap)
+		perf := a.Detect(fault, Performance, 0, snap)
+		for _, rep := range []*Report{op, perf} {
+			if got := rep.Candidates; len(got) != 1 || got[0] != "boot" || rep.Precision != op.Precision {
+				t.Fatalf("%s %s: candidates %v θ %v, want [boot] θ %v", name, rep.Kind, got, rep.Precision, op.Precision)
+			}
+		}
+	}
+}
+
 // TestRPCOffendingAPITruncatesThenPrunes pins the corner of the
 // truncate-then-prune rule: when the offending API is an RPC and pruning
 // is on, the fingerprint is cut at the RPC in the un-pruned sequence and
@@ -64,8 +89,9 @@ func TestRPCOffendingAPITruncatesThenPrunes(t *testing.T) {
 	}
 }
 
-// frozen builds a literal snapshot of REST exchanges, one per API, the
-// last of which answers with status 500 and is the fault.
+// frozen freezes a snapshot of REST exchanges, one per API, the last of
+// which answers with status 500 and is the fault, as its window's last
+// message.
 func frozen(apis ...trace.API) (trace.Event, *window.Snapshot) {
 	var evs []trace.Event
 	s := &stream{emit: func(ev trace.Event) { evs = append(evs, ev) }}
@@ -79,7 +105,14 @@ func frozen(apis ...trace.API) (trace.Event, *window.Snapshot) {
 			s.rest(api, 200, 1, "op")
 		}
 	}
-	return evs[len(evs)-1], &window.Snapshot{Events: evs, FaultIndex: len(evs) - 1}
+	win := window.New(len(evs))
+	for _, ev := range evs {
+		win.Push(ev)
+	}
+	var snap *window.Snapshot
+	win.Arm(func(s *window.Snapshot) { snap = s })
+	win.Flush()
+	return evs[len(evs)-1], snap
 }
 
 // TestOpdetectSymbolCounters asserts the matcher-health counters: per

@@ -76,7 +76,7 @@ func (a *Analyzer) dispatch(fault trace.Event, kind FaultKind, latency time.Dura
 		traceID = a.traceSeq
 	}
 	if a.jobs == nil {
-		rep := a.detect(&a.scratch, fault, kind, latency, snap, snap.Words, traceID)
+		rep := a.detect(&a.scratch, fault, kind, latency, snap, a.scratch.wordsOf(snap), traceID)
 		snap.Release()
 		rep.DegradedNodes = deg
 		a.finish(rep)
@@ -111,7 +111,7 @@ func (a *Analyzer) detectWorker(id int) {
 	for job := range a.jobs {
 		gDetectQueue.Add(-1)
 		sp := spans.Start()
-		rep := a.detect(&sc, job.fault, job.kind, job.latency, job.snap, job.snap.Words, job.traceID)
+		rep := a.detect(&sc, job.fault, job.kind, job.latency, job.snap, sc.wordsOf(job.snap), job.traceID)
 		job.snap.Release()
 		rep.DegradedNodes = job.degraded
 		sp.End()

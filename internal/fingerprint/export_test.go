@@ -14,3 +14,16 @@ func (p Program) MandFinal() (mand []rune, final rune, ok bool) {
 	}
 	return p.mand, p.syms[len(p.syms)-1], true
 }
+
+// MatchBound is the per-candidate walk MatchStep is held to: MatchRelaxed
+// for candidate i of the set ResetBound bound, over positions [lo, hi) of
+// the indexed pattern, through the walk the explaining matchers share.
+func (idx *Index) MatchBound(i, lo, hi int) bool {
+	start := int32(0)
+	if i > 0 {
+		start = idx.ends[i-1]
+	}
+	prog := idx.prog[start:idx.ends[i]]
+	_, at, _ := idx.walk(prog, idx.rank[lo], idx.rank[hi], true)
+	return len(prog) > 0 && at == len(prog)
+}

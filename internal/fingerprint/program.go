@@ -242,9 +242,12 @@ type Index struct {
 	lo, hi int32
 	// prog holds the programs ResetBound bound, as columns (there are
 	// fewer than symbol.Max - symbol.Base): candidate i's are
-	// prog[ends[i-1]:ends[i]].
-	prog []uint16
-	ends []int32
+	// prog[ends[i-1]:ends[i]]. first[i] is Candidates.First(i), and hit
+	// is MatchStep's per-operation scratch.
+	prog  []uint16
+	ends  []int32
+	first []int32
+	hit   []bool
 }
 
 // NewIndex builds the occurrence index for a symbol sequence.
@@ -280,7 +283,7 @@ func (idx *Index) Reset(pattern []rune) {
 // final symbol is absent binds to nothing and matches no view. With
 // every set, every symbol gets a column as under Reset, so the table
 // also serves the other matchers and the explaining walks; without it
-// the table serves MatchBound only.
+// the table serves MatchStep only.
 func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRPC, every bool) {
 	idx.mark(pattern)
 	if every {
@@ -288,9 +291,10 @@ func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRP
 			idx.assign(r)
 		}
 	}
-	prog, ends := idx.prog[:0], idx.ends[:0]
+	prog, ends, first := idx.prog[:0], idx.ends[:0], idx.first[:0]
 	m := mode(pruneRPC)
 	for i := range cands.list {
+		first = append(first, cands.list[i].first)
 		if mand, r, ok := cands.bound(i, m, truncate); ok {
 			if final := idx.assign(r); final != 0 {
 				for _, r := range mand {
@@ -303,7 +307,10 @@ func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRP
 		}
 		ends = append(ends, int32(len(prog)))
 	}
-	idx.prog, idx.ends = prog, ends
+	idx.prog, idx.ends, idx.first = prog, ends, first
+	if cap(idx.hit) < len(ends) {
+		idx.hit = make([]bool, len(ends))
+	}
 	idx.fill(pattern)
 }
 
@@ -323,7 +330,8 @@ func (idx *Index) mark(pattern []rune) {
 			col[s] = -1
 		}
 	}
-	*idx = Index{col: col, rank: idx.rank, narrow: idx.narrow, wide: idx.wide, prog: idx.prog, ends: idx.ends,
+	*idx = Index{col: col, rank: idx.rank, narrow: idx.narrow, wide: idx.wide,
+		prog: idx.prog, ends: idx.ends, first: idx.first, hit: idx.hit,
 		cols: 1, hi: int32(len(pattern))}
 }
 
@@ -423,7 +431,7 @@ func (idx Index) Slice(lo, hi int) Index {
 }
 
 // Rows returns the table rows that pattern positions lo and hi map to.
-// A view's MatchBound verdicts depend on nothing else, so two views with
+// A view's MatchStep verdicts depend on nothing else, so two views with
 // equal rows match the same candidates.
 func (idx *Index) Rows(lo, hi int) (int32, int32) { return idx.rank[lo], idx.rank[hi] }
 
@@ -445,18 +453,60 @@ func (idx *Index) contains(r rune) bool {
 	return idx.next(idx.rank[idx.lo], idx.column(r)) < idx.rank[idx.hi]
 }
 
-// MatchBound is MatchRelaxed for candidate i of the set ResetBound bound,
-// over positions [lo, hi) of the indexed pattern (0 <= lo <= hi <= n,
-// whatever view idx itself carries): one table load per symbol, no
-// search, no copy.
-func (idx *Index) MatchBound(i, lo, hi int) bool {
-	start := int32(0)
-	if i > 0 {
-		start = idx.ends[i-1]
+// MatchStep is one β step of Algorithm 2 over the candidates ResetBound
+// bound: each candidate's program is matched as MatchRelaxed would match
+// it over positions [lo, hi) of the indexed pattern (0 <= lo <= hi <= n,
+// whatever view idx itself carries), one operation at a time — a
+// candidate whose operation an earlier variant matched is skipped — and
+// the step stops once more than limit operations have matched. It
+// appends the matched candidates' indexes to dst, in candidate order.
+// The view's rows are read once, the table and the programs in place: no
+// call, no copy per candidate. MatchStep marks operations in idx's
+// scratch, so one caller at a time may use idx and its views.
+func (idx *Index) MatchStep(lo, hi, limit int, dst []int32) []int32 {
+	hit := idx.hit[:len(idx.ends)]
+	clear(hit)
+	if idx.isWide {
+		return matchStep(idx.wide, idx, idx.rank[lo], idx.rank[hi], limit, hit, dst)
 	}
-	prog := idx.prog[start:idx.ends[i]]
-	_, at, _ := idx.walk(prog, idx.rank[lo], idx.rank[hi], true)
-	return len(prog) > 0 && at == len(prog)
+	return matchStep(idx.narrow, idx, idx.rank[lo], idx.rank[hi], limit, hit, dst)
+}
+
+// matchStep is MatchStep over table next, rows [lo, hi): walk's relaxed
+// walk, inlined for every bound candidate.
+func matchStep[T uint16 | int32](next []T, idx *Index, lo, hi int32, limit int, hit []bool, dst []int32) []int32 {
+	cols, progs, first := int(idx.cols), idx.prog, idx.first
+	// The view's first row, where a symbol absent from the match point
+	// on is looked up again.
+	loRow := next[int(lo)*cols : int(lo+1)*cols]
+	matched, start := 0, int32(0)
+outer:
+	for i, end := range idx.ends {
+		prog := progs[start:end]
+		start = end
+		if len(prog) == 0 || hit[first[i]] {
+			continue
+		}
+		j := lo
+		for n, c := range prog {
+			if k := int32(next[int(j)*cols+int(c)]); k < hi {
+				j = k + 1
+				continue
+			}
+			// Absent at or after j: out of order if the view holds it
+			// earlier, an omission otherwise, which only the final
+			// symbol may not be.
+			if int32(loRow[c]) < hi || n == len(prog)-1 {
+				continue outer
+			}
+		}
+		hit[first[i]] = true
+		dst = append(dst, int32(i))
+		if matched++; matched > limit {
+			break
+		}
+	}
+	return dst
 }
 
 // resolve appends every obligation of the non-empty program p as a column

@@ -216,8 +216,9 @@ func fuzzLibrary(rng *rand.Rand) *Library {
 // verdict equals its Match*, the precomputed posting facts (distinct
 // names, first-variant groups) equal a recount, and unknown runes and
 // empty patterns never panic. The bound walk Algorithm 2 runs is held to
-// the naive reference and the binary-search walk at once, the way detect
-// uses it: one ResetBound per pattern, then nested views growing from
+// the naive reference and the binary-search walk at once, and each view's
+// MatchStep to the naive verdicts, the way detect uses them: one
+// ResetBound per pattern, then nested views growing from
 // [lo, hi) to the whole pattern — over the pattern as drawn, and over it
 // with the offending symbol (every truncated program's final one) or
 // another symbol removed, so absent finals and absent mandatory symbols
@@ -311,8 +312,9 @@ func without(pattern []rune, r rune) []rune {
 // checkBound binds cands (whose fingerprints are fps) to one index over
 // pattern under every truncate / prune / every-column mode, then checks
 // MatchBound for every candidate against the naive and binary-search
-// walks over views nested like Algorithm 2's growing context buffer, and
-// on the every-column table MatchRelaxed too.
+// walks over views nested like Algorithm 2's growing context buffer, on
+// the every-column table MatchRelaxed too, and MatchStep for each view
+// against the naive verdicts (checkStep).
 func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pattern []rune, lo, hi int) {
 	t.Helper()
 	lo, hi = min(lo, len(pattern)), min(hi, len(pattern))
@@ -322,9 +324,11 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 		truncate, prune, every := mode&1 != 0, mode&2 != 0, mode&4 != 0
 		idx.ResetBound(pattern, cands, truncate, prune, every)
 		for vlo, vhi := lo, hi; ; vlo, vhi = max(vlo-2, 0), min(vhi+2, len(pattern)) {
+			ok := make([]bool, len(fps))
 			for i, fp := range fps {
 				ref := referenceProgram(fp, off, truncate, prune)
 				got, want := idx.MatchBound(i, vlo, vhi), ref.naiveOrdered(pattern[vlo:vhi], true)
+				ok[i] = want
 				if every {
 					// The explain-mode table also serves the relaxed matcher.
 					if p := cands.Program(i, truncate, prune); p.MatchRelaxed(idx.Slice(vlo, vhi)) != want {
@@ -337,6 +341,7 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 						fp.Name, off, truncate, prune, every, string(fp.Symbols), string(pattern), vlo, vhi, got, searched, want)
 				}
 			}
+			checkStep(t, &idx, cands, ok, vlo, vhi)
 			if vlo == 0 && vhi == len(pattern) {
 				break
 			}
@@ -344,12 +349,35 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 	}
 }
 
+// checkStep holds MatchStep over positions [lo, hi) to the naive
+// per-candidate verdicts ok: under every limit, the first matching
+// candidate of each operation in candidate order, cut after the
+// (limit+1)-th.
+func checkStep(t *testing.T, idx *Index, cands Candidates, ok []bool, lo, hi int) {
+	t.Helper()
+	for _, limit := range []int{len(ok), 1, 0} {
+		var want []int32
+		seen := map[int]bool{}
+		for i, m := range ok {
+			if m && !seen[cands.First(i)] {
+				seen[cands.First(i)] = true
+				if want = append(want, int32(i)); len(want) > limit {
+					break
+				}
+			}
+		}
+		if got := idx.MatchStep(lo, hi, limit, nil); !slices.Equal(got, want) {
+			t.Fatalf("MatchStep [%d,%d) limit %d: %v, reference %v", lo, hi, limit, got, want)
+		}
+	}
+}
+
 // TestWideTableMatchesReference drives the int32 table: patterns of more
 // than math.MaxUint16 indexed positions, which the fuzzer's short
 // patterns never reach. Every bound, relaxed, exact and correlated
-// verdict over views at the start, middle and end of such a pattern,
-// and over all of it, must equal the naive reference's — with the
-// offending symbol present and removed.
+// verdict and every MatchStep over views at the start, middle and end
+// of such a pattern, and over all of it, must equal the naive
+// reference's — with the offending symbol present and removed.
 func TestWideTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lib := fuzzLibrary(rng)
@@ -379,6 +407,7 @@ func TestWideTableMatchesReference(t *testing.T) {
 				}
 				for _, v := range views {
 					view, sub := idx.Slice(v[0], v[1]), pat[v[0]:v[1]]
+					ok := make([]bool, len(fps))
 					for i, fp := range fps {
 						ref, p := referenceProgram(fp, off, truncate, prune), cands.Program(i, truncate, prune)
 						check := func(matcher string, got, want bool) {
@@ -389,11 +418,13 @@ func TestWideTableMatchesReference(t *testing.T) {
 							}
 						}
 						relaxed := ref.naiveOrdered(sub, true)
+						ok[i] = relaxed
 						check("bound", idx.MatchBound(i, v[0], v[1]), relaxed)
 						check("relaxed", p.MatchRelaxed(view), relaxed)
 						check("exact", p.MatchExact(view), ref.naiveOrdered(sub, false))
 						check("correlated", p.MatchCorrelated(view), ref.naiveCorrelated(sub))
 					}
+					checkStep(t, &idx, cands, ok, v[0], v[1])
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 // Package window implements GRETEL's sliding-window machinery (§5.3.1 and
-// §6): a dual-buffer ring of the most recent α messages, freeze-on-fault
-// snapshots capturing both the past and the future of a faulty message,
-// and the growing context buffer the operation detector walks outward
-// from the fault.
+// §6): a dual-buffer window of the most recent α messages, kept in
+// fixed-size chunks; freeze-on-fault snapshots capturing both the past
+// and the future of a faulty message, which pin the chunks they span
+// rather than copy them; and the growing context buffer the operation
+// detector walks outward from the fault.
 //
 // α = 2·max(FPmax, Prate·t): twice the larger of the biggest fingerprint
 // and the message volume of a t-second interval. On a fault, the window
@@ -15,7 +16,7 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"gretel/internal/trace"
 )
@@ -34,50 +35,128 @@ func Alpha(fpMax int, prate, t float64) int {
 	return 2 * int(math.Ceil(m))
 }
 
-// snapBuf is one ring copy shared by every snapshot that fired on the
-// same push, refcounted so the last Release returns it to the window's
-// buffer pool.
-type snapBuf struct {
-	evs   []trace.Event // cap == alpha
-	words []uint32      // cap == alpha
-	refs  atomic.Int32
+// The window keeps its events in chunks of chunkLen consecutive pushes,
+// with their words, so a snapshot can pin the chunks it spans instead of
+// copying α events.
+const (
+	chunkBits = 6
+	chunkLen  = 1 << chunkBits
+)
+
+// chunk holds chunkLen consecutive pushes and their words. The window
+// writes each slot once, in push order, and never again until the chunk
+// is recycled, so a snapshot reads the slots it spans while later pushes
+// fill the rest. pins counts its holders: the window while any of its
+// events is among the last α, and every snapshot spanning it. The holder
+// that drops the last pin recycles it.
+type chunk struct {
+	evs   [chunkLen]trace.Event
+	words [chunkLen]uint32
+	pins  int32 // guarded by recycler.mu
+	// The pad rounds the chunk to 16 bytes, so that in New's block every
+	// chunk's events keep the 16-byte alignment a ring's would: with
+	// events off it, copies straddled cache lines and a push took about
+	// 10 % longer.
+	_ [(16 - (chunkLen*(unsafe.Sizeof(trace.Event{})+4)+4)%16) % 16]byte
 }
 
-// Snapshot is a frozen fault-centered message window.
+// recycler holds the chunks and snapshots nothing holds any more, for
+// the window to reuse. Release may run on detect workers, so pins,
+// consumer counts and both free lists sit behind one lock, taken once
+// per frozen snapshot, once per Release and once per chunk the window
+// takes or evicts.
+type recycler struct {
+	mu     sync.Mutex
+	chunks []*chunk
+	snaps  []*Snapshot
+}
+
+// Snapshot is a frozen fault-centered message window: the α messages
+// around the fault, oldest first, read in place from the window chunks
+// it pins.
 type Snapshot struct {
-	// Events holds the α messages around the fault, oldest first.
-	Events []trace.Event
-	// Words holds the word each event was pushed with (PushSeq), beside
-	// Events; nil when any of them was pushed without one (Push).
-	Words []uint32
-	// FaultIndex locates the offending message within Events.
+	// FaultIndex locates the offending message: At(FaultIndex).
 	FaultIndex int
 
-	// buf/pool back pooled snapshots (nil for literal snapshots).
-	buf  *snapBuf
-	pool *sync.Pool
+	chunks []*chunk // pinned, oldest first
+	off, n int      // the snapshot is slots [off, off+n) of chunks, end to end
+	// worded is false when any of its events was pushed without a word
+	// (Push).
+	worded bool
+	refs   int32 // consumers yet to Release, guarded by rec.mu
+	rec    *recycler
 }
 
-// Release hands the snapshot's shared ring copy back to the window's
-// buffer pool once every consumer has released it. Call it when the
-// detector is done with the snapshot; the Events slice must not be used
-// afterwards. Safe (a no-op) on snapshots not backed by a pooled buffer.
-// Each consumer must release at most once; concurrent releases from
-// different detect workers are safe.
+// Len returns the number of messages in the snapshot.
+func (s *Snapshot) Len() int { return s.n }
+
+// At returns message i, oldest first. The event lives in a window chunk:
+// it must not be written, nor used after Release.
+func (s *Snapshot) At(i int) *trace.Event {
+	if uint(i) >= uint(s.n) {
+		panic(fmt.Sprintf("window: snapshot index %d out of range [0, %d)", i, s.n))
+	}
+	p := s.off + i
+	return &s.chunks[p>>chunkBits].evs[p&(chunkLen-1)]
+}
+
+// Words appends the snapshot's words to dst, one slice per pinned chunk,
+// oldest first: the word of message i is the i-th word across them. It
+// appends nothing when any of the messages was pushed without a word
+// (Push). The slices alias the window chunks and are valid until Release.
+func (s *Snapshot) Words(dst [][]uint32) [][]uint32 {
+	if !s.worded {
+		return dst
+	}
+	last := len(s.chunks) - 1
+	for k, c := range s.chunks {
+		lo, hi := 0, chunkLen
+		if k == 0 {
+			lo = s.off
+		}
+		if k == last {
+			hi = (s.off+s.n-1)&(chunkLen-1) + 1
+		}
+		dst = append(dst, c.words[lo:hi])
+	}
+	return dst
+}
+
+// Release is one consumer's release of the snapshot: once every consumer
+// has released it, its chunks are unpinned, and a chunk that has left
+// the window and that no other snapshot pins is recycled. Call it when
+// the detector is done with the snapshot; nothing read from it may be
+// used afterwards. Each consumer must release at most once; concurrent
+// releases from different detect workers are safe.
 func (s *Snapshot) Release() {
-	if s == nil || s.buf == nil {
+	if s == nil || s.rec == nil {
 		return
 	}
-	buf, pool := s.buf, s.pool
-	s.buf, s.pool, s.Events, s.Words = nil, nil, nil, nil
-	if buf.refs.Add(-1) == 0 && pool != nil {
-		pool.Put(buf)
+	r := s.rec
+	r.mu.Lock()
+	if s.refs--; s.refs == 0 {
+		for _, c := range s.chunks {
+			r.unpin(c)
+		}
+		clear(s.chunks)
+		s.chunks = s.chunks[:0]
+		r.snaps = append(r.snaps, s)
+	}
+	r.mu.Unlock()
+}
+
+// unpin drops one pin of c, recycling it at the last. Call with r.mu
+// held.
+func (r *recycler) unpin(c *chunk) {
+	if c.pins--; c.pins == 0 {
+		r.chunks = append(r.chunks, c)
 	}
 }
 
-// ContextBounds returns the [lo, hi) range of Events within beta
+// ContextBounds returns the [lo, hi) range of messages within beta
 // messages centered on the fault (beta/2 on each side), clamped to the
-// snapshot bounds.
+// snapshot bounds — the context buffer β that sits atop the sliding
+// window.
 func (s *Snapshot) ContextBounds(beta int) (lo, hi int) {
 	if beta <= 0 {
 		return 0, 0
@@ -88,28 +167,17 @@ func (s *Snapshot) ContextBounds(beta int) (lo, hi int) {
 		lo = 0
 	}
 	hi = s.FaultIndex + half + 1
-	if hi > len(s.Events) {
-		hi = len(s.Events)
+	if hi > s.n {
+		hi = s.n
 	}
 	return lo, hi
-}
-
-// Context returns the events within beta messages centered on the fault
-// (beta/2 on each side), clamped to the snapshot bounds — the context
-// buffer β that sits atop the sliding window.
-func (s *Snapshot) Context(beta int) []trace.Event {
-	if beta <= 0 {
-		return nil
-	}
-	lo, hi := s.ContextBounds(beta)
-	return s.Events[lo:hi]
 }
 
 // Covered reports whether a context of the given beta already spans the
 // whole snapshot, i.e. growing further cannot add messages.
 func (s *Snapshot) Covered(beta int) bool {
 	half := beta / 2
-	return s.FaultIndex-half <= 0 && s.FaultIndex+half+1 >= len(s.Events)
+	return s.FaultIndex-half <= 0 && s.FaultIndex+half+1 >= s.n
 }
 
 type pending struct {
@@ -117,36 +185,41 @@ type pending struct {
 	onReady   func(*Snapshot)
 }
 
-// Dual is the dual-buffer receive window: a ring of the last α messages
-// plus armed freeze points waiting for their future half to fill. Push,
-// Arm, and Flush are not safe for concurrent use; the event receiver
-// drives them from one goroutine (§5.2: TCP delivery preserves order).
-// Snapshot.Release alone may be called from other goroutines — detect
-// workers return ring copies to the pool when they finish.
+// Dual is the dual-buffer receive window: the last α messages, in
+// chunks, plus armed freeze points waiting for their future half to
+// fill. Push, Arm, and Flush are not safe for concurrent use; the event
+// receiver drives them from one goroutine (§5.2: TCP delivery preserves
+// order). Snapshot.Release alone may be called from other goroutines —
+// detect workers unpin chunks when they finish.
 type Dual struct {
 	alpha int
-	ring  []trace.Event
-	words []uint32 // the word each ring slot was pushed with
-	// start indexes the oldest element; size is the fill level.
-	start, size int
-	pushed      uint64
+	// chunks holds the window's chunks, oldest first; chunks[0] starts
+	// at push number base (0-based, a multiple of chunkLen), and the
+	// last one, never full, takes the next push.
+	chunks []*chunk
+	base   uint64
+	pushed uint64
 	// bare is the Pushed count just after the last push that carried
 	// no word: a snapshot holding that push has no Words.
 	bare  uint64
 	armed []*pending
-	// pool recycles snapshot ring copies; Release may return buffers
-	// from concurrent detect workers, hence sync.Pool rather than a
-	// plain free list.
-	pool sync.Pool
+	rec   *recycler
 }
 
-// New returns a window of size alpha (minimum 2).
+// New returns a window of size alpha (minimum 2). It allocates the
+// chunks α consecutive pushes can span up front, in one block as a ring
+// would be: with a separate allocation per chunk a push took about 15 %
+// longer (a push micro-benchmark on a 2-core Xeon VM).
 func New(alpha int) *Dual {
 	if alpha < 2 {
 		alpha = 2
 	}
-	w := &Dual{alpha: alpha, ring: make([]trace.Event, alpha), words: make([]uint32, alpha)}
-	w.pool.New = func() any { return &snapBuf{evs: make([]trace.Event, alpha), words: make([]uint32, alpha)} }
+	w := &Dual{alpha: alpha, rec: &recycler{}}
+	block := make([]chunk, (alpha-1)/chunkLen+2)
+	for i := range block { // taken last first: pushes walk the block upwards
+		w.rec.chunks = append(w.rec.chunks, &block[len(block)-1-i])
+	}
+	w.chunks = append(w.chunks, w.take())
 	return w
 }
 
@@ -154,14 +227,14 @@ func New(alpha int) *Dual {
 func (w *Dual) Alpha() int { return w.alpha }
 
 // Len reports the current fill level (at most α).
-func (w *Dual) Len() int { return w.size }
+func (w *Dual) Len() int { return int(min(w.pushed, uint64(w.alpha))) }
 
 // Pushed reports the total number of messages ever pushed.
 func (w *Dual) Pushed() uint64 { return w.pushed }
 
 // Push appends a message, evicting the oldest once full, and fires any
 // armed snapshot whose future half has filled. It carries no word, so
-// snapshots holding the message have nil Words.
+// snapshots holding the message have no Words.
 func (w *Dual) Push(ev trace.Event) {
 	w.bare = w.pushed + 1 // before PushSeq fires a snapshot holding it
 	w.PushSeq(&ev, ev.Seq, 0)
@@ -172,22 +245,16 @@ func (w *Dual) Push(ev trace.Event) {
 // and *ev is not written. Snapshots hand the word back in Words, at the
 // event's index; the window never reads it.
 func (w *Dual) PushSeq(ev *trace.Event, seq uint64, word uint32) {
-	var i int
-	if w.size == w.alpha {
-		i = w.start
-		if w.start++; w.start == w.alpha {
-			w.start = 0
-		}
-	} else {
-		// start stays 0 until the ring first fills.
-		i = w.size
-		w.size++
-	}
-	slot := &w.ring[i]
+	j := int(w.pushed & (chunkLen - 1))
+	c := w.chunks[len(w.chunks)-1]
+	slot := &c.evs[j]
 	*slot = *ev
 	slot.Seq = seq
-	w.words[i] = word
+	c.words[j] = word
 	w.pushed++
+	if j == chunkLen-1 || w.pushed >= uint64(w.alpha)+w.base+chunkLen {
+		w.turn()
+	}
 
 	if len(w.armed) == 0 {
 		return
@@ -207,53 +274,77 @@ func (w *Dual) PushSeq(ev *trace.Event, seq uint64, word uint32) {
 		return
 	}
 	// Every pending firing on the same push freezes the identical
-	// window, so they all share one ring copy — and one Snapshot, with
-	// the reference count set to the number of consumers.
-	idx := w.size - 1 - w.alpha/2
+	// window, so they all share one Snapshot, with the consumer count
+	// set to the number of them.
+	idx := w.Len() - 1 - w.alpha/2
 	if idx < 0 {
 		idx = 0
 	}
-	snap := w.sharedSnapshot(len(ready), idx)
+	snap := w.freeze(len(ready), idx)
 	for _, p := range ready {
 		p.onReady(snap)
 	}
 }
 
-// contents returns the window oldest-first as a fresh slice.
-func (w *Dual) contents() []trace.Event {
-	out := make([]trace.Event, w.size)
-	for i := 0; i < w.size; i++ {
-		out[i] = w.ring[(w.start+i)%w.alpha]
+// turn is PushSeq's slow path, after a push: the oldest chunk leaves
+// the window once the last α pushes are all past it, and a fresh chunk
+// is taken once the newest is full — after the eviction, so the chunk
+// just left can be the one. It runs out of line, at most twice per
+// chunkLen pushes, so the push itself makes no call before its write.
+func (w *Dual) turn() {
+	r := w.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w.pushed >= uint64(w.alpha)+w.base+chunkLen {
+		r.unpin(w.chunks[0])
+		w.chunks = w.chunks[:copy(w.chunks, w.chunks[1:])]
+		w.base += chunkLen
 	}
-	return out
+	if w.pushed&(chunkLen-1) == 0 {
+		w.chunks = append(w.chunks, w.take())
+	}
 }
 
-// sharedCopy copies the window into a pooled buffer carrying the given
-// reference count.
-func (w *Dual) sharedCopy(refs int) *snapBuf {
-	buf := w.pool.Get().(*snapBuf)
-	buf.refs.Store(int32(refs))
-	// Oldest first: the ring from start, then its head.
-	n := copy(buf.evs[:w.size], w.ring[w.start:w.size])
-	copy(buf.evs[n:w.size], w.ring[:w.start])
-	n = copy(buf.words[:w.size], w.words[w.start:w.size])
-	copy(buf.words[n:w.size], w.words[:w.start])
-	return buf
+// take returns a chunk for the window to fill, pinned by the window: a
+// recycled one when any is free. Call it with w.rec.mu held.
+func (w *Dual) take() *chunk {
+	r := w.rec
+	var c *chunk
+	if n := len(r.chunks); n > 0 {
+		c = r.chunks[n-1]
+		r.chunks = r.chunks[:n-1]
+	} else {
+		c = new(chunk)
+	}
+	c.pins = 1
+	return c
 }
 
-// snapshot is a Snapshot over buf's copy of the current window.
-func (w *Dual) snapshot(buf *snapBuf, faultIdx int) *Snapshot {
-	s := &Snapshot{Events: buf.evs[:w.size], FaultIndex: faultIdx, buf: buf, pool: &w.pool}
-	if w.bare <= w.pushed-uint64(w.size) {
-		s.Words = buf.words[:w.size]
+// freeze pins the chunks the window's current contents span into a
+// snapshot of them held by refs consumers.
+func (w *Dual) freeze(refs, faultIdx int) *Snapshot {
+	r := w.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var s *Snapshot
+	if n := len(r.snaps); n > 0 {
+		s = r.snaps[n-1]
+		r.snaps = r.snaps[:n-1]
+	} else {
+		s = &Snapshot{rec: r}
 	}
+	first := w.pushed - uint64(w.Len())
+	s.off, s.n, s.FaultIndex = int(first-w.base), w.Len(), faultIdx
+	// The newest chunk holds no event yet when the last push filled the
+	// one before it.
+	spans := w.chunks[:(s.off+s.n+chunkLen-1)>>chunkBits]
+	for _, c := range spans {
+		c.pins++
+	}
+	s.chunks = append(s.chunks, spans...)
+	s.worded = w.bare <= first
+	s.refs = int32(refs)
 	return s
-}
-
-// sharedSnapshot freezes the current window into a pooled snapshot held
-// by refs consumers.
-func (w *Dual) sharedSnapshot(refs, faultIdx int) *Snapshot {
-	return w.snapshot(w.sharedCopy(refs), faultIdx)
 }
 
 // Arm registers a freeze point at the most recently pushed message (the
@@ -290,21 +381,19 @@ func (w *Dual) ArmedCount() int { return len(w.armed) }
 
 // Flush fires every armed snapshot immediately with whatever the window
 // currently holds — used at end of stream so trailing faults still get a
-// (possibly shorter) snapshot.
+// (possibly shorter) snapshot. Fault indexes differ, so each armed
+// freeze point gets its own Snapshot over the same pinned chunks.
 func (w *Dual) Flush() {
 	if len(w.armed) == 0 {
 		return
 	}
 	armed := w.armed
 	w.armed = nil
-	// One ring copy serves every armed pending; fault indexes differ, so
-	// each gets its own Snapshot over the shared buffer.
-	buf := w.sharedCopy(len(armed))
 	for _, p := range armed {
-		idx := w.size - 1 - (w.alpha/2 - p.remaining)
+		idx := w.Len() - 1 - (w.alpha/2 - p.remaining)
 		if idx < 0 {
 			idx = 0
 		}
-		p.onReady(w.snapshot(buf, idx))
+		p.onReady(w.freeze(1, idx))
 	}
 }

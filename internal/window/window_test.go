@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,44 @@ import (
 )
 
 func ev(seq uint64) trace.Event { return trace.Event{Seq: seq} }
+
+// contents returns the window oldest-first as a fresh slice.
+func (w *Dual) contents() []trace.Event {
+	s := w.freeze(1, 0)
+	defer s.Release()
+	return events(s)
+}
+
+// events copies every message of s.
+func events(s *Snapshot) []trace.Event { return slice(s, 0, s.Len()) }
+
+// slice copies messages [lo, hi) of s.
+func slice(s *Snapshot, lo, hi int) []trace.Event {
+	var out []trace.Event
+	for i := lo; i < hi; i++ {
+		out = append(out, *s.At(i))
+	}
+	return out
+}
+
+// words flattens the words of s, nil when it has none.
+func words(s *Snapshot) []uint32 {
+	var out []uint32
+	for _, seg := range s.Words(nil) {
+		out = append(out, seg...)
+	}
+	return out
+}
+
+// literal is a snapshot of evs, as a window that held exactly them would
+// freeze it.
+func literal(evs []trace.Event, faultIdx int) *Snapshot {
+	w := New(len(evs))
+	for _, e := range evs {
+		w.Push(e)
+	}
+	return w.freeze(1, faultIdx)
+}
 
 func TestAlpha(t *testing.T) {
 	cases := []struct {
@@ -98,15 +137,15 @@ func TestArmSnapshotCentersFault(t *testing.T) {
 	if snap == nil {
 		t.Fatal("snapshot never fired")
 	}
-	if len(snap.Events) != 8 {
-		t.Fatalf("snapshot size = %d, want 8", len(snap.Events))
+	if snap.Len() != 8 {
+		t.Fatalf("snapshot size = %d, want 8", snap.Len())
 	}
-	if got := snap.Events[snap.FaultIndex].Seq; got != 10 {
+	if got := snap.At(snap.FaultIndex).Seq; got != 10 {
 		t.Fatalf("fault event seq = %d, want 10", got)
 	}
 	// Past half: 7,8,9; future half: 11..14.
-	if snap.Events[0].Seq != 7 || snap.Events[len(snap.Events)-1].Seq != 14 {
-		t.Fatalf("snapshot range [%d, %d]", snap.Events[0].Seq, snap.Events[len(snap.Events)-1].Seq)
+	if snap.At(0).Seq != 7 || snap.At(snap.Len()-1).Seq != 14 {
+		t.Fatalf("snapshot range [%d, %d]", snap.At(0).Seq, snap.At(snap.Len()-1).Seq)
 	}
 	if w.ArmedCount() != 0 {
 		t.Fatal("armed entry not cleared")
@@ -119,10 +158,10 @@ func TestMultipleArmedSnapshots(t *testing.T) {
 		w.Push(ev(i))
 	}
 	var got []uint64
-	w.Arm(func(s *Snapshot) { got = append(got, s.Events[s.FaultIndex].Seq) })
+	w.Arm(func(s *Snapshot) { got = append(got, s.At(s.FaultIndex).Seq) })
 	w.Push(ev(9))
 	w.Push(ev(10))
-	w.Arm(func(s *Snapshot) { got = append(got, s.Events[s.FaultIndex].Seq) })
+	w.Arm(func(s *Snapshot) { got = append(got, s.At(s.FaultIndex).Seq) })
 	for i := uint64(11); i <= 20; i++ {
 		w.Push(ev(i))
 	}
@@ -143,8 +182,8 @@ func TestSnapshotEarlyFault(t *testing.T) {
 	if snap == nil {
 		t.Fatal("snapshot never fired")
 	}
-	if snap.FaultIndex != 0 || snap.Events[0].Seq != 1 {
-		t.Fatalf("fault index = %d, first = %d", snap.FaultIndex, snap.Events[0].Seq)
+	if snap.FaultIndex != 0 || snap.At(0).Seq != 1 {
+		t.Fatalf("fault index = %d, first = %d", snap.FaultIndex, snap.At(0).Seq)
 	}
 }
 
@@ -153,8 +192,8 @@ func TestContextGrowth(t *testing.T) {
 	for i := range evs {
 		evs[i] = ev(uint64(i))
 	}
-	s := &Snapshot{Events: evs, FaultIndex: 50}
-	c := s.Context(10)
+	s := literal(evs, 50)
+	c := context(s, 10)
 	if len(c) != 11 { // 5 each side + fault
 		t.Fatalf("context size = %d", len(c))
 	}
@@ -164,16 +203,22 @@ func TestContextGrowth(t *testing.T) {
 	if s.Covered(10) {
 		t.Fatal("covered too early")
 	}
-	full := s.Context(1000)
+	full := context(s, 1000)
 	if len(full) != 100 {
 		t.Fatalf("full context = %d", len(full))
 	}
 	if !s.Covered(1000) {
 		t.Fatal("not covered at 1000")
 	}
-	if s.Context(0) != nil {
-		t.Fatal("Context(0) should be nil")
+	if context(s, 0) != nil {
+		t.Fatal("a β of 0 should hold nothing")
 	}
+}
+
+// context copies the messages of the context buffer of the given beta.
+func context(s *Snapshot, beta int) []trace.Event {
+	lo, hi := s.ContextBounds(beta)
+	return slice(s, lo, hi)
 }
 
 func TestContextClampsAtEdges(t *testing.T) {
@@ -181,13 +226,13 @@ func TestContextClampsAtEdges(t *testing.T) {
 	for i := range evs {
 		evs[i] = ev(uint64(i))
 	}
-	s := &Snapshot{Events: evs, FaultIndex: 1}
-	c := s.Context(8)
+	s := literal(evs, 1)
+	c := context(s, 8)
 	if c[0].Seq != 0 {
 		t.Fatalf("context start = %d", c[0].Seq)
 	}
 	s.FaultIndex = 9
-	c = s.Context(8)
+	c = context(s, 8)
 	if c[len(c)-1].Seq != 9 {
 		t.Fatalf("context end = %d", c[len(c)-1].Seq)
 	}
@@ -205,7 +250,7 @@ func TestFlushFiresPartialSnapshots(t *testing.T) {
 	if snap == nil {
 		t.Fatal("flush did not fire")
 	}
-	if got := snap.Events[snap.FaultIndex].Seq; got != 8 {
+	if got := snap.At(snap.FaultIndex).Seq; got != 8 {
 		t.Fatalf("flushed fault seq = %d, want 8", got)
 	}
 	if w.ArmedCount() != 0 {
@@ -256,7 +301,7 @@ func TestSamePushSharesOneSnapshot(t *testing.T) {
 		w.Push(ev(i))
 	}
 	// Two faults armed on the same message fire on the same push and
-	// must share one Snapshot (one ring copy).
+	// must share one Snapshot, held by both.
 	var got []*Snapshot
 	w.Arm(func(s *Snapshot) { got = append(got, s) })
 	w.Arm(func(s *Snapshot) { got = append(got, s) })
@@ -269,8 +314,18 @@ func TestSamePushSharesOneSnapshot(t *testing.T) {
 	if got[0] != got[1] {
 		t.Fatal("same-push snapshots not shared")
 	}
-	if got[0].buf == nil || got[0].buf.refs.Load() != 2 {
-		t.Fatalf("shared buffer refcount = %v, want 2", got[0].buf.refs.Load())
+	if got[0].refs != 2 {
+		t.Fatalf("shared snapshot held by %d consumers, want 2", got[0].refs)
+	}
+	// The first consumer's release leaves the other's view intact.
+	got[0].Release()
+	if got[1].Len() != 8 || got[1].At(got[1].FaultIndex).Seq != 8 {
+		t.Fatalf("after one release: %d events, fault seq %d", got[1].Len(), got[1].At(got[1].FaultIndex).Seq)
+	}
+	c := got[1].chunks[0]
+	got[1].Release()
+	if c.pins != 1 || len(got[1].chunks) != 0 {
+		t.Fatalf("after both releases: chunk pins %d (want the window's 1), %d chunks pinned", c.pins, len(got[1].chunks))
 	}
 }
 
@@ -288,19 +343,22 @@ func TestFlushSharesOneCopy(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("snapshots fired = %d, want 2", len(got))
 	}
-	// Distinct snapshots (fault indexes differ) over one shared buffer.
-	if got[0] == got[1] || got[0].buf != got[1].buf {
-		t.Fatal("flush snapshots should share one buffer via distinct Snapshots")
+	// Distinct snapshots (fault indexes differ) over the same chunks.
+	if got[0] == got[1] || got[0].chunks[0] != got[1].chunks[0] {
+		t.Fatal("flush snapshots should pin the same chunks via distinct Snapshots")
 	}
-	if &got[0].Events[0] != &got[1].Events[0] {
+	if got[0].At(0) != got[1].At(0) {
 		t.Fatal("flush snapshots do not share backing storage")
 	}
 	if got[0].FaultIndex == got[1].FaultIndex {
 		t.Fatal("fault indexes should differ")
 	}
-	if got[0].Events[got[0].FaultIndex].Seq != 8 || got[1].Events[got[1].FaultIndex].Seq != 10 {
+	if got[0].At(got[0].FaultIndex).Seq != 8 || got[1].At(got[1].FaultIndex).Seq != 10 {
 		t.Fatalf("fault seqs = %d, %d; want 8, 10",
-			got[0].Events[got[0].FaultIndex].Seq, got[1].Events[got[1].FaultIndex].Seq)
+			got[0].At(got[0].FaultIndex).Seq, got[1].At(got[1].FaultIndex).Seq)
+	}
+	if pins := got[0].chunks[0].pins; pins != 3 {
+		t.Fatalf("chunk pins = %d, want 3 (the window and two snapshots)", pins)
 	}
 }
 
@@ -320,39 +378,105 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 		return snap
 	}
 	first := fire()
-	buf := first.buf
 	first.Release()
-	if first.Events != nil || first.buf != nil {
-		t.Fatal("Release did not clear the snapshot")
+	if len(first.chunks) != 0 {
+		t.Fatal("Release left the chunks pinned")
 	}
-	first.Release() // second release of the same consumer handle: no-op
-	// Under the race detector sync.Pool drops a fraction of puts on
-	// purpose, so recycling is probabilistic there: retry until the pool
-	// hands the released buffer back.
-	recycled := false
-	for i := 0; i < 20 && !recycled; i++ {
-		second := fire()
-		recycled = second.buf == buf
-		// The recycled snapshot carries the fresh window, not stale events.
-		if second.Events[second.FaultIndex].Seq != 4 {
-			t.Fatalf("recycled snapshot fault seq = %d, want 4", second.Events[second.FaultIndex].Seq)
-		}
-		buf = second.buf
-		second.Release()
+	second := fire()
+	if second != first {
+		t.Fatal("released snapshot was not recycled")
 	}
-	if !recycled {
-		t.Fatal("released buffer was not recycled")
+	// The recycled snapshot carries the fresh window, not stale events.
+	if second.At(second.FaultIndex).Seq != 4 {
+		t.Fatalf("recycled snapshot fault seq = %d, want 4", second.At(second.FaultIndex).Seq)
 	}
+	second.Release()
 
-	// Literal snapshots (no pooled buffer) tolerate Release.
-	lit := &Snapshot{Events: []trace.Event{ev(1)}, FaultIndex: 0}
+	// Snapshots not frozen by a window tolerate Release.
+	var lit Snapshot
 	lit.Release()
 	var nilSnap *Snapshot
 	nilSnap.Release()
 }
 
+// TestHeldSnapshotsOutliveTheWindow holds snapshots while the window
+// advances 2α and more past them, then releases them from other
+// goroutines while the window keeps pushing, as detect workers do: each
+// must still read its own events and words, the chunks it pinned must
+// not be refilled while pinned (run it under -race), and released chunks
+// must be reused, so the distinct chunks the window ever fills stay
+// bounded by what the window and the snapshots alive at once span.
+func TestHeldSnapshotsOutliveTheWindow(t *testing.T) {
+	const alpha, rounds = 200, 10
+	w := New(alpha)
+	check := func(s *Snapshot, fault uint64) {
+		if s.Len() != min(alpha, int(fault)+alpha/2) || s.At(s.FaultIndex).Seq != fault {
+			t.Errorf("snapshot of fault %d: %d events, fault seq %d", fault, s.Len(), s.At(s.FaultIndex).Seq)
+			return
+		}
+		ws := words(s)
+		for i := 0; i < s.Len(); i++ {
+			if seq := s.At(i).Seq; seq != s.At(0).Seq+uint64(i) || ws[i] != uint32(seq)*7 {
+				t.Errorf("snapshot of fault %d: event %d seq %d word %d", fault, i, seq, ws[i])
+				return
+			}
+		}
+	}
+	type held struct {
+		s     *Snapshot
+		fault uint64
+	}
+	var done sync.WaitGroup
+	n := uint64(0)
+	made := map[*chunk]bool{} // every chunk the window has filled
+	for round := 0; round < rounds; round++ {
+		var batch []held
+		for k := 0; k < 3*alpha; k++ {
+			n++
+			e := ev(n)
+			w.PushSeq(&e, n, uint32(n)*7)
+			made[w.chunks[len(w.chunks)-1]] = true
+			// Armed so that each fires within the round.
+			if n%(alpha/4) == 0 && k < 3*alpha-alpha/2 {
+				fault := n
+				w.Arm(func(s *Snapshot) { batch = append(batch, held{s, fault}) })
+			}
+		}
+		if len(batch) < 10 {
+			t.Fatalf("round %d froze %d snapshots", round, len(batch))
+		}
+		// The oldest of them was frozen more than 2α pushes ago.
+		for _, h := range batch {
+			check(h.s, h.fault)
+		}
+		done.Wait()
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for _, h := range batch {
+				check(h.s, h.fault)
+				h.s.Release()
+			}
+		}()
+	}
+	done.Wait()
+	// Without reuse the pushes would need one chunk per chunkLen of them.
+	// With it, at most the window plus two rounds of held snapshots
+	// (3α pushes each, and the α the first of them reaches back).
+	bound := alpha/chunkLen + 2 + 2*(4*alpha/chunkLen+2)
+	if len(made) > bound || len(made) >= int(n)/chunkLen {
+		t.Fatalf("%d chunks filled over %d pushes, want at most %d", len(made), n, bound)
+	}
+	// Every snapshot released: only the window pins chunks.
+	for _, c := range w.chunks {
+		if c.pins != 1 {
+			t.Fatalf("window chunk pinned %d times after every release", c.pins)
+		}
+	}
+}
+
 // Snapshots hand back the words their events were pushed with, aligned
-// with Events across a wrapped ring, and carry none while any of their
+// with the events across a wrapped ring, and carry none while any of their
 // events came from the word-less Push.
 func TestSnapshotWords(t *testing.T) {
 	w := New(4)
@@ -374,19 +498,20 @@ func TestSnapshotWords(t *testing.T) {
 	w.Flush()
 	worded := 0
 	for _, s := range snaps {
-		if s.Words != nil {
+		ws := words(s)
+		if ws != nil {
 			worded++
 		}
 		bare := false
-		for _, ev := range s.Events {
+		for _, ev := range events(s) {
 			bare = bare || ev.Seq == 1 || ev.Seq == 10
 		}
-		if bare != (s.Words == nil) {
-			t.Fatalf("snapshot from seq %d: words %v", s.Events[0].Seq, s.Words)
+		if bare != (ws == nil) {
+			t.Fatalf("snapshot from seq %d: words %v", s.At(0).Seq, ws)
 		}
-		for i, word := range s.Words {
-			if want := uint32(100 + s.Events[i].Seq); word != want {
-				t.Fatalf("snapshot from seq %d: word %d = %d, want %d", s.Events[0].Seq, i, word, want)
+		for i, word := range ws {
+			if want := uint32(100 + s.At(i).Seq); word != want {
+				t.Fatalf("snapshot from seq %d: word %d = %d, want %d", s.At(0).Seq, i, word, want)
 			}
 		}
 		s.Release()
@@ -400,7 +525,7 @@ func TestSnapshotWords(t *testing.T) {
 // [0, α/2), with other freeze points armed at every push around the
 // fault (and, at the push ArmBack is called on, both before and after
 // it), the same points fire on the same pushes, in the same order, with
-// the same Events, Words and FaultIndex — both as the window fills and
+// the same events, words and FaultIndex — both as the window fills and
 // at a Flush that catches them pending. k outside [0, α/2) is rejected.
 func TestArmBack(t *testing.T) {
 	const alpha, fault = 8, 6
@@ -417,8 +542,8 @@ func TestArmBack(t *testing.T) {
 		var fires []fire
 		arm := func(tag string) func(*Snapshot) {
 			return func(s *Snapshot) {
-				f := fire{tag: tag, at: w.Pushed(), words: append([]uint32(nil), s.Words...), idx: s.FaultIndex}
-				for _, e := range s.Events {
+				f := fire{tag: tag, at: w.Pushed(), words: words(s), idx: s.FaultIndex}
+				for _, e := range events(s) {
 					f.seqs = append(f.seqs, e.Seq)
 				}
 				fires = append(fires, f)

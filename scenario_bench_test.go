@@ -311,7 +311,7 @@ func BenchmarkOpdetect(b *testing.B) {
 		}
 	}
 	win.Flush()
-	if len(snaps) == 0 || snaps[0].Words == nil {
+	if len(snaps) == 0 || len(snaps[0].Words(nil)) == 0 {
 		b.Fatal("faulty stream froze no word-carrying snapshots")
 	}
 	attempts := telemetry.GetCounter("core.opdetect.attempts")
