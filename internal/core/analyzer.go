@@ -658,12 +658,9 @@ type detectScratch struct {
 	// report cuts its candidates the same way.
 	truncate bool
 	// cur and prev are growContext's matched-name buffers (this β step's
-	// and the last one's); step holds the candidates a bound step
-	// matched, and hit marks, on the other matchers' per-candidate
-	// path, the candidates whose operation already matched in the step.
+	// and the last one's); step holds the candidates a step matched.
 	cur, prev []string
 	step      []int32
-	hit       []bool
 }
 
 // snapshotPattern builds the pattern from the snapshot's window words:
@@ -741,28 +738,15 @@ func (a *Analyzer) index(sc *detectScratch, cands fingerprint.Candidates, trunca
 // first variant that hits), stopping once more than limit have matched.
 // The relaxed matcher walks every bound candidate in one pass
 // (fingerprint.Index.MatchStep); the strict and correlated matchers cut
-// and match each candidate's program in turn.
+// and match each candidate's program in turn (MatchEach).
 func (a *Analyzer) matchStep(sc *detectScratch, cands fingerprint.Candidates, lo, hi, limit int, corrFiltered bool, matched []string) []string {
 	if !a.cfg.StrictMatch && !corrFiltered {
 		sc.step = sc.idx.MatchStep(lo, hi, limit, sc.step[:0])
-		for _, i := range sc.step {
-			matched = append(matched, cands.Name(int(i)))
-		}
-		return matched
+	} else {
+		sc.step = sc.idx.MatchEach(cands, limit, sc.step[:0], func(i int) bool { return a.match(sc, cands, i, lo, hi) })
 	}
-	if cap(sc.hit) < cands.Len() {
-		sc.hit = make([]bool, cands.Len())
-	}
-	hit := sc.hit[:cands.Len()]
-	clear(hit)
-	for i := range hit {
-		first := cands.First(i)
-		if !hit[first] && a.match(sc, cands, i, lo, hi) {
-			hit[first] = true
-			if matched = append(matched, cands.Name(i)); len(matched) > limit {
-				break
-			}
-		}
+	for _, i := range sc.step {
+		matched = append(matched, cands.Name(int(i)))
 	}
 	return matched
 }

@@ -243,7 +243,7 @@ type Index struct {
 	// prog holds the programs ResetBound bound, as columns (there are
 	// fewer than symbol.Max - symbol.Base): candidate i's are
 	// prog[ends[i-1]:ends[i]]. first[i] is Candidates.First(i), and hit
-	// is MatchStep's per-operation scratch.
+	// is the per-operation scratch of MatchStep and MatchEach.
 	prog  []uint16
 	ends  []int32
 	first []int32
@@ -308,9 +308,6 @@ func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRP
 		ends = append(ends, int32(len(prog)))
 	}
 	idx.prog, idx.ends, idx.first = prog, ends, first
-	if cap(idx.hit) < len(ends) {
-		idx.hit = make([]bool, len(ends))
-	}
 	idx.fill(pattern)
 }
 
@@ -464,12 +461,42 @@ func (idx *Index) contains(r rune) bool {
 // call, no copy per candidate. MatchStep marks operations in idx's
 // scratch, so one caller at a time may use idx and its views.
 func (idx *Index) MatchStep(lo, hi, limit int, dst []int32) []int32 {
-	hit := idx.hit[:len(idx.ends)]
-	clear(hit)
+	hit := idx.hits(len(idx.ends))
 	if idx.isWide {
 		return matchStep(idx.wide, idx, idx.rank[lo], idx.rank[hi], limit, hit, dst)
 	}
 	return matchStep(idx.narrow, idx, idx.rank[lo], idx.rank[hi], limit, hit, dst)
+}
+
+// MatchEach is MatchStep for the matchers it does not inline (strict and
+// correlated): match(i) is candidate i's verdict over the step's view,
+// and the step picks operations by the same rule — a candidate whose
+// operation an earlier variant matched is skipped, and the step stops
+// once more than limit operations have matched. It appends the matched
+// candidates' indexes to dst, in candidate order, and uses only idx's
+// scratch, so idx need not index anything.
+func (idx *Index) MatchEach(cands Candidates, limit int, dst []int32, match func(i int) bool) []int32 {
+	hit, matched := idx.hits(len(cands.list)), 0
+	for i := range cands.list {
+		if first := cands.list[i].first; !hit[first] && match(i) {
+			hit[first] = true
+			dst = append(dst, int32(i))
+			if matched++; matched > limit {
+				break
+			}
+		}
+	}
+	return dst
+}
+
+// hits returns the step's per-operation marks for n candidates, cleared.
+func (idx *Index) hits(n int) []bool {
+	if cap(idx.hit) < n {
+		idx.hit = make([]bool, n)
+	}
+	hit := idx.hit[:n]
+	clear(hit)
+	return hit
 }
 
 // matchStep is MatchStep over table next, rows [lo, hi): walk's relaxed

@@ -349,8 +349,8 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 	}
 }
 
-// checkStep holds MatchStep over positions [lo, hi) to the naive
-// per-candidate verdicts ok: under every limit, the first matching
+// checkStep holds MatchStep over positions [lo, hi), and MatchEach fed
+// the verdicts themselves, to the naive per-candidate verdicts ok: under every limit, the first matching
 // candidate of each operation in candidate order, cut after the
 // (limit+1)-th.
 func checkStep(t *testing.T, idx *Index, cands Candidates, ok []bool, lo, hi int) {
@@ -368,6 +368,9 @@ func checkStep(t *testing.T, idx *Index, cands Candidates, ok []bool, lo, hi int
 		}
 		if got := idx.MatchStep(lo, hi, limit, nil); !slices.Equal(got, want) {
 			t.Fatalf("MatchStep [%d,%d) limit %d: %v, reference %v", lo, hi, limit, got, want)
+		}
+		if got := idx.MatchEach(cands, limit, nil, func(i int) bool { return ok[i] }); !slices.Equal(got, want) {
+			t.Fatalf("MatchEach [%d,%d) limit %d: %v, reference %v", lo, hi, limit, got, want)
 		}
 	}
 }

@@ -60,15 +60,18 @@ type chunk struct {
 	_ [(16 - (chunkLen*(unsafe.Sizeof(trace.Event{})+4)+4)%16) % 16]byte
 }
 
-// recycler holds the chunks and snapshots nothing holds any more, for
-// the window to reuse. Release may run on detect workers, so pins,
-// consumer counts and both free lists sit behind one lock, taken once
-// per frozen snapshot, once per Release and once per chunk the window
-// takes or evicts.
+// recycler holds the chunks nothing holds any more, for the window to
+// reuse: up to keep of them, what the window itself can span, in a free
+// list, and the rest of a burst (a detect-pool backlog of snapshots held
+// at once) in spill, which the garbage collector may empty. Release may
+// run on detect workers, so pins, consumer counts and the free list sit
+// behind one lock, taken once per frozen snapshot, once per Release and
+// once per chunk the window takes or evicts.
 type recycler struct {
 	mu     sync.Mutex
 	chunks []*chunk
-	snaps  []*Snapshot
+	keep   int
+	spill  sync.Pool
 }
 
 // Snapshot is a frozen fault-centered message window: the α messages
@@ -78,8 +81,11 @@ type Snapshot struct {
 	// FaultIndex locates the offending message: At(FaultIndex).
 	FaultIndex int
 
-	chunks []*chunk // pinned, oldest first
-	off, n int      // the snapshot is slots [off, off+n) of chunks, end to end
+	// chunks are the pinned chunks, oldest first, held in few for any α
+	// up to 960, so a freeze makes one allocation.
+	chunks []*chunk
+	few    [16]*chunk
+	off, n int // the snapshot is slots [off, off+n) of chunks, end to end
 	// worded is false when any of its events was pushed without a word
 	// (Push).
 	worded bool
@@ -126,8 +132,10 @@ func (s *Snapshot) Words(dst [][]uint32) [][]uint32 {
 // has released it, its chunks are unpinned, and a chunk that has left
 // the window and that no other snapshot pins is recycled. Call it when
 // the detector is done with the snapshot; nothing read from it may be
-// used afterwards. Each consumer must release at most once; concurrent
-// releases from different detect workers are safe.
+// used afterwards, and At panics. Each consumer must release at most
+// once; a release after the last one does nothing, since a frozen
+// Snapshot is never reused, and concurrent releases from different
+// detect workers are safe.
 func (s *Snapshot) Release() {
 	if s == nil || s.rec == nil {
 		return
@@ -138,9 +146,7 @@ func (s *Snapshot) Release() {
 		for _, c := range s.chunks {
 			r.unpin(c)
 		}
-		clear(s.chunks)
-		s.chunks = s.chunks[:0]
-		r.snaps = append(r.snaps, s)
+		s.chunks, s.n = nil, 0
 	}
 	r.mu.Unlock()
 }
@@ -148,8 +154,13 @@ func (s *Snapshot) Release() {
 // unpin drops one pin of c, recycling it at the last. Call with r.mu
 // held.
 func (r *recycler) unpin(c *chunk) {
-	if c.pins--; c.pins == 0 {
+	if c.pins--; c.pins > 0 {
+		return
+	}
+	if len(r.chunks) < r.keep {
 		r.chunks = append(r.chunks, c)
+	} else {
+		r.spill.Put(c)
 	}
 }
 
@@ -214,8 +225,8 @@ func New(alpha int) *Dual {
 	if alpha < 2 {
 		alpha = 2
 	}
-	w := &Dual{alpha: alpha, rec: &recycler{}}
 	block := make([]chunk, (alpha-1)/chunkLen+2)
+	w := &Dual{alpha: alpha, rec: &recycler{keep: len(block)}}
 	for i := range block { // taken last first: pushes walk the block upwards
 		w.rec.chunks = append(w.rec.chunks, &block[len(block)-1-i])
 	}
@@ -306,14 +317,15 @@ func (w *Dual) turn() {
 }
 
 // take returns a chunk for the window to fill, pinned by the window: a
-// recycled one when any is free. Call it with w.rec.mu held.
+// recycled one when any is free, from the free list first. Call it with
+// w.rec.mu held.
 func (w *Dual) take() *chunk {
 	r := w.rec
 	var c *chunk
 	if n := len(r.chunks); n > 0 {
 		c = r.chunks[n-1]
 		r.chunks = r.chunks[:n-1]
-	} else {
+	} else if c, _ = r.spill.Get().(*chunk); c == nil {
 		c = new(chunk)
 	}
 	c.pins = 1
@@ -326,13 +338,7 @@ func (w *Dual) freeze(refs, faultIdx int) *Snapshot {
 	r := w.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var s *Snapshot
-	if n := len(r.snaps); n > 0 {
-		s = r.snaps[n-1]
-		r.snaps = r.snaps[:n-1]
-	} else {
-		s = &Snapshot{rec: r}
-	}
+	s := &Snapshot{rec: r}
 	first := w.pushed - uint64(w.Len())
 	s.off, s.n, s.FaultIndex = int(first-w.base), w.Len(), faultIdx
 	// The newest chunk holds no event yet when the last push filled the
@@ -341,7 +347,7 @@ func (w *Dual) freeze(refs, faultIdx int) *Snapshot {
 	for _, c := range spans {
 		c.pins++
 	}
-	s.chunks = append(s.chunks, spans...)
+	s.chunks = append(s.few[:0], spans...)
 	s.worded = w.bare <= first
 	s.refs = int32(refs)
 	return s

@@ -324,6 +324,7 @@ func TestSamePushSharesOneSnapshot(t *testing.T) {
 	}
 	c := got[1].chunks[0]
 	got[1].Release()
+	got[1].Release() // past the last consumer: no-op
 	if c.pins != 1 || len(got[1].chunks) != 0 {
 		t.Fatalf("after both releases: chunk pins %d (want the window's 1), %d chunks pinned", c.pins, len(got[1].chunks))
 	}
@@ -364,33 +365,60 @@ func TestFlushSharesOneCopy(t *testing.T) {
 
 func TestReleaseRecyclesBuffer(t *testing.T) {
 	w := New(4)
-	fire := func() *Snapshot {
+	n := uint64(0)
+	push := func() {
+		n++
+		w.Push(ev(n))
+	}
+	fire := func() (*Snapshot, uint64) {
 		var snap *Snapshot
-		for i := uint64(1); i <= 4; i++ {
-			w.Push(ev(i))
-		}
+		fault := n
 		w.Arm(func(s *Snapshot) { snap = s })
-		w.Push(ev(5))
-		w.Push(ev(6))
-		if snap == nil {
-			t.Fatal("snapshot never fired")
+		for snap == nil {
+			push()
 		}
-		return snap
+		return snap, fault
 	}
-	first := fire()
+	for range 4 {
+		push()
+	}
+	first, _ := fire()
+	c := first.chunks[0]
+	// Push the window past the chunk: only the snapshot pins it now.
+	for w.chunks[0] == c {
+		push()
+	}
+	if c.pins != 1 {
+		t.Fatalf("chunk left the window with %d pins, want the snapshot's 1", c.pins)
+	}
 	first.Release()
-	if len(first.chunks) != 0 {
-		t.Fatal("Release left the chunks pinned")
+	if len(first.chunks) != 0 || c.pins != 0 {
+		t.Fatalf("Release left %d chunks pinned, chunk pins %d", len(first.chunks), c.pins)
 	}
-	second := fire()
-	if second != first {
-		t.Fatal("released snapshot was not recycled")
+	first.Release() // second release of the same consumer handle: no-op
+	if c.pins != 0 {
+		t.Fatalf("second release moved the chunk's pins to %d", c.pins)
 	}
-	// The recycled snapshot carries the fresh window, not stale events.
-	if second.At(second.FaultIndex).Seq != 4 {
-		t.Fatalf("recycled snapshot fault seq = %d, want 4", second.At(second.FaultIndex).Seq)
+	// The released chunk is the next one the window fills.
+	for w.chunks[len(w.chunks)-1] != c {
+		if push(); n > 4*chunkLen {
+			t.Fatal("released chunk was not reused")
+		}
+	}
+	second, fault := fire()
+	if second == first {
+		t.Fatal("a released snapshot was handed out again")
+	}
+	// The reused chunk carries the fresh window, not stale events.
+	if got := second.At(second.FaultIndex).Seq; got != fault {
+		t.Fatalf("snapshot over the reused chunk: fault seq = %d, want %d", got, fault)
 	}
 	second.Release()
+	for _, c := range w.chunks {
+		if c.pins != 1 {
+			t.Fatalf("window chunk pinned %d times after every release", c.pins)
+		}
+	}
 
 	// Snapshots not frozen by a window tolerate Release.
 	var lit Snapshot
@@ -403,9 +431,9 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 // advances 2α and more past them, then releases them from other
 // goroutines while the window keeps pushing, as detect workers do: each
 // must still read its own events and words, the chunks it pinned must
-// not be refilled while pinned (run it under -race), and released chunks
-// must be reused, so the distinct chunks the window ever fills stay
-// bounded by what the window and the snapshots alive at once span.
+// not be refilled while pinned (run it under -race), released chunks
+// must be reused, and the chunks kept once every snapshot is released
+// must be bounded by what the window spans.
 func TestHeldSnapshotsOutliveTheWindow(t *testing.T) {
 	const alpha, rounds = 200, 10
 	w := New(alpha)
@@ -460,18 +488,30 @@ func TestHeldSnapshotsOutliveTheWindow(t *testing.T) {
 		}()
 	}
 	done.Wait()
-	// Without reuse the pushes would need one chunk per chunkLen of them.
-	// With it, at most the window plus two rounds of held snapshots
-	// (3α pushes each, and the α the first of them reaches back).
-	bound := alpha/chunkLen + 2 + 2*(4*alpha/chunkLen+2)
-	if len(made) > bound || len(made) >= int(n)/chunkLen {
-		t.Fatalf("%d chunks filled over %d pushes, want at most %d", len(made), n, bound)
+	if len(made) >= int(n)/chunkLen {
+		t.Fatalf("%d chunks filled over %d pushes: none reused", len(made), n)
 	}
-	// Every snapshot released: only the window pins chunks.
+	// Every snapshot released: only the window pins chunks, and the free
+	// list keeps no more than the window can span; the chunks past that
+	// are spilled where the garbage collector may take them.
 	for _, c := range w.chunks {
 		if c.pins != 1 {
 			t.Fatalf("window chunk pinned %d times after every release", c.pins)
 		}
+	}
+	if free := len(w.rec.chunks); free > w.rec.keep {
+		t.Fatalf("%d free chunks kept after the burst, want at most %d", free, w.rec.keep)
+	}
+	// With no snapshot held the window fills only chunks it already has.
+	filled := len(made)
+	for range 10 * alpha {
+		n++
+		e := ev(n)
+		w.PushSeq(&e, n, 0)
+		made[w.chunks[len(w.chunks)-1]] = true
+	}
+	if len(made) != filled {
+		t.Fatalf("the window took %d fresh chunks with nothing held", len(made)-filled)
 	}
 }
 
