@@ -26,7 +26,7 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 19888
+LOC_CEILING := 19916
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -35,7 +35,7 @@ loc-gate:
 	@[ "$$(grep -rn 'IngestShards' --include='*.go' . | grep -vc '^./bench/')" -eq 1 ] # the inert field the ROADMAP's "Refresh the benchmark contract" item deletes
 	@[ "$$(grep -rn '\.Events()' --include='*.go' . | grep -vc '^./bench/')" -eq 2 ] # Receiver.Events' one remaining test, TestReceiverCloseMidBurst's Events case; the same item deletes both
 
-# Every benchmark of the root package — the thirteen pipeline scenarios
+# Every benchmark of the root package — the fourteen pipeline scenarios
 # and the paper-figure / ablation ones — on the full workloads, three
 # passes per case, in Go's benchmark text format. For a profile add
 # `-cpuprofile cpu.out` to the same line and read it with

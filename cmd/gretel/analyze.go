@@ -63,6 +63,14 @@ func runAnalyze(args []string) error {
 	var fsyncPolicy wal.Fsync
 	err := p.parse(args, func() error {
 		switch {
+		case *alpha < 0:
+			return fmt.Errorf("-alpha must be >= 0, got %d (0 derives it from FPmax, -prate and -t)", *alpha)
+		case *prate < 0:
+			return fmt.Errorf("-prate must be >= 0, got %g (0 means the default rate)", *prate)
+		case *horizonT < 0:
+			return fmt.Errorf("-t must be >= 0, got %g (0 means the default horizon)", *horizonT)
+		case *faultEvery < 0:
+			return fmt.Errorf("-fault-every must be >= 0, got %d (0 injects no faults)", *faultEvery)
 		case *backlog < 0:
 			return fmt.Errorf("-detect-backlog must be >= 0, got %d (0 means 4x workers)", *backlog)
 		case *traceCap < 0:

@@ -46,6 +46,10 @@ func TestValidateFlags(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
+		{analyze, []string{"-alpha", "-5"}, "-alpha"},
+		{analyze, []string{"-prate", "-1"}, "-prate"},
+		{analyze, []string{"-t", "-0.5"}, "-t must"},
+		{analyze, []string{"-fault-every", "-3"}, "-fault-every"},
 		{analyze, []string{"-detect-backlog", "-1"}, "-detect-backlog"},
 		{analyze, []string{"-trace-store-cap", "-5"}, "-trace-store-cap"},
 		{analyze, []string{"-wal-fsync", "sometimes"}, "-wal-fsync"},
@@ -61,7 +65,7 @@ func TestValidateFlags(t *testing.T) {
 	// The accepted edge of every checked flag, on runs small enough to
 	// finish in a moment.
 	err := analyze.run([]string{"-replay", "2000", "-quiet", "-detect-backlog", "0", "-trace-store-cap", "0",
-		"-wal-fsync", "none"})
+		"-wal-fsync", "none", "-alpha", "0", "-prate", "0", "-t", "0", "-fault-every", "0"})
 	if err != nil {
 		t.Fatalf("valid analyze flags: %v", err)
 	}

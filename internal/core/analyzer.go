@@ -156,7 +156,8 @@ func (r *Report) Hit() bool {
 // Config tunes the analyzer. Zero values take the paper's §7 settings.
 type Config struct {
 	// Alpha is the sliding-window size (paper: 768). If zero it is
-	// derived as window.Alpha(FPmax, Prate, T).
+	// derived as window.Alpha(FPmax, Prate, T); below window.MinAlpha it
+	// is raised to it.
 	Alpha int
 	// Prate and T feed the α computation when Alpha is zero.
 	Prate float64
@@ -253,6 +254,9 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 		}
 		c.Alpha = window.Alpha(fpMax, prate, t)
 	}
+	// The window runs at least MinAlpha; record the α it runs, which
+	// growth, performance reports and evidence read.
+	c.Alpha = max(c.Alpha, window.MinAlpha)
 	if c.C1 == 0 {
 		c.C1 = 0.1
 	}

@@ -7,6 +7,7 @@ import (
 	"gretel/internal/fingerprint"
 	"gretel/internal/trace"
 	"gretel/internal/tsoutliers"
+	"gretel/internal/window"
 )
 
 var epoch = time.Date(2016, 12, 12, 0, 0, 0, 0, time.UTC)
@@ -322,6 +323,46 @@ func TestPerformanceFaultDetection(t *testing.T) {
 	}
 	if det := a.LatencyDetector(get("/status")); det == nil || len(det.Shifts()) == 0 {
 		t.Fatal("level shift not recorded")
+	}
+}
+
+// TestAlphaBelowMinimum: an α the window raises to window.MinAlpha reads
+// back raised, and a performance report's β (the whole window) equals
+// it.
+func TestAlphaBelowMinimum(t *testing.T) {
+	for _, alpha := range []int{-5, 1} {
+		a := newAnalyzer(Config{
+			Alpha: alpha, PerfDetection: true, PerfCooldown: -1,
+			Latency: tsoutliers.Options{Warmup: 8, MinRun: 3, MinSpread: 0.005},
+		})
+		if got := a.Config().Alpha; got != window.MinAlpha {
+			t.Fatalf("Alpha %d: Config().Alpha = %d, want %d", alpha, got, window.MinAlpha)
+		}
+		s := &stream{a: a}
+		for i := 0; i < 20; i++ {
+			s.rest(get("/status"), 200, 1, "op-a")
+		}
+		for i := 0; i < 6; i++ {
+			s.conn++
+			s.ms += 10
+			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/status"), ConnID: s.conn})
+			s.ms += 300
+			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTResponse, API: get("/status"), Status: 200, ConnID: s.conn})
+		}
+		a.Flush()
+		perf := 0
+		for _, r := range a.Reports() {
+			if r.Kind != Performance {
+				continue
+			}
+			perf++
+			if r.Beta != window.MinAlpha {
+				t.Fatalf("Alpha %d: performance report Beta = %d, want %d", alpha, r.Beta, window.MinAlpha)
+			}
+		}
+		if perf == 0 {
+			t.Fatalf("Alpha %d: no performance report", alpha)
+		}
 	}
 }
 

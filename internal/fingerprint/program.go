@@ -297,18 +297,31 @@ func (idx *Index) ResetBound(pattern []rune, cands Candidates, truncate, pruneRP
 		first = append(first, cands.list[i].first)
 		if mand, r, ok := cands.bound(i, m, truncate); ok {
 			if final := idx.assign(r); final != 0 {
+				// Every column is written and the end advances past
+				// the present ones only, so no symbol branches.
+				n := len(prog)
+				prog = slices.Grow(prog, len(mand)+1)[:n+len(mand)+1]
 				for _, r := range mand {
-					if c := idx.assign(r); c != 0 {
-						prog = append(prog, uint16(c))
-					}
+					c := idx.assign(r)
+					prog[n] = uint16(c)
+					n += b2i(c != 0)
 				}
-				prog = append(prog, uint16(final))
+				prog[n] = uint16(final)
+				prog = prog[:n+1]
 			}
 		}
 		ends = append(ends, int32(len(prog)))
 	}
 	idx.prog, idx.ends, idx.first = prog, ends, first
 	idx.fill(pattern)
+}
+
+// b2i is 1 for true, 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mark clears idx for pattern: no columns yet, every symbol the pattern
@@ -511,19 +524,21 @@ outer:
 	for i, end := range idx.ends {
 		prog := progs[start:end]
 		start = end
-		if len(prog) == 0 || hit[first[i]] {
+		// A final symbol absent from the view fails the walk whatever
+		// precedes it, so the candidate is not walked.
+		if len(prog) == 0 || hit[first[i]] || int32(loRow[prog[len(prog)-1]]) >= hi {
 			continue
 		}
 		j := lo
-		for n, c := range prog {
+		for _, c := range prog {
 			if k := int32(next[int(j)*cols+int(c)]); k < hi {
 				j = k + 1
 				continue
 			}
 			// Absent at or after j: out of order if the view holds it
-			// earlier, an omission otherwise, which only the final
-			// symbol may not be.
-			if int32(loRow[c]) < hi || n == len(prog)-1 {
+			// earlier (the final symbol always does), an omission
+			// otherwise.
+			if int32(loRow[c]) < hi {
 				continue outer
 			}
 		}

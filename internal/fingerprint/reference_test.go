@@ -220,9 +220,11 @@ func fuzzLibrary(rng *rand.Rand) *Library {
 // MatchStep to the naive verdicts, the way detect uses them: one
 // ResetBound per pattern, then nested views growing from
 // [lo, hi) to the whole pattern — over the pattern as drawn, and over it
-// with the offending symbol (every truncated program's final one) or
-// another symbol removed, so absent finals and absent mandatory symbols
-// are common.
+// with the offending symbol (every truncated program's final one),
+// another symbol or every even-slot symbol but the offending one removed
+// (halved), so absent finals and absent mandatory symbols are common —
+// and over each candidate's own pattern with its final symbol just past
+// the view (checkFinalOutside).
 func FuzzMatcherEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, []byte{1, 2, 3, 4, 5, 6, 7, 0, 3, 3}, uint8(0), uint8(10))
@@ -297,9 +299,10 @@ func FuzzMatcherEquivalence(f *testing.F) {
 				t.Fatalf("symbol %U: %d names, want %d", off, cands.Names(), len(names))
 			}
 			other := symbol.Base + rune(int(loRaw^hiRaw)%(known+1))
-			for _, pat := range [][]rune{pattern, without(pattern, off), without(pattern, other)} {
+			for _, pat := range [][]rune{pattern, without(pattern, off), without(pattern, other), halved(pattern, off)} {
 				checkBound(t, cands, want, off, pat, lo, hi)
 			}
+			checkFinalOutside(t, cands, want, off)
 		}
 	})
 }
@@ -307,6 +310,13 @@ func FuzzMatcherEquivalence(f *testing.F) {
 // without returns pattern with every occurrence of r removed.
 func without(pattern []rune, r rune) []rune {
 	return slices.DeleteFunc(slices.Clone(pattern), func(s rune) bool { return s == r })
+}
+
+// halved returns pattern without every symbol of an even slot but keep,
+// so about half of each bound program's mandatory symbols are absent
+// from the whole pattern and binding compacts them out.
+func halved(pattern []rune, keep rune) []rune {
+	return slices.DeleteFunc(slices.Clone(pattern), func(s rune) bool { return s != keep && (s-symbol.Base)%2 == 0 })
 }
 
 // checkBound binds cands (whose fingerprints are fps) to one index over
@@ -349,6 +359,44 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 	}
 }
 
+// checkFinalOutside binds cands (whose fingerprints are fps), under
+// every truncate / prune / every-column mode, over a pattern built for
+// each bound candidate in turn: its mandatory symbols other than the
+// final one, in order, then the final symbol. The view stops just before
+// that last position, so the final symbol is in the pattern but outside
+// the view while every other mandatory symbol is inside. Neither
+// MatchBound nor MatchStep may match the candidate there, and every
+// candidate's verdicts over the view must equal the naive reference's.
+func checkFinalOutside(t *testing.T, cands Candidates, fps []*Fingerprint, off rune) {
+	t.Helper()
+	var idx Index
+	for mode := 0; mode < 8; mode++ {
+		truncate, prune, every := mode&1 != 0, mode&2 != 0, mode&4 != 0
+		for i := range fps {
+			mand, final, bound := cands.BoundRun(i, truncate, prune)
+			if !bound {
+				continue
+			}
+			pat := append(without(mand, final), final)
+			hi := len(pat) - 1
+			idx.ResetBound(pat, cands, truncate, prune, every)
+			ok := make([]bool, len(fps))
+			for k, fp := range fps {
+				ok[k] = referenceProgram(fp, off, truncate, prune).naiveOrdered(pat[:hi], true)
+				if got := idx.MatchBound(k, 0, hi); got != ok[k] {
+					t.Fatalf("final outside the view of %q: bound %s@%U truncate=%v prune=%v pattern=%q [0,%d): bound %v, reference %v",
+						fps[i].Name, fps[k].Name, off, truncate, prune, string(pat), hi, got, ok[k])
+				}
+			}
+			if ok[i] {
+				t.Fatalf("%s@%U truncate=%v prune=%v pattern=%q [0,%d): reference matched without the final symbol",
+					fps[i].Name, off, truncate, prune, string(pat), hi)
+			}
+			checkStep(t, &idx, cands, ok, 0, hi)
+		}
+	}
+}
+
 // checkStep holds MatchStep over positions [lo, hi), and MatchEach fed
 // the verdicts themselves, to the naive per-candidate verdicts ok: under every limit, the first matching
 // candidate of each operation in candidate order, cut after the
@@ -380,13 +428,16 @@ func checkStep(t *testing.T, idx *Index, cands Candidates, ok []bool, lo, hi int
 // patterns never reach. Every bound, relaxed, exact and correlated
 // verdict and every MatchStep over views at the start, middle and end
 // of such a pattern, and over all of it, must equal the naive
-// reference's — with the offending symbol present and removed.
+// reference's — with the offending symbol present and removed, and with
+// about half of every program's mandatory symbols removed (halved), so
+// the compacted programs are walked too.
 func TestWideTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lib := fuzzLibrary(rng)
 	known := lib.Table.Len()
-	// Wide enough that removing one of the known symbols leaves it wide.
-	pattern := make([]rune, 70000*known/(known-1))
+	// Wide enough that removing one of the known symbols, or halving the
+	// alphabet, leaves it wide.
+	pattern := make([]rune, 70000*known/(known/2))
 	for i := range pattern {
 		pattern[i] = symbol.Base + rune(rng.Intn(known))
 	}
@@ -399,7 +450,7 @@ func TestWideTableMatchesReference(t *testing.T) {
 				fps = append(fps, fp)
 			}
 		}
-		for _, pat := range [][]rune{pattern, without(pattern, off)} {
+		for _, pat := range [][]rune{pattern, without(pattern, off), halved(pattern, off)} {
 			n := len(pat)
 			views := [][2]int{{0, n}, {0, 300}, {n/2 - 150, n/2 + 150}, {n - 300, n}, {n - 1, n}, {n - 66000, n}}
 			for mode := 0; mode < 4; mode++ {

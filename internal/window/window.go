@@ -217,14 +217,15 @@ type Dual struct {
 	rec   *recycler
 }
 
-// New returns a window of size alpha (minimum 2). It allocates the
+// MinAlpha is the smallest window New builds: a smaller alpha gets this.
+const MinAlpha = 2
+
+// New returns a window of size alpha (minimum MinAlpha). It allocates the
 // chunks α consecutive pushes can span up front, in one block as a ring
 // would be: with a separate allocation per chunk a push took about 15 %
 // longer (a push micro-benchmark on a 2-core Xeon VM).
 func New(alpha int) *Dual {
-	if alpha < 2 {
-		alpha = 2
-	}
+	alpha = max(alpha, MinAlpha)
 	block := make([]chunk, (alpha-1)/chunkLen+2)
 	w := &Dual{alpha: alpha, rec: &recycler{keep: len(block)}}
 	for i := range block { // taken last first: pushes walk the block upwards

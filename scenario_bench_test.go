@@ -1,4 +1,4 @@
-// The thirteen pipeline scenarios, one Benchmark each with a b.Run per
+// The fourteen pipeline scenarios, one Benchmark each with a b.Run per
 // case. One b.N iteration is one full pass over the canonical workload
 // (internal/experiments/bench.go), so `-benchtime 3x` is three passes;
 // -short picks the CI-sized workloads ci/bench_gate.sh runs. Each case
@@ -415,6 +415,67 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 		report(b)
+	})
+}
+
+// BenchmarkTransport is the event plane alone: a Sender over loopback
+// TCP into a Receiver, whose batches the bench goroutine drains while a
+// second goroutine sends the canonical fault-free stream, one pass per
+// iteration over one connection. Run it with -cpu 1,2,4: the two
+// goroutines only overlap when a second processor is free. Beside
+// ns/event it reports events per receiver batch (transport.batches), the
+// hand-off size the analyzer sees, and it fails unless every event sent
+// is delivered: nothing shed, nothing declared missing.
+func BenchmarkTransport(b *testing.B) {
+	stream := experiments.CleanBenchStream(scale(50000, 20000))
+	batches := telemetry.GetCounter("transport.batches")
+	b.Run("loopback", func(b *testing.B) {
+		b.ReportAllocs()
+		recv, err := agent.ListenConfig(agent.ReceiverConfig{Addr: "127.0.0.1:0"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer recv.Close()
+		snd, err := agent.DialConfig(agent.SenderConfig{
+			Addr: recv.Addr(), Agent: "bench-agent",
+			Ring: 2 * len(stream), // a pass never sheds while the receiver catches up
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer snd.Close()
+		if err := snd.WaitConnected(5 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		batches0, delivered := batches.Value(), 0
+		for i := 0; i < b.N; i++ {
+			go func() {
+				for j := range stream {
+					snd.Send(stream[j])
+				}
+			}()
+			timeout := time.NewTimer(time.Minute)
+			for want := (i + 1) * len(stream); delivered < want; {
+				select {
+				case batch := <-recv.Batches():
+					delivered += len(batch)
+					recv.Recycle(batch)
+				case <-timeout.C:
+					b.Fatalf("pass %d: %d of %d events delivered within a minute", i, delivered, want)
+				}
+			}
+			timeout.Stop()
+		}
+		b.StopTimer()
+		sent := b.N * len(stream)
+		st := recv.AgentStats()["bench-agent"]
+		if shed := snd.Stats().Shed; delivered+int(st.Missing) != sent || st.Missing != 0 || shed != 0 {
+			b.Fatalf("%d delivered + %d missing of %d sent (%d shed)", delivered, st.Missing, sent, shed)
+		}
+		b.ReportMetric(float64(len(stream)), "events/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sent), "ns/event")
+		b.ReportMetric(float64(delivered)/float64(batches.Value()-batches0), "events/batch")
 	})
 }
 

@@ -1,4 +1,4 @@
-// The two transport soaks of the thirteen scenarios: live loopback
+// The two transport soaks of the fourteen scenarios: live loopback
 // sockets, a sender per stream, and a ledger that must close or the
 // benchmark fails. Run them with -cpu 1,2,4 — they are where goroutines
 // actually contend.
