@@ -33,7 +33,6 @@ func runAgent(args []string) error {
 		duration     = fs.Duration("duration", 5*time.Minute, "simulated workload duration")
 		scenarioF    = fs.String("scenario", "none", "case-study fault to stage: none, linuxbridge, diskfull, ntp")
 		perNode      = fs.Bool("per-node", false, "run one monitoring agent (and TCP stream) per deployment node, as the paper deploys Bro")
-		truth        = fs.Bool("truth", true, "decorate events with ground-truth operation ids")
 		telAddr      = fs.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. :6168; empty disables)")
 		connTimeout  = fs.Duration("connect-timeout", 30*time.Second, "give up if the analyzer is unreachable for this long at startup (dialing is lazy: the agent may start first)")
 		heartbeat    = fs.Duration("heartbeat", time.Second, "liveness heartbeat period per agent stream (negative disables)")
@@ -89,11 +88,6 @@ func runAgent(args []string) error {
 	plan := faults.NewPlan()
 	d.Injector = plan
 
-	var gt agent.GroundTruth
-	if *truth {
-		gt = d.GroundTruth
-	}
-
 	// Monitoring layer: one agent per node (each with its own TCP stream
 	// to the analyzer, per-stream ordering preserved as in §5.2), or a
 	// single merged agent. Each message is reported by the agent on its
@@ -127,7 +121,7 @@ func runAgent(args []string) error {
 		monitors[name] = agent.NewMonitor(name, func(ev trace.Event) {
 			snd.Send(ev)
 			sent++
-		}, gt)
+		}, nil)
 	}
 	if *perNode {
 		for name, m := range monitors {

@@ -94,9 +94,10 @@ type Report struct {
 	// Fault is the offending message: the error event for operational
 	// faults, the slow response for performance faults.
 	Fault trace.Event
-	// OffendingAPI is the API used for candidate selection — the earliest
-	// error in the snapshot for operational faults (an upstream RPC error
-	// takes precedence over the REST error that relayed it).
+	// OffendingAPI is the API used for candidate selection — for
+	// operational faults the nearest qualifying earlier error in the
+	// snapshot (upstreamAPI: an upstream RPC error takes precedence over
+	// the REST error that relayed it), else the fault's own API.
 	OffendingAPI trace.API
 	// Errors lists every error event found in the snapshot (REST and
 	// RPC together, §5.3.1), for root-cause analysis.
@@ -793,25 +794,21 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	}
 
 	// Gather every error message in the snapshot (REST and RPC are
-	// analyzed together, §5.3.1); the earliest is the most upstream
-	// manifestation and selects the offending API.
+	// analyzed together, §5.3.1); the most upstream one tied to the fault
+	// selects the offending API.
 	offending := faultEv.API
 	if kind == Operational {
-		i := 0
+		i, earlier := 0, 0
 		for _, ws := range words {
 			for _, w := range ws {
 				if w&wFaulty != 0 {
 					rep.Errors = append(rep.Errors, *snap.At(i))
+					earlier += b2i(i < snap.FaultIndex)
 				}
 				i++
 			}
 		}
-		if len(rep.Errors) > 0 {
-			first := rep.Errors[0]
-			if first.OpID == faultEv.OpID && !first.API.Zero() {
-				offending = first.API
-			}
-		}
+		offending = a.upstreamAPI(&faultEv, rep.Errors[:earlier])
 	}
 	rep.OffendingAPI = offending
 
@@ -870,12 +867,12 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	// matched lives in scratch; the report keeps its own copy.
 	rep.Candidates = append([]string(nil), matched...)
 	rep.Beta = beta
-	n := len(matched)
-	N := a.cfg.TotalOps
-	if N > 1 {
-		rep.Precision = float64(N-n) / float64(N-1)
-	} else {
+	// θ stays 0 when nothing is blamed, as with no candidates.
+	if n, N := len(matched), a.cfg.TotalOps; n > 0 {
 		rep.Precision = 1
+		if N > 1 {
+			rep.Precision = float64(N-n) / float64(N-1)
+		}
 	}
 	if rep.evidence != nil {
 		// Explain every candidate against the FINAL context buffer —
@@ -891,6 +888,27 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	}
 	span.End()
 	return rep
+}
+
+// upstreamAPI picks an operational fault's offending API from the wire
+// alone (§5.3.1: the most upstream manifestation). Walking back over
+// errs, the snapshot's errors before the fault, it takes the API of the
+// nearest one sent or received by the fault's serving node (SrcNode),
+// sharing a fingerprint with the fault's API and, under
+// UseCorrelationIDs, carrying the fault's correlation id if it has one;
+// failing that, the fault's own API.
+func (a *Analyzer) upstreamAPI(faultEv *trace.Event, errs []trace.Event) trace.API {
+	cands := a.lib.CandidatesForAPI(faultEv.API)
+	corr := a.cfg.UseCorrelationIDs && faultEv.CorrID != ""
+	for i := len(errs) - 1; i >= 0; i-- {
+		e := &errs[i]
+		if (e.SrcNode == faultEv.SrcNode || e.DstNode == faultEv.SrcNode) &&
+			(!corr || e.CorrID == faultEv.CorrID) &&
+			a.lib.CandidatesForAPI(e.API).Shares(cands) {
+			return e.API
+		}
+	}
+	return faultEv.API
 }
 
 // Detect runs Algorithm 2 over one frozen snapshot on the caller's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -36,9 +37,24 @@ type stream struct {
 	conn uint64
 	msg  int
 	ms   int
+	// client and server name the nodes of the next exchanges: a request
+	// goes from client to server, its response back. corr is their
+	// correlation id.
+	client, server, corr string
+	// blind zeroes the ground-truth OpID and OpName of every event, as a
+	// deployment sees it.
+	blind bool
 }
 
 func (s *stream) push(ev trace.Event) {
+	ev.SrcNode, ev.DstNode = s.client, s.server
+	if !ev.Type.Request() {
+		ev.SrcNode, ev.DstNode = s.server, s.client
+	}
+	ev.CorrID = s.corr
+	if s.blind {
+		ev.OpID, ev.OpName = 0, ""
+	}
 	if s.emit != nil {
 		s.emit(ev)
 		return
@@ -201,7 +217,7 @@ func TestInterleavedOperationsStillIsolate(t *testing.T) {
 
 func TestRPCErrorSelectsUpstreamAPI(t *testing.T) {
 	a := newAnalyzer(Config{Alpha: 32})
-	s := &stream{a: a}
+	s := &stream{a: a, blind: true}
 	s.rest(get("/list"), 200, 1, "op-a")
 	s.rest(post("/a1"), 200, 1, "op-a")
 	s.rpcCall(rpc("build"), true, 1, "op-a") // upstream RPC failure
@@ -220,8 +236,63 @@ func TestRPCErrorSelectsUpstreamAPI(t *testing.T) {
 	if len(rep.Errors) != 2 {
 		t.Fatalf("errors in snapshot = %d, want 2", len(rep.Errors))
 	}
-	if !rep.Hit() {
-		t.Fatalf("candidates = %v", rep.Candidates)
+	if !slices.Contains(rep.Candidates, "op-a") {
+		t.Fatalf("candidates = %v, want op-a among them", rep.Candidates)
+	}
+}
+
+// TestUpstreamAPIRule pins each condition of the offending-API rule on
+// blind streams: walking back from the fault, the nearest earlier error
+// sent or received by the fault's serving node, sharing a fingerprint
+// with the fault's API and, under UseCorrelationIDs, carrying its
+// correlation id, names the offending API.
+func TestUpstreamAPIRule(t *testing.T) {
+	fault := get("/status")
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		earlier func(s *stream)
+		want    trace.API
+	}{
+		{"received by the serving node", Config{}, func(s *stream) {
+			s.client, s.server = "nova-api", "compute-1"
+			s.rpcCall(rpc("build"), true, 1, "op-a")
+		}, rpc("build")},
+		{"another node's error is skipped", Config{}, func(s *stream) {
+			s.client, s.server = "conductor", "compute-1"
+			s.rpcCall(rpc("build"), true, 1, "op-a")
+		}, fault},
+		{"no shared fingerprint is skipped", Config{}, func(s *stream) {
+			s.rest(post("/c1"), 500, 2, "op-c")
+		}, fault},
+		{"another correlation id is skipped", Config{UseCorrelationIDs: true}, func(s *stream) {
+			s.corr = "req-2"
+			s.rpcCall(rpc("build"), true, 2, "op-a")
+		}, fault},
+		{"the nearest qualifying error wins", Config{}, func(s *stream) {
+			s.rest(post("/a1"), 500, 1, "op-a")
+			s.rpcCall(rpc("build"), true, 1, "op-a")
+		}, rpc("build")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Alpha = 32
+			a := newAnalyzer(cfg)
+			s := &stream{a: a, blind: true, client: "horizon", server: "nova-api", corr: "req-1"}
+			tc.earlier(s)
+			s.client, s.server, s.corr = "horizon", "nova-api", "req-1"
+			s.rest(fault, 500, 1, "op-a")
+			s.filler(20)
+			a.Flush()
+			reps := a.Reports()
+			rep := reps[len(reps)-1]
+			if rep.Fault.API != fault {
+				t.Fatalf("last report is for %v, want %v", rep.Fault.API, fault)
+			}
+			if rep.OffendingAPI != tc.want {
+				t.Fatalf("offending = %v, want %v", rep.OffendingAPI, tc.want)
+			}
+		})
 	}
 }
 
@@ -432,7 +503,7 @@ func TestFaultKindString(t *testing.T) {
 
 func TestMultipleFaultsMultipleReports(t *testing.T) {
 	a := newAnalyzer(Config{Alpha: 32})
-	s := &stream{a: a}
+	s := &stream{a: a, blind: true}
 	s.rest(get("/list"), 200, 1, "op-a")
 	s.rest(post("/a1"), 200, 1, "op-a")
 	s.rpcCall(rpc("build"), false, 1, "op-a")
@@ -444,9 +515,9 @@ func TestMultipleFaultsMultipleReports(t *testing.T) {
 	if len(a.Reports()) != 2 {
 		t.Fatalf("reports = %d, want 2", len(a.Reports()))
 	}
-	for _, r := range a.Reports() {
-		if !r.Hit() {
-			t.Fatalf("report for %q missed: %v", r.TruthOp, r.Candidates)
+	for i, truth := range []string{"op-a", "op-c"} {
+		if r := a.Reports()[i]; !slices.Contains(r.Candidates, truth) {
+			t.Fatalf("report for %q missed: %v", truth, r.Candidates)
 		}
 	}
 }

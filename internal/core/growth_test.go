@@ -182,8 +182,10 @@ func TestGrowthMatchesNaiveLoop(t *testing.T) {
 				continue
 			}
 			want, beta, growth := naiveGrowth(lib, cfg, cands, snap)
-			n := len(want)
-			precision := float64(cfg.TotalOps-n) / float64(cfg.TotalOps-1)
+			precision := 0.0 // nothing blamed
+			if n := len(want); n > 0 {
+				precision = float64(cfg.TotalOps-n) / float64(cfg.TotalOps-1)
+			}
 			for _, rep := range []*core.Report{fast, full} {
 				if !slices.Equal(rep.Candidates, want) || rep.Beta != beta || rep.Precision != precision {
 					t.Fatalf("%s snapshot %d: %v at β=%d θ=%v, naive %v at β=%d θ=%v",

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"gretel/internal/scenario"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
+	"gretel/internal/tracestore"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
@@ -270,6 +274,56 @@ func TestCorrelationIDExtensionImprovesPrecision(t *testing.T) {
 	}
 }
 
+// TestCorrelationIDBlindParity runs a correlation-id precision run in
+// explain mode twice, once with the analyzer fed events whose
+// ground-truth OpID and OpName are zeroed, as a deployment sees them:
+// every report must carry the same OffendingAPI, Candidates, Beta and
+// Precision both ways, with θ in [0, 1], and store a byte-identical
+// evidence trace.
+func TestCorrelationIDBlindParity(t *testing.T) {
+	cat := tempest.NewCatalog(21)
+	lib := GroundTruthLibrary(cat)
+	mk := func(blind bool) *scenario.Harness {
+		run := &ParallelRun{
+			Catalog: cat, Library: lib, Parallel: 40,
+			FaultTests:     pickFaultTestsDeterministic(cat, 4),
+			Seed:           77,
+			CorrelationIDs: true,
+			TraceStore:     tracestore.New(0),
+		}
+		h := run.harness()
+		if blind {
+			ingest := h.Sink
+			h.Sink = func(ev trace.Event) {
+				ev.OpID, ev.OpName = 0, ""
+				ingest(ev)
+			}
+		}
+		return run.drive(h)
+	}
+	d, b := mk(false), mk(true)
+	dr, br := d.Reports(), b.Reports()
+	if len(dr) != 4 || len(br) != 4 {
+		t.Fatalf("reports: decorated %d, blind %d, want 4", len(dr), len(br))
+	}
+	for i, dp := range dr {
+		bp := br[i]
+		if dp.OffendingAPI != bp.OffendingAPI || dp.Beta != bp.Beta || dp.Precision != bp.Precision ||
+			!slices.Equal(dp.Candidates, bp.Candidates) {
+			t.Errorf("report %d: verdict changes blind: offending %v β=%d θ=%v %v, blind %v β=%d θ=%v %v",
+				i, dp.OffendingAPI, dp.Beta, dp.Precision, dp.Candidates, bp.OffendingAPI, bp.Beta, bp.Precision, bp.Candidates)
+		}
+		if dp.Precision < 0 || dp.Precision > 1 {
+			t.Errorf("report %d: θ = %v outside [0, 1]", i, dp.Precision)
+		}
+		dj, _ := json.Marshal(d.Analyzer.ExplainStore().Get(dp.TraceID))
+		bj, _ := json.Marshal(b.Analyzer.ExplainStore().Get(bp.TraceID))
+		if !bytes.Equal(dj, bj) {
+			t.Errorf("report %d: evidence differs blind:\ndecorated %s\nblind     %s", i, dj, bj)
+		}
+	}
+}
+
 func TestFig8bClassifiesTemporaryChange(t *testing.T) {
 	res := Fig8b(5, 120)
 	if res.Series.TempChanges != 1 {
@@ -316,13 +370,13 @@ func TestTruthJoinMatchesDecoration(t *testing.T) {
 			Seed:           77,
 			CorrelationIDs: corr,
 		}
-		check(fmt.Sprintf("precision, correlation ids %v", corr), run.run(), 4)
+		check(fmt.Sprintf("precision, correlation ids %v", corr), run.drive(run.harness()), 4)
 	}
 
 	// Fig 8a's shape: identical faulty operations, so every truth names
 	// the same operation and only the instance ids tell them apart.
 	fig8a := fig8aRun(21, cat, lib, 20, 16)
-	h := fig8a.run()
+	h := fig8a.drive(fig8a.harness())
 	check("fig8a", h, 12)
 	ids := map[uint64]bool{}
 	for _, rep := range h.Reports() {

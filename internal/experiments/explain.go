@@ -28,7 +28,7 @@ func Explain(seed int64, parallel, faults int) ExplainResult {
 	c := tempest.NewCatalog(seed)
 	run := fig8aRun(seed, c, GroundTruthLibrary(c), parallel, faults)
 	run.TraceStore = tracestore.New(0)
-	h := run.run()
+	h := run.drive(run.harness())
 	return ExplainResult{Cell: summarize(h, parallel, faults), Harness: h, Store: run.TraceStore}
 }
 

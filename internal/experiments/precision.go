@@ -96,11 +96,11 @@ type ParallelRun struct {
 
 // Run executes the parallel workload and aggregates the precision cell.
 func (pr *ParallelRun) Run() PrecisionCell {
-	return summarize(pr.run(), pr.Parallel, len(pr.FaultTests))
+	return summarize(pr.drive(pr.harness()), pr.Parallel, len(pr.FaultTests))
 }
 
-// run executes the parallel workload and returns the finished harness.
-func (pr *ParallelRun) run() *scenario.Harness {
+// harness assembles the run's stack, explain mode as TraceStore says.
+func (pr *ParallelRun) harness() *scenario.Harness {
 	cfg := pr.Analyzer
 	cfg.UseCorrelationIDs = pr.CorrelationIDs
 	if cfg.Alpha == 0 {
@@ -127,7 +127,11 @@ func (pr *ParallelRun) run() *scenario.Harness {
 		Library:  pr.Library,
 	})
 	h.Analyzer.SetExplain(pr.TraceStore)
+	return h
+}
 
+// drive runs the parallel workload on h to its end and returns h.
+func (pr *ParallelRun) drive(h *scenario.Harness) *scenario.Harness {
 	// Sustain `Parallel` concurrently executing tests.
 	stopPool := tempest.SustainPool(h.D, pr.Catalog, pr.Parallel, rand.New(rand.NewSource(pr.Seed)))
 

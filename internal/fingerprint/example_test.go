@@ -33,7 +33,7 @@ func ExampleLearn() {
 
 // Truncate a fingerprint at the offending API and match it against a
 // snapshot under the relaxed (state-change order) semantics of §5.3.1.
-func ExampleFingerprint_MatchRelaxed() {
+func ExampleProgram_MatchRelaxed() {
 	lib := fingerprint.NewLibrary()
 	fp := lib.AddAPIs("vm-create", "Compute", []trace.API{
 		trace.RESTAPI(trace.SvcNova, "POST", "/v2.1/servers"),

@@ -17,7 +17,7 @@ import (
 type Explanation struct {
 	// Matched is the verdict, identical to the corresponding Match*.
 	Matched bool
-	// Mode names the matcher: "relaxed", "exact", "strict", "correlated".
+	// Mode names the matcher: "relaxed", "strict", "correlated".
 	Mode string
 	// MandatoryTotal is the size of the match obligation: mandatory
 	// symbols for the ordered walks, full symbol count for strict.
@@ -54,14 +54,7 @@ func (e *Explanation) sym(r rune) string {
 // plus the score and rejection reason.
 func (p Program) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
 	exp := Explanation{Mode: "relaxed", tbl: tbl}
-	exp.Matched = p.explainOrdered(&idx, true, &exp)
-	return exp
-}
-
-// ExplainExact is MatchExact with evidence.
-func (p Program) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "exact", tbl: tbl}
-	exp.Matched = p.explainOrdered(&idx, false, &exp)
+	exp.Matched = p.explainOrdered(&idx, &exp)
 	return exp
 }
 
@@ -70,7 +63,7 @@ func (p Program) ExplainExact(idx Index, tbl *symbol.Table) Explanation {
 // verdict. When exp is non-nil (the explain path) it also records the
 // walk's evidence: the mandatory-symbol total, omissions tolerated, the
 // score and — on failure — the concrete rejection reason.
-func (p Program) explainOrdered(idx *Index, allowOmission bool, exp *Explanation) bool {
+func (p Program) explainOrdered(idx *Index, exp *Explanation) bool {
 	if len(p.syms) == 0 {
 		if exp != nil {
 			exp.Reason = "empty fingerprint: no mandatory symbols to match"
@@ -79,7 +72,7 @@ func (p Program) explainOrdered(idx *Index, allowOmission bool, exp *Explanation
 	}
 	var buf [32]uint16
 	prog := idx.resolve(buf[:0], p)
-	matched, at, early := idx.walk(prog, idx.rank[idx.lo], idx.rank[idx.hi], allowOmission)
+	matched, at, early := idx.walk(prog, idx.rank[idx.lo], idx.rank[idx.hi])
 	total := len(prog)
 	if exp == nil {
 		return at == total
@@ -94,15 +87,12 @@ func (p Program) explainOrdered(idx *Index, allowOmission bool, exp *Explanation
 	if at < len(p.mand) {
 		sym = p.mand[at]
 	}
-	switch {
-	case early:
+	if early {
 		exp.Reason = fmt.Sprintf(
 			"order violated: %s occurs in the context buffer only before the match point (after %d of %d mandatory symbols)",
 			exp.sym(sym), matched, total)
-	case at == total-1:
+	} else {
 		exp.Reason = fmt.Sprintf("offending symbol %s absent from the context buffer", exp.sym(sym))
-	default:
-		exp.Reason = fmt.Sprintf("%s absent from the context buffer (exact mode tolerates no omissions)", exp.sym(sym))
 	}
 	return false
 }
@@ -153,9 +143,4 @@ func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
 			covered, n, exp.Coverage*100, corrCoverage*100)
 	}
 	return exp
-}
-
-// ExplainRelaxed is Program.ExplainRelaxed for the whole fingerprint.
-func (f *Fingerprint) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
-	return f.whole().ExplainRelaxed(idx, tbl)
 }

@@ -121,10 +121,9 @@ func TestExplainVerdictsEqualMatchVerdicts(t *testing.T) {
 		idx := NewIndex(snap)
 		for _, p := range progs {
 			check(t, "relaxed", p.ExplainRelaxed(idx, lib.Table), p.MatchRelaxed(idx), p.name, len(snap))
-			check(t, "exact", p.ExplainExact(idx, lib.Table), p.MatchExact(idx), p.name, len(snap))
 			check(t, "strict", p.ExplainStrict(snap, lib.Table), p.MatchStrict(snap), p.name, len(snap))
 			check(t, "correlated", p.ExplainCorrelated(idx, lib.Table), p.MatchCorrelated(idx), p.name, len(snap))
-			n += 4
+			n += 3
 		}
 	}
 	if n < 500 {
@@ -139,7 +138,7 @@ func TestExplainReasonsNameAPIs(t *testing.T) {
 	opA := lib.ByName("op-a")
 	// A snapshot holding everything except op-a's final symbol.
 	snap := opA.Symbols[:len(opA.Symbols)-1]
-	exp := opA.ExplainRelaxed(NewIndex(snap), lib.Table)
+	exp := opA.whole().ExplainRelaxed(NewIndex(snap), lib.Table)
 	if exp.Matched {
 		t.Fatal("should reject: final symbol absent")
 	}
@@ -152,7 +151,7 @@ func TestExplainReasonsNameAPIs(t *testing.T) {
 
 	// Without a table the raw code point is the fallback.
 	var noTbl *symbol.Table
-	exp = opA.ExplainRelaxed(NewIndex(snap), noTbl)
+	exp = opA.whole().ExplainRelaxed(NewIndex(snap), noTbl)
 	if !strings.Contains(exp.Reason, "U+") {
 		t.Fatalf("tableless reason should fall back to code points: %q", exp.Reason)
 	}

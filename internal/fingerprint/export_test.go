@@ -24,6 +24,6 @@ func (idx *Index) MatchBound(i, lo, hi int) bool {
 		start = idx.ends[i-1]
 	}
 	prog := idx.prog[start:idx.ends[i]]
-	_, at, _ := idx.walk(prog, idx.rank[lo], idx.rank[hi], true)
+	_, at, _ := idx.walk(prog, idx.rank[lo], idx.rank[hi])
 	return len(prog) > 0 && at == len(prog)
 }

@@ -77,23 +77,11 @@ func (f *Fingerprint) whole() Program {
 	return f.lib.program(f.id, int32(len(f.Symbols)), false)
 }
 
-// MatchRelaxed is Program.MatchRelaxed for the whole fingerprint over an
-// unindexed snapshot.
-func (f *Fingerprint) MatchRelaxed(snapshot []rune) bool {
-	return f.whole().MatchRelaxed(NewIndex(snapshot))
-}
-
 // MatchRelaxedIndexed is Program.MatchRelaxed for the whole fingerprint.
 func (f *Fingerprint) MatchRelaxedIndexed(idx Index) bool { return f.whole().MatchRelaxed(idx) }
 
-// MatchExactIndexed is Program.MatchExact for the whole fingerprint.
-func (f *Fingerprint) MatchExactIndexed(idx Index) bool { return f.whole().MatchExact(idx) }
-
 // MatchStrict is Program.MatchStrict for the whole fingerprint.
 func (f *Fingerprint) MatchStrict(snapshot []rune) bool { return f.whole().MatchStrict(snapshot) }
-
-// MatchCorrelated is Program.MatchCorrelated for the whole fingerprint.
-func (f *Fingerprint) MatchCorrelated(idx Index) bool { return f.whole().MatchCorrelated(idx) }
 
 // Overlap computes |sym(f) ∩ sym(g)| / |sym(f)| — the Fig 5 overlap
 // measure between two fingerprints, asymmetric in f.

@@ -197,15 +197,15 @@ func TestMatchRelaxed(t *testing.T) {
 	// State-change order preserved, reads missing, noise interleaved:
 	// matches (the paper's Fig 4 example: symbol A missing still matches).
 	snap := []rune{noise, sB, noise, noise, sD}
-	if !fp.MatchRelaxed(snap) {
+	if !fp.MatchRelaxedIndexed(NewIndex(snap)) {
 		t.Fatal("relaxed match failed despite preserved state-change order")
 	}
 	// State-change out of order: no match.
-	if fp.MatchRelaxed([]rune{sD, sB}) {
+	if fp.MatchRelaxedIndexed(NewIndex([]rune{sD, sB})) {
 		t.Fatal("matched out-of-order state changes")
 	}
 	// Missing a state-change symbol: no match.
-	if fp.MatchRelaxed([]rune{sB, noise}) {
+	if fp.MatchRelaxedIndexed(NewIndex([]rune{sB, noise})) {
 		t.Fatal("matched with missing mandatory symbol")
 	}
 	// Strict match needs the reads too.
@@ -224,10 +224,10 @@ func TestMatchRelaxedLastSymbolMandatory(t *testing.T) {
 	fp := l.AddAPIs("op", "Compute", []trace.API{post("/b"), get("/c")})
 	sym := func(a trace.API) rune { r, _ := l.Table.Lookup(a); return r }
 	sB, sC := sym(post("/b")), sym(get("/c"))
-	if fp.MatchRelaxed([]rune{sB}) {
+	if fp.MatchRelaxedIndexed(NewIndex([]rune{sB})) {
 		t.Fatal("matched without the trailing offending GET")
 	}
-	if !fp.MatchRelaxed([]rune{sB, sC}) {
+	if !fp.MatchRelaxedIndexed(NewIndex([]rune{sB, sC})) {
 		t.Fatal("failed with full mandatory sequence")
 	}
 }
@@ -238,10 +238,10 @@ func TestMatchRelaxedAllReadsFallback(t *testing.T) {
 	l := NewLibrary()
 	fp := l.AddAPIs("list-op", "Misc", []trace.API{get("/x"), get("/y")})
 	sym := func(a trace.API) rune { r, _ := l.Table.Lookup(a); return r }
-	if fp.MatchRelaxed([]rune{sym(get("/x"))}) {
+	if fp.MatchRelaxedIndexed(NewIndex([]rune{sym(get("/x"))})) {
 		t.Fatal("read-only fingerprint matched partial snapshot")
 	}
-	if !fp.MatchRelaxed([]rune{sym(get("/x")), sym(get("/y"))}) {
+	if !fp.MatchRelaxedIndexed(NewIndex([]rune{sym(get("/x")), sym(get("/y"))})) {
 		t.Fatal("read-only fingerprint failed full snapshot")
 	}
 }
@@ -335,27 +335,6 @@ func TestQuickTruncate(t *testing.T) {
 	}
 }
 
-func TestMatchExactIndexed(t *testing.T) {
-	l := NewLibrary()
-	fp := l.AddAPIs("op", "Compute", []trace.API{post("/a"), get("/r"), post("/b"), post("/c")})
-	sym := func(a trace.API) rune { r, _ := l.Table.Lookup(a); return r }
-	sA, sB, sC := sym(post("/a")), sym(post("/b")), sym(post("/c"))
-	noise := rune(0xF222)
-
-	full := []rune{sA, noise, sB, sC}
-	if !fp.MatchExactIndexed(NewIndex(full)) {
-		t.Fatal("exact match failed on complete in-order pattern")
-	}
-	// Missing a mandatory symbol: exact fails where relaxed succeeds.
-	partial := []rune{sB, sC}
-	if fp.MatchExactIndexed(NewIndex(partial)) {
-		t.Fatal("exact match tolerated an omission")
-	}
-	if !fp.MatchRelaxedIndexed(NewIndex(partial)) {
-		t.Fatal("relaxed match should tolerate the omission")
-	}
-}
-
 func TestMatchCorrelated(t *testing.T) {
 	l := NewLibrary()
 	fp := l.AddAPIs("op", "Compute", []trace.API{post("/a"), get("/r"), post("/b")})
@@ -365,19 +344,19 @@ func TestMatchCorrelated(t *testing.T) {
 
 	// The operation's own pattern: fully covered by its fingerprint.
 	own := []rune{sA, sR, sR, sB} // includes an idempotent retry of /r
-	if !fp.MatchCorrelated(NewIndex(own)) {
+	if !fp.whole().MatchCorrelated(NewIndex(own)) {
 		t.Fatal("true operation failed correlated match on its own pattern")
 	}
 	// A different candidate explains only half the pattern: rejected.
-	if other.MatchCorrelated(NewIndex(own)) {
+	if other.whole().MatchCorrelated(NewIndex(own)) {
 		t.Fatal("foreign candidate passed coverage on another op's pattern")
 	}
 	// The offending (final) symbol must be present.
-	if fp.MatchCorrelated(NewIndex([]rune{sA, sR})) {
+	if fp.whole().MatchCorrelated(NewIndex([]rune{sA, sR})) {
 		t.Fatal("correlated match without the offending symbol")
 	}
 	// Empty pattern never matches.
-	if fp.MatchCorrelated(NewIndex(nil)) {
+	if fp.whole().MatchCorrelated(NewIndex(nil)) {
 		t.Fatal("correlated match on empty pattern")
 	}
 	_ = sX
@@ -484,9 +463,8 @@ func TestSliceViewMatchesRebuilt(t *testing.T) {
 			return false
 		}
 		for _, fp := range fps {
-			if fp.MatchExactIndexed(view) != fp.MatchExactIndexed(rebuilt) ||
-				fp.MatchRelaxedIndexed(view) != fp.MatchRelaxedIndexed(rebuilt) ||
-				fp.MatchCorrelated(view) != fp.MatchCorrelated(rebuilt) {
+			if fp.MatchRelaxedIndexed(view) != fp.MatchRelaxedIndexed(rebuilt) ||
+				fp.whole().MatchCorrelated(view) != fp.whole().MatchCorrelated(rebuilt) {
 				return false
 			}
 		}

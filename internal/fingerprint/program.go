@@ -146,8 +146,8 @@ func (l *Library) cutForm(f *form, cut int32) Program {
 
 // Program is one fingerprint as Algorithm 2 matches it — whole, or
 // truncated at the offending API; RPC symbols pruned or not. One value
-// serves every matcher: the relaxed and exact walks use mand plus the
-// final symbol, the strict walk syms, the correlated test set. The zero
+// serves every matcher: the relaxed walk uses mand plus the final
+// symbol, the strict walk syms, the correlated test set. The zero
 // Program (a fingerprint pruned to nothing) never matches.
 type Program struct {
 	syms []rune // surviving symbols; the last is the final (offending) one
@@ -188,6 +188,19 @@ func (c Candidates) Name(i int) string { return c.lib.fps[c.list[i].fp].Name }
 // First returns the index of the first candidate sharing candidate i's
 // name (i itself unless i is a later variant of a branched operation).
 func (c Candidates) First(i int) int { return int(c.list[i].first) }
+
+// Shares reports whether c and d hold a fingerprint in common: one merge
+// of the two posting lists, both in library order.
+func (c Candidates) Shares(d Candidates) bool {
+	for i, j := 0, 0; i < len(c.list) && j < len(d.list); {
+		x, y := c.list[i].fp, d.list[j].fp
+		if x == y {
+			return true
+		}
+		i, j = i+b2i(x < y), j+b2i(y < x)
+	}
+	return false
+}
 
 // Program returns candidate i's match program: truncated at the last
 // occurrence of the offending symbol, inclusive (Algorithm 2's
@@ -561,15 +574,15 @@ func (idx *Index) resolve(dst []uint16, p Program) []uint16 {
 	return append(dst, uint16(idx.column(p.syms[len(p.syms)-1])))
 }
 
-// walk is the ordered walk behind every relaxed and exact verdict: prog's
-// columns must occur in order within rows [lo, hi). Each symbol costs one
-// table load from the match point j — it either occurs at or after j
-// (the walk advances past it), occurs in the view only before j (the
-// state-change order is violated: early), or is absent from the view,
-// which the relaxed semantics tolerate for every symbol but the final
-// one. It returns how many symbols matched and where the walk stopped:
+// walk is the ordered walk behind every relaxed verdict: prog's columns
+// must occur in order within rows [lo, hi). Each symbol costs one table
+// load from the match point j — it either occurs at or after j (the walk
+// advances past it), occurs in the view only before j (the state-change
+// order is violated: early), or is absent from the view, which the
+// relaxed semantics tolerate for every symbol but the final one. It
+// returns how many symbols matched and where the walk stopped:
 // at == len(prog) on success; otherwise prog[at] failed.
-func (idx *Index) walk(prog []uint16, lo, hi int32, allowOmission bool) (matched, at int, early bool) {
+func (idx *Index) walk(prog []uint16, lo, hi int32) (matched, at int, early bool) {
 	j := lo
 	for i, c := range prog {
 		if k := idx.next(j, int32(c)); k < hi {
@@ -580,7 +593,7 @@ func (idx *Index) walk(prog []uint16, lo, hi int32, allowOmission bool) (matched
 		if idx.next(lo, int32(c)) < hi {
 			return matched, i, true
 		}
-		if !allowOmission || i == len(prog)-1 {
+		if i == len(prog)-1 {
 			return matched, i, false
 		}
 	}
@@ -604,13 +617,7 @@ func (idx *Index) walk(prog []uint16, lo, hi int32, allowOmission bool) (matched
 // explained in order, which is why a larger β "forces a more precise
 // match" (§7.3).
 func (p Program) MatchRelaxed(idx Index) bool {
-	return p.explainOrdered(&idx, true, nil)
-}
-
-// MatchExact requires every mandatory (state-change) symbol to be present
-// in order, with no omissions.
-func (p Program) MatchExact(idx Index) bool {
-	return p.explainOrdered(&idx, false, nil)
+	return p.explainOrdered(&idx, nil)
 }
 
 // MatchStrict reports whether every program symbol (reads included)

@@ -80,8 +80,9 @@ func indexFrom(s []rune, r rune, j int) int {
 	return -1
 }
 
-// naiveOrdered is the relaxed (allowOmission) or exact ordered walk.
-func (f *Fingerprint) naiveOrdered(s []rune, allowOmission bool) bool {
+// naiveOrdered is the relaxed ordered walk: a mandatory symbol absent
+// from s is tolerated, unless it is the final one.
+func (f *Fingerprint) naiveOrdered(s []rune) bool {
 	pattern := f.mandatory()
 	if len(pattern) == 0 {
 		return false
@@ -96,7 +97,7 @@ func (f *Fingerprint) naiveOrdered(s []rune, allowOmission bool) bool {
 		if indexFrom(s, p, 0) >= 0 {
 			return false // present, but only before the match point
 		}
-		if !allowOmission || i == len(pattern)-1 {
+		if i == len(pattern)-1 {
 			return false
 		}
 	}
@@ -211,7 +212,7 @@ func fuzzLibrary(rng *rand.Rand) *Library {
 
 // FuzzMatcherEquivalence holds the compiled matcher to the naive
 // reference: over random libraries, patterns and [lo, hi) views, every
-// candidate program's relaxed / exact / strict / correlated verdict equals
+// candidate program's relaxed / strict / correlated verdict equals
 // the reference's for the truncated-then-pruned copy, every Explain*
 // verdict equals its Match*, the precomputed posting facts (distinct
 // names, first-variant groups) equal a recount, and unknown runes and
@@ -289,8 +290,7 @@ func FuzzMatcherEquivalence(f *testing.F) {
 								matcher, fp.Name, off, truncate, prune, string(fp.Symbols), string(pattern), lo, hi, got, explained, want)
 						}
 					}
-					check("relaxed", p.MatchRelaxed(view), ref.naiveOrdered(sub, true), p.ExplainRelaxed(view, lib.Table).Matched)
-					check("exact", p.MatchExact(view), ref.naiveOrdered(sub, false), p.ExplainExact(view, lib.Table).Matched)
+					check("relaxed", p.MatchRelaxed(view), ref.naiveOrdered(sub), p.ExplainRelaxed(view, lib.Table).Matched)
 					check("strict", p.MatchStrict(sub), ref.naiveStrict(sub), p.ExplainStrict(sub, lib.Table).Matched)
 					check("correlated", p.MatchCorrelated(view), ref.naiveCorrelated(sub), p.ExplainCorrelated(view, lib.Table).Matched)
 				}
@@ -337,7 +337,7 @@ func checkBound(t *testing.T, cands Candidates, fps []*Fingerprint, off rune, pa
 			ok := make([]bool, len(fps))
 			for i, fp := range fps {
 				ref := referenceProgram(fp, off, truncate, prune)
-				got, want := idx.MatchBound(i, vlo, vhi), ref.naiveOrdered(pattern[vlo:vhi], true)
+				got, want := idx.MatchBound(i, vlo, vhi), ref.naiveOrdered(pattern[vlo:vhi])
 				ok[i] = want
 				if every {
 					// The explain-mode table also serves the relaxed matcher.
@@ -382,7 +382,7 @@ func checkFinalOutside(t *testing.T, cands Candidates, fps []*Fingerprint, off r
 			idx.ResetBound(pat, cands, truncate, prune, every)
 			ok := make([]bool, len(fps))
 			for k, fp := range fps {
-				ok[k] = referenceProgram(fp, off, truncate, prune).naiveOrdered(pat[:hi], true)
+				ok[k] = referenceProgram(fp, off, truncate, prune).naiveOrdered(pat[:hi])
 				if got := idx.MatchBound(k, 0, hi); got != ok[k] {
 					t.Fatalf("final outside the view of %q: bound %s@%U truncate=%v prune=%v pattern=%q [0,%d): bound %v, reference %v",
 						fps[i].Name, fps[k].Name, off, truncate, prune, string(pat), hi, got, ok[k])
@@ -425,7 +425,7 @@ func checkStep(t *testing.T, idx *Index, cands Candidates, ok []bool, lo, hi int
 
 // TestWideTableMatchesReference drives the int32 table: patterns of more
 // than math.MaxUint16 indexed positions, which the fuzzer's short
-// patterns never reach. Every bound, relaxed, exact and correlated
+// patterns never reach. Every bound, relaxed and correlated
 // verdict and every MatchStep over views at the start, middle and end
 // of such a pattern, and over all of it, must equal the naive
 // reference's — with the offending symbol present and removed, and with
@@ -471,11 +471,10 @@ func TestWideTableMatchesReference(t *testing.T) {
 									matcher, fp.Name, off, truncate, prune, string(fp.Symbols), v[0], v[1], n, got, want)
 							}
 						}
-						relaxed := ref.naiveOrdered(sub, true)
+						relaxed := ref.naiveOrdered(sub)
 						ok[i] = relaxed
 						check("bound", idx.MatchBound(i, v[0], v[1]), relaxed)
 						check("relaxed", p.MatchRelaxed(view), relaxed)
-						check("exact", p.MatchExact(view), ref.naiveOrdered(sub, false))
 						check("correlated", p.MatchCorrelated(view), ref.naiveCorrelated(sub))
 					}
 					checkStep(t, &idx, cands, ok, v[0], v[1])

@@ -6,6 +6,9 @@ package rca_test
 // the planted cause.
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -64,21 +67,57 @@ func checkTruthJoin(t *testing.T, h *scenario.Harness) {
 	})
 }
 
+// caseStudy is one §7.2 case study: the harness options, and stage,
+// which plants the fault, starts the operations, runs the simulation to
+// its end and returns the instance of the operation under study (nil
+// when it starts a stream of them).
+type caseStudy struct {
+	opts  scenario.Options
+	stage func(h *scenario.Harness) *openstack.Instance
+}
+
+// run stages the case study on a fresh harness in explain mode, with
+// every report's causes checked against the reference engine. Blind, the
+// analyzer sees every event with the ground-truth OpID and OpName
+// zeroed, as a deployment does; decorated, the truth join is checked.
+func (cs caseStudy) run(t *testing.T, blind bool) (*scenario.Harness, *openstack.Instance) {
+	h := scenario.New(cs.opts)
+	h.Analyzer.SetExplain(tracestore.New(0))
+	checkAgainstReference(t, h)
+	if blind {
+		ingest := h.Sink
+		h.Sink = func(ev trace.Event) {
+			ev.OpID, ev.OpName = 0, ""
+			ingest(ev)
+		}
+	} else {
+		checkTruthJoin(t, h)
+	}
+	return h, cs.stage(h)
+}
+
+// failedImageUpload is §7.2.1: image upload fails with REST 413 from
+// Glance, whose node is low on disk.
+var failedImageUpload = caseStudy{
+	opts: scenario.Options{Seed: 101, WithRCA: true, PollPeriod: time.Second},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		glance := h.D.Fabric.NodeFor(trace.SvcGlance)
+		faults.ExhaustDisk(glance, 0.8)
+		h.Plan.FailAPI(trace.RESTAPI(trace.SvcGlance, "PUT", "/v2/images/{id}/file"),
+			413, "Request Entity Too Large: insufficient store space")
+
+		startBackground(h, 4)
+		inst := h.D.Start(openstack.OpImageUpload(), nil)
+		h.Run(30 * time.Minute)
+		h.Finish()
+		return inst
+	},
+}
+
 // TestCaseStudyFailedImageUpload reproduces §7.2.1: image upload fails
 // with REST 413 from Glance; RCA finds low free disk on the Glance node.
 func TestCaseStudyFailedImageUpload(t *testing.T) {
-	h := scenario.New(scenario.Options{Seed: 101, WithRCA: true, PollPeriod: time.Second})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	glance := h.D.Fabric.NodeFor(trace.SvcGlance)
-	faults.ExhaustDisk(glance, 0.8)
-	h.Plan.FailAPI(trace.RESTAPI(trace.SvcGlance, "PUT", "/v2/images/{id}/file"),
-		413, "Request Entity Too Large: insufficient store space")
-
-	startBackground(h, 4)
-	h.D.Start(openstack.OpImageUpload(), nil)
-	h.Run(30 * time.Minute)
-	h.Finish()
+	h, _ := failedImageUpload.run(t, false)
 
 	rep := findCause(t, h.Reports(), "glance-node", "resource", "disk")
 	if _, truth := h.Truth(rep); !h.Hit(rep) {
@@ -93,11 +132,10 @@ func TestCaseStudyFailedImageUpload(t *testing.T) {
 	}
 }
 
-// TestCaseStudyNeutronLatency reproduces §7.2.2: a CPU surge on the
-// Neutron server inflates its API latencies; GRETEL flags a performance
-// fault and attributes it to the Neutron node's CPU.
-func TestCaseStudyNeutronLatency(t *testing.T) {
-	h := scenario.New(scenario.Options{
+// neutronLatency is §7.2.2: a CPU surge on the Neutron server under a
+// steady VM-create stream.
+var neutronLatency = caseStudy{
+	opts: scenario.Options{
 		Seed:       103,
 		WithRCA:    true,
 		PollPeriod: time.Second,
@@ -105,23 +143,31 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 			PerfDetection: true,
 			Latency:       tsoutliers.Options{Warmup: 10, MinRun: 3, MinSpread: 0.01},
 		},
-	})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	neutron := h.D.Fabric.NodeFor(trace.SvcNeutron)
+	},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		neutron := h.D.Fabric.NodeFor(trace.SvcNeutron)
 
-	// Steady VM-create stream to establish latency baselines, then the
-	// surge.
-	stop := false
-	h.D.Sim.Every(20*time.Second, func() bool { return stop }, func() {
-		h.D.Start(openstack.OpVMCreate(), nil)
-	})
-	h.Run(10 * time.Minute)
-	restore := faults.InjectCPUSurge(neutron, 90)
-	h.Run(15 * time.Minute)
-	restore()
-	stop = true
-	h.Finish()
+		// Steady VM-create stream to establish latency baselines, then
+		// the surge.
+		stop := false
+		h.D.Sim.Every(20*time.Second, func() bool { return stop }, func() {
+			h.D.Start(openstack.OpVMCreate(), nil)
+		})
+		h.Run(10 * time.Minute)
+		restore := faults.InjectCPUSurge(neutron, 90)
+		h.Run(15 * time.Minute)
+		restore()
+		stop = true
+		h.Finish()
+		return nil
+	},
+}
+
+// TestCaseStudyNeutronLatency reproduces §7.2.2: a CPU surge on the
+// Neutron server inflates its API latencies; GRETEL flags a performance
+// fault and attributes it to the Neutron node's CPU.
+func TestCaseStudyNeutronLatency(t *testing.T) {
+	h, _ := neutronLatency.run(t, false)
 
 	if h.Analyzer.Stats.PerfAlarms == 0 {
 		t.Fatal("no latency alarms under CPU surge")
@@ -142,65 +188,86 @@ func TestCaseStudyNeutronLatency(t *testing.T) {
 	}
 }
 
+// linuxBridgeAgent is §7.2.3: the linuxbridge agent is down on every
+// compute host, so scheduling a VM fails with "No valid host was found".
+var linuxBridgeAgent = caseStudy{
+	opts: scenario.Options{Seed: 107, WithRCA: true, PollPeriod: time.Second},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		for _, n := range h.D.ComputeNodes() {
+			faults.StopDependency(n, "neutron-plugin-linuxbridge-agent")
+		}
+		h.Plan.Add(faults.Rule{
+			Service:     trace.SvcNovaCompute,
+			WhenDepDown: "neutron-plugin-linuxbridge-agent",
+			StepIndex:   -1,
+			Outcome: openstack.Outcome{Status: 1,
+				ErrText: "NoValidHost: No valid host was found. There are not enough hosts available."},
+		})
+
+		startBackground(h, 3)
+		inst := h.D.Start(openstack.OpVMCreate(), nil)
+		h.Run(time.Hour)
+		h.Finish()
+		return inst
+	},
+}
+
 // TestCaseStudyLinuxBridgeAgent reproduces §7.2.3: the linuxbridge agent
 // crashes on the compute hosts, VM creation fails with "No valid host was
 // found", and RCA — finding nothing on the error nodes — expands upstream
-// to the compute hosts and names the crashed agent.
+// to the compute hosts and names the crashed agent. The upstream RPC
+// error must be found from the wire alone, so the study also runs blind.
 func TestCaseStudyLinuxBridgeAgent(t *testing.T) {
-	h := scenario.New(scenario.Options{Seed: 107, WithRCA: true, PollPeriod: time.Second})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	for _, n := range h.D.ComputeNodes() {
-		faults.StopDependency(n, "neutron-plugin-linuxbridge-agent")
-	}
-	h.Plan.Add(faults.Rule{
-		Service:     trace.SvcNovaCompute,
-		WhenDepDown: "neutron-plugin-linuxbridge-agent",
-		StepIndex:   -1,
-		Outcome: openstack.Outcome{Status: 1,
-			ErrText: "NoValidHost: No valid host was found. There are not enough hosts available."},
-	})
+	for _, name := range []string{"decorated", "blind"} {
+		t.Run(name, func(t *testing.T) {
+			h, _ := linuxBridgeAgent.run(t, name == "blind")
 
-	startBackground(h, 3)
-	h.D.Start(openstack.OpVMCreate(), nil)
-	h.Run(time.Hour)
-	h.Finish()
+			rep := findCause(t, h.Reports(), "compute-1", "software", "neutron-plugin-linuxbridge-agent")
+			if _, truth := h.Truth(rep); !h.Hit(rep) || truth != "vm-create" {
+				t.Fatalf("vm-create not localized: %v (truth %s)", rep.Candidates, truth)
+			}
+			// The offending API is the upstream RPC, not the relayed REST
+			// error.
+			if rep.OffendingAPI.Kind != trace.RPC {
+				t.Fatalf("offending API = %v, want the RPC", rep.OffendingAPI)
+			}
+			// The RPC error and the relayed REST error are analyzed
+			// together.
+			if len(rep.Errors) < 2 {
+				t.Fatalf("snapshot errors = %d, want >= 2", len(rep.Errors))
+			}
+		})
+	}
+}
 
-	rep := findCause(t, h.Reports(), "compute-1", "software", "neutron-plugin-linuxbridge-agent")
-	if _, truth := h.Truth(rep); !h.Hit(rep) || truth != "vm-create" {
-		t.Fatalf("vm-create not localized: %v (truth %s)", rep.Candidates, truth)
-	}
-	// The offending API is the upstream RPC, not the relayed REST error.
-	if rep.OffendingAPI.Kind != trace.RPC {
-		t.Fatalf("offending API = %v, want the RPC", rep.OffendingAPI)
-	}
-	// The RPC error and the relayed REST error are analyzed together.
-	if len(rep.Errors) < 2 {
-		t.Fatalf("snapshot errors = %d, want >= 2", len(rep.Errors))
-	}
+// ntpFailure is §7.2.4: the NTP agent on the Cinder host is stopped, so
+// Keystone rejects Cinder's token validation.
+var ntpFailure = caseStudy{
+	opts: scenario.Options{Seed: 109, WithRCA: true, PollPeriod: time.Second},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		cinder := h.D.Fabric.NodeFor(trace.SvcCinder)
+		faults.StopDependency(cinder, "ntp")
+		h.Plan.Add(faults.Rule{
+			API:         trace.RESTAPI(trace.SvcKeystone, "GET", "/v3/auth/tokens"),
+			WhenDepDown: "ntp",
+			DepOnCaller: true,
+			StepIndex:   -1,
+			Outcome: openstack.Outcome{Status: 401,
+				ErrText: "The request you have made requires authentication (token expired: clock skew)"},
+		})
+
+		inst := h.D.Start(openstack.OpCinderList(), nil)
+		h.Run(time.Hour)
+		h.Finish()
+		return inst
+	},
 }
 
 // TestCaseStudyNTPFailure reproduces §7.2.4: the NTP agent on the Cinder
 // host stops, Keystone rejects Cinder's token validation with 401, and
 // RCA finds the stopped NTP daemon on the Cinder node.
 func TestCaseStudyNTPFailure(t *testing.T) {
-	h := scenario.New(scenario.Options{Seed: 109, WithRCA: true, PollPeriod: time.Second})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	cinder := h.D.Fabric.NodeFor(trace.SvcCinder)
-	faults.StopDependency(cinder, "ntp")
-	h.Plan.Add(faults.Rule{
-		API:         trace.RESTAPI(trace.SvcKeystone, "GET", "/v3/auth/tokens"),
-		WhenDepDown: "ntp",
-		DepOnCaller: true,
-		StepIndex:   -1,
-		Outcome: openstack.Outcome{Status: 401,
-			ErrText: "The request you have made requires authentication (token expired: clock skew)"},
-	})
-
-	h.D.Start(openstack.OpCinderList(), nil)
-	h.Run(time.Hour)
-	h.Finish()
+	h, _ := ntpFailure.run(t, false)
 
 	rep := findCause(t, h.Reports(), "cinder-node", "software", "ntp")
 	// The 401 comes from Keystone toward Cinder.
@@ -265,32 +332,39 @@ func TestRCACleanSystemReportsNothing(t *testing.T) {
 	h.Finish()
 }
 
+// mysqlOutage: the MySQL server becomes unreachable and Nova's
+// DB-backed calls fail with 500s.
+var mysqlOutage = caseStudy{
+	opts: scenario.Options{Seed: 131, WithRCA: true, PollPeriod: time.Second},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		// The watchers observe TCP reachability to MySQL from every node.
+		mysql := h.D.Fabric.Node("mysql-node")
+		mysql.Up = false
+		for _, n := range h.D.Fabric.Nodes() {
+			if n.Name != "mysql-node" {
+				faults.StopDependency(n, "mysql-conn")
+			}
+		}
+		h.Plan.Add(faults.Rule{
+			Service:     trace.SvcNova,
+			WhenDepDown: "mysql-conn",
+			StepIndex:   -1,
+			Outcome: openstack.Outcome{Status: 500,
+				ErrText: "DBConnectionError: Lost connection to MySQL server"},
+		})
+
+		inst := h.D.Start(openstack.OpVMDelete(), nil)
+		h.Run(time.Hour)
+		h.Finish()
+		return inst
+	},
+}
+
 // TestCaseStudyMySQLOutage: the MySQL server becomes unreachable; every
 // service's DB-backed API calls fail with 500s, watchers on each node
 // report the lost mysql-conn dependency, and RCA names it.
 func TestCaseStudyMySQLOutage(t *testing.T) {
-	h := scenario.New(scenario.Options{Seed: 131, WithRCA: true, PollPeriod: time.Second})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	// The watchers observe TCP reachability to MySQL from every node.
-	mysql := h.D.Fabric.Node("mysql-node")
-	mysql.Up = false
-	for _, n := range h.D.Fabric.Nodes() {
-		if n.Name != "mysql-node" {
-			faults.StopDependency(n, "mysql-conn")
-		}
-	}
-	h.Plan.Add(faults.Rule{
-		Service:     trace.SvcNova,
-		WhenDepDown: "mysql-conn",
-		StepIndex:   -1,
-		Outcome: openstack.Outcome{Status: 500,
-			ErrText: "DBConnectionError: Lost connection to MySQL server"},
-	})
-
-	h.D.Start(openstack.OpVMDelete(), nil)
-	h.Run(time.Hour)
-	h.Finish()
+	h, _ := mysqlOutage.run(t, false)
 
 	rep := findCause(t, h.Reports(), "nova-node", "software", "mysql-conn")
 	if rep.Fault.ErrorText == "" || !strings.Contains(rep.Fault.ErrorText, "MySQL") {
@@ -298,17 +372,23 @@ func TestCaseStudyMySQLOutage(t *testing.T) {
 	}
 }
 
+// brokerOutage: RabbitMQ is down while a volume is created.
+var brokerOutage = caseStudy{
+	opts: scenario.Options{Seed: 137, WithRCA: true, PollPeriod: time.Second},
+	stage: func(h *scenario.Harness) *openstack.Instance {
+		h.D.BrokerNode().Up = false
+		inst := h.D.Start(openstack.OpVolumeCreate(), nil)
+		h.Run(30 * time.Minute)
+		h.Finish()
+		return inst
+	},
+}
+
 // TestCaseStudyBrokerOutage: with RabbitMQ down, RPC-bearing operations
 // stall silently (paper limitation 2 — no wire-visible error), but the
 // dependency watchers still expose the broker outage for operators.
 func TestCaseStudyBrokerOutage(t *testing.T) {
-	h := scenario.New(scenario.Options{Seed: 137, WithRCA: true, PollPeriod: time.Second})
-	checkAgainstReference(t, h)
-	checkTruthJoin(t, h)
-	h.D.BrokerNode().Up = false
-	inst := h.D.Start(openstack.OpVolumeCreate(), nil)
-	h.Run(30 * time.Minute)
-	h.Finish()
+	h, inst := brokerOutage.run(t, false)
 
 	if inst.State != openstack.StateAborted {
 		t.Fatalf("state = %v, want aborted (publish fails)", inst.State)
@@ -328,6 +408,47 @@ func TestCaseStudyBrokerOutage(t *testing.T) {
 	}
 	if down == 0 {
 		t.Fatal("watchers did not surface the broker outage")
+	}
+}
+
+// TestCaseStudyBlindParity runs every case study decorated and blind:
+// each report must carry the same OffendingAPI, Candidates, Beta and
+// Precision both ways, with θ in [0, 1], and store a byte-identical
+// evidence trace. A verdict that changes when only the answer key is
+// removed was reading it.
+func TestCaseStudyBlindParity(t *testing.T) {
+	for name, cs := range map[string]caseStudy{
+		"failed-image-upload": failedImageUpload,
+		"neutron-latency":     neutronLatency,
+		"linuxbridge-agent":   linuxBridgeAgent,
+		"ntp-failure":         ntpFailure,
+		"mysql-outage":        mysqlOutage,
+		"broker-outage":       brokerOutage,
+	} {
+		t.Run(name, func(t *testing.T) {
+			d, _ := cs.run(t, false)
+			b, _ := cs.run(t, true)
+			dr, br := d.Reports(), b.Reports()
+			if len(dr) != len(br) {
+				t.Fatalf("reports: decorated %d, blind %d", len(dr), len(br))
+			}
+			for i, dp := range dr {
+				bp := br[i]
+				if dp.OffendingAPI != bp.OffendingAPI || dp.Beta != bp.Beta || dp.Precision != bp.Precision ||
+					!slices.Equal(dp.Candidates, bp.Candidates) {
+					t.Errorf("report %d: verdict changes blind: offending %v β=%d θ=%v %v, blind %v β=%d θ=%v %v",
+						i, dp.OffendingAPI, dp.Beta, dp.Precision, dp.Candidates, bp.OffendingAPI, bp.Beta, bp.Precision, bp.Candidates)
+				}
+				if dp.Precision < 0 || dp.Precision > 1 {
+					t.Errorf("report %d: θ = %v outside [0, 1]", i, dp.Precision)
+				}
+				dj, _ := json.Marshal(d.Analyzer.ExplainStore().Get(dp.TraceID))
+				bj, _ := json.Marshal(b.Analyzer.ExplainStore().Get(bp.TraceID))
+				if !bytes.Equal(dj, bj) {
+					t.Errorf("report %d: evidence differs blind:\ndecorated %s\nblind     %s", i, dj, bj)
+				}
+			}
+		})
 	}
 }
 
