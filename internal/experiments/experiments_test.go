@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -274,12 +276,16 @@ func TestCorrelationIDExtensionImprovesPrecision(t *testing.T) {
 	}
 }
 
+// corrRunDigest is the sha256 of TestCorrelationIDBlindParity's decorated
+// run: its reports' JSON followed by each report's evidence JSON.
+const corrRunDigest = "09618a91c50d0ad36de8a503114dc39e2275728d8c19323cc033eee5f6d173c1"
+
 // TestCorrelationIDBlindParity runs a correlation-id precision run in
 // explain mode twice, once with the analyzer fed events whose
 // ground-truth OpID and OpName are zeroed, as a deployment sees them:
 // every report must carry the same OffendingAPI, Candidates, Beta and
 // Precision both ways, with θ in [0, 1], and store a byte-identical
-// evidence trace.
+// evidence trace. The decorated run must also hash to corrRunDigest.
 func TestCorrelationIDBlindParity(t *testing.T) {
 	cat := tempest.NewCatalog(21)
 	lib := GroundTruthLibrary(cat)
@@ -305,6 +311,18 @@ func TestCorrelationIDBlindParity(t *testing.T) {
 	dr, br := d.Reports(), b.Reports()
 	if len(dr) != 4 || len(br) != 4 {
 		t.Fatalf("reports: decorated %d, blind %d, want 4", len(dr), len(br))
+	}
+	// Pin the correlated matcher's output: the decorated run's reports,
+	// then each report's evidence, hashed together.
+	sum := sha256.New()
+	rj, _ := json.Marshal(dr)
+	sum.Write(rj)
+	for _, rep := range dr {
+		ej, _ := json.Marshal(d.Analyzer.ExplainStore().Get(rep.TraceID))
+		sum.Write(ej)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != corrRunDigest {
+		t.Errorf("correlation-id run digest %s, want %s", got, corrRunDigest)
 	}
 	for i, dp := range dr {
 		bp := br[i]
