@@ -170,9 +170,6 @@ type Config struct {
 	// By default they are dropped before matching (the §6 optimization);
 	// keeping them is the Fig 7c ablation.
 	DisablePruneRPC bool
-	// StrictMatch uses the full-sequence matcher instead of the relaxed
-	// state-change matcher (ablation).
-	StrictMatch bool
 	// SnapshotOnRPCErrors also arms snapshots for RPC failures instead of
 	// waiting for the relayed REST error (ablation; default off, §5.3.1
 	// "Improving precision").
@@ -200,8 +197,6 @@ type Config struct {
 	// not spawn a snapshot per affected exchange (default 30s; negative
 	// disables the cooldown).
 	PerfCooldown time.Duration
-	// TotalOps overrides N in θ; defaults to the library size.
-	TotalOps int
 	// Member names this analyzer instance when it runs as one partition
 	// of a federation; every report is stamped with it so the merged
 	// stream stays attributable. Empty (the default) stamps nothing,
@@ -263,9 +258,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	}
 	if c.C2 == 0 {
 		c.C2 = 0.04
-	}
-	if c.TotalOps == 0 {
-		c.TotalOps = lib.Len()
 	}
 	if c.PerfCooldown == 0 {
 		c.PerfCooldown = 30 * time.Second
@@ -720,52 +712,41 @@ func (sc *detectScratch) bounds(lo, hi int) (int, int) {
 	return sLo, sHi
 }
 
-// index builds the snapshot pattern's table for the configured matcher,
-// once per report, with the candidates' programs cut as truncate says:
-// for the relaxed matcher with the programs bound to it, for the
-// correlated one with every symbol in a column. In explain mode the
-// relaxed table also gives every symbol a column, so the explaining
-// walks read the same table. The strict matcher reads the pattern itself.
+// index builds the snapshot pattern's table, once per report, with the
+// candidates' programs cut as truncate says: for the relaxed matcher
+// with the programs bound to it, for the correlated one with every
+// symbol in a column. In explain mode the relaxed table also gives every
+// symbol a column, so the explaining walks read the same table.
 func (a *Analyzer) index(sc *detectScratch, cands fingerprint.Candidates, truncate, corrFiltered, explain bool) {
 	sc.truncate = truncate
-	switch {
-	case a.cfg.StrictMatch:
-	case corrFiltered:
+	if corrFiltered {
 		sc.idx.Reset(sc.syms)
-	default:
+	} else {
 		sc.idx.ResetBound(sc.syms, cands, truncate, !a.cfg.DisablePruneRPC, explain)
 	}
 }
 
 // matchStep appends to matched, which must be empty, the operations
-// whose candidates match pattern positions [lo, hi) under the configured
-// matcher, one name per operation (a branched operation matches by its
-// first variant that hits), stopping once more than limit have matched.
-// The relaxed matcher walks every bound candidate in one pass
-// (fingerprint.Index.MatchStep); the strict and correlated matchers cut
-// and match each candidate's program in turn (MatchEach).
+// whose candidates match pattern positions [lo, hi), one name per
+// operation (a branched operation matches by its first variant that
+// hits), stopping once more than limit have matched. The relaxed
+// matcher walks every bound candidate in one pass
+// (fingerprint.Index.MatchStep); the correlated matcher cuts and tests
+// each candidate's program in turn (MatchEach). Its pattern holds one
+// operation's own messages, so it requires real coverage beyond the
+// offending symbol alone (MatchCorrelated).
 func (a *Analyzer) matchStep(sc *detectScratch, cands fingerprint.Candidates, lo, hi, limit int, corrFiltered bool, matched []string) []string {
-	if !a.cfg.StrictMatch && !corrFiltered {
+	if !corrFiltered {
 		sc.step = sc.idx.MatchStep(lo, hi, limit, sc.step[:0])
 	} else {
-		sc.step = sc.idx.MatchEach(cands, limit, sc.step[:0], func(i int) bool { return a.match(sc, cands, i, lo, hi) })
+		sc.step = sc.idx.MatchEach(cands, limit, sc.step[:0], func(i int) bool {
+			return cands.Program(i, sc.truncate, !a.cfg.DisablePruneRPC).MatchCorrelated(sc.idx.Slice(lo, hi))
+		})
 	}
 	for _, i := range sc.step {
 		matched = append(matched, cands.Name(int(i)))
 	}
 	return matched
-}
-
-// match reports whether candidate i matches pattern positions [lo, hi)
-// under the strict or the correlated matcher.
-func (a *Analyzer) match(sc *detectScratch, cands fingerprint.Candidates, i, lo, hi int) bool {
-	p := cands.Program(i, sc.truncate, !a.cfg.DisablePruneRPC)
-	if a.cfg.StrictMatch {
-		return p.MatchStrict(sc.syms[lo:hi])
-	}
-	// The pattern holds one operation's own messages; require real
-	// coverage beyond the offending symbol alone.
-	return p.MatchCorrelated(sc.idx.Slice(lo, hi))
 }
 
 // detect runs Algorithm 2 over a filled snapshot and returns the report.
@@ -868,7 +849,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 	rep.Candidates = append([]string(nil), matched...)
 	rep.Beta = beta
 	// θ stays 0 when nothing is blamed, as with no candidates.
-	if n, N := len(matched), a.cfg.TotalOps; n > 0 {
+	if n, N := len(matched), a.lib.Len(); n > 0 {
 		rep.Precision = 1
 		if N > 1 {
 			rep.Precision = float64(N-n) / float64(N-1)
@@ -883,7 +864,7 @@ func (a *Analyzer) detect(sc *detectScratch, faultEv trace.Event, kind FaultKind
 			lo, hi = snap.ContextBounds(beta)
 			sLo, sHi = sc.bounds(lo, hi)
 		}
-		a.explainCandidates(rep.evidence, cands, truncate, sc.syms[sLo:sHi], sc.idx.Slice(sLo, sHi), corrID != "")
+		a.explainCandidates(rep.evidence, cands, truncate, sc.idx.Slice(sLo, sHi), corrID != "")
 		a.finalizeEvidence(rep.evidence, rep, snap, lo, hi)
 	}
 	span.End()
@@ -980,7 +961,7 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 	sc.prev = sc.prev[:0]
 	prevBeta := 0
 	armed := !a.cfg.GrowToCover && corrID == ""
-	bound := !a.cfg.StrictMatch && corrID == ""
+	bound := corrID == ""
 	rowLo, rowHi := int32(-1), int32(-1) // the last walked step's view, as table rows
 	for beta := beta0; ; beta += 2 * delta {
 		lo, hi := snap.ContextBounds(beta)

@@ -46,13 +46,12 @@ func (a *Analyzer) SetRCAExplain(fn func(*Report) ([]RootCause, *tracestore.RCAE
 func (a *Analyzer) newEvidence(traceID uint64, faultEv trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *tracestore.Trace {
 	future := snap.Len() - 1 - snap.FaultIndex
 	ev := &tracestore.Trace{
-		ID:          traceID,
-		Kind:        kind.String(),
-		FaultSeq:    faultEv.Seq,
-		FaultTime:   faultEv.Time,
-		LatencyMs:   latency.Seconds() * 1000,
-		StrictMatch: a.cfg.StrictMatch,
-		RPCPruned:   !a.cfg.DisablePruneRPC,
+		ID:        traceID,
+		Kind:      kind.String(),
+		FaultSeq:  faultEv.Seq,
+		FaultTime: faultEv.Time,
+		LatencyMs: latency.Seconds() * 1000,
+		RPCPruned: !a.cfg.DisablePruneRPC,
 		Window: tracestore.Window{
 			Alpha:        a.cfg.Alpha,
 			Events:       snap.Len(),
@@ -85,7 +84,7 @@ func recordErrors(ev *tracestore.Trace, errors []trace.Event) {
 // buffer through the explaining matchers, which share their walks with
 // the production matchers — the verdicts reproduce rep.Candidates
 // exactly (growContext returns the set matched at the β it returns).
-func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Candidates, truncate bool, pattern []rune, idx fingerprint.Index, corrFiltered bool) {
+func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Candidates, truncate bool, idx fingerprint.Index, corrFiltered bool) {
 	variants := make(map[string]int, cands.Len())
 	ev.Candidates = make([]tracestore.Candidate, 0, cands.Len())
 	for i := 0; i < cands.Len(); i++ {
@@ -102,12 +101,9 @@ func (a *Analyzer) explainCandidates(ev *tracestore.Trace, cands fingerprint.Can
 			continue
 		}
 		var exp fingerprint.Explanation
-		switch {
-		case a.cfg.StrictMatch:
-			exp = p.ExplainStrict(pattern, a.lib.Table)
-		case corrFiltered:
+		if corrFiltered {
 			exp = p.ExplainCorrelated(idx, a.lib.Table)
-		default:
+		} else {
 			exp = p.ExplainRelaxed(idx, a.lib.Table)
 		}
 		c.Matched = exp.Matched

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"slices"
+	"strconv"
 	"testing"
 
 	"gretel/internal/core"
@@ -184,7 +185,7 @@ func TestGrowthMatchesNaiveLoop(t *testing.T) {
 			want, beta, growth := naiveGrowth(lib, cfg, cands, snap)
 			precision := 0.0 // nothing blamed
 			if n := len(want); n > 0 {
-				precision = float64(cfg.TotalOps-n) / float64(cfg.TotalOps-1)
+				precision = float64(lib.Len()-n) / float64(lib.Len()-1)
 			}
 			for _, rep := range []*core.Report{fast, full} {
 				if !slices.Equal(rep.Candidates, want) || rep.Beta != beta || rep.Precision != precision {
@@ -208,19 +209,29 @@ func TestGrowthMatchesNaiveLoop(t *testing.T) {
 // gets its window words to one output: reports of an analyzer fed
 // through Ingest (words pushed with each event) must marshal byte for
 // byte like Detect's over the same stream frozen by the word-less
-// window.Push, whose words Detect fills — for each matcher mode.
+// window.Push, whose words Detect fills — for each matcher mode. The
+// correlated row reads the stream stamped with a correlation id per
+// operation, and must blame other operations than the default row.
 func TestWordlessSnapshotsReportLikeIngest(t *testing.T) {
 	lib := experiments.BenchLibrary()
 	evs := experiments.StormBenchStream(20000)
 	for i := range evs {
 		evs[i].Seq = uint64(i + 1) // ingest would number them so
 	}
+	stamped := slices.Clone(evs)
+	for i := range stamped {
+		stamped[i].CorrID = "req-" + strconv.FormatUint(stamped[i].OpID, 10)
+	}
+	var blamed [][]string // the default row's matched sets
 	for _, cfg := range []core.Config{
 		{},
 		{DisablePruneRPC: true},
-		{StrictMatch: true},
 		{UseCorrelationIDs: true},
 	} {
+		evs := evs
+		if cfg.UseCorrelationIDs {
+			evs = stamped
+		}
 		a := core.New(lib, cfg)
 		a.IngestBatch(evs)
 		a.Close()
@@ -235,6 +246,15 @@ func TestWordlessSnapshotsReportLikeIngest(t *testing.T) {
 		got, _ := json.Marshal(reps)
 		if len(reps) < 50 || !bytes.Equal(got, want) {
 			t.Fatalf("%+v: %d word-less reports differ from %d ingested", cfg, len(reps), len(a.Reports()))
+		}
+		var sets [][]string
+		for _, rep := range reps {
+			sets = append(sets, rep.Candidates)
+		}
+		if blamed == nil {
+			blamed = sets
+		} else if cfg.UseCorrelationIDs && slices.EqualFunc(sets, blamed, slices.Equal) {
+			t.Fatalf("%+v: matched sets equal the default row's: the correlated matcher did not run", cfg)
 		}
 	}
 }

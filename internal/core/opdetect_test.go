@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gretel/internal/fingerprint"
@@ -44,7 +45,7 @@ func TestSameNameVariantsMatchedByOwnProgram(t *testing.T) {
 // TestPerformanceReportsListAVariantOnce: a performance report names a
 // branched operation once, however many of its variants match the
 // window, as the operational report over the same snapshot does — under
-// the relaxed matcher, with RPCs kept, and under the strict matcher.
+// the relaxed matcher and with RPCs kept.
 func TestPerformanceReportsListAVariantOnce(t *testing.T) {
 	lib := fingerprint.NewLibrary()
 	lib.AddAPIs("boot", "Compute", []trace.API{post("/a"), post("/b")})
@@ -53,7 +54,6 @@ func TestPerformanceReportsListAVariantOnce(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"relaxed":  {Alpha: 16},
 		"rpc-kept": {Alpha: 16, DisablePruneRPC: true},
-		"strict":   {Alpha: 16, StrictMatch: true},
 	} {
 		a := New(lib, cfg)
 		op := a.Detect(fault, Operational, 0, snap)
@@ -198,13 +198,23 @@ func seededLibraryAndStream(seed int64) (*fingerprint.Library, []trace.Event) {
 }
 
 // TestPooledJSONMatchesInlineReports holds the detect pool to the inline
-// path byte for byte: one seeded faulty stream, every matcher mode,
-// DetectWorkers 0 vs 1 vs 4 — the JSON of every report must be equal.
+// path byte for byte: one seeded faulty stream, every matcher mode (the
+// correlated one over the stream stamped with a correlation id per
+// operation), DetectWorkers 0 vs 1 vs 4 — the JSON of every report must
+// be equal.
 // The workers share the compiled library and own their scratch; run
 // under -race -count=10 this is the test that would see a shared buffer.
 func TestPooledJSONMatchesInlineReports(t *testing.T) {
 	lib, evs := seededLibraryAndStream(42)
+	stamped := slices.Clone(evs)
+	for i := range stamped {
+		stamped[i].CorrID = "req-" + itoa(int(stamped[i].OpID))
+	}
 	run := func(cfg Config) []byte {
+		evs := evs
+		if cfg.UseCorrelationIDs {
+			evs = stamped
+		}
 		a := New(lib, cfg)
 		for _, ev := range evs {
 			a.Ingest(ev)
@@ -222,7 +232,7 @@ func TestPooledJSONMatchesInlineReports(t *testing.T) {
 	for _, cfg := range []Config{
 		{Alpha: 48},
 		{Alpha: 48, DisablePruneRPC: true, SnapshotOnRPCErrors: true},
-		{Alpha: 48, StrictMatch: true},
+		{Alpha: 48, UseCorrelationIDs: true},
 		{Alpha: 48, GrowToCover: true},
 	} {
 		inline := run(cfg)

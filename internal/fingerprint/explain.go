@@ -1,10 +1,10 @@
-// Explainable matching: every Match* verdict can be re-run through an
-// Explain* twin that records the evidence — how many mandatory symbols
-// were satisfied, which omissions the relaxed semantics tolerated, and
-// the concrete reason a losing candidate lost. The explain path reuses
-// the production walks (Index.walk, subsequencePrefix, covered), so
-// verdicts cannot drift between what the analyzer decided and what the
-// evidence trace claims.
+// Explainable matching: each matcher the analyzer runs, MatchRelaxed and
+// MatchCorrelated, has an Explain* twin that records the evidence — how
+// many mandatory symbols were satisfied, which omissions the relaxed
+// semantics tolerated, and the concrete reason a losing candidate lost.
+// Each pair shares one verdict function (explainOrdered, explainCovered),
+// so verdicts cannot drift between what the analyzer decided and what
+// the evidence trace claims.
 package fingerprint
 
 import (
@@ -17,22 +17,20 @@ import (
 type Explanation struct {
 	// Matched is the verdict, identical to the corresponding Match*.
 	Matched bool
-	// Mode names the matcher: "relaxed", "strict", "correlated".
-	Mode string
 	// MandatoryTotal is the size of the match obligation: mandatory
-	// symbols for the ordered walks, full symbol count for strict.
+	// symbols for the ordered walk, the full symbol count for the
+	// coverage test.
 	MandatoryTotal int
-	// Satisfied counts obligation symbols found in order.
+	// Satisfied counts obligation symbols found in order, or for the
+	// coverage test the pattern occurrences the fingerprint explains.
 	Satisfied int
 	// Omitted counts mandatory symbols absent from the snapshot that the
 	// relaxed semantics tolerated.
 	Omitted int
-	// Coverage is the fraction of the correlation-filtered pattern the
-	// fingerprint explains (correlated mode only).
-	Coverage float64
 	// Score is the fraction of the obligation satisfied — Satisfied /
-	// MandatoryTotal for the ordered and strict walks, Coverage for
-	// correlated. 1.0 on a match.
+	// MandatoryTotal for the ordered walk, the fraction of the
+	// correlation-filtered pattern explained for the coverage test. 1.0
+	// on a relaxed match.
 	Score float64
 	// Reason is the concrete rejection reason; empty when Matched.
 	Reason string
@@ -53,7 +51,7 @@ func (e *Explanation) sym(r rune) string {
 // ExplainRelaxed is MatchRelaxed with evidence: same walk, same verdict,
 // plus the score and rejection reason.
 func (p Program) ExplainRelaxed(idx Index, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "relaxed", tbl: tbl}
+	exp := Explanation{tbl: tbl}
 	exp.Matched = p.explainOrdered(&idx, &exp)
 	return exp
 }
@@ -97,50 +95,47 @@ func (p Program) explainOrdered(idx *Index, exp *Explanation) bool {
 	return false
 }
 
-// ExplainStrict is MatchStrict with evidence: the full-sequence
-// subsequence walk, recording where it stalled.
-func (p Program) ExplainStrict(snapshot []rune, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "strict", tbl: tbl, MandatoryTotal: len(p.syms)}
-	if len(p.syms) == 0 {
-		exp.Reason = "empty fingerprint: no symbols to match"
-		return exp
-	}
-	i := subsequencePrefix(p.syms, snapshot)
-	exp.Satisfied = i
-	exp.Matched = i == len(p.syms)
-	exp.Score = float64(i) / float64(len(p.syms))
-	if !exp.Matched {
-		exp.Reason = fmt.Sprintf(
-			"strict subsequence stalled at symbol %d of %d: no %s after the match point",
-			i+1, len(p.syms), exp.sym(p.syms[i]))
-	}
+// ExplainCorrelated is MatchCorrelated with evidence: same coverage
+// test, same verdict, plus the score and rejection reason.
+func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
+	exp := Explanation{tbl: tbl, MandatoryTotal: len(p.syms)}
+	exp.Matched = p.explainCovered(&idx, &exp)
 	return exp
 }
 
-// ExplainCorrelated is MatchCorrelated with evidence: the coverage
-// computation over the correlation-filtered pattern, verbatim.
-func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
-	exp := Explanation{Mode: "correlated", tbl: tbl, MandatoryTotal: len(p.syms)}
+// explainCovered runs the coverage test over idx's view and returns the
+// verdict: p's final symbol must occur in the view, and the view's
+// occurrences of p's symbols must make up at least corrCoverage of it.
+// When exp is non-nil (the explain path) it also records the test's
+// evidence: the occurrences covered, the score and — on failure — the
+// concrete rejection reason.
+func (p Program) explainCovered(idx *Index, exp *Explanation) bool {
 	n := idx.Len()
 	if n == 0 || len(p.syms) == 0 {
-		exp.Reason = "empty correlation-filtered pattern or empty fingerprint"
-		return exp
+		if exp != nil {
+			exp.Reason = "empty correlation-filtered pattern or empty fingerprint"
+		}
+		return false
 	}
-	final := p.syms[len(p.syms)-1]
-	if !idx.contains(final) {
-		exp.Reason = fmt.Sprintf(
-			"offending symbol %s absent from the correlation-filtered pattern", exp.sym(final))
-		return exp
+	if final := p.syms[len(p.syms)-1]; !idx.contains(final) {
+		if exp != nil {
+			exp.Reason = fmt.Sprintf(
+				"offending symbol %s absent from the correlation-filtered pattern", exp.sym(final))
+		}
+		return false
 	}
-	covered := p.covered(&idx)
-	exp.Coverage = float64(covered) / float64(n)
-	exp.Score = exp.Coverage
-	exp.Satisfied = covered
-	exp.Matched = float64(covered) >= corrCoverage*float64(n)
-	if !exp.Matched {
-		exp.Reason = fmt.Sprintf(
-			"fingerprint explains only %d of %d pattern occurrences (%.0f%%, below the %.0f%% coverage bar)",
-			covered, n, exp.Coverage*100, corrCoverage*100)
+	covered := 0
+	for _, sym := range p.set {
+		covered += idx.count(sym)
 	}
-	return exp
+	matched := float64(covered) >= corrCoverage*float64(n)
+	if exp != nil {
+		exp.Satisfied, exp.Score = covered, float64(covered)/float64(n)
+		if !matched {
+			exp.Reason = fmt.Sprintf(
+				"fingerprint explains only %d of %d pattern occurrences (%.0f%%, below the %.0f%% coverage bar)",
+				covered, n, exp.Score*100, corrCoverage*100)
+		}
+	}
+	return matched
 }

@@ -147,7 +147,7 @@ func (l *Library) cutForm(f *form, cut int32) Program {
 // Program is one fingerprint as Algorithm 2 matches it — whole, or
 // truncated at the offending API; RPC symbols pruned or not. One value
 // serves every matcher: the relaxed walk uses mand plus the final
-// symbol, the strict walk syms, the correlated test set. The zero
+// symbol, the strict ablation syms, the correlated test set. The zero
 // Program (a fingerprint pruned to nothing) never matches.
 type Program struct {
 	syms []rune // surviving symbols; the last is the final (offending) one
@@ -494,8 +494,8 @@ func (idx *Index) MatchStep(lo, hi, limit int, dst []int32) []int32 {
 	return matchStep(idx.narrow, idx, idx.rank[lo], idx.rank[hi], limit, hit, dst)
 }
 
-// MatchEach is MatchStep for the matchers it does not inline (strict and
-// correlated): match(i) is candidate i's verdict over the step's view,
+// MatchEach is MatchStep for the matcher it does not inline, the
+// correlated one: match(i) is candidate i's verdict over the step's view,
 // and the step picks operations by the same rule — a candidate whose
 // operation an earlier variant matched is skipped, and the step stops
 // once more than limit operations have matched. It appends the matched
@@ -659,18 +659,5 @@ const corrCoverage = 0.95
 // truncates a long operation, repeated symbols make even the true
 // operation's own sequence appear locally out of order.
 func (p Program) MatchCorrelated(idx Index) bool {
-	n := idx.Len()
-	if n == 0 || len(p.syms) == 0 || !idx.contains(p.syms[len(p.syms)-1]) {
-		return false
-	}
-	return float64(p.covered(&idx)) >= corrCoverage*float64(n)
-}
-
-// covered counts the view's occurrences of the program's symbols.
-func (p Program) covered(idx *Index) int {
-	covered := 0
-	for _, sym := range p.set {
-		covered += idx.count(sym)
-	}
-	return covered
+	return p.explainCovered(&idx, nil)
 }

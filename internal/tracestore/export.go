@@ -183,10 +183,7 @@ func WriteText(w io.Writer, t *Trace) {
 	}
 	fmt.Fprintf(w, ")\n")
 
-	flags := make([]string, 0, 3)
-	if t.StrictMatch {
-		flags = append(flags, "strict-match")
-	}
+	flags := make([]string, 0, 2)
 	if t.RPCPruned {
 		flags = append(flags, "rpc-pruned")
 	}

@@ -182,9 +182,8 @@ type Trace struct {
 	LatencyMs float64 `json:"latency_ms,omitempty"`
 	// CorrID is set when correlation-id-filtered matching was used.
 	CorrID string `json:"corr_id,omitempty"`
-	// StrictMatch / RPCPruned record the matcher configuration.
-	StrictMatch bool `json:"strict_match,omitempty"`
-	RPCPruned   bool `json:"rpc_pruned,omitempty"`
+	// RPCPruned records the matcher configuration.
+	RPCPruned bool `json:"rpc_pruned,omitempty"`
 
 	Window     Window       `json:"window"`
 	Errors     []EventRef   `json:"errors,omitempty"`
