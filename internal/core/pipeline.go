@@ -38,10 +38,6 @@ type detectJob struct {
 	// degraded is the degraded-node set captured at dispatch time on the
 	// receiver goroutine — workers must not read a.degraded themselves.
 	degraded []string
-	// traceID is the evidence-trace ID assigned at dispatch time on the
-	// receiver goroutine (zero outside explain mode), so IDs follow
-	// fault-arrival order regardless of worker count.
-	traceID uint64
 }
 
 // detectResult pairs a finished report with its arrival sequence.
@@ -70,19 +66,14 @@ func (a *Analyzer) startPipeline(workers int) {
 // which case the snapshot is dropped and counted.
 func (a *Analyzer) dispatch(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) {
 	deg := a.degradedList()
-	var traceID uint64
-	if a.explain != nil {
-		a.traceSeq++
-		traceID = a.traceSeq
-	}
 	if a.jobs == nil {
-		rep := a.detect(&a.scratch, fault, kind, latency, snap, a.scratch.wordsOf(snap), traceID)
+		rep := a.detect(&a.scratch, fault, kind, latency, snap, a.scratch.wordsOf(snap), a.explain != nil)
 		snap.Release()
 		rep.DegradedNodes = deg
 		a.finish(rep)
 		return
 	}
-	job := detectJob{seq: a.nextSeq, fault: fault, kind: kind, latency: latency, snap: snap, degraded: deg, traceID: traceID}
+	job := detectJob{seq: a.nextSeq, fault: fault, kind: kind, latency: latency, snap: snap, degraded: deg}
 	a.inFlight.Add(1)
 	if a.cfg.DetectShed {
 		select {
@@ -111,7 +102,7 @@ func (a *Analyzer) detectWorker(id int) {
 	for job := range a.jobs {
 		gDetectQueue.Add(-1)
 		sp := spans.Start()
-		rep := a.detect(&sc, job.fault, job.kind, job.latency, job.snap, sc.wordsOf(job.snap), job.traceID)
+		rep := a.detect(&sc, job.fault, job.kind, job.latency, job.snap, sc.wordsOf(job.snap), a.explain != nil)
 		job.snap.Release()
 		rep.DegradedNodes = job.degraded
 		sp.End()

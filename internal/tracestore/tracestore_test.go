@@ -35,19 +35,25 @@ func mkTrace(id uint64) *Trace {
 }
 
 func TestStorePutGetEvict(t *testing.T) {
-	s := New(32) // 2 per shard
-	if s.Cap() != 32 {
-		t.Fatalf("Cap() = %d, want 32", s.Cap())
+	s := New(2)
+	if s.Cap() != 2 {
+		t.Fatalf("Cap() = %d, want 2", s.Cap())
 	}
-	// Fill one shard (ids congruent mod 16) past its per-shard cap.
-	for _, id := range []uint64{16, 32, 48} {
-		s.Put(mkTrace(id))
+	// Put numbers traces densely from 1, whatever ID they arrive with.
+	for i, id := range []uint64{16, 32, 48} {
+		tr := mkTrace(id)
+		if got := s.Put(tr); got != uint64(i+1) || tr.ID != got {
+			t.Fatalf("Put #%d = %d (trace ID %d), want %d", i+1, got, tr.ID, i+1)
+		}
 	}
-	if s.Get(16) != nil {
-		t.Error("oldest trace in the full shard should have been evicted")
+	if s.Get(1) != nil {
+		t.Error("oldest trace in the full store should have been evicted")
 	}
-	if s.Get(32) == nil || s.Get(48) == nil {
+	if s.Get(2) == nil || s.Get(3) == nil {
 		t.Error("newer traces must survive eviction")
+	}
+	if s.Get(0) != nil || s.Get(4) != nil {
+		t.Error("IDs outside 1..Stored() must not resolve")
 	}
 	if s.Evicted() != 1 {
 		t.Errorf("Evicted() = %d, want 1 (eviction must be counted, never silent)", s.Evicted())
@@ -60,52 +66,113 @@ func TestStorePutGetEvict(t *testing.T) {
 	}
 }
 
-func TestStoreIDsSorted(t *testing.T) {
-	s := New(0)
-	for _, id := range []uint64{7, 3, 21, 1, 14} {
-		s.Put(mkTrace(id))
-	}
-	ids := s.IDs()
-	want := []uint64{1, 3, 7, 14, 21}
-	if len(ids) != len(want) {
-		t.Fatalf("IDs() = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs() = %v, want %v", ids, want)
+// TestStoreHoldsExactCap: the store holds exactly the capacity it is
+// given, evicting oldest first and counting every eviction.
+func TestStoreHoldsExactCap(t *testing.T) {
+	for _, cap := range []int{10, 100} {
+		s := New(cap)
+		n := cap + cap/2 + 3
+		for i := 0; i < n; i++ {
+			s.Put(mkTrace(0))
 		}
-	}
-	all := s.All()
-	for i, tr := range all {
-		if tr.ID != want[i] {
-			t.Fatalf("All()[%d].ID = %d, want %d", i, tr.ID, want[i])
+		if s.Len() != cap || s.Cap() != cap {
+			t.Errorf("New(%d): Len() = %d, Cap() = %d after %d puts, want %d", cap, s.Len(), s.Cap(), n, cap)
+		}
+		if s.Evicted() != uint64(n-cap) {
+			t.Errorf("New(%d): Evicted() = %d, want %d", cap, s.Evicted(), n-cap)
+		}
+		for id := uint64(1); id <= uint64(n); id++ {
+			if resident := s.Get(id) != nil; resident != (id > uint64(n-cap)) {
+				t.Errorf("New(%d): trace %d resident = %v, want the newest %d only", cap, id, resident, cap)
+			}
 		}
 	}
 }
 
+func TestStoreIDsSorted(t *testing.T) {
+	s := New(3)
+	for _, seq := range []uint64{7, 3, 21, 1, 14} {
+		s.Put(mkTrace(seq))
+	}
+	// 7 and 3 were evicted; the rest are resident in Put order.
+	want := []uint64{21, 1, 14}
+	all := s.All()
+	if len(all) != len(want) {
+		t.Fatalf("All() holds %d traces, want %d", len(all), len(want))
+	}
+	for i, tr := range all {
+		if tr.ID != uint64(i+3) || tr.FaultSeq != 100+want[i] {
+			t.Fatalf("All()[%d] = trace %d (fault seq %d), want trace %d (fault seq %d)",
+				i, tr.ID, tr.FaultSeq, i+3, 100+want[i])
+		}
+	}
+}
+
+// TestStoreConcurrent: concurrent Puts get the distinct IDs 1..n and
+// every one is accounted resident or evicted.
 func TestStoreConcurrent(t *testing.T) {
+	const goroutines, each = 8, 100
 	s := New(128)
+	ids := make([][]uint64, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				id := uint64(g*100 + i)
-				s.Put(mkTrace(id))
+			for i := 0; i < each; i++ {
+				id := s.Put(mkTrace(0))
+				ids[g] = append(ids[g], id)
 				s.Get(id)
 				if i%10 == 0 {
-					s.IDs()
+					s.All()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Stored() != 800 {
-		t.Errorf("Stored() = %d, want 800", s.Stored())
+	seen := make([]bool, goroutines*each+1)
+	for _, gids := range ids {
+		for _, id := range gids {
+			if id == 0 || id > goroutines*each || seen[id] {
+				t.Fatalf("Put returned ID %d twice or outside 1..%d", id, goroutines*each)
+			}
+			seen[id] = true
+		}
 	}
-	if got := uint64(s.Len()) + s.Evicted(); got != 800 {
-		t.Errorf("Len()+Evicted() = %d, want 800", got)
+	if s.Stored() != goroutines*each {
+		t.Errorf("Stored() = %d, want %d", s.Stored(), goroutines*each)
+	}
+	if got := uint64(s.Len()) + s.Evicted(); got != s.Stored() {
+		t.Errorf("Len()+Evicted() = %d, want Stored() = %d", got, s.Stored())
+	}
+}
+
+// TestHandlerDuringPut serves /traces in every format while another
+// goroutine keeps storing; run under -race.
+func TestHandlerDuringPut(t *testing.T) {
+	s := New(16)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			s.Put(mkTrace(uint64(i)))
+		}
+	}()
+	h := s.Handler()
+	for _, path := range []string{"/traces", "/traces?format=ndjson", "/traces?format=chrome", "/traces/1"} {
+		for i := 0; i < 10; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != 200 && rec.Code != 404 {
+				t.Fatalf("%s: code %d", path, rec.Code)
+			}
+		}
+	}
+	<-done
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	if !strings.Contains(rec.Body.String(), "# 16 evidence traces resident (stored 200, evicted 184, cap 16)") {
+		t.Errorf("/traces after the puts:\n%s", rec.Body.String())
 	}
 }
 
@@ -165,7 +232,9 @@ func TestWriteChromeTraceLoads(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	s := New(0)
-	s.Put(mkTrace(3))
+	for i := 0; i < 3; i++ {
+		s.Put(mkTrace(3))
+	}
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
