@@ -18,8 +18,8 @@ type Explanation struct {
 	// Matched is the verdict, identical to the corresponding Match*.
 	Matched bool
 	// MandatoryTotal is the size of the match obligation: mandatory
-	// symbols for the ordered walk, the full symbol count for the
-	// coverage test.
+	// symbols for the ordered walk, the correlation-filtered pattern's
+	// length for the coverage test (the unit Satisfied counts in).
 	MandatoryTotal int
 	// Satisfied counts obligation symbols found in order, or for the
 	// coverage test the pattern occurrences the fingerprint explains.
@@ -98,7 +98,7 @@ func (p Program) explainOrdered(idx *Index, exp *Explanation) bool {
 // ExplainCorrelated is MatchCorrelated with evidence: same coverage
 // test, same verdict, plus the score and rejection reason.
 func (p Program) ExplainCorrelated(idx Index, tbl *symbol.Table) Explanation {
-	exp := Explanation{tbl: tbl, MandatoryTotal: len(p.syms)}
+	exp := Explanation{tbl: tbl, MandatoryTotal: idx.Len()}
 	exp.Matched = p.explainCovered(&idx, &exp)
 	return exp
 }
