@@ -226,3 +226,36 @@ func TestExplainRCAEvidenceAttached(t *testing.T) {
 		t.Fatalf("root causes = %v", tr.RootCauses)
 	}
 }
+
+// TestRCAHookLastSetWins: SetRCA and SetRCAExplain fill one slot, so
+// whichever was called last judges the report.
+func TestRCAHookLastSetWins(t *testing.T) {
+	plain := func(r *Report) []RootCause { return []RootCause{{Node: "plain"}} }
+	explaining := func(r *Report) ([]RootCause, *tracestore.RCAEvidence) {
+		return []RootCause{{Node: "explaining"}}, &tracestore.RCAEvidence{}
+	}
+	for _, explainLast := range []bool{false, true} {
+		store := tracestore.New(0)
+		a := newAnalyzer(Config{Alpha: 32})
+		a.SetExplain(store)
+		if explainLast {
+			a.SetRCA(plain)
+			a.SetRCAExplain(explaining)
+		} else {
+			a.SetRCAExplain(explaining)
+			a.SetRCA(plain)
+		}
+		s := &stream{a: a}
+		s.rest(post("/a2"), 500, 1, "op-a")
+		s.filler(40)
+		a.Close()
+		rep := a.Reports()[0]
+		want := map[bool]string{false: "plain", true: "explaining"}[explainLast]
+		if len(rep.RootCauses) != 1 || rep.RootCauses[0].Node != want {
+			t.Errorf("explaining hook set last = %v: root causes %v, want %s's", explainLast, rep.RootCauses, want)
+		}
+		if hasEv := store.Get(rep.TraceID).RCA != nil; hasEv != explainLast {
+			t.Errorf("explaining hook set last = %v: trace carries RCA evidence = %v", explainLast, hasEv)
+		}
+	}
+}
