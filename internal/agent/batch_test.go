@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -46,11 +47,12 @@ func takeSeqs(t *testing.T, recv *Receiver, want int) (seqs []uint64, batches in
 			if !ok {
 				t.Fatalf("receiver closed after %d of %d events", len(seqs), want)
 			}
-			if len(batch) == 0 || len(batch) > recvBatchMax {
-				t.Fatalf("batch of %d events handed over (want 1..%d)", len(batch), recvBatchMax)
+			if len(batch.Events) == 0 || len(batch.Events) > recvBatchMax {
+				t.Fatalf("batch of %d events handed over (want 1..%d)", len(batch.Events), recvBatchMax)
 			}
-			for i := range batch {
-				seqs = append(seqs, batch[i].Seq)
+			wantRecord(t, batch)
+			for i := range batch.Events {
+				seqs = append(seqs, batch.Events[i].Seq)
 			}
 			batches++
 			recv.Recycle(batch)
@@ -205,7 +207,7 @@ func TestWholeFrameIsNotHeldForTheNext(t *testing.T) {
 	}
 	select {
 	case batch := <-recv.Batches():
-		t.Fatalf("half a frame delivered %d events", len(batch))
+		t.Fatalf("half a frame delivered %d events", len(batch.Events))
 	case <-time.After(20 * time.Millisecond):
 	}
 	conn.Write(second[half:])
@@ -251,5 +253,94 @@ func TestReadTimeoutBoundsAFrameNotAnIdleStream(t *testing.T) {
 	}
 	if d := dropped.Value() - dropped0; d != 1 {
 		t.Fatalf("connections_dropped moved by %d, want 1", d)
+	}
+}
+
+// scriptConn is a connection whose reads return its chunks in order, at
+// most one chunk per read, and then io.EOF: it fixes where socket reads
+// fall, which a loopback connection leaves to the kernel.
+type scriptConn struct {
+	net.Conn // nil: serve only reads, closes and arms read deadlines
+	chunks   [][]byte
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+func (c *scriptConn) Close() error                    { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr            { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+func (c *scriptConn) SetReadDeadline(time.Time) error { return nil }
+
+// serveScript runs the receiver's connection reader over chunks until
+// they end, every hand-off made.
+func serveScript(recv *Receiver, chunks ...[]byte) {
+	recv.wg.Add(1)
+	recv.serve(&scriptConn{chunks: chunks})
+}
+
+// bigEvent is sampleEvent(seq) with an error text of size bytes.
+func bigEvent(seq uint64, size int) trace.Event {
+	ev := sampleEvent(seq)
+	ev.ErrorText = string(bytes.Repeat([]byte{'e'}, size))
+	return ev
+}
+
+// TestRecordClosesBeforeBatchBytes: a hand-off keeping a record goes out
+// before the next body would take the record past seglog.BatchBytes. The
+// reads are placed so one hand-off would otherwise take both frames: the
+// first frame's tail arrives in the same read as the whole second one.
+func TestRecordClosesBeforeBatchBytes(t *testing.T) {
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	recv.KeepRecords()
+	one, two := binFrame(1, bigEvent(1, 50<<10)), binFrame(2, bigEvent(2, 30<<10))
+	if len(one)+len(two) <= seglog.BatchBytes || len(one)-30<<10+len(two) > sockBufBytes {
+		t.Fatalf("frames of %d and %d bytes do not set the case up", len(one), len(two))
+	}
+	serveScript(recv, one[:30<<10], append(one[30<<10:], two...))
+	for seq := uint64(1); seq <= 2; seq++ {
+		select {
+		case b := <-recv.Batches():
+			if len(b.Events) != 1 || b.Events[0].Seq != seq || len(b.Record) == 0 || len(b.Record)-seglog.HdrLen > seglog.BatchBytes {
+				t.Fatalf("hand-off %d: %d events, record of %d bytes; want event %d alone, in a record within %d bytes",
+					seq, len(b.Events), len(b.Record), seq, seglog.BatchBytes)
+			}
+			wantRecord(t, b)
+		default:
+			t.Fatalf("hand-off %d missing", seq)
+		}
+	}
+}
+
+// TestUndecodableFrameIsNotCaptured: a CRC-valid event frame whose body
+// does not decode, mid-burst, is skipped; the hand-off's record holds the
+// bodies of the events around it and nothing of it, and the WAL that
+// writes the record recovers exactly those events.
+func TestUndecodableFrameIsNotCaptured(t *testing.T) {
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	recv.KeepRecords()
+	c := captureToWAL(t, recv)
+	good := binFrame(3, sampleEvent(3))[frameHdrLen:]
+	burst := append(helloFrame("bad-agent", 1, 0), seqFrames(1, 2)...)
+	burst = append(burst, seglog.AppendRecord(nil, frameEvent, 3, append([]byte{0xff}, good...))...) // unknown body version
+	serveScript(recv, append(burst, seqFrames(4, 5)...))
+	got := c.stop(t)
+	wantSeqs(t, got, 1, 2, 4, 5)
+	if c.records != 1 || c.batches != 0 {
+		t.Fatalf("%d record and %d batch appends, want the one hand-off written as its record", c.records, c.batches)
 	}
 }

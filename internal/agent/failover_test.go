@@ -1,9 +1,15 @@
 package agent
 
 import (
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gretel/internal/core"
+	"gretel/internal/fingerprint"
+	"gretel/internal/trace"
+	"gretel/internal/wal"
 )
 
 // TestRedialToReplacementAdoptsSession is the failover regression: an
@@ -84,12 +90,12 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	for {
 		select {
 		case batch := <-recvB.Batches():
-			for _, ev := range batch {
+			for _, ev := range batch.Events {
 				if ev.Seq <= total-uint64(cfg.Ring) {
 					t.Fatalf("replacement received seq %d, below the retained suffix", ev.Seq)
 				}
 			}
-			replayedAtB += len(batch)
+			replayedAtB += len(batch.Events)
 			recvB.Recycle(batch)
 			continue
 		case <-time.After(50 * time.Millisecond):
@@ -101,6 +107,112 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// walCapture consumes a receiver as replay.DriveTransport does: every
+// hand-off into an analyzer whose capture is a fresh WAL, its record
+// passed along. It counts the appends of each kind.
+type walCapture struct {
+	*wal.Log
+	dir              string
+	records, batches int
+	a                *core.Analyzer
+	recv             *Receiver
+	done             chan struct{}
+}
+
+func (c *walCapture) AppendBatch(evs []trace.Event) (uint64, error) {
+	c.batches++
+	return c.Log.AppendBatch(evs)
+}
+
+func (c *walCapture) AppendRecord(rec []byte, n int) (uint64, error) {
+	c.records++
+	return c.Log.AppendRecord(rec, n)
+}
+
+func captureToWAL(t *testing.T, recv *Receiver) *walCapture {
+	t.Helper()
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &walCapture{Log: log, dir: dir, a: core.New(fingerprint.NewLibrary(), core.Config{}), recv: recv, done: make(chan struct{})}
+	c.a.SetCapture(c)
+	go func() {
+		defer close(c.done)
+		for b := range recv.Batches() {
+			c.a.IngestRecord(b.Events, b.Record)
+			recv.Recycle(b)
+		}
+	}()
+	return c
+}
+
+// stop closes the receiver and drains the consumer, checks the WAL's
+// ledger — every event ingested appended once, and processed — and
+// returns the sequence numbers of the events the log recovers, in order.
+func (c *walCapture) stop(t *testing.T) []uint64 {
+	t.Helper()
+	c.recv.Close()
+	<-c.done
+	c.a.Close()
+	if st := c.Log.Stats(); st.Appended != c.a.Stats.Events || c.Log.Cursor() != st.Appended || c.a.Stats.CaptureErrors != 0 {
+		t.Fatalf("WAL ledger open: appended %d, cursor %d, ingested %d, capture errors %d",
+			st.Appended, c.Log.Cursor(), c.a.Stats.Events, c.a.Stats.CaptureErrors)
+	}
+	if err := c.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := wal.OpenReader(c.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var seqs []uint64
+	for {
+		_, ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, ev.Seq)
+	}
+	if st := r.Stats(); st.Quarantined != 0 {
+		t.Fatalf("WAL quarantined %d events", st.Quarantined)
+	}
+	return seqs
+}
+
+// TestRedialReplayIsCapturedOnce: an agent redials the same analyzer,
+// and the ring it replays repeats frames already delivered in the same
+// socket read as new ones. Duplicates were compacted out of that
+// hand-off, so it carries no record and the WAL takes it through
+// AppendBatch; the first connection's hand-off is written as its record.
+// The ledger closes: each event is appended once, and the log recovers
+// the stream in order.
+func TestRedialReplayIsCapturedOnce(t *testing.T) {
+	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	recv.KeepRecords()
+	c := captureToWAL(t, recv)
+	const a = "redial-agent"
+	serveScript(recv, append(helloFrame(a, 7, 0), seqFrames(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)...))
+	serveScript(recv, append(helloFrame(a, 7, 0), seqFrames(6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)...))
+	got := c.stop(t)
+	wantSeqs(t, got, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)
+	if c.records != 1 || c.batches != 1 {
+		t.Fatalf("%d record and %d batch appends, want the first hand-off's record and the replay's AppendBatch", c.records, c.batches)
+	}
+	if st := recv.AgentStats()[a]; st.Dups != 5 || st.Missing != 0 {
+		t.Fatalf("stats %+v, want 5 duplicates and nothing missing", st)
 	}
 }
 

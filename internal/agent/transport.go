@@ -167,10 +167,15 @@ const sockBufBytes = 56 << 10
 // the analyzer — decoded, not yet ingested — by the same argument: enough
 // to ride out a consumer stall of a millisecond or two, and no more. It
 // is recvBatchQueue queued batches plus the one a connection is filling.
+//
+// recordHint sizes a hand-off's record once, when it is first kept: a
+// full batch of bodies under 128 bytes, the common event's, so a fresh
+// receiver does not grow each record in steps.
 const (
 	recvEventBuffer = 512
 	recvBatchMax    = 128
 	recvBatchQueue  = recvEventBuffer/recvBatchMax - 1
+	recordHint      = recvBatchMax * 128
 )
 
 // slot is one entry of the spill ring: a sealed frame in a buffer the
@@ -698,15 +703,16 @@ type ReceiverConfig struct {
 // deduplicated per agent, and losses surface as Health records rather
 // than silence.
 //
-// The unit of hand-off is a batch — what one socket read delivered, in a
-// reused slice (Batches, Recycle) — and Events a per-event view of it.
-// A receiver has one event consumer: Batches or Events, never both.
+// The unit of hand-off is a Batch — what one socket read delivered,
+// reused (Batches, Recycle) — and Events a per-event view of it. A
+// receiver has one event consumer: Batches or Events, never both.
 type Receiver struct {
 	ln        net.Listener
 	cfg       ReceiverConfig
-	batches   chan []trace.Event
-	free      chan []trace.Event // recycled batch slices
-	events    chan trace.Event   // the Events view, fed once it is asked for
+	batches   chan *Batch
+	free      chan *Batch      // recycled hand-offs
+	records   atomic.Bool      // KeepRecords was called
+	events    chan trace.Event // the Events view, fed once it is asked for
 	viewOnce  sync.Once
 	states    chan StateUpdate
 	health    chan Health
@@ -732,9 +738,9 @@ func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 	r := &Receiver{
 		ln:      ln,
 		cfg:     cfg,
-		batches: make(chan []trace.Event, recvBatchQueue),   // the events bound above
-		free:    make(chan []trace.Event, recvBatchQueue+2), // + being ingested, being filled
-		events:  make(chan trace.Event, recvBatchMax),       // the view's consumer runs while it fetches the next batch
+		batches: make(chan *Batch, recvBatchQueue),    // the events bound above
+		free:    make(chan *Batch, recvBatchQueue+2),  // + being ingested, being filled
+		events:  make(chan trace.Event, recvBatchMax), // the view's consumer runs while it fetches the next batch
 		states:  make(chan StateUpdate, 64),
 		health:  make(chan Health, 256),
 		closing: make(chan struct{}),
@@ -753,19 +759,60 @@ func ListenConfig(cfg ReceiverConfig) (*Receiver, error) {
 // Addr returns the bound listen address.
 func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
-// Batches is the merged event stream, a batch per hand-off: the events
-// one socket read delivered (at most recvBatchMax), in per-connection
-// arrival order, deduplicated. The slice is the consumer's until handed
-// back with Recycle. Closes after Close, once all connections drain.
-func (r *Receiver) Batches() <-chan []trace.Event { return r.batches }
+// Batch is one hand-off from Batches.
+type Batch struct {
+	// Events are what one socket read delivered (at most recvBatchMax),
+	// in per-connection arrival order, deduplicated.
+	Events []trace.Event
+	// Record, once KeepRecords was called, is Events' wire bodies — each
+	// checked against its frame's CRC and decoded into its event — laid
+	// out as one batch record: seglog.StartBatch's room, then an entry per
+	// event (seglog.AppendEntry), ready for wal.Log.AppendRecord to seal
+	// and write. It is empty when not asked for, and when replayed
+	// duplicates were compacted out of Events, since its entries would no
+	// longer match them. Hand-offs close before it would pass
+	// seglog.BatchBytes.
+	Record []byte
+}
 
-// Recycle returns a batch taken from Batches for reuse: the receiver
+// Batches is the merged event stream, a Batch per hand-off. The Batch
+// is the consumer's until handed back with Recycle. Closes after Close,
+// once all connections drain.
+func (r *Receiver) Batches() <-chan *Batch { return r.batches }
+
+// KeepRecords makes every hand-off begun from now on carry its events'
+// bodies as Batch.Record, for a consumer that writes them to a log: the
+// bodies are copied as they are read, and never encoded again. Without
+// it the receiver keeps no bodies.
+func (r *Receiver) KeepRecords() { r.records.Store(true) }
+
+// Recycle returns a Batch taken from Batches for reuse: the receiver
 // will overwrite it (strings in copied-out events stay valid).
-func (r *Receiver) Recycle(batch []trace.Event) {
+func (r *Receiver) Recycle(b *Batch) {
 	select {
-	case r.free <- batch[:0]:
-	default: // more slices than can be in flight: let this one go
+	case r.free <- b:
+	default: // more hand-offs than can be in flight: let this one go
 	}
+}
+
+// batch returns an empty hand-off, recycled if one is free, with its
+// record begun if records are kept.
+func (r *Receiver) batch() *Batch {
+	var b *Batch
+	select {
+	case b = <-r.free:
+		b.Events = b.Events[:0]
+	default:
+		b = &Batch{Events: make([]trace.Event, 0, recvBatchMax)}
+	}
+	b.Record = b.Record[:0]
+	if r.records.Load() {
+		if b.Record == nil {
+			b.Record = make([]byte, 0, recordHint)
+		}
+		b.Record = seglog.StartBatch(b.Record)
+	}
+	return b
 }
 
 // Events is the merged event stream one event at a time: a view over
@@ -776,15 +823,15 @@ func (r *Receiver) Events() <-chan trace.Event {
 	r.viewOnce.Do(func() {
 		go func() {
 			defer close(r.events)
-			for batch := range r.batches {
-				for i := range batch {
+			for b := range r.batches {
+				for i := range b.Events {
 					select {
-					case r.events <- batch[i]:
+					case r.events <- b.Events[i]:
 					case <-r.closing:
 						return
 					}
 				}
-				r.Recycle(batch)
+				r.Recycle(b)
 			}
 		}()
 	})
@@ -977,7 +1024,9 @@ func (r *Receiver) liveness() {
 // when the reader does not already hold a whole next frame, when it is
 // full, before any non-event frame (per-connection order is the wire's),
 // and on exit: a socket read's worth at a time from a busy stream,
-// single events with no added delay from a sparse one.
+// single events with no added delay from a sparse one. A batch keeping a
+// record also goes out before the next body would take the record past
+// seglog.BatchBytes; a body joins the record only once it has decoded.
 func (r *Receiver) serve(conn net.Conn) {
 	defer r.wg.Done()
 	defer func() {
@@ -994,32 +1043,38 @@ func (r *Receiver) serve(conn net.Conn) {
 	agent := "conn:" + conn.RemoteAddr().String()
 	// Per-connection decode state: the frame body buffer is reused (every
 	// decode below copies out of it) and the event decoder interns the
-	// connection's repeating strings. seqs[i] is batch[i]'s frame sequence.
+	// connection's repeating strings. seqs[i] is b.Events[i]'s frame
+	// sequence.
 	var (
-		buf   []byte
-		dec   trace.Decoder
-		batch []trace.Event
-		seqs  = make([]uint64, 0, recvBatchMax)
+		buf  []byte
+		dec  trace.Decoder
+		b    *Batch
+		seqs = make([]uint64, 0, recvBatchMax)
 	)
 	flush := func() { // admit the batch, hand over what survives
-		if len(batch) == 0 {
+		if b == nil || len(b.Events) == 0 {
 			return
 		}
-		out := batch[:r.admitRun(agent, seqs, batch)]
-		batch, seqs = batch[:0], seqs[:0]
-		if len(out) == 0 {
-			return // all duplicates: refill the same slice
+		kept := r.admitRun(agent, seqs, b.Events)
+		seqs = seqs[:0]
+		if kept == 0 { // all duplicates
+			r.Recycle(b)
+			b = nil
+			return
 		}
-		batch = nil
+		if kept < len(b.Events) {
+			b.Events, b.Record = b.Events[:kept], b.Record[:0]
+		}
 		mBatches.Inc()
 		select {
-		case r.batches <- out:
+		case r.batches <- b:
 		case <-r.closing: // Close also closes conn: the next read ends serve
 		}
+		b = nil
 	}
 	defer flush()
 	for {
-		if len(batch) == recvBatchMax || !seglog.Buffered(br) {
+		if b != nil && len(b.Events) == recvBatchMax || !seglog.Buffered(br) {
 			flush()
 		}
 		dc.armRead = true
@@ -1042,20 +1097,23 @@ func (r *Receiver) serve(conn net.Conn) {
 		buf = body
 		mFramesRecv.Inc()
 		if kind == frameEvent {
-			if batch == nil {
-				select {
-				case batch = <-r.free:
-				default:
-					batch = make([]trace.Event, 0, recvBatchMax)
-				}
+			if b != nil && len(b.Record) > 0 && !seglog.BatchFits(b.Record, len(body)) {
+				flush()
 			}
-			batch = batch[:len(batch)+1]
-			if derr := dec.Decode(kind, body, &batch[len(batch)-1]); derr != nil {
-				batch = batch[:len(batch)-1]
+			if b == nil {
+				b = r.batch()
+			}
+			n := len(b.Events)
+			b.Events = b.Events[:n+1]
+			if derr := dec.Decode(kind, body, &b.Events[n]); derr != nil {
+				b.Events = b.Events[:n]
 				mDecodeErrors.Inc()
 				telemetry.LogFirst("transport.decode",
 					"agent: undecodable event frame from %s: %v; skipping", conn.RemoteAddr(), derr)
 				continue
+			}
+			if len(b.Record) > 0 {
+				b.Record = seglog.AppendEntry(b.Record, body)
 			}
 			seqs = append(seqs, seq)
 			continue

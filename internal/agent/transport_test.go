@@ -104,13 +104,31 @@ func takeEvents(t *testing.T, r *Receiver, n int, timeout time.Duration) []trace
 			if !ok {
 				t.Fatalf("receiver closed after %d of %d events", len(got), n)
 			}
-			got = append(got, batch...)
+			wantRecord(t, batch)
+			got = append(got, batch.Events...)
 			r.Recycle(batch)
 		case <-deadline:
 			t.Fatalf("timeout after %d of %d events", len(got), n)
 		}
 	}
 	return got
+}
+
+// wantRecord checks a hand-off's record, when it carries one: its
+// events' wire bodies, laid out as one batch record. The test events are
+// canonically encoded, so each body is AppendEvent's.
+func wantRecord(t *testing.T, b *Batch) {
+	t.Helper()
+	if len(b.Record) == 0 {
+		return
+	}
+	want := seglog.StartBatch(nil)
+	for i := range b.Events {
+		want = seglog.AppendEntry(want, trace.AppendEvent(nil, &b.Events[i]))
+	}
+	if !bytes.Equal(b.Record, want) {
+		t.Fatalf("record of %d events is %d bytes, not their bodies' %d", len(b.Events), len(b.Record), len(want))
+	}
 }
 
 // fastSender returns a SenderConfig with test-tight timers.
@@ -293,7 +311,7 @@ func TestMixedFrameStreamOverTCP(t *testing.T) {
 		select {
 		case batch, ok := <-recv.Batches():
 			if ok {
-				events += len(batch)
+				events += len(batch.Events)
 				recv.Recycle(batch)
 			}
 		case _, ok := <-recv.States():
@@ -882,13 +900,13 @@ func TestSendWhileWriterStalled(t *testing.T) {
 		defer close(consumed)
 		last := uint64(0)
 		for batch := range recv.Batches() {
-			for _, ev := range batch {
+			for _, ev := range batch.Events {
 				if ev != stallEvent(ev.Seq) || ev.Seq <= last {
 					t.Errorf("admitted a damaged or reordered event after %d: %+v", last, ev)
 				}
 				last = ev.Seq
 			}
-			delivered.Add(uint64(len(batch)))
+			delivered.Add(uint64(len(batch.Events)))
 			recv.Recycle(batch)
 		}
 	}()

@@ -414,7 +414,7 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 	var last uint64
 	if a.capture != nil {
 		a.capOne[0] = ev
-		last = a.captureEvents(a.capOne[:])
+		last = a.captureEvents(a.capOne[:], nil)
 	}
 	a.ingestOne(&ev)
 	a.markProcessed(last)
@@ -424,13 +424,20 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 // single-goroutine contract: with a capture attached the batch is one
 // AppendBatch and one MarkProcessed. The slice is read in place and
 // neither retained nor written.
-func (a *Analyzer) IngestBatch(evs []trace.Event) {
+func (a *Analyzer) IngestBatch(evs []trace.Event) { a.IngestRecord(evs, nil) }
+
+// IngestRecord is IngestBatch for a batch that also carries its events'
+// bodies as one batch record (agent.Batch.Record; empty for none). A
+// RecordCapture writes rec as it is, so the events are not encoded a
+// second time; any other capture is handed AppendBatch(evs). rec is the
+// capture's to seal in place.
+func (a *Analyzer) IngestRecord(evs []trace.Event, rec []byte) {
 	if len(evs) == 0 {
 		return
 	}
 	var last uint64
 	if a.capture != nil {
-		last = a.captureEvents(evs)
+		last = a.captureEvents(evs, rec)
 	}
 	for i := range evs {
 		a.ingestOne(&evs[i])

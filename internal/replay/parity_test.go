@@ -50,8 +50,8 @@ func TestReportsIdenticalOnEveryPath(t *testing.T) {
 	go func() {
 		defer close(drained)
 		for batch := range recv.Batches() {
-			wired.IngestBatch(batch)
-			delivered.Add(uint64(len(batch)))
+			wired.IngestBatch(batch.Events)
+			delivered.Add(uint64(len(batch.Events)))
 			recv.Recycle(batch)
 		}
 		wired.Close()

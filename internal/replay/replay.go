@@ -261,32 +261,37 @@ func DriveFrom(a *core.Analyzer, events []trace.Event, skip int, pace time.Durat
 
 // DriveTransport drains a live agent.Receiver into the analyzer until
 // the receiver is closed: event batches — a socket read's worth each —
-// feed IngestBatch and go back to the receiver for reuse, state updates
+// feed IngestRecord and go back to the receiver for reuse, state updates
 // feed onState (may be nil), and monitoring-plane health records feed
 // the analyzer's graceful degradation — a frame gap or a dark agent
 // flushes that node's pending pairs and marks reports degraded until the
 // agent returns (core.Analyzer.NodeGap / NodeRecovered). Agent names
 // double as node names in per-node deployments; a single merged agent
 // degrades under its own name, marking the whole feed. With a capture
-// attached, a hand-off is one AppendBatch and one MarkProcessed — the
-// contract WAL replay runs under.
+// attached, a hand-off is one append and one MarkProcessed — the
+// contract WAL replay runs under — and when the capture takes records
+// the receiver keeps each hand-off's wire bodies for it to write as they
+// are (core.Analyzer.IngestRecord).
 //
 // All analyzer access stays on this goroutine, preserving Ingest's
 // single-caller contract. Returns after a.Close, so Reports and Stats
 // are complete.
 func DriveTransport(a *core.Analyzer, recv *agent.Receiver, onState func(agent.StateUpdate)) Result {
+	if a.TakesRecords() {
+		recv.KeepRecords()
+	}
 	batches, states, health := recv.Batches(), recv.States(), recv.Health()
 	start := time.Now()
 	events0, bytes0 := a.Stats.Events, a.Stats.Bytes
 	for batches != nil || states != nil || health != nil {
 		select {
-		case batch, ok := <-batches:
+		case b, ok := <-batches:
 			if !ok {
 				batches = nil
 				continue
 			}
-			a.IngestBatch(batch)
-			recv.Recycle(batch)
+			a.IngestRecord(b.Events, b.Record)
+			recv.Recycle(b)
 		case u, ok := <-states:
 			if !ok {
 				states = nil

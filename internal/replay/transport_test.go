@@ -98,17 +98,25 @@ func lastWholeSeq(b []byte) (last uint64) {
 }
 
 // countingCapture is a wal.Log that tells the test, from the ingest
-// goroutine, how many events the analyzer has been handed.
+// goroutine, how many events the analyzer has been handed, and counts
+// the appends of each kind.
 type countingCapture struct {
 	*wal.Log
-	events  atomic.Uint64
-	appends int
+	events           atomic.Uint64
+	batches, records int
 }
 
 func (c *countingCapture) AppendBatch(evs []trace.Event) (uint64, error) {
 	last, err := c.Log.AppendBatch(evs)
-	c.appends++
+	c.batches++
 	c.events.Add(uint64(len(evs)))
+	return last, err
+}
+
+func (c *countingCapture) AppendRecord(rec []byte, n int) (uint64, error) {
+	last, err := c.Log.AppendRecord(rec, n)
+	c.records++
+	c.events.Add(uint64(n))
 	return last, err
 }
 
@@ -176,7 +184,9 @@ func reportsJSON(t *testing.T, a *core.Analyzer) []byte {
 // then the ring replayed from the start, so a run of duplicates leads
 // straight into new frames — goes byte for byte through
 //
-//   - DriveTransport with a WAL attached (the production path),
+//   - DriveTransport with a WAL attached (the production path, where
+//     the WAL writes the receiver's records), and again behind a
+//     capture without AppendRecord,
 //   - a consumer that scribbles over every batch once IngestBatch has
 //     returned, before recycling it (nothing may still alias the slice,
 //     and a reused slot must be overwritten whole), and
@@ -200,45 +210,57 @@ func TestBatchPathMatchesPerEventReference(t *testing.T) {
 		t.Fatal("the stream produced no reports; the comparison would prove nothing")
 	}
 
-	// Production: DriveTransport, WAL capture on.
-	log, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNone})
-	if err != nil {
-		t.Fatal(err)
+	// Production: DriveTransport with a WAL attached, which writes the
+	// receiver's records as they are; and the same behind a capture that
+	// cannot take records, handed AppendBatch for every hand-off.
+	var batchStats map[string]agent.AgentStat
+	for _, records := range []bool{true, false} {
+		log, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		capture := &countingCapture{Log: log}
+		batched := newAnalyzer()
+		batched.SetCapture(capture)
+		if !records {
+			batched.SetCapture(struct{ core.Capture }{capture}) // AppendRecord hidden
+		}
+		var res Result
+		var gotStates int
+		stats := play(t, first, second, n, capture.events.Load, func(recv *agent.Receiver) {
+			res = DriveTransport(batched, recv, func(agent.StateUpdate) { gotStates++ })
+		})
+		if got := reportsJSON(t, batched); !bytes.Equal(got, want) {
+			t.Fatalf("DriveTransport (records %v): %d reports differ from in-process ingestion's %d", records, len(batched.Reports()), len(direct.Reports()))
+		}
+		var wantBytes uint64
+		for i := range events {
+			wantBytes += uint64(events[i].WireBytes)
+		}
+		if res.Events != n || res.Bytes != wantBytes || res.Gaps != 0 || gotStates != states {
+			t.Fatalf("DriveTransport result %+v (%d states), want %d events, %d bytes, no gaps, %d states", res, gotStates, n, wantBytes, states)
+		}
+		st := stats["tape-agent"]
+		if sent := uint64(n + states); batched.Stats.Events+uint64(gotStates)+st.Missing != sent || st.Missing != 0 || st.LastSeq != sent {
+			t.Fatalf("transport ledger open: %d events + %d states delivered, stats %+v, %d sent", batched.Stats.Events, gotStates, st, sent)
+		}
+		if st.Dups != lastWholeSeq(first) {
+			t.Fatalf("dups = %d, want every frame the first connection delivered (%d) deduplicated on replay", st.Dups, lastWholeSeq(first))
+		}
+		if ws := log.Stats(); ws.Appended != batched.Stats.Events || batched.Stats.CaptureErrors != 0 || log.Cursor() != ws.Appended {
+			t.Fatalf("WAL ledger open: appended %d, cursor %d, ingested %d, capture errors %d",
+				ws.Appended, log.Cursor(), batched.Stats.Events, batched.Stats.CaptureErrors)
+		}
+		if appends := capture.batches + capture.records; appends >= n || records != (capture.records > 0) {
+			t.Fatalf("records %v: %d record and %d batch appends for %d events", records, capture.records, capture.batches, n)
+		}
+		t.Logf("records %v: %d events in %d record and %d batch appends", records, n, capture.records, capture.batches)
+		if batchStats != nil && !reflect.DeepEqual(stats, batchStats) {
+			t.Fatalf("agent stats differ: records %+v, AppendBatch only %+v", batchStats, stats)
+		}
+		batchStats = stats
 	}
-	defer log.Close()
-	capture := &countingCapture{Log: log}
-	batched := newAnalyzer()
-	batched.SetCapture(capture)
-	var res Result
-	var gotStates int
-	batchStats := play(t, first, second, n, capture.events.Load, func(recv *agent.Receiver) {
-		res = DriveTransport(batched, recv, func(agent.StateUpdate) { gotStates++ })
-	})
-	if got := reportsJSON(t, batched); !bytes.Equal(got, want) {
-		t.Fatalf("DriveTransport: %d reports differ from in-process ingestion's %d", len(batched.Reports()), len(direct.Reports()))
-	}
-	var wantBytes uint64
-	for i := range events {
-		wantBytes += uint64(events[i].WireBytes)
-	}
-	if res.Events != n || res.Bytes != wantBytes || res.Gaps != 0 || gotStates != states {
-		t.Fatalf("DriveTransport result %+v (%d states), want %d events, %d bytes, no gaps, %d states", res, gotStates, n, wantBytes, states)
-	}
-	st := batchStats["tape-agent"]
-	if sent := uint64(n + states); batched.Stats.Events+uint64(gotStates)+st.Missing != sent || st.Missing != 0 || st.LastSeq != sent {
-		t.Fatalf("transport ledger open: %d events + %d states delivered, stats %+v, %d sent", batched.Stats.Events, gotStates, st, sent)
-	}
-	if st.Dups != lastWholeSeq(first) {
-		t.Fatalf("dups = %d, want every frame the first connection delivered (%d) deduplicated on replay", st.Dups, lastWholeSeq(first))
-	}
-	if ws := log.Stats(); ws.Appended != batched.Stats.Events || batched.Stats.CaptureErrors != 0 || log.Cursor() != ws.Appended {
-		t.Fatalf("WAL ledger open: appended %d, cursor %d, ingested %d, capture errors %d",
-			ws.Appended, log.Cursor(), batched.Stats.Events, batched.Stats.CaptureErrors)
-	}
-	if capture.appends >= n {
-		t.Fatalf("%d appends for %d events: hand-offs are not batches", capture.appends, n)
-	}
-	t.Logf("%d events in %d hand-offs", n, capture.appends)
 
 	// Ownership: the consumer owns the batch between receive and Recycle.
 	scribbled := newAnalyzer()
@@ -251,10 +273,10 @@ func TestBatchPathMatchesPerEventReference(t *testing.T) {
 	}
 	scribbleStats := play(t, first, second, n, count.Load, func(recv *agent.Receiver) {
 		for batch := range recv.Batches() {
-			scribbled.IngestBatch(batch)
-			count.Add(uint64(len(batch)))
-			for i := range batch {
-				batch[i] = garbage
+			scribbled.IngestBatch(batch.Events)
+			count.Add(uint64(len(batch.Events)))
+			for i := range batch.Events {
+				batch.Events[i] = garbage
 			}
 			recv.Recycle(batch)
 		}
@@ -269,7 +291,7 @@ func TestBatchPathMatchesPerEventReference(t *testing.T) {
 	count.Store(0)
 	refStats := play(t, first, second, n, count.Load, func(recv *agent.Receiver) {
 		for batch := range recv.Batches() {
-			for _, ev := range batch {
+			for _, ev := range batch.Events {
 				perEvent.Ingest(ev)
 				count.Add(1)
 			}

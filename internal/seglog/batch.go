@@ -13,7 +13,10 @@
 
 package seglog
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 const (
 	// KindBatch is the envelope kind of a batch record. A log reads
@@ -36,7 +39,7 @@ const (
 // refuse such a record, which the reader would skip as corrupt.
 func AppendBatch(buf []byte, seq uint64, n int, enc func(buf []byte, i int) []byte) ([]byte, int) {
 	start := len(buf)
-	buf = append(Reserve(buf), 0, 0, 0, 0)
+	buf = StartBatch(buf)
 	i := 0
 	for i < n && len(buf)-start-HdrLen < BatchBytes {
 		at := len(buf)
@@ -47,10 +50,43 @@ func AppendBatch(buf []byte, seq uint64, n int, enc func(buf []byte, i int) []by
 		}
 		i++
 	}
-	binary.BigEndian.PutUint32(buf[start+HdrLen:], uint32(i))
-	Seal(buf[start:], KindBatch, seq)
+	SealBatch(buf[start:], i, seq)
 	return buf, i
 }
+
+// A batch record can also be built an entry at a time, from entries that
+// already exist: StartBatch, then AppendEntry per entry while BatchFits,
+// then SealBatch. Entries of AppendBatch's records are laid out the same
+// way, so the two give the same bytes for the same entries wherever
+// AppendBatch would not have split them.
+
+// StartBatch appends to buf the room a batch record takes ahead of its
+// first entry: the envelope's header and the count.
+func StartBatch(buf []byte) []byte { return append(Reserve(buf), 0, 0, 0, 0) }
+
+// AppendEntry appends one entry to the batch record being built at the
+// end of buf: its uvarint length, then a copy of it.
+func AppendEntry(buf, entry []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(entry))), entry...)
+}
+
+// BatchFits reports whether rec, a batch record being built, stays
+// within BatchBytes with an entry of size more bytes. A record that
+// would pass it closes first; one with no entry yet takes any entry.
+func BatchFits(rec []byte, size int) bool {
+	body := len(rec) - HdrLen
+	return body == countLen || body+uvarintLen(size)+size <= BatchBytes
+}
+
+// SealBatch completes a batch record of n entries in place: rec is
+// StartBatch's room and then the entries.
+func SealBatch(rec []byte, n int, seq uint64) {
+	binary.BigEndian.PutUint32(rec[HdrLen:], uint32(n))
+	Seal(rec, KindBatch, seq)
+}
+
+// uvarintLen is how many bytes v takes as a uvarint.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // putLen writes the length of the entry after buf[at] as a uvarint into
 // buf[at], the one byte reserved for it, shifting the entry when the

@@ -43,6 +43,38 @@ func TestBatchLayout(t *testing.T) {
 	}
 }
 
+// TestBatchBuiltByEntry: a record built an entry at a time is
+// AppendBatch's record of the same entries, byte for byte, and BatchFits
+// lets a body reach BatchBytes exactly but not pass it — counting a
+// length prefix's second byte from 128 bytes on — while a record with no
+// entry yet takes any entry.
+func TestBatchBuiltByEntry(t *testing.T) {
+	entries := [][]byte{{}, []byte("a"), bytes.Repeat([]byte{'x'}, 300)}
+	want, _ := AppendBatch([]byte("prefix"), 42, len(entries), func(b []byte, i int) []byte { return append(b, entries[i]...) })
+	got := StartBatch([]byte("prefix"))
+	for _, e := range entries {
+		got = AppendEntry(got, e)
+	}
+	SealBatch(got[len("prefix"):], len(entries), 42)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("built by entry\n got  %x\n want %x", got, want)
+	}
+
+	if rec := StartBatch(nil); !BatchFits(rec, 2*BatchBytes) {
+		t.Fatal("an empty record refused its first entry")
+	}
+	for _, size := range []int{127, 128, 1000} {
+		// A body that many bytes short of BatchBytes, whatever it holds:
+		// BatchFits goes by length alone.
+		need := len(AppendEntry(nil, make([]byte, size)))
+		rec := append(StartBatch(nil), make([]byte, BatchBytes-countLen-need)...)
+		if !BatchFits(rec, size) || BatchFits(append(rec, 0), size) {
+			t.Fatalf("entry of %d bytes into a body of %d: fits %v, one byte more fits %v",
+				size, len(rec)-HdrLen, BatchFits(rec, size), BatchFits(append(rec, 0), size))
+		}
+	}
+}
+
 // TestBatchSplitsAtBound: a record closes once its body reaches
 // BatchBytes, and an entry too large to sit beside the others within
 // MaxRecord starts the next record instead.

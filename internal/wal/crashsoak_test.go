@@ -104,7 +104,7 @@ func TestWALCrashSoak(t *testing.T) {
 
 		acked := 0
 		for i := appended; i < total; i++ {
-			if _, err := l.Append(events[i]); err != nil {
+			if _, err := l.AppendBatch(events[i : i+1]); err != nil {
 				break
 			}
 			acked++
@@ -283,40 +283,55 @@ func TestCaptureThroughAnalyzer(t *testing.T) {
 	}
 }
 
-// TestCaptureBatchedOnce guards the capture bracket Ingest and
-// IngestBatch share: each event must be captured exactly once, in
-// order, whichever public entry point it came through, and the consumer
-// cursor must end on the last record.
+// TestCaptureBatchedOnce guards the capture bracket Ingest, IngestBatch
+// and IngestRecord share: each event must be captured exactly once, in
+// order, whichever public entry point it came through — a record passed
+// through as it is, or its events appended by a capture that cannot take
+// records — and the consumer cursor must end on the last record.
 func TestCaptureBatchedOnce(t *testing.T) {
 	events := replay.Synthesize(replay.StreamConfig{Concurrency: 50, Events: 600, Seed: 3})
-	dir := t.TempDir()
-	l, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	rec := seglog.StartBatch(nil)
+	for i := range events[300:450] {
+		rec = seglog.AppendEntry(rec, trace.AppendEvent(nil, &events[300+i]))
 	}
-	a := core.New(experiments.BenchLibrary(), core.Config{})
-	a.SetCapture(l)
-	// Mix entry points: batches and single-event ingests.
-	a.IngestBatch(events[:256])
-	for _, ev := range events[256:300] {
-		a.Ingest(ev)
-	}
-	a.IngestBatch(events[300:])
-	a.Close()
-	if l.Cursor() != uint64(len(events)) {
-		t.Fatalf("cursor %d, want %d (the last record)", l.Cursor(), len(events))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, stats := scan(t, dir)
-	if len(got) != len(events) || stats.Duplicates != 0 || stats.Quarantined != 0 {
-		t.Fatalf("captured %d records (dups %d, quarantined %d), want %d exactly once",
-			len(got), stats.Duplicates, stats.Quarantined, len(events))
-	}
-	for i := range got {
-		if got[i].ConnID != events[i].ConnID {
-			t.Fatalf("record %d out of order", i)
+	for _, records := range []bool{true, false} {
+		dir := t.TempDir()
+		l, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := core.New(experiments.BenchLibrary(), core.Config{})
+		a.SetCapture(l)
+		if !records {
+			a.SetCapture(struct{ core.Capture }{l}) // AppendRecord hidden
+		}
+		if a.TakesRecords() != records {
+			t.Fatalf("TakesRecords() = %v with records %v", a.TakesRecords(), records)
+		}
+		// Mix entry points: batches, single-event ingests, a hand-off
+		// with its record and one without.
+		a.IngestBatch(events[:256])
+		for _, ev := range events[256:300] {
+			a.Ingest(ev)
+		}
+		a.IngestRecord(events[300:450], bytes.Clone(rec))
+		a.IngestRecord(events[450:], nil)
+		a.Close()
+		if l.Cursor() != uint64(len(events)) {
+			t.Fatalf("records %v: cursor %d, want %d (the last record)", records, l.Cursor(), len(events))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, stats := scan(t, dir)
+		if len(got) != len(events) || stats.Duplicates != 0 || stats.Quarantined != 0 {
+			t.Fatalf("records %v: captured %d records (dups %d, quarantined %d), want %d exactly once",
+				records, len(got), stats.Duplicates, stats.Quarantined, len(events))
+		}
+		for i := range got {
+			if got[i].ConnID != events[i].ConnID {
+				t.Fatalf("records %v: record %d out of order", records, i)
+			}
 		}
 	}
 }

@@ -9,9 +9,11 @@
 // is sealed as one seglog batch record (kind 'R': an event count, then
 // each event's trace binary body, laid out in internal/trace/codec.go,
 // behind a uvarint length), split only where a record's body passes
-// seglog.BatchBytes. A record carries a run of dense sequence numbers,
-// its header's first, and the Reader returns its events one at a time
-// under them, so a consumer sees the same event stream as when every
+// seglog.BatchBytes. AppendRecord writes a record a caller already laid
+// out — the receiver's verified wire bodies — without encoding its
+// events again; the two give the same bytes for the same bodies. A
+// record carries a run of dense sequence numbers, its header's first,
+// and the Reader returns its events one at a time under them, so a consumer sees the same event stream as when every
 // event was a record of its own. Logs of that older layout (kind 'B',
 // one event per record) still recover, in one segment with batches if
 // need be. Kind 'E', the JSON body logs wrote before that, is not read:
@@ -22,13 +24,13 @@
 // Segments are named wal-<first-seq>.seg and rotate on a size or age
 // bound; retention drops whole closed segments oldest-first to hold a
 // byte budget. Appends reach the OS on every call — a kill -9 after
-// Append returns loses nothing — while fsync (surviving machine crashes)
+// an append returns loses nothing — while fsync (surviving machine crashes)
 // is policy-controlled: none, interval, or every. An I/O error costs the
 // append that met it and the rest of its segment, never the log: the
 // next append starts a fresh segment.
 //
 // The recovery invariant, proven by the crash soak: for every event
-// handed to Append, recovery either returns it intact (recovered) or
+// handed to an append, recovery either returns it intact (recovered) or
 // counts it as lost (quarantined) — recovered + quarantined == written.
 // A record that fails its CRC costs all of its events, counted through
 // the sequence gap it leaves. Silent loss is the only failure mode the
@@ -52,7 +54,7 @@ import (
 // WAL telemetry: append/rotation/retention on the write side,
 // recovered/quarantined on the read side (the durable twin of the
 // transport's delivered/missed accounting). The wal.append histogram
-// times Append/AppendBatch calls — the cost the ingest path pays for
+// times AppendBatch/AppendRecord calls — the cost the ingest path pays for
 // durability — and wal.replay times full recovery scans.
 var (
 	mAppended     = telemetry.GetCounter("wal.appended")
@@ -99,7 +101,7 @@ const (
 	// FsyncInterval calls fsync at most once per Options.FsyncInterval,
 	// bounding machine-crash loss to that window.
 	FsyncInterval
-	// FsyncEvery calls fsync on every Append/AppendBatch: nothing acked
+	// FsyncEvery calls fsync on every append: nothing acked
 	// is ever lost, at one disk flush per call.
 	FsyncEvery
 )
@@ -177,14 +179,14 @@ func (o *Options) defaults() {
 // Stats is a point-in-time view of the log's write-side accounting:
 // the segment log's (fsyncs, rotations, segments retired by retention,
 // on-disk footprint with the active segment included), and Appended,
-// the events acked by Append/AppendBatch this session.
+// the events acked by AppendBatch/AppendRecord this session.
 type Stats struct {
 	Appended uint64
 	seglog.Stats
 }
 
 // Log is the append side. All methods are safe for a single writer
-// goroutine (the analyzer's ingest goroutine); Append never reorders —
+// goroutine (the analyzer's ingest goroutine); appends never reorder —
 // record sequence numbers are dense and monotonically increasing.
 type Log struct {
 	opts    Options
@@ -259,16 +261,11 @@ func (l *Log) Stats() Stats { return Stats{l.appended, l.seg.Stats()} }
 // has fully processed.
 func (l *Log) Cursor() uint64 { return l.cursor }
 
-// Append encodes and appends one event, returning its record sequence.
-// The record is flushed to the OS before Append returns (a process kill
-// after the ack loses nothing); fsync follows the configured policy.
-func (l *Log) Append(ev trace.Event) (uint64, error) {
-	return l.AppendBatch([]trace.Event{ev})
-}
-
 // AppendBatch appends a batch of events, numbered consecutively, as one
 // batch record (more if it passes seglog.BatchBytes) with one flush and
-// at most one fsync, returning the last sequence number. On error the
+// at most one fsync, returning the last sequence number. The records
+// reach the OS before AppendBatch returns (a process kill after the ack
+// loses nothing); fsync follows the configured policy. On error the
 // batch may be partially durable; the sequence reflects only what was
 // acked, and recovery quarantines any torn remainder.
 func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
@@ -277,19 +274,34 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 	}
 	span := hAppend.Start()
 	defer span.End()
-	err := l.appendBatch(evs)
-	l.publish()
-	if err != nil {
-		mAppendErrors.Inc()
-		return l.seg.LastSeq(), fmt.Errorf("wal: %w", err)
-	}
-	return l.seg.LastSeq(), nil
+	records, err := l.encode(evs)
+	return l.write(l.scratch, len(evs), records, err)
 }
 
-func (l *Log) appendBatch(evs []trace.Event) error {
+// AppendRecord appends n events whose bodies are already laid out as one
+// batch record: seglog.StartBatch's room, then n entries (AppendEntry),
+// each an event's trace binary body. It seals rec in place under the
+// log's own next sequence number and writes it as it is — the bodies a
+// receiver verified, not a second encoding of their events — with the
+// flush, fsync, MaxRecord bound, accounting and errors of AppendBatch.
+func (l *Log) AppendRecord(rec []byte, n int) (uint64, error) {
+	if n == 0 {
+		return l.seg.LastSeq(), nil
+	}
+	span := hAppend.Start()
+	defer span.End()
+	err := refuse(len(rec) - seglog.HdrLen)
+	if err == nil {
+		seglog.SealBatch(rec, n, l.seg.LastSeq()+1)
+	}
+	return l.write(rec, n, 1, err)
+}
+
+// encode lays evs out in l.scratch as sealed batch records, numbered
+// from the next sequence, and returns how many records they took.
+func (l *Log) encode(evs []trace.Event) (records int, err error) {
 	l.scratch = l.scratch[:0]
 	next := l.seg.LastSeq() + 1
-	records := 0
 	for i := 0; i < len(evs); records++ {
 		// Encode straight into the batch buffer, behind the record's
 		// reserved header; seglog seals it in place.
@@ -298,22 +310,42 @@ func (l *Log) appendBatch(evs []trace.Event) error {
 		l.scratch, n = seglog.AppendBatch(l.scratch, next+uint64(i), len(evs)-i, func(buf []byte, j int) []byte {
 			return trace.AppendEvent(buf, &evs[i+j])
 		})
-		if size := len(l.scratch) - start - seglog.HdrLen; size > MaxRecord {
-			// The reader unconditionally skips any length prefix over
-			// MaxRecord, so acking this record would make it durable but
-			// unrecoverable — refuse the whole batch before any byte of
-			// it is written.
-			return fmt.Errorf("encoded event makes a %d-byte record, over the %d-byte bound", size, MaxRecord)
+		if err := refuse(len(l.scratch) - start - seglog.HdrLen); err != nil {
+			return records, err
 		}
 		i += n
 	}
-	acked, err := l.seg.Append(l.scratch, len(evs))
-	if acked > 0 {
-		mRecords.Add(uint64(records))
+	return records, nil
+}
+
+// refuse rejects a record body over MaxRecord before any byte of its
+// append is written: the reader unconditionally skips such a length
+// prefix, so acking the record would make it durable but unrecoverable.
+func refuse(size int) error {
+	if size > MaxRecord {
+		return fmt.Errorf("encoded event makes a %d-byte record, over the %d-byte bound", size, MaxRecord)
 	}
-	l.appended += uint64(acked)
-	mAppended.Add(uint64(acked))
-	return err
+	return nil
+}
+
+// write appends records holding n events, unless laying them out
+// failed (err), books what was acked, and returns the last sequence.
+func (l *Log) write(recs []byte, n, records int, err error) (uint64, error) {
+	if err == nil {
+		var acked int
+		acked, err = l.seg.Append(recs, n)
+		if acked > 0 {
+			mRecords.Add(uint64(records))
+		}
+		l.appended += uint64(acked)
+		mAppended.Add(uint64(acked))
+	}
+	l.publish()
+	if err != nil {
+		mAppendErrors.Inc()
+		return l.seg.LastSeq(), fmt.Errorf("wal: %w", err)
+	}
+	return l.seg.LastSeq(), nil
 }
 
 // Sync fsyncs the active segment and persists the cursor —

@@ -86,8 +86,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	evs := testEvents(100)
-	for i, ev := range evs {
-		seq, err := l.Append(ev)
+	for i := range evs {
+		seq, err := l.AppendBatch(evs[i : i+1])
 		if err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
@@ -180,8 +180,8 @@ func TestRotationAndRetention(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	evs := testEvents(400)
-	for _, ev := range evs {
-		if _, err := l.Append(ev); err != nil {
+	for i := range evs {
+		if _, err := l.AppendBatch(evs[i : i+1]); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -219,9 +219,9 @@ func TestRotationAndRetention(t *testing.T) {
 func TestAgeRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir, SegmentAge: time.Millisecond})
-	l.Append(testEvents(1)[0])
+	l.AppendBatch(testEvents(1))
 	time.Sleep(5 * time.Millisecond)
-	l.Append(testEvents(1)[0])
+	l.AppendBatch(testEvents(1))
 	if l.Stats().Rotated != 1 {
 		t.Fatalf("aged segment not rotated: %+v", l.Stats())
 	}
@@ -256,8 +256,8 @@ func TestFsyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open(%v): %v", tc.fsync, err)
 		}
-		for _, ev := range evs {
-			if _, err := l.Append(ev); err != nil {
+		for i := range evs {
+			if _, err := l.AppendBatch(evs[i : i+1]); err != nil {
 				t.Fatalf("Append(%v): %v", tc.fsync, err)
 			}
 		}
@@ -291,8 +291,8 @@ func TestReopenContinuesSequence(t *testing.T) {
 	evs := testEvents(30)
 
 	l, _ := Open(Options{Dir: dir})
-	for _, ev := range evs[:10] {
-		l.Append(ev)
+	for i := range evs[:10] {
+		l.AppendBatch(evs[i : i+1])
 	}
 	l.Close()
 
@@ -303,8 +303,8 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if l2.LastSeq() != 10 {
 		t.Fatalf("reopened LastSeq %d, want 10", l2.LastSeq())
 	}
-	for _, ev := range evs[10:] {
-		l2.Append(ev)
+	for i := 10; i < len(evs); i++ {
+		l2.AppendBatch(evs[i : i+1])
 	}
 	l2.Close()
 
@@ -322,8 +322,9 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	for cut := 1; cut <= 25; cut += 6 {
 		dir := t.TempDir()
 		l, _ := Open(Options{Dir: dir})
-		for _, ev := range testEvents(20) {
-			l.Append(ev)
+		evs := testEvents(20)
+		for i := range evs {
+			l.AppendBatch(evs[i : i+1])
 		}
 		l.Close()
 
@@ -353,8 +354,9 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 func TestRecoveryCorruptMidRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir})
-	for _, ev := range testEvents(20) {
-		l.Append(ev)
+	evs := testEvents(20)
+	for i := range evs {
+		l.AppendBatch(evs[i : i+1])
 	}
 	l.Close()
 
@@ -384,8 +386,9 @@ func TestRecoveryCorruptMidRecord(t *testing.T) {
 func TestRecoveryGarbageBetweenRecords(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir})
-	for _, ev := range testEvents(5) {
-		l.Append(ev)
+	evs := testEvents(5)
+	for i := range evs {
+		l.AppendBatch(evs[i : i+1])
 	}
 	l.Close()
 
@@ -413,8 +416,9 @@ func TestRecoveryGarbageBetweenRecords(t *testing.T) {
 func TestCursorPersistsAtomically(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
-	for _, ev := range testEvents(10) {
-		seq, _ := l.Append(ev)
+	evs := testEvents(10)
+	for i := range evs {
+		seq, _ := l.AppendBatch(evs[i : i+1])
 		l.MarkProcessed(seq)
 	}
 	l.Close()
@@ -438,8 +442,9 @@ func TestCursorPersistsAtomically(t *testing.T) {
 func TestCursorClampedToDurableLog(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
-	for _, ev := range testEvents(5) {
-		seq, _ := l.Append(ev)
+	evs := testEvents(5)
+	for i := range evs {
+		seq, _ := l.AppendBatch(evs[i : i+1])
 		l.MarkProcessed(seq)
 	}
 	l.Close()
@@ -466,7 +471,7 @@ func TestSegmentLayout(t *testing.T) {
 	l, _ := Open(Options{Dir: dir})
 	evs := testEvents(4)
 	l.AppendBatch(evs[:3])
-	l.Append(evs[3])
+	l.AppendBatch(evs[3:4])
 	l.Close()
 	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
@@ -556,8 +561,8 @@ func TestReopenAfterTornFirstAppend(t *testing.T) {
 		dir := t.TempDir()
 		evs := testEvents(12)
 		l, _ := Open(Options{Dir: dir})
-		for _, ev := range evs[:10] {
-			l.Append(ev)
+		for i := range evs[:10] {
+			l.AppendBatch(evs[i : i+1])
 		}
 		l.Close()
 		// Simulate the crash: the writer rotated to wal-11 and died with
@@ -574,9 +579,9 @@ func TestReopenAfterTornFirstAppend(t *testing.T) {
 		if l2.LastSeq() != 10 {
 			t.Fatalf("reopened LastSeq %d, want 10", l2.LastSeq())
 		}
-		for i, ev := range evs[10:] {
-			if _, err := l2.Append(ev); err != nil {
-				t.Fatalf("Append %d after reopen: %v", i, err)
+		for i := 10; i < len(evs); i++ {
+			if _, err := l2.AppendBatch(evs[i : i+1]); err != nil {
+				t.Fatalf("Append %d after reopen: %v", i-10, err)
 			}
 		}
 		l2.Close()
@@ -603,8 +608,7 @@ func TestReopenAfterTornFirstAppend(t *testing.T) {
 		if l.LastSeq() != 0 {
 			t.Fatalf("LastSeq %d, want 0", l.LastSeq())
 		}
-		ev := testEvents(1)[0]
-		if seq, err := l.Append(ev); err != nil || seq != 1 {
+		if seq, err := l.AppendBatch(testEvents(1)); err != nil || seq != 1 {
 			t.Fatalf("Append after reopen: seq %d, err %v (want 1, nil)", seq, err)
 		}
 		l.Close()
@@ -615,6 +619,83 @@ func TestReopenAfterTornFirstAppend(t *testing.T) {
 	})
 }
 
+// handOff lays evs out as a receiver's hand-off carries them: their
+// binary bodies as one unsealed batch record, its header and count room
+// filled with bytes AppendRecord must overwrite.
+func handOff(evs []trace.Event) []byte {
+	rec := seglog.StartBatch(nil)
+	for i := range evs {
+		rec = seglog.AppendEntry(rec, trace.AppendEvent(nil, &evs[i]))
+	}
+	copy(rec, bytes.Repeat([]byte{0xaa}, seglog.HdrLen+4))
+	return rec
+}
+
+// TestAppendRecordMatchesAppendBatch: the same hand-offs of canonically
+// encoded events, written as records or encoded again by AppendBatch,
+// give byte-identical segment files — the same records under the same
+// sequence numbers, rotated at the same points — and the same
+// accounting, and the reader recovers the events from either.
+func TestAppendRecordMatchesAppendBatch(t *testing.T) {
+	evs := testEvents(2000)
+	for i := range evs {
+		if i%3 == 0 { // bodies of 128 bytes and up take a two-byte length
+			evs[i].ErrorText = fmt.Sprintf("%0*d", 100+i%200, i)
+		}
+	}
+	for _, per := range []int{1, 7, 128} {
+		var (
+			dirs    = [2]string{t.TempDir(), t.TempDir()}
+			stats   [2]Stats
+			records [2]uint64
+		)
+		for path, dir := range dirs {
+			l, err := Open(Options{Dir: dir, SegmentBytes: 32 << 10, Fsync: FsyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			records0 := mRecords.Value()
+			for lo := 0; lo < len(evs); lo += per {
+				hi := min(lo+per, len(evs))
+				var last uint64
+				if path == 0 {
+					last, err = l.AppendBatch(evs[lo:hi])
+				} else {
+					last, err = l.AppendRecord(handOff(evs[lo:hi]), hi-lo)
+				}
+				if err != nil || last != uint64(hi) {
+					t.Fatalf("%d per append, path %d: last=%d err=%v, want %d", per, path, last, err, hi)
+				}
+			}
+			stats[path], records[path] = l.Stats(), mRecords.Value()-records0
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stats[0] != stats[1] || records[0] != records[1] {
+			t.Fatalf("%d per append: AppendBatch %+v in %d records, AppendRecord %+v in %d",
+				per, stats[0], records[0], stats[1], records[1])
+		}
+		files, err := os.ReadDir(dirs[0])
+		if err != nil || len(files) < 2 {
+			t.Fatalf("%d per append: %d segments (%v), want the log rotated", per, len(files), err)
+		}
+		for _, f := range files {
+			a, errA := os.ReadFile(filepath.Join(dirs[0], f.Name()))
+			b, errB := os.ReadFile(filepath.Join(dirs[1], f.Name()))
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("%d per append: %s differs (%v, %v)", per, f.Name(), errA, errB)
+			}
+		}
+		for _, dir := range dirs {
+			got, st := readAll(t, dir)
+			if !slices.Equal(got, evs) || st.Quarantined != 0 {
+				t.Fatalf("%d per append: recovered %d of %d events, %d quarantined", per, len(got), len(evs), st.Quarantined)
+			}
+		}
+	}
+}
+
 // TestAppendRejectsOversizedRecord: the reader skips any length prefix
 // over MaxRecord, so an oversized body must be refused at append time —
 // acking it would make it durable but guaranteed-quarantined.
@@ -622,13 +703,16 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(Options{Dir: dir})
 	evs := testEvents(3)
-	if _, err := l.Append(evs[0]); err != nil {
+	if _, err := l.AppendBatch(evs[0:1]); err != nil {
 		t.Fatal(err)
 	}
 	huge := evs[1]
 	huge.ErrorText = string(bytes.Repeat([]byte{'x'}, MaxRecord))
-	if _, err := l.Append(huge); err == nil {
+	if _, err := l.AppendBatch([]trace.Event{huge}); err == nil {
 		t.Fatal("Append acked a record the reader is guaranteed to quarantine")
+	}
+	if _, err := l.AppendRecord(handOff([]trace.Event{huge}), 1); err == nil {
+		t.Fatal("AppendRecord acked a record the reader is guaranteed to quarantine")
 	}
 	if l.LastSeq() != 1 {
 		t.Fatalf("LastSeq %d after rejected append, want 1", l.LastSeq())
@@ -638,7 +722,7 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	if _, err := l.AppendBatch([]trace.Event{evs[2], huge}); err == nil {
 		t.Fatal("AppendBatch acked a batch containing an unrecoverable record")
 	}
-	if seq, err := l.Append(evs[2]); err != nil || seq != 2 {
+	if seq, err := l.AppendBatch(evs[2:3]); err != nil || seq != 2 {
 		t.Fatalf("Append after rejection: seq %d, err %v (want 2, nil)", seq, err)
 	}
 	l.Close()

@@ -23,6 +23,7 @@ import (
 	"gretel/internal/rca"
 	"gretel/internal/replay"
 	"gretel/internal/scenario"
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
 	"gretel/internal/trace"
 	"gretel/internal/tracestore"
@@ -191,13 +192,29 @@ func BenchmarkDetector(b *testing.B) {
 // stream in ingest-sized batches through a fresh log in a throwaway
 // directory. events/record is the mean number of events each batch
 // record carries — what the append and replay costs per event divide by.
+// "record" is fsync=none on the receiver's path: the same batches
+// already laid out as records of their wire bodies, written by
+// AppendRecord without encoding them again, into the same bytes.
 func BenchmarkWALAppend(b *testing.B) {
 	stream := experiments.CleanBenchStream(scale(50000, 20000))
+	const batch = 256
+	var handOffs [][]byte
+	for lo := 0; lo < len(stream); lo += batch {
+		rec := seglog.StartBatch(nil)
+		for i := lo; i < min(lo+batch, len(stream)); i++ {
+			rec = seglog.AppendEntry(rec, trace.AppendEvent(nil, &stream[i]))
+		}
+		if len(rec)-seglog.HdrLen > seglog.BatchBytes {
+			b.Fatalf("a batch of %d events makes a %d-byte record, over seglog.BatchBytes", batch, len(rec))
+		}
+		handOffs = append(handOffs, rec)
+	}
 	records := telemetry.GetCounter("wal.records")
 	for _, tc := range []struct {
-		name   string
-		policy wal.Fsync
-	}{{"fsync=none", wal.FsyncNone}, {"fsync=interval", wal.FsyncInterval}} {
+		name    string
+		policy  wal.Fsync
+		records bool
+	}{{"fsync=none", wal.FsyncNone, false}, {"fsync=interval", wal.FsyncInterval, false}, {"record", wal.FsyncNone, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st wal.Stats
@@ -208,9 +225,14 @@ func BenchmarkWALAppend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				const batch = 256
 				for lo := 0; lo < len(stream); lo += batch {
-					if _, err := l.AppendBatch(stream[lo:min(lo+batch, len(stream))]); err != nil {
+					hi := min(lo+batch, len(stream))
+					if tc.records {
+						_, err = l.AppendRecord(handOffs[lo/batch], hi-lo)
+					} else {
+						_, err = l.AppendBatch(stream[lo:hi])
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -459,7 +481,7 @@ func BenchmarkTransport(b *testing.B) {
 			for want := (i + 1) * len(stream); delivered < want; {
 				select {
 				case batch := <-recv.Batches():
-					delivered += len(batch)
+					delivered += len(batch.Events)
 					recv.Recycle(batch)
 				case <-timeout.C:
 					b.Fatalf("pass %d: %d of %d events delivered within a minute", i, delivered, want)
