@@ -231,13 +231,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			h.Start().End()
 		}
 	})
-	b.Run("span-with-name-lookup", func(b *testing.B) {
-		// The convenience path pays a registry map read on top.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			telemetry.StartSpan("bench.span_lookup").End()
-		}
-	})
 }
 
 // BenchmarkFingerprintLearn measures Algorithm 1 on a realistic trace set.

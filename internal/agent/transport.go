@@ -86,8 +86,6 @@ type SenderConfig struct {
 	// The ring retains recent frames even after they are written, so a
 	// reconnect can replay everything a dying connection may have lost.
 	Ring int
-	// DialTimeout bounds one dial attempt (default 3s).
-	DialTimeout time.Duration
 	// WriteTimeout is the deadline of each socket write (default 10s),
 	// armed when buffered frames actually go to the socket; a stalled
 	// analyzer surfaces as a write error and triggers a redial.
@@ -113,9 +111,6 @@ func (c *SenderConfig) defaults() {
 	}
 	if c.Ring <= 0 {
 		c.Ring = 4096
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -148,6 +143,9 @@ func (c *SenderConfig) defaults() {
 		}
 	}
 }
+
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 3 * time.Second
 
 // sockBufBytes bounds each byte-counted buffer of a transport connection:
 // the sender's stage, its kernel write buffer (set by the default
@@ -469,7 +467,7 @@ func (s *Sender) dialLoop(rng *rand.Rand) net.Conn {
 		if err == nil {
 			s.lastAddr.Store(addr)
 			var conn net.Conn
-			conn, err = s.cfg.Dialer(addr, s.cfg.DialTimeout)
+			conn, err = s.cfg.Dialer(addr, dialTimeout)
 			if err == nil {
 				return conn
 			}

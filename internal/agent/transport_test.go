@@ -134,8 +134,7 @@ func wantRecord(t *testing.T, b *Batch) {
 // fastSender returns a SenderConfig with test-tight timers.
 func fastSender(addr, name string) SenderConfig {
 	return SenderConfig{
-		Addr: addr, Agent: name,
-		DialTimeout: time.Second, WriteTimeout: 2 * time.Second,
+		Addr: addr, Agent: name, WriteTimeout: 2 * time.Second,
 		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
 		Heartbeat: 10 * time.Millisecond, DrainTimeout: 5 * time.Second,
 	}

@@ -164,9 +164,6 @@ type Config struct {
 	// Prate and T feed the α computation when Alpha is zero.
 	Prate float64
 	T     float64
-	// C1 and C2 set the context buffer start (β₀ = c1·α) and growth step
-	// (δ = c2·α); paper: 0.1 and 0.04.
-	C1, C2 float64
 	// DisablePruneRPC keeps RPC symbols in fingerprints and snapshots.
 	// By default they are dropped before matching (the §6 optimization);
 	// keeping them is the Fig 7c ablation.
@@ -193,11 +190,6 @@ type Config struct {
 	Latency tsoutliers.Options
 	// PerfDetection enables operation detection for latency alarms.
 	PerfDetection bool
-	// PerfCooldown suppresses further performance snapshots for an API
-	// within this window of the previous one, so a sustained anomaly does
-	// not spawn a snapshot per affected exchange (default 30s; negative
-	// disables the cooldown).
-	PerfCooldown time.Duration
 	// Member names this analyzer instance when it runs as one partition
 	// of a federation; every report is stamped with it so the merged
 	// stream stays attributable. Empty (the default) stamps nothing,
@@ -220,13 +212,6 @@ type Config struct {
 	// the detection queue is full. Shed snapshots are counted in
 	// Stats.SnapshotsShed and the core.snapshots_shed telemetry counter.
 	DetectShed bool
-	// PairTTL evicts request-side pairing state (REST by connection, RPC
-	// by message id) whose response never arrived, once older than this
-	// in event time (default 10m; negative disables age eviction).
-	PairTTL time.Duration
-	// MaxPairs caps each pairing map; when full, the oldest quarter is
-	// evicted (default 65536; negative disables the cap).
-	MaxPairs int
 	// Deprecated: nothing reads this field — ingest is one path. It
 	// remains only because bench/e2e/layers.go, frozen between
 	// [benchmark] PRs, still sets it; the ROADMAP's "Refresh the
@@ -254,15 +239,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	// The window runs at least MinAlpha; record the α it runs, which
 	// growth, performance reports and evidence read.
 	c.Alpha = max(c.Alpha, window.MinAlpha)
-	if c.C1 == 0 {
-		c.C1 = 0.1
-	}
-	if c.C2 == 0 {
-		c.C2 = 0.04
-	}
-	if c.PerfCooldown == 0 {
-		c.PerfCooldown = 30 * time.Second
-	}
 	if c.Latency.MinSpread == 0 {
 		// API latencies are tens of milliseconds; floor the spread at 5ms
 		// so micro-jitter never alarms.
@@ -279,12 +255,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	}
 	if c.DetectBacklog <= 0 {
 		c.DetectBacklog = 4 * c.DetectWorkers
-	}
-	if c.PairTTL == 0 {
-		c.PairTTL = 10 * time.Minute
-	}
-	if c.MaxPairs == 0 {
-		c.MaxPairs = 1 << 16
 	}
 }
 
@@ -380,7 +350,7 @@ func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 		apis:     newAPITable(lib.Table),
 		degraded: make(map[string]time.Time),
 	}
-	a.lat = newLatStage(&cfg, a.win.Alpha())
+	a.lat = newLatStage(cfg.PerfDetection, a.win.Alpha())
 	if cfg.DetectWorkers > 0 {
 		a.startPipeline(cfg.DetectWorkers)
 	}
@@ -479,7 +449,7 @@ func (a *Analyzer) receive(ev *trace.Event) (rec *apiRec, latency time.Duration,
 	var havePair bool
 	switch ev.Type {
 	case trace.RESTRequest:
-		a.Stats.PairsEvicted += capPairs(a.pending, a.cfg.MaxPairs)
+		a.Stats.PairsEvicted += capPairs(a.pending)
 		a.pending[ev.ConnID] = pendingReq{ev.Time, seq, ev.DstNode}
 	case trace.RESTResponse:
 		if req, ok := a.pending[ev.ConnID]; ok {
@@ -491,7 +461,7 @@ func (a *Analyzer) receive(ev *trace.Event) (rec *apiRec, latency time.Duration,
 		}
 	case trace.RPCCall:
 		if ev.MsgID != "" {
-			a.Stats.PairsEvicted += capPairs(a.calls, a.cfg.MaxPairs)
+			a.Stats.PairsEvicted += capPairs(a.calls)
 			a.calls[ev.MsgID] = pendingReq{ev.Time, seq, ev.DstNode}
 		}
 	case trace.RPCReply:
@@ -943,6 +913,10 @@ func (sc *detectScratch) wordsOf(snap *window.Snapshot) [][]uint32 {
 	return sc.words
 }
 
+// c1 and c2 set the context buffer's start (β₀ = c1·α) and growth step
+// (δ = c2·α), the paper's §7 values.
+const c1, c2 = 0.1, 0.04
+
 // growContext iterates the context buffer from β₀ by δ per side, stopping
 // as soon as the precision drops (the matched set grows), per §5.3.1.
 // The snapshot's pattern, table and bound programs were built once by the
@@ -957,8 +931,8 @@ func (sc *detectScratch) wordsOf(snap *window.Snapshot) [][]uint32 {
 // row matches exactly the previous step's set and walks nothing. The
 // returned names live in sc.
 func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands fingerprint.Candidates, corrID string, ev *tracestore.Trace) ([]string, int) {
-	beta0 := int(a.cfg.C1 * float64(a.cfg.Alpha))
-	delta := int(a.cfg.C2 * float64(a.cfg.Alpha))
+	beta0 := int(c1 * float64(a.cfg.Alpha))
+	delta := int(c2 * float64(a.cfg.Alpha))
 	if beta0 < 2 {
 		beta0 = 2
 	}

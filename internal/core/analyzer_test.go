@@ -132,8 +132,8 @@ func TestConfigDefaultsPaperValues(t *testing.T) {
 	if cfg.Alpha != 768 {
 		t.Fatalf("alpha = %d, want 768", cfg.Alpha)
 	}
-	if int(cfg.C1*float64(cfg.Alpha)) != 76 { // β₀ ≈ 80 in the paper (rounding)
-		t.Logf("beta0 = %d", int(cfg.C1*float64(cfg.Alpha)))
+	if int(c1*float64(cfg.Alpha)) != 76 { // β₀ ≈ 80 in the paper (rounding)
+		t.Logf("beta0 = %d", int(c1*float64(cfg.Alpha)))
 	}
 	if cfg.DisablePruneRPC {
 		t.Fatal("RPC pruning should default on")
@@ -403,7 +403,7 @@ func TestPerformanceFaultDetection(t *testing.T) {
 func TestAlphaBelowMinimum(t *testing.T) {
 	for _, alpha := range []int{-5, 1} {
 		a := newAnalyzer(Config{
-			Alpha: alpha, PerfDetection: true, PerfCooldown: -1,
+			Alpha: alpha, PerfDetection: true,
 			Latency: tsoutliers.Options{Warmup: 8, MinRun: 3, MinSpread: 0.005},
 		})
 		if got := a.Config().Alpha; got != window.MinAlpha {
@@ -413,9 +413,9 @@ func TestAlphaBelowMinimum(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.rest(get("/status"), 200, 1, "op-a")
 		}
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 6; i++ { // each past the last one's cooldown, so every alarm arms
 			s.conn++
-			s.ms += 10
+			s.ms += int(perfCooldown / time.Millisecond)
 			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/status"), ConnID: s.conn})
 			s.ms += 300
 			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTResponse, API: get("/status"), Status: 200, ConnID: s.conn})
@@ -577,33 +577,51 @@ func TestLatencySummaries(t *testing.T) {
 	}
 }
 
+// TestPerfCooldownSuppressesSnapshotStorm: a sustained anomaly on one
+// API arms fewer snapshots within the 30 s cooldown than the same
+// exchanges arm spaced past it, and the API arms again once the
+// cooldown has passed.
 func TestPerfCooldownSuppressesSnapshotStorm(t *testing.T) {
-	mk := func(cooldown time.Duration) uint64 {
-		a := newAnalyzer(Config{
-			Alpha: 64, PerfDetection: true, PerfCooldown: cooldown,
+	slow := func(s *stream, n, gapMs, latencyMs int) {
+		for i := 0; i < n; i++ {
+			s.conn++
+			s.ms += gapMs
+			s.a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/status"), ConnID: s.conn})
+			s.ms += latencyMs
+			s.a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTResponse, API: get("/status"), Status: 200, ConnID: s.conn})
+		}
+	}
+	// Baseline, then a long run of slow exchanges on one API, gapMs
+	// apart.
+	mk := func(gapMs int) (*stream, uint64) {
+		s := &stream{a: newAnalyzer(Config{
+			Alpha: 64, PerfDetection: true,
 			Latency: tsoutliers.Options{Warmup: 8, MinRun: 3, MinSpread: 0.005},
-		})
-		s := &stream{a: a}
-		// Baseline, then a long run of slow exchanges on one API.
+		})}
 		for i := 0; i < 20; i++ {
 			s.rest(get("/status"), 200, 1, "op-a")
 		}
-		for i := 0; i < 15; i++ {
-			s.conn++
-			s.ms += 10
-			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/status"), ConnID: s.conn})
-			s.ms += 300
-			a.Ingest(trace.Event{Time: at(s.ms), Type: trace.RESTResponse, API: get("/status"), Status: 200, ConnID: s.conn})
-		}
-		a.Flush()
-		return a.Stats.Snapshots
+		slow(s, 15, gapMs, 300)
+		s.a.Flush()
+		return s, s.a.Stats.Snapshots
 	}
-	storm := mk(-1)                // cooldown disabled
-	calmed := mk(10 * time.Second) // sustained anomaly within one window
+	_, storm := mk(int(perfCooldown / time.Millisecond)) // every alarm past the last one's cooldown
+	s, calmed := mk(10)                                  // the whole anomaly within five seconds
 	if calmed >= storm {
 		t.Fatalf("cooldown did not reduce snapshots: %d vs %d", calmed, storm)
 	}
 	if calmed == 0 {
 		t.Fatal("cooldown suppressed the first snapshot too")
+	}
+	// Past the cooldown, a further shift arms again.
+	alarms := s.a.Stats.PerfAlarms
+	s.ms += int(perfCooldown / time.Millisecond)
+	slow(s, 15, 10, 900)
+	s.a.Flush()
+	if s.a.Stats.PerfAlarms == alarms {
+		t.Fatal("the second shift raised no alarm")
+	}
+	if s.a.Stats.Snapshots == calmed {
+		t.Fatalf("no snapshot re-armed %v after the last: %d alarms since", perfCooldown, s.a.Stats.PerfAlarms-alarms)
 	}
 }

@@ -35,7 +35,7 @@ func (a *Analyzer) IngestInline(ev trace.Event) {
 	hits := al.det.Observe(ev.Time, v)
 	if len(hits) > 0 {
 		a.Stats.PerfAlarms += uint64(len(hits))
-		if a.cfg.PerfDetection && al.due(ev.Time, a.cfg.PerfCooldown) {
+		if a.cfg.PerfDetection && al.due(ev.Time) {
 			a.armSnapshot(Performance, latency, 0)
 		}
 	}

@@ -132,8 +132,8 @@ func naiveGrowth(lib *fingerprint.Library, cfg core.Config, cands fingerprint.Ca
 		p, _ := slices.BinarySearch(evIdx, e)
 		return p
 	}
-	beta0 := max(int(cfg.C1*float64(cfg.Alpha)), 2)
-	delta := max(int(cfg.C2*float64(cfg.Alpha)), 1)
+	beta0 := max(int(0.1*float64(cfg.Alpha)), 2) // β₀ = c1·α and δ = c2·α at the paper's c1 = 0.1, c2 = 0.04
+	delta := max(int(0.04*float64(cfg.Alpha)), 1)
 	var steps []tracestore.GrowthStep
 	var prev []string
 	prevBeta := 0

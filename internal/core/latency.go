@@ -10,7 +10,7 @@ import (
 
 // apiLat is everything the analyzer keeps about one API's latency: the
 // operator-facing summary, the level-shift detector, and the time of the
-// last performance snapshot armed for it (the PerfCooldown clock). Ingest
+// last performance snapshot armed for it (the perfCooldown clock). Ingest
 // creates it on the API's first pair; from then on only the latency
 // stage's fold touches its fields.
 type apiLat struct {
@@ -24,13 +24,15 @@ func newAPILat(opt tsoutliers.Options) *apiLat {
 	return &apiLat{sum: *stats.NewSummary(), det: tsoutliers.New(opt)}
 }
 
+// perfCooldown suppresses further performance snapshots for an API
+// within this much event time of the previous one, so a sustained
+// anomaly does not spawn a snapshot per affected exchange.
+const perfCooldown = 30 * time.Second
+
 // due applies the performance-snapshot cooldown (stamping the clock as a
 // side effect, so call it only when arming is otherwise warranted).
-func (al *apiLat) due(at time.Time, cooldown time.Duration) bool {
-	if cooldown < 0 {
-		return true
-	}
-	if al.perfArmed && at.Sub(al.lastPerf) < cooldown {
+func (al *apiLat) due(at time.Time) bool {
+	if al.perfArmed && at.Sub(al.lastPerf) < perfCooldown {
 		return false
 	}
 	al.lastPerf, al.perfArmed = at, true
@@ -65,7 +67,7 @@ type latBuf struct {
 // in order, and records the batch's verdicts. It touches nothing but the
 // batch and the samples' apiLat values, so it may run on a goroutine of
 // its own.
-func (b *latBuf) fold(perf bool, cooldown time.Duration) {
+func (b *latBuf) fold(perf bool) {
 	// The loop reads and writes locals, not b: ingest writes the other
 	// batch's header, which may share b's cache line.
 	samples, alarms, arms := b.samples, uint64(0), b.arms[:0]
@@ -75,7 +77,7 @@ func (b *latBuf) fold(perf bool, cooldown time.Duration) {
 		s.lat.sum.Observe(v)
 		if n := len(s.lat.det.Observe(s.at, v)); n > 0 {
 			alarms += uint64(n)
-			if perf && s.lat.due(s.at, cooldown) {
+			if perf && s.lat.due(s.at) {
 				arms = append(arms, int32(i))
 			}
 		}
@@ -97,7 +99,6 @@ func (b *latBuf) fold(perf bool, cooldown time.Duration) {
 // time (DESIGN.md "Ingest is one path").
 type latStage struct {
 	perf      bool
-	cooldown  time.Duration
 	collectBy uint64
 	bufs      [2]latBuf
 	fill      int    // the index of the batch ingest fills
@@ -110,10 +111,9 @@ type latStage struct {
 	done      chan struct{}
 }
 
-func newLatStage(cfg *Config, alpha int) *latStage {
+func newLatStage(perf bool, alpha int) *latStage {
 	s := &latStage{
-		perf:      cfg.PerfDetection,
-		cooldown:  cfg.PerfCooldown,
+		perf:      perf,
 		collectBy: uint64(alpha/2 - 1),
 		done:      make(chan struct{}, 1),
 		due:       math.MaxUint64,
@@ -122,7 +122,7 @@ func newLatStage(cfg *Config, alpha int) *latStage {
 		s.bufs[i].samples = make([]latSample, 0, latBatch)
 	}
 	s.foldOther = func() {
-		s.bufs[1-s.fill].fold(s.perf, s.cooldown)
+		s.bufs[1-s.fill].fold(s.perf)
 		s.done <- struct{}{}
 	}
 	return s
@@ -189,7 +189,7 @@ func (a *Analyzer) settleLatency(through uint64) {
 		a.collectFolding()
 	}
 	if b := &s.bufs[s.fill]; len(b.samples) > 0 && b.samples[0].push <= through {
-		b.fold(s.perf, s.cooldown)
+		b.fold(s.perf)
 		a.collectLatency(b)
 	}
 	s.due = s.nextDue()

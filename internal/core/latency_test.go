@@ -72,7 +72,7 @@ func TestLatTrackObserveSteadyStateAllocFree(t *testing.T) {
 func TestPerfSnapshotsArmInTime(t *testing.T) {
 	const alpha = 64
 	cfg := Config{
-		Alpha: alpha, PerfDetection: true, PerfCooldown: -1,
+		Alpha: alpha, PerfDetection: true,
 		Latency: tsoutliers.Options{Warmup: 8, MinRun: 3, MinSpread: 0.005},
 	}
 	// A batch spans at most alpha/2 pushes: one exchange (two pushes)
@@ -88,9 +88,11 @@ func TestPerfSnapshotsArmInTime(t *testing.T) {
 			s.ms += 10
 			s.push(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/list"), ConnID: 1 << 32})
 		}
-		for i := 0; i < 3; i++ { // the cluster: three slow responses back to back
+		// The cluster: three slow responses back to back, each past the
+		// last one's cooldown, so that every alarm arms.
+		for i := 0; i < 3; i++ {
 			s.conn++
-			s.ms += 10
+			s.ms += int(perfCooldown / time.Millisecond)
 			s.push(trace.Event{Time: at(s.ms), Type: trace.RESTRequest, API: get("/status"), ConnID: s.conn, OpID: 2, OpName: "op-a"})
 			s.ms += 200
 			s.push(trace.Event{Time: at(s.ms), Type: trace.RESTResponse, API: get("/status"), Status: 200, ConnID: s.conn, OpID: 2, OpName: "op-a"})

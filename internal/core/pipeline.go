@@ -147,18 +147,22 @@ func (a *Analyzer) Close() {
 	a.jobs = nil
 }
 
-// pairSweepEvery amortizes the pairing-state age sweep: one map walk per
-// this many events. Must be a power of two.
-const pairSweepEvery = 1 << 12
+// Request-side pairing state (REST by connection, RPC by message id)
+// whose response never arrived is evicted once older than pairTTL in
+// event time, swept every pairSweepEvery events (a power of two), and
+// each pairing map is capped at maxPairs, its oldest quarter evicted
+// when full.
+const (
+	pairTTL        = 10 * time.Minute
+	pairSweepEvery = 1 << 12
+	maxPairs       = 1 << 16
+)
 
-// evictAgedPairs drops request-side pairing state older than PairTTL in
+// evictAgedPairs drops request-side pairing state older than pairTTL in
 // event time — requests whose responses were lost would otherwise pin
 // map entries forever.
 func (a *Analyzer) evictAgedPairs(now time.Time) {
-	if a.cfg.PairTTL <= 0 {
-		return
-	}
-	cutoff := now.Add(-a.cfg.PairTTL)
+	cutoff := now.Add(-pairTTL)
 	a.Stats.PairsEvicted += agePairs(a.pending, cutoff) + agePairs(a.calls, cutoff)
 }
 
@@ -179,12 +183,12 @@ func agePairs[K comparable](m map[K]pendingReq, cutoff time.Time) uint64 {
 	return n
 }
 
-// capPairs enforces the MaxPairs size cap on one pairing map by evicting
+// capPairs enforces the maxPairs size cap on one pairing map by evicting
 // the oldest quarter when full — O(n log n) on the rare trip, amortized
 // constant per insert. Ties on timestamp break by event sequence so
 // eviction is deterministic. Returns the number evicted.
-func capPairs[K comparable](m map[K]pendingReq, max int) uint64 {
-	if max <= 0 || len(m) < max {
+func capPairs[K comparable](m map[K]pendingReq) uint64 {
+	if len(m) < maxPairs {
 		return 0
 	}
 	type entry struct {

@@ -228,32 +228,37 @@ func TestUsableAfterClose(t *testing.T) {
 
 // TestPairEvictionSizeCap floods the analyzer with requests whose
 // responses never arrive and asserts the pairing maps stay bounded.
+// The flood spans under two minutes of event time, so only the cap
+// evicts.
 func TestPairEvictionSizeCap(t *testing.T) {
-	a := newAnalyzer(Config{Alpha: 16, MaxPairs: 64, PairTTL: -1})
-	for i := 1; i <= 300; i++ {
-		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
+	a := newAnalyzer(Config{Alpha: 16})
+	const flood = maxPairs + maxPairs/2
+	for i := 1; i <= flood; i++ {
+		a.Ingest(trace.Event{Time: at(i), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
 	}
-	if len(a.pending) > 64 {
-		t.Fatalf("pending grew to %d despite MaxPairs=64", len(a.pending))
+	if len(a.pending) > maxPairs {
+		t.Fatalf("pending grew to %d despite the %d cap", len(a.pending), maxPairs)
 	}
-	for i := 1; i <= 300; i++ {
-		a.Ingest(trace.Event{Time: at(3000 + i*10), Type: trace.RPCCall, API: rpc("build"), MsgID: "m" + itoa(i)})
+	for i := 1; i <= flood; i++ {
+		a.Ingest(trace.Event{Time: at(flood + i), Type: trace.RPCCall, API: rpc("build"), MsgID: "m" + itoa(i)})
 	}
-	if len(a.calls) > 64 {
-		t.Fatalf("calls grew to %d despite MaxPairs=64", len(a.calls))
+	if len(a.calls) > maxPairs {
+		t.Fatalf("calls grew to %d despite the %d cap", len(a.calls), maxPairs)
 	}
 	if a.Stats.PairsEvicted == 0 {
 		t.Fatal("no evictions counted")
 	}
 }
 
-// TestPairEvictionTTL ages out request-side state past PairTTL while
-// keeping fresh requests pairable.
+// TestPairEvictionTTL ages out request-side state past the 10-minute
+// pairTTL while keeping fresh requests pairable: requests a second
+// apart, so that at the first amortized sweep the oldest are over an
+// hour old.
 func TestPairEvictionTTL(t *testing.T) {
-	a := newAnalyzer(Config{Alpha: 16, PairTTL: time.Second, MaxPairs: -1})
+	a := newAnalyzer(Config{Alpha: 16})
 	const n = 5000 // > pairSweepEvery so the amortized sweep triggers
 	for i := 1; i <= n; i++ {
-		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
+		a.Ingest(trace.Event{Time: at(i * 1000), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
 	}
 	if a.Stats.PairsEvicted == 0 {
 		t.Fatal("TTL sweep never evicted")
@@ -262,12 +267,12 @@ func TestPairEvictionTTL(t *testing.T) {
 		t.Fatalf("pending holds all %d requests", len(a.pending))
 	}
 	// The most recent request still pairs with its response.
-	a.Ingest(trace.Event{Time: at(n*10 + 5), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: uint64(n)})
+	a.Ingest(trace.Event{Time: at(n*1000 + 5), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: uint64(n)})
 	if a.Stats.RESTPairs != 1 {
 		t.Fatalf("recent request did not pair: RESTPairs=%d", a.Stats.RESTPairs)
 	}
 	// A response for an evicted request is simply unmatched.
-	a.Ingest(trace.Event{Time: at(n*10 + 6), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: 1})
+	a.Ingest(trace.Event{Time: at(n*1000 + 6), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: 1})
 	if a.Stats.RESTPairs != 1 {
 		t.Fatalf("evicted request paired anyway: RESTPairs=%d", a.Stats.RESTPairs)
 	}
@@ -279,7 +284,7 @@ func TestPairEvictionTTL(t *testing.T) {
 // counted twice. A response for a cap-evicted request must not form a
 // phantom pair while a surviving request still pairs.
 func TestPairEvictionLedger(t *testing.T) {
-	a := newAnalyzer(Config{Alpha: 16, MaxPairs: 64, PairTTL: time.Second})
+	a := newAnalyzer(Config{Alpha: 16})
 	var inserted uint64
 	ledger := func(when string) {
 		t.Helper()
@@ -292,36 +297,38 @@ func TestPairEvictionLedger(t *testing.T) {
 	}
 
 	// Cap pressure: a flood of requests whose responses never arrive,
-	// all younger than PairTTL when the cap trips.
-	const flood = 300
+	// a millisecond apart, so all are younger than pairTTL when the cap
+	// trips and at every sweep the flood crosses.
+	const flood = maxPairs + maxPairs/2
 	for i := 1; i <= flood; i++ {
-		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
-		a.Ingest(trace.Event{Time: at(i * 10), Type: trace.RPCCall, API: rpc("build"), MsgID: "m" + itoa(i)})
+		a.Ingest(trace.Event{Time: at(i), Type: trace.RESTRequest, API: get("/x"), ConnID: uint64(i)})
+		a.Ingest(trace.Event{Time: at(i), Type: trace.RPCCall, API: rpc("build"), MsgID: "m" + itoa(i)})
 		inserted += 2
 	}
-	if a.Stats.PairsEvicted == 0 || len(a.pending) > 64 || len(a.calls) > 64 {
+	if a.Stats.PairsEvicted == 0 || len(a.pending) > maxPairs || len(a.calls) > maxPairs {
 		t.Fatalf("cap never bit: evicted=%d pending=%d calls=%d", a.Stats.PairsEvicted, len(a.pending), len(a.calls))
 	}
 	ledger("after the flood")
 
 	// The oldest request went with the first cap trip; the newest survived.
-	a.Ingest(trace.Event{Time: at(flood*10 + 5), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: 1})
+	a.Ingest(trace.Event{Time: at(flood + 5), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: 1})
 	if a.Stats.RESTPairs != 0 {
 		t.Fatalf("phantom pair for a cap-evicted request: RESTPairs=%d", a.Stats.RESTPairs)
 	}
-	a.Ingest(trace.Event{Time: at(flood*10 + 6), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: flood})
+	a.Ingest(trace.Event{Time: at(flood + 6), Type: trace.RESTResponse, API: get("/x"), Status: 200, ConnID: flood})
 	if a.Stats.RESTPairs != 1 {
 		t.Fatalf("surviving request did not pair: RESTPairs=%d", a.Stats.RESTPairs)
 	}
 	ledger("after the late responses")
 
-	// TTL pressure: a minute later, answered exchanges carry the event
-	// count across the amortized sweep. The sweep must evict the flood's
-	// survivors — exactly them — and nothing that was answered.
+	// TTL pressure: eleven minutes later, answered exchanges carry the
+	// event count across the next amortized sweep. The sweep must evict
+	// the flood's survivors — exactly them — and nothing that was
+	// answered.
 	survivors := uint64(len(a.pending) + len(a.calls))
 	evicted := a.Stats.PairsEvicted
-	s := &stream{a: a, conn: flood, ms: 60000}
-	for a.Stats.Events <= pairSweepEvery {
+	s := &stream{a: a, conn: flood, ms: flood + int(pairTTL/time.Millisecond) + 60000}
+	for next := (a.Stats.Events/pairSweepEvery + 1) * pairSweepEvery; a.Stats.Events < next; {
 		s.rest(get("/y"), 200, 1, "op")
 		inserted++
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -199,7 +200,7 @@ func Cluster(seed int64, events int) (ClusterResult, error) {
 					<-resume
 				}
 				if j%64 == 63 {
-					time.Sleep(50 * time.Microsecond)
+					awaitFlushed(snd)
 				}
 			}
 			wait := time.Now().Add(60 * time.Second)
@@ -349,4 +350,14 @@ func FormatCluster(res ClusterResult) string {
 	fmt.Fprintf(&b, "  failover: %v from kill to survivor fully caught up (wall %v)\n",
 		res.Failover.Round(time.Millisecond), res.Wall.Round(time.Millisecond))
 	return b.String()
+}
+
+// awaitFlushed paces a sender by volume: it yields until the writer has
+// flushed every frame spooled so far, or for at most 50 ms while the
+// connection is down (mid-failover).
+func awaitFlushed(snd *agent.Sender) {
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for st := snd.Stats(); st.Flushed+st.Shed < st.Assigned && time.Now().Before(deadline); st = snd.Stats() {
+		runtime.Gosched()
+	}
 }

@@ -55,13 +55,8 @@ type CoordinatorConfig struct {
 	PullInterval time.Duration
 	// Window is the merge reorder horizon (default 2×PullInterval).
 	Window time.Duration
-	// MergedCap bounds the retained merged stream (default 65536;
-	// oldest evicted and counted).
-	MergedCap int
 	// Client overrides the HTTP client (default: 2s timeout).
 	Client *http.Client
-	// OnEnvelope, when set, receives every merged envelope in order.
-	OnEnvelope func(Envelope)
 }
 
 func (c *CoordinatorConfig) defaults() {
@@ -76,9 +71,6 @@ func (c *CoordinatorConfig) defaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 2 * c.PullInterval
-	}
-	if c.MergedCap <= 0 {
-		c.MergedCap = 65536
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 2 * time.Second}
@@ -127,8 +119,9 @@ type Coordinator struct {
 	members map[string]*memberState
 	epoch   uint64
 	agents  map[string]string // agent -> member it was last assigned
-	merged  []Envelope
-	evicted uint64 // merged entries dropped beyond MergedCap
+	merged  []Envelope        // a ring once full: the oldest at merged[head]
+	head    int
+	evicted uint64 // merged entries overwritten past mergedCap
 
 	stop      chan struct{}
 	done      chan struct{}
@@ -174,20 +167,22 @@ func (c *Coordinator) Close() {
 	})
 }
 
+// mergedCap bounds the retained merged stream; past it each envelope
+// overwrites the oldest, which is counted in ClusterView.Evicted.
+const mergedCap = 1 << 16
+
 // emit appends one merged envelope to the bounded retained stream.
 func (c *Coordinator) emit(env Envelope) {
 	mMerged.Inc()
 	c.mu.Lock()
-	if len(c.merged) >= c.cfg.MergedCap {
-		drop := len(c.merged) - c.cfg.MergedCap + 1
-		c.merged = append(c.merged[:0], c.merged[drop:]...)
-		c.evicted += uint64(drop)
+	if len(c.merged) < mergedCap {
+		c.merged = append(c.merged, env)
+	} else {
+		c.merged[c.head] = env
+		c.head = (c.head + 1) % mergedCap
+		c.evicted++
 	}
-	c.merged = append(c.merged, env)
 	c.mu.Unlock()
-	if c.cfg.OnEnvelope != nil {
-		c.cfg.OnEnvelope(env)
-	}
 }
 
 // run drives probing and pulling on one goroutine, so state transitions
@@ -419,13 +414,13 @@ func (c *Coordinator) MergeStats() MergerStats {
 	return c.merger.Stats()
 }
 
-// Merged returns a copy of the retained merged stream.
+// Merged returns a copy of the retained merged stream, oldest first.
 func (c *Coordinator) Merged() []Envelope {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Envelope, len(c.merged))
-	copy(out, c.merged)
-	return out
+	out := make([]Envelope, 0, len(c.merged))
+	out = append(out, c.merged[c.head:]...)
+	return append(out, c.merged[:c.head]...)
 }
 
 // --- HTTP surface -------------------------------------------------------

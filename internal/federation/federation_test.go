@@ -213,6 +213,33 @@ func logReport(l *ReportLog, id int) {
 	l.Record(rep)
 }
 
+// TestCoordinatorMergedRingPastCap: past mergedCap the retained stream
+// keeps the newest envelopes, still oldest first, and counts every one
+// it overwrote.
+func TestCoordinatorMergedRingPastCap(t *testing.T) {
+	c := &Coordinator{members: map[string]*memberState{}, agents: map[string]string{}}
+	c.merger = NewMerger(MergerConfig{Window: 50 * time.Millisecond, Emit: c.emit})
+	const extra = 1000
+	for i := 1; i <= mergedCap+extra; i++ {
+		member := []string{"a", "b"}[i%2]
+		c.merger.Add(env(member, 1, uint64(i), i))
+	}
+	c.merger.Flush()
+
+	got := c.Merged()
+	if len(got) != mergedCap {
+		t.Fatalf("retained %d envelopes, want %d", len(got), mergedCap)
+	}
+	for k, e := range got {
+		if want := uint64(extra + 1 + k); e.Seq != want {
+			t.Fatalf("position %d: seq %d, want %d (oldest first)", k, e.Seq, want)
+		}
+	}
+	if view := c.Cluster(); view.Evicted != extra || view.Merged != mergedCap+extra {
+		t.Fatalf("cluster view merged %d evicted %d, want %d and %d", view.Merged, view.Evicted, mergedCap+extra, extra)
+	}
+}
+
 func TestReportLogPaging(t *testing.T) {
 	l := NewReportLog(8)
 	for i := 1; i <= 5; i++ {

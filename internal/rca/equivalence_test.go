@@ -58,6 +58,7 @@ type eqRun struct {
 	explain func(*core.Report) ([]core.RootCause, *tracestore.RCAEvidence)
 	ref     *refEngine
 	names   []string // library operation names
+	poll    time.Duration
 	now     time.Time
 	nodes   []agent.NodeState
 	live    map[[2]string]bool    // node/metric series being polled
@@ -69,12 +70,14 @@ type eqRun struct {
 func newEqRun(t testing.TB, seed int64) *eqRun {
 	rng := rand.New(rand.NewSource(seed))
 	lib := scenario.CoreLibrary()
-	cfg := rca.Config{Lookback: []time.Duration{3 * time.Second, 20 * time.Second, 0}[rng.Intn(3)]}
-	r := &eqRun{t: t, rng: rng, store: rca.NewStore(), now: eqEpoch,
+	// The poll period sets how many samples the engine's 120 s lookback
+	// holds: about 3, 20 or 120.
+	poll := []time.Duration{40 * time.Second, 6 * time.Second, time.Second}[rng.Intn(3)]
+	r := &eqRun{t: t, rng: rng, store: rca.NewStore(), now: eqEpoch, poll: poll,
 		live: map[[2]string]bool{}, level: map[[2]string]float64{}, found: map[string]int{}}
-	r.prod = rca.NewEngine(lib, r.store, cfg)
+	r.prod = rca.NewEngine(lib, r.store, rca.Config{})
 	r.explain = r.prod.ExplainHook()
-	r.ref = newRefEngine(lib, r.store, cfg)
+	r.ref = newRefEngine(lib, r.store)
 	for _, fp := range lib.All() {
 		r.names = append(r.names, fp.Name)
 	}
@@ -110,7 +113,7 @@ func (r *eqRun) step(op byte) {
 	switch op % 12 {
 	case 0, 1, 2: // one poll of every live series; op 2 repeats the timestamp
 		if op%12 != 2 {
-			r.now = r.now.Add(time.Second)
+			r.now = r.now.Add(r.poll)
 		}
 		var u agent.StateUpdate
 		for _, nd := range r.nodes {
@@ -273,7 +276,7 @@ func FuzzRCAEquivalence(f *testing.F) {
 // fabric, and any difference in causes or evidence fails the test. It
 // returns the checking hook for reports the test builds by hand.
 func checkAgainstReference(t *testing.T, h *scenario.Harness) func(*core.Report) []core.RootCause {
-	ref := newRefEngine(h.Lib, rca.NewFabricSource(h.D.Fabric, h.D.Metrics), rca.Config{})
+	ref := newRefEngine(h.Lib, rca.NewFabricSource(h.D.Fabric, h.D.Metrics))
 	explain := h.Engine.ExplainHook()
 	hook := func(rep *core.Report) []core.RootCause {
 		got, gotEv := explain(rep)
@@ -354,7 +357,7 @@ func TestConcurrentApplyAndAnalyze(t *testing.T) {
 	store := rca.NewStore()
 	rec := &recordingSource{Store: store}
 	prod := rca.NewEngine(lib, rec, rca.Config{})
-	ref := newRefEngine(lib, replaySource{rec}, rca.Config{})
+	ref := newRefEngine(lib, replaySource{rec})
 
 	const polls = 400
 	var wg sync.WaitGroup

@@ -61,48 +61,27 @@ type StateSource interface {
 	MetricWindow(node, metric string, from, to time.Time) metrics.Window
 }
 
-// Config tunes the anomaly judgments over node state.
-type Config struct {
-	// Lookback bounds the metric window inspected before the fault; at
-	// most the 10 min of samples a Store retains.
-	Lookback time.Duration
-	// CPUHighPct flags sustained CPU above this level.
-	CPUHighPct float64
-	// DiskLowGB flags free disk below this level.
-	DiskLowGB float64
-	// MemHighFrac flags memory usage above this fraction of total.
-	MemHighFrac float64
-	// Shift configures the level-shift detector replayed over each
-	// metric window.
-	Shift tsoutliers.Options
-}
+// The anomaly judgments over node state: each node's metric windows
+// reach lookback behind the fault (within the sampleHorizon a Store
+// keeps), and CPU sustained above cpuHighPct, free disk below diskLowGB
+// and memory use above memHighFrac of the node's total are resource
+// causes.
+const (
+	lookback    = 120 * time.Second
+	cpuHighPct  = 85
+	diskLowGB   = 5
+	memHighFrac = 0.95
+)
 
-func (c *Config) defaults() {
-	if c.Lookback == 0 {
-		c.Lookback = 120 * time.Second
-	}
-	c.Lookback = min(c.Lookback, sampleHorizon)
-	if c.CPUHighPct == 0 {
-		c.CPUHighPct = 85
-	}
-	if c.DiskLowGB == 0 {
-		c.DiskLowGB = 5
-	}
-	if c.MemHighFrac == 0 {
-		c.MemHighFrac = 0.95
-	}
-	if c.Shift.MinSpread == 0 {
-		c.Shift.MinSpread = 1.5
-	}
-	if c.Shift.Warmup == 0 {
-		c.Shift.Warmup = 10
-	}
-}
+// Config is empty: the judgments' thresholds are the constants above.
+// It remains only because bench/, frozen between [benchmark] PRs, still
+// passes rca.Config{} to NewEngine; the ROADMAP's "Refresh the benchmark
+// contract" item deletes it together with NewEngine's parameter.
+type Config struct{}
 
 // Engine evaluates root causes against a deployment's observable state.
 // Safe for concurrent use.
 type Engine struct {
-	cfg Config
 	lib *fingerprint.Library
 	src StateSource
 
@@ -127,11 +106,12 @@ type judgment struct {
 }
 
 // NewEngine builds the engine over the fingerprint library (for
-// operation→node mapping) and a state source.
-func NewEngine(lib *fingerprint.Library, src StateSource, cfg Config) *Engine {
-	cfg.defaults()
-	return &Engine{cfg: cfg, lib: lib, src: src,
-		judged: make(map[string]*judgment), det: tsoutliers.New(cfg.Shift)}
+// operation→node mapping) and a state source. The level-shift detector
+// replayed over each metric window floors its spread at 1.5 and warms
+// up on 10 samples.
+func NewEngine(lib *fingerprint.Library, src StateSource, _ Config) *Engine {
+	return &Engine{lib: lib, src: src, judged: make(map[string]*judgment),
+		det: tsoutliers.New(tsoutliers.Options{MinSpread: 1.5, Warmup: 10})}
 }
 
 // fabricSource adapts the in-process simulation (fabric + collector).
@@ -324,7 +304,7 @@ func (e *Engine) judge(n *agent.NodeState, at time.Time) *judgment {
 	var wins [len(judgedMetrics)]metrics.Window
 	var ids [len(judgedMetrics)]metrics.WindowID
 	for i, m := range judgedMetrics {
-		wins[i] = e.src.MetricWindow(n.Name, m, at.Add(-e.cfg.Lookback), at)
+		wins[i] = e.src.MetricWindow(n.Name, m, at.Add(-lookback), at)
 		ids[i] = wins[i].ID
 	}
 	j := e.judged[n.Name]
@@ -356,17 +336,17 @@ func (e *Engine) judgeSeries(j *judgment, n *agent.NodeState, metric string, pts
 	detail := ""
 	switch metric {
 	case metrics.MetricDiskFree:
-		if st.Last < e.cfg.DiskLowGB {
+		if st.Last < diskLowGB {
 			detail = fmt.Sprintf("low free disk space (%.1f GB)", st.Last)
 		}
 	case metrics.MetricMemUsed:
-		if n.MemTotalMB > 0 && st.Last > e.cfg.MemHighFrac*n.MemTotalMB {
+		if n.MemTotalMB > 0 && st.Last > memHighFrac*n.MemTotalMB {
 			detail = fmt.Sprintf("memory exhaustion (%.0f MB used)", st.Last)
 		}
 	case metrics.MetricCPU:
 		shifted, to = e.levelShift(pts)
 		switch {
-		case st.Mean > e.cfg.CPUHighPct:
+		case st.Mean > cpuHighPct:
 			detail = fmt.Sprintf("sustained high CPU (mean %.1f%%)", st.Mean)
 		case shifted && to > st.Min+10:
 			detail = fmt.Sprintf("CPU usage surge (level shift to %.1f%%)", to)

@@ -567,7 +567,7 @@ func TestStoreTrimsToHorizon(t *testing.T) {
 			}
 		}
 	}
-	engine := rca.NewEngine(scenario.CoreLibrary(), store, rca.Config{Lookback: time.Hour})
+	engine := rca.NewEngine(scenario.CoreLibrary(), store, rca.Config{})
 	report := func(sec int) []core.RootCause {
 		return engine.Analyze(&core.Report{Fault: trace.Event{SrcNode: "n", Time: t0.Add(time.Duration(sec) * time.Second)}})
 	}
@@ -578,8 +578,8 @@ func TestStoreTrimsToHorizon(t *testing.T) {
 		t.Fatalf("report from before the horizon: %v", causes)
 	}
 	_, ev := engine.ExplainHook()(&core.Report{Fault: trace.Event{SrcNode: "n", Time: t0.Add((day - 1) * time.Second)}})
-	if m := ev.Nodes[0].Metrics; len(m) != 1 || m[0].Samples != horizon+1 {
-		t.Fatalf("an hour's lookback is capped at the horizon: %+v", m)
+	if m := ev.Nodes[0].Metrics; len(m) != 1 || m[0].Samples != 121 {
+		t.Fatalf("the judgment reads 120 s of the retained samples: %+v", m)
 	}
 }
 

@@ -38,31 +38,27 @@ func (s refSource) MetricWindow(node string, from, to time.Time) map[string][]me
 	return out
 }
 
+// refConfig is the engine's judgment thresholds as the reference
+// spells them out.
+type refConfig struct {
+	Lookback    time.Duration
+	CPUHighPct  float64
+	DiskLowGB   float64
+	MemHighFrac float64
+	Shift       tsoutliers.Options
+}
+
 type refEngine struct {
-	cfg rca.Config
+	cfg refConfig
 	lib *fingerprint.Library
 	src refSource
 }
 
-// newRefEngine applies the defaults the engine applied.
-func newRefEngine(lib *fingerprint.Library, src rca.StateSource, cfg rca.Config) *refEngine {
-	if cfg.Lookback == 0 {
-		cfg.Lookback = 120 * time.Second
-	}
-	if cfg.CPUHighPct == 0 {
-		cfg.CPUHighPct = 85
-	}
-	if cfg.DiskLowGB == 0 {
-		cfg.DiskLowGB = 5
-	}
-	if cfg.MemHighFrac == 0 {
-		cfg.MemHighFrac = 0.95
-	}
-	if cfg.Shift.MinSpread == 0 {
-		cfg.Shift.MinSpread = 1.5
-	}
-	if cfg.Shift.Warmup == 0 {
-		cfg.Shift.Warmup = 10
+// newRefEngine judges at the thresholds the engine judges at.
+func newRefEngine(lib *fingerprint.Library, src rca.StateSource) *refEngine {
+	cfg := refConfig{
+		Lookback: 120 * time.Second, CPUHighPct: 85, DiskLowGB: 5, MemHighFrac: 0.95,
+		Shift: tsoutliers.Options{MinSpread: 1.5, Warmup: 10},
 	}
 	return &refEngine{cfg: cfg, lib: lib, src: refSource{src}}
 }

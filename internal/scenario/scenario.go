@@ -30,7 +30,6 @@ type Options struct {
 	Seed     int64
 	Deploy   openstack.Config
 	Analyzer core.Config
-	RCA      rca.Config
 	WithRCA  bool
 	// Library is the fingerprint library the analyzer matches against.
 	// When nil, a library over the hand-written core operations is built
@@ -93,7 +92,7 @@ func New(opts Options) *Harness {
 
 	if opts.WithRCA {
 		src := rca.NewFabricSource(h.D.Fabric, h.D.Metrics)
-		h.Engine = rca.NewEngine(lib, src, opts.RCA)
+		h.Engine = rca.NewEngine(lib, src, rca.Config{})
 		h.Analyzer.SetRCA(h.Engine.Hook())
 	}
 	if opts.PollPeriod > 0 {

@@ -29,10 +29,8 @@ type Options struct {
 	Prefix string // segment files are <Prefix><first seq, 20 digits>.seg
 	Kinds  string // record kinds the resume scan accepts
 	// SegmentBytes rotates the active segment before an append that
-	// would take it past this size; SegmentAge, if positive, once it is
-	// this old, so retention can expire quiet periods too.
+	// would take it past this size.
 	SegmentBytes int64
-	SegmentAge   time.Duration
 	// SyncInterval is the fsync policy: an append fsyncs when the last
 	// fsync is at least this long ago — 0 is every append, negative
 	// never. Every append reaches the OS before it is acked (a process
@@ -77,7 +75,6 @@ type Log struct {
 	f      *os.File  // nil until the first append after Open or a rotation
 	w      io.Writer
 	active segment
-	opened time.Time
 	synced time.Time
 	last   uint64
 	stats  Stats
@@ -191,7 +188,7 @@ func (l *Log) Stats() Stats { return l.stats }
 // fresh one.
 func (l *Log) Append(recs []byte, n int) (acked int, err error) {
 	need := int64(len(recs))
-	if l.f != nil && (l.active.bytes+need > l.o.SegmentBytes || l.o.SegmentAge > 0 && time.Since(l.opened) >= l.o.SegmentAge) {
+	if l.f != nil && l.active.bytes+need > l.o.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return 0, err
 		}
@@ -232,7 +229,6 @@ func (l *Log) create() error {
 		l.w = l.o.WrapWriter(f)
 	}
 	l.active = segment{path: path, first: l.last + 1}
-	l.opened = time.Now()
 	l.stats.Segments++
 	return nil
 }

@@ -69,9 +69,6 @@ type Sim struct {
 // New returns a simulator whose clock starts at Epoch.
 func New() *Sim { return &Sim{now: Epoch} }
 
-// NewAt returns a simulator whose clock starts at the given time.
-func NewAt(t time.Time) *Sim { return &Sim{now: t} }
-
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time { return s.now }
 

@@ -142,14 +142,6 @@ func TestProcessed(t *testing.T) {
 	}
 }
 
-func TestNewAt(t *testing.T) {
-	at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	s := NewAt(at)
-	if !s.Now().Equal(at) {
-		t.Fatalf("Now() = %v, want %v", s.Now(), at)
-	}
-}
-
 func TestRunForRelative(t *testing.T) {
 	s := New()
 	s.RunFor(time.Minute)

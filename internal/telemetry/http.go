@@ -98,9 +98,6 @@ func SetReady(ok bool) {
 // booting (e.g. per replayed WAL segment) — it is just an atomic store.
 func SetNotReadyReason(reason string) { notReadyReason.Store(reason) }
 
-// Ready reports the current readiness bit.
-func Ready() bool { return ready.Load() }
-
 // healthz answers 200 "ok" once SetReady(true) has been called and
 // 503 before (and after SetReady(false), e.g. during drain) — with the
 // SetNotReadyReason detail when one is set, "starting" otherwise. The

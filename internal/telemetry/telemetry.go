@@ -455,11 +455,6 @@ func (r *Registry) RegisterFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// StartSpan opens a span recording into the named histogram. Hot paths
-// should cache the *Histogram and call its Start method instead of
-// paying the name lookup per event.
-func (r *Registry) StartSpan(name string) Span { return r.Histogram(name).Start() }
-
 // Provenance identifies the build and runtime a snapshot came from, so
 // every exported measurement — /metrics JSON, out/telemetry.json from
 // the experiments harness — carries the same answer to "which code, on how many cores, produced this".
@@ -620,9 +615,6 @@ func GetGauge(name string) *Gauge { return std.Gauge(name) }
 
 // GetHistogram returns a histogram from the default registry.
 func GetHistogram(name string) *Histogram { return std.Histogram(name) }
-
-// StartSpan opens a span on the default registry.
-func StartSpan(name string) Span { return std.StartSpan(name) }
 
 // Snap snapshots the default registry.
 func Snap() Snapshot { return std.Snapshot() }

@@ -249,7 +249,7 @@ func TestRegistryGetOrCreateAndReset(t *testing.T) {
 
 func TestSpanRecordsIntoHistogram(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartSpan("stage.x")
+	sp := r.Histogram("stage.x").Start()
 	time.Sleep(2 * time.Millisecond)
 	d := sp.End()
 	if d < 2*time.Millisecond {

@@ -241,7 +241,7 @@ func TestCaptureThroughAnalyzer(t *testing.T) {
 		Concurrency: 100, Events: 1500, FaultEvery: 101, Seed: 9,
 	})
 	dir := t.TempDir()
-	l, err := wal.Open(wal.Options{Dir: dir, CursorEvery: 1})
+	l, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@
 // quarantined. This package owns what goes in the records and beside
 // them: the event codec and the consumer cursor.
 //
-// Segments are named wal-<first-seq>.seg and rotate on a size or age
-// bound; retention drops whole closed segments oldest-first to hold a
+// Segments are named wal-<first-seq>.seg and rotate on a size bound;
+// retention drops whole closed segments oldest-first to hold a
 // byte budget. Appends reach the OS on every call — a kill -9 after
 // an append returns loses nothing — while fsync (surviving machine crashes)
 // is policy-controlled: none, interval, or every. An I/O error costs the
@@ -88,6 +88,9 @@ const (
 	// sequence the analyzer has fully processed. Written atomically
 	// (tmp + rename) so a crash never leaves a torn cursor.
 	cursorFile = "CURSOR"
+	// cursorEvery is how many MarkProcessed advances persist the cursor
+	// (it is always persisted on Sync and Close).
+	cursorEvery = 4096
 )
 
 // Fsync selects the durability policy for appends.
@@ -140,9 +143,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it would exceed this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// SegmentAge rotates a non-empty active segment older than this,
-	// so retention can expire quiet periods too (0 disables).
-	SegmentAge time.Duration
 	// Fsync is the durability policy (default FsyncInterval).
 	Fsync Fsync
 	// FsyncInterval is the FsyncInterval policy's flush period
@@ -151,10 +151,6 @@ type Options struct {
 	// RetainBytes drops closed segments oldest-first once the log
 	// exceeds this budget (default 1 GiB; negative retains everything).
 	RetainBytes int64
-	// CursorEvery persists the consumer cursor after this many
-	// MarkProcessed advances (default 4096; it is always persisted on
-	// Sync and Close).
-	CursorEvery uint64
 	// WrapWriter, when set, wraps the segment file before the buffered
 	// writer — the chaos tests inject torn writes, short writes, and
 	// bit flips here. Sync still reaches the underlying file.
@@ -170,9 +166,6 @@ func (o *Options) defaults() {
 	}
 	if o.RetainBytes == 0 {
 		o.RetainBytes = 1 << 30
-	}
-	if o.CursorEvery == 0 {
-		o.CursorEvery = 4096
 	}
 }
 
@@ -217,7 +210,7 @@ func Open(opts Options) (*Log, error) {
 	}
 	seg, err := seglog.Open(seglog.Options{
 		Dir: opts.Dir, Prefix: segPrefix, Kinds: eventKinds,
-		SegmentBytes: opts.SegmentBytes, SegmentAge: opts.SegmentAge,
+		SegmentBytes: opts.SegmentBytes,
 		SyncInterval: sync, RetainBytes: opts.RetainBytes, WrapWriter: opts.WrapWriter,
 	})
 	if err != nil {
@@ -362,7 +355,7 @@ func (l *Log) Sync() error {
 // MarkProcessed advances the durable consumer cursor: every record at
 // or below seq has been fully processed by the consumer, so a restart
 // may treat them as already-reported history. The cursor is persisted
-// every Options.CursorEvery advances and on Sync/Close; report
+// every cursorEvery advances and on Sync/Close; report
 // emission across a crash boundary is therefore at-least-once, while
 // the log itself stays exactly-once.
 func (l *Log) MarkProcessed(seq uint64) {
@@ -370,7 +363,7 @@ func (l *Log) MarkProcessed(seq uint64) {
 		return
 	}
 	l.cursor = seq
-	if l.cursor-l.cursorPersisted >= l.opts.CursorEvery {
+	if l.cursor-l.cursorPersisted >= cursorEvery {
 		if err := l.saveCursor(); err != nil {
 			telemetry.LogFirst("wal.cursor", "wal: persisting cursor: %v", err)
 		}
@@ -433,14 +426,3 @@ func saveCursor(dir string, seq uint64) error {
 // log — boot recovery decides report suppression from it before the
 // writer exists (0 when absent: replay everything, report everything).
 func LoadCursor(dir string) uint64 { return loadCursor(dir) }
-
-// RemoveCursor deletes the persisted cursor, turning the next boot
-// replay into a full from-scratch reanalysis. Missing cursors are not
-// an error.
-func RemoveCursor(dir string) error {
-	err := os.Remove(filepath.Join(dir, cursorFile))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}

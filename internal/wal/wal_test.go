@@ -216,18 +216,6 @@ func TestRotationAndRetention(t *testing.T) {
 	}
 }
 
-func TestAgeRotation(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, SegmentAge: time.Millisecond})
-	l.AppendBatch(testEvents(1))
-	time.Sleep(5 * time.Millisecond)
-	l.AppendBatch(testEvents(1))
-	if l.Stats().Rotated != 1 {
-		t.Fatalf("aged segment not rotated: %+v", l.Stats())
-	}
-	l.Close()
-}
-
 func TestFsyncPolicies(t *testing.T) {
 	evs := testEvents(50)
 	for _, tc := range []struct {
@@ -415,22 +403,26 @@ func TestRecoveryGarbageBetweenRecords(t *testing.T) {
 
 func TestCursorPersistsAtomically(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
-	evs := testEvents(10)
+	l, _ := Open(Options{Dir: dir})
+	const n = cursorEvery + 10
+	evs := testEvents(n)
 	for i := range evs {
 		seq, _ := l.AppendBatch(evs[i : i+1])
 		l.MarkProcessed(seq)
 	}
+	if got := LoadCursor(dir); got != cursorEvery {
+		t.Fatalf("cursor persisted at %d before Close, want %d", got, cursorEvery)
+	}
 	l.Close()
 
 	l2, _ := Open(Options{Dir: dir})
-	if l2.Cursor() != 10 {
-		t.Fatalf("cursor %d after restart, want 10", l2.Cursor())
+	if l2.Cursor() != n {
+		t.Fatalf("cursor %d after restart, want %d", l2.Cursor(), n)
 	}
 	l2.Close()
 
-	if err := RemoveCursor(dir); err != nil {
-		t.Fatalf("RemoveCursor: %v", err)
+	if err := os.Remove(filepath.Join(dir, cursorFile)); err != nil {
+		t.Fatal(err)
 	}
 	l3, _ := Open(Options{Dir: dir})
 	if l3.Cursor() != 0 {
@@ -441,7 +433,7 @@ func TestCursorPersistsAtomically(t *testing.T) {
 
 func TestCursorClampedToDurableLog(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
+	l, _ := Open(Options{Dir: dir})
 	evs := testEvents(5)
 	for i := range evs {
 		seq, _ := l.AppendBatch(evs[i : i+1])

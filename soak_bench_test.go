@@ -6,6 +6,7 @@ package gretel_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,16 @@ func BenchmarkChaosSoak(b *testing.B) {
 	})
 }
 
+// awaitFlushed paces a soak's sender by volume: it yields until the
+// writer has flushed every frame spooled so far, or for at most 50 ms
+// while the connection is down (a chaos reset, a killed member).
+func awaitFlushed(snd *agent.Sender) {
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for st := snd.Stats(); st.Flushed+st.Shed < st.Assigned && time.Now().Before(deadline); st = snd.Stats() {
+		runtime.Gosched()
+	}
+}
+
 type soakMetrics struct {
 	delivered, missing, dups, gaps uint64
 	rate                           float64
@@ -97,9 +108,9 @@ func chaosSoak(lib *fingerprint.Library, events []trace.Event) (soakMetrics, err
 		for i := range events {
 			snd.Send(events[i])
 			if i%16 == 15 {
-				// Brief throttle so the writer flushes many small chunks,
-				// giving per-write fault injection frame boundaries to hit.
-				time.Sleep(50 * time.Microsecond)
+				// Let the writer flush many small chunks, giving per-write
+				// fault injection frame boundaries to hit.
+				awaitFlushed(snd)
 			}
 		}
 		deadline := time.Now().Add(60 * time.Second)
@@ -277,7 +288,7 @@ func fleetSoak(lib *fingerprint.Library, streams [][]trace.Event, kill bool) (fl
 				if j%16 == 15 {
 					// Let the writer flush so frames actually reach the
 					// owner instead of piling up in the spool.
-					time.Sleep(50 * time.Microsecond)
+					awaitFlushed(snd)
 				}
 			}
 			deadline := time.Now().Add(60 * time.Second)
