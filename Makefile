@@ -26,7 +26,7 @@ loc:
 # The ratchet on that number: fail when the total exceeds the ceiling.
 # A PR that removes code lowers LOC_CEILING to its new total; one that
 # must raise it says why in CHANGES.md.
-LOC_CEILING := 19904
+LOC_CEILING := 19892
 
 loc-gate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

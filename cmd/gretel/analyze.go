@@ -100,7 +100,7 @@ func runAnalyze(args []string) error {
 	var recvPtr atomic.Pointer[agent.Receiver]
 	var mounts []telemetry.Mount
 	if *telAddr != "" {
-		reportLog = federation.NewReportLog(0)
+		reportLog = federation.NewReportLog()
 		if traces != nil {
 			h := traces.Handler()
 			mounts = append(mounts,

@@ -2,12 +2,15 @@ package agent
 
 import (
 	"io"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gretel/internal/core"
 	"gretel/internal/fingerprint"
+	"gretel/internal/seglog"
+	"gretel/internal/telemetry"
 	"gretel/internal/trace"
 	"gretel/internal/wal"
 )
@@ -262,7 +265,8 @@ func TestAgentRestartStartsNewSession(t *testing.T) {
 }
 
 // TestReceiverHelloSessionStateMachine pins the tracker transitions
-// directly: reconnect vs shed-while-away vs new session vs legacy hello.
+// directly: reconnect vs shed-while-away vs new session, and a refused
+// hello.
 func TestReceiverHelloSessionStateMachine(t *testing.T) {
 	recv, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
@@ -298,9 +302,20 @@ func TestReceiverHelloSessionStateMachine(t *testing.T) {
 	if !admit(4) {
 		t.Fatal("new session's frames rejected")
 	}
-	recv.hello(a, 0, 0) // legacy sender: no session info, no state change
-	if st := recv.AgentStats()[a]; st.LastSeq != 4 {
-		t.Fatalf("legacy hello mutated state: %+v", st)
+	// A hello with no session, or one that does not parse, is refused on
+	// the wire: counted as a decode error, with no state change.
+	decode := telemetry.GetCounter("transport.decode_errors")
+	before := decode.Value()
+	conn, err := net.Dial("tcp", recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(helloFrame(a, 0, 0))
+	conn.Write(seglog.AppendRecord(nil, frameHello, 0, []byte(`{"agent":`)))
+	waitCounterAbove(t, decode, before+1)
+	if stats := recv.AgentStats(); len(stats) != 1 || stats[a].LastSeq != 4 || stats[a].Missing != 9 {
+		t.Fatalf("refused hellos mutated state: %+v", stats)
 	}
 }
 

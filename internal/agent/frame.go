@@ -48,11 +48,11 @@ const (
 // case did this receiver lose anything). Base is the sequence number
 // immediately before the first frame this connection can replay; frames
 // at or below it are unrecoverable on this session and are the
-// receiver's starting point, not a gap. Zero values keep the legacy
-// (session-less) behavior for old senders.
+// receiver's starting point, not a gap. A Sender always sends a
+// session; the receiver refuses a hello without one.
 type helloBody struct {
 	Agent   string `json:"agent"`
-	Session uint64 `json:"session,omitempty"`
+	Session uint64 `json:"session"`
 	Base    uint64 `json:"base,omitempty"`
 }
 

@@ -413,6 +413,10 @@ func (s *Sender) rewind() (base uint64) {
 // errSenderStopped signals an orderly stop through the writer loop.
 var errSenderStopped = fmt.Errorf("agent: sender stopped")
 
+// errNoSession refuses a hello that names no sender incarnation: the
+// receiver could not tell a reconnect from a restart.
+var errNoSession = fmt.Errorf("hello carries no session")
+
 // run is the background writer: dial with backoff, stream the ring,
 // redial on error. One goroutine per sender.
 func (s *Sender) run() {
@@ -912,17 +916,12 @@ func (r *Receiver) touchLocked(agent string, now time.Time) *agentState {
 // repeated hello for the session already being tracked is a reconnect;
 // a base that moved past lastSeq means frames were shed from the ring
 // while disconnected and can never be replayed, which is a real gap.
-// Session-less hellos (legacy senders) keep the old behavior, where
-// admitRun treats any backward jump as duplicates and any forward jump
-// as a gap.
+// session is never 0: the connection loop refuses a session-less hello.
 func (r *Receiver) hello(agent string, session, base uint64) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.touchLocked(agent, now)
-	if session == 0 {
-		return
-	}
 	if st.session != session {
 		st.session = session
 		st.lastSeq = base
@@ -1120,7 +1119,17 @@ func (r *Receiver) serve(conn net.Conn) {
 		switch kind {
 		case frameHello:
 			var h helloBody
-			if json.Unmarshal(body, &h) == nil && h.Agent != "" {
+			derr := json.Unmarshal(body, &h)
+			if derr == nil && h.Session == 0 {
+				derr = errNoSession
+			}
+			if derr != nil {
+				mDecodeErrors.Inc()
+				telemetry.LogFirst("transport.decode",
+					"agent: refused hello from %s: %v; skipping", conn.RemoteAddr(), derr)
+				continue
+			}
+			if h.Agent != "" {
 				agent = h.Agent
 			}
 			r.hello(agent, h.Session, h.Base)

@@ -435,8 +435,7 @@ func TestReceiverRecordsGapAndDedups(t *testing.T) {
 	}
 	defer conn.Close()
 
-	hello, _ := json.Marshal(helloBody{Agent: "gap-agent"})
-	conn.Write(seglog.AppendRecord(nil, frameHello, 0, hello))
+	conn.Write(helloFrame("gap-agent", 1, 0))
 	mk := func(seq uint64) []byte { return binFrame(seq, sampleEvent(seq)) }
 	conn.Write(mk(1))
 	conn.Write(mk(5)) // gap: 2,3,4 missing

@@ -336,11 +336,13 @@ type Analyzer struct {
 	capOne  [1]trace.Event
 }
 
-// New builds an analyzer over a learned fingerprint library. When
-// cfg.DetectWorkers is non-zero the detection worker pool starts
-// immediately; call Close to stop it (Flush alone drains it).
+// New builds an analyzer over a learned fingerprint library and freezes
+// the library: adding to it afterwards panics. When cfg.DetectWorkers
+// is non-zero the detection worker pool starts immediately; call Close
+// to stop it (Flush alone drains it).
 func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 	cfg.defaults(lib)
+	lib.Freeze()
 	a := &Analyzer{
 		cfg:      cfg,
 		lib:      lib,
@@ -873,9 +875,9 @@ func (a *Analyzer) upstreamAPI(faultEv *trace.Event, errs []trace.Event) trace.A
 // goroutine and returns the report without recording it: no RCA, no
 // OnReport, no Stats. It is what dispatch runs inline, exposed so the
 // operation-detection stage can be measured alone (BenchmarkOpdetect).
-// Like Ingest, call it from the receiver goroutine only: a snapshot
-// frozen without window words (window.Push) has them filled here,
-// through the analyzer's API table, as ingest would have.
+// Like Ingest, call it from the receiver goroutine only (it works in the
+// inline scratch): a snapshot frozen without window words (window.Push)
+// has them filled here by Word, as ingest would have.
 func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Duration, snap *window.Snapshot) *Report {
 	return a.detect(&a.scratch, fault, kind, latency, snap, a.snapWords(snap), false)
 }
@@ -883,11 +885,10 @@ func (a *Analyzer) Detect(fault trace.Event, kind FaultKind, latency time.Durati
 // Word returns ev's window word as ingest pushes it beside ev
 // (window.Dual.PushSeq): its API's symbol and whether it is a request,
 // an RPC, an error. A caller freezing its own snapshots pushes it to
-// freeze them as the analyzer does. Call it from the receiver goroutine
-// only: it resolves ev's API in the analyzer's table.
+// freeze them as the analyzer does. It is a pure function of the frozen
+// library and ev, safe from any goroutine.
 func (a *Analyzer) Word(ev *trace.Event) uint32 {
-	w, _ := a.apis.word(ev)
-	return w
+	return eventWord(apiWord(a.lib.Table, &ev.API), ev)
 }
 
 // snapWords returns snap's window words, filling them into the inline

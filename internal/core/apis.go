@@ -22,15 +22,38 @@ const (
 const _ = uint16(symbol.Max - 1)
 
 // apiRec is everything the analyzer keeps about one API: the word bits
-// of its identity, looked up in the library's symbol table once, and its
+// of its identity, computed once when the record is created, and its
 // latency state.
 type apiRec struct {
 	api  trace.API
-	word uint32 // wRPC, wKnown and the symbol
-	// seen is the symbol table's size when an unknown API was last
-	// looked up; a larger table is looked up again.
-	seen int
+	word uint32  // apiWord's bits
 	lat  *apiLat // nil until the API's first paired response
+}
+
+// apiWord returns the word bits of api's identity: wRPC for an RPC, and
+// wKnown with its symbol when the library has one. The library is frozen
+// at New, so the bits never change.
+func apiWord(syms *symbol.Table, api *trace.API) uint32 {
+	var w uint32
+	if api.Kind == trace.RPC {
+		w = wRPC
+	}
+	if r, ok := syms.Lookup(*api); ok {
+		w |= wKnown | uint32(r)<<wSymShift
+	}
+	return w
+}
+
+// eventWord adds ev's own bits to its API's: whether it opens an
+// exchange and whether it carries an error status.
+func eventWord(api uint32, ev *trace.Event) uint32 {
+	if ev.Type.Request() {
+		api |= wRequest
+	}
+	if ev.Faulty() {
+		api |= wFaulty
+	}
+	return api
 }
 
 // apiSlotBits sizes the front table at 4096 slots (16 KiB), about six
@@ -93,50 +116,23 @@ func le64(s string) uint64 {
 func (t *apiTable) resolve(api *trace.API) *apiRec {
 	f := t.slot(api)
 	if i := *f; i > 0 && t.recs[i-1].api == *api {
-		return t.recheck(&t.recs[i-1])
+		return &t.recs[i-1]
 	}
 	i, ok := t.index[*api]
 	if !ok {
-		t.recs = append(t.recs, apiRec{api: *api, seen: -1})
+		t.recs = append(t.recs, apiRec{api: *api, word: apiWord(t.syms, api)})
 		i = int32(len(t.recs))
 		t.index[*api] = i
 	}
 	*f = i
-	return t.recheck(&t.recs[i-1])
+	return &t.recs[i-1]
 }
 
-// recheck looks rec's API up in the symbol table while it has no symbol
-// and the table has grown since the last look — what a lookup at detect
-// time would find.
-func (t *apiTable) recheck(rec *apiRec) *apiRec {
-	if rec.word&wKnown != 0 {
-		return rec
-	}
-	if n := t.syms.Len(); rec.seen != n {
-		rec.seen = n
-		if rec.api.Kind == trace.RPC {
-			rec.word = wRPC
-		}
-		if r, ok := t.syms.Lookup(rec.api); ok {
-			rec.word |= wKnown | uint32(r)<<wSymShift
-		}
-	}
-	return rec
-}
-
-// word resolves ev's API and returns ev's window word with the API's
-// record. Ingest pushes the word; Detect fills it for snapshots frozen
-// without words.
+// word resolves ev's API and returns ev's window word, as ingest pushes
+// it, with the API's record.
 func (t *apiTable) word(ev *trace.Event) (uint32, *apiRec) {
 	rec := t.resolve(&ev.API)
-	w := rec.word
-	if ev.Type.Request() {
-		w |= wRequest
-	}
-	if ev.Faulty() {
-		w |= wFaulty
-	}
-	return w, rec
+	return eventWord(rec.word, ev), rec
 }
 
 // latency returns api's latency state, nil when it never paired.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"gretel/internal/symbol"
@@ -52,25 +54,31 @@ func TestAPITableFrontCollisions(t *testing.T) {
 	}
 }
 
-// TestAPITableLateSymbol sights an API before the library assigns it a
-// symbol: its word has none then, and the first resolve after the table
-// grows must find the symbol a live Lookup finds — in the pattern too.
-func TestAPITableLateSymbol(t *testing.T) {
+// TestAddAPIsAfterNewPanics: New freezes the library, so adding a
+// fingerprint afterwards panics, naming it, and leaves the library and
+// its symbol table as they were — an API the library never learned keeps
+// a word with no symbol.
+func TestAddAPIsAfterNewPanics(t *testing.T) {
 	lib := testLib()
 	a := New(lib, Config{Alpha: 16})
+	n, apis := lib.Len(), lib.Table.APIs()
 	late := post("/late")
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, `"op-late"`) {
+				t.Fatalf("AddAPIs after New: recovered %q, want a panic naming op-late", msg)
+			}
+		}()
+		lib.AddAPIs("op-late", "Compute", []trace.API{get("/list"), late, post("/boom")})
+	}()
+	if lib.Len() != n || lib.ByName("op-late") != nil || !slices.Equal(lib.Table.APIs(), apis) {
+		t.Fatalf("library changed: %d fingerprints (want %d), %d symbols (want %d)", lib.Len(), n, lib.Table.Len(), len(apis))
+	}
+	if _, ok := lib.Table.Lookup(late); ok {
+		t.Fatal("the refused fingerprint's API has a symbol")
+	}
 	ev := trace.Event{Type: trace.RESTRequest, API: late}
-	if w, _ := a.apis.word(&ev); w != wRequest {
-		t.Fatalf("unassigned API: word %#x, want only wRequest", w)
-	}
-	lib.AddAPIs("op-late", "Compute", []trace.API{get("/list"), late, post("/boom")})
-	w, _ := a.apis.word(&ev)
-	r, ok := lib.Table.Lookup(late)
-	if !ok || w != wRequest|wKnown|uint32(r)<<wSymShift {
-		t.Fatalf("after assignment: word %#x, Lookup %q %v", w, r, ok)
-	}
-	fault, snap := frozen(get("/list"), late, post("/boom"))
-	if rep := a.Detect(fault, Operational, 0, snap); len(rep.Candidates) != 1 || rep.Candidates[0] != "op-late" {
-		t.Fatalf("candidates %v, want [op-late]", rep.Candidates)
+	if w, _ := a.apis.word(&ev); w != wRequest || a.Word(&ev) != wRequest {
+		t.Fatalf("unassigned API: words %#x, %#x, want only wRequest", w, a.Word(&ev))
 	}
 }

@@ -40,3 +40,10 @@ func (a *Analyzer) IngestInline(ev trace.Event) {
 		}
 	}
 }
+
+// ArmWindow arms a freeze point at the newest message of the analyzer's
+// window, as a fault does (window.Dual.Arm), and WindowPushed is the
+// window's push count: together they let a test read back the words
+// ingest pushed.
+func (a *Analyzer) ArmWindow(onReady func(*window.Snapshot)) { a.win.Arm(onReady) }
+func (a *Analyzer) WindowPushed() uint64                     { return a.win.Pushed() }

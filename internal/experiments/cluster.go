@@ -97,7 +97,7 @@ func Cluster(seed int64, events int) (ClusterResult, error) {
 			return ClusterResult{}, err
 		}
 		a := core.New(lib, core.Config{Alpha: 256, Member: name})
-		lg := federation.NewReportLog(0)
+		lg := federation.NewReportLog()
 		a.OnReport(lg.Record)
 		mux := http.NewServeMux()
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) })

@@ -241,7 +241,7 @@ func TestCoordinatorMergedRingPastCap(t *testing.T) {
 }
 
 func TestReportLogPaging(t *testing.T) {
-	l := NewReportLog(8)
+	l := NewReportLog()
 	for i := 1; i <= 5; i++ {
 		logReport(l, i)
 	}
@@ -264,27 +264,27 @@ func TestReportLogPaging(t *testing.T) {
 }
 
 func TestReportLogEviction(t *testing.T) {
-	l := NewReportLog(4)
-	for i := 1; i <= 10; i++ {
+	l := NewReportLog()
+	for i := 1; i <= reportLogCap+6; i++ {
 		logReport(l, i)
 	}
-	if l.Len() != 4 {
+	if l.Len() != reportLogCap {
 		t.Fatalf("len = %d", l.Len())
 	}
 	page := l.Page(0)
-	if page.First != 7 || page.Next != 11 {
+	if page.First != 7 || page.Next != reportLogCap+7 {
 		t.Fatalf("bounds after eviction: first=%d next=%d", page.First, page.Next)
 	}
 	// A cursor pointing into the evicted range only sees what's retained;
 	// the gap is visible as First > since+1.
 	stale := l.Page(2)
-	if len(stale.Reports) != 4 || stale.Reports[0].Seq != 7 {
+	if len(stale.Reports) != reportLogCap || stale.Reports[0].Seq != 7 {
 		t.Fatalf("stale cursor page: %+v", stale.Reports)
 	}
 }
 
 func TestReportLogHandler(t *testing.T) {
-	l := NewReportLog(8)
+	l := NewReportLog()
 	logReport(l, 1)
 	logReport(l, 2)
 	srv := httptest.NewServer(l.Handler())
@@ -322,7 +322,7 @@ type testMember struct {
 
 func newTestMember(t *testing.T, name string) *testMember {
 	t.Helper()
-	m := &testMember{name: name, log: NewReportLog(256)}
+	m := &testMember{name: name, log: NewReportLog()}
 	m.up.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -361,7 +361,7 @@ func (m *testMember) record(id int) {
 func (m *testMember) restart() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.log = NewReportLog(256)
+	m.log = NewReportLog()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -53,7 +53,7 @@ func TestOneMemberFederationParity(t *testing.T) {
 
 	// Federated member: identical config, reports captured by a
 	// ReportLog and served to a 1-member coordinator.
-	log := federation.NewReportLog(1024)
+	log := federation.NewReportLog()
 	member := core.New(lib, core.Config{})
 	member.OnReport(log.Record)
 	replay.Drive(member, stream)

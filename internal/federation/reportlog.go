@@ -51,16 +51,16 @@ type ReportLog struct {
 	evicted uint64 // entries pushed out of the ring, for accounting
 }
 
-// NewReportLog builds a log retaining up to capacity reports (default
-// 4096). The boot id is taken from the wall clock so every process
-// incarnation gets a distinct one.
-func NewReportLog(capacity int) *ReportLog {
-	if capacity <= 0 {
-		capacity = 4096
-	}
+// reportLogCap is how many reports a ReportLog retains.
+const reportLogCap = 4096
+
+// NewReportLog builds a log retaining the last reportLogCap reports. The
+// boot id is taken from the wall clock so every process incarnation gets
+// a distinct one.
+func NewReportLog() *ReportLog {
 	return &ReportLog{
 		boot: uint64(time.Now().UnixNano()),
-		ring: make([]LogEntry, capacity),
+		ring: make([]LogEntry, reportLogCap),
 		next: 1,
 	}
 }

@@ -288,12 +288,14 @@ func apiKey(apis []trace.API) string {
 // their compiled form (program.go): per-fingerprint match programs in two
 // flat stores, and the per-symbol posting lists used to pre-select
 // candidate operations for a fault (GET_POSSIBLE_OFFENDING_OPERATIONS in
-// Algorithm 2). AddAPIs compiles eagerly; once the last fingerprint is
-// added the library is immutable and safe for concurrent readers.
+// Algorithm 2). AddAPIs compiles eagerly. Freeze ends learning: from
+// then on the library and its symbol table are immutable, and any number
+// of goroutines read them without a lock.
 type Library struct {
 	Table  *symbol.Table
 	fps    []*Fingerprint
 	byName map[string]*Fingerprint
+	frozen bool
 
 	forms   [][2]form    // by fingerprint index: unpruned, RPC-pruned
 	runes   []rune       // symbol store the forms point into
@@ -318,8 +320,11 @@ func (l *Library) Add(name, category string, traces [][]trace.API, nf *NoiseFilt
 }
 
 // AddAPIs registers a fingerprint from an already-learned API sequence
-// and compiles it.
+// and compiles it. It panics once the library is frozen.
 func (l *Library) AddAPIs(name, category string, apis []trace.API) *Fingerprint {
+	if l.frozen {
+		panic(fmt.Sprintf("fingerprint: AddAPIs(%q) on a frozen library", name))
+	}
 	id := int32(len(l.fps))
 	fp := &Fingerprint{Name: name, Category: category, APIs: apis, lib: l, id: id}
 	fp.Symbols = make([]rune, len(apis))
@@ -367,6 +372,10 @@ func (l *Library) AddAPIs(name, category string, apis []trace.API) *Fingerprint 
 	}
 	return fp
 }
+
+// Freeze makes the library immutable: core.New calls it, so an analyzer
+// never reads a library that can still grow.
+func (l *Library) Freeze() { l.frozen = true }
 
 // Len reports the number of fingerprints (the paper's N).
 func (l *Library) Len() int { return len(l.fps) }

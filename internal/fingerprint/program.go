@@ -4,8 +4,8 @@
 // each candidate's mandatory run and final symbol to the columns of the
 // snapshot pattern's next-occurrence Index once per snapshot, straight
 // from that record, and walks it with one table load per symbol.
-// Nothing here is written after AddAPIs returns, so concurrent detect
-// workers share it without locks.
+// Nothing here is written once the library is frozen (core.New freezes
+// it), so concurrent detect workers share it without locks.
 
 package fingerprint
 

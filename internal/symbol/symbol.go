@@ -9,9 +9,7 @@
 package symbol
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"gretel/internal/trace"
 )
@@ -24,77 +22,52 @@ const Max rune = 0xF8FF + 1
 
 // Table assigns stable runes to APIs. Assignment order determines the rune,
 // so building the table deterministically (e.g. from a sorted API catalog)
-// yields identical encodings across runs. Table is safe for concurrent use.
+// yields identical encodings across runs. A table is built offline, with
+// the fingerprint library that owns it, and only read once the library is
+// frozen: it holds no lock, and any number of goroutines may read it
+// while none assigns.
 type Table struct {
-	mu     sync.RWMutex
 	byAPI  map[trace.API]rune
-	byRune map[rune]trace.API
-	next   rune
-	// size is len(byAPI), readable without the lock.
-	size atomic.Int32
+	byRune []trace.API // in assignment order: rune Base+i is byRune[i]
 }
 
 // NewTable returns an empty symbol table.
 func NewTable() *Table {
-	return &Table{
-		byAPI:  make(map[trace.API]rune),
-		byRune: make(map[rune]trace.API),
-		next:   Base,
-	}
+	return &Table{byAPI: make(map[trace.API]rune)}
 }
 
 // Assign returns the rune for api, allocating one if it has not been seen.
 // It panics if the private-use area is exhausted (far beyond OpenStack's
 // 643 APIs; exhaustion indicates a bug in the caller).
 func (t *Table) Assign(api trace.API) rune {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if r, ok := t.byAPI[api]; ok {
 		return r
 	}
-	if t.next >= Max {
+	r := Base + rune(len(t.byRune))
+	if r >= Max {
 		panic("symbol: private-use area exhausted")
 	}
-	r := t.next
-	t.next++
 	t.byAPI[api] = r
-	t.size.Add(1)
-	t.byRune[r] = api
+	t.byRune = append(t.byRune, api)
 	return r
 }
 
 // Lookup returns the rune for api without allocating.
 func (t *Table) Lookup(api trace.API) (rune, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	r, ok := t.byAPI[api]
 	return r, ok
 }
 
 // API returns the API a rune was assigned to.
 func (t *Table) API(r rune) (trace.API, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	api, ok := t.byRune[r]
-	return api, ok
+	if i := int(r - Base); r >= Base && i < len(t.byRune) {
+		return t.byRune[i], true
+	}
+	return trace.API{}, false
 }
 
-// Len reports how many APIs have been assigned symbols. It takes no
-// lock, so a reader may poll it per event to learn the table has grown.
-func (t *Table) Len() int { return int(t.size.Load()) }
+// Len reports how many APIs have been assigned symbols.
+func (t *Table) Len() int { return len(t.byRune) }
 
 // APIs returns all assigned APIs in rune order (i.e. assignment order).
-func (t *Table) APIs() []trace.API {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	runes := make([]rune, 0, len(t.byRune))
-	for r := range t.byRune {
-		runes = append(runes, r)
-	}
-	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
-	out := make([]trace.API, len(runes))
-	for i, r := range runes {
-		out[i] = t.byRune[r]
-	}
-	return out
-}
+func (t *Table) APIs() []trace.API { return slices.Clone(t.byRune) }

@@ -2,7 +2,6 @@ package symbol
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
@@ -120,34 +119,6 @@ func TestAPIsOrdered(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("APIs()[%d] = %v, want %v (assignment order)", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConcurrentAssign(t *testing.T) {
-	tb := NewTable()
-	var wg sync.WaitGroup
-	const workers = 8
-	runes := make([][]rune, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				runes[w] = append(runes[w], tb.Assign(api(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	if tb.Len() != 100 {
-		t.Fatalf("Len() = %d, want 100 (concurrent Assign must dedupe)", tb.Len())
-	}
-	for w := 1; w < workers; w++ {
-		for i := 0; i < 100; i++ {
-			if runes[w][i] != runes[0][i] {
-				t.Fatalf("worker %d saw different rune for api %d", w, i)
-			}
 		}
 	}
 }

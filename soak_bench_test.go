@@ -218,7 +218,7 @@ func fleetSoak(lib *fingerprint.Library, streams [][]trace.Event, kill bool) (fl
 		m := &fedMember{
 			name: name, addr: recv.Addr(), recv: recv,
 			core: core.New(lib, core.Config{Alpha: 256, Member: name}),
-			log:  federation.NewReportLog(0),
+			log:  federation.NewReportLog(),
 			done: make(chan struct{}),
 		}
 		m.core.OnReport(m.log.Record)
