@@ -9,7 +9,6 @@ import (
 	"gretel/internal/agent"
 	"gretel/internal/cluster"
 	"gretel/internal/faults"
-	"gretel/internal/federation"
 	"gretel/internal/openstack"
 	"gretel/internal/tempest"
 	"gretel/internal/trace"
@@ -19,9 +18,7 @@ import (
 // (collectd samples and dependency watchers, §5.1).
 const statePeriod = 5 * time.Second
 
-// runAgent is the monitoring layer against a simulated deployment. With
-// -coord, all of the deployment's streams share one partition key
-// (-name), because REST/RPC pairing spans its nodes.
+// runAgent is the monitoring layer against a simulated deployment.
 func runAgent(args []string) error {
 	p := newProc("agent")
 	fs := p.fs
@@ -38,8 +35,6 @@ func runAgent(args []string) error {
 		heartbeat    = fs.Duration("heartbeat", time.Second, "liveness heartbeat period per agent stream (negative disables)")
 		spool        = fs.Int("spool", 4096, "frames spooled in memory per stream while the analyzer is unreachable (oldest shed beyond this)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "wait this long at exit for spooled frames to flush (0 means 2s)")
-		coordURL     = fs.String("coord", "", "gretel coord base URL: resolve the analyzer via GET /assign before every dial, overriding -analyzer (empty disables)")
-		partKey      = fs.String("name", "agent", "federation partition key reported to -coord; one key per deployment, since event pairing spans its nodes")
 	)
 	err := p.parse(args, func() error {
 		switch {
@@ -61,15 +56,6 @@ func runAgent(args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	// Federated mode: the resolver runs before every dial attempt, so a
-	// reassignment after analyzer death is picked up by the next redial —
-	// failover is just a redial to the replacement.
-	var resolve func() (string, error)
-	if *coordURL != "" {
-		resolve = federation.Resolver(*coordURL, *partKey)
-		log.Printf("resolving analyzer via coordinator %s (partition key %q)", *coordURL, *partKey)
 	}
 
 	if err := p.start(*telAddr); err != nil {
@@ -111,7 +97,7 @@ func runAgent(args []string) error {
 		// Dialing is lazy: the agent may start before the analyzer and
 		// spools frames until it appears (bounded by -connect-timeout).
 		snd, err := agent.DialConfig(agent.SenderConfig{
-			Addr: *addr, Resolve: resolve, Agent: name,
+			Addr: *addr, Agent: name,
 			Ring: *spool, Heartbeat: *heartbeat, DrainTimeout: *drainTimeout,
 		})
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"gretel/internal/agent"
 	"gretel/internal/core"
 	"gretel/internal/experiments"
-	"gretel/internal/federation"
 	"gretel/internal/fingerprint"
 	"gretel/internal/rca"
 	"gretel/internal/replay"
@@ -56,7 +55,6 @@ func runAnalyze(args []string) error {
 		walDir     = fs.String("wal", "", "write-ahead log directory: capture every ingested event durably and replay the unprocessed suffix on restart (empty disables)")
 		walFsync   = fs.String("wal-fsync", "interval", "WAL fsync policy: none (OS flush only), interval (bounded loss window), every (fsync per append)")
 		walRetain  = fs.Int64("wal-retain", 1<<30, "WAL retention budget in bytes; closed segments beyond it are dropped oldest-first (negative retains everything)")
-		memberName = fs.String("member", "", "federation member name: stamp reports with this id when running under a gretel coord fleet (empty = standalone)")
 	)
 	// Negative sizes would silently flip internal sentinels ("use the
 	// default", "cap disabled") a CLI user has no reason to request.
@@ -91,16 +89,15 @@ func runAnalyze(args []string) error {
 		traces = tracestore.New(*traceCap)
 	}
 
-	// Federation surface, served whenever telemetry is up: the report
-	// history a coordinator pulls and per-agent stream accounting, so a
-	// member is just an analyzer with -telemetry (-member only stamps).
-	var reportLog *federation.ReportLog
+	// Served whenever telemetry is up: the report history (/reports) and
+	// per-agent stream accounting (/agents).
+	var reportLog *ReportLog
 	// recvPtr publishes the receiver to the /agents handler; the
 	// telemetry server starts before the receiver exists.
 	var recvPtr atomic.Pointer[agent.Receiver]
 	var mounts []telemetry.Mount
 	if *telAddr != "" {
-		reportLog = federation.NewReportLog()
+		reportLog = NewReportLog()
 		if traces != nil {
 			h := traces.Handler()
 			mounts = append(mounts,
@@ -138,7 +135,6 @@ func runAnalyze(args []string) error {
 	analyzer := core.New(lib, core.Config{
 		Alpha: *alpha, Prate: *prate, T: *horizonT, PerfDetection: *perf,
 		DetectWorkers: *workers, DetectBacklog: *backlog, DetectShed: *shed,
-		Member: *memberName,
 	})
 	// Root-cause analysis over the distributed state the agents stream in.
 	store := rca.NewStore()
@@ -170,10 +166,9 @@ func runAnalyze(args []string) error {
 		default:
 			printReport(rep)
 		}
-		// The federation log honors bootQuiet too: reports at or below
-		// the durable cursor were already pulled by the coordinator
-		// before the crash, so re-recording them would re-merge them
-		// under the fresh boot id.
+		// The report log honors bootQuiet too: reports at or below the
+		// durable cursor were served before the crash, and re-recording
+		// them would serve them again under the fresh boot id.
 		if reportLog != nil {
 			reportLog.Record(rep)
 		}
@@ -252,7 +247,7 @@ func runAnalyze(args []string) error {
 			return err
 		}
 		recvPtr.Store(recv)
-		log.Printf("analyzer listening on %s (alpha=%d, federation member %q)", recv.Addr(), analyzer.Config().Alpha, *memberName)
+		log.Printf("analyzer listening on %s (alpha=%d)", recv.Addr(), analyzer.Config().Alpha)
 		go untilSignal(recv.Close)
 
 		// Drain events, state updates, and monitoring-plane health records on
@@ -276,8 +271,8 @@ func runAnalyze(args []string) error {
 	}
 	if recv := recvPtr.Load(); recv != nil {
 		// Per-agent stream ledger: last_seq - missing - dups = events this
-		// receiver actually admitted from that agent. The federation
-		// smoke asserts zero silent loss from these lines.
+		// receiver actually admitted from that agent. The WAL smoke
+		// asserts zero silent loss from these lines.
 		stats := recv.AgentStats()
 		names := make([]string, 0, len(stats))
 		for name := range stats {

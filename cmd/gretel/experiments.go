@@ -24,7 +24,7 @@ func runExperiments(args []string) error {
 	p := newProc("experiments")
 	fs := p.fs
 	var (
-		exp     = fs.String("exp", "all", "experiment to run: table1, fig5, fig6, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, hansel, explain, overhead, all; or reanalyze, cluster")
+		exp     = fs.String("exp", "all", "experiment to run: table1, fig5, fig6, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, hansel, explain, overhead, all; or reanalyze")
 		seed    = fs.Int64("seed", 1, "workload seed")
 		fast    = fs.Bool("fast", false, "reduced scales for a quick pass")
 		outDir  = fs.String("out", "", "also write each figure's raw data as CSV into this directory")
@@ -37,8 +37,8 @@ func runExperiments(args []string) error {
 	parallels := []int{100, 200, 300, 400}
 	faultCounts := []int{1, 4, 8, 16}
 	events := 200000
-	// In the order "all" runs them; alone ones need an input or a live
-	// fleet and run only when named.
+	// In the order "all" runs them; alone ones need an input and run
+	// only when named.
 	exps := []experiment{
 		{"table1", false, func() error {
 			fmt.Print(experiments.FormatTable1(experiments.Table1(*seed, 2)))
@@ -136,16 +136,6 @@ func runExperiments(args []string) error {
 			text := experiments.FormatReanalyze(res)
 			fmt.Print(text)
 			return writeText(*outDir, "reanalyze", text)
-		}},
-		{"cluster", true, func() error {
-			// A live fleet over TCP and HTTP, one member killed mid-burst.
-			res, err := experiments.Cluster(*seed, events/8)
-			if err != nil {
-				return err
-			}
-			text := experiments.FormatCluster(res)
-			fmt.Print(text)
-			return writeText(*outDir, "cluster", text)
 		}},
 	}
 	err := p.parse(args, func() error {

@@ -5,26 +5,22 @@
 // one), detects faults, localizes the responsible operation, runs
 // root-cause analysis and prints reports. -telemetry serves /metrics,
 // /healthz, /debug/pprof/, /reports and /agents (and /traces with
-// -explain); -wal makes ingest durable across restarts.
+// -explain); -wal makes ingest durable across restarts, and restarting
+// on the same -listen and -wal is the failover: the agents redial and
+// replay their spool into the new process.
 //
 //	gretel analyze -listen :6166 -library fingerprints.json -telemetry :6167
 //	gretel analyze -replay 40000 -fault-every 500 -json -wal /var/lib/gretel/wal
 //
 // agent drives a workload on the simulated deployment, taps and parses
 // every wire message as the paper's Bro agents do, and streams the
-// events to an analyzer, or to the one a coordinator assigns.
+// events to an analyzer.
 //
 //	gretel agent -analyzer 127.0.0.1:6166 -parallel 100 -faults 4 -duration 5m
-//	gretel agent -coord http://127.0.0.1:6170 -name site-a -per-node
-//
-// coord federates analyzers: assignment (/assign), failover (/cluster),
-// and merged reports, metrics and health (/reports, /metrics, /healthz).
-//
-//	gretel coord -listen :6170 -member a,127.0.0.1:6166,http://127.0.0.1:6167 \
-//	    -member b,127.0.0.1:6266,http://127.0.0.1:6267
+//	gretel agent -analyzer 127.0.0.1:6166 -per-node -spool 262144
 //
 // experiments regenerates the tables and figures of the paper's §7;
-// reanalyze and cluster run only when named.
+// reanalyze runs only when named.
 //
 //	gretel experiments -exp all -out out
 //	gretel experiments -exp reanalyze -wal-dir /var/lib/gretel/wal -wal-from 1000 -wal-to 2000
@@ -34,7 +30,7 @@
 //
 //	gretel fingerprint -seed 1 -runs 2 -o fingerprints.json
 //
-// analyze and coord drain on SIGINT or SIGTERM alike.
+// analyze drains on SIGINT or SIGTERM alike.
 package main
 
 import (
@@ -55,7 +51,6 @@ type command struct {
 var commands = []command{
 	{"analyze", "receive agent streams (or -replay), detect and localize faults, print reports", runAnalyze},
 	{"agent", "drive the simulated deployment and stream its tapped events to an analyzer", runAgent},
-	{"coord", "federate analyzers: assignment, failover, merged reports and metrics", runCoord},
 	{"experiments", "regenerate the paper's tables and figures", runExperiments},
 	{"fingerprint", "learn the fingerprint library offline and print Table 1", runFingerprint},
 }

@@ -100,8 +100,6 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 	wantUsage(t, "analyze -replay x", lookup(t, "analyze").run([]string{"-replay", "x"}), "-replay")
 	wantUsage(t, "agent -scenario", lookup(t, "agent").run([]string{"-scenario", "flood"}), "-scenario")
-	wantUsage(t, "coord without members", lookup(t, "coord").run(nil), "-member")
-	wantUsage(t, "coord -member", lookup(t, "coord").run([]string{"-member", "a,b"}), "name,eventAddr,baseURL")
 	wantUsage(t, "experiments -exp", lookup(t, "experiments").run([]string{"-exp", "fig9"}), "fig9")
 	wantUsage(t, "experiments reanalyze", lookup(t, "experiments").run([]string{"-exp", "reanalyze"}), "-wal-dir")
 }
@@ -127,7 +125,7 @@ func TestDispatchExitCodes(t *testing.T) {
 	if code := dispatch([]string{"tsdb"}, &stderr); code != 2 || !strings.Contains(stderr.String(), "unknown subcommand") {
 		t.Errorf("tsdb: exit %d, stderr %q; want 2 and unknown subcommand", code, stderr.String())
 	}
-	if code := dispatch([]string{"coord"}, &stderr); code != 2 {
+	if code := dispatch([]string{"experiments", "-exp", "reanalyze"}, &stderr); code != 2 {
 		t.Errorf("usage error: exit %d, want 2", code)
 	}
 	if code := dispatch([]string{"fingerprint", "-h"}, &stderr); code != 0 {
@@ -135,28 +133,6 @@ func TestDispatchExitCodes(t *testing.T) {
 	}
 	if code := dispatch([]string{"analyze", "-library", "/nonexistent/library.json", "-replay", "1"}, &stderr); code != 1 {
 		t.Errorf("failure: exit %d, want 1", code)
-	}
-}
-
-func TestMemberListSet(t *testing.T) {
-	var m memberList
-	for _, v := range []string{"a,b", "a,b,c,d", ""} {
-		if err := m.Set(v); err == nil {
-			t.Errorf("Set(%q) accepted a value without exactly three fields", v)
-		}
-	}
-	if err := m.Set(" alpha , 127.0.0.1:6166 ,http://127.0.0.1:6167 "); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Set("beta,127.0.0.1:6266,http://127.0.0.1:6268"); err != nil {
-		t.Fatal(err)
-	}
-	want := memberList{
-		{Name: "alpha", EventAddr: "127.0.0.1:6166", BaseURL: "http://127.0.0.1:6167"},
-		{Name: "beta", EventAddr: "127.0.0.1:6266", BaseURL: "http://127.0.0.1:6268"},
-	}
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("members = %+v, want %+v", m, want)
 	}
 }
 

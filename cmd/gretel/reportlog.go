@@ -1,4 +1,7 @@
-package federation
+// The report history gretel analyze serves at /reports on its telemetry
+// address.
+
+package main
 
 import (
 	"encoding/json"
@@ -11,9 +14,9 @@ import (
 	"gretel/internal/core"
 )
 
-// LogEntry is one report as the member's ReportLog serves it: the
-// member-local sequence number, the fault-arrival timestamp, and the
-// report body exactly as the member marshaled it.
+// LogEntry is one report as the ReportLog serves it: the log's sequence
+// number, the fault-arrival timestamp, and the report body exactly as
+// it was marshaled.
 type LogEntry struct {
 	Seq    uint64          `json:"seq"`
 	At     time.Time       `json:"at"`
@@ -25,8 +28,8 @@ type LogEntry struct {
 // sequence space), the retention bounds, and the entries after the
 // requested cursor.
 type LogPage struct {
-	// Boot identifies this ReportLog incarnation; a change tells the
-	// coordinator to reset its pull cursor and bump the epoch.
+	// Boot identifies this ReportLog incarnation; a change tells a puller
+	// to reset its cursor.
 	Boot uint64 `json:"boot"`
 	// First is the oldest retained sequence number (0 when empty): a
 	// puller whose cursor is older has missed evicted reports.
@@ -37,11 +40,11 @@ type LogPage struct {
 	Reports []LogEntry `json:"reports"`
 }
 
-// ReportLog is the bounded report history an analyzer member exposes to
-// the coordinator. Record is wired to core.Analyzer.OnReport, so
-// entries are appended in fault-arrival order with monotonically
-// increasing sequence numbers; the coordinator pulls increments with
-// /reports?since=N. Safe for concurrent use.
+// ReportLog is the bounded report history an analyzer serves at
+// /reports. Record is wired to core.Analyzer.OnReport, so entries are
+// appended in fault-arrival order with monotonically increasing
+// sequence numbers; a puller reads increments with /reports?since=N.
+// Safe for concurrent use.
 type ReportLog struct {
 	mu      sync.Mutex
 	boot    uint64
@@ -102,13 +105,6 @@ func (l *ReportLog) Page(since uint64) LogPage {
 		}
 	}
 	return page
-}
-
-// Len reports how many entries are currently retained.
-func (l *ReportLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }
 
 // Handler serves the log as JSON at GET ?since=N.

@@ -3,7 +3,6 @@ package agent
 import (
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,28 +15,21 @@ import (
 )
 
 // TestRedialToReplacementAdoptsSession is the failover regression: an
-// agent whose analyzer dies redials a *replacement* receiver that never
-// saw its history. The ring has long since dropped the early frames
-// (consumed by the dead analyzer), so the replacement's first payload
-// frame carries a high sequence number — before session hellos, the
-// receiver misread the whole unseen prefix as a gap. With the session
-// base adopted, the replacement reports zero missing frames.
+// agent whose analyzer dies redials a *replacement* receiver, restarted
+// on the same address, that never saw its history. The ring has long
+// since dropped the early frames (consumed by the dead analyzer), so the
+// replacement's first payload frame carries a high sequence number —
+// before session hellos, the receiver misread the whole unseen prefix as
+// a gap. With the session base adopted, the replacement reports zero
+// missing frames.
 func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	recvA, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recvB, err := ListenConfig(ReceiverConfig{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recvB.Close()
+	addr := recvA.Addr()
 
-	var target atomic.Value
-	target.Store(recvA.Addr())
-	cfg := fastSender("", "fed-agent")
-	cfg.Addr = ""
-	cfg.Resolve = func() (string, error) { return target.Load().(string), nil }
+	cfg := fastSender(addr, "failover-agent")
 	cfg.Ring = 8 // retain only a short suffix: the prefix is unrecoverable
 	s, err := DialConfig(cfg)
 	if err != nil {
@@ -66,17 +58,21 @@ func TestRedialToReplacementAdoptsSession(t *testing.T) {
 	}
 	takeEvents(t, recvA, total, 5*time.Second)
 
-	// Fail the analyzer over: reassign first, then kill A so the very
-	// next redial resolves to the replacement.
-	target.Store(recvB.Addr())
+	// Fail the analyzer over: kill A, then restart a receiver on its
+	// address for the redial to land on.
 	recvA.Close()
+	recvB, err := ListenConfig(ReceiverConfig{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvB.Close()
 
 	// The replacement receives the ring suffix; heartbeats then confirm
 	// the high-water mark. Nothing in the unseen prefix may be counted
 	// as missing.
 	deadline := time.After(10 * time.Second)
 	for {
-		st, ok := recvB.AgentStats()["fed-agent"]
+		st, ok := recvB.AgentStats()["failover-agent"]
 		if ok && st.LastSeq == total {
 			if st.Missing != 0 {
 				t.Fatalf("replacement counted %d missing frames from the unseen prefix", st.Missing)
@@ -321,11 +317,6 @@ func TestReceiverHelloSessionStateMachine(t *testing.T) {
 
 func TestDialConfigNeedsAddrOrResolver(t *testing.T) {
 	if _, err := DialConfig(SenderConfig{Agent: "x"}); err == nil {
-		t.Fatal("sender with neither Addr nor Resolve accepted")
+		t.Fatal("sender without Addr accepted")
 	}
-	s, err := DialConfig(SenderConfig{Agent: "x", Resolve: func() (string, error) { return "", nil }})
-	if err != nil {
-		t.Fatalf("resolver-only sender rejected: %v", err)
-	}
-	s.Close()
 }

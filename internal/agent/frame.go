@@ -44,8 +44,8 @@ const (
 // sender incarnation: it changes when the agent process restarts, so a
 // receiver can tell "same stream, reconnected" (missing sequence numbers
 // are losses) from "new stream" (an agent restart, or an agent redialing
-// a replacement analyzer that never saw the old history — in neither
-// case did this receiver lose anything). Base is the sequence number
+// a restarted analyzer whose receiver kept no state — in neither case
+// did this receiver lose anything). Base is the sequence number
 // immediately before the first frame this connection can replay; frames
 // at or below it are unrecoverable on this session and are the
 // receiver's starting point, not a gap. A Sender always sends a

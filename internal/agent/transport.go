@@ -66,17 +66,10 @@ var (
 type SenderConfig struct {
 	// Addr is the analyzer's event listener address.
 	Addr string
-	// Resolve, when set, is consulted before every dial attempt and
-	// overrides Addr — the federation hook: a coordinator can move the
-	// agent to a replacement analyzer and the next redial lands there,
-	// with the spill ring replaying everything retained. Errors and
-	// empty results fall back to Addr (or count as a failed attempt when
-	// Addr is empty) and go through the normal backoff.
-	Resolve func() (string, error)
 	// Session names this sender incarnation in hello frames (default:
 	// wall-clock nanoseconds at DialConfig). A receiver that has never seen
-	// the session — a fresh replacement analyzer, or the same analyzer
-	// after an agent restart — adopts the hello's base sequence instead
+	// the session — a restarted analyzer, or the same analyzer after an
+	// agent restart — adopts the hello's base sequence instead
 	// of misreading the unseen history as a gap.
 	Session uint64
 	// Agent names this agent in hello/heartbeat frames; the receiver
@@ -239,16 +232,6 @@ type Sender struct {
 	done      chan struct{}
 	firstConn chan struct{}
 	connOnce  sync.Once
-	lastAddr  atomic.Value // string: most recently resolved target
-}
-
-// target is the address the sender is currently aimed at — the last
-// Resolve result, falling back to the static Addr. For messages.
-func (s *Sender) target() string {
-	if a, ok := s.lastAddr.Load().(string); ok && a != "" {
-		return a
-	}
-	return s.cfg.Addr
 }
 
 // DialConfig starts a sender for the analyzer's event listener. Dialing
@@ -257,8 +240,8 @@ func (s *Sender) target() string {
 // ordering.
 func DialConfig(cfg SenderConfig) (*Sender, error) {
 	cfg.defaults()
-	if cfg.Addr == "" && cfg.Resolve == nil {
-		return nil, fmt.Errorf("agent: sender needs an address or a resolver")
+	if cfg.Addr == "" {
+		return nil, fmt.Errorf("agent: sender needs an address")
 	}
 	s := &Sender{
 		cfg:       cfg,
@@ -280,7 +263,7 @@ func (s *Sender) WaitConnected(timeout time.Duration) error {
 	case <-s.firstConn:
 		return nil
 	case <-time.After(timeout):
-		return fmt.Errorf("agent: no connection to %s within %v: %v", s.target(), timeout, s.err())
+		return fmt.Errorf("agent: no connection to %s within %v: %v", s.cfg.Addr, timeout, s.err())
 	}
 }
 
@@ -342,7 +325,7 @@ func (s *Sender) spool(ev *trace.Event, state []byte) {
 			mFramesShed.Inc()
 			if s.shed++; s.shed == 1 { // not per frame: the arguments alone allocate
 				telemetry.LogFirst("transport.shed",
-					"agent: spill ring full (%d frames) while disconnected from %s; shedding oldest", len(s.ring), s.target())
+					"agent: spill ring full (%d frames) while disconnected from %s; shedding oldest", len(s.ring), s.cfg.Addr)
 			}
 		}
 	}
@@ -440,14 +423,12 @@ func (s *Sender) run() {
 		}
 		s.setErr(err)
 		telemetry.LogFirst("transport.send",
-			"agent: connection to %s failed: %v; spooling and redialing", s.target(), err)
+			"agent: connection to %s failed: %v; spooling and redialing", s.cfg.Addr, err)
 	}
 }
 
 // dialLoop dials until it succeeds or the sender stops, backing off
-// exponentially with jitter between attempts. The target address is
-// re-resolved before every attempt, so a reassignment takes effect on
-// the very next redial.
+// exponentially with jitter between attempts.
 func (s *Sender) dialLoop(rng *rand.Rand) net.Conn {
 	backoff := s.cfg.BackoffMin
 	for {
@@ -456,29 +437,13 @@ func (s *Sender) dialLoop(rng *rand.Rand) net.Conn {
 			return nil
 		default:
 		}
-		addr := s.cfg.Addr
-		var err error
-		if s.cfg.Resolve != nil {
-			if a, rerr := s.cfg.Resolve(); rerr == nil && a != "" {
-				addr = a
-			} else if addr == "" {
-				if rerr == nil {
-					rerr = fmt.Errorf("agent: resolver returned no address")
-				}
-				err = rerr
-			}
-		}
+		conn, err := s.cfg.Dialer(s.cfg.Addr, dialTimeout)
 		if err == nil {
-			s.lastAddr.Store(addr)
-			var conn net.Conn
-			conn, err = s.cfg.Dialer(addr, dialTimeout)
-			if err == nil {
-				return conn
-			}
+			return conn
 		}
 		s.setErr(err)
 		telemetry.LogFirst("transport.dial",
-			"agent: dialing %s: %v; retrying with backoff", s.target(), err)
+			"agent: dialing %s: %v; retrying with backoff", s.cfg.Addr, err)
 		delay := backoff + time.Duration(rng.Int63n(int64(backoff)+1))
 		select {
 		case <-s.stop:
@@ -600,7 +565,7 @@ func (s *Sender) Drain(timeout time.Duration) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("agent: drain timed out with %d frames unflushed (analyzer %s unreachable?)",
-				target-flushed, s.target())
+				target-flushed, s.cfg.Addr)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -909,8 +874,8 @@ func (r *Receiver) touchLocked(agent string, now time.Time) *agentState {
 }
 
 // hello folds a connection's hello frame into the agent's tracker. A
-// session this receiver has not seen — the agent restarted, or it was
-// reassigned here from another analyzer whose history we never received
+// session this receiver has not seen — the agent restarted, or this
+// receiver belongs to a restarted analyzer that kept no per-agent state
 // — adopts the hello's base sequence outright: the stream genuinely
 // starts there, and the unseen prefix is not this receiver's loss. A
 // repeated hello for the session already being tracked is a reconnect;
@@ -1164,10 +1129,8 @@ func (r *Receiver) serve(conn net.Conn) {
 // blocked handing frames to a consumer that already stopped reading, or
 // fed a steady heartbeat stream that would otherwise keep them reading
 // forever), and closes the event, state, and health channels once they
-// exit. Senders see the closed connections as a failure and redial —
-// with a Resolve hook, onto whatever replacement they are assigned.
-// Idempotent: failover paths close a dead member's receiver from both
-// the kill site and the shutdown sweep.
+// exit. Senders see the closed connections as a failure and redial,
+// replaying their rings into whatever process listens next. Idempotent.
 func (r *Receiver) Close() {
 	r.closeOnce.Do(r.close)
 }

@@ -130,11 +130,6 @@ type Report struct {
 	// omitted from JSON — when explain mode is off, keeping reports
 	// byte-identical to a run without the subsystem.
 	TraceID uint64 `json:",omitempty"`
-	// Member names the analyzer instance that produced this report when
-	// it runs as one partition of a federation (Config.Member). Empty —
-	// and omitted from JSON — on a standalone analyzer, keeping
-	// single-process output byte-identical to a federation of one.
-	Member string `json:",omitempty"`
 
 	// TruthOp is ground truth (evaluation only): the operation that
 	// actually contained the fault.
@@ -190,11 +185,6 @@ type Config struct {
 	Latency tsoutliers.Options
 	// PerfDetection enables operation detection for latency alarms.
 	PerfDetection bool
-	// Member names this analyzer instance when it runs as one partition
-	// of a federation; every report is stamped with it so the merged
-	// stream stays attributable. Empty (the default) stamps nothing,
-	// keeping standalone output byte-identical.
-	Member string
 	// DetectWorkers sets the number of concurrent detection workers that
 	// run Algorithm 2 off the ingest hot path. 0 (the default, and what
 	// every bench/ workload runs) detects inline on the receiver
@@ -993,9 +983,6 @@ func (a *Analyzer) growContext(sc *detectScratch, snap *window.Snapshot, cands f
 // collector, which delivers reports in fault-arrival order so parallel
 // detection produces byte-identical output.
 func (a *Analyzer) finish(rep *Report) {
-	if a.cfg.Member != "" {
-		rep.Member = a.cfg.Member
-	}
 	if len(rep.Candidates) > 0 {
 		mDetectHits.Inc()
 	} else {

@@ -74,7 +74,7 @@ func (r *Registry) Handler() http.Handler {
 // false: a freshly exec'd analyzer that is still loading its fingerprint
 // library or binding its listener answers 503, and flips to 200 the
 // moment the main loop is live. Harnesses (the bench runner, smoke
-// scripts, future federation coordinators) poll /healthz instead of
+// scripts) poll /healthz instead of
 // sleeping an arbitrary grace period.
 var ready atomic.Bool
 

@@ -1,4 +1,4 @@
-// The fourteen pipeline scenarios, one Benchmark each with a b.Run per
+// The thirteen pipeline scenarios, one Benchmark each with a b.Run per
 // case. One b.N iteration is one full pass over the canonical workload
 // (internal/experiments/bench.go), so `-benchtime 3x` is three passes;
 // -short picks the CI-sized workloads ci/bench_gate.sh runs. Each case
